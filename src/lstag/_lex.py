@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .gorn import ROOT_TEXT
+from .gorn import ROOT_TEXT, GornAddress
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 _ADDR_RE = re.compile(r"\d+(?:\.\d+)*")
@@ -118,6 +118,14 @@ class Cursor:
             wanted = text if text is not None else kind
             raise ParseError(f"expected {wanted!r}, found {tok.text or tok.kind!r}", tok.line, tok.column)
         return self.next()
+
+    def address(self) -> GornAddress:
+        """Read an ADDR token; a malformed address is a parse error at that token."""
+        tok = self.expect("ADDR")
+        try:
+            return GornAddress.parse(tok.text)
+        except ValueError as exc:
+            raise ParseError(str(exc), tok.line, tok.column) from None
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
         tok = self.peek()

@@ -13,7 +13,6 @@ import sys
 from ._lex import Cursor, lex
 from .engine import EnumerationBudget, enumerate_derivations, language_sample
 from .errors import Diagnostic, LstagError, ParseError
-from .gorn import GornAddress
 from .grammarfile import (
     GrammarDocument,
     format_grammar,
@@ -83,11 +82,11 @@ def run_lstag_script(grammar: LstagGrammar, text: str) -> DerivedStructure:
             verb = cur.tokens[cur.pos - 1].text
             guest = grammar.get(cur.expect("NAME").text)
             cur.expect("NAME", "at")
-            first = GornAddress.parse(cur.expect("ADDR").text)
+            first = cur.address()
             if structure is None:
                 raise ParseError("script needs a root declaration first", lineno)
             if cur.accept("PUNCT", "~"):
-                second = GornAddress.parse(cur.expect("ADDR").text)
+                second = cur.address()
                 structure = lstag_compose(structure, first, second, guest)
             else:
                 if verb != "substitute":

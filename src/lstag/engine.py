@@ -6,15 +6,28 @@ histories that happen to build the same structure are both kept; the same
 history reached through different operation orders is collapsed, since a
 derivation is identified by its (order-insensitive) record set.
 
-Substitutions are driven by live link groups (one move fills every shared
-site); adjunctions are tried at every legal pair of interior sites, and
-each node of an elementary tree hosts at most one adjunction.
+Plain TAG and link-sharing TAG share one breadth-first search core,
+`_search`.  It sees a state only through the interface `DerivedStructure`
+already has: `root`, `history` (the derivation records), `is_complete`,
+`left_yield()` and `projections()`.  Plain TAG states (`_TagState`) return
+no right projection.  Each grammar supplies a lazy move generator that
+yields `(order_key, state)` for every legal next step; the core expands a
+state's moves in key order, and for a state already at the operation budget
+it only asks whether a first move exists, which decides `truncated`.
+
+Plain TAG substitutes initial trees at every slot and adjoins auxiliary
+trees at every interior node.  Link-sharing substitutions are driven by
+live link groups (one move fills every shared site); adjunctions are tried
+at every legal pair of interior sites.  Either way each node of an
+elementary tree hosts at most one adjunction.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterable, Iterator, Union
 
 from .errors import LstagError
 from .gorn import GornAddress
@@ -23,10 +36,14 @@ from .sharing import (
     DerivationRecord,
     DerivedStructure,
     LstagGrammar,
+    LstagPair,
     SiteRef,
+    derivation_projections,
+    guest_instance_id,
     shared_substitute,
     lstag_compose,
     structure_from_pair,
+    updated_prov,
 )
 from .tag import DerivationTree, TagGrammar
 from .trees import (
@@ -76,7 +93,49 @@ class EnumerationResult:
     truncated: bool
 
 
-# --- plain TAG enumeration ----------------------------------------------------
+_State = Union["_TagState", DerivedStructure]
+
+
+def _search(
+    roots: Iterable[_State],
+    moves: Callable[[_State], Iterator[tuple[tuple, _State]]],
+    budget: EnumerationBudget,
+) -> EnumerationResult:
+    seen: set[tuple[str, frozenset[DerivationRecord]]] = set()
+    queue: deque[_State] = deque()
+
+    def push(state: _State) -> None:
+        key = (state.root, frozenset(state.history))
+        if key not in seen:
+            seen.add(key)
+            queue.append(state)
+
+    for state in roots:
+        push(state)
+    complete: list[_State] = []
+    truncated = False
+    explored = 0
+    while queue:
+        state = queue.popleft()
+        explored += 1
+        if explored > budget.max_structures:
+            truncated = True
+            break
+        if state.is_complete:
+            complete.append(state)
+        if len(state.history) >= budget.max_operations:
+            truncated = truncated or next(moves(state), None) is not None
+            continue
+        for _, nxt in sorted(moves(state), key=lambda m: m[0]):
+            push(nxt)
+    items = sorted(
+        (EnumerationItem(s.root, s.history, s.left_yield(), *s.projections()) for s in complete),
+        key=EnumerationItem.sort_key,
+    )
+    return EnumerationResult(tuple(items), truncated)
+
+
+# --- plain TAG moves ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -85,159 +144,67 @@ class _TagState:
     tree: SyntaxTree
     prov: tuple[tuple[GornAddress, SiteRef], ...]
     adjoined: frozenset[SiteRef]
-    records: tuple[DerivationRecord, ...]
+    history: tuple[DerivationRecord, ...]
 
-    def key(self):
-        return (self.root, frozenset(self.records))
+    @property
+    def is_complete(self) -> bool:
+        return not self.tree.slot_addresses
+
+    def left_yield(self) -> tuple[str, ...]:
+        return yield_tokens(self.tree)
+
+    def projections(self) -> tuple[DerivationTree, None]:
+        return derivation_projections(self.history, self.root)[0], None
 
 
-def _tag_moves(grammar: TagGrammar, state: _TagState) -> list[_TagState]:
+def _tag_moves(
+    guests: dict[str, list[tuple[str, SyntaxTree]]], state: _TagState
+) -> Iterator[tuple[tuple, _TagState]]:
     prov = dict(state.prov)
-    moves: list[tuple[tuple, _TagState]] = []
     for addr, kind in state.tree.items():
         ref = prov[addr]
         if isinstance(kind, SubstitutionSlot):
-            for name, entry in grammar.entries:
-                if entry.tree_class is not TreeClass.INITIAL:
-                    continue
-                if entry.tree.root_symbol != kind.symbol:
-                    continue
-                res = substitute_with_maps(state.tree, addr, entry.tree)
-                guest_id = f"{ref.owner}/{ref.addr}:{name}"
-                new_prov = {n: prov[o] for o, n in res.host_moved}
-                new_prov.update({n: SiteRef(guest_id, p) for p, n in res.guest_placed})
-                record = DerivationRecord("substitution", name, guest_id, ref, ())
-                moves.append(
-                    (
-                        (str(addr), name),
-                        _TagState(
-                            state.root,
-                            res.tree,
-                            tuple(sorted(new_prov.items(), key=lambda kv: kv[0])),
-                            state.adjoined,
-                            state.records + (record,),
-                        ),
-                    )
-                )
-        elif isinstance(kind, Interior):
-            if ref in state.adjoined:
+            operation, compose, adjoined = "substitution", substitute_with_maps, state.adjoined
+        elif isinstance(kind, Interior) and ref not in state.adjoined:
+            operation, compose, adjoined = "adjunction", adjoin_with_maps, state.adjoined | {ref}
+        else:
+            continue
+        for name, tree in guests[operation]:
+            if tree.root_symbol != kind.symbol:
                 continue
-            for name, entry in grammar.entries:
-                if entry.tree_class is not TreeClass.AUXILIARY:
-                    continue
-                if entry.tree.root_symbol != kind.symbol:
-                    continue
-                res = adjoin_with_maps(state.tree, addr, entry.tree)
-                guest_id = f"{ref.owner}/{ref.addr}:{name}"
-                new_prov = {n: prov[o] for o, n in res.host_moved}
-                new_prov.update({n: SiteRef(guest_id, p) for p, n in res.guest_placed})
-                record = DerivationRecord("adjunction", name, guest_id, ref, ())
-                moves.append(
-                    (
-                        (str(addr), name),
-                        _TagState(
-                            state.root,
-                            res.tree,
-                            tuple(sorted(new_prov.items(), key=lambda kv: kv[0])),
-                            state.adjoined | {ref},
-                            state.records + (record,),
-                        ),
-                    )
-                )
-    moves.sort(key=lambda m: m[0])
-    return [s for _, s in moves]
+            res = compose(state.tree, addr, tree)
+            guest_id = guest_instance_id(ref, name)
+            record = DerivationRecord(operation, name, guest_id, ref, ())
+            new_prov = updated_prov(prov, res.host_moved, res.guest_placed, guest_id)
+            yield (str(addr), name), _TagState(
+                state.root, res.tree, new_prov, adjoined, state.history + (record,)
+            )
 
 
-def _tag_item(grammar: TagGrammar, state: _TagState) -> EnumerationItem:
-    names = {state.root: state.root}
-    children: dict[str, list[tuple[GornAddress, str]]] = defaultdict(list)
-    for r in state.records:
-        names[r.guest_id] = r.guest
-        children[r.left_site.owner].append((r.left_site.addr, r.guest_id))
-
-    def build(node_id: str) -> DerivationTree:
-        kids = sorted(children.get(node_id, []), key=lambda kv: kv[0])
-        return DerivationTree(names[node_id], tuple((a, build(c)) for a, c in kids))
-
-    return EnumerationItem(
-        state.root, state.records, yield_tokens(state.tree), build(state.root), None
-    )
+# --- link-sharing moves -----------------------------------------------------------
 
 
-def _enumerate_tag(grammar: TagGrammar, budget: EnumerationBudget) -> EnumerationResult:
-    roots = [
-        _TagState(
-            name,
-            entry.tree,
-            tuple((a, SiteRef(name, a)) for a in entry.tree.addresses()),
-            frozenset(),
-            (),
-        )
-        for name, entry in grammar.entries
-        if entry.tree_class is TreeClass.INITIAL
-    ]
-    truncated = False
-    explored = 0
-    seen = set()
-    complete: list[_TagState] = []
-    frontier = []
-    for state in roots:
-        if state.key() not in seen:
-            seen.add(state.key())
-            frontier.append(state)
-    while frontier:
-        next_frontier = []
-        for state in frontier:
-            explored += 1
-            if explored > budget.max_structures:
-                return EnumerationResult(
-                    tuple(sorted((_tag_item(grammar, s) for s in complete), key=lambda i: i.sort_key())),
-                    True,
-                )
-            if not state.tree.slot_addresses:
-                complete.append(state)
-            moves = _tag_moves(grammar, state)
-            if len(state.records) >= budget.max_operations:
-                if moves:
-                    truncated = True
-                continue
-            for nxt in moves:
-                if nxt.key() not in seen:
-                    seen.add(nxt.key())
-                    next_frontier.append(nxt)
-        frontier = next_frontier
-    items = sorted((_tag_item(grammar, s) for s in complete), key=lambda i: i.sort_key())
-    return EnumerationResult(tuple(items), truncated)
-
-
-# --- link-sharing enumeration ---------------------------------------------------
-
-
-def _is_initial(tree: SyntaxTree) -> bool:
+def _pair_class(pair: LstagPair) -> TreeClass | None:
+    """The class both trees of a pair share, or None if they differ or are ill-formed."""
     try:
-        return classify(tree) is TreeClass.INITIAL
+        left, right = classify(pair.left_tree), classify(pair.right_tree)
     except LstagError:
-        return False
+        return None
+    return left if left is right else None
 
 
-def _is_auxiliary(tree: SyntaxTree) -> bool:
-    try:
-        return classify(tree) is TreeClass.AUXILIARY
-    except LstagError:
-        return False
-
-
-def _lstag_moves(grammar: LstagGrammar, s: DerivedStructure) -> list[DerivedStructure]:
-    moves: list[tuple[tuple, DerivedStructure]] = []
+def _lstag_moves(
+    initial: list[tuple[str, LstagPair]],
+    auxiliary: list[tuple[str, LstagPair]],
+    s: DerivedStructure,
+) -> Iterator[tuple[tuple, DerivedStructure]]:
     for gi, group in enumerate(s.live_links):
-        for name, pair in grammar.pairs:
-            if not (_is_initial(pair.left_tree) and _is_initial(pair.right_tree)):
-                continue
+        for name, pair in initial:
             try:
                 nxt = shared_substitute(s, group, pair)
             except LstagError:
                 continue
-            moves.append(((0, gi, name), nxt))
+            yield (0, gi, name), nxt
     left_sites = [
         a for a, k in s.left_tree.items()
         if isinstance(k, Interior) and s.left_prov_map[a] not in s.adjoined_left
@@ -246,9 +213,7 @@ def _lstag_moves(grammar: LstagGrammar, s: DerivedStructure) -> list[DerivedStru
         a for a, k in s.right_spine.items()
         if isinstance(k, Interior) and s.right_prov_map[a] not in s.adjoined_right
     ]
-    for name, pair in grammar.pairs:
-        if not (_is_auxiliary(pair.left_tree) and _is_auxiliary(pair.right_tree)):
-            continue
+    for name, pair in auxiliary:
         for la in left_sites:
             if s.left_tree.node_at(la).symbol != pair.left_tree.root_symbol:
                 continue
@@ -259,65 +224,33 @@ def _lstag_moves(grammar: LstagGrammar, s: DerivedStructure) -> list[DerivedStru
                     nxt = lstag_compose(s, la, ra, pair)
                 except LstagError:
                     continue
-                moves.append(((1, str(la), str(ra), name), nxt))
-    moves.sort(key=lambda m: m[0])
-    return [state for _, state in moves]
-
-
-def _lstag_item(s: DerivedStructure) -> EnumerationItem:
-    left, right = s.projections()
-    return EnumerationItem(s.root, s.history, s.left_yield(), left, right)
-
-
-def _enumerate_lstag(grammar: LstagGrammar, budget: EnumerationBudget) -> EnumerationResult:
-    roots = [
-        structure_from_pair(pair)
-        for _, pair in grammar.pairs
-        if _is_initial(pair.left_tree) and _is_initial(pair.right_tree)
-    ]
-    truncated = False
-    explored = 0
-    seen = set()
-    complete: list[DerivedStructure] = []
-    frontier = []
-    for state in roots:
-        key = (state.root, frozenset(state.history))
-        if key not in seen:
-            seen.add(key)
-            frontier.append(state)
-    while frontier:
-        next_frontier = []
-        for state in frontier:
-            explored += 1
-            if explored > budget.max_structures:
-                return EnumerationResult(
-                    tuple(sorted((_lstag_item(s) for s in complete), key=lambda i: i.sort_key())),
-                    True,
-                )
-            if state.is_complete:
-                complete.append(state)
-            moves = _lstag_moves(grammar, state)
-            if len(state.history) >= budget.max_operations:
-                if moves:
-                    truncated = True
-                continue
-            for nxt in moves:
-                key = (nxt.root, frozenset(nxt.history))
-                if key not in seen:
-                    seen.add(key)
-                    next_frontier.append(nxt)
-        frontier = next_frontier
-    items = sorted((_lstag_item(s) for s in complete), key=lambda i: i.sort_key())
-    return EnumerationResult(tuple(items), truncated)
+                yield (1, str(la), str(ra), name), nxt
 
 
 def enumerate_derivations(
     grammar: TagGrammar | LstagGrammar, budget: EnumerationBudget
 ) -> EnumerationResult:
     if isinstance(grammar, TagGrammar):
-        return _enumerate_tag(grammar, budget)
+        guests = {
+            operation: [(n, e.tree) for n, e in grammar.entries if e.tree_class is tree_class]
+            for operation, tree_class in (
+                ("substitution", TreeClass.INITIAL),
+                ("adjunction", TreeClass.AUXILIARY),
+            )
+        }
+        roots = (
+            _TagState(
+                name, tree, tuple((a, SiteRef(name, a)) for a in tree.addresses()), frozenset(), ()
+            )
+            for name, tree in guests["substitution"]
+        )
+        return _search(roots, partial(_tag_moves, guests), budget)
     if isinstance(grammar, LstagGrammar):
-        return _enumerate_lstag(grammar, budget)
+        classes = {name: _pair_class(pair) for name, pair in grammar.pairs}
+        initial = [(n, p) for n, p in grammar.pairs if classes[n] is TreeClass.INITIAL]
+        auxiliary = [(n, p) for n, p in grammar.pairs if classes[n] is TreeClass.AUXILIARY]
+        roots = (structure_from_pair(pair) for _, pair in initial)
+        return _search(roots, partial(_lstag_moves, initial, auxiliary), budget)
     raise TypeError(f"cannot enumerate over {type(grammar).__name__}")
 
 

@@ -58,21 +58,13 @@ class GrammarDocument:
         return LstagGrammar(tuple((p.name, p) for p in pairs))
 
 
-def _parse_addr(cur: Cursor) -> GornAddress:
-    tok = cur.expect("ADDR")
-    try:
-        return GornAddress.parse(tok.text)
-    except ValueError as exc:
-        raise ParseError(str(exc), tok.line, tok.column) from None
-
-
 def _parse_link_list(cur: Cursor) -> list[Link]:
     cur.expect("PUNCT", "[")
     links: list[Link] = []
     while not cur.accept("PUNCT", "]"):
-        left = _parse_addr(cur)
+        left = cur.address()
         cur.expect("PUNCT", "~")
-        right = _parse_addr(cur)
+        right = cur.address()
         links.append(Link(left, right))
         if not cur.accept("PUNCT", ","):
             cur.expect("PUNCT", "]")
@@ -84,9 +76,9 @@ def _parse_phi_list(cur: Cursor) -> list[Link]:
     cur.expect("PUNCT", "[")
     links: list[Link] = []
     while not cur.accept("PUNCT", "]"):
-        first = _parse_addr(cur)
+        first = cur.address()
         if cur.accept("PUNCT", "~"):
-            second = _parse_addr(cur)
+            second = cur.address()
             links.append(Link(first, second))
         else:
             links.append(Link(first, first))
@@ -100,9 +92,9 @@ def _parse_correspond_list(cur: Cursor) -> Correspondence:
     open_tok = cur.expect("PUNCT", "[")
     pairs: list[tuple[GornAddress, GornAddress]] = []
     while not cur.accept("PUNCT", "]"):
-        left = _parse_addr(cur)
+        left = cur.address()
         cur.expect("PUNCT", "->")
-        right = _parse_addr(cur)
+        right = cur.address()
         pairs.append((left, right))
         if not cur.accept("PUNCT", ","):
             cur.expect("PUNCT", "]")
@@ -214,24 +206,21 @@ def load_grammar(path: str) -> GrammarDocument:
 def validate_document(doc: GrammarDocument, restrictions: bool = True) -> list[Diagnostic]:
     """Structural validation plus, by default, the coordination restrictions."""
     diags: list[Diagnostic] = []
-    for name, tree in doc.trees:
+    # (where, message prefix, tree, lspair whose links to check after this tree)
+    checks = [(name, "", tree, None) for name, tree in doc.trees]
+    for p in (*doc.stag_pairs, *doc.lstag_pairs):
+        lspair = p if isinstance(p, LstagPair) else None
+        checks += [
+            (p.name, "left tree: ", p.left_tree, None),
+            (p.name, "right tree: ", p.right_tree, lspair),
+        ]
+    for where, prefix, tree, lspair in checks:
         try:
             classify(tree)
         except ClassMismatch as exc:
-            diags.append(Diagnostic("ClassMismatch", str(exc), name))
-    for p in doc.stag_pairs:
-        for side, tree in (("left", p.left_tree), ("right", p.right_tree)):
-            try:
-                classify(tree)
-            except ClassMismatch as exc:
-                diags.append(Diagnostic("ClassMismatch", f"{side} tree: {exc}", p.name))
-    for p in doc.lstag_pairs:
-        for side, tree in (("left", p.left_tree), ("right", p.right_tree)):
-            try:
-                classify(tree)
-            except ClassMismatch as exc:
-                diags.append(Diagnostic("ClassMismatch", f"{side} tree: {exc}", p.name))
-        diags.extend(validate_pair(p))
+            diags.append(Diagnostic("ClassMismatch", f"{prefix}{exc}", where))
+        if lspair is not None:
+            diags.extend(validate_pair(lspair))
     if restrictions:
         diags.extend(restriction_diagnostics(doc))
     return diags

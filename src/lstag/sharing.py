@@ -13,7 +13,7 @@ every linked parent and turns the right derivation into a DAG.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, Sequence, Union
@@ -277,7 +277,7 @@ def as_structure(host: LstagPair | DerivedStructure) -> DerivedStructure:
     return host if isinstance(host, DerivedStructure) else structure_from_pair(host)
 
 
-def _updated_prov(
+def updated_prov(
     prov: dict[GornAddress, SiteRef],
     moved: Iterable[tuple[GornAddress, GornAddress]],
     placed: Iterable[tuple[GornAddress, GornAddress]],
@@ -291,7 +291,7 @@ def _updated_prov(
     return tuple(sorted(new.items(), key=lambda kv: kv[0]))
 
 
-def _guest_instance_id(left_ref: SiteRef, guest_name: str) -> str:
+def guest_instance_id(left_ref: SiteRef, guest_name: str) -> str:
     return f"{left_ref.owner}/{left_ref.addr}:{guest_name}"
 
 
@@ -324,7 +324,7 @@ def lstag_compose(
 
     left_ref = hs.left_prov_map[left_site]
     right_ref = hs.right_prov_map[right_site]
-    guest_id = _guest_instance_id(left_ref, guest.name)
+    guest_id = guest_instance_id(left_ref, guest.name)
 
     live = list(hs.live_links)
     if operation == "substitution":
@@ -383,8 +383,8 @@ def lstag_compose(
         fragments=fragments,
         live_links=shared + appended,
         history=hs.history + (record,),
-        left_prov=_updated_prov(hs.left_prov_map, left_res.host_moved, left_res.guest_placed, guest_id),
-        right_prov=_updated_prov(hs.right_prov_map, right_res.host_moved, right_res.guest_placed, guest_id),
+        left_prov=updated_prov(hs.left_prov_map, left_res.host_moved, left_res.guest_placed, guest_id),
+        right_prov=updated_prov(hs.right_prov_map, right_res.host_moved, right_res.guest_placed, guest_id),
         adjoined_left=adjoined_left,
         adjoined_right=adjoined_right,
     )
@@ -432,7 +432,7 @@ def shared_substitute(
             )
 
     left_ref = hs.left_prov_map[group.left_addr]
-    guest_id = _guest_instance_id(left_ref, guest.name)
+    guest_id = guest_instance_id(left_ref, guest.name)
     left_res = substitute_with_maps(hs.left_tree, group.left_addr, guest.left_tree)
     fragment = Fragment(guest_id, guest.name, guest.right_tree, group.right_addrs)
     record = DerivationRecord(
@@ -450,7 +450,7 @@ def shared_substitute(
         fragments=hs.fragments + (fragment,),
         live_links=live,
         history=hs.history + (record,),
-        left_prov=_updated_prov(hs.left_prov_map, left_res.host_moved, left_res.guest_placed, guest_id),
+        left_prov=updated_prov(hs.left_prov_map, left_res.host_moved, left_res.guest_placed, guest_id),
         right_prov=hs.right_prov,
         adjoined_left=hs.adjoined_left,
         adjoined_right=hs.adjoined_right,
@@ -469,8 +469,12 @@ class DerivationGraph:
     def labels(self) -> dict[str, str]:
         return dict(self.nodes)
 
+    @cached_property
+    def _in_degrees(self) -> Counter[str]:
+        return Counter(child for _, _, child in self.edges)
+
     def in_degree(self, node_id: str) -> int:
-        return sum(1 for _, _, child in self.edges if child == node_id)
+        return self._in_degrees[node_id]
 
     def ids_with_label(self, label: str) -> tuple[str, ...]:
         return tuple(i for i, l in self.nodes if l == label)

@@ -3,8 +3,8 @@
 A derivation tree records which elementary tree composed into which, with
 edge labels giving the address in the parent's original elementary tree.
 Replay is bottom-up: children are rebuilt first, then attached.  When
-several adjunctions hit one parent, sites are tracked through the address
-rebasing performed by earlier adjunctions, so edge addresses always refer
+several adjunctions hit one parent, each site is carried through the host
+address maps of the earlier compositions, so edge addresses always refer
 to the elementary tree as written in the grammar.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 from ._lex import Cursor, lex
 from .errors import (
@@ -29,7 +30,6 @@ from .trees import (
     TreeClass,
     adjoin_with_maps,
     classify,
-    rebase_address,
     substitute_with_maps,
 )
 
@@ -90,37 +90,33 @@ class DerivationTree:
 def replay(grammar: TagGrammar, d: DerivationTree) -> SyntaxTree:
     entry = grammar.get(d.root)
     result = entry.tree
-    transforms: list[tuple[GornAddress, GornAddress]] = []
-
-    def current(addr: GornAddress) -> GornAddress:
-        for site, foot in transforms:
-            addr = rebase_address(addr, site, foot)
-        return addr
+    host_maps: list[Callable[[GornAddress], GornAddress]] = []
 
     for addr, child in d.edges:
         if not entry.tree.has_address(addr):
             raise EdgeAddressInvalid(f"{d.root!r} has no address {addr}")
         child_entry = grammar.get(child.root)
         child_tree = replay(grammar, child)
-        site = current(addr)
+        site = addr
+        for host_map in host_maps:
+            site = host_map(site)
         kind = result.node_at(site)
         if isinstance(kind, SubstitutionSlot):
             if child_entry.tree_class is not TreeClass.INITIAL:
                 raise OperationMismatch(
                     f"slot at {addr} of {d.root!r} needs an initial tree, got {child.root!r}"
                 )
-            result = substitute_with_maps(result, site, child_tree).tree
+            composed = substitute_with_maps(result, site, child_tree)
         elif isinstance(kind, Interior):
             if child_entry.tree_class is not TreeClass.AUXILIARY:
                 raise OperationMismatch(
                     f"interior node at {addr} of {d.root!r} needs an auxiliary tree, got {child.root!r}"
                 )
-            result = adjoin_with_maps(result, site, child_tree).tree
-            foot = child_tree.foot_address
-            assert foot is not None
-            transforms.append((site, foot))
+            composed = adjoin_with_maps(result, site, child_tree)
         else:
             raise OperationMismatch(f"cannot compose at {addr} of {d.root!r}: node is {kind}")
+        result = composed.tree
+        host_maps.append(composed.host_map)
     return result
 
 
@@ -194,10 +190,6 @@ def validate_derivation(grammar: TagGrammar, d: DerivationTree) -> list[Diagnost
     return diags
 
 
-def has_unfilled_slots(tree: SyntaxTree) -> bool:
-    return bool(tree.slot_addresses)
-
-
 # --- derivation script format -------------------------------------------------
 #
 # One optional `root NAME` line, then one line per edge:
@@ -234,7 +226,7 @@ def parse_derivation_script(text: str) -> DerivationTree:
         else:
             parent_name = cur.expect("NAME").text
             cur.expect("PUNCT", "@")
-            addr = GornAddress.parse(cur.expect("ADDR").text)
+            addr = cur.address()
             cur.expect("PUNCT", "<-")
             child_name = cur.expect("NAME").text
             if root is None:

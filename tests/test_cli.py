@@ -1,4 +1,11 @@
+import contextlib
+import io
 import json
+import pathlib
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from lstag.cli import main
 
@@ -156,6 +163,55 @@ def test_derive_unknown_root(capsys, fixtures_dir, tmp_path):
     code, out, err = run(capsys, "derive", str(fixtures_dir / "cooked.tag"), str(script))
     assert code == 1
     assert "UnknownTree" in err
+
+
+@pytest.mark.parametrize(
+    "grammar, script",
+    [
+        ("cooked.tag", "cooked @ 0 <- john\n"),
+        ("cooks_eats.lstag", "root cooks\nadjoin and_eats at 2.0 ~ ε\n"),
+        ("cooks_eats.lstag", "root cooks\nadjoin and_eats at 2.1 ~ 0\n"),
+    ],
+)
+def test_derive_zero_address_component_is_a_parse_error(capsys, fixtures_dir, tmp_path, grammar, script):
+    path = tmp_path / "zero.script"
+    path.write_text(script, encoding="utf-8")
+    code, out, err = run(capsys, "derive", str(fixtures_dir / grammar), str(path))
+    assert code == 2
+    assert err.startswith("parse error")
+    assert "Traceback" not in err
+
+
+_NAMES = st.sampled_from(["cooked", "john", "beans", "dried", "cooks", "and_eats", "mystery"])
+_ADDRS = st.sampled_from(["ε", "0", "1", "2", "2.0", "2.1", "2.2", "0.1", "1.1", "9.9"])
+_SCRIPT_LINES = st.one_of(
+    st.builds("root {}".format, _NAMES),
+    st.builds("{} @ {} <- {}".format, _NAMES, _ADDRS, _NAMES),
+    st.builds("adjoin {} at {} ~ {}".format, _NAMES, _ADDRS, _ADDRS),
+    st.builds("substitute {} at {}".format, _NAMES, _ADDRS),
+    st.builds("substitute {} at {} ~ {}".format, _NAMES, _ADDRS, _ADDRS),
+    st.lists(
+        st.one_of(_NAMES, _ADDRS, st.sampled_from(["root", "adjoin", "substitute", "at", "~", "@", "<-"])),
+        max_size=6,
+    ).map(" ".join),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    grammar=st.sampled_from(["cooked.tag", "cooks_eats.lstag"]),
+    lines=st.lists(_SCRIPT_LINES, min_size=1, max_size=5),
+)
+def test_derive_exit_status_holds_for_generated_scripts(grammar, lines):
+    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        script = pathlib.Path(tmp) / "fuzz.script"
+        script.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["derive", str(fixtures / grammar), str(script)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 # --- enumerate ------------------------------------------------------------------

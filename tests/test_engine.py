@@ -72,6 +72,15 @@ def test_lstag_enumeration_matches_committed_list(lstag_grammar, golden_dir):
     assert items_as_obj(result) == expected
 
 
+def test_ungated_topicalization_matches_committed_list(fixtures_dir, golden_dir):
+    doc = load_grammar(str(fixtures_dir / "topicalization.lstag"))
+    grammar = doc.lstag_grammar(usable_lstag_names(doc, restrictions=False))
+    result = enumerate_derivations(grammar, EnumerationBudget(3))
+    with open(golden_dir / "enum_topicalization_open_ops3.json", encoding="utf-8") as fh:
+        expected = json.load(fh)["items"]
+    assert items_as_obj(result) == expected
+
+
 def test_tag_yields_include_the_expected_sentences(tag_grammar):
     sample = language_sample(tag_grammar, EnumerationBudget(3))
     assert "John cooked beans" in sample
@@ -130,6 +139,19 @@ def test_lstag_items_project_consistently(lstag_grammar):
 def test_truncation_flag(tag_grammar):
     assert enumerate_derivations(tag_grammar, EnumerationBudget(1)).truncated
     assert enumerate_derivations(tag_grammar, EnumerationBudget(2, 3)).truncated
+
+
+@pytest.mark.parametrize(
+    "fixture, ops, max_structures, expected",
+    [("cooks_eats.lstag", ops, 10000, (True, n)) for ops, n in zip(range(1, 5), (2, 6, 10, 18))]
+    + [("cooks_eats.lstag", ops, 7, (True, 2)) for ops in range(1, 5)]
+    + [("topicalization.lstag", ops, 10000, (False, 1)) for ops in range(1, 5)],
+)
+def test_lstag_truncation_and_item_count(fixtures_dir, fixture, ops, max_structures, expected):
+    doc = load_grammar(str(fixtures_dir / fixture))
+    grammar = doc.lstag_grammar(usable_lstag_names(doc))
+    result = enumerate_derivations(grammar, EnumerationBudget(ops, max_structures))
+    assert (result.truncated, len(result.items)) == expected
 
 
 def test_structure_cap_is_deterministic(tag_grammar):
