@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import groupby
+from typing import Iterator
 
 from .errors import ParseError
 from .gorn import ROOT_TEXT, GornAddress
@@ -136,3 +138,14 @@ class Cursor:
     def error(self, message: str) -> ParseError:
         tok = self.peek()
         return ParseError(message, tok.line, tok.column)
+
+
+def script_lines(text: str) -> Iterator[tuple[int, Cursor]]:
+    """Lex a line-oriented script once; yield (line number, cursor) per non-empty line.
+
+    Each cursor ends in an EOF token just past its line's last token, so a
+    token-level error reports the script's own line and column.
+    """
+    for lineno, group in groupby(lex(text)[:-1], key=lambda tok: tok.line):
+        *tokens, last = group
+        yield lineno, Cursor([*tokens, last, Token("EOF", "", lineno, last.column + len(last.text))])

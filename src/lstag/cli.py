@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from ._lex import Cursor, lex
+from ._lex import script_lines
 from .engine import EnumerationBudget, enumerate_derivations, language_sample
 from .errors import Diagnostic, LstagError, ParseError
 from .grammarfile import (
@@ -68,11 +68,7 @@ def _print_diagnostics(diags: list[Diagnostic], as_json: bool) -> None:
 def run_lstag_script(grammar: LstagGrammar, text: str) -> DerivedStructure:
     structure: DerivedStructure | None = None
     step = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        cur = Cursor(lex(line))
+    for lineno, cur in script_lines(text):
         step += 1
         if cur.accept("NAME", "root"):
             if structure is not None:
@@ -259,13 +255,8 @@ def _cmd_derive(args) -> int:
 
 
 def _script_root(script: str) -> str:
-    for raw in script.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        cur = Cursor(lex(line))
-        if cur.accept("NAME", "root"):
-            return cur.expect("NAME").text
+    for _, cur in script_lines(script):
+        cur.accept("NAME", "root")
         return cur.expect("NAME").text
     raise ParseError("empty derivation script")
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Union
 
 from .errors import LstagError
@@ -143,8 +143,12 @@ class _TagState:
     root: str
     tree: SyntaxTree
     prov: tuple[tuple[GornAddress, SiteRef], ...]
-    adjoined: frozenset[SiteRef]
     history: tuple[DerivationRecord, ...]
+
+    @cached_property
+    def adjoined(self) -> frozenset[SiteRef]:
+        """Elementary nodes that already host an adjunction."""
+        return frozenset(r.left_site for r in self.history if r.operation == "adjunction")
 
     @property
     def is_complete(self) -> bool:
@@ -164,9 +168,9 @@ def _tag_moves(
     for addr, kind in state.tree.items():
         ref = prov[addr]
         if isinstance(kind, SubstitutionSlot):
-            operation, compose, adjoined = "substitution", substitute_with_maps, state.adjoined
+            operation, compose = "substitution", substitute_with_maps
         elif isinstance(kind, Interior) and ref not in state.adjoined:
-            operation, compose, adjoined = "adjunction", adjoin_with_maps, state.adjoined | {ref}
+            operation, compose = "adjunction", adjoin_with_maps
         else:
             continue
         for name, tree in guests[operation]:
@@ -176,9 +180,7 @@ def _tag_moves(
             guest_id = guest_instance_id(ref, name)
             record = DerivationRecord(operation, name, guest_id, ref, ())
             new_prov = updated_prov(prov, res.host_moved, res.guest_placed, guest_id)
-            yield (str(addr), name), _TagState(
-                state.root, res.tree, new_prov, adjoined, state.history + (record,)
-            )
+            yield (str(addr), name), _TagState(state.root, res.tree, new_prov, state.history + (record,))
 
 
 # --- link-sharing moves -----------------------------------------------------------
@@ -239,9 +241,7 @@ def enumerate_derivations(
             )
         }
         roots = (
-            _TagState(
-                name, tree, tuple((a, SiteRef(name, a)) for a in tree.addresses()), frozenset(), ()
-            )
+            _TagState(name, tree, tuple((a, SiteRef(name, a)) for a in tree.addresses()), ())
             for name, tree in guests["substitution"]
         )
         return _search(roots, partial(_tag_moves, guests), budget)

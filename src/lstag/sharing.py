@@ -222,8 +222,6 @@ class DerivedStructure:
     history: tuple[DerivationRecord, ...]
     left_prov: tuple[tuple[GornAddress, SiteRef], ...]
     right_prov: tuple[tuple[GornAddress, SiteRef], ...]
-    adjoined_left: frozenset[SiteRef] = frozenset()
-    adjoined_right: frozenset[SiteRef] = frozenset()
 
     @cached_property
     def left_prov_map(self) -> dict[GornAddress, SiteRef]:
@@ -232,6 +230,16 @@ class DerivedStructure:
     @cached_property
     def right_prov_map(self) -> dict[GornAddress, SiteRef]:
         return dict(self.right_prov)
+
+    @cached_property
+    def adjoined_left(self) -> frozenset[SiteRef]:
+        """Left elementary nodes that already host an adjunction."""
+        return frozenset(r.left_site for r in self.history if r.operation == "adjunction")
+
+    @cached_property
+    def adjoined_right(self) -> frozenset[SiteRef]:
+        """Right elementary nodes that already host an adjunction."""
+        return frozenset(r.right_sites[0] for r in self.history if r.operation == "adjunction")
 
     @cached_property
     def fragment_parent_addrs(self) -> frozenset[GornAddress]:
@@ -260,6 +268,9 @@ class DerivedStructure:
 
 
 def structure_from_pair(pair: LstagPair) -> DerivedStructure:
+    """The one-pair structure a derivation starts from; both trees must be initial."""
+    if any(classify(t) is not TreeClass.INITIAL for t in (pair.left_tree, pair.right_tree)):
+        raise ClassMismatch(f"a derivation starts from an initial pair, and {pair.name!r} is not one")
     live = tuple(SharedLinkGroup(l.left, (l.right,)) for l in pair.delta)
     return DerivedStructure(
         root=pair.name,
@@ -347,8 +358,6 @@ def lstag_compose(
             live.remove(only)
         left_res = substitute_with_maps(hs.left_tree, left_site, guest.left_tree)
         right_res = substitute_with_maps(hs.right_spine, right_site, guest.right_tree)
-        adjoined_left = hs.adjoined_left
-        adjoined_right = hs.adjoined_right
     else:
         if left_ref in hs.adjoined_left:
             raise DuplicateAdjunction(f"left node {left_ref} already hosts an adjunction")
@@ -356,8 +365,6 @@ def lstag_compose(
             raise DuplicateAdjunction(f"right node {right_ref} already hosts an adjunction")
         left_res = adjoin_with_maps(hs.left_tree, left_site, guest.left_tree)
         right_res = adjoin_with_maps(hs.right_spine, right_site, guest.right_tree)
-        adjoined_left = hs.adjoined_left | {left_ref}
-        adjoined_right = hs.adjoined_right | {right_ref}
 
     rebased = [
         SharedLinkGroup(
@@ -385,8 +392,6 @@ def lstag_compose(
         history=hs.history + (record,),
         left_prov=updated_prov(hs.left_prov_map, left_res.host_moved, left_res.guest_placed, guest_id),
         right_prov=updated_prov(hs.right_prov_map, right_res.host_moved, right_res.guest_placed, guest_id),
-        adjoined_left=adjoined_left,
-        adjoined_right=adjoined_right,
     )
 
 
@@ -414,13 +419,7 @@ def shared_substitute(
         )
     if classify(guest.left_tree) is not TreeClass.INITIAL or classify(guest.right_tree) is not TreeClass.INITIAL:
         raise ClassMismatch("shared substitution requires initial guest trees")
-    left_kind = hs.left_tree.node_at(group.left_addr)
-    if not isinstance(left_kind, SubstitutionSlot):
-        raise NotASlot(f"left node at {group.left_addr} is {left_kind}, not a substitution slot")
-    if guest.left_tree.root_symbol != left_kind.symbol:
-        raise SymbolMismatch(
-            f"left slot expects {left_kind.symbol!r}, guest root is {guest.left_tree.root_symbol!r}"
-        )
+    left_res = substitute_with_maps(hs.left_tree, group.left_addr, guest.left_tree)
     for addr in group.right_addrs:
         kind = hs.right_spine.node_at(addr)
         if not isinstance(kind, SubstitutionSlot):
@@ -433,7 +432,6 @@ def shared_substitute(
 
     left_ref = hs.left_prov_map[group.left_addr]
     guest_id = guest_instance_id(left_ref, guest.name)
-    left_res = substitute_with_maps(hs.left_tree, group.left_addr, guest.left_tree)
     fragment = Fragment(guest_id, guest.name, guest.right_tree, group.right_addrs)
     record = DerivationRecord(
         "shared-substitution",
@@ -452,8 +450,6 @@ def shared_substitute(
         history=hs.history + (record,),
         left_prov=updated_prov(hs.left_prov_map, left_res.host_moved, left_res.guest_placed, guest_id),
         right_prov=hs.right_prov,
-        adjoined_left=hs.adjoined_left,
-        adjoined_right=hs.adjoined_right,
     )
 
 
@@ -509,7 +505,7 @@ class DerivationGraph:
             children[parent].append((GornAddress.parse(addr), child))
 
         def build(node_id: str) -> DerivationTree:
-            kids = sorted(children.get(node_id, []), key=lambda kv: kv[0])
+            kids = children.get(node_id, [])
             return DerivationTree(self.labels[node_id], tuple((a, build(c)) for a, c in kids))
 
         return build(self.root)
@@ -543,7 +539,7 @@ def derivation_projections(
             edges.append((site.owner, str(site.addr), r.guest_id))
 
     def build(node_id: str) -> DerivationTree:
-        kids = sorted(left_children.get(node_id, []), key=lambda kv: kv[0])
+        kids = left_children.get(node_id, [])
         return DerivationTree(known[node_id], tuple((a, build(c)) for a, c in kids))
 
     return build(root), DerivationGraph(root, tuple(nodes), tuple(edges))

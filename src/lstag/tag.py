@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
-from ._lex import Cursor, lex
+from ._lex import script_lines
 from .errors import (
     Diagnostic,
     EdgeAddressInvalid,
@@ -212,11 +212,7 @@ def parse_derivation_script(text: str) -> DerivationTree:
     def add(node: _Node) -> None:
         occurrences.setdefault(node.name, []).append(node)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        cur = Cursor(lex(line))
+    for lineno, cur in script_lines(text):
         if cur.accept("NAME", "root"):
             name = cur.expect("NAME").text
             if root is not None:

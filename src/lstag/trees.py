@@ -49,47 +49,49 @@ class Terminal:
 
 NodeKind = Interior | SubstitutionSlot | Foot | Terminal
 
-_LEAF_ONLY = (SubstitutionSlot, Foot, Terminal)
-
 
 class TreeClass(enum.Enum):
     INITIAL = "initial"
     AUXILIARY = "auxiliary"
 
 
+def _table(nodes: Mapping[GornAddress, NodeKind]) -> tuple[tuple[GornAddress, NodeKind], ...]:
+    return tuple(sorted(nodes.items(), key=lambda kv: kv[0].parts))
+
+
 @dataclass(frozen=True)
 class SyntaxTree:
-    """Immutable tree; `entries` is the sorted (address, kind) table."""
+    """Immutable tree; `entries` is the sorted (address, kind) table.
+
+    `parse_tree` and `from_nodes` are the checked constructors.  Calling
+    `SyntaxTree(entries)` directly checks nothing; substitution and adjunction
+    build their results that way, since composing well-formed trees always
+    gives a well-formed tree.
+    """
 
     entries: tuple[tuple[GornAddress, NodeKind], ...]
 
-    def __post_init__(self):
-        entries = tuple(sorted(self.entries))
-        object.__setattr__(self, "entries", entries)
-        by_addr = dict(entries)
-        if len(by_addr) != len(entries):
-            raise ValueError("duplicate addresses in tree")
-        if ROOT not in by_addr:
-            raise ValueError("tree has no root node")
-        if not isinstance(by_addr[ROOT], Interior):
-            raise ValueError("root node must be an interior node")
-        feet = [a for a, k in entries if isinstance(k, Foot)]
-        if len(feet) > 1:
-            raise ValueError("tree has more than one foot node")
-        for addr, kind in entries:
-            if addr.parts:
-                parent = addr.parent
-                if parent not in by_addr:
-                    raise ValueError(f"address set not prefix-closed at {addr}")
-                if not isinstance(by_addr[parent], Interior):
-                    raise ValueError(f"non-interior node {parent} has a child")
-                k = addr.parts[-1]
-                if k > 1 and parent.child(k - 1) not in by_addr:
-                    raise ValueError(f"missing sibling {parent.child(k - 1)} before {addr}")
-
     @classmethod
     def from_nodes(cls, nodes: Mapping[GornAddress, NodeKind]) -> "SyntaxTree":
-        return cls(tuple(nodes.items()))
+        """Build a tree from an address -> kind map, raising ValueError if it is ill-formed."""
+        entries = _table(nodes)
+        if ROOT not in nodes:
+            raise ValueError("tree has no root node")
+        if not isinstance(nodes[ROOT], Interior):
+            raise ValueError("root node must be an interior node")
+        if sum(isinstance(k, Foot) for _, k in entries) > 1:
+            raise ValueError("tree has more than one foot node")
+        for addr, _ in entries:
+            if addr.parts:
+                parent = addr.parent
+                if parent not in nodes:
+                    raise ValueError(f"address set not prefix-closed at {addr}")
+                if not isinstance(nodes[parent], Interior):
+                    raise ValueError(f"non-interior node {parent} has a child")
+                k = addr.parts[-1]
+                if k > 1 and parent.child(k - 1) not in nodes:
+                    raise ValueError(f"missing sibling {parent.child(k - 1)} before {addr}")
+        return cls(entries)
 
     @cached_property
     def _by_addr(self) -> dict[GornAddress, NodeKind]:
@@ -180,9 +182,9 @@ class ComposeResult:
     """A composed tree plus the address maps for both operands.
 
     `host_map` is total on host addresses (for substitution the consumed slot
-    address maps to itself, where the guest root now sits).  `guest_map`
-    covers every guest node that survives, which excludes the foot for
-    adjunction.
+    address maps to itself, where the guest root now sits).  `guest_placed`
+    and `host_moved` pair each surviving guest and host address with its
+    place in the result; an adjunction's foot and a filled slot do not survive.
     """
 
     tree: SyntaxTree
@@ -205,7 +207,7 @@ def substitute_with_maps(target: SyntaxTree, addr: GornAddress, filler: SyntaxTr
     placed = tuple((p, addr.extend(p)) for p, _ in filler.items())
     nodes.update({addr.extend(p): k for p, k in filler.items()})
     moved = tuple((a, a) for a, _ in target.items() if a != addr)
-    return ComposeResult(SyntaxTree.from_nodes(nodes), lambda a: a, placed, moved)
+    return ComposeResult(SyntaxTree(_table(nodes)), lambda a: a, placed, moved)
 
 
 def adjoin_with_maps(target: SyntaxTree, addr: GornAddress, aux: SyntaxTree) -> ComposeResult:
@@ -234,7 +236,7 @@ def adjoin_with_maps(target: SyntaxTree, addr: GornAddress, aux: SyntaxTree) -> 
         nodes[new] = k
         placed.append((p, new))
     return ComposeResult(
-        SyntaxTree.from_nodes(nodes),
+        SyntaxTree(_table(nodes)),
         lambda a: rebase_address(a, addr, foot),
         tuple(placed),
         tuple(moved),

@@ -119,15 +119,37 @@ def splice_yield_oracle(target: SyntaxTree, site: GornAddress, aux: SyntaxTree) 
     return u + w1 + v + w2 + z
 
 
+def check_structure(s) -> None:
+    """Assert the invariants of a `DerivedStructure`.
+
+    Both trees pass the checked constructor, the provenance tables cover
+    exactly the addresses of their trees, every endpoint of a live link group
+    exists, and every fragment parent is a substitution slot of the spine.
+    """
+    for tree in (s.left_tree, s.right_spine):
+        assert SyntaxTree.from_nodes(dict(tree.items())) == tree
+    assert tuple(a for a, _ in s.left_prov) == s.left_tree.addresses()
+    assert tuple(a for a, _ in s.right_prov) == s.right_spine.addresses()
+    for group in s.live_links:
+        assert s.left_tree.has_address(group.left_addr), group
+        for addr in group.right_addrs:
+            assert s.right_spine.has_address(addr), group
+    for fragment in s.fragments:
+        for parent in fragment.parents:
+            assert isinstance(s.right_spine.node_at(parent), SubstitutionSlot), (fragment, parent)
+
+
 def replay_lstag_records(grammar, root: str, records):
     """Re-derive a structure from its history, resolving provenance sites.
 
     Each record names sites by (owning instance, original address); this walks
-    the history forward, looking the sites up in the evolving provenance maps.
+    the history forward, looking the sites up in the evolving provenance maps,
+    and checks the structure's invariants after every step.
     """
     from lstag import SharedLinkGroup, lstag_compose, shared_substitute, structure_from_pair
 
     structure = structure_from_pair(grammar.get(root))
+    check_structure(structure)
     for record in records:
         left = next(a for a, p in structure.left_prov if p == record.left_site)
         rights = [
@@ -140,6 +162,7 @@ def replay_lstag_records(grammar, root: str, records):
         else:
             group = SharedLinkGroup(left, tuple(rights))
             structure = shared_substitute(structure, group, guest)
+        check_structure(structure)
     return structure
 
 

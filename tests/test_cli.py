@@ -157,6 +157,32 @@ def test_derive_failing_step_reports_diagnostic(capsys, fixtures_dir, tmp_path):
     assert "DerivationFailed" in err
 
 
+def test_derive_rejects_an_auxiliary_root_pair(capsys, fixtures_dir, tmp_path):
+    script = tmp_path / "aux.script"
+    script.write_text("root and_eats\n", encoding="utf-8")
+    code, out, err = run(capsys, "derive", str(fixtures_dir / "cooks_eats.lstag"), str(script))
+    assert code == 1
+    assert out == ""
+    assert "DerivationFailed" in err
+
+
+@pytest.mark.parametrize(
+    "grammar, script, position",
+    [
+        ("cooks_eats.lstag", "root cooks\n\nadjoin and_eats at 2.1 ~\n", "(line 3, column 25)"),
+        ("cooked.tag", "root cooked\ncooked @ 1 <- john\n   cooked @ 2.2 <-\n", "(line 3, column 19)"),
+    ],
+)
+def test_derive_parse_error_reports_script_line_and_column(
+    capsys, fixtures_dir, tmp_path, grammar, script, position
+):
+    path = tmp_path / "short.script"
+    path.write_text(script, encoding="utf-8")
+    code, out, err = run(capsys, "derive", str(fixtures_dir / grammar), str(path))
+    assert code == 2
+    assert position in err
+
+
 def test_derive_unknown_root(capsys, fixtures_dir, tmp_path):
     script = tmp_path / "odd.script"
     script.write_text("root mystery\n", encoding="utf-8")

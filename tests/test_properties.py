@@ -11,6 +11,7 @@ from lstag import (
     LstagPair,
     SharedLinkGroup,
     StagPair,
+    SyntaxTree,
     TagGrammar,
     adjoin,
     check_lexical_contiguity,
@@ -22,10 +23,11 @@ from lstag import (
     substitute,
     yield_tokens,
 )
-from lstag.trees import adjoin_with_maps
+from lstag.trees import adjoin_with_maps, substitute_with_maps
 
 from helpers_trees import (
     SYMBOLS,
+    check_structure,
     image_connected_oracle,
     interior_addresses,
     random_auxiliary,
@@ -72,6 +74,25 @@ def test_adjunction_node_map_is_a_bijection(data):
         assert res.tree.node_at(new) == target.node_at(old)
     for orig, new in res.guest_placed:
         assert res.tree.node_at(new) == aux.node_at(orig)
+
+
+# --- composition needs no re-check -------------------------------------------------
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_composed_trees_pass_the_checked_constructor(data):
+    rng = rng_from(data)
+    target = random_tree(rng)
+    sites = interior_addresses(target)
+    site = sites[data.draw(st.integers(0, len(sites) - 1))]
+    results = [adjoin_with_maps(target, site, random_auxiliary(rng, target.node_at(site).symbol))]
+    slots = slot_addresses(target)
+    if slots:
+        slot = slots[data.draw(st.integers(0, len(slots) - 1))]
+        results.append(substitute_with_maps(target, slot, random_initial(rng, target.node_at(slot).symbol)))
+    for res in results:
+        assert SyntaxTree.from_nodes(dict(res.tree.items())) == res.tree
 
 
 # --- substitution locality and commutation ---------------------------------------
@@ -219,6 +240,8 @@ def test_phi_links_are_exhausted_by_composition(data):
     host, la, ra, guest = random_lstag_composition(rng)
     structure = lstag_compose(host, la, ra, guest)
     before = structure_from_pair(host)
+    check_structure(before)
+    check_structure(structure)
     arity_before = sum(len(g.right_addrs) for g in before.live_links)
     arity_after = sum(len(g.right_addrs) for g in structure.live_links)
     assert arity_after - arity_before == len(guest.phi)

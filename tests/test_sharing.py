@@ -2,6 +2,7 @@ import pytest
 
 from lstag import (
     CardinalityViolation,
+    ClassMismatch,
     DuplicateAdjunction,
     GornAddress,
     GroupNotLive,
@@ -21,6 +22,8 @@ from lstag import (
     structure_from_pair,
     validate_pair,
 )
+
+from helpers_trees import check_structure
 
 A = GornAddress.parse
 E = GornAddress(())
@@ -168,6 +171,13 @@ def test_compose_mixed_site_kinds_rejected():
         lstag_compose(GAMMA, A("1"), E, BETA)
 
 
+def test_auxiliary_pair_cannot_root_a_derivation():
+    with pytest.raises(ClassMismatch):
+        structure_from_pair(BETA)
+    with pytest.raises(ClassMismatch):
+        lstag_compose(BETA, A("1"), A("1"), JOHN)
+
+
 def test_compose_substitution_cannot_orphan_a_shared_group():
     s = coordinated()
     with pytest.raises(GroupNotLive):
@@ -217,6 +227,15 @@ def test_shared_substitution_gives_in_degree_two():
     assert frag.in_degree == 2
     assert frag.parents == (A("3.1"), A("1"))
     assert s.history[-1].operation == "shared-substitution"
+
+
+def test_later_adjunction_moves_shared_fragment_parents():
+    s = coordinated()
+    s = shared_substitute(s, s.live_links[0], JOHN)
+    today = LstagPair("today", parse_tree('V(V* ADV("today"))'), parse_tree('S(S* ADV("today"))'))
+    s = lstag_compose(s, A("2.1.3"), E, today)
+    assert s.fragment_named("john").parents == (A("1.3.1"), A("1.1"))
+    check_structure(s)
 
 
 def test_singleton_group_is_ordinary_substitution():
