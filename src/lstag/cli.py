@@ -12,7 +12,7 @@ import sys
 
 from ._lex import script_lines
 from .engine import EnumerationBudget, enumerate_derivations, language_sample
-from .errors import Diagnostic, LstagError, ParseError
+from .errors import Diagnostic, LstagError, OperationMismatch, ParseError
 from .grammarfile import (
     GrammarDocument,
     format_grammar,
@@ -30,6 +30,7 @@ from .render import (
 from .sharing import (
     DerivedStructure,
     LstagGrammar,
+    compose_record,
     shared_substitute,
     lstag_compose,
     structure_from_pair,
@@ -83,6 +84,11 @@ def run_lstag_script(grammar: LstagGrammar, text: str) -> DerivedStructure:
                 raise ParseError("script needs a root declaration first", lineno)
             if cur.accept("PUNCT", "~"):
                 second = cur.address()
+                operation = compose_record(structure, first, second, guest.name).operation
+                if (verb == "adjoin") != (operation == "adjunction"):
+                    raise OperationMismatch(
+                        f"step {step}: sites {first} ~ {second} take {operation}, not {verb}"
+                    )
                 structure = lstag_compose(structure, first, second, guest)
             else:
                 if verb != "substitute":

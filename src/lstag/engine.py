@@ -11,9 +11,14 @@ Plain TAG and link-sharing TAG share one breadth-first search core,
 already has: `root`, `history` (the derivation records), `is_complete`,
 `left_yield()` and `projections()`.  Plain TAG states (`_TagState`) return
 no right projection.  Each grammar supplies a lazy move generator that
-yields `(order_key, state)` for every legal next step; the core expands a
-state's moves in key order, and for a state already at the operation budget
-it only asks whether a first move exists, which decides `truncated`.
+yields `(order_key, record, build)` for every candidate next step: `record`
+is the derivation record the step would append, worked out without
+composing, and `build()` composes the next state or raises `LstagError`.
+The core expands a state's moves in key order and drops a move whose
+`(root, history + record)` key it has already seen before building it, so
+only new states are ever composed; a move whose build raises is dropped
+without marking its key.  For a state already at the operation budget it
+only asks whether some move builds, which decides `truncated`.
 
 Plain TAG substitutes initial trees at every slot and adjoins auxiliary
 trees at every interior node.  Link-sharing substitutions are driven by
@@ -38,7 +43,9 @@ from .sharing import (
     LstagGrammar,
     LstagPair,
     SiteRef,
+    compose_record,
     derivation_projections,
+    group_record,
     guest_instance_id,
     shared_substitute,
     lstag_compose,
@@ -47,6 +54,7 @@ from .sharing import (
 )
 from .tag import DerivationTree, TagGrammar
 from .trees import (
+    ComposeResult,
     Interior,
     SubstitutionSlot,
     SyntaxTree,
@@ -94,24 +102,28 @@ class EnumerationResult:
 
 
 _State = Union["_TagState", DerivedStructure]
+_Move = tuple[tuple, DerivationRecord, Callable[[], _State]]
+
+
+def _built(build: Callable[[], _State]) -> _State | None:
+    try:
+        return build()
+    except LstagError:
+        return None
 
 
 def _search(
     roots: Iterable[_State],
-    moves: Callable[[_State], Iterator[tuple[tuple, _State]]],
+    moves: Callable[[_State], Iterator[_Move]],
     budget: EnumerationBudget,
 ) -> EnumerationResult:
     seen: set[tuple[str, frozenset[DerivationRecord]]] = set()
     queue: deque[_State] = deque()
-
-    def push(state: _State) -> None:
+    for state in roots:
         key = (state.root, frozenset(state.history))
         if key not in seen:
             seen.add(key)
             queue.append(state)
-
-    for state in roots:
-        push(state)
     complete: list[_State] = []
     truncated = False
     explored = 0
@@ -124,10 +136,16 @@ def _search(
         if state.is_complete:
             complete.append(state)
         if len(state.history) >= budget.max_operations:
-            truncated = truncated or next(moves(state), None) is not None
+            truncated = truncated or any(_built(build) is not None for _, _, build in moves(state))
             continue
-        for _, nxt in sorted(moves(state), key=lambda m: m[0]):
-            push(nxt)
+        for _, record, build in sorted(moves(state), key=lambda m: m[0]):
+            key = (state.root, frozenset(state.history + (record,)))
+            if key in seen:
+                continue
+            nxt = _built(build)
+            if nxt is not None:
+                seen.add(key)
+                queue.append(nxt)
     items = sorted(
         (EnumerationItem(s.root, s.history, s.left_yield(), *s.projections()) for s in complete),
         key=EnumerationItem.sort_key,
@@ -161,9 +179,20 @@ class _TagState:
         return derivation_projections(self.history, self.root)[0], None
 
 
-def _tag_moves(
-    guests: dict[str, list[tuple[str, SyntaxTree]]], state: _TagState
-) -> Iterator[tuple[tuple, _TagState]]:
+def _tag_step(
+    state: _TagState,
+    prov: dict[GornAddress, SiteRef],
+    compose: Callable[[SyntaxTree, GornAddress, SyntaxTree], ComposeResult],
+    addr: GornAddress,
+    guest: SyntaxTree,
+    record: DerivationRecord,
+) -> _TagState:
+    res = compose(state.tree, addr, guest)
+    new_prov = updated_prov(prov, res.host_moved, res.guest_placed, record.guest_id)
+    return _TagState(state.root, res.tree, new_prov, state.history + (record,))
+
+
+def _tag_moves(guests: dict[str, list[tuple[str, SyntaxTree]]], state: _TagState) -> Iterator[_Move]:
     prov = dict(state.prov)
     for addr, kind in state.tree.items():
         ref = prov[addr]
@@ -176,11 +205,8 @@ def _tag_moves(
         for name, tree in guests[operation]:
             if tree.root_symbol != kind.symbol:
                 continue
-            res = compose(state.tree, addr, tree)
-            guest_id = guest_instance_id(ref, name)
-            record = DerivationRecord(operation, name, guest_id, ref, ())
-            new_prov = updated_prov(prov, res.host_moved, res.guest_placed, guest_id)
-            yield (str(addr), name), _TagState(state.root, res.tree, new_prov, state.history + (record,))
+            record = DerivationRecord(operation, name, guest_instance_id(ref, name), ref, ())
+            yield (str(addr), name), record, partial(_tag_step, state, prov, compose, addr, tree, record)
 
 
 # --- link-sharing moves -----------------------------------------------------------
@@ -199,14 +225,14 @@ def _lstag_moves(
     initial: list[tuple[str, LstagPair]],
     auxiliary: list[tuple[str, LstagPair]],
     s: DerivedStructure,
-) -> Iterator[tuple[tuple, DerivedStructure]]:
+) -> Iterator[_Move]:
     for gi, group in enumerate(s.live_links):
         for name, pair in initial:
             try:
-                nxt = shared_substitute(s, group, pair)
+                record = group_record(s, group, name)
             except LstagError:
                 continue
-            yield (0, gi, name), nxt
+            yield (0, gi, name), record, partial(shared_substitute, s, group, pair)
     left_sites = [
         a for a, k in s.left_tree.items()
         if isinstance(k, Interior) and s.left_prov_map[a] not in s.adjoined_left
@@ -222,11 +248,8 @@ def _lstag_moves(
             for ra in right_sites:
                 if s.right_spine.node_at(ra).symbol != pair.right_tree.root_symbol:
                     continue
-                try:
-                    nxt = lstag_compose(s, la, ra, pair)
-                except LstagError:
-                    continue
-                yield (1, str(la), str(ra), name), nxt
+                record = compose_record(s, la, ra, name)
+                yield (1, str(la), str(ra), name), record, partial(lstag_compose, s, la, ra, pair)
 
 
 def enumerate_derivations(

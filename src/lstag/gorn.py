@@ -3,6 +3,11 @@
 The root is the empty path and is printed as "ε".  The total order is
 plain lexicographic order on the component tuples, so a prefix precedes
 every extension of itself and siblings sort by index.
+
+`GornAddress(parts)` and `GornAddress.parse` are the checked boundary: both
+reject a component that is not an integer >= 1.  Addresses derived from
+valid ones (`extend`, `parent`, `suffix_after`, `trees.rebase_address`, and
+`child` once its new index is checked) are trusted and skip that check.
 """
 
 from __future__ import annotations
@@ -13,6 +18,10 @@ from functools import total_ordering
 ROOT_TEXT = "ε"
 
 
+def _is_index(k) -> bool:
+    return isinstance(k, int) and not isinstance(k, bool) and k >= 1
+
+
 @total_ordering
 @dataclass(frozen=True)
 class GornAddress:
@@ -20,9 +29,16 @@ class GornAddress:
 
     def __post_init__(self):
         parts = tuple(self.parts)
-        if any(not isinstance(k, int) or isinstance(k, bool) or k < 1 for k in parts):
+        if not all(map(_is_index, parts)):
             raise ValueError(f"address components must be integers >= 1, got {parts!r}")
         object.__setattr__(self, "parts", parts)
+
+    @classmethod
+    def _of(cls, parts: tuple[int, ...]) -> "GornAddress":
+        """An address over parts taken from valid addresses, built without the check."""
+        addr = object.__new__(cls)
+        object.__setattr__(addr, "parts", parts)
+        return addr
 
     @classmethod
     def parse(cls, text: str) -> "GornAddress":
@@ -35,16 +51,18 @@ class GornAddress:
             raise ValueError(f"malformed Gorn address: {text!r}") from None
 
     def child(self, k: int) -> "GornAddress":
-        return GornAddress(self.parts + (k,))
+        if not _is_index(k):
+            raise ValueError(f"address components must be integers >= 1, got {self.parts + (k,)!r}")
+        return GornAddress._of(self.parts + (k,))
 
     def extend(self, other: "GornAddress") -> "GornAddress":
-        return GornAddress(self.parts + other.parts)
+        return GornAddress._of(self.parts + other.parts)
 
     @property
     def parent(self) -> "GornAddress":
         if not self.parts:
             raise ValueError("the root address has no parent")
-        return GornAddress(self.parts[:-1])
+        return GornAddress._of(self.parts[:-1])
 
     def is_prefix_of(self, other: "GornAddress") -> bool:
         return other.parts[: len(self.parts)] == self.parts
@@ -55,7 +73,7 @@ class GornAddress:
     def suffix_after(self, prefix: "GornAddress") -> "GornAddress":
         if not prefix.is_prefix_of(self):
             raise ValueError(f"{prefix} is not a prefix of {self}")
-        return GornAddress(self.parts[len(prefix.parts):])
+        return GornAddress._of(self.parts[len(prefix.parts):])
 
     def __lt__(self, other: "GornAddress") -> bool:
         return self.parts < other.parts

@@ -19,6 +19,7 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import (
+    AddressNotFound,
     CardinalityViolation,
     ClassMismatch,
     Diagnostic,
@@ -306,6 +307,56 @@ def guest_instance_id(left_ref: SiteRef, guest_name: str) -> str:
     return f"{left_ref.owner}/{left_ref.addr}:{guest_name}"
 
 
+def _site_record(
+    hs: DerivedStructure,
+    operation: str,
+    guest_name: str,
+    left_site: GornAddress,
+    right_sites: Sequence[GornAddress],
+) -> DerivationRecord:
+    try:
+        left_ref = hs.left_prov_map[left_site]
+        right_refs = tuple(hs.right_prov_map[a] for a in right_sites)
+    except KeyError as exc:
+        raise AddressNotFound(f"no node at address {exc.args[0]}") from None
+    return DerivationRecord(
+        operation, guest_name, guest_instance_id(left_ref, guest_name), left_ref, right_refs
+    )
+
+
+def compose_record(
+    hs: DerivedStructure, left_site: GornAddress, right_site: GornAddress, guest_name: str
+) -> DerivationRecord:
+    """The record `lstag_compose` appends for a guest named `guest_name` at these sites.
+
+    The operation follows from the two sites' kinds; this raises what
+    `lstag_compose` raises for sites that are missing or of different kinds.
+    """
+    left_kind = hs.left_tree.node_at(left_site)
+    right_kind = hs.right_spine.node_at(right_site)
+    if isinstance(left_kind, SubstitutionSlot) and isinstance(right_kind, SubstitutionSlot):
+        operation = "substitution"
+    elif isinstance(left_kind, Interior) and isinstance(right_kind, Interior):
+        operation = "adjunction"
+    else:
+        raise OperationMismatch(
+            f"left site {left_site} is {left_kind} while right site {right_site} is {right_kind}; "
+            "both sides must substitute or both must adjoin"
+        )
+    return _site_record(hs, operation, guest_name, left_site, (right_site,))
+
+
+def group_record(hs: DerivedStructure, group: SharedLinkGroup, guest_name: str) -> DerivationRecord:
+    """The record `shared_substitute` appends when it fills `group` with that guest.
+
+    Like `compose_record`, this raises for a site the structure lacks and,
+    for a one-site group, for sites of different kinds.
+    """
+    if len(group.right_addrs) == 1:
+        return compose_record(hs, group.left_addr, group.right_addrs[0], guest_name)
+    return _site_record(hs, "shared-substitution", guest_name, group.left_addr, group.right_addrs)
+
+
 def lstag_compose(
     host: LstagPair | DerivedStructure,
     left_site: GornAddress,
@@ -321,24 +372,11 @@ def lstag_compose(
     live set as fresh singleton groups.
     """
     hs = as_structure(host)
-    left_kind = hs.left_tree.node_at(left_site)
-    right_kind = hs.right_spine.node_at(right_site)
-    if isinstance(left_kind, SubstitutionSlot) and isinstance(right_kind, SubstitutionSlot):
-        operation = "substitution"
-    elif isinstance(left_kind, Interior) and isinstance(right_kind, Interior):
-        operation = "adjunction"
-    else:
-        raise OperationMismatch(
-            f"left site {left_site} is {left_kind} while right site {right_site} is {right_kind}; "
-            "both sides must substitute or both must adjoin"
-        )
-
-    left_ref = hs.left_prov_map[left_site]
-    right_ref = hs.right_prov_map[right_site]
-    guest_id = guest_instance_id(left_ref, guest.name)
+    record = compose_record(hs, left_site, right_site, guest.name)
+    guest_id = record.guest_id
 
     live = list(hs.live_links)
-    if operation == "substitution":
+    if record.operation == "substitution":
         if right_site in hs.fragment_parent_addrs:
             raise NotASlot(f"right slot at {right_site} is already filled by a shared fragment")
         touching = [
@@ -359,10 +397,10 @@ def lstag_compose(
         left_res = substitute_with_maps(hs.left_tree, left_site, guest.left_tree)
         right_res = substitute_with_maps(hs.right_spine, right_site, guest.right_tree)
     else:
-        if left_ref in hs.adjoined_left:
-            raise DuplicateAdjunction(f"left node {left_ref} already hosts an adjunction")
-        if right_ref in hs.adjoined_right:
-            raise DuplicateAdjunction(f"right node {right_ref} already hosts an adjunction")
+        if record.left_site in hs.adjoined_left:
+            raise DuplicateAdjunction(f"left node {record.left_site} already hosts an adjunction")
+        if record.right_sites[0] in hs.adjoined_right:
+            raise DuplicateAdjunction(f"right node {record.right_sites[0]} already hosts an adjunction")
         left_res = adjoin_with_maps(hs.left_tree, left_site, guest.left_tree)
         right_res = adjoin_with_maps(hs.right_spine, right_site, guest.right_tree)
 
@@ -382,7 +420,6 @@ def lstag_compose(
         replace(f, parents=tuple(right_res.host_map(a) for a in f.parents))
         for f in hs.fragments
     )
-    record = DerivationRecord(operation, guest.name, guest_id, left_ref, (right_ref,))
     return DerivedStructure(
         root=hs.root,
         left_tree=left_res.tree,
@@ -430,16 +467,9 @@ def shared_substitute(
                 f"{guest.right_tree.root_symbol!r}"
             )
 
-    left_ref = hs.left_prov_map[group.left_addr]
-    guest_id = guest_instance_id(left_ref, guest.name)
+    record = group_record(hs, group, guest.name)
+    guest_id = record.guest_id
     fragment = Fragment(guest_id, guest.name, guest.right_tree, group.right_addrs)
-    record = DerivationRecord(
-        "shared-substitution",
-        guest.name,
-        guest_id,
-        left_ref,
-        tuple(hs.right_prov_map[a] for a in group.right_addrs),
-    )
     live = tuple(g for g in hs.live_links if g != group)
     return DerivedStructure(
         root=hs.root,

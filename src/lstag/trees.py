@@ -125,8 +125,15 @@ class SyntaxTree:
 
     @cached_property
     def frontier(self) -> tuple[GornAddress, ...]:
-        """Leaf addresses in left-to-right order."""
-        return tuple(a for a, _ in self.entries if not self.children(a))
+        """Leaf addresses in left-to-right order.
+
+        In the sorted table a node's first child directly follows it, so a
+        node is a leaf unless the next entry's parent is that node.
+        """
+        addrs = [a for a, _ in self.entries]
+        return tuple(
+            a for a, nxt in zip(addrs, addrs[1:] + [None]) if nxt is None or nxt.parts[:-1] != a.parts
+        )
 
     @cached_property
     def foot_address(self) -> GornAddress | None:
@@ -173,7 +180,7 @@ def rebase_address(orig: GornAddress, site: GornAddress, foot_addr: GornAddress)
     untouched.  This is the map that keeps links alive across composition.
     """
     if site.is_prefix_of(orig):
-        return GornAddress(site.parts + foot_addr.parts + orig.parts[len(site.parts):])
+        return GornAddress._of(site.parts + foot_addr.parts + orig.parts[len(site.parts):])
     return orig
 
 

@@ -167,6 +167,28 @@ def test_derive_rejects_an_auxiliary_root_pair(capsys, fixtures_dir, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "step, code",
+    [
+        ("adjoin john at 1 ~ 1", 1),
+        ("substitute and_eats at 2.1 ~ ε", 1),
+        ("substitute john at 1 ~ 1", 0),
+        ("adjoin and_eats at 2.1 ~ ε", 0),
+    ],
+)
+def test_derive_site_pair_must_match_the_verb(capsys, fixtures_dir, tmp_path, step, code):
+    script = tmp_path / "verb.script"
+    script.write_text(f"root cooks\n{step}\n", encoding="utf-8")
+    status, out, err = run(capsys, "derive", str(fixtures_dir / "cooks_eats.lstag"), str(script))
+    assert status == code
+    if code:
+        assert out == ""
+        assert "DerivationFailed" in err
+    else:
+        assert out.startswith("yield: ")
+        assert err == ""
+
+
+@pytest.mark.parametrize(
     "grammar, script, position",
     [
         ("cooks_eats.lstag", "root cooks\n\nadjoin and_eats at 2.1 ~\n", "(line 3, column 25)"),

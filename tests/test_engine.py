@@ -3,6 +3,7 @@ import json
 import pytest
 
 from helpers_trees import replay_lstag_records
+from reference_search import reference_enumerate
 
 from lstag import (
     EnumerationBudget,
@@ -11,6 +12,7 @@ from lstag import (
     enumerate_derivations,
     language_sample,
     load_grammar,
+    parse_grammar,
     parse_tree,
     replay,
     usable_lstag_names,
@@ -169,3 +171,60 @@ def test_restrictions_block_the_ungrammatical_coordination(fixtures_dir):
     open_grammar = doc.lstag_grammar(usable_lstag_names(doc, restrictions=False))
     open_sample = language_sample(open_grammar, EnumerationBudget(3))
     assert "peanuts john likes and almonds hates" in open_sample
+
+
+_FIXTURE_GRAMMARS = [
+    (fixture, gated, ops)
+    for fixture, gates in (
+        ("cooked.tag", (None,)),
+        ("translation.stag", (None,)),
+        ("cooks_eats.lstag", (True, False)),
+        ("degenerate.lstag", (True, False)),
+        ("excised.lstag", (True, False)),
+        ("topicalization.lstag", (True, False)),
+    )
+    for gated in gates
+    for ops in range(1, 6 if fixture == "cooked.tag" else 5)
+]
+
+
+@pytest.mark.parametrize("max_structures", [3, 7, 40, 10000])
+@pytest.mark.parametrize("fixture, gated, ops", _FIXTURE_GRAMMARS)
+def test_search_matches_the_build_then_dedupe_reference(fixtures_dir, fixture, gated, ops, max_structures):
+    doc = load_grammar(str(fixtures_dir / fixture))
+    if doc.lstag_pairs:
+        grammar = doc.lstag_grammar(usable_lstag_names(doc, restrictions=gated))
+    else:
+        grammar = doc.tag_grammar()
+    budget = EnumerationBudget(ops, max_structures)
+    # Items compare by root, records, yield and both projections.
+    assert enumerate_derivations(grammar, budget) == reference_enumerate(grammar, budget)
+
+
+_COOKS = 'lspair cooks { left: S(NP! VP(V("cooks") NP!)) right: S(NP! VP(V("cooks") NP!)) delta: [%s] phi: [] }'
+_AND_EATS = (
+    'lspair and_eats { left: V(V* CC("and") V("eats")) right: S(NP! VP(V("eats") NP!) S*) '
+    "delta: [] phi: [1, 2.2] }"
+)
+_JOHN = 'lspair john { left: NP("John") right: NP("John") delta: [] phi: [] }'
+
+
+@pytest.mark.parametrize(
+    "delta, ops, truncated",
+    [
+        # and_eats spends two phi links but cooks offers one link group, used
+        # up by john: at the budget every adjunction fails to compose, so
+        # nothing is cut off.
+        ("1~1", 1, False),
+        ("1~1", 2, False),
+        # Unvalidated links: once and_eats shares them, the groups 9~2.2 and
+        # 2.2~9 name nodes that do not exist, so no move may fill them.
+        ("1~1, 9~2.2, 2.2~9", 3, True),
+    ],
+)
+def test_moves_that_fail_to_compose_match_the_reference(delta, ops, truncated):
+    grammar = parse_grammar("\n".join([_COOKS % delta, _AND_EATS, _JOHN]) + "\n").lstag_grammar()
+    budget = EnumerationBudget(ops)
+    result = enumerate_derivations(grammar, budget)
+    assert result.truncated is truncated
+    assert result == reference_enumerate(grammar, budget)

@@ -18,6 +18,8 @@ def test_components_must_be_positive():
     with pytest.raises(ValueError):
         GornAddress((0,))
     with pytest.raises(ValueError):
+        GornAddress((True,))
+    with pytest.raises(ValueError):
         GornAddress((1, -2))
     with pytest.raises(ValueError):
         GornAddress.parse("1.0")
@@ -59,3 +61,4 @@ def test_parent():
     assert GornAddress.parse("2.2").parent == GornAddress.parse("2")
     with pytest.raises(ValueError):
         _ = ROOT.parent
+

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lstag import (
@@ -17,6 +18,7 @@ from lstag import (
     check_lexical_contiguity,
     link_share,
     lstag_compose,
+    rebase_address,
     replay,
     stag_compose,
     structure_from_pair,
@@ -79,20 +81,75 @@ def test_adjunction_node_map_is_a_bijection(data):
 # --- composition needs no re-check -------------------------------------------------
 
 
-@given(st.data())
-@settings(max_examples=150, deadline=None)
-def test_composed_trees_pass_the_checked_constructor(data):
-    rng = rng_from(data)
+def compositions(data, rng):
+    """A random tree, the site and auxiliary of one adjunction into it, and
+    the results of that adjunction and (when the tree has a slot) of one
+    substitution."""
     target = random_tree(rng)
     sites = interior_addresses(target)
     site = sites[data.draw(st.integers(0, len(sites) - 1))]
-    results = [adjoin_with_maps(target, site, random_auxiliary(rng, target.node_at(site).symbol))]
+    aux = random_auxiliary(rng, target.node_at(site).symbol)
+    results = [adjoin_with_maps(target, site, aux)]
     slots = slot_addresses(target)
     if slots:
         slot = slots[data.draw(st.integers(0, len(slots) - 1))]
         results.append(substitute_with_maps(target, slot, random_initial(rng, target.node_at(slot).symbol)))
+    return target, site, aux, results
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_composed_trees_pass_the_checked_constructor(data):
+    _, _, _, results = compositions(data, rng_from(data))
     for res in results:
         assert SyntaxTree.from_nodes(dict(res.tree.items())) == res.tree
+
+
+# --- trusted addresses and the one-pass frontier ------------------------------------
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_frontier_matches_a_children_reference(data):
+    target, _, aux, results = compositions(data, rng_from(data))
+    for tree in [target, aux] + [res.tree for res in results]:
+        assert tree.frontier == tuple(a for a in tree.addresses() if not tree.children(a))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_derived_addresses_equal_checked_ones(data):
+    rng = rng_from(data)
+    target, site, aux, results = compositions(data, rng)
+    trees = [target, aux] + [res.tree for res in results]
+    derived = []
+    for tree in trees:
+        addrs = tree.addresses()
+        for a in addrs:
+            derived.append(a.child(rng.randint(1, 4)))
+            derived.append(a.extend(rng.choice(addrs)))
+            derived.append(a.suffix_after(GornAddress(a.parts[: rng.randint(0, len(a))])))
+            if a.parts:
+                derived.append(a.parent)
+    derived += [rebase_address(a, site, aux.foot_address) for a in target.addresses()]
+    for res in results:
+        derived += [res.host_map(a) for a in target.addresses()]
+        derived += [new for _, new in res.host_moved + res.guest_placed]
+    for a in derived:
+        checked = GornAddress(a.parts)
+        assert type(a.parts) is tuple
+        assert checked == a and hash(checked) == hash(a)
+
+
+@given(
+    parts=st.lists(st.integers(1, 9), max_size=3).map(tuple),
+    bad=st.one_of(st.integers(max_value=0), st.booleans(), st.sampled_from([1.0, "1", None])),
+)
+def test_invalid_components_are_still_rejected(parts, bad):
+    with pytest.raises(ValueError):
+        GornAddress(parts + (bad,))
+    with pytest.raises(ValueError):
+        GornAddress(parts).child(bad)
 
 
 # --- substitution locality and commutation ---------------------------------------
