@@ -17,6 +17,7 @@ from .grammarfile import (
     GrammarDocument,
     format_grammar,
     load_grammar,
+    read_source,
     usable_lstag_names,
     validate_document,
 )
@@ -142,21 +143,15 @@ def _grammar_to_json_obj(doc: GrammarDocument) -> dict:
 
 
 def _grammar_to_dot(doc: GrammarDocument) -> str:
+    clusters = [(f"tree {name}", tree) for name, tree in doc.trees]
+    for p in (*doc.stag_pairs, *doc.lstag_pairs):
+        clusters += [(f"{p.name} left", p.left_tree), (f"{p.name} right", p.right_tree)]
     lines = ["digraph grammar {"]
-    index = 0
-    for name, tree in doc.trees:
+    for index, (label, tree) in enumerate(clusters):
         lines.append(f"  subgraph cluster_{index} {{")
-        lines.append(f'    label="tree {name}";')
+        lines.append(f'    label="{label}";')
         lines.extend(tree_dot_lines(tree, f"t{index}", indent="    "))
         lines.append("  }")
-        index += 1
-    for p in list(doc.stag_pairs) + list(doc.lstag_pairs):
-        for side, tree in (("left", p.left_tree), ("right", p.right_tree)):
-            lines.append(f"  subgraph cluster_{index} {{")
-            lines.append(f'    label="{p.name} {side}";')
-            lines.extend(tree_dot_lines(tree, f"t{index}", indent="    "))
-            lines.append("  }")
-            index += 1
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -200,21 +195,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str) -> GrammarDocument:
-    return load_grammar(path)
-
-
 def _cmd_validate(args) -> int:
-    doc = _load(args.grammar)
+    doc = load_grammar(args.grammar)
     diags = validate_document(doc, restrictions=not args.no_restrictions)
     _print_diagnostics(diags, args.as_json)
     return 0 if not diags else 1
 
 
 def _cmd_derive(args) -> int:
-    doc = _load(args.grammar)
-    with open(args.script, encoding="utf-8") as handle:
-        script = handle.read()
+    doc = load_grammar(args.grammar)
+    script = read_source(args.script)
     tree_names = {n for n, _ in doc.trees}
     ls_names = {p.name for p in doc.lstag_pairs}
     root = _script_root(script)
@@ -293,7 +283,7 @@ def _emit_structure(structure: DerivedStructure, fmt: str) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    doc = _load(args.grammar)
+    doc = load_grammar(args.grammar)
     budget = EnumerationBudget(args.max_ops, args.max_structures)
     if doc.lstag_pairs:
         usable = usable_lstag_names(doc, restrictions=not args.no_restrictions)
@@ -324,7 +314,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    doc = _load(args.grammar)
+    doc = load_grammar(args.grammar)
     if args.format == "json":
         print(to_json_text(_grammar_to_json_obj(doc)), end="")
     elif args.format == "dot":

@@ -24,7 +24,9 @@ Plain TAG substitutes initial trees at every slot and adjoins auxiliary
 trees at every interior node.  Link-sharing substitutions are driven by
 live link groups (one move fills every shared site); adjunctions are tried
 at every legal pair of interior sites.  Either way each node of an
-elementary tree hosts at most one adjunction.
+elementary tree hosts at most one adjunction.  A move reads the elementary
+site of the node it composes at (its `SiteRef`) off the node itself, so
+no state keeps a provenance table.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .sharing import (
     DerivedStructure,
     LstagGrammar,
     LstagPair,
-    SiteRef,
     compose_record,
     derivation_projections,
     group_record,
@@ -50,12 +51,12 @@ from .sharing import (
     shared_substitute,
     lstag_compose,
     structure_from_pair,
-    updated_prov,
 )
 from .tag import DerivationTree, TagGrammar
 from .trees import (
     ComposeResult,
     Interior,
+    SiteRef,
     SubstitutionSlot,
     SyntaxTree,
     TreeClass,
@@ -160,7 +161,6 @@ def _search(
 class _TagState:
     root: str
     tree: SyntaxTree
-    prov: tuple[tuple[GornAddress, SiteRef], ...]
     history: tuple[DerivationRecord, ...]
 
     @cached_property
@@ -170,7 +170,7 @@ class _TagState:
 
     @property
     def is_complete(self) -> bool:
-        return not self.tree.slot_addresses
+        return not self.tree.root.slots
 
     def left_yield(self) -> tuple[str, ...]:
         return yield_tokens(self.tree)
@@ -178,24 +178,20 @@ class _TagState:
     def projections(self) -> tuple[DerivationTree, None]:
         return derivation_projections(self.history, self.root)[0], None
 
-
-def _tag_step(
-    state: _TagState,
-    prov: dict[GornAddress, SiteRef],
-    compose: Callable[[SyntaxTree, GornAddress, SyntaxTree], ComposeResult],
-    addr: GornAddress,
-    guest: SyntaxTree,
-    record: DerivationRecord,
-) -> _TagState:
-    res = compose(state.tree, addr, guest)
-    new_prov = updated_prov(prov, res.host_moved, res.guest_placed, record.guest_id)
-    return _TagState(state.root, res.tree, new_prov, state.history + (record,))
+    def step(
+        self,
+        compose: Callable[[SyntaxTree, GornAddress, SyntaxTree, str], ComposeResult],
+        addr: GornAddress,
+        guest: SyntaxTree,
+        record: DerivationRecord,
+    ) -> "_TagState":
+        res = compose(self.tree, addr, guest, record.guest_id)
+        return _TagState(self.root, res.tree, self.history + (record,))
 
 
 def _tag_moves(guests: dict[str, list[tuple[str, SyntaxTree]]], state: _TagState) -> Iterator[_Move]:
-    prov = dict(state.prov)
-    for addr, kind in state.tree.items():
-        ref = prov[addr]
+    for addr, node in state.tree.walk():
+        kind, ref = node.kind, node.site
         if isinstance(kind, SubstitutionSlot):
             operation, compose = "substitution", substitute_with_maps
         elif isinstance(kind, Interior) and ref not in state.adjoined:
@@ -206,7 +202,7 @@ def _tag_moves(guests: dict[str, list[tuple[str, SyntaxTree]]], state: _TagState
             if tree.root_symbol != kind.symbol:
                 continue
             record = DerivationRecord(operation, name, guest_instance_id(ref, name), ref, ())
-            yield (str(addr), name), record, partial(_tag_step, state, prov, compose, addr, tree, record)
+            yield (str(addr), name), record, partial(state.step, compose, addr, tree, record)
 
 
 # --- link-sharing moves -----------------------------------------------------------
@@ -234,19 +230,19 @@ def _lstag_moves(
                 continue
             yield (0, gi, name), record, partial(shared_substitute, s, group, pair)
     left_sites = [
-        a for a, k in s.left_tree.items()
-        if isinstance(k, Interior) and s.left_prov_map[a] not in s.adjoined_left
+        (a, n.kind.symbol) for a, n in s.left_tree.walk()
+        if isinstance(n.kind, Interior) and n.site not in s.adjoined_left
     ]
     right_sites = [
-        a for a, k in s.right_spine.items()
-        if isinstance(k, Interior) and s.right_prov_map[a] not in s.adjoined_right
+        (a, n.kind.symbol) for a, n in s.right_spine.walk()
+        if isinstance(n.kind, Interior) and n.site not in s.adjoined_right
     ]
     for name, pair in auxiliary:
-        for la in left_sites:
-            if s.left_tree.node_at(la).symbol != pair.left_tree.root_symbol:
+        for la, left_symbol in left_sites:
+            if left_symbol != pair.left_tree.root_symbol:
                 continue
-            for ra in right_sites:
-                if s.right_spine.node_at(ra).symbol != pair.right_tree.root_symbol:
+            for ra, right_symbol in right_sites:
+                if right_symbol != pair.right_tree.root_symbol:
                     continue
                 record = compose_record(s, la, ra, name)
                 yield (1, str(la), str(ra), name), record, partial(lstag_compose, s, la, ra, pair)
@@ -263,10 +259,7 @@ def enumerate_derivations(
                 ("adjunction", TreeClass.AUXILIARY),
             )
         }
-        roots = (
-            _TagState(name, tree, tuple((a, SiteRef(name, a)) for a in tree.addresses()), ())
-            for name, tree in guests["substitution"]
-        )
+        roots = (_TagState(name, tree.owned_by(name), ()) for name, tree in guests["substitution"])
         return _search(roots, partial(_tag_moves, guests), budget)
     if isinstance(grammar, LstagGrammar):
         classes = {name: _pair_class(pair) for name, pair in grammar.pairs}

@@ -6,7 +6,8 @@ every extension of itself and siblings sort by index.
 
 `GornAddress(parts)` and `GornAddress.parse` are the checked boundary: both
 reject a component that is not an integer >= 1.  Addresses derived from
-valid ones (`extend`, `parent`, `suffix_after`, `trees.rebase_address`, and
+valid ones (`extend`, `parent`, `suffix_after`, the address views of a
+tree, `trees.rebase_address` for link endpoints and replay sites, and
 `child` once its new index is checked) are trusted and skip that check.
 """
 

@@ -58,47 +58,31 @@ class GrammarDocument:
         return LstagGrammar(tuple((p.name, p) for p in pairs))
 
 
-def _parse_link_list(cur: Cursor) -> list[Link]:
+def _parse_address_pairs(cur: Cursor, sep: str, bare: bool = False) -> list[tuple[GornAddress, GornAddress]]:
+    """`[a <sep> b, ...]`; with `bare`, a lone `a` stands for `a <sep> a`."""
     cur.expect("PUNCT", "[")
-    links: list[Link] = []
-    while not cur.accept("PUNCT", "]"):
-        left = cur.address()
-        cur.expect("PUNCT", "~")
-        right = cur.address()
-        links.append(Link(left, right))
-        if not cur.accept("PUNCT", ","):
-            cur.expect("PUNCT", "]")
-            break
-    return links
-
-
-def _parse_phi_list(cur: Cursor) -> list[Link]:
-    cur.expect("PUNCT", "[")
-    links: list[Link] = []
+    pairs: list[tuple[GornAddress, GornAddress]] = []
     while not cur.accept("PUNCT", "]"):
         first = cur.address()
-        if cur.accept("PUNCT", "~"):
-            second = cur.address()
-            links.append(Link(first, second))
+        if bare and not cur.accept("PUNCT", sep):
+            pairs.append((first, first))
         else:
-            links.append(Link(first, first))
+            if not bare:
+                cur.expect("PUNCT", sep)
+            pairs.append((first, cur.address()))
         if not cur.accept("PUNCT", ","):
             cur.expect("PUNCT", "]")
             break
-    return links
+    return pairs
+
+
+def _parse_links(cur: Cursor, bare: bool = False) -> list[Link]:
+    return [Link(left, right) for left, right in _parse_address_pairs(cur, "~", bare)]
 
 
 def _parse_correspond_list(cur: Cursor) -> Correspondence:
-    open_tok = cur.expect("PUNCT", "[")
-    pairs: list[tuple[GornAddress, GornAddress]] = []
-    while not cur.accept("PUNCT", "]"):
-        left = cur.address()
-        cur.expect("PUNCT", "->")
-        right = cur.address()
-        pairs.append((left, right))
-        if not cur.accept("PUNCT", ","):
-            cur.expect("PUNCT", "]")
-            break
+    open_tok = cur.peek()
+    pairs = _parse_address_pairs(cur, "->")
     try:
         return Correspondence(tuple(pairs))
     except ValueError as exc:
@@ -138,7 +122,7 @@ def parse_grammar(text: str) -> GrammarDocument:
             if keyword.text == "pair":
                 cur.expect("NAME", "links")
                 cur.expect("PUNCT", ":")
-                links = _parse_link_list(cur)
+                links = _parse_links(cur)
                 cur.expect("PUNCT", "}")
                 try:
                     stag_pairs.append(StagPair(name_tok.text, left, right, tuple(links)))
@@ -147,10 +131,10 @@ def parse_grammar(text: str) -> GrammarDocument:
             else:
                 cur.expect("NAME", "delta")
                 cur.expect("PUNCT", ":")
-                delta = _parse_link_list(cur)
+                delta = _parse_links(cur)
                 cur.expect("NAME", "phi")
                 cur.expect("PUNCT", ":")
-                phi = _parse_phi_list(cur)
+                phi = _parse_links(cur, bare=True)
                 if cur.accept("NAME", "correspond"):
                     cur.expect("PUNCT", ":")
                     correspondences.append((name_tok.text, _parse_correspond_list(cur)))
@@ -198,9 +182,17 @@ def format_grammar(doc: GrammarDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_source(path: str) -> str:
+    """The text of a grammar or script file; a file that is not UTF-8 is a parse error."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not valid UTF-8 ({exc.reason})") from None
+
+
 def load_grammar(path: str) -> GrammarDocument:
-    with open(path, encoding="utf-8") as handle:
-        return parse_grammar(handle.read())
+    return parse_grammar(read_source(path))
 
 
 def validate_document(doc: GrammarDocument, restrictions: bool = True) -> list[Diagnostic]:

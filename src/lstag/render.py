@@ -36,18 +36,15 @@ def _tree_node_id(prefix: str, addr: GornAddress) -> str:
 
 
 def tree_dot_lines(tree: SyntaxTree, prefix: str, indent: str = "  ") -> list[str]:
-    lines = []
-    for addr, kind in tree.items():
-        shape = "box" if isinstance(kind, Terminal) else "plaintext"
-        lines.append(
-            f'{indent}"{_tree_node_id(prefix, addr)}" [label="{_esc(_kind_label(kind))}" shape={shape}];'
-        )
-    for addr, _ in tree.items():
-        for child in tree.children(addr):
-            lines.append(
-                f'{indent}"{_tree_node_id(prefix, addr)}" -> "{_tree_node_id(prefix, child)}";'
-            )
-    return lines
+    """Node lines in address order, then each node's child edges in the same order."""
+    lines, edges = [], []
+    for addr, node in tree.walk():
+        node_id = _tree_node_id(prefix, addr)
+        shape = "box" if isinstance(node.kind, Terminal) else "plaintext"
+        lines.append(f'{indent}"{node_id}" [label="{_esc(_kind_label(node.kind))}" shape={shape}];')
+        for k in range(1, len(node.children) + 1):
+            edges.append(f'{indent}"{node_id}" -> "{_tree_node_id(prefix, addr.child(k))}";')
+    return lines + edges
 
 
 def tree_to_dot(tree: SyntaxTree, name: str = "tree") -> str:

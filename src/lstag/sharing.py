@@ -16,10 +16,9 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .errors import (
-    AddressNotFound,
     CardinalityViolation,
     ClassMismatch,
     Diagnostic,
@@ -37,6 +36,7 @@ from .stag import Link
 from .tag import DerivationTree
 from .trees import (
     Interior,
+    SiteRef,
     SubstitutionSlot,
     SyntaxTree,
     TreeClass,
@@ -128,17 +128,6 @@ class SharedLinkGroup:
 
 
 @dataclass(frozen=True)
-class SiteRef:
-    """A node named by its owning elementary instance and original address."""
-
-    owner: str
-    addr: GornAddress
-
-    def __str__(self) -> str:
-        return f"{self.owner}@{self.addr}"
-
-
-@dataclass(frozen=True)
 class DerivationRecord:
     operation: str  # "substitution" | "adjunction" | "shared-substitution"
     guest: str
@@ -209,9 +198,9 @@ class DerivedStructure:
     """A left constituency tree plus a right structure that may share nodes.
 
     The right side is a spine tree with zero or more shared fragments, each
-    attached below every slot address in its `parents`.  Provenance tables
-    map derived addresses back to (instance, original address) so that
-    derivation projections and the one-adjunction-per-node rule survive
+    attached below every slot address in its `parents`.  Every node of both
+    trees carries the `SiteRef` (instance, original address) it came from,
+    so derivation records and the one-adjunction-per-node rule survive
     address rebasing.
     """
 
@@ -221,16 +210,6 @@ class DerivedStructure:
     fragments: tuple[Fragment, ...]
     live_links: tuple[SharedLinkGroup, ...]
     history: tuple[DerivationRecord, ...]
-    left_prov: tuple[tuple[GornAddress, SiteRef], ...]
-    right_prov: tuple[tuple[GornAddress, SiteRef], ...]
-
-    @cached_property
-    def left_prov_map(self) -> dict[GornAddress, SiteRef]:
-        return dict(self.left_prov)
-
-    @cached_property
-    def right_prov_map(self) -> dict[GornAddress, SiteRef]:
-        return dict(self.right_prov)
 
     @cached_property
     def adjoined_left(self) -> frozenset[SiteRef]:
@@ -254,12 +233,10 @@ class DerivedStructure:
 
     @property
     def is_complete(self) -> bool:
-        if self.left_tree.slot_addresses:
-            return False
-        for addr in self.right_spine.slot_addresses:
-            if addr not in self.fragment_parent_addrs:
-                return False
-        return all(not f.tree.slot_addresses for f in self.fragments)
+        """No slot is open; the spine slots left are exactly the fragment parents."""
+        return not (self.left_tree.root.slots or any(f.tree.root.slots for f in self.fragments)) and (
+            self.right_spine.root.slots == len(self.fragment_parent_addrs)
+        )
 
     def left_yield(self, partial: bool = False) -> tuple[str, ...]:
         return yield_tokens(self.left_tree, partial=partial)
@@ -275,32 +252,16 @@ def structure_from_pair(pair: LstagPair) -> DerivedStructure:
     live = tuple(SharedLinkGroup(l.left, (l.right,)) for l in pair.delta)
     return DerivedStructure(
         root=pair.name,
-        left_tree=pair.left_tree,
-        right_spine=pair.right_tree,
+        left_tree=pair.left_tree.owned_by(pair.name),
+        right_spine=pair.right_tree.owned_by(pair.name),
         fragments=(),
         live_links=live,
         history=(),
-        left_prov=tuple((a, SiteRef(pair.name, a)) for a in pair.left_tree.addresses()),
-        right_prov=tuple((a, SiteRef(pair.name, a)) for a in pair.right_tree.addresses()),
     )
 
 
 def as_structure(host: LstagPair | DerivedStructure) -> DerivedStructure:
     return host if isinstance(host, DerivedStructure) else structure_from_pair(host)
-
-
-def updated_prov(
-    prov: dict[GornAddress, SiteRef],
-    moved: Iterable[tuple[GornAddress, GornAddress]],
-    placed: Iterable[tuple[GornAddress, GornAddress]],
-    guest_id: str,
-) -> tuple[tuple[GornAddress, SiteRef], ...]:
-    new: dict[GornAddress, SiteRef] = {}
-    for old, moved_to in moved:
-        new[moved_to] = prov[old]
-    for orig, placed_at in placed:
-        new[placed_at] = SiteRef(guest_id, orig)
-    return tuple(sorted(new.items(), key=lambda kv: kv[0]))
 
 
 def guest_instance_id(left_ref: SiteRef, guest_name: str) -> str:
@@ -314,11 +275,8 @@ def _site_record(
     left_site: GornAddress,
     right_sites: Sequence[GornAddress],
 ) -> DerivationRecord:
-    try:
-        left_ref = hs.left_prov_map[left_site]
-        right_refs = tuple(hs.right_prov_map[a] for a in right_sites)
-    except KeyError as exc:
-        raise AddressNotFound(f"no node at address {exc.args[0]}") from None
+    left_ref = hs.left_tree.node(left_site).site
+    right_refs = tuple(hs.right_spine.node(a).site for a in right_sites)
     return DerivationRecord(
         operation, guest_name, guest_instance_id(left_ref, guest_name), left_ref, right_refs
     )
@@ -373,7 +331,6 @@ def lstag_compose(
     """
     hs = as_structure(host)
     record = compose_record(hs, left_site, right_site, guest.name)
-    guest_id = record.guest_id
 
     live = list(hs.live_links)
     if record.operation == "substitution":
@@ -394,15 +351,15 @@ def lstag_compose(
                     "operation; use shared_substitute"
                 )
             live.remove(only)
-        left_res = substitute_with_maps(hs.left_tree, left_site, guest.left_tree)
-        right_res = substitute_with_maps(hs.right_spine, right_site, guest.right_tree)
+        left_res = substitute_with_maps(hs.left_tree, left_site, guest.left_tree, record.guest_id)
+        right_res = substitute_with_maps(hs.right_spine, right_site, guest.right_tree, record.guest_id)
     else:
         if record.left_site in hs.adjoined_left:
             raise DuplicateAdjunction(f"left node {record.left_site} already hosts an adjunction")
         if record.right_sites[0] in hs.adjoined_right:
             raise DuplicateAdjunction(f"right node {record.right_sites[0]} already hosts an adjunction")
-        left_res = adjoin_with_maps(hs.left_tree, left_site, guest.left_tree)
-        right_res = adjoin_with_maps(hs.right_spine, right_site, guest.right_tree)
+        left_res = adjoin_with_maps(hs.left_tree, left_site, guest.left_tree, record.guest_id)
+        right_res = adjoin_with_maps(hs.right_spine, right_site, guest.right_tree, record.guest_id)
 
     rebased = [
         SharedLinkGroup(
@@ -427,8 +384,6 @@ def lstag_compose(
         fragments=fragments,
         live_links=shared + appended,
         history=hs.history + (record,),
-        left_prov=updated_prov(hs.left_prov_map, left_res.host_moved, left_res.guest_placed, guest_id),
-        right_prov=updated_prov(hs.right_prov_map, right_res.host_moved, right_res.guest_placed, guest_id),
     )
 
 
@@ -456,7 +411,8 @@ def shared_substitute(
         )
     if classify(guest.left_tree) is not TreeClass.INITIAL or classify(guest.right_tree) is not TreeClass.INITIAL:
         raise ClassMismatch("shared substitution requires initial guest trees")
-    left_res = substitute_with_maps(hs.left_tree, group.left_addr, guest.left_tree)
+    guest_id = guest_instance_id(hs.left_tree.node(group.left_addr).site, guest.name)
+    left_res = substitute_with_maps(hs.left_tree, group.left_addr, guest.left_tree, guest_id)
     for addr in group.right_addrs:
         kind = hs.right_spine.node_at(addr)
         if not isinstance(kind, SubstitutionSlot):
@@ -468,7 +424,6 @@ def shared_substitute(
             )
 
     record = group_record(hs, group, guest.name)
-    guest_id = record.guest_id
     fragment = Fragment(guest_id, guest.name, guest.right_tree, group.right_addrs)
     live = tuple(g for g in hs.live_links if g != group)
     return DerivedStructure(
@@ -478,8 +433,6 @@ def shared_substitute(
         fragments=hs.fragments + (fragment,),
         live_links=live,
         history=hs.history + (record,),
-        left_prov=updated_prov(hs.left_prov_map, left_res.host_moved, left_res.guest_placed, guest_id),
-        right_prov=hs.right_prov,
     )
 
 

@@ -1,10 +1,12 @@
 """Gorn-addressed syntax trees and the two TAG composition operations.
 
-A tree is an immutable map from Gorn addresses to node kinds.  Substitution
-replaces a slot leaf with an initial tree; adjunction splices an auxiliary
-tree into an interior node, replanting the detached subtree at the foot.
-Both return new trees; nothing is mutated, so values can be shared freely
-across derived structures and threads.
+A tree is an immutable nested node; each node holds its kind, its children
+and the elementary site (`SiteRef`) it came from.  Substitution replaces a
+slot leaf with an initial tree; adjunction splices an auxiliary tree into an
+interior node, replanting the detached subtree at the foot.  Both copy only
+the path from the root to the site and share every other subtree, stamping
+the guest's nodes with their elementary sites, so a derived tree carries
+its own provenance.  No operation here recurses on tree depth.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from ._lex import Cursor, lex
 from .errors import (
@@ -24,7 +26,7 @@ from .errors import (
     ParseError,
     SymbolMismatch,
 )
-from .gorn import ROOT, GornAddress
+from .gorn import GornAddress
 
 
 @dataclass(frozen=True)
@@ -55,56 +57,138 @@ class TreeClass(enum.Enum):
     AUXILIARY = "auxiliary"
 
 
-def _table(nodes: Mapping[GornAddress, NodeKind]) -> tuple[tuple[GornAddress, NodeKind], ...]:
-    return tuple(sorted(nodes.items(), key=lambda kv: kv[0].parts))
-
-
 @dataclass(frozen=True)
-class SyntaxTree:
-    """Immutable tree; `entries` is the sorted (address, kind) table.
+class SiteRef:
+    """A node named by its owning elementary instance and original address."""
 
-    `parse_tree` and `from_nodes` are the checked constructors.  Calling
-    `SyntaxTree(entries)` directly checks nothing; substitution and adjunction
-    build their results that way, since composing well-formed trees always
-    gives a well-formed tree.
+    owner: str
+    addr: GornAddress
+
+    def __str__(self) -> str:
+        return f"{self.owner}@{self.addr}"
+
+
+class TreeNode:
+    """A node: its kind, its children and the elementary site it came from.
+
+    `site` is None on parsed trees.  `slots` counts the substitution slots
+    at or below the node.  Nodes never change, so trees share them freely.
     """
 
-    entries: tuple[tuple[GornAddress, NodeKind], ...]
+    __slots__ = ("kind", "children", "site", "slots")
+
+    def __init__(self, kind: NodeKind, children: tuple["TreeNode", ...] = (), site: SiteRef | None = None):
+        self.kind = kind
+        self.children = children
+        self.site = site
+        self.slots = sum(c.slots for c in children) if children else int(isinstance(kind, SubstitutionSlot))
+
+
+def _from_preorder(rows: Sequence[Sequence]) -> TreeNode:
+    """Build the nodes listed as (kind, child count, site) rows in preorder.
+
+    In reverse preorder a node's children are built before it, the first
+    child last.
+    """
+    done: list[TreeNode] = []
+    for kind, count, site in reversed(rows):
+        kids = tuple(reversed(done[len(done) - count:]))
+        del done[len(done) - count:]
+        done.append(TreeNode(kind, kids, site))
+    return done[0]
+
+
+def _replaced(top: TreeNode, parts: tuple[int, ...], new: TreeNode) -> TreeNode:
+    """`top` with the node at `parts` replaced by `new`, sharing every subtree off that path."""
+    path = []
+    node = top
+    for k in parts:
+        path.append(node)
+        node = node.children[k - 1]
+    for parent, k in zip(reversed(path), reversed(parts)):
+        kids = parent.children
+        new = TreeNode(parent.kind, kids[: k - 1] + (new,) + kids[k:], parent.site)
+    return new
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class SyntaxTree:
+    """Immutable tree over a nested root node.
+
+    `parse_tree` and `from_nodes` are the checked constructors.  Calling
+    `SyntaxTree(root)` directly checks nothing; substitution and adjunction
+    build their results that way, since composing well-formed trees always
+    gives a well-formed tree.  The address views are worked out from the
+    nodes when read.  Equality and hashing ignore the nodes' sites.
+    """
+
+    root: TreeNode
 
     @classmethod
     def from_nodes(cls, nodes: Mapping[GornAddress, NodeKind]) -> "SyntaxTree":
         """Build a tree from an address -> kind map, raising ValueError if it is ill-formed."""
-        entries = _table(nodes)
-        if ROOT not in nodes:
+        kinds = {a.parts: k for a, k in nodes.items()}
+        if () not in kinds:
             raise ValueError("tree has no root node")
-        if not isinstance(nodes[ROOT], Interior):
+        if not isinstance(kinds[()], Interior):
             raise ValueError("root node must be an interior node")
-        if sum(isinstance(k, Foot) for _, k in entries) > 1:
+        if sum(isinstance(k, Foot) for k in kinds.values()) > 1:
             raise ValueError("tree has more than one foot node")
-        for addr, _ in entries:
-            if addr.parts:
-                parent = addr.parent
-                if parent not in nodes:
-                    raise ValueError(f"address set not prefix-closed at {addr}")
-                if not isinstance(nodes[parent], Interior):
-                    raise ValueError(f"non-interior node {parent} has a child")
-                k = addr.parts[-1]
-                if k > 1 and parent.child(k - 1) not in nodes:
-                    raise ValueError(f"missing sibling {parent.child(k - 1)} before {addr}")
-        return cls(entries)
+        order = sorted(kinds)
+        arity = dict.fromkeys(order, 0)
+        for parts in order[1:]:
+            parent, k = parts[:-1], parts[-1]
+            if parent not in kinds:
+                raise ValueError(f"address set not prefix-closed at {GornAddress._of(parts)}")
+            if not isinstance(kinds[parent], Interior):
+                raise ValueError(f"non-interior node {GornAddress._of(parent)} has a child")
+            if k > 1 and parent + (k - 1,) not in kinds:
+                missing = GornAddress._of(parent + (k - 1,))
+                raise ValueError(f"missing sibling {missing} before {GornAddress._of(parts)}")
+            arity[parent] += 1
+        return cls(_from_preorder([(kinds[p], arity[p], None) for p in order]))
+
+    def owned_by(self, owner: str) -> "SyntaxTree":
+        """This tree with every node's site set to `SiteRef(owner, its address)`."""
+        rows = [(n.kind, len(n.children), SiteRef(owner, a)) for a, n in self.walk()]
+        return SyntaxTree(_from_preorder(rows))
+
+    def walk(self) -> Iterator[tuple[GornAddress, TreeNode]]:
+        """(address, node) pairs in preorder, which is Gorn order."""
+        stack = [((), self.root)]
+        pop, push, address = stack.pop, stack.append, GornAddress._of
+        while stack:
+            parts, node = pop()
+            yield address(parts), node
+            kids = node.children
+            for k in range(len(kids), 0, -1):
+                push((parts + (k,), kids[k - 1]))
 
     @cached_property
-    def _by_addr(self) -> dict[GornAddress, NodeKind]:
-        return dict(self.entries)
+    def entries(self) -> tuple[tuple[GornAddress, NodeKind], ...]:
+        """The (address, kind) table in Gorn order."""
+        return tuple((a, n.kind) for a, n in self.walk())
+
+    def _find(self, addr: GornAddress) -> TreeNode | None:
+        node = self.root
+        for k in addr.parts:
+            if k > len(node.children):
+                return None
+            node = node.children[k - 1]
+        return node
+
+    def node(self, addr: GornAddress) -> TreeNode:
+        """The node at `addr`: its kind, children and elementary site."""
+        node = self._find(addr)
+        if node is None:
+            raise AddressNotFound(f"no node at address {addr}")
+        return node
 
     def node_at(self, addr: GornAddress) -> NodeKind:
-        try:
-            return self._by_addr[addr]
-        except KeyError:
-            raise AddressNotFound(f"no node at address {addr}") from None
+        return self.node(addr).kind
 
     def has_address(self, addr: GornAddress) -> bool:
-        return addr in self._by_addr
+        return self._find(addr) is not None
 
     def addresses(self) -> tuple[GornAddress, ...]:
         return tuple(a for a, _ in self.entries)
@@ -113,51 +197,48 @@ class SyntaxTree:
         return self.entries
 
     def children(self, addr: GornAddress) -> tuple[GornAddress, ...]:
-        out = []
-        k = 1
-        while True:
-            child = addr.child(k)
-            if child not in self._by_addr:
-                break
-            out.append(child)
-            k += 1
-        return tuple(out)
+        node = self._find(addr)
+        count = len(node.children) if node is not None else 0
+        return tuple(GornAddress._of(addr.parts + (k,)) for k in range(1, count + 1))
 
     @cached_property
     def frontier(self) -> tuple[GornAddress, ...]:
-        """Leaf addresses in left-to-right order.
-
-        In the sorted table a node's first child directly follows it, so a
-        node is a leaf unless the next entry's parent is that node.
-        """
-        addrs = [a for a, _ in self.entries]
-        return tuple(
-            a for a, nxt in zip(addrs, addrs[1:] + [None]) if nxt is None or nxt.parts[:-1] != a.parts
-        )
+        """Leaf addresses in left-to-right order."""
+        return tuple(a for a, n in self.walk() if not n.children)
 
     @cached_property
     def foot_address(self) -> GornAddress | None:
-        for a, k in self.entries:
-            if isinstance(k, Foot):
-                return a
-        return None
+        return next((a for a, n in self.walk() if isinstance(n.kind, Foot)), None)
 
     @cached_property
     def slot_addresses(self) -> tuple[GornAddress, ...]:
-        return tuple(a for a, k in self.entries if isinstance(k, SubstitutionSlot))
+        return tuple(a for a, n in self.walk() if isinstance(n.kind, SubstitutionSlot))
 
     @property
     def root_symbol(self) -> str:
-        return self._by_addr[ROOT].symbol  # type: ignore[union-attr]
+        return self.root.kind.symbol  # type: ignore[union-attr]
 
     def subtree(self, addr: GornAddress) -> dict[GornAddress, NodeKind]:
         """Nodes at or below `addr`, re-rooted at the empty address."""
-        if not self.has_address(addr):
-            raise AddressNotFound(f"no node at address {addr}")
-        return {a.suffix_after(addr): k for a, k in self.entries if addr.is_prefix_of(a)}
+        return {a: n.kind for a, n in SyntaxTree(self.node(addr)).walk()}
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(1 for _ in self.walk())
+
+    def _shape(self) -> tuple[tuple[NodeKind, int], ...]:
+        """Each node's kind and child count in preorder, which fix the tree."""
+        return tuple((n.kind, len(n.children)) for _, n in self.walk())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SyntaxTree):
+            return NotImplemented
+        return self._shape() == other._shape()
+
+    def __hash__(self) -> int:
+        return hash(self._shape())
+
+    def __repr__(self) -> str:
+        return f"SyntaxTree({format_tree(self)!r})"
 
 
 def classify(tree: SyntaxTree) -> TreeClass:
@@ -186,21 +267,20 @@ def rebase_address(orig: GornAddress, site: GornAddress, foot_addr: GornAddress)
 
 @dataclass(frozen=True)
 class ComposeResult:
-    """A composed tree plus the address maps for both operands.
+    """A composed tree plus where each host address ended up.
 
     `host_map` is total on host addresses (for substitution the consumed slot
-    address maps to itself, where the guest root now sits).  `guest_placed`
-    and `host_moved` pair each surviving guest and host address with its
-    place in the result; an adjunction's foot and a filled slot do not survive.
+    address maps to itself, where the guest root now sits).
     """
 
     tree: SyntaxTree
     host_map: Callable[[GornAddress], GornAddress]
-    guest_placed: tuple[tuple[GornAddress, GornAddress], ...]
-    host_moved: tuple[tuple[GornAddress, GornAddress], ...]
 
 
-def substitute_with_maps(target: SyntaxTree, addr: GornAddress, filler: SyntaxTree) -> ComposeResult:
+def substitute_with_maps(
+    target: SyntaxTree, addr: GornAddress, filler: SyntaxTree, guest_id: str | None = None
+) -> ComposeResult:
+    """Fill the slot at `addr`; a `guest_id` stamps the guest's nodes as that instance's."""
     kind = target.node_at(addr)
     if not isinstance(kind, SubstitutionSlot):
         raise NotASlot(f"node at {addr} is {kind}, not a substitution slot")
@@ -210,15 +290,16 @@ def substitute_with_maps(target: SyntaxTree, addr: GornAddress, filler: SyntaxTr
         raise SymbolMismatch(
             f"slot expects {kind.symbol!r} but filler root is {filler.root_symbol!r}"
         )
-    nodes: dict[GornAddress, NodeKind] = {a: k for a, k in target.items() if a != addr}
-    placed = tuple((p, addr.extend(p)) for p, _ in filler.items())
-    nodes.update({addr.extend(p): k for p, k in filler.items()})
-    moved = tuple((a, a) for a, _ in target.items() if a != addr)
-    return ComposeResult(SyntaxTree(_table(nodes)), lambda a: a, placed, moved)
+    guest = filler if guest_id is None else filler.owned_by(guest_id)
+    return ComposeResult(SyntaxTree(_replaced(target.root, addr.parts, guest.root)), lambda a: a)
 
 
-def adjoin_with_maps(target: SyntaxTree, addr: GornAddress, aux: SyntaxTree) -> ComposeResult:
-    kind = target.node_at(addr)
+def adjoin_with_maps(
+    target: SyntaxTree, addr: GornAddress, aux: SyntaxTree, guest_id: str | None = None
+) -> ComposeResult:
+    """Splice `aux` in at `addr`; the detached subtree, sites and all, replaces its foot."""
+    moved = target.node(addr)
+    kind = moved.kind
     if not isinstance(kind, Interior):
         raise NotInterior(f"node at {addr} is {kind}, not an interior node")
     if classify(aux) is not TreeClass.AUXILIARY:
@@ -229,24 +310,11 @@ def adjoin_with_maps(target: SyntaxTree, addr: GornAddress, aux: SyntaxTree) -> 
         )
     foot = aux.foot_address
     assert foot is not None
-    nodes: dict[GornAddress, NodeKind] = {}
-    moved = []
-    for a, k in target.items():
-        new = rebase_address(a, addr, foot)
-        nodes[new] = k
-        moved.append((a, new))
-    placed = []
-    for p, k in aux.items():
-        if p == foot:
-            continue
-        new = addr.extend(p)
-        nodes[new] = k
-        placed.append((p, new))
+    guest = aux if guest_id is None else aux.owned_by(guest_id)
+    wrapped = _replaced(guest.root, foot.parts, moved)
     return ComposeResult(
-        SyntaxTree(_table(nodes)),
+        SyntaxTree(_replaced(target.root, addr.parts, wrapped)),
         lambda a: rebase_address(a, addr, foot),
-        tuple(placed),
-        tuple(moved),
     )
 
 
@@ -265,8 +333,10 @@ def yield_tokens(tree: SyntaxTree, partial: bool = False) -> tuple[str, ...]:
     as placeholders so in-progress structures can still be inspected.
     """
     out: list[str] = []
-    for addr in tree.frontier:
-        kind = tree.node_at(addr)
+    for addr, node in tree.walk():
+        if node.children:
+            continue
+        kind = node.kind
         if isinstance(kind, Terminal):
             out.append(kind.token)
         elif isinstance(kind, SubstitutionSlot):
@@ -291,58 +361,60 @@ def _quote(token: str) -> str:
 
 def format_tree(tree: SyntaxTree) -> str:
     """Canonical bracketed text: `S(NP! VP(V("cooked") NP!))`."""
-
-    def fmt(addr: GornAddress) -> str:
-        kind = tree.node_at(addr)
+    out: list[str] = []
+    depth = -1
+    for addr, node in tree.walk():
+        # Close the lists of the previous node's ancestors that do not contain this one.
+        if len(addr) <= depth:
+            out.append(")" * (depth - len(addr)) + " ")
+        depth = len(addr)
+        kind = node.kind
         if isinstance(kind, Terminal):
-            return _quote(kind.token)
-        if isinstance(kind, SubstitutionSlot):
-            return kind.symbol + "!"
-        if isinstance(kind, Foot):
-            return kind.symbol + "*"
-        kids = tree.children(addr)
-        if not kids:
-            return kind.symbol
-        return kind.symbol + "(" + " ".join(fmt(c) for c in kids) + ")"
-
-    return fmt(ROOT)
+            out.append(_quote(kind.token))
+        elif isinstance(kind, SubstitutionSlot):
+            out.append(kind.symbol + "!")
+        elif isinstance(kind, Foot):
+            out.append(kind.symbol + "*")
+        else:
+            out.append(kind.symbol + ("(" if node.children else ""))
+    return "".join(out) + ")" * depth
 
 
 def parse_tree_tokens(cur: Cursor) -> SyntaxTree:
-    nodes: dict[GornAddress, NodeKind] = {}
-
-    def parse_node(addr: GornAddress) -> None:
+    rows: list[list] = []  # [kind, child count, site] per node, in preorder
+    open_rows: list[list] = []  # interior nodes whose ')' is still to come
+    while True:
         tok = cur.peek()
-        if tok.kind == "STRING":
-            cur.next()
-            nodes[addr] = Terminal(tok.text)
-            return
-        if tok.kind != "NAME":
+        if tok.kind not in ("STRING", "NAME"):
             raise cur.error("expected a node symbol or quoted terminal")
         cur.next()
-        symbol = tok.text
-        if cur.accept("PUNCT", "!"):
-            nodes[addr] = SubstitutionSlot(symbol)
-            return
-        if cur.accept("PUNCT", "*"):
-            nodes[addr] = Foot(symbol)
-            return
-        nodes[addr] = Interior(symbol)
-        if cur.accept("PUNCT", "("):
-            k = 1
-            while not cur.accept("PUNCT", ")"):
-                if cur.peek().kind == "EOF":
-                    raise cur.error("unterminated tree, expected ')'")
-                parse_node(addr.child(k))
-                k += 1
-            if k == 1:
+        if tok.kind == "STRING":
+            kind: NodeKind = Terminal(tok.text)
+        elif cur.accept("PUNCT", "!"):
+            kind = SubstitutionSlot(tok.text)
+        elif cur.accept("PUNCT", "*"):
+            kind = Foot(tok.text)
+        else:
+            kind = Interior(tok.text)
+        if open_rows:
+            open_rows[-1][1] += 1
+        rows.append([kind, 0, None])
+        if isinstance(kind, Interior) and cur.accept("PUNCT", "("):
+            if cur.accept("PUNCT", ")"):
                 raise ParseError("empty child list", tok.line, tok.column)
-
-    parse_node(ROOT)
-    try:
-        return SyntaxTree.from_nodes(nodes)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+            open_rows.append(rows[-1])
+        else:
+            while open_rows and cur.accept("PUNCT", ")"):
+                open_rows.pop()
+            if not open_rows:
+                break
+        if cur.peek().kind == "EOF":
+            raise cur.error("unterminated tree, expected ')'")
+    if not isinstance(rows[0][0], Interior):
+        raise ParseError("root node must be an interior node")
+    if sum(isinstance(kind, Foot) for kind, _, _ in rows) > 1:
+        raise ParseError("tree has more than one foot node")
+    return SyntaxTree(_from_preorder(rows))
 
 
 def parse_tree(text: str) -> SyntaxTree:

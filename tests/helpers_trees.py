@@ -15,6 +15,7 @@ from lstag import (
     GornAddress,
     Interior,
     Link,
+    LstagGrammar,
     SubstitutionSlot,
     SyntaxTree,
     Terminal,
@@ -119,50 +120,69 @@ def splice_yield_oracle(target: SyntaxTree, site: GornAddress, aux: SyntaxTree) 
     return u + w1 + v + w2 + z
 
 
-def check_structure(s) -> None:
-    """Assert the invariants of a `DerivedStructure`.
+def check_structure(s, grammar, linked_slots: bool = True) -> None:
+    """Assert the invariants of a `DerivedStructure` derived in `grammar`.
 
-    Both trees pass the checked constructor, the provenance tables cover
-    exactly the addresses of their trees, every endpoint of a live link group
-    exists, and every fragment parent is a substitution slot of the spine.
+    Both trees pass the checked constructor.  Every node of both trees
+    carries a `SiteRef` whose owner is the root or a guest instance in the
+    history, and whose original address holds the same kind in that
+    owner's elementary tree on the same side.  Every endpoint of a live link
+    group exists, and every fragment parent is a spine slot whose symbol is
+    the fragment's root symbol.  With `linked_slots`, each live group also
+    ties a left slot to right slots, all of one symbol, as the link-bearing
+    pairs of a well-formed coordination grammar do.
     """
-    for tree in (s.left_tree, s.right_spine):
+    owners = {s.root: s.root}
+    owners.update((r.guest_id, r.guest) for r in s.history)
+    for side, tree in (("left_tree", s.left_tree), ("right_tree", s.right_spine)):
         assert SyntaxTree.from_nodes(dict(tree.items())) == tree
-    assert tuple(a for a, _ in s.left_prov) == s.left_tree.addresses()
-    assert tuple(a for a, _ in s.right_prov) == s.right_spine.addresses()
+        for addr, node in tree.walk():
+            site = node.site
+            assert site is not None and site.owner in owners, (side, addr, site)
+            elementary = getattr(grammar.get(owners[site.owner]), side)
+            assert elementary.node_at(site.addr) == node.kind, (side, addr, site)
     for group in s.live_links:
-        assert s.left_tree.has_address(group.left_addr), group
-        for addr in group.right_addrs:
-            assert s.right_spine.has_address(addr), group
+        kinds = [s.left_tree.node_at(group.left_addr)]
+        kinds += [s.right_spine.node_at(a) for a in group.right_addrs]
+        if linked_slots:
+            assert all(isinstance(k, SubstitutionSlot) for k in kinds), group
+            assert len({k.symbol for k in kinds}) == 1, group
     for fragment in s.fragments:
         for parent in fragment.parents:
-            assert isinstance(s.right_spine.node_at(parent), SubstitutionSlot), (fragment, parent)
+            kind = s.right_spine.node_at(parent)
+            assert isinstance(kind, SubstitutionSlot), (fragment, parent)
+            assert kind.symbol == fragment.tree.root_symbol, (fragment, parent)
+
+
+def pair_grammar(*pairs):
+    """An `LstagGrammar` over the given pairs, for `check_structure`."""
+    return LstagGrammar(tuple((p.name, p) for p in pairs))
 
 
 def replay_lstag_records(grammar, root: str, records):
     """Re-derive a structure from its history, resolving provenance sites.
 
     Each record names sites by (owning instance, original address); this walks
-    the history forward, looking the sites up in the evolving provenance maps,
-    and checks the structure's invariants after every step.
+    the history forward, finding the node that carries each site in the
+    evolving trees, and checks the structure's invariants after every step.
     """
     from lstag import SharedLinkGroup, lstag_compose, shared_substitute, structure_from_pair
 
+    def located(tree, site):
+        return next(a for a, node in tree.walk() if node.site == site)
+
     structure = structure_from_pair(grammar.get(root))
-    check_structure(structure)
+    check_structure(structure, grammar)
     for record in records:
-        left = next(a for a, p in structure.left_prov if p == record.left_site)
-        rights = [
-            next(a for a, p in structure.right_prov if p == site)
-            for site in record.right_sites
-        ]
+        left = located(structure.left_tree, record.left_site)
+        rights = [located(structure.right_spine, site) for site in record.right_sites]
         guest = grammar.get(record.guest)
         if record.operation == "adjunction":
             structure = lstag_compose(structure, left, rights[0], guest)
         else:
             group = SharedLinkGroup(left, tuple(rights))
             structure = shared_substitute(structure, group, guest)
-        check_structure(structure)
+        check_structure(structure, grammar)
     return structure
 
 

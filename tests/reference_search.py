@@ -5,30 +5,63 @@ each move generator composes every legal next state, and the breadth-first
 loop keys the built state on `(root, frozenset(history))` to drop the ones
 already seen.  `lstag.engine.enumerate_derivations` must return exactly what
 `reference_enumerate` returns; `test_engine.py` checks that.
+
+Plain TAG states carry their own provenance table and are composed with the
+flat-table reference in `reference_trees.py`, so this side shares no tree
+composition code with the engine.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 from lstag import (
     DerivationRecord,
     EnumerationItem,
     EnumerationResult,
+    GornAddress,
     Interior,
     LstagError,
     LstagGrammar,
+    SiteRef,
     SubstitutionSlot,
+    SyntaxTree,
     TagGrammar,
     TreeClass,
+    derivation_projections,
     lstag_compose,
     shared_substitute,
     structure_from_pair,
+    yield_tokens,
 )
-from lstag.engine import _pair_class, _TagState
-from lstag.sharing import SiteRef, guest_instance_id, updated_prov
-from lstag.trees import adjoin_with_maps, substitute_with_maps
+from lstag.engine import _pair_class
+from lstag.sharing import guest_instance_id
+
+from reference_trees import adjoin_with_maps, initial_prov, substitute_with_maps, updated_prov
+
+
+@dataclass(frozen=True)
+class _TagState:
+    root: str
+    tree: SyntaxTree
+    prov: tuple[tuple[GornAddress, SiteRef], ...]
+    history: tuple[DerivationRecord, ...]
+
+    @cached_property
+    def adjoined(self):
+        return frozenset(r.left_site for r in self.history if r.operation == "adjunction")
+
+    @property
+    def is_complete(self) -> bool:
+        return not self.tree.slot_addresses
+
+    def left_yield(self):
+        return yield_tokens(self.tree)
+
+    def projections(self):
+        return derivation_projections(self.history, self.root)[0], None
 
 
 def _search(roots, moves, budget) -> EnumerationResult:
@@ -94,14 +127,10 @@ def _lstag_moves(initial, auxiliary, s):
             except LstagError:
                 continue
             yield (0, gi, name), nxt
-    left_sites = [
-        a for a, k in s.left_tree.items()
-        if isinstance(k, Interior) and s.left_prov_map[a] not in s.adjoined_left
-    ]
-    right_sites = [
-        a for a, k in s.right_spine.items()
-        if isinstance(k, Interior) and s.right_prov_map[a] not in s.adjoined_right
-    ]
+    # lstag_compose rejects a second adjunction at one elementary node, so
+    # every interior pair is tried and the failures are dropped below.
+    left_sites = [a for a, k in s.left_tree.items() if isinstance(k, Interior)]
+    right_sites = [a for a, k in s.right_spine.items() if isinstance(k, Interior)]
     for name, pair in auxiliary:
         for la in left_sites:
             if s.left_tree.node_at(la).symbol != pair.left_tree.root_symbol:
@@ -126,8 +155,7 @@ def reference_enumerate(grammar, budget) -> EnumerationResult:
             )
         }
         roots = (
-            _TagState(name, tree, tuple((a, SiteRef(name, a)) for a in tree.addresses()), ())
-            for name, tree in guests["substitution"]
+            _TagState(name, tree, initial_prov(tree, name), ()) for name, tree in guests["substitution"]
         )
         return _search(roots, partial(_tag_moves, guests), budget)
     assert isinstance(grammar, LstagGrammar)

@@ -30,6 +30,7 @@ from lstag.cli import run_lstag_script
 from lstag.render import structure_to_json_obj, to_json_text
 from lstag.trees import adjoin_with_maps, rebase_address
 
+import reference_trees
 from helpers_trees import (
     interior_addresses,
     random_auxiliary,
@@ -144,9 +145,9 @@ def test_adjunction_wrapping_oracle_over_a_generated_corpus():
             foot = aux.foot_address
             for addr, kind in target.items():
                 assert res.tree.node_at(rebase_address(addr, site, foot)) == kind
-            moved = dict(res.host_moved)
+            moved = dict(reference_trees.adjoin_with_maps(target, site, aux).host_moved)
             for addr in target.addresses():
-                assert moved[addr] == rebase_address(addr, site, foot)
+                assert moved[addr] == rebase_address(addr, site, foot) == res.host_map(addr)
             checked += 1
     assert checked >= 200
     print(f"PASS: yield wrapping and address rebasing agreed on {checked} adjunctions")

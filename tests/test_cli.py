@@ -71,6 +71,19 @@ def test_missing_file_exits_with_usage_status(capsys, tmp_path):
     assert code == 2
 
 
+def test_invalid_utf8_is_a_parse_error(capsys, fixtures_dir, tmp_path):
+    grammar = tmp_path / "latin1.tag"
+    grammar.write_bytes(b'tree t: S(NP("caf\xe9"))\n')
+    code, out, err = run(capsys, "validate", str(grammar))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {grammar} is not valid UTF-8 (invalid continuation byte)\n"
+    script = tmp_path / "latin1.script"
+    script.write_bytes(b"root cooks\nadjoin and_eats at 2.1 ~ \xe9\n")
+    code, out, err = run(capsys, "derive", str(fixtures_dir / "cooks_eats.lstag"), str(script))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
 # --- derive ---------------------------------------------------------------------
 
 
@@ -262,6 +275,17 @@ def test_derive_exit_status_holds_for_generated_scripts(grammar, lines):
     assert "Traceback" not in err.getvalue()
 
 
+def test_derive_a_long_coordination_script(capsys, fixtures_dir, tmp_path):
+    # 420 stacked auxiliaries nest both trees about 420 levels deep, deeper
+    # than printing the trees may recurse.
+    steps = ["root cooks"] + ["adjoin and_eats at 2.1 ~ ε"] * 420
+    script = tmp_path / "long.script"
+    script.write_text("\n".join(steps + ["substitute john at 1", "substitute beans at 2.2"]) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "derive", str(fixtures_dir / "cooks_eats.lstag"), str(script))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "yield: John cooks" + " and eats" * 420 + " beans"
+
+
 # --- enumerate ------------------------------------------------------------------
 
 
@@ -368,8 +392,100 @@ def test_export_json(capsys, fixtures_dir):
     assert payload["pairs"][0]["links"] == ["1~1", "2.2~2.2"]
 
 
+def test_trees_deeper_than_the_recursion_limit(capsys, tmp_path):
+    text = "tree deep: " + "S(" * 1200 + 'NP! "x"' + ")" * 1200 + "\n"
+    path = tmp_path / "deep.tag"
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, "validate", str(path)) == (0, "", "")
+    code, out, err = run(capsys, "export", str(path))
+    assert (code, out, err) == (0, text, "")
+    for fmt in ("json", "dot"):
+        code, out, err = run(capsys, "export", str(path), "--format", fmt)
+        assert (code, err) == (0, "")
+    from lstag import format_grammar, load_grammar, parse_grammar
+
+    doc = load_grammar(str(path))
+    assert parse_grammar(format_grammar(doc)) == doc
+    assert len(doc.trees[0][1]) == 1202
+
+
 def test_export_dot_lists_every_entry(capsys, fixtures_dir):
     code, out, err = run(capsys, "export", str(fixtures_dir / "cooked.tag"), "--format", "dot")
     assert code == 0
     for name in ("cooked", "john", "beans", "dried"):
         assert f'label="tree {name}"' in out
+
+
+# --- the exit contract on generated grammar text ----------------------------------
+
+_SYMBOLS = st.sampled_from(["S", "NP", "VP", "V"])
+_GRAMMAR_ADDRS = st.sampled_from(["ε", "1", "2", "1.1", "2.1", "2.2", "1.2.1", "3"])
+_LEAVES = st.one_of(
+    _SYMBOLS,
+    st.builds("{}!".format, _SYMBOLS),
+    st.builds("{}!".format, _SYMBOLS),
+    st.builds("{}*".format, _SYMBOLS),
+    st.sampled_from(['"a"', '"b"', '"and"']),
+    st.sampled_from(['"a"', '"b"', '"and"']),
+)
+_SUBTREES = st.recursive(
+    _LEAVES,
+    lambda kids: st.builds("{}({})".format, _SYMBOLS, st.lists(kids, min_size=1, max_size=3).map(" ".join)),
+    max_leaves=5,
+)
+_TREES = st.builds("{}({})".format, _SYMBOLS, st.lists(_SUBTREES, min_size=1, max_size=3).map(" ".join))
+_LINKS = st.lists(st.builds("{}~{}".format, _GRAMMAR_ADDRS, _GRAMMAR_ADDRS), max_size=3).map(", ".join)
+_PHI = st.lists(st.one_of(_GRAMMAR_ADDRS, st.builds("{}~{}".format, _GRAMMAR_ADDRS, _GRAMMAR_ADDRS)), max_size=3)
+_CORRESPOND = st.one_of(
+    st.just(""),
+    st.lists(st.builds("{} -> {}".format, _GRAMMAR_ADDRS, _GRAMMAR_ADDRS), max_size=3)
+    .map(", ".join)
+    .map(" correspond: [{}]".format),
+)
+_DECL_NAMES = st.sampled_from(["a", "b", "and_b", "c"])
+_DECLS = st.one_of(
+    st.builds("tree {}: {}".format, _DECL_NAMES, _TREES),
+    st.builds("pair {} {{ left: {} right: {} links: [{}] }}".format, _DECL_NAMES, _TREES, _TREES, _LINKS),
+    st.builds(
+        "lspair {} {{ left: {} right: {} delta: [{}] phi: [{}]{} }}".format,
+        _DECL_NAMES, _TREES, _TREES, _LINKS, _PHI.map(", ".join), _CORRESPOND,
+    ),
+)
+# Malformed tokens and addresses, spliced in at random places.
+_JUNK = st.sampled_from(
+    ["(", ")", "{", "]", ":", "~", "!", "*", "@", "->", '"open', "\\", "#", "$", "\f", "ε",
+     "0", "1.0", "01", "1..2", "99999999999999999999"]
+)
+
+
+@st.composite
+def _grammar_texts(draw):
+    text = "\n".join(draw(st.lists(_DECLS, min_size=1, max_size=4))) + "\n"
+    for junk in draw(st.lists(_JUNK, max_size=draw(st.integers(0, 2)))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + junk + text[at:]
+    return text
+
+
+_GRAMMAR_COMMANDS = [
+    ["validate"],
+    ["validate", "--json", "--no-restrictions"],
+    ["enumerate", "--max-structures", "300"],
+    ["enumerate", "--max-structures", "300", "--no-restrictions"],
+    ["export", "--format", "dot"],
+    ["export", "--format", "json"],
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=_grammar_texts())
+def test_grammar_commands_keep_the_exit_contract_on_generated_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "fuzz.lstag"
+        path.write_text(text, encoding="utf-8")
+        for command in _GRAMMAR_COMMANDS:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command[0], str(path), *command[1:]])
+            assert code in (0, 1, 2), command
+            assert "Traceback" not in err.getvalue()

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from helpers_trees import replay_lstag_records
+from helpers_trees import check_structure, pair_grammar, replay_lstag_records
 from reference_search import reference_enumerate
 
 from lstag import (
@@ -18,6 +18,7 @@ from lstag import (
     usable_lstag_names,
     yield_tokens,
 )
+from lstag import engine
 
 A = GornAddress.parse
 
@@ -27,6 +28,24 @@ def items_as_obj(result):
         {"root": it.root, "yield": it.yield_text, "records": list(it.record_lines())}
         for it in result.items
     ]
+
+
+@pytest.fixture
+def checked_states(monkeypatch):
+    """Check the `DerivedStructure` invariants on every state the LSTAG search expands.
+
+    Returns the list of checked states, which grows as the search runs.
+    """
+    checked = []
+    moves = engine._lstag_moves
+
+    def checked_moves(initial, auxiliary, s):
+        check_structure(s, pair_grammar(*(p for _, p in initial + auxiliary)))
+        checked.append(s)
+        return moves(initial, auxiliary, s)
+
+    monkeypatch.setattr(engine, "_lstag_moves", checked_moves)
+    return checked
 
 
 @pytest.fixture
@@ -67,14 +86,15 @@ def test_tag_enumeration_matches_committed_list(tag_grammar, golden_dir):
     assert items_as_obj(result) == expected
 
 
-def test_lstag_enumeration_matches_committed_list(lstag_grammar, golden_dir):
+def test_lstag_enumeration_matches_committed_list(lstag_grammar, golden_dir, checked_states):
     result = enumerate_derivations(lstag_grammar, EnumerationBudget(4))
     with open(golden_dir / "enum_cooks_eats_ops4.json", encoding="utf-8") as fh:
         expected = json.load(fh)["items"]
     assert items_as_obj(result) == expected
+    assert len(checked_states) > 1
 
 
-def test_ungated_topicalization_matches_committed_list(fixtures_dir, golden_dir):
+def test_ungated_topicalization_matches_committed_list(fixtures_dir, golden_dir, checked_states):
     doc = load_grammar(str(fixtures_dir / "topicalization.lstag"))
     grammar = doc.lstag_grammar(usable_lstag_names(doc, restrictions=False))
     result = enumerate_derivations(grammar, EnumerationBudget(3))
@@ -95,7 +115,7 @@ def test_lstag_yields_include_coordination(lstag_grammar):
     assert "John cooks and eats beans" in sample
 
 
-def test_monotonicity_in_the_operation_budget(tag_grammar, lstag_grammar):
+def test_monotonicity_in_the_operation_budget(tag_grammar, lstag_grammar, checked_states):
     for grammar in (tag_grammar, lstag_grammar):
         previous = set()
         for ops in range(1, 5):
@@ -149,7 +169,7 @@ def test_truncation_flag(tag_grammar):
     + [("cooks_eats.lstag", ops, 7, (True, 2)) for ops in range(1, 5)]
     + [("topicalization.lstag", ops, 10000, (False, 1)) for ops in range(1, 5)],
 )
-def test_lstag_truncation_and_item_count(fixtures_dir, fixture, ops, max_structures, expected):
+def test_lstag_truncation_and_item_count(fixtures_dir, fixture, ops, max_structures, expected, checked_states):
     doc = load_grammar(str(fixtures_dir / fixture))
     grammar = doc.lstag_grammar(usable_lstag_names(doc))
     result = enumerate_derivations(grammar, EnumerationBudget(ops, max_structures))
@@ -163,7 +183,7 @@ def test_structure_cap_is_deterministic(tag_grammar):
     assert first.truncated
 
 
-def test_restrictions_block_the_ungrammatical_coordination(fixtures_dir):
+def test_restrictions_block_the_ungrammatical_coordination(fixtures_dir, checked_states):
     doc = load_grammar(str(fixtures_dir / "topicalization.lstag"))
     gated = doc.lstag_grammar(usable_lstag_names(doc, restrictions=True))
     sample = language_sample(gated, EnumerationBudget(3))
@@ -190,7 +210,7 @@ _FIXTURE_GRAMMARS = [
 
 @pytest.mark.parametrize("max_structures", [3, 7, 40, 10000])
 @pytest.mark.parametrize("fixture, gated, ops", _FIXTURE_GRAMMARS)
-def test_search_matches_the_build_then_dedupe_reference(fixtures_dir, fixture, gated, ops, max_structures):
+def test_search_matches_the_build_then_dedupe_reference(fixtures_dir, fixture, gated, ops, max_structures, checked_states):
     doc = load_grammar(str(fixtures_dir / fixture))
     if doc.lstag_pairs:
         grammar = doc.lstag_grammar(usable_lstag_names(doc, restrictions=gated))

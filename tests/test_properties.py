@@ -27,10 +27,13 @@ from lstag import (
 )
 from lstag.trees import adjoin_with_maps, substitute_with_maps
 
+import reference_trees
+
 from helpers_trees import (
     SYMBOLS,
     check_structure,
     image_connected_oracle,
+    pair_grammar,
     interior_addresses,
     random_auxiliary,
     random_initial,
@@ -68,13 +71,15 @@ def test_adjunction_node_map_is_a_bijection(data):
     site = sites[data.draw(st.integers(0, len(sites) - 1))]
     aux = random_auxiliary(rng, target.node_at(site).symbol)
     res = adjoin_with_maps(target, site, aux)
+    ref = reference_trees.adjoin_with_maps(target, site, aux)
     assert len(res.tree) == len(target) + len(aux) - 1
-    images = [moved_to for _, moved_to in res.host_moved]
-    images += [placed_at for _, placed_at in res.guest_placed]
+    images = [moved_to for _, moved_to in ref.host_moved]
+    images += [placed_at for _, placed_at in ref.guest_placed]
     assert len(set(images)) == len(images) == len(res.tree)
-    for old, new in res.host_moved:
+    for old, new in ref.host_moved:
+        assert res.host_map(old) == new
         assert res.tree.node_at(new) == target.node_at(old)
-    for orig, new in res.guest_placed:
+    for orig, new in ref.guest_placed:
         assert res.tree.node_at(new) == aux.node_at(orig)
 
 
@@ -103,6 +108,43 @@ def test_composed_trees_pass_the_checked_constructor(data):
     _, _, _, results = compositions(data, rng_from(data))
     for res in results:
         assert SyntaxTree.from_nodes(dict(res.tree.items())) == res.tree
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_composition_matches_the_flat_table_reference(data):
+    """Path copying builds the reference's table, host map and provenance.
+
+    A chain of one to four random compositions starts from a random tree
+    owned by `root`; after each step the result's entries, its host map on
+    every host address and every node's `SiteRef` must equal what the
+    flat-table reference and its provenance table give.
+    """
+    rng = rng_from(data)
+    tree = random_tree(rng).owned_by("root")
+    prov = dict(reference_trees.initial_prov(tree, "root"))
+    for step in range(data.draw(st.integers(1, 4))):
+        guest_id = f"g{step}"
+        slots = slot_addresses(tree)
+        if slots and data.draw(st.booleans()):
+            site = slots[data.draw(st.integers(0, len(slots) - 1))]
+            guest = random_initial(rng, tree.node_at(site).symbol)
+            res = substitute_with_maps(tree, site, guest, guest_id)
+            ref = reference_trees.substitute_with_maps(tree, site, guest)
+            unstamped = substitute_with_maps(tree, site, guest)
+        else:
+            sites = interior_addresses(tree)
+            site = sites[data.draw(st.integers(0, len(sites) - 1))]
+            guest = random_auxiliary(rng, tree.node_at(site).symbol)
+            res = adjoin_with_maps(tree, site, guest, guest_id)
+            ref = reference_trees.adjoin_with_maps(tree, site, guest)
+            unstamped = adjoin_with_maps(tree, site, guest)
+        assert res.tree.items() == ref.tree.items() == unstamped.tree.items()
+        for a in tree.addresses():
+            assert res.host_map(a) == ref.host_map(a)
+        prov = dict(reference_trees.updated_prov(prov, ref.host_moved, ref.guest_placed, guest_id))
+        assert [(a, node.site) for a, node in res.tree.walk()] == sorted(prov.items())
+        tree = res.tree
 
 
 # --- trusted addresses and the one-pass frontier ------------------------------------
@@ -134,7 +176,7 @@ def test_derived_addresses_equal_checked_ones(data):
     derived += [rebase_address(a, site, aux.foot_address) for a in target.addresses()]
     for res in results:
         derived += [res.host_map(a) for a in target.addresses()]
-        derived += [new for _, new in res.host_moved + res.guest_placed]
+        derived += res.tree.addresses()
     for a in derived:
         checked = GornAddress(a.parts)
         assert type(a.parts) is tuple
@@ -297,8 +339,10 @@ def test_phi_links_are_exhausted_by_composition(data):
     host, la, ra, guest = random_lstag_composition(rng)
     structure = lstag_compose(host, la, ra, guest)
     before = structure_from_pair(host)
-    check_structure(before)
-    check_structure(structure)
+    # The random phi links may name any guest node, not only slots.
+    grammar = pair_grammar(host, guest)
+    check_structure(before, grammar, linked_slots=False)
+    check_structure(structure, grammar, linked_slots=False)
     arity_before = sum(len(g.right_addrs) for g in before.live_links)
     arity_after = sum(len(g.right_addrs) for g in structure.live_links)
     assert arity_after - arity_before == len(guest.phi)

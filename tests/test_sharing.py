@@ -23,7 +23,7 @@ from lstag import (
     validate_pair,
 )
 
-from helpers_trees import check_structure
+from helpers_trees import check_structure, pair_grammar
 
 A = GornAddress.parse
 E = GornAddress(())
@@ -235,7 +235,7 @@ def test_later_adjunction_moves_shared_fragment_parents():
     today = LstagPair("today", parse_tree('V(V* ADV("today"))'), parse_tree('S(S* ADV("today"))'))
     s = lstag_compose(s, A("2.1.3"), E, today)
     assert s.fragment_named("john").parents == (A("1.3.1"), A("1.1"))
-    check_structure(s)
+    check_structure(s, pair_grammar(GAMMA, BETA, JOHN, today))
 
 
 def test_singleton_group_is_ordinary_substitution():

@@ -267,3 +267,12 @@ def test_parse_rejects_garbage():
 
 def test_parse_accepts_flexible_whitespace():
     assert parse_tree('S( NP!   VP( V( "cooked" )  NP! ) )') == COOKED
+
+
+def test_equality_compares_kinds_and_shape_but_not_sites():
+    owned = COOKED.owned_by("cooked")
+    assert owned.node(A("2.1")).site.addr == A("2.1") and COOKED.node(A("2.1")).site is None
+    assert owned == COOKED and hash(owned) == hash(COOKED)
+    for text in ('VP(NP! VP(V("cooked") NP!))', 'S(NP! VP(V("cooked")) NP!)', 'S(NP! VP(V("cooked") NP*))'):
+        assert parse_tree(text) != COOKED
+    assert COOKED != format_tree(COOKED)
