@@ -95,7 +95,7 @@ def run_lstag_script(grammar: LstagGrammar, text: str) -> DerivedStructure:
                 if verb != "substitute":
                     raise ParseError("adjoin steps need a left ~ right site pair", lineno)
                 for group in structure.live_links:
-                    if group.left_addr == first:
+                    if structure.left_address(group.left_site) == first:
                         structure = shared_substitute(structure, group, guest)
                         break
                 else:
@@ -270,10 +270,11 @@ def _emit_structure(structure: DerivedStructure, fmt: str) -> None:
     print(f"left: {format_tree(structure.left_tree)}")
     print(f"right: {format_tree(structure.right_spine)}")
     for frag in structure.fragments:
-        parents = ", ".join(str(a) for a in frag.parents)
+        parents = ", ".join(str(structure.right_address(p)) for p in frag.parents)
         print(f"fragment {frag.guest_id} = {format_tree(frag.tree)} at [{parents}]")
     for group in structure.live_links:
-        print(f"link {group}")
+        rights = ", ".join(str(structure.right_address(site)) for site in group.right_sites)
+        print(f"link {structure.left_address(group.left_site)} ~ [{rights}]")
     left_proj, right_proj = structure.projections()
     print("derivation[left]:")
     print(format_derivation_script(left_proj), end="")

@@ -7,7 +7,7 @@ every extension of itself and siblings sort by index.
 `GornAddress(parts)` and `GornAddress.parse` are the checked boundary: both
 reject a component that is not an integer >= 1.  Addresses derived from
 valid ones (`extend`, `parent`, `suffix_after`, the address views of a
-tree, `trees.rebase_address` for link endpoints and replay sites, and
+tree, `trees.rebase_address` for `stag_compose`'s link endpoints, and
 `child` once its new index is checked) are trusted and skip that check.
 """
 

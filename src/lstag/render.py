@@ -53,16 +53,17 @@ def tree_to_dot(tree: SyntaxTree, name: str = "tree") -> str:
 
 
 def derivation_tree_to_dot(d: DerivationTree) -> str:
+    """Each node's line, then for each edge its line and the child's lines, in preorder."""
     lines: list[str] = []
-
-    def walk(node: DerivationTree, node_id: str) -> None:
+    stack: list[tuple[DerivationTree, str, str | None]] = [(d, "d", None)]  # node, id, edge line into it
+    while stack:
+        node, node_id, edge_line = stack.pop()
+        if edge_line is not None:
+            lines.append(edge_line)
         lines.append(f'  "{node_id}" [label="{_esc(node.root)}" shape=plaintext];')
-        for addr, child in node.edges:
+        for addr, child in reversed(node.edges):
             child_id = node_id + "_" + str(addr).replace(".", "_")
-            lines.append(f'  "{node_id}" -> "{child_id}" [label="{addr}"];')
-            walk(child, child_id)
-
-    walk(d, "d")
+            stack.append((child, child_id, f'  "{node_id}" -> "{child_id}" [label="{addr}"];'))
     return "digraph derivation {\n" + "\n".join(lines) + "\n}\n"
 
 
@@ -94,13 +95,13 @@ def structure_to_json_obj(s: DerivedStructure) -> dict:
                     "id": f.guest_id,
                     "name": f.name,
                     "tree": format_tree(f.tree),
-                    "parents": [str(a) for a in f.parents],
+                    "parents": [str(s.right_address(p)) for p in f.parents],
                 }
                 for f in s.fragments
             ],
         },
         "liveLinks": [
-            {"left": str(g.left_addr), "right": [str(a) for a in g.right_addrs]}
+            {"left": str(s.left_address(g.left_site)), "right": [str(s.right_address(x)) for x in g.right_sites]}
             for g in s.live_links
         ],
         "history": [
@@ -120,8 +121,38 @@ def structure_to_json_obj(s: DerivedStructure) -> dict:
     }
 
 
+_scalar = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def to_json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """`json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)` and a newline, without recursion.
+
+    `obj` nests dicts with string keys, lists and scalars; a derivation's
+    JSON nests once per level, deeper than `json.dumps` may recurse.
+    """
+    out: list[str] = []
+    stack: list[tuple[object, int | None]] = [(obj, 0)]  # (value, depth), or (text, None)
+    while stack:
+        value, depth = stack.pop()
+        if depth is None:
+            out.append(value)  # type: ignore[arg-type]
+            continue
+        if isinstance(value, dict) and value:
+            entries = [(_scalar(k) + ": ", v) for k, v in sorted(value.items())]
+            opening, closing = "{", "}"
+        elif isinstance(value, (list, tuple)) and value:
+            entries = [("", v) for v in value]
+            opening, closing = "[", "]"
+        else:
+            out.append(_scalar(value))
+            continue
+        indent = "\n" + "  " * (depth + 1)
+        stack.append(("\n" + "  " * depth + closing, None))
+        for i in range(len(entries) - 1, -1, -1):
+            key, v = entries[i]
+            stack.append((v, depth + 1))
+            stack.append(((opening if i == 0 else ",") + indent + key, None))
+    return "".join(out) + "\n"
 
 
 def structure_to_dot(s: DerivedStructure) -> str:
@@ -137,9 +168,8 @@ def structure_to_dot(s: DerivedStructure) -> str:
         prefix = f"F{idx}"
         lines.extend(tree_dot_lines(frag.tree, prefix, indent="    "))
         for parent in frag.parents:
-            lines.append(
-                f'    "{_tree_node_id("R", parent)}" -> "{_tree_node_id(prefix, ROOT)}" [style=dashed];'
-            )
+            parent_id = _tree_node_id("R", s.right_address(parent))
+            lines.append(f'    "{parent_id}" -> "{_tree_node_id(prefix, ROOT)}" [style=dashed];')
     lines.append("  }")
     left_proj, right_proj = derivation_projections(s.history, s.root)
     lines.append('  subgraph cluster_derivation_left {')

@@ -5,18 +5,23 @@ a right address and mark where arguments attach on both sides; phi links
 are reflexive right-side links that a guest spends, all at once, when it
 composes into a host.  Sharing pairs the host's live link groups with the
 guest's phi links positionally (the canonical order is list order) and
-extends each matched group with the guest's corresponding right address.
+extends each matched group with the guest's corresponding right node.
 A group tying one left slot to several right slots is then filled by a
 single shared substitution, which plants one right-side instance under
 every linked parent and turns the right derivation into a DAG.
+
+Link groups and fragment parents name nodes by elementary site (`SiteRef`),
+as derivation records do, so a composition never rebuilds them; derived
+addresses are worked out from the trees only where output or a caller asks
+for them.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 from .errors import (
     CardinalityViolation,
@@ -31,7 +36,7 @@ from .errors import (
     UnknownTree,
     UnsupportedGuestLinks,
 )
-from .gorn import GornAddress
+from .gorn import ROOT, GornAddress
 from .stag import Link
 from .tag import DerivationTree
 from .trees import (
@@ -113,18 +118,14 @@ class LstagGrammar:
 
 @dataclass(frozen=True)
 class SharedLinkGroup:
-    """One left address tied to one or more right addresses."""
+    """One left elementary node tied to one or more right ones: the sites the record filling it carries."""
 
-    left_addr: GornAddress
-    right_addrs: tuple[GornAddress, ...]
+    left_site: SiteRef
+    right_sites: tuple[SiteRef, ...]
 
     def __post_init__(self):
-        if not self.right_addrs:
-            raise ValueError("a shared link group needs at least one right address")
-
-    def __str__(self) -> str:
-        rights = ", ".join(str(a) for a in self.right_addrs)
-        return f"{self.left_addr} ~ [{rights}]"
+        if not self.right_sites:
+            raise ValueError("a shared link group needs at least one right site")
 
 
 @dataclass(frozen=True)
@@ -148,49 +149,38 @@ class DerivationRecord:
 
 @dataclass(frozen=True)
 class Fragment:
-    """A right-side subtree shared by several parents in the spine."""
+    """A right-side subtree shared by several parents, the spine slots it fills."""
 
     guest_id: str
     name: str
     tree: SyntaxTree
-    parents: tuple[GornAddress, ...]
+    parents: tuple[SiteRef, ...]
 
     @property
     def in_degree(self) -> int:
         return len(self.parents)
 
 
-LinkOrGroup = Union[Link, SharedLinkGroup]
-
-
 def link_share(
-    delta: Sequence[LinkOrGroup],
+    groups: Sequence[SharedLinkGroup],
     phi: Sequence[Link],
-    rebase: Callable[[GornAddress], GornAddress],
+    site: Callable[[GornAddress], SiteRef],
 ) -> tuple[SharedLinkGroup, ...]:
     """Pair host link groups with guest phi links strictly by list position.
 
-    The i-th group gains the i-th phi address, mapped into the composed
-    right structure by `rebase`; trailing unmatched groups pass through.
-    Phi is consumed entirely, which is why the host must offer at least as
-    many groups as the guest has phi links.
+    The i-th group gains `site(a)`, the elementary site of the i-th phi
+    address `a` of the guest's right tree; trailing unmatched groups pass
+    through unchanged.  Phi is consumed entirely, which is why the host must
+    offer at least as many groups as the guest has phi links.
     """
-    groups = [
-        g if isinstance(g, SharedLinkGroup) else SharedLinkGroup(g.left, (g.right,)) for g in delta
-    ]
     if len(groups) < len(phi):
         raise CardinalityViolation(
             f"guest carries {len(phi)} phi links but the host offers only {len(groups)} link groups"
         )
-    out = []
-    for i, group in enumerate(groups):
-        if i < len(phi):
-            out.append(
-                SharedLinkGroup(group.left_addr, group.right_addrs + (rebase(phi[i].right),))
-            )
-        else:
-            out.append(group)
-    return tuple(out)
+    extended = tuple(
+        SharedLinkGroup(g.left_site, g.right_sites + (site(link.right),)) for g, link in zip(groups, phi)
+    )
+    return extended + tuple(groups[len(phi):])
 
 
 @dataclass(frozen=True)
@@ -198,10 +188,10 @@ class DerivedStructure:
     """A left constituency tree plus a right structure that may share nodes.
 
     The right side is a spine tree with zero or more shared fragments, each
-    attached below every slot address in its `parents`.  Every node of both
-    trees carries the `SiteRef` (instance, original address) it came from,
-    so derivation records and the one-adjunction-per-node rule survive
-    address rebasing.
+    attached below every spine slot in its `parents`.  Every node of both
+    trees carries the `SiteRef` (instance, original address) it came from;
+    link groups and fragment parents name nodes by it, and
+    `left_address`/`right_address` give a site's derived address.
     """
 
     root: str
@@ -222,8 +212,16 @@ class DerivedStructure:
         return frozenset(r.right_sites[0] for r in self.history if r.operation == "adjunction")
 
     @cached_property
-    def fragment_parent_addrs(self) -> frozenset[GornAddress]:
-        return frozenset(a for f in self.fragments for a in f.parents)
+    def fragment_parents(self) -> frozenset[SiteRef]:
+        return frozenset(p for f in self.fragments for p in f.parents)
+
+    def left_address(self, site: SiteRef) -> GornAddress:
+        """The derived address of the left node that carries `site`."""
+        return self.left_tree.locate(site)[0]
+
+    def right_address(self, site: SiteRef) -> GornAddress:
+        """The derived address of the spine node that carries `site`."""
+        return self.right_spine.locate(site)[0]
 
     def fragment_named(self, name: str) -> Fragment:
         for f in self.fragments:
@@ -235,7 +233,7 @@ class DerivedStructure:
     def is_complete(self) -> bool:
         """No slot is open; the spine slots left are exactly the fragment parents."""
         return not (self.left_tree.root.slots or any(f.tree.root.slots for f in self.fragments)) and (
-            self.right_spine.root.slots == len(self.fragment_parent_addrs)
+            self.right_spine.root.slots == len(self.fragment_parents)
         )
 
     def left_yield(self, partial: bool = False) -> tuple[str, ...]:
@@ -249,7 +247,7 @@ def structure_from_pair(pair: LstagPair) -> DerivedStructure:
     """The one-pair structure a derivation starts from; both trees must be initial."""
     if any(classify(t) is not TreeClass.INITIAL for t in (pair.left_tree, pair.right_tree)):
         raise ClassMismatch(f"a derivation starts from an initial pair, and {pair.name!r} is not one")
-    live = tuple(SharedLinkGroup(l.left, (l.right,)) for l in pair.delta)
+    live = tuple(SharedLinkGroup(SiteRef(pair.name, l.left), (SiteRef(pair.name, l.right),)) for l in pair.delta)
     return DerivedStructure(
         root=pair.name,
         left_tree=pair.left_tree.owned_by(pair.name),
@@ -268,20 +266,6 @@ def guest_instance_id(left_ref: SiteRef, guest_name: str) -> str:
     return f"{left_ref.owner}/{left_ref.addr}:{guest_name}"
 
 
-def _site_record(
-    hs: DerivedStructure,
-    operation: str,
-    guest_name: str,
-    left_site: GornAddress,
-    right_sites: Sequence[GornAddress],
-) -> DerivationRecord:
-    left_ref = hs.left_tree.node(left_site).site
-    right_refs = tuple(hs.right_spine.node(a).site for a in right_sites)
-    return DerivationRecord(
-        operation, guest_name, guest_instance_id(left_ref, guest_name), left_ref, right_refs
-    )
-
-
 def compose_record(
     hs: DerivedStructure, left_site: GornAddress, right_site: GornAddress, guest_name: str
 ) -> DerivationRecord:
@@ -290,29 +274,32 @@ def compose_record(
     The operation follows from the two sites' kinds; this raises what
     `lstag_compose` raises for sites that are missing or of different kinds.
     """
-    left_kind = hs.left_tree.node_at(left_site)
-    right_kind = hs.right_spine.node_at(right_site)
-    if isinstance(left_kind, SubstitutionSlot) and isinstance(right_kind, SubstitutionSlot):
+    left, right = hs.left_tree.node(left_site), hs.right_spine.node(right_site)
+    if isinstance(left.kind, SubstitutionSlot) and isinstance(right.kind, SubstitutionSlot):
         operation = "substitution"
-    elif isinstance(left_kind, Interior) and isinstance(right_kind, Interior):
+    elif isinstance(left.kind, Interior) and isinstance(right.kind, Interior):
         operation = "adjunction"
     else:
         raise OperationMismatch(
-            f"left site {left_site} is {left_kind} while right site {right_site} is {right_kind}; "
+            f"left site {left_site} is {left.kind} while right site {right_site} is {right.kind}; "
             "both sides must substitute or both must adjoin"
         )
-    return _site_record(hs, operation, guest_name, left_site, (right_site,))
+    guest_id = guest_instance_id(left.site, guest_name)
+    return DerivationRecord(operation, guest_name, guest_id, left.site, (right.site,))
 
 
 def group_record(hs: DerivedStructure, group: SharedLinkGroup, guest_name: str) -> DerivationRecord:
     """The record `shared_substitute` appends when it fills `group` with that guest.
 
-    Like `compose_record`, this raises for a site the structure lacks and,
-    for a one-site group, for sites of different kinds.
+    A one-site group is filled by an ordinary composition, so this raises
+    what `compose_record` raises for its sites; a multi-site record carries
+    the group's sites as they are.
     """
-    if len(group.right_addrs) == 1:
-        return compose_record(hs, group.left_addr, group.right_addrs[0], guest_name)
-    return _site_record(hs, "shared-substitution", guest_name, group.left_addr, group.right_addrs)
+    if len(group.right_sites) == 1:
+        left, right = hs.left_address(group.left_site), hs.right_address(group.right_sites[0])
+        return compose_record(hs, left, right, guest_name)
+    guest_id = guest_instance_id(group.left_site, guest_name)
+    return DerivationRecord("shared-substitution", guest_name, guest_id, group.left_site, group.right_sites)
 
 
 def lstag_compose(
@@ -323,68 +310,47 @@ def lstag_compose(
 ) -> DerivedStructure:
     """One synchronized composition step: same operation on both sides.
 
-    Adjunction rebases every surviving link endpoint through the foot path;
-    substitution may consume a singleton link group whose two endpoints are
-    exactly the chosen sites.  The guest's phi links are exhausted here by
+    Substitution may consume a singleton link group whose two sites are
+    exactly the chosen ones.  The guest's phi links are exhausted here by
     extending the host's remaining groups in order; its delta links join the
-    live set as fresh singleton groups.
+    live set as fresh singleton groups.  A guest endpoint names the guest
+    instance's node, except at the guest's foot, where it names the host
+    node the adjunction wraps.  Groups and fragment parents name elementary
+    sites, so no other group and no fragment is rebuilt.
     """
     hs = as_structure(host)
     record = compose_record(hs, left_site, right_site, guest.name)
+    left_ref, (right_ref,) = record.left_site, record.right_sites
 
-    live = list(hs.live_links)
+    live = hs.live_links
     if record.operation == "substitution":
-        if right_site in hs.fragment_parent_addrs:
+        if right_ref in hs.fragment_parents:
             raise NotASlot(f"right slot at {right_site} is already filled by a shared fragment")
-        touching = [
-            g for g in live if g.left_addr == left_site or right_site in g.right_addrs
-        ]
+        touching = [g for g in live if g.left_site == left_ref or right_ref in g.right_sites]
         if touching:
-            only = touching[0]
-            if (
-                len(touching) != 1
-                or only.left_addr != left_site
-                or only.right_addrs != (right_site,)
-            ):
+            if touching != [SharedLinkGroup(left_ref, (right_ref,))]:
                 raise GroupNotLive(
                     "substitution at a shared link group must fill every linked site in one "
                     "operation; use shared_substitute"
                 )
-            live.remove(only)
-        left_res = substitute_with_maps(hs.left_tree, left_site, guest.left_tree, record.guest_id)
-        right_res = substitute_with_maps(hs.right_spine, right_site, guest.right_tree, record.guest_id)
+            live = tuple(g for g in live if g not in touching)
+        compose = substitute_with_maps
     else:
-        if record.left_site in hs.adjoined_left:
-            raise DuplicateAdjunction(f"left node {record.left_site} already hosts an adjunction")
-        if record.right_sites[0] in hs.adjoined_right:
-            raise DuplicateAdjunction(f"right node {record.right_sites[0]} already hosts an adjunction")
-        left_res = adjoin_with_maps(hs.left_tree, left_site, guest.left_tree, record.guest_id)
-        right_res = adjoin_with_maps(hs.right_spine, right_site, guest.right_tree, record.guest_id)
+        if left_ref in hs.adjoined_left:
+            raise DuplicateAdjunction(f"left node {left_ref} already hosts an adjunction")
+        if right_ref in hs.adjoined_right:
+            raise DuplicateAdjunction(f"right node {right_ref} already hosts an adjunction")
+        compose = adjoin_with_maps
+    left_tree = compose(hs.left_tree, left_site, guest.left_tree, record.guest_id).tree
+    right_spine = compose(hs.right_spine, right_site, guest.right_tree, record.guest_id).tree
 
-    rebased = [
-        SharedLinkGroup(
-            left_res.host_map(g.left_addr),
-            tuple(right_res.host_map(a) for a in g.right_addrs),
-        )
-        for g in live
-    ]
-    shared = link_share(rebased, guest.phi, rebase=right_site.extend)
-    appended = tuple(
-        SharedLinkGroup(left_site.extend(l.left), (right_site.extend(l.right),))
-        for l in guest.delta
-    )
-    fragments = tuple(
-        replace(f, parents=tuple(right_res.host_map(a) for a in f.parents))
-        for f in hs.fragments
-    )
-    return DerivedStructure(
-        root=hs.root,
-        left_tree=left_res.tree,
-        right_spine=right_res.tree,
-        fragments=fragments,
-        live_links=shared + appended,
-        history=hs.history + (record,),
-    )
+    feet = guest.left_tree.foot_address, guest.right_tree.foot_address
+    left_of = lambda a: left_ref if a == feet[0] else SiteRef(record.guest_id, a)
+    right_of = lambda a: right_ref if a == feet[1] else SiteRef(record.guest_id, a)
+    shared = link_share(live, guest.phi, right_of)
+    appended = tuple(SharedLinkGroup(left_of(l.left), (right_of(l.right),)) for l in guest.delta)
+    live = shared + appended
+    return DerivedStructure(hs.root, left_tree, right_spine, hs.fragments, live, hs.history + (record,))
 
 
 def shared_substitute(
@@ -394,16 +360,17 @@ def shared_substitute(
 ) -> DerivedStructure:
     """Fill one link group with a single guest instance.
 
-    With one right address this is an ordinary synchronized substitution.
+    With one right site this is an ordinary synchronized substitution.
     With several, the guest's right tree is attached once as a shared
     fragment below every linked slot, so the node's in-degree equals the
     number of shared sites.
     """
     hs = as_structure(host)
     if group not in hs.live_links:
-        raise GroupNotLive(f"group {group} is not live in this structure")
-    if len(group.right_addrs) == 1:
-        return lstag_compose(hs, group.left_addr, group.right_addrs[0], guest)
+        raise GroupNotLive(f"the group at left site {group.left_site} is not live in this structure")
+    if len(group.right_sites) == 1:
+        left, right = hs.left_address(group.left_site), hs.right_address(group.right_sites[0])
+        return lstag_compose(hs, left, right, guest)
 
     if guest.delta or guest.phi:
         raise UnsupportedGuestLinks(
@@ -411,10 +378,12 @@ def shared_substitute(
         )
     if classify(guest.left_tree) is not TreeClass.INITIAL or classify(guest.right_tree) is not TreeClass.INITIAL:
         raise ClassMismatch("shared substitution requires initial guest trees")
-    guest_id = guest_instance_id(hs.left_tree.node(group.left_addr).site, guest.name)
-    left_res = substitute_with_maps(hs.left_tree, group.left_addr, guest.left_tree, guest_id)
-    for addr in group.right_addrs:
-        kind = hs.right_spine.node_at(addr)
+    record = group_record(hs, group, guest.name)
+    left_addr = hs.left_address(group.left_site)
+    left_tree = substitute_with_maps(hs.left_tree, left_addr, guest.left_tree, record.guest_id).tree
+    for site in group.right_sites:
+        addr, node = hs.right_spine.locate(site)
+        kind = node.kind
         if not isinstance(kind, SubstitutionSlot):
             raise NotASlot(f"right node at {addr} is {kind}, not a substitution slot")
         if guest.right_tree.root_symbol != kind.symbol:
@@ -423,17 +392,14 @@ def shared_substitute(
                 f"{guest.right_tree.root_symbol!r}"
             )
 
-    record = group_record(hs, group, guest.name)
-    fragment = Fragment(guest_id, guest.name, guest.right_tree, group.right_addrs)
-    live = tuple(g for g in hs.live_links if g != group)
-    return DerivedStructure(
-        root=hs.root,
-        left_tree=left_res.tree,
-        right_spine=hs.right_spine,
-        fragments=hs.fragments + (fragment,),
-        live_links=live,
-        history=hs.history + (record,),
+    fragments = hs.fragments + (Fragment(record.guest_id, guest.name, guest.right_tree, group.right_sites),)
+    # Another group on the filled left slot now names the guest root, which sits where the slot was.
+    filler = SiteRef(record.guest_id, ROOT)
+    live = tuple(
+        SharedLinkGroup(filler, g.right_sites) if g.left_site == group.left_site else g
+        for g in hs.live_links if g != group
     )
+    return DerivedStructure(hs.root, left_tree, hs.right_spine, fragments, live, hs.history + (record,))
 
 
 @dataclass(frozen=True)
@@ -486,12 +452,21 @@ class DerivationGraph:
         children: dict[str, list[tuple[GornAddress, str]]] = defaultdict(list)
         for parent, addr, child in self.edges:
             children[parent].append((GornAddress.parse(addr), child))
+        return _derivation_tree(self.root, self.labels, children)
 
-        def build(node_id: str) -> DerivationTree:
-            kids = children.get(node_id, [])
-            return DerivationTree(self.labels[node_id], tuple((a, build(c)) for a, c in kids))
 
-        return build(self.root)
+def _derivation_tree(
+    root: str, labels: dict[str, str], children: dict[str, list[tuple[GornAddress, str]]]
+) -> DerivationTree:
+    """The derivation tree of the instances below `root`, built leaves first, without recursion."""
+    order = [root]
+    for node_id in order:
+        order.extend(child for _, child in children.get(node_id, ()))
+    built: dict[str, DerivationTree] = {}
+    for node_id in reversed(order):
+        kids = children.get(node_id, ())
+        built[node_id] = DerivationTree(labels[node_id], tuple((a, built[c]) for a, c in kids))
+    return built[root]
 
 
 def derivation_projections(
@@ -520,9 +495,4 @@ def derivation_projections(
         left_children[r.left_site.owner].append((r.left_site.addr, r.guest_id))
         for site in r.right_sites:
             edges.append((site.owner, str(site.addr), r.guest_id))
-
-    def build(node_id: str) -> DerivationTree:
-        kids = left_children.get(node_id, [])
-        return DerivationTree(known[node_id], tuple((a, build(c)) for a, c in kids))
-
-    return build(root), DerivationGraph(root, tuple(nodes), tuple(edges))
+    return _derivation_tree(root, known, left_children), DerivationGraph(root, tuple(nodes), tuple(edges))

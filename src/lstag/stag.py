@@ -4,8 +4,9 @@ A pair carries two trees and an ordered set of links between their node
 addresses.  Composing a guest pair at link member i performs the same
 operation (substitution or adjunction) on both sides at the member's two
 addresses.  Every other host link and every guest link is inherited, with
-surviving endpoints rebased through any adjunction that moved them; the
-consumed member itself never reappears.
+surviving endpoints rebased through the composition's `host_map` (links
+here are addresses by definition; `sharing` names them by elementary
+site); the consumed member itself never reappears.
 """
 
 from __future__ import annotations

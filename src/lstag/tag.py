@@ -2,17 +2,17 @@
 
 A derivation tree records which elementary tree composed into which, with
 edge labels giving the address in the parent's original elementary tree.
-Replay is bottom-up: children are rebuilt first, then attached.  When
-several adjunctions hit one parent, each site is carried through the host
-address maps of the earlier compositions, so edge addresses always refer
-to the elementary tree as written in the grammar.
+Replay is bottom-up: children are rebuilt first, then attached.  A parent's
+edges are composed in reverse address order, so no composition moves a
+site still to come, and edge addresses are used exactly as written in the
+grammar.  Replay, script parsing and printing walk derivations with an
+explicit stack, so a derivation may be deeper than Python's recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 from ._lex import script_lines
 from .errors import (
@@ -88,36 +88,36 @@ class DerivationTree:
 
 
 def replay(grammar: TagGrammar, d: DerivationTree) -> SyntaxTree:
-    entry = grammar.get(d.root)
-    result = entry.tree
-    host_maps: list[Callable[[GornAddress], GornAddress]] = []
-
-    for addr, child in d.edges:
-        if not entry.tree.has_address(addr):
-            raise EdgeAddressInvalid(f"{d.root!r} has no address {addr}")
-        child_entry = grammar.get(child.root)
-        child_tree = replay(grammar, child)
-        site = addr
-        for host_map in host_maps:
-            site = host_map(site)
-        kind = result.node_at(site)
-        if isinstance(kind, SubstitutionSlot):
-            if child_entry.tree_class is not TreeClass.INITIAL:
-                raise OperationMismatch(
-                    f"slot at {addr} of {d.root!r} needs an initial tree, got {child.root!r}"
-                )
-            composed = substitute_with_maps(result, site, child_tree)
-        elif isinstance(kind, Interior):
-            if child_entry.tree_class is not TreeClass.AUXILIARY:
-                raise OperationMismatch(
-                    f"interior node at {addr} of {d.root!r} needs an auxiliary tree, got {child.root!r}"
-                )
-            composed = adjoin_with_maps(result, site, child_tree)
-        else:
-            raise OperationMismatch(f"cannot compose at {addr} of {d.root!r}: node is {kind}")
-        result = composed.tree
-        host_maps.append(composed.host_map)
-    return result
+    """Check every edge address, parents first; then build each node after its children."""
+    order = [d]  # parents before children
+    for node in order:
+        tree = grammar.get(node.root).tree
+        for addr, child in node.edges:
+            if not tree.has_address(addr):
+                raise EdgeAddressInvalid(f"{node.root!r} has no address {addr}")
+            order.append(child)
+    built: dict[int, SyntaxTree] = {}
+    for node in reversed(order):
+        tree = result = grammar.get(node.root).tree
+        for addr, child in reversed(node.edges):  # each composition moves only its own subtree
+            kind, child_class = tree.node_at(addr), grammar.get(child.root).tree_class
+            if isinstance(kind, SubstitutionSlot):
+                if child_class is not TreeClass.INITIAL:
+                    raise OperationMismatch(
+                        f"slot at {addr} of {node.root!r} needs an initial tree, got {child.root!r}"
+                    )
+                composed = substitute_with_maps(result, addr, built[id(child)])
+            elif isinstance(kind, Interior):
+                if child_class is not TreeClass.AUXILIARY:
+                    raise OperationMismatch(
+                        f"interior node at {addr} of {node.root!r} needs an auxiliary tree, got {child.root!r}"
+                    )
+                composed = adjoin_with_maps(result, addr, built[id(child)])
+            else:
+                raise OperationMismatch(f"cannot compose at {addr} of {node.root!r}: node is {kind}")
+            result = composed.tree
+        built[id(node)] = result
+    return built[id(d)]
 
 
 def validate_derivation(grammar: TagGrammar, d: DerivationTree) -> list[Diagnostic]:
@@ -208,9 +208,11 @@ class _Node:
 def parse_derivation_script(text: str) -> DerivationTree:
     root: _Node | None = None
     occurrences: dict[str, list[_Node]] = {}
+    created: list[_Node] = []
 
     def add(node: _Node) -> None:
         occurrences.setdefault(node.name, []).append(node)
+        created.append(node)
 
     for lineno, cur in script_lines(text):
         if cur.accept("NAME", "root"):
@@ -246,29 +248,33 @@ def parse_derivation_script(text: str) -> DerivationTree:
     if root is None:
         raise ParseError("empty derivation script: needs a root or at least one edge")
 
-    def freeze(node: _Node) -> DerivationTree:
-        return DerivationTree(node.name, tuple((a, freeze(c)) for a, c in node.edges))
-
-    return freeze(root)
+    frozen: dict[int, DerivationTree] = {}
+    for node in reversed(created):  # children were created after their parents
+        frozen[id(node)] = DerivationTree(node.name, tuple((a, frozen[id(c)]) for a, c in node.edges))
+    return frozen[id(root)]
 
 
 def format_derivation_script(d: DerivationTree) -> str:
+    """One line per edge in preorder: an edge, then the edges below its child."""
     lines = [f"root {d.root}"]
-
-    def walk(node: DerivationTree) -> None:
-        for addr, child in node.edges:
-            lines.append(f"{node.root} @ {addr} <- {child.root}")
-            walk(child)
-
-    walk(d)
+    stack = [(d, a, c) for a, c in reversed(d.edges)]
+    while stack:
+        node, addr, child = stack.pop()
+        lines.append(f"{node.root} @ {addr} <- {child.root}")
+        stack.extend((child, a, c) for a, c in reversed(child.edges))
     return "\n".join(lines) + "\n"
 
 
 def derivation_to_json_obj(d: DerivationTree) -> dict:
-    return {
-        "name": d.root,
-        "children": [{"addr": str(a), "node": derivation_to_json_obj(c)} for a, c in d.edges],
-    }
+    top: dict = {"name": d.root, "children": []}
+    stack = [(d, top)]
+    while stack:
+        node, obj = stack.pop()
+        for addr, child in node.edges:
+            child_obj: dict = {"name": child.root, "children": []}
+            obj["children"].append({"addr": str(addr), "node": child_obj})
+            stack.append((child, child_obj))
+    return top
 
 
 def derivation_from_json_obj(obj: dict) -> DerivationTree:

@@ -187,6 +187,17 @@ class SyntaxTree:
     def node_at(self, addr: GornAddress) -> NodeKind:
         return self.node(addr).kind
 
+    @cached_property
+    def _by_site(self) -> dict[SiteRef | None, tuple[GornAddress, TreeNode]]:
+        return {n.site: (a, n) for a, n in self.walk()}
+
+    def locate(self, site: SiteRef) -> tuple[GornAddress, TreeNode]:
+        """The address and node of the node that carries `site`, found by one cached walk."""
+        try:
+            return self._by_site[site]
+        except KeyError:
+            raise AddressNotFound(f"no node carries {site}") from None
+
     def has_address(self, addr: GornAddress) -> bool:
         return self._find(addr) is not None
 
@@ -208,7 +219,17 @@ class SyntaxTree:
 
     @cached_property
     def foot_address(self) -> GornAddress | None:
-        return next((a for a, n in self.walk() if isinstance(n.kind, Foot)), None)
+        path: list[int] = []  # child indices from the root to the node just taken
+        stack = [(0, 0, self.root)]  # (depth, child index, node)
+        while stack:
+            depth, k, node = stack.pop()
+            if depth:
+                del path[depth - 1:]
+                path.append(k)
+            if isinstance(node.kind, Foot):
+                return GornAddress._of(tuple(path))
+            stack.extend((depth + 1, k, c) for k, c in enumerate(node.children, 1))
+        return None
 
     @cached_property
     def slot_addresses(self) -> tuple[GornAddress, ...]:
@@ -217,10 +238,6 @@ class SyntaxTree:
     @property
     def root_symbol(self) -> str:
         return self.root.kind.symbol  # type: ignore[union-attr]
-
-    def subtree(self, addr: GornAddress) -> dict[GornAddress, NodeKind]:
-        """Nodes at or below `addr`, re-rooted at the empty address."""
-        return {a: n.kind for a, n in SyntaxTree(self.node(addr)).walk()}
 
     def __len__(self) -> int:
         return sum(1 for _ in self.walk())
@@ -258,7 +275,7 @@ def rebase_address(orig: GornAddress, site: GornAddress, foot_addr: GornAddress)
     """Where an address of the host ends up after adjunction at `site`.
 
     Addresses at or below the site move under site.foot; everything else is
-    untouched.  This is the map that keeps links alive across composition.
+    untouched.  `stag_compose` keeps synchronous links alive with it.
     """
     if site.is_prefix_of(orig):
         return GornAddress._of(site.parts + foot_addr.parts + orig.parts[len(site.parts):])

@@ -126,11 +126,13 @@ def check_structure(s, grammar, linked_slots: bool = True) -> None:
     Both trees pass the checked constructor.  Every node of both trees
     carries a `SiteRef` whose owner is the root or a guest instance in the
     history, and whose original address holds the same kind in that
-    owner's elementary tree on the same side.  Every endpoint of a live link
-    group exists, and every fragment parent is a spine slot whose symbol is
-    the fragment's root symbol.  With `linked_slots`, each live group also
-    ties a left slot to right slots, all of one symbol, as the link-bearing
-    pairs of a well-formed coordination grammar do.
+    owner's elementary tree on the same side.  Every site of a live link
+    group and every fragment parent is carried by a node (the left site by
+    a left node, the others by spine nodes), and every fragment parent is a
+    spine slot whose symbol is the fragment's root symbol.  With
+    `linked_slots`, each live group also ties a left slot to right slots,
+    all of one symbol, as the link-bearing pairs of a well-formed
+    coordination grammar do.
     """
     owners = {s.root: s.root}
     owners.update((r.guest_id, r.guest) for r in s.history)
@@ -141,17 +143,35 @@ def check_structure(s, grammar, linked_slots: bool = True) -> None:
             assert site is not None and site.owner in owners, (side, addr, site)
             elementary = getattr(grammar.get(owners[site.owner]), side)
             assert elementary.node_at(site.addr) == node.kind, (side, addr, site)
+    left_nodes = {node.site: node for _, node in s.left_tree.walk()}
+    right_nodes = {node.site: node for _, node in s.right_spine.walk()}
     for group in s.live_links:
-        kinds = [s.left_tree.node_at(group.left_addr)]
-        kinds += [s.right_spine.node_at(a) for a in group.right_addrs]
+        assert group.left_site in left_nodes, group
+        assert all(site in right_nodes for site in group.right_sites), group
+        kinds = [left_nodes[group.left_site].kind]
+        kinds += [right_nodes[site].kind for site in group.right_sites]
         if linked_slots:
             assert all(isinstance(k, SubstitutionSlot) for k in kinds), group
             assert len({k.symbol for k in kinds}) == 1, group
     for fragment in s.fragments:
         for parent in fragment.parents:
-            kind = s.right_spine.node_at(parent)
+            assert parent in right_nodes, (fragment, parent)
+            kind = right_nodes[parent].kind
             assert isinstance(kind, SubstitutionSlot), (fragment, parent)
             assert kind.symbol == fragment.tree.root_symbol, (fragment, parent)
+
+
+def group_addresses(s) -> list[tuple[GornAddress, tuple[GornAddress, ...]]]:
+    """Each live link group of `s` as (left address, right addresses), through the resolver."""
+    return [
+        (s.left_address(g.left_site), tuple(s.right_address(site) for site in g.right_sites))
+        for g in s.live_links
+    ]
+
+
+def parent_addresses(s, fragment) -> tuple[GornAddress, ...]:
+    """The spine addresses of a fragment's parents, through the resolver."""
+    return tuple(s.right_address(site) for site in fragment.parents)
 
 
 def pair_grammar(*pairs):
@@ -165,6 +185,8 @@ def replay_lstag_records(grammar, root: str, records):
     Each record names sites by (owning instance, original address); this walks
     the history forward, finding the node that carries each site in the
     evolving trees, and checks the structure's invariants after every step.
+    A substitution record, shared or not, carries exactly the sites of the
+    live link group it filled.
     """
     from lstag import SharedLinkGroup, lstag_compose, shared_substitute, structure_from_pair
 
@@ -174,13 +196,13 @@ def replay_lstag_records(grammar, root: str, records):
     structure = structure_from_pair(grammar.get(root))
     check_structure(structure, grammar)
     for record in records:
-        left = located(structure.left_tree, record.left_site)
-        rights = [located(structure.right_spine, site) for site in record.right_sites]
         guest = grammar.get(record.guest)
         if record.operation == "adjunction":
-            structure = lstag_compose(structure, left, rights[0], guest)
+            left = located(structure.left_tree, record.left_site)
+            right = located(structure.right_spine, record.right_sites[0])
+            structure = lstag_compose(structure, left, right, guest)
         else:
-            group = SharedLinkGroup(left, tuple(rights))
+            group = SharedLinkGroup(record.left_site, record.right_sites)
             structure = shared_substitute(structure, group, guest)
         check_structure(structure, grammar)
     return structure

@@ -8,6 +8,13 @@ a separate provenance table, address -> `SiteRef`, up to date from those
 lists.  The library's path-copying composition must agree with this on the
 tree, on `host_map` and on the `SiteRef` of every node; `test_properties.py`
 checks that, and `reference_search.py` builds its plain TAG states with it.
+
+`replay` composes a derivation the same way, carrying each edge address
+through the host maps of the compositions before it, and `LinkBook` keeps
+link-sharing groups and fragment parents as derived addresses rebased on
+every adjunction.  The library composes a node's edges in reverse address
+order and names groups and parents by elementary site; `test_properties.py`
+checks that both give the same results.
 """
 
 from __future__ import annotations
@@ -16,8 +23,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from lstag import (
+    CardinalityViolation,
     ClassMismatch,
     GornAddress,
+    GroupNotLive,
     Interior,
     NotASlot,
     NotInterior,
@@ -97,6 +106,24 @@ def adjoin_with_maps(target: SyntaxTree, addr: GornAddress, aux: SyntaxTree) -> 
     )
 
 
+def replay(grammar, d) -> SyntaxTree:
+    """Replay composing each node's edges in address order.
+
+    Every site is first carried through the host maps of the compositions
+    before it.
+    """
+    result, host_maps = grammar.get(d.root).tree, []
+    for addr, child in d.edges:
+        site = addr
+        for host_map in host_maps:
+            site = host_map(site)
+        slot = isinstance(result.node_at(site), SubstitutionSlot)
+        res = (substitute_with_maps if slot else adjoin_with_maps)(result, site, replay(grammar, child))
+        result = res.tree
+        host_maps.append(res.host_map)
+    return result
+
+
 def initial_prov(tree: SyntaxTree, owner: str) -> tuple[tuple[GornAddress, SiteRef], ...]:
     """The provenance table of an elementary tree that `owner` instantiates."""
     return tuple((a, SiteRef(owner, a)) for a in tree.addresses())
@@ -114,3 +141,66 @@ def updated_prov(
     for orig, placed_at in placed:
         new[placed_at] = SiteRef(guest_id, orig)
     return tuple(sorted(new.items(), key=lambda kv: kv[0]))
+
+
+# --- link groups and fragment parents as derived addresses ------------------------
+
+
+@dataclass(frozen=True)
+class LinkBook:
+    """Live link groups and fragment parents of a structure, as derived addresses.
+
+    Every adjunction sends each surviving group endpoint and fragment parent
+    through the host map.  `groups` holds
+    (left address, right addresses) per live group and `parents` the parent
+    addresses per fragment, both in the structure's order.
+    """
+
+    groups: tuple[tuple[GornAddress, tuple[GornAddress, ...]], ...]
+    parents: tuple[tuple[GornAddress, ...], ...]
+
+
+def book_of(pair) -> LinkBook:
+    """The book of the one-pair structure `pair` starts."""
+    return LinkBook(tuple((link.left, (link.right,)) for link in pair.delta), ())
+
+
+def book_after_compose(book: LinkBook, left_tree: SyntaxTree, left_site, right_site, guest) -> LinkBook:
+    """The book after `lstag_compose` at these sites, given the host's left tree.
+
+    Raises `NotASlot`, `GroupNotLive` and `CardinalityViolation` where
+    `lstag_compose` must.
+    """
+    live = list(book.groups)
+    if isinstance(left_tree.node_at(left_site), SubstitutionSlot):
+        if any(right_site in parents for parents in book.parents):
+            raise NotASlot(f"right slot at {right_site} is already filled by a shared fragment")
+        touching = [g for g in live if g[0] == left_site or right_site in g[1]]
+        if touching:
+            if touching != [(left_site, (right_site,))]:
+                raise GroupNotLive("substitution at a shared link group")
+            live.remove(touching[0])
+        left_map = right_map = lambda a: a
+    else:
+        left_foot, right_foot = guest.left_tree.foot_address, guest.right_tree.foot_address
+        left_map = lambda a: rebase_address(a, left_site, left_foot)
+        right_map = lambda a: rebase_address(a, right_site, right_foot)
+    groups = [(left_map(left), tuple(right_map(a) for a in rights)) for left, rights in live]
+    if len(groups) < len(guest.phi):
+        raise CardinalityViolation("guest carries more phi links than the host offers groups")
+    for i, link in enumerate(guest.phi):
+        left, rights = groups[i]
+        groups[i] = (left, rights + (right_site.extend(link.right),))
+    groups += [(left_site.extend(link.left), (right_site.extend(link.right),)) for link in guest.delta]
+    parents = tuple(tuple(right_map(a) for a in fragment) for fragment in book.parents)
+    return LinkBook(tuple(groups), parents)
+
+
+def book_after_shared(book: LinkBook, index: int) -> LinkBook:
+    """The book after a shared substitution fills the multi-site group at `index`.
+
+    The group leaves the live set together with any copy of it.
+    """
+    group = book.groups[index]
+    groups = tuple(g for g in book.groups if g != group)
+    return LinkBook(groups, book.parents + (group[1],))

@@ -32,6 +32,7 @@ from lstag.trees import adjoin_with_maps, rebase_address
 
 import reference_trees
 from helpers_trees import (
+    group_addresses,
     interior_addresses,
     random_auxiliary,
     random_tree,
@@ -87,9 +88,9 @@ def test_link_bookkeeping_laws_hold_over_randomized_compositions():
     while exhausted < 1000:
         host, la, ra, guest = random_lstag_composition(rng)
         structure = lstag_compose(host, la, ra, guest)
-        arity = sum(len(g.right_addrs) for g in structure.live_links)
-        assert arity == len(host.delta) + len(guest.phi)
-        assert len(structure.live_links) == len(host.delta)
+        groups = group_addresses(structure)
+        assert sum(len(rights) for _, rights in groups) == len(host.delta) + len(guest.phi)
+        assert len(groups) == len(host.delta)
         exhausted += 1
     print("PASS: link-count conservation and phi exhaustion held over 1000 compositions each")
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import pathlib
+import shlex
 import tempfile
 
 import pytest
@@ -275,15 +276,49 @@ def test_derive_exit_status_holds_for_generated_scripts(grammar, lines):
     assert "Traceback" not in err.getvalue()
 
 
-def test_derive_a_long_coordination_script(capsys, fixtures_dir, tmp_path):
-    # 420 stacked auxiliaries nest both trees about 420 levels deep, deeper
-    # than printing the trees may recurse.
-    steps = ["root cooks"] + ["adjoin and_eats at 2.1 ~ ε"] * 420
+def assert_derived(out: str, fmt: str, sentence: str, guest: str, count: int) -> None:
+    """`out` is a text or JSON derive output that yields `sentence` and shows `count` instances of `guest`.
+
+    The JSON of a deep derivation nests deeper than `json.loads` may
+    recurse, so it is checked as text.
+    """
+    if fmt == "text":
+        assert out.splitlines()[0] == f"yield: {sentence}"
+        assert out.count(f"<- {guest}\n") == count
+    else:
+        # "yield" sorts last among the top-level keys.
+        assert out.startswith("{\n") and out.endswith(f'\n  "yield": {json.dumps(sentence)}\n}}\n')
+        assert out.count(f'"name": "{guest}"') == count
+
+
+@pytest.mark.parametrize("depth, fmt", [(420, "json"), (600, "text")])
+def test_derive_a_long_coordination_script(capsys, fixtures_dir, tmp_path, depth, fmt):
+    # Stacked auxiliaries nest both trees and the derivation about `depth`
+    # levels deep; 600 is deeper than Python's default recursion limit.
+    steps = ["root cooks"] + ["adjoin and_eats at 2.1 ~ ε"] * depth
     script = tmp_path / "long.script"
     script.write_text("\n".join(steps + ["substitute john at 1", "substitute beans at 2.2"]) + "\n", encoding="utf-8")
-    code, out, err = run(capsys, "derive", str(fixtures_dir / "cooks_eats.lstag"), str(script))
+    grammar = str(fixtures_dir / "cooks_eats.lstag")
+    code, out, err = run(capsys, "derive", grammar, str(script), "--format", fmt)
     assert (code, err) == (0, "")
-    assert out.splitlines()[0] == "yield: John cooks" + " and eats" * 420 + " beans"
+    assert_derived(out, fmt, "John cooks" + " and eats" * depth + " beans", "and_eats", depth)
+
+
+def test_derive_a_long_modifier_chain(capsys, tmp_path):
+    # Each modifier adjoins at the root of the one before it, so the
+    # derivation is 402 levels deep; its JSON nests three times as deep.
+    depth, fmt = 400, "json"
+    trees = ['tree cooked: S(NP! VP(V("cooked") NP!))', 'tree john: NP("John")', 'tree beans: NP(N("beans"))']
+    trees += [f'tree m{k}: N(A("a{k}") N*)' for k in range(1, depth + 1)]
+    steps = ["root cooked", "cooked @ 1 <- john", "cooked @ 2.2 <- beans", "beans @ 1 <- m1"]
+    steps += [f"m{k} @ ε <- m{k + 1}" for k in range(1, depth)]
+    grammar, script = tmp_path / "chain.tag", tmp_path / "chain.script"
+    grammar.write_text("\n".join(trees) + "\n", encoding="utf-8")
+    script.write_text("\n".join(steps) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "derive", str(grammar), str(script), "--format", fmt)
+    assert (code, err) == (0, "")
+    modifiers = " ".join(f"a{k}" for k in range(depth, 0, -1))
+    assert_derived(out, fmt, f"John cooked {modifiers} beans", f"m{depth}", 1)
 
 
 # --- enumerate ------------------------------------------------------------------
@@ -489,3 +524,26 @@ def test_grammar_commands_keep_the_exit_contract_on_generated_text(text):
                 code = main([command[0], str(path), *command[1:]])
             assert code in (0, 1, 2), command
             assert "Traceback" not in err.getvalue()
+
+
+# --- the documented commands --------------------------------------------------------
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every `lstag ...` line in the README's "Command line" block."""
+    section = (REPO / "README.md").read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("lstag ")]
+    assert commands, "the README's command-line block lists no lstag commands"
+    return commands
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_commands_keep_their_documented_exit_status(capsys, monkeypatch, argv):
+    monkeypatch.chdir(REPO)
+    expected = 1 if argv == ["validate", "fixtures/excised.lstag", "--json"] else 0
+    code, out, err = run(capsys, *argv)
+    assert code == expected, err
+    assert "Traceback" not in err

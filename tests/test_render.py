@@ -1,3 +1,7 @@
+import json
+
+from hypothesis import given, settings, strategies as st
+
 from lstag import (
     DerivationTree,
     GornAddress,
@@ -68,3 +72,35 @@ def test_derivation_graph_dot_draws_shared_guest_once():
 def test_json_text_is_stable_and_unicode():
     text = to_json_text({"addr": "ε", "b": 1})
     assert text == '{\n  "addr": "ε",\n  "b": 1\n}\n'
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=60, deadline=None)
+def test_json_text_matches_json_dumps(value):
+    assert to_json_text(value) == json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def test_json_text_nests_deeper_than_the_recursion_limit():
+    value: list = []
+    for _ in range(1500):
+        value = [value, {"k": 1}]
+    text = to_json_text(value)
+    assert text.count("[") == 1501 and text.count('"k": 1') == 1500
+
+
+def test_derivation_dot_of_a_deep_derivation():
+    d = DerivationTree("leaf")
+    for k in range(1500):
+        d = DerivationTree(f"m{k}", ((A("1"), d),))
+    lines = derivation_tree_to_dot(d).splitlines()
+    assert len(lines) == 2 + 1501 + 1500
+    assert lines[1] == '  "d" [label="m1499" shape=plaintext];'
+    assert lines[2] == '  "d" -> "d_1" [label="1"];'
+    assert lines[-2] == '  "d' + "_1" * 1500 + '" [label="leaf" shape=plaintext];'

@@ -3,6 +3,7 @@ import pytest
 from lstag import (
     CardinalityViolation,
     ClassMismatch,
+    DerivationRecord,
     DuplicateAdjunction,
     GornAddress,
     GroupNotLive,
@@ -12,9 +13,11 @@ from lstag import (
     NotASlot,
     OperationMismatch,
     SharedLinkGroup,
+    SiteRef,
     SymbolMismatch,
     UnsupportedGuestLinks,
     derivation_projections,
+    format_derivation_script,
     link_share,
     lstag_compose,
     parse_tree,
@@ -23,7 +26,7 @@ from lstag import (
     validate_pair,
 )
 
-from helpers_trees import check_structure, pair_grammar
+from helpers_trees import check_structure, group_addresses, pair_grammar, parent_addresses
 
 A = GornAddress.parse
 E = GornAddress(())
@@ -31,6 +34,14 @@ E = GornAddress(())
 
 def lk(left, right=None):
     return Link(A(left), A(right if right is not None else left))
+
+
+def site(owner, addr):
+    return SiteRef(owner, A(addr))
+
+
+def group(owner, left, *rights):
+    return SharedLinkGroup(site(owner, left), tuple(site(owner, r) for r in rights))
 
 
 GAMMA = LstagPair(
@@ -79,36 +90,35 @@ def test_validate_flags_dangling_endpoints():
 # --- link_share ------------------------------------------------------------------
 
 
+HOST_GROUPS = (group("h", "1", "1"), group("h", "2.2", "2.2"))
+
+
+def guest_site(addr):
+    return SiteRef("g", addr)
+
+
 def test_link_share_pairs_by_position():
-    groups = link_share(
-        [lk("1"), lk("2.2")],
-        [lk("1"), lk("2.2")],
-        rebase=lambda a: A("3").extend(a),
-    )
+    groups = link_share(HOST_GROUPS, [lk("1"), lk("2.2")], site=guest_site)
     assert groups == (
-        SharedLinkGroup(A("1"), (A("1"), A("3.1"))),
-        SharedLinkGroup(A("2.2"), (A("2.2"), A("3.2.2"))),
+        SharedLinkGroup(site("h", "1"), (site("h", "1"), site("g", "1"))),
+        SharedLinkGroup(site("h", "2.2"), (site("h", "2.2"), site("g", "2.2"))),
     )
 
 
 def test_link_share_empty_phi_passes_groups_through():
-    groups = link_share([lk("1"), lk("2.2")], [], rebase=lambda a: a)
-    assert groups == (
-        SharedLinkGroup(A("1"), (A("1"),)),
-        SharedLinkGroup(A("2.2"), (A("2.2"),)),
-    )
+    assert link_share(HOST_GROUPS, [], site=guest_site) == HOST_GROUPS
 
 
 def test_link_share_cardinality_violation():
     with pytest.raises(CardinalityViolation):
-        link_share([lk("1")], [lk("1"), lk("2.2")], rebase=lambda a: a)
+        link_share(HOST_GROUPS[:1], [lk("1"), lk("2.2")], site=guest_site)
 
 
 def test_link_share_order_sensitivity():
-    straight = link_share([lk("1"), lk("2.2")], [lk("1"), lk("2.2")], rebase=lambda a: a)
-    swapped = link_share([lk("1"), lk("2.2")], [lk("2.2"), lk("1")], rebase=lambda a: a)
+    straight = link_share(HOST_GROUPS, [lk("1"), lk("2.2")], site=guest_site)
+    swapped = link_share(HOST_GROUPS, [lk("2.2"), lk("1")], site=guest_site)
     assert straight != swapped
-    assert swapped[0].right_addrs == (A("1"), A("2.2"))
+    assert swapped[0].right_sites == (site("h", "1"), site("g", "2.2"))
 
 
 # --- lstag_compose ----------------------------------------------------------------
@@ -119,17 +129,22 @@ def test_coordination_composition_shapes_and_groups():
     assert " ".join(s.left_yield(partial=True)) == (
         "⟨NP↓⟩ cooks and eats ⟨NP↓⟩"
     )
+    assert group_addresses(s) == [
+        (A("1"), (A("3.1"), A("1"))),
+        (A("2.2"), (A("3.2.2"), A("2.2"))),
+    ]
+    # The groups name elementary nodes: the host's own slots, then the guest's.
     assert s.live_links == (
-        SharedLinkGroup(A("1"), (A("3.1"), A("1"))),
-        SharedLinkGroup(A("2.2"), (A("3.2.2"), A("2.2"))),
+        SharedLinkGroup(site("cooks", "1"), (site("cooks", "1"), site("cooks/2.1:and_eats", "1"))),
+        SharedLinkGroup(site("cooks", "2.2"), (site("cooks", "2.2"), site("cooks/2.1:and_eats", "2.2"))),
     )
 
 
 def test_phi_is_exhausted_in_one_operation():
     s = coordinated()
     before = structure_from_pair(GAMMA)
-    grown = sum(len(g.right_addrs) for g in s.live_links) - sum(
-        len(g.right_addrs) for g in before.live_links
+    grown = sum(len(g.right_sites) for g in s.live_links) - sum(
+        len(g.right_sites) for g in before.live_links
     )
     assert grown == len(BETA.phi)
 
@@ -145,14 +160,14 @@ def test_compose_records_provenance_sites():
 def test_linkless_guest_behaves_like_plain_synchronized_step():
     s = lstag_compose(GAMMA, A("1"), A("1"), JOHN)
     assert " ".join(s.left_yield(partial=True)) == "John cooks ⟨NP↓⟩"
-    assert s.live_links == (SharedLinkGroup(A("2.2"), (A("2.2"),)),)
+    assert group_addresses(s) == [(A("2.2"), (A("2.2"),))]
 
 
 def test_compose_rebases_host_group_below_right_site():
     # adjoining at the right root moves both right endpoints through the foot
     s = coordinated()
-    for group in s.live_links:
-        assert group.right_addrs[0].parts[0] == 3
+    for _, rights in group_addresses(s):
+        assert rights[0].parts[0] == 3
 
 
 def test_guest_delta_joins_as_singleton_groups():
@@ -163,7 +178,7 @@ def test_guest_delta_joins_as_singleton_groups():
         delta=(lk("1"),),
     )
     s = lstag_compose(GAMMA, A("2.2"), A("2.2"), guest)
-    assert SharedLinkGroup(A("2.2.1"), (A("2.2.1"),)) in s.live_links
+    assert (A("2.2.1"), (A("2.2.1"),)) in group_addresses(s)
 
 
 def test_compose_mixed_site_kinds_rejected():
@@ -225,8 +240,16 @@ def test_shared_substitution_gives_in_degree_two():
     s = shared_substitute(s, s.live_links[0], JOHN)
     frag = s.fragment_named("john")
     assert frag.in_degree == 2
-    assert frag.parents == (A("3.1"), A("1"))
+    assert parent_addresses(s, frag) == (A("3.1"), A("1"))
     assert s.history[-1].operation == "shared-substitution"
+
+
+def test_substitution_at_a_fragment_parent_is_rejected():
+    s = coordinated()
+    s = shared_substitute(s, s.live_links[0], JOHN)
+    # The right slot at 1 now holds the shared john fragment.
+    with pytest.raises(NotASlot):
+        lstag_compose(s, A("2.2"), A("1"), BEANS)
 
 
 def test_later_adjunction_moves_shared_fragment_parents():
@@ -234,7 +257,7 @@ def test_later_adjunction_moves_shared_fragment_parents():
     s = shared_substitute(s, s.live_links[0], JOHN)
     today = LstagPair("today", parse_tree('V(V* ADV("today"))'), parse_tree('S(S* ADV("today"))'))
     s = lstag_compose(s, A("2.1.3"), E, today)
-    assert s.fragment_named("john").parents == (A("1.3.1"), A("1.1"))
+    assert parent_addresses(s, s.fragment_named("john")) == (A("1.3.1"), A("1.1"))
     check_structure(s, pair_grammar(GAMMA, BETA, JOHN, today))
 
 
@@ -257,7 +280,7 @@ def test_full_coordination_sentence():
 
 def test_shared_substitute_requires_live_group():
     s = coordinated()
-    dead = SharedLinkGroup(A("1"), (A("9"),))
+    dead = group("cooks", "1", "9")
     with pytest.raises(GroupNotLive):
         shared_substitute(s, dead, JOHN)
 
@@ -277,7 +300,7 @@ def test_shared_substitute_rejects_interior_left_endpoint():
         delta=(Link(A("2"), A("1")), Link(A("2.2"), A("2.2"))),
     )
     s = lstag_compose(host, A("2.1"), E, BETA)
-    assert s.live_links[0].left_addr == A("2")
+    assert s.left_address(s.live_links[0].left_site) == A("2")
     with pytest.raises(NotASlot):
         shared_substitute(s, s.live_links[0], JOHN)
 
@@ -314,7 +337,7 @@ def test_iterated_coordination_grows_one_group():
     s = lstag_compose(frolics, A("2.1"), E, sings)
     s = lstag_compose(s, A("2.1"), E, plays)
     assert len(s.live_links) == 1
-    assert len(s.live_links[0].right_addrs) == 3
+    assert len(s.live_links[0].right_sites) == 3
     s = shared_substitute(s, s.live_links[0], kiki)
     assert s.fragment_named("kiki").in_degree == 3
     assert " ".join(s.left_yield()) == "Kiki frolics and sings and plays"
@@ -368,3 +391,21 @@ def test_projections_reject_unknown_hosts():
     s = full_structure()
     with pytest.raises(InconsistentHistory):
         derivation_projections(s.history[1:], s.root)
+
+
+def test_projections_of_a_deep_history():
+    # A chain of adjunctions, each at the root of the guest before it: the
+    # projections are 3,000 levels deep.
+    records, host = [], "cooks"
+    for k in range(3000):
+        records.append(DerivationRecord("adjunction", "aux", f"g{k}", SiteRef(host, E), (SiteRef(host, E),)))
+        host = f"g{k}"
+    left, right = derivation_projections(records, "cooks")
+    assert right.is_tree()
+    assert format_derivation_script(right.to_derivation_tree()) == format_derivation_script(left)
+    node, depth = left, 0
+    while node.edges:
+        ((addr, node),) = node.edges
+        assert addr == E and node.root == "aux"
+        depth += 1
+    assert depth == 3000

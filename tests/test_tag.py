@@ -189,3 +189,32 @@ def test_derivation_json_round_trip():
     assert obj["name"] == "cooked"
     assert [c["addr"] for c in obj["children"]] == ["1", "2.2"]
     assert derivation_from_json_obj(obj) == FULL_DERIVATION
+
+
+def test_deep_derivations_parse_print_and_convert_without_recursion():
+    depth = 3000
+    lines = ["root m0"] + [f"m{k} @ 1 <- m{k + 1}" for k in range(depth)]
+    text = "\n".join(lines) + "\n"
+    d = parse_derivation_script(text)
+    assert format_derivation_script(d) == text
+    obj = derivation_to_json_obj(d)
+    for k in range(depth):
+        assert obj["name"] == f"m{k}"
+        (edge,) = obj["children"]
+        assert edge["addr"] == "1"
+        obj = edge["node"]
+    assert obj == {"name": f"m{depth}", "children": []}
+
+
+def test_script_and_json_keep_edge_order_below_every_node():
+    text = "root a\na @ 1 <- b\nb @ 1 <- d\nd @ 1 <- f\nb @ 2 <- e\na @ 2 <- c\n"
+    d = parse_derivation_script(text)
+    assert format_derivation_script(d) == text
+
+    def leaf(name):
+        return {"name": name, "children": []}
+
+    def node(name, *children):
+        return {"name": name, "children": [{"addr": str(k), "node": c} for k, c in enumerate(children, 1)]}
+
+    assert derivation_to_json_obj(d) == node("a", node("b", node("d", leaf("f")), leaf("e")), leaf("c"))
