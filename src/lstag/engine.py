@@ -11,14 +11,18 @@ Plain TAG and link-sharing TAG share one breadth-first search core,
 already has: `root`, `history` (the derivation records), `is_complete`,
 `left_yield()` and `projections()`.  Plain TAG states (`_TagState`) return
 no right projection.  Each grammar supplies a lazy move generator that
-yields `(order_key, record, build)` for every candidate next step: `record`
+yields `(order_key, record, check)` for every candidate next step: `record`
 is the derivation record the step would append, worked out without
-composing, and `build()` composes the next state or raises `LstagError`.
-The core expands a state's moves in key order and drops a move whose
-`(root, history + record)` key it has already seen before building it, so
-only new states are ever composed; a move whose build raises is dropped
-without marking its key.  For a state already at the operation budget it
-only asks whether some move builds, which decides `truncated`.
+composing, and `check()` raises `LstagError` if the step is illegal and
+otherwise returns whether the next state will be complete, worked out from
+slot counts, and the `build` that composes it and cannot fail.  The core
+expands a state's moves in key order and drops a move whose
+`(root, history + record)` key it has already seen before checking it; a
+move whose check passes marks its key.  A child below the operation budget
+is built at once.  A child at the budget is never expanded, so it is queued
+unbuilt and built when popped only if it is complete or if `truncated` is
+still undecided; a state at the budget decides `truncated` by asking
+whether some move passes its check.
 
 Plain TAG substitutes initial trees at every slot and adjoins auxiliary
 trees at every interior node.  Link-sharing substitutions are driven by
@@ -44,12 +48,12 @@ from .sharing import (
     DerivedStructure,
     LstagGrammar,
     LstagPair,
+    check_compose,
+    check_group,
     compose_record,
     derivation_projections,
     group_record,
     guest_instance_id,
-    shared_substitute,
-    lstag_compose,
     structure_from_pair,
 )
 from .tag import DerivationTree, TagGrammar
@@ -103,14 +107,16 @@ class EnumerationResult:
 
 
 _State = Union["_TagState", DerivedStructure]
-_Move = tuple[tuple, DerivationRecord, Callable[[], _State]]
+_Checked = tuple[bool, Callable[[], _State]]
+_Move = tuple[tuple, DerivationRecord, Callable[[], _Checked]]
 
 
-def _built(build: Callable[[], _State]) -> _State | None:
+def _passes(check: Callable[[], _Checked]) -> bool:
     try:
-        return build()
+        check()
     except LstagError:
-        return None
+        return False
+    return True
 
 
 def _search(
@@ -119,7 +125,8 @@ def _search(
     budget: EnumerationBudget,
 ) -> EnumerationResult:
     seen: set[tuple[str, frozenset[DerivationRecord]]] = set()
-    queue: deque[_State] = deque()
+    # A child at the budget is queued checked but unbuilt, as (complete, build).
+    queue: deque[_State | _Checked] = deque()
     for state in roots:
         key = (state.root, frozenset(state.history))
         if key not in seen:
@@ -129,24 +136,35 @@ def _search(
     truncated = False
     explored = 0
     while queue:
-        state = queue.popleft()
+        entry = queue.popleft()
         explored += 1
         if explored > budget.max_structures:
             truncated = True
             break
+        if isinstance(entry, tuple):
+            will_complete, build = entry
+            if truncated and not will_complete:
+                continue
+            state = build()
+        else:
+            state = entry
         if state.is_complete:
             complete.append(state)
-        if len(state.history) >= budget.max_operations:
-            truncated = truncated or any(_built(build) is not None for _, _, build in moves(state))
+        operations = len(state.history)
+        if operations >= budget.max_operations:
+            truncated = truncated or any(_passes(check) for _, _, check in moves(state))
             continue
-        for _, record, build in sorted(moves(state), key=lambda m: m[0]):
+        at_budget = operations + 1 >= budget.max_operations
+        for _, record, check in sorted(moves(state), key=lambda m: m[0]):
             key = (state.root, frozenset(state.history + (record,)))
             if key in seen:
                 continue
-            nxt = _built(build)
-            if nxt is not None:
-                seen.add(key)
-                queue.append(nxt)
+            try:
+                checked = check()
+            except LstagError:
+                continue
+            seen.add(key)
+            queue.append(checked if at_budget else checked[1]())
     items = sorted(
         (EnumerationItem(s.root, s.history, s.left_yield(), *s.projections()) for s in complete),
         key=EnumerationItem.sort_key,
@@ -189,20 +207,27 @@ class _TagState:
         return _TagState(self.root, res.tree, self.history + (record,))
 
 
+def _legal(complete: bool, build: Callable[[], _TagState]) -> _Checked:
+    """The check of a move that is legal by construction."""
+    return complete, build
+
+
 def _tag_moves(guests: dict[str, list[tuple[str, SyntaxTree]]], state: _TagState) -> Iterator[_Move]:
+    slots = state.tree.root.slots
     for addr, node in state.tree.walk():
         kind, ref = node.kind, node.site
         if isinstance(kind, SubstitutionSlot):
-            operation, compose = "substitution", substitute_with_maps
+            operation, compose, open_slots = "substitution", substitute_with_maps, slots - 1
         elif isinstance(kind, Interior) and ref not in state.adjoined:
-            operation, compose = "adjunction", adjoin_with_maps
+            operation, compose, open_slots = "adjunction", adjoin_with_maps, slots
         else:
             continue
         for name, tree in guests[operation]:
             if tree.root_symbol != kind.symbol:
                 continue
             record = DerivationRecord(operation, name, guest_instance_id(ref, name), ref, ())
-            yield (str(addr), name), record, partial(state.step, compose, addr, tree, record)
+            build = partial(state.step, compose, addr, tree, record)
+            yield (str(addr), name), record, partial(_legal, open_slots + tree.root.slots == 0, build)
 
 
 # --- link-sharing moves -----------------------------------------------------------
@@ -228,7 +253,7 @@ def _lstag_moves(
                 record = group_record(s, group, name)
             except LstagError:
                 continue
-            yield (0, gi, name), record, partial(shared_substitute, s, group, pair)
+            yield (0, gi, name), record, partial(check_group, s, group, pair, record)
     left_sites = [
         (a, n.kind.symbol) for a, n in s.left_tree.walk()
         if isinstance(n.kind, Interior) and n.site not in s.adjoined_left
@@ -245,7 +270,7 @@ def _lstag_moves(
                 if right_symbol != pair.right_tree.root_symbol:
                     continue
                 record = compose_record(s, la, ra, name)
-                yield (1, str(la), str(ra), name), record, partial(lstag_compose, s, la, ra, pair)
+                yield (1, str(la), str(ra), name), record, partial(check_compose, s, la, ra, pair, record)
 
 
 def enumerate_derivations(

@@ -14,6 +14,12 @@ Link groups and fragment parents name nodes by elementary site (`SiteRef`),
 as derivation records do, so a composition never rebuilds them; derived
 addresses are worked out from the trees only where output or a caller asks
 for them.
+
+Each composition is split in two.  `check_compose` and `check_group` raise
+every error the step can raise before anything is composed, and say
+whether the structure it builds will be complete; the build they return
+cannot fail.  `lstag_compose` and `shared_substitute` run one and then the
+other, and the enumerator builds only the states it needs.
 """
 
 from __future__ import annotations
@@ -45,9 +51,11 @@ from .trees import (
     SubstitutionSlot,
     SyntaxTree,
     TreeClass,
+    check_adjunction,
+    check_substitution,
     classify,
-    substitute_with_maps,
-    adjoin_with_maps,
+    fill_slot,
+    splice,
     yield_tokens,
 )
 
@@ -161,6 +169,13 @@ class Fragment:
         return len(self.parents)
 
 
+def _check_cardinality(groups: Sequence[SharedLinkGroup], phi: Sequence[Link]) -> None:
+    if len(groups) < len(phi):
+        raise CardinalityViolation(
+            f"guest carries {len(phi)} phi links but the host offers only {len(groups)} link groups"
+        )
+
+
 def link_share(
     groups: Sequence[SharedLinkGroup],
     phi: Sequence[Link],
@@ -173,10 +188,7 @@ def link_share(
     through unchanged.  Phi is consumed entirely, which is why the host must
     offer at least as many groups as the guest has phi links.
     """
-    if len(groups) < len(phi):
-        raise CardinalityViolation(
-            f"guest carries {len(phi)} phi links but the host offers only {len(groups)} link groups"
-        )
+    _check_cardinality(groups, phi)
     extended = tuple(
         SharedLinkGroup(g.left_site, g.right_sites + (site(link.right),)) for g, link in zip(groups, phi)
     )
@@ -229,11 +241,15 @@ class DerivedStructure:
                 return f
         raise KeyError(name)
 
+    @cached_property
+    def fragment_slots(self) -> int:
+        """The substitution slots left open in the fragments."""
+        return sum(f.tree.root.slots for f in self.fragments)
+
     @property
     def is_complete(self) -> bool:
-        """No slot is open; the spine slots left are exactly the fragment parents."""
-        return not (self.left_tree.root.slots or any(f.tree.root.slots for f in self.fragments)) and (
-            self.right_spine.root.slots == len(self.fragment_parents)
+        return _closed(
+            self.left_tree.root.slots, self.fragment_slots, self.right_spine.root.slots, len(self.fragment_parents)
         )
 
     def left_yield(self, partial: bool = False) -> tuple[str, ...]:
@@ -241,6 +257,11 @@ class DerivedStructure:
 
     def projections(self) -> tuple[DerivationTree, "DerivationGraph"]:
         return derivation_projections(self.history, self.root)
+
+
+def _closed(left_slots: int, fragment_slots: int, spine_slots: int, parents: int) -> bool:
+    """No slot is open: none on the left or in a fragment, and the spine's slots are exactly the fragment parents."""
+    return not (left_slots or fragment_slots) and spine_slots == parents
 
 
 def structure_from_pair(pair: LstagPair) -> DerivedStructure:
@@ -302,6 +323,65 @@ def group_record(hs: DerivedStructure, group: SharedLinkGroup, guest_name: str) 
     return DerivationRecord("shared-substitution", guest_name, guest_id, group.left_site, group.right_sites)
 
 
+def check_compose(
+    hs: DerivedStructure,
+    left_site: GornAddress,
+    right_site: GornAddress,
+    guest: LstagPair,
+    record: DerivationRecord,
+) -> tuple[bool, Callable[[], DerivedStructure]]:
+    """Raise what `lstag_compose` raises for this step, before anything is composed.
+
+    `record` is `compose_record(hs, left_site, right_site, guest.name)`.
+    Returns whether the structure the step builds is complete, worked out
+    from the slot counts of the host and the guest, and the step itself,
+    which cannot fail.
+    """
+    left_ref, (right_ref,) = record.left_site, record.right_sites
+    live = hs.live_links
+    if record.operation == "substitution":
+        if right_ref in hs.fragment_parents:
+            raise NotASlot(f"right slot at {right_site} is already filled by a shared fragment")
+        touching = [g for g in live if g.left_site == left_ref or right_ref in g.right_sites]
+        if touching:
+            if touching != [SharedLinkGroup(left_ref, (right_ref,))]:
+                raise GroupNotLive(
+                    "substitution at a shared link group must fill every linked site in one "
+                    "operation; use shared_substitute"
+                )
+            live = tuple(g for g in live if g not in touching)
+        check, graft, consumed = check_substitution, fill_slot, 1
+    else:
+        if left_ref in hs.adjoined_left:
+            raise DuplicateAdjunction(f"left node {left_ref} already hosts an adjunction")
+        if right_ref in hs.adjoined_right:
+            raise DuplicateAdjunction(f"right node {right_ref} already hosts an adjunction")
+        check, graft, consumed = check_adjunction, splice, 0
+    check(hs.left_tree.node_at(left_site), left_site, guest.left_tree)
+    check(hs.right_spine.node_at(right_site), right_site, guest.right_tree)
+    _check_cardinality(live, guest.phi)
+    complete = _closed(
+        hs.left_tree.root.slots - consumed + guest.left_tree.root.slots,
+        hs.fragment_slots,
+        hs.right_spine.root.slots - consumed + guest.right_tree.root.slots,
+        len(hs.fragment_parents),
+    )
+
+    def build() -> DerivedStructure:
+        left_tree = graft(hs.left_tree, left_site, guest.left_tree, record.guest_id)
+        right_spine = graft(hs.right_spine, right_site, guest.right_tree, record.guest_id)
+        feet = guest.left_tree.foot_address, guest.right_tree.foot_address
+        left_of = lambda a: left_ref if a == feet[0] else SiteRef(record.guest_id, a)
+        right_of = lambda a: right_ref if a == feet[1] else SiteRef(record.guest_id, a)
+        shared = link_share(live, guest.phi, right_of)
+        appended = tuple(SharedLinkGroup(left_of(l.left), (right_of(l.right),)) for l in guest.delta)
+        return DerivedStructure(
+            hs.root, left_tree, right_spine, hs.fragments, shared + appended, hs.history + (record,)
+        )
+
+    return complete, build
+
+
 def lstag_compose(
     host: LstagPair | DerivedStructure,
     left_site: GornAddress,
@@ -320,37 +400,64 @@ def lstag_compose(
     """
     hs = as_structure(host)
     record = compose_record(hs, left_site, right_site, guest.name)
-    left_ref, (right_ref,) = record.left_site, record.right_sites
+    return check_compose(hs, left_site, right_site, guest, record)[1]()
 
-    live = hs.live_links
-    if record.operation == "substitution":
-        if right_ref in hs.fragment_parents:
-            raise NotASlot(f"right slot at {right_site} is already filled by a shared fragment")
-        touching = [g for g in live if g.left_site == left_ref or right_ref in g.right_sites]
-        if touching:
-            if touching != [SharedLinkGroup(left_ref, (right_ref,))]:
-                raise GroupNotLive(
-                    "substitution at a shared link group must fill every linked site in one "
-                    "operation; use shared_substitute"
-                )
-            live = tuple(g for g in live if g not in touching)
-        compose = substitute_with_maps
-    else:
-        if left_ref in hs.adjoined_left:
-            raise DuplicateAdjunction(f"left node {left_ref} already hosts an adjunction")
-        if right_ref in hs.adjoined_right:
-            raise DuplicateAdjunction(f"right node {right_ref} already hosts an adjunction")
-        compose = adjoin_with_maps
-    left_tree = compose(hs.left_tree, left_site, guest.left_tree, record.guest_id).tree
-    right_spine = compose(hs.right_spine, right_site, guest.right_tree, record.guest_id).tree
 
-    feet = guest.left_tree.foot_address, guest.right_tree.foot_address
-    left_of = lambda a: left_ref if a == feet[0] else SiteRef(record.guest_id, a)
-    right_of = lambda a: right_ref if a == feet[1] else SiteRef(record.guest_id, a)
-    shared = link_share(live, guest.phi, right_of)
-    appended = tuple(SharedLinkGroup(left_of(l.left), (right_of(l.right),)) for l in guest.delta)
-    live = shared + appended
-    return DerivedStructure(hs.root, left_tree, right_spine, hs.fragments, live, hs.history + (record,))
+def check_group(
+    hs: DerivedStructure, group: SharedLinkGroup, guest: LstagPair, record: DerivationRecord
+) -> tuple[bool, Callable[[], DerivedStructure]]:
+    """Raise what `shared_substitute` raises for a live group, before anything is composed.
+
+    `record` is `group_record(hs, group, guest.name)`.  Returns whether the
+    structure the step builds is complete and the step itself, which cannot
+    fail, as `check_compose` does.
+    """
+    if len(group.right_sites) == 1:
+        left, right = hs.left_address(group.left_site), hs.right_address(group.right_sites[0])
+        return check_compose(hs, left, right, guest, record)
+
+    if guest.delta or guest.phi:
+        raise UnsupportedGuestLinks(
+            "a guest attached at several shared sites cannot carry links of its own"
+        )
+    if classify(guest.left_tree) is not TreeClass.INITIAL or classify(guest.right_tree) is not TreeClass.INITIAL:
+        raise ClassMismatch("shared substitution requires initial guest trees")
+    left_addr, left_node = hs.left_tree.locate(group.left_site)
+    check_substitution(left_node.kind, left_addr, guest.left_tree)
+    parents = hs.fragment_parents
+    for site in group.right_sites:
+        addr, node = hs.right_spine.locate(site)
+        if site in parents:
+            raise NotASlot(f"right slot at {addr} is already filled by a shared fragment")
+        kind = node.kind
+        if not isinstance(kind, SubstitutionSlot):
+            raise NotASlot(f"right node at {addr} is {kind}, not a substitution slot")
+        if guest.right_tree.root_symbol != kind.symbol:
+            raise SymbolMismatch(
+                f"right slot at {addr} expects {kind.symbol!r}, guest root is "
+                f"{guest.right_tree.root_symbol!r}"
+            )
+    complete = _closed(
+        hs.left_tree.root.slots - 1 + guest.left_tree.root.slots,
+        hs.fragment_slots + guest.right_tree.root.slots,
+        hs.right_spine.root.slots,
+        len(parents.union(group.right_sites)),
+    )
+
+    def build() -> DerivedStructure:
+        left_tree = fill_slot(hs.left_tree, left_addr, guest.left_tree, record.guest_id)
+        fragment = Fragment(record.guest_id, guest.name, guest.right_tree, group.right_sites)
+        # Another group on the filled left slot now names the guest root, which sits where the slot was.
+        filler = SiteRef(record.guest_id, ROOT)
+        live = tuple(
+            SharedLinkGroup(filler, g.right_sites) if g.left_site == group.left_site else g
+            for g in hs.live_links if g != group
+        )
+        return DerivedStructure(
+            hs.root, left_tree, hs.right_spine, hs.fragments + (fragment,), live, hs.history + (record,)
+        )
+
+    return complete, build
 
 
 def shared_substitute(
@@ -363,43 +470,12 @@ def shared_substitute(
     With one right site this is an ordinary synchronized substitution.
     With several, the guest's right tree is attached once as a shared
     fragment below every linked slot, so the node's in-degree equals the
-    number of shared sites.
+    number of shared sites.  A slot a fragment already fills takes no other.
     """
     hs = as_structure(host)
     if group not in hs.live_links:
         raise GroupNotLive(f"the group at left site {group.left_site} is not live in this structure")
-    if len(group.right_sites) == 1:
-        left, right = hs.left_address(group.left_site), hs.right_address(group.right_sites[0])
-        return lstag_compose(hs, left, right, guest)
-
-    if guest.delta or guest.phi:
-        raise UnsupportedGuestLinks(
-            "a guest attached at several shared sites cannot carry links of its own"
-        )
-    if classify(guest.left_tree) is not TreeClass.INITIAL or classify(guest.right_tree) is not TreeClass.INITIAL:
-        raise ClassMismatch("shared substitution requires initial guest trees")
-    record = group_record(hs, group, guest.name)
-    left_addr = hs.left_address(group.left_site)
-    left_tree = substitute_with_maps(hs.left_tree, left_addr, guest.left_tree, record.guest_id).tree
-    for site in group.right_sites:
-        addr, node = hs.right_spine.locate(site)
-        kind = node.kind
-        if not isinstance(kind, SubstitutionSlot):
-            raise NotASlot(f"right node at {addr} is {kind}, not a substitution slot")
-        if guest.right_tree.root_symbol != kind.symbol:
-            raise SymbolMismatch(
-                f"right slot at {addr} expects {kind.symbol!r}, guest root is "
-                f"{guest.right_tree.root_symbol!r}"
-            )
-
-    fragments = hs.fragments + (Fragment(record.guest_id, guest.name, guest.right_tree, group.right_sites),)
-    # Another group on the filled left slot now names the guest root, which sits where the slot was.
-    filler = SiteRef(record.guest_id, ROOT)
-    live = tuple(
-        SharedLinkGroup(filler, g.right_sites) if g.left_site == group.left_site else g
-        for g in hs.live_links if g != group
-    )
-    return DerivedStructure(hs.root, left_tree, hs.right_spine, fragments, live, hs.history + (record,))
+    return check_group(hs, group, guest, group_record(hs, group, guest.name))[1]()
 
 
 @dataclass(frozen=True)

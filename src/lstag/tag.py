@@ -120,73 +120,52 @@ def replay(grammar: TagGrammar, d: DerivationTree) -> SyntaxTree:
     return built[id(d)]
 
 
-def validate_derivation(grammar: TagGrammar, d: DerivationTree) -> list[Diagnostic]:
-    """All problems that would make `replay` fail, with derivation-tree paths."""
-    diags: list[Diagnostic] = []
+def _edge_problem(grammar: TagGrammar, parent: str, addr: GornAddress, child: str) -> tuple[str, str] | None:
+    """The (code, message) of what is wrong with composing `child` into `parent` at `addr`, if anything."""
+    tree = grammar.get(parent).tree
+    if not tree.has_address(addr):
+        return "EdgeAddressInvalid", f"{parent!r} has no address {addr}"
+    if child not in grammar:
+        return None  # reported when the child is visited
+    kind, entry = tree.node_at(addr), grammar.get(child)
+    if isinstance(kind, SubstitutionSlot):
+        if entry.tree_class is not TreeClass.INITIAL:
+            return "OperationMismatch", f"slot at {addr} needs an initial tree, got {child!r}"
+        if entry.tree.root_symbol != kind.symbol:
+            return "SymbolMismatch", f"slot at {addr} expects {kind.symbol!r}, got root {entry.tree.root_symbol!r}"
+    elif isinstance(kind, Interior):
+        if entry.tree_class is not TreeClass.AUXILIARY:
+            return "OperationMismatch", f"interior node at {addr} needs an auxiliary tree, got {child!r}"
+        if entry.tree.root_symbol != kind.symbol:
+            return (
+                "SymbolMismatch",
+                f"adjunction at {addr} expects {kind.symbol!r}, got root {entry.tree.root_symbol!r}",
+            )
+    else:
+        return "OperationMismatch", f"cannot compose at {addr}: node is {kind}"
+    return None
 
-    def walk(node: DerivationTree, path: str) -> None:
+
+def validate_derivation(grammar: TagGrammar, d: DerivationTree) -> list[Diagnostic]:
+    """All problems that would make `replay` fail, with derivation-tree paths.
+
+    Depth first, in edge order: an edge's problem comes just before those
+    of the subtree below it.  Children of an unknown tree are not visited.
+    """
+    diags: list[Diagnostic] = []
+    # (node, its path, and the (parent name, address, parent path) of the edge above it)
+    stack: list[tuple[DerivationTree, str, tuple[str, GornAddress, str] | None]] = [(d, "root", None)]
+    while stack:
+        node, path, edge = stack.pop()
+        if edge is not None:
+            parent, addr, parent_path = edge
+            problem = _edge_problem(grammar, parent, addr, node.root)
+            if problem is not None:
+                diags.append(Diagnostic(*problem, parent_path))
         if node.root not in grammar:
             diags.append(Diagnostic("UnknownTree", f"no elementary tree named {node.root!r}", path))
-            return
-        entry = grammar.get(node.root)
-        for addr, child in node.edges:
-            child_path = f"{path}/{addr}"
-            if not entry.tree.has_address(addr):
-                diags.append(
-                    Diagnostic("EdgeAddressInvalid", f"{node.root!r} has no address {addr}", path)
-                )
-                walk(child, child_path)
-                continue
-            kind = entry.tree.node_at(addr)
-            if child.root in grammar:
-                child_entry = grammar.get(child.root)
-                if isinstance(kind, SubstitutionSlot):
-                    if child_entry.tree_class is not TreeClass.INITIAL:
-                        diags.append(
-                            Diagnostic(
-                                "OperationMismatch",
-                                f"slot at {addr} needs an initial tree, got {child.root!r}",
-                                path,
-                            )
-                        )
-                    elif child_entry.tree.root_symbol != kind.symbol:
-                        diags.append(
-                            Diagnostic(
-                                "SymbolMismatch",
-                                f"slot at {addr} expects {kind.symbol!r}, got root "
-                                f"{child_entry.tree.root_symbol!r}",
-                                path,
-                            )
-                        )
-                elif isinstance(kind, Interior):
-                    if child_entry.tree_class is not TreeClass.AUXILIARY:
-                        diags.append(
-                            Diagnostic(
-                                "OperationMismatch",
-                                f"interior node at {addr} needs an auxiliary tree, got {child.root!r}",
-                                path,
-                            )
-                        )
-                    elif child_entry.tree.root_symbol != kind.symbol:
-                        diags.append(
-                            Diagnostic(
-                                "SymbolMismatch",
-                                f"adjunction at {addr} expects {kind.symbol!r}, got root "
-                                f"{child_entry.tree.root_symbol!r}",
-                                path,
-                            )
-                        )
-                else:
-                    diags.append(
-                        Diagnostic(
-                            "OperationMismatch",
-                            f"cannot compose at {addr}: node is {kind}",
-                            path,
-                        )
-                    )
-            walk(child, child_path)
-
-    walk(d, "root")
+            continue
+        stack.extend((child, f"{path}/{addr}", (node.root, addr, path)) for addr, child in reversed(node.edges))
     return diags
 
 
@@ -278,10 +257,11 @@ def derivation_to_json_obj(d: DerivationTree) -> dict:
 
 
 def derivation_from_json_obj(obj: dict) -> DerivationTree:
-    return DerivationTree(
-        obj["name"],
-        tuple(
-            (GornAddress.parse(c["addr"]), derivation_from_json_obj(c["node"]))
-            for c in obj.get("children", [])
-        ),
-    )
+    order = [obj]  # parents before children
+    for node in order:
+        order.extend(c["node"] for c in node.get("children", []))
+    built: dict[int, DerivationTree] = {}
+    for node in reversed(order):
+        edges = tuple((GornAddress.parse(c["addr"]), built[id(c["node"])]) for c in node.get("children", []))
+        built[id(node)] = DerivationTree(node["name"], edges)
+    return built[id(obj)]

@@ -6,7 +6,10 @@ slot leaf with an initial tree; adjunction splices an auxiliary tree into an
 interior node, replanting the detached subtree at the foot.  Both copy only
 the path from the root to the site and share every other subtree, stamping
 the guest's nodes with their elementary sites, so a derived tree carries
-its own provenance.  No operation here recurses on tree depth.
+its own provenance.  `check_substitution` and `check_adjunction` hold the
+rules a composition checks, and `fill_slot` and `splice` compose without
+checking, for callers that have checked.  No operation here recurses on
+tree depth.
 """
 
 from __future__ import annotations
@@ -294,11 +297,8 @@ class ComposeResult:
     host_map: Callable[[GornAddress], GornAddress]
 
 
-def substitute_with_maps(
-    target: SyntaxTree, addr: GornAddress, filler: SyntaxTree, guest_id: str | None = None
-) -> ComposeResult:
-    """Fill the slot at `addr`; a `guest_id` stamps the guest's nodes as that instance's."""
-    kind = target.node_at(addr)
+def check_substitution(kind: NodeKind, addr: GornAddress, filler: SyntaxTree) -> None:
+    """Raise what substituting `filler` at a node of this kind at `addr` raises."""
     if not isinstance(kind, SubstitutionSlot):
         raise NotASlot(f"node at {addr} is {kind}, not a substitution slot")
     if classify(filler) is not TreeClass.INITIAL:
@@ -307,16 +307,10 @@ def substitute_with_maps(
         raise SymbolMismatch(
             f"slot expects {kind.symbol!r} but filler root is {filler.root_symbol!r}"
         )
-    guest = filler if guest_id is None else filler.owned_by(guest_id)
-    return ComposeResult(SyntaxTree(_replaced(target.root, addr.parts, guest.root)), lambda a: a)
 
 
-def adjoin_with_maps(
-    target: SyntaxTree, addr: GornAddress, aux: SyntaxTree, guest_id: str | None = None
-) -> ComposeResult:
-    """Splice `aux` in at `addr`; the detached subtree, sites and all, replaces its foot."""
-    moved = target.node(addr)
-    kind = moved.kind
+def check_adjunction(kind: NodeKind, addr: GornAddress, aux: SyntaxTree) -> None:
+    """Raise what adjoining `aux` at a node of this kind at `addr` raises."""
     if not isinstance(kind, Interior):
         raise NotInterior(f"node at {addr} is {kind}, not an interior node")
     if classify(aux) is not TreeClass.AUXILIARY:
@@ -325,14 +319,43 @@ def adjoin_with_maps(
         raise SymbolMismatch(
             f"adjunction site is {kind.symbol!r} but auxiliary root is {aux.root_symbol!r}"
         )
+
+
+def fill_slot(target: SyntaxTree, addr: GornAddress, filler: SyntaxTree, guest_id: str | None = None) -> SyntaxTree:
+    """`target` with `filler` at `addr`, unchecked: the caller has run `check_substitution`.
+
+    A `guest_id` stamps the guest's nodes as that instance's.
+    """
+    guest = filler if guest_id is None else filler.owned_by(guest_id)
+    return SyntaxTree(_replaced(target.root, addr.parts, guest.root))
+
+
+def splice(target: SyntaxTree, addr: GornAddress, aux: SyntaxTree, guest_id: str | None = None) -> SyntaxTree:
+    """`target` with `aux` adjoined at `addr`, unchecked: the caller has run `check_adjunction`.
+
+    The detached subtree, sites and all, replaces the auxiliary's foot.
+    """
+    guest = aux if guest_id is None else aux.owned_by(guest_id)
+    wrapped = _replaced(guest.root, aux.foot_address.parts, target.node(addr))  # type: ignore[union-attr]
+    return SyntaxTree(_replaced(target.root, addr.parts, wrapped))
+
+
+def substitute_with_maps(
+    target: SyntaxTree, addr: GornAddress, filler: SyntaxTree, guest_id: str | None = None
+) -> ComposeResult:
+    """Fill the slot at `addr`; a `guest_id` stamps the guest's nodes as that instance's."""
+    check_substitution(target.node_at(addr), addr, filler)
+    return ComposeResult(fill_slot(target, addr, filler, guest_id), lambda a: a)
+
+
+def adjoin_with_maps(
+    target: SyntaxTree, addr: GornAddress, aux: SyntaxTree, guest_id: str | None = None
+) -> ComposeResult:
+    """Splice `aux` in at `addr`; the detached subtree, sites and all, replaces its foot."""
+    check_adjunction(target.node_at(addr), addr, aux)
     foot = aux.foot_address
     assert foot is not None
-    guest = aux if guest_id is None else aux.owned_by(guest_id)
-    wrapped = _replaced(guest.root, foot.parts, moved)
-    return ComposeResult(
-        SyntaxTree(_replaced(target.root, addr.parts, wrapped)),
-        lambda a: rebase_address(a, addr, foot),
-    )
+    return ComposeResult(splice(target, addr, aux, guest_id), lambda a: rebase_address(a, addr, foot))
 
 
 def substitute(target: SyntaxTree, addr: GornAddress, filler: SyntaxTree) -> SyntaxTree:

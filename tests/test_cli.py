@@ -180,6 +180,28 @@ def test_derive_rejects_an_auxiliary_root_pair(capsys, fixtures_dir, tmp_path):
     assert "DerivationFailed" in err
 
 
+_TWO_SLOTS_ONE_RIGHT = """\
+lspair host { left: S(NP! VP(V("cooks") NP!)) right: S(NP! VP(V("cooks") NP!)) delta: [1~1, 2.2~1] phi: [] }
+lspair and_w { left: V(V* CC("and") V("eats")) right: S(NP! VP(V("eats") NP!) S*) delta: [] phi: [1, 1] }
+lspair john { left: NP("John") right: NP("John") delta: [] phi: [] }
+lspair beans { left: NP("beans") right: NP("beans") delta: [] phi: [] }
+"""
+
+
+def test_derive_rejects_a_second_fragment_at_filled_right_slots(capsys, tmp_path):
+    # Both left slots link to right slot 1, so after and_w spends its phi
+    # links both groups name the spine slots [3.1, 1]; john fills them first.
+    grammar = tmp_path / "two_slots.lstag"
+    grammar.write_text(_TWO_SLOTS_ONE_RIGHT, encoding="utf-8")
+    script = tmp_path / "two_fillers.script"
+    script.write_text(
+        "root host\nadjoin and_w at 2.1 ~ ε\nsubstitute john at 1\nsubstitute beans at 2.2\n", encoding="utf-8"
+    )
+    code, out, err = run(capsys, "derive", str(grammar), str(script))
+    assert (code, out) == (1, "")
+    assert err == "DerivationFailed: right slot at 3.1 is already filled by a shared fragment\n"
+
+
 @pytest.mark.parametrize(
     "step, code",
     [

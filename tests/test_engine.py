@@ -8,6 +8,7 @@ from reference_search import reference_enumerate
 from lstag import (
     EnumerationBudget,
     GornAddress,
+    LstagError,
     TagGrammar,
     enumerate_derivations,
     language_sample,
@@ -32,19 +33,44 @@ def items_as_obj(result):
 
 @pytest.fixture
 def checked_states(monkeypatch):
-    """Check the `DerivedStructure` invariants on every state the LSTAG search expands.
+    """Check the `DerivedStructure` invariants on every state the LSTAG search makes.
 
+    A root is checked when it is expanded and every other state when it is
+    built, so a state built at the budget and never expanded is checked too;
+    a built state must also be complete exactly when its check said so.
     Returns the list of checked states, which grows as the search runs.
     """
     checked = []
+    grammar = {}
     moves = engine._lstag_moves
 
-    def checked_moves(initial, auxiliary, s):
-        check_structure(s, pair_grammar(*(p for _, p in initial + auxiliary)))
+    def check(s):
+        check_structure(s, grammar["pairs"])
         checked.append(s)
+
+    def checked_moves(initial, auxiliary, s):
+        grammar["pairs"] = pair_grammar(*(p for _, p in initial + auxiliary))
+        if not s.history:
+            check(s)
         return moves(initial, auxiliary, s)
 
+    def checking(check_move):
+        def checked_move(*args):
+            complete, build = check_move(*args)
+
+            def checked_build():
+                s = build()
+                assert s.is_complete == complete
+                check(s)
+                return s
+
+            return complete, checked_build
+
+        return checked_move
+
     monkeypatch.setattr(engine, "_lstag_moves", checked_moves)
+    for name in ("check_compose", "check_group"):
+        monkeypatch.setattr(engine, name, checking(getattr(engine, name)))
     return checked
 
 
@@ -248,3 +274,60 @@ def test_moves_that_fail_to_compose_match_the_reference(delta, ops, truncated):
     result = enumerate_derivations(grammar, budget)
     assert result.truncated is truncated
     assert result == reference_enumerate(grammar, budget)
+
+
+@pytest.mark.parametrize(
+    "fixture, gated, items", [("topicalization.lstag", False, 180), ("cooks_eats.lstag", True, 18)]
+)
+def test_incomplete_states_at_the_budget_are_built_only_to_decide_truncation(
+    fixtures_dir, monkeypatch, fixture, gated, items
+):
+    """A child at the operation budget is built only if it is complete or `truncated` is undecided.
+
+    Every incomplete child at the budget that is built must then have its
+    moves probed, and none may be built once a probe found a legal move.
+    """
+    ops = 4
+    events = []  # ("check", host, passed), ("build", state) and ("moves", state), in call order
+
+    def logging(check_move):
+        def logged(*args):
+            try:
+                complete, build = check_move(*args)
+            except LstagError:
+                events.append(("check", args[0], False))
+                raise
+            events.append(("check", args[0], True))
+
+            def logged_build():
+                s = build()
+                events.append(("build", s))
+                return s
+
+            return complete, logged_build
+
+        return logged
+
+    for name in ("check_compose", "check_group"):
+        monkeypatch.setattr(engine, name, logging(getattr(engine, name)))
+    moves = engine._lstag_moves
+
+    def logged_moves(initial, auxiliary, s):
+        events.append(("moves", s))
+        return moves(initial, auxiliary, s)
+
+    monkeypatch.setattr(engine, "_lstag_moves", logged_moves)
+
+    doc = load_grammar(str(fixtures_dir / fixture))
+    grammar = doc.lstag_grammar(usable_lstag_names(doc, restrictions=gated))
+    result = enumerate_derivations(grammar, EnumerationBudget(ops))
+    assert (result.truncated, len(result.items)) == (True, items)
+
+    at_budget = lambda e: len(e[1].history) == ops
+    decided = next(i for i, e in enumerate(events) if e[0] == "check" and e[2] and at_budget(e))
+    built = [i for i, e in enumerate(events) if e[0] == "build" and at_budget(e)]
+    wasted = [i for i in built if not events[i][1].is_complete]
+    probed = {id(e[1]) for e in events if e[0] == "moves" and at_budget(e)}
+    assert len(built) - len(wasted) == sum(1 for it in result.items if len(it.records) == ops)
+    assert all(i < decided for i in wasted)
+    assert all(id(events[i][1]) in probed for i in wasted)

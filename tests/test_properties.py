@@ -1,7 +1,8 @@
 """Property tests for the composition laws and link bookkeeping."""
 
+import pathlib
 import random
-from functools import partial
+from functools import cache, partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from lstag import (
     DerivationTree,
     DuplicateAdjunction,
+    EnumerationBudget,
     Foot,
     GornAddress,
     Interior,
@@ -23,7 +25,9 @@ from lstag import (
     TagGrammar,
     adjoin,
     check_lexical_contiguity,
+    enumerate_derivations,
     link_share,
+    load_grammar,
     lstag_compose,
     rebase_address,
     replay,
@@ -31,8 +35,11 @@ from lstag import (
     stag_compose,
     structure_from_pair,
     substitute,
+    usable_lstag_names,
     yield_tokens,
 )
+from lstag import engine
+from lstag.sharing import check_compose, check_group, compose_record, group_record
 from lstag.trees import adjoin_with_maps, substitute_with_maps
 
 import reference_trees
@@ -45,12 +52,16 @@ from helpers_trees import (
     pair_grammar,
     interior_addresses,
     parent_addresses,
+    replay_lstag_records,
     random_auxiliary,
     random_initial,
     random_tree,
     slot_addresses,
     splice_yield_oracle,
 )
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def rng_from(data) -> random.Random:
@@ -400,43 +411,82 @@ def random_phi(rng: random.Random, s, guest_right: SyntaxTree) -> tuple[Link, ..
     return tuple(phi)
 
 
+def chain_host(rng: random.Random) -> LstagPair:
+    """A random initial pair with slots on both sides and one to three random delta links."""
+    left, right = random_tree(rng), random_tree(rng)
+    while not (slot_addresses(left) and slot_addresses(right)):
+        left, right = random_tree(rng), random_tree(rng)
+    return LstagPair("host", left, right, delta=mixed_links(rng, left, right, rng.randint(1, 3)))
+
+
+def draw_step(data, rng: random.Random, s, step: int):
+    """A random next step of a chain from `s`, or None when the drawn kind of step has no site.
+
+    An adjunction or a substitution at random sites, or a shared substitution
+    at a random live group.  Returns the guest, the step as a call of
+    `lstag_compose` or `shared_substitute`, and where it composes:
+    ("fill", group index, left address, right addresses) or
+    ("compose", left address, right address).  Guests carry random delta and
+    phi links, which may end at a foot or at any other node, and sometimes
+    one phi link more than the host has groups; most auxiliaries are built
+    to share the host's slots, so that shared substitutions and later
+    adjunctions above their fragments happen.
+    """
+    move = data.draw(st.sampled_from(["adjoin", "adjoin", "substitute", "fill", "fill"]))
+    if move == "fill":
+        if not s.live_links:
+            return None
+        groups = group_addresses(s)
+        shared = [i for i, (_, rights) in enumerate(groups) if len(rights) > 1]
+        index = data.draw(st.sampled_from(shared or range(len(groups))))
+        la, ras = groups[index]
+        kinds = (s.left_tree.node_at(la), s.right_spine.node_at(ras[0]))
+        if not all(isinstance(k, SubstitutionSlot) for k in kinds):
+            return None
+        guest = LstagPair(f"g{step}", *(random_initial(rng, k.symbol) for k in kinds))
+        return guest, partial(shared_substitute, s, s.live_links[index], guest), ("fill", index, la, ras)
+    kind, make = (SubstitutionSlot, random_initial) if move == "substitute" else (Interior, random_auxiliary)
+    lefts = [a for a, k in s.left_tree.items() if isinstance(k, kind)]
+    rights = [a for a, k in s.right_spine.items() if isinstance(k, kind)]
+    if not (lefts and rights):
+        return None
+    la, ra = data.draw(st.sampled_from(lefts)), data.draw(st.sampled_from(rights))
+    guest_left = make(rng, s.left_tree.node_at(la).symbol)
+    guest_right = make(rng, s.right_spine.node_at(ra).symbol)
+    if move == "adjoin" and rng.random() < 0.7:
+        guest_right = coordinator(s, s.right_spine.node_at(ra).symbol)
+    guest = LstagPair(
+        f"g{step}",
+        guest_left,
+        guest_right,
+        delta=mixed_links(rng, guest_left, guest_right, rng.randint(0, 2)),
+        phi=random_phi(rng, s, guest_right),
+    )
+    return guest, partial(lstag_compose, s, la, ra, guest), ("compose", la, ra)
+
+
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_link_groups_and_fragment_parents_match_the_rebasing_reference(data):
     """Site-named link groups and fragment parents resolve to rebased addresses.
 
-    A chain of one to four random steps (an adjunction or a substitution at
-    random sites, or a shared substitution at a random live group) starts
-    from a host with random delta links.  Guests carry random delta and phi
-    links, which may end at a foot or at any other node, and sometimes one
-    phi link more than the host has groups; most auxiliaries are built to
-    share the host's slots, so that shared substitutions and later
-    adjunctions above their fragments happen.  After every step each live
-    group and fragment parent resolves, in order, to the addresses that
+    A chain of one to four random steps (see `draw_step`) starts from a host
+    with random delta links.  After every step each live group and fragment
+    parent resolves, in order, to the addresses that
     `reference_trees.LinkBook` keeps by rebasing, and where the book's
     checks fail a composition fails with the same error.
     """
     rng = rng_from(data)
-    left, right = random_tree(rng), random_tree(rng)
-    while not (slot_addresses(left) and slot_addresses(right)):
-        left, right = random_tree(rng), random_tree(rng)
-    host = LstagPair("host", left, right, delta=mixed_links(rng, left, right, rng.randint(1, 3)))
+    host = chain_host(rng)
     pairs = [host]
     s, book = structure_from_pair(host), reference_trees.book_of(host)
     for step in range(data.draw(st.integers(1, 4))):
-        move = data.draw(st.sampled_from(["adjoin", "adjoin", "substitute", "fill", "fill"]))
-        if move == "fill":
-            if not s.live_links:
-                continue
-            groups = group_addresses(s)
-            shared = [i for i, (_, rights) in enumerate(groups) if len(rights) > 1]
-            index = data.draw(st.sampled_from(shared or range(len(groups))))
-            la, ras = groups[index]
-            kinds = (s.left_tree.node_at(la), s.right_spine.node_at(ras[0]))
-            if not all(isinstance(k, SubstitutionSlot) for k in kinds):
-                continue
-            guest = LstagPair(f"g{step}", *(random_initial(rng, k.symbol) for k in kinds))
-            library = partial(shared_substitute, s, s.live_links[index], guest)
+        drawn = draw_step(data, rng, s, step)
+        if drawn is None:
+            continue
+        guest, library, sites = drawn
+        if sites[0] == "fill":
+            _, index, la, ras = sites
             # The book models the checks of a composition, not those of a shared substitution.
             modeled = len(ras) == 1
             if modeled:
@@ -444,24 +494,7 @@ def test_link_groups_and_fragment_parents_match_the_rebasing_reference(data):
             else:
                 reference = partial(reference_trees.book_after_shared, book, index)
         else:
-            kind, make = (SubstitutionSlot, random_initial) if move == "substitute" else (Interior, random_auxiliary)
-            lefts = [a for a, k in s.left_tree.items() if isinstance(k, kind)]
-            rights = [a for a, k in s.right_spine.items() if isinstance(k, kind)]
-            if not (lefts and rights):
-                continue
-            la, ra = data.draw(st.sampled_from(lefts)), data.draw(st.sampled_from(rights))
-            guest_left = make(rng, s.left_tree.node_at(la).symbol)
-            guest_right = make(rng, s.right_spine.node_at(ra).symbol)
-            if move == "adjoin" and rng.random() < 0.7:
-                guest_right = coordinator(s, s.right_spine.node_at(ra).symbol)
-            guest = LstagPair(
-                f"g{step}",
-                guest_left,
-                guest_right,
-                delta=mixed_links(rng, guest_left, guest_right, rng.randint(0, 2)),
-                phi=random_phi(rng, s, guest_right),
-            )
-            library = partial(lstag_compose, s, la, ra, guest)
+            _, la, ra = sites
             reference = partial(reference_trees.book_after_compose, book, s.left_tree, la, ra, guest)
             modeled = True
         try:
@@ -499,6 +532,122 @@ def test_link_share_follows_list_order(data):
             assert group.left_site == groups[i].left_site
         else:
             assert group is groups[i]
+
+
+# --- check before composing ------------------------------------------------------------
+
+
+def assert_split_agrees(record_of, check, compose) -> None:
+    """The check raises exactly what the composition raises; once it passes, its flag is the result's completeness."""
+    try:
+        complete, build = check(record_of())
+    except LstagError as exc:
+        with pytest.raises(LstagError) as raised:
+            compose()
+        assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+        return
+    built = compose()
+    assert built.is_complete == complete
+    assert build() == built
+
+
+def assert_checks_agree(s, guests) -> None:
+    """Every guest at every pair of sites and at every live group of `s`, checked and composed."""
+    for guest in guests:
+        for la in s.left_tree.addresses():
+            for ra in s.right_spine.addresses():
+                assert_split_agrees(
+                    partial(compose_record, s, la, ra, guest.name),
+                    partial(check_compose, s, la, ra, guest),
+                    partial(lstag_compose, s, la, ra, guest),
+                )
+        for group in s.live_links:
+            assert_split_agrees(
+                partial(group_record, s, group, guest.name),
+                partial(check_group, s, group, guest),
+                partial(shared_substitute, s, group, guest),
+            )
+
+
+@cache
+def enumerated_items():
+    """(grammar, item) for every item of the ungated fixture grammars at three operations."""
+    out = []
+    for fixture in ("cooks_eats.lstag", "degenerate.lstag", "excised.lstag", "topicalization.lstag"):
+        doc = load_grammar(str(FIXTURES / fixture))
+        grammar = doc.lstag_grammar(usable_lstag_names(doc, restrictions=False))
+        out.extend((grammar, item) for item in enumerate_derivations(grammar, EnumerationBudget(3)).items)
+    return out
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_checks_agree_with_compositions_on_enumerated_prefixes(data):
+    grammar, item = data.draw(st.sampled_from(enumerated_items()))
+    records = item.records[: data.draw(st.integers(0, len(item.records)))]
+    host = replay_lstag_records(grammar, item.root, records)
+    assert_checks_agree(host, [pair for _, pair in grammar.pairs])
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_checks_agree_with_compositions_on_random_chains(data):
+    """Hosts from the random chains of `draw_step`; the guests are every pair drawn on the way."""
+    rng = rng_from(data)
+    host = chain_host(rng)
+    s, guests = structure_from_pair(host), [host]
+    for step in range(data.draw(st.integers(0, 4))):
+        drawn = draw_step(data, rng, s, step)
+        if drawn is None:
+            continue
+        guests.append(drawn[0])
+        try:
+            s = drawn[1]()
+        except LstagError:
+            pass
+    assert_checks_agree(s, guests)
+
+
+def assert_tag_moves_agree(guests, state) -> None:
+    """The TAG moves are the compositions that succeed at nodes free to take them, with exact completeness flags."""
+    yielded = {}
+    for key, _, check in engine._tag_moves(guests, state):
+        complete, build = check()
+        built = build()
+        assert built.is_complete == complete
+        yielded[key] = built.tree
+    expected = {}
+    for addr, node in state.tree.walk():
+        if isinstance(node.kind, Interior) and node.site in state.adjoined:
+            continue
+        compose = substitute_with_maps if isinstance(node.kind, SubstitutionSlot) else adjoin_with_maps
+        for name, tree in guests["substitution"] + guests["adjunction"]:
+            try:
+                expected[(str(addr), name)] = compose(state.tree, addr, tree).tree
+            except LstagError:
+                pass
+    assert yielded == expected
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_tag_move_checks_agree_with_compositions(data):
+    rng = rng_from(data)
+    trees = {f"i{k}": random_initial(rng) for k in range(3)}
+    trees.update((f"a{k}", random_auxiliary(rng)) for k in range(2))
+    guests = {
+        "substitution": [(n, t) for n, t in trees.items() if n.startswith("i")],
+        "adjunction": [(n, t) for n, t in trees.items() if n.startswith("a")],
+    }
+    state = engine._TagState("i0", trees["i0"].owned_by("i0"), ())
+    for _ in range(data.draw(st.integers(0, 3))):
+        assert_tag_moves_agree(guests, state)
+        moves = list(engine._tag_moves(guests, state))
+        if not moves:
+            break
+        _, _, check = data.draw(st.sampled_from(moves))
+        state = check()[1]()
+    assert_tag_moves_agree(guests, state)
 
 
 # --- contiguity ---------------------------------------------------------------------

@@ -26,6 +26,8 @@ from lstag import (
     validate_pair,
 )
 
+from lstag.sharing import check_compose, check_group, compose_record, group_record
+
 from helpers_trees import check_structure, group_addresses, pair_grammar, parent_addresses
 
 A = GornAddress.parse
@@ -276,6 +278,33 @@ def test_full_coordination_sentence():
     assert s.live_links == ()
     assert " ".join(s.left_yield()) == "John cooks and eats beans"
     assert s.is_complete
+
+
+OPEN_NP = LstagPair("open", parse_tree('NP("x")'), parse_tree('NP(D! N("x"))'))
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("guest, complete", [(JOHN, True), (OPEN_NP, False)])
+def test_check_says_whether_filling_the_last_group_completes(shared, guest, complete):
+    # The last group is john's: shared after coordination, a single site without it.
+    if shared:
+        s = shared_substitute(coordinated(), coordinated().live_links[1], BEANS)
+    else:
+        s = structure_from_pair(GAMMA)
+        s = shared_substitute(s, s.live_links[1], BEANS)
+    (last,) = s.live_links
+    assert len(last.right_sites) == (2 if shared else 1)
+    assert check_group(s, last, guest, group_record(s, last, guest.name))[0] is complete
+    assert shared_substitute(s, last, guest).is_complete is complete
+
+
+def test_check_counts_the_open_slots_of_earlier_fragments():
+    s = shared_substitute(coordinated(), coordinated().live_links[0], OPEN_NP)
+    s = shared_substitute(s, s.live_links[0], BEANS)
+    today = LstagPair("today", parse_tree('V(V* ADV("today"))'), parse_tree('S(S* ADV("today"))'))
+    record = compose_record(s, A("2.1.3"), E, today.name)
+    assert check_compose(s, A("2.1.3"), E, today, record)[0] is False
+    assert not lstag_compose(s, A("2.1.3"), E, today).is_complete
 
 
 def test_shared_substitute_requires_live_group():

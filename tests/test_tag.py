@@ -14,7 +14,7 @@ from lstag import (
     validate_derivation,
     yield_string,
 )
-from lstag.errors import ParseError
+from lstag.errors import Diagnostic, ParseError
 from lstag.tag import derivation_from_json_obj, derivation_to_json_obj
 
 A = GornAddress.parse
@@ -138,6 +138,45 @@ def test_validate_reports_symbol_mismatch():
     assert codes == ["OperationMismatch"]  # terminal site supports no operation
 
 
+def test_validate_reports_every_problem_depth_first_in_edge_order():
+    bad = DerivationTree(
+        "cooked",
+        (
+            (A("1"), DerivationTree("dried")),
+            (A("2"), DerivationTree("dried", ((A("9"), DerivationTree("john")),))),
+            (
+                A("2.2"),
+                DerivationTree(
+                    "beans",
+                    (
+                        (A("1"), DerivationTree("nope", ((A("1"), DerivationTree("john")),))),
+                        (A("1.1"), DerivationTree("john")),
+                    ),
+                ),
+            ),
+        ),
+    )
+    assert [(d.where, d.code, d.message) for d in validate_derivation(GRAMMAR, bad)] == [
+        ("root", "OperationMismatch", "slot at 1 needs an initial tree, got 'dried'"),
+        ("root", "SymbolMismatch", "adjunction at 2 expects 'VP', got root 'N'"),
+        ("root/2", "EdgeAddressInvalid", "'dried' has no address 9"),
+        ("root/2.2/1", "UnknownTree", "no elementary tree named 'nope'"),
+        ("root/2.2", "OperationMismatch", "cannot compose at 1.1: node is Terminal(token='beans')"),
+    ]
+
+
+def test_validate_a_derivation_deeper_than_the_recursion_limit():
+    grammar = TagGrammar.from_trees({"r": parse_tree('N(A("a"))'), "m": parse_tree('N(A("a") N*)')})
+    depth = 1200
+    d = DerivationTree("nope")
+    for _ in range(depth):
+        d = DerivationTree("m", ((A("ε"), d),))
+    d = DerivationTree("r", ((A("ε"), d),))
+    assert validate_derivation(grammar, d) == [
+        Diagnostic("UnknownTree", "no elementary tree named 'nope'", "root" + "/ε" * (depth + 1))
+    ]
+
+
 # --- script and JSON formats ------------------------------------------------------
 
 
@@ -204,6 +243,13 @@ def test_deep_derivations_parse_print_and_convert_without_recursion():
         assert edge["addr"] == "1"
         obj = edge["node"]
     assert obj == {"name": f"m{depth}", "children": []}
+
+
+def test_json_round_trip_of_a_derivation_deeper_than_the_recursion_limit():
+    text = "root m0\n" + "".join(f"m{k} @ 1 <- m{k + 1}\n" for k in range(1500))
+    d = parse_derivation_script(text)
+    # Printed as a script, since comparing 1,500-level trees with == recurses.
+    assert format_derivation_script(derivation_from_json_obj(derivation_to_json_obj(d))) == text
 
 
 def test_script_and_json_keep_edge_order_below_every_node():
