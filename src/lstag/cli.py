@@ -11,7 +11,7 @@ import os
 import sys
 
 from ._lex import script_lines
-from .engine import EnumerationBudget, enumerate_derivations, language_sample
+from .engine import EnumerationBudget, enumerate_derivations
 from .errors import Diagnostic, LstagError, OperationMismatch, ParseError
 from .grammarfile import (
     GrammarDocument,
@@ -291,12 +291,8 @@ def _cmd_enumerate(args) -> int:
         grammar = doc.lstag_grammar(usable)
     else:
         grammar = doc.tag_grammar()
-    if args.strings_only:
-        for line in language_sample(grammar, budget):
-            print(line)
-        return 0
     result = enumerate_derivations(grammar, budget)
-    if args.format == "json":
+    if args.format == "json" and not args.strings_only:
         obj = {
             "truncated": result.truncated,
             "items": [
@@ -305,12 +301,16 @@ def _cmd_enumerate(args) -> int:
             ],
         }
         print(to_json_text(obj), end="")
+        return 0
+    if args.strings_only:
+        for line in sorted({item.yield_text for item in result.items}):
+            print(line)
     else:
         for item in result.items:
             records = "; ".join(item.record_lines())
             print(f"{item.yield_text} :: {records}" if records else f"{item.yield_text} ::")
-        if result.truncated:
-            print("(truncated)", file=sys.stderr)
+    if result.truncated:
+        print("(truncated)", file=sys.stderr)
     return 0
 
 

@@ -18,19 +18,22 @@ otherwise returns whether the next state will be complete, worked out from
 slot counts, and the `build` that composes it and cannot fail.  The core
 expands a state's moves in key order and drops a move whose
 `(root, history + record)` key it has already seen before checking it; a
-move whose check passes marks its key.  A child below the operation budget
-is built at once.  A child at the budget is never expanded, so it is queued
-unbuilt and built when popped only if it is complete or if `truncated` is
-still undecided; a state at the budget decides `truncated` by asking
-whether some move passes its check.
+move whose check passes marks its key.  The queue holds one kind of entry,
+`(complete, build)`, for roots and children alike, and a state is built
+when popped.  A state at the operation budget is never expanded: it
+decides `truncated` by asking whether some move passes its check.  The
+search is breadth-first, so every entry left after that is at the budget
+too, and it is built only if it is complete.
 
 Plain TAG substitutes initial trees at every slot and adjoins auxiliary
-trees at every interior node.  Link-sharing substitutions are driven by
-live link groups (one move fills every shared site); adjunctions are tried
-at every legal pair of interior sites.  Either way each node of an
-elementary tree hosts at most one adjunction.  A move reads the elementary
-site of the node it composes at (its `SiteRef`) off the node itself, so
-no state keeps a provenance table.
+trees at every interior node.  Its moves match the guest's class and root
+symbol before they are yielded, so they are legal by construction and
+build with the unchecked `fill_slot` and `splice`.  Link-sharing
+substitutions are driven by live link groups (one move fills every shared
+site); adjunctions are tried at every legal pair of interior sites.  Either
+way each node of an elementary tree hosts at most one adjunction.  A move
+reads the elementary site of the node it composes at (its `SiteRef`) off
+the node itself, so no state keeps a provenance table.
 """
 
 from __future__ import annotations
@@ -58,15 +61,14 @@ from .sharing import (
 )
 from .tag import DerivationTree, TagGrammar
 from .trees import (
-    ComposeResult,
     Interior,
     SiteRef,
     SubstitutionSlot,
     SyntaxTree,
     TreeClass,
     classify,
-    substitute_with_maps,
-    adjoin_with_maps,
+    fill_slot,
+    splice,
     yield_tokens,
 )
 
@@ -125,36 +127,29 @@ def _search(
     budget: EnumerationBudget,
 ) -> EnumerationResult:
     seen: set[tuple[str, frozenset[DerivationRecord]]] = set()
-    # A child at the budget is queued checked but unbuilt, as (complete, build).
-    queue: deque[_State | _Checked] = deque()
+    queue: deque[_Checked] = deque()
     for state in roots:
         key = (state.root, frozenset(state.history))
         if key not in seen:
             seen.add(key)
-            queue.append(state)
+            queue.append((state.is_complete, partial(_built, state)))
     complete: list[_State] = []
     truncated = False
     explored = 0
     while queue:
-        entry = queue.popleft()
+        will_complete, build = queue.popleft()
         explored += 1
         if explored > budget.max_structures:
             truncated = True
             break
-        if isinstance(entry, tuple):
-            will_complete, build = entry
-            if truncated and not will_complete:
-                continue
-            state = build()
-        else:
-            state = entry
+        if truncated and not will_complete:  # breadth first: every entry left is at the budget
+            continue
+        state = build()
         if state.is_complete:
             complete.append(state)
-        operations = len(state.history)
-        if operations >= budget.max_operations:
+        if len(state.history) >= budget.max_operations:
             truncated = truncated or any(_passes(check) for _, _, check in moves(state))
             continue
-        at_budget = operations + 1 >= budget.max_operations
         for _, record, check in sorted(moves(state), key=lambda m: m[0]):
             key = (state.root, frozenset(state.history + (record,)))
             if key in seen:
@@ -164,12 +159,17 @@ def _search(
             except LstagError:
                 continue
             seen.add(key)
-            queue.append(checked if at_budget else checked[1]())
+            queue.append(checked)
     items = sorted(
         (EnumerationItem(s.root, s.history, s.left_yield(), *s.projections()) for s in complete),
         key=EnumerationItem.sort_key,
     )
     return EnumerationResult(tuple(items), truncated)
+
+
+def _built(state: _State) -> _State:
+    """The build of a state that already exists."""
+    return state
 
 
 # --- plain TAG moves ------------------------------------------------------------
@@ -196,15 +196,10 @@ class _TagState:
     def projections(self) -> tuple[DerivationTree, None]:
         return derivation_projections(self.history, self.root)[0], None
 
-    def step(
-        self,
-        compose: Callable[[SyntaxTree, GornAddress, SyntaxTree, str], ComposeResult],
-        addr: GornAddress,
-        guest: SyntaxTree,
-        record: DerivationRecord,
-    ) -> "_TagState":
-        res = compose(self.tree, addr, guest, record.guest_id)
-        return _TagState(self.root, res.tree, self.history + (record,))
+
+def _tag_child(state: _TagState, addr: GornAddress, guest: SyntaxTree, record: DerivationRecord) -> _TagState:
+    graft = fill_slot if record.operation == "substitution" else splice
+    return _TagState(state.root, graft(state.tree, addr, guest, record.guest_id), state.history + (record,))
 
 
 def _legal(complete: bool, build: Callable[[], _TagState]) -> _Checked:
@@ -217,16 +212,16 @@ def _tag_moves(guests: dict[str, list[tuple[str, SyntaxTree]]], state: _TagState
     for addr, node in state.tree.walk():
         kind, ref = node.kind, node.site
         if isinstance(kind, SubstitutionSlot):
-            operation, compose, open_slots = "substitution", substitute_with_maps, slots - 1
+            operation, open_slots = "substitution", slots - 1
         elif isinstance(kind, Interior) and ref not in state.adjoined:
-            operation, compose, open_slots = "adjunction", adjoin_with_maps, slots
+            operation, open_slots = "adjunction", slots
         else:
             continue
         for name, tree in guests[operation]:
             if tree.root_symbol != kind.symbol:
                 continue
             record = DerivationRecord(operation, name, guest_instance_id(ref, name), ref, ())
-            build = partial(state.step, compose, addr, tree, record)
+            build = partial(_tag_child, state, addr, tree, record)
             yield (str(addr), name), record, partial(_legal, open_slots + tree.root.slots == 0, build)
 
 

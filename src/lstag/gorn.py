@@ -7,8 +7,11 @@ every extension of itself and siblings sort by index.
 `GornAddress(parts)` and `GornAddress.parse` are the checked boundary: both
 reject a component that is not an integer >= 1.  Addresses derived from
 valid ones (`extend`, `parent`, `suffix_after`, the address views of a
-tree, `trees.rebase_address` for `stag_compose`'s link endpoints, and
-`child` once its new index is checked) are trusted and skip that check.
+tree, `child` once its new index is checked, and `trees.rebase_address`,
+which only the host map of `adjoin_with_maps` applies, for `stag_compose`'s
+link endpoints) are trusted and skip that check.  Whether an address names
+a node of a given tree is a separate question: `tag.validate_derivation`
+answers it once for a derivation's edges, before `replay` composes there.
 """
 
 from __future__ import annotations

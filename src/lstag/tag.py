@@ -2,11 +2,15 @@
 
 A derivation tree records which elementary tree composed into which, with
 edge labels giving the address in the parent's original elementary tree.
-Replay is bottom-up: children are rebuilt first, then attached.  A parent's
-edges are composed in reverse address order, so no composition moves a
-site still to come, and edge addresses are used exactly as written in the
-grammar.  Replay, script parsing and printing walk derivations with an
-explicit stack, so a derivation may be deeper than Python's recursion limit.
+Whether a derivation is valid is decided edge by edge, so `replay` checks
+once, with `validate_derivation`'s rule, and raises the first problem it
+reports; the build after that check is unchecked and cannot fail.  Replay
+is bottom-up: children are rebuilt first, then attached with `fill_slot`
+or `splice`.  A parent's edges are composed in reverse address order, so
+no composition moves a site still to come, and edge addresses are used
+exactly as written in the grammar.  Replay, script parsing and printing
+walk derivations with an explicit stack, so a derivation may be deeper
+than Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .errors import (
     EdgeAddressInvalid,
     OperationMismatch,
     ParseError,
+    SymbolMismatch,
     UnknownTree,
 )
 from .gorn import GornAddress
@@ -28,9 +33,9 @@ from .trees import (
     SubstitutionSlot,
     SyntaxTree,
     TreeClass,
-    adjoin_with_maps,
     classify,
-    substitute_with_maps,
+    fill_slot,
+    splice,
 )
 
 
@@ -87,35 +92,28 @@ class DerivationTree:
         object.__setattr__(self, "edges", edges)
 
 
+_DIAGNOSTIC_ERRORS = {e.__name__: e for e in (EdgeAddressInvalid, OperationMismatch, SymbolMismatch, UnknownTree)}
+
+
 def replay(grammar: TagGrammar, d: DerivationTree) -> SyntaxTree:
-    """Check every edge address, parents first; then build each node after its children."""
+    """The derived tree of `d`; raises the first problem `validate_derivation` reports.
+
+    The error is the class the diagnostic's code names, and its message is
+    prefixed by the diagnostic's derivation path.
+    """
+    problems = validate_derivation(grammar, d)
+    if problems:
+        first = problems[0]
+        raise _DIAGNOSTIC_ERRORS[first.code](f"{first.where}: {first.message}")
     order = [d]  # parents before children
     for node in order:
-        tree = grammar.get(node.root).tree
-        for addr, child in node.edges:
-            if not tree.has_address(addr):
-                raise EdgeAddressInvalid(f"{node.root!r} has no address {addr}")
-            order.append(child)
+        order.extend(child for _, child in node.edges)
     built: dict[int, SyntaxTree] = {}
     for node in reversed(order):
         tree = result = grammar.get(node.root).tree
         for addr, child in reversed(node.edges):  # each composition moves only its own subtree
-            kind, child_class = tree.node_at(addr), grammar.get(child.root).tree_class
-            if isinstance(kind, SubstitutionSlot):
-                if child_class is not TreeClass.INITIAL:
-                    raise OperationMismatch(
-                        f"slot at {addr} of {node.root!r} needs an initial tree, got {child.root!r}"
-                    )
-                composed = substitute_with_maps(result, addr, built[id(child)])
-            elif isinstance(kind, Interior):
-                if child_class is not TreeClass.AUXILIARY:
-                    raise OperationMismatch(
-                        f"interior node at {addr} of {node.root!r} needs an auxiliary tree, got {child.root!r}"
-                    )
-                composed = adjoin_with_maps(result, addr, built[id(child)])
-            else:
-                raise OperationMismatch(f"cannot compose at {addr} of {node.root!r}: node is {kind}")
-            result = composed.tree
+            graft = fill_slot if isinstance(tree.node_at(addr), SubstitutionSlot) else splice
+            result = graft(result, addr, built[id(child)])
         built[id(node)] = result
     return built[id(d)]
 

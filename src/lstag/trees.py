@@ -322,7 +322,7 @@ def check_adjunction(kind: NodeKind, addr: GornAddress, aux: SyntaxTree) -> None
 
 
 def fill_slot(target: SyntaxTree, addr: GornAddress, filler: SyntaxTree, guest_id: str | None = None) -> SyntaxTree:
-    """`target` with `filler` at `addr`, unchecked: the caller has run `check_substitution`.
+    """`target` with `filler` at `addr`, unchecked: the caller ensured what `check_substitution` checks.
 
     A `guest_id` stamps the guest's nodes as that instance's.
     """
@@ -331,7 +331,7 @@ def fill_slot(target: SyntaxTree, addr: GornAddress, filler: SyntaxTree, guest_i
 
 
 def splice(target: SyntaxTree, addr: GornAddress, aux: SyntaxTree, guest_id: str | None = None) -> SyntaxTree:
-    """`target` with `aux` adjoined at `addr`, unchecked: the caller has run `check_adjunction`.
+    """`target` with `aux` adjoined at `addr`, unchecked: the caller ensured what `check_adjunction` checks.
 
     The detached subtree, sites and all, replaces the auxiliary's foot.
     """

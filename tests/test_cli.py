@@ -2,12 +2,16 @@ import contextlib
 import io
 import json
 import pathlib
+import os
 import shlex
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lstag
 from lstag.cli import main
 
 
@@ -388,6 +392,18 @@ def test_enumerate_coordination_listing(capsys, fixtures_dir):
     assert "John cooks and eats beans" in out.splitlines()
 
 
+@pytest.mark.parametrize(
+    "fixture, stderr", [("cooks_eats.lstag", "(truncated)\n"), ("topicalization.lstag", "")]
+)
+def test_enumerate_strings_only_reports_truncation(capsys, fixtures_dir, fixture, stderr):
+    path = str(fixtures_dir / fixture)
+    code, out, err = run(capsys, "enumerate", path, "--max-ops", "3", "--strings-only")
+    assert (code, err) == (0, stderr)
+    code, listing, text_err = run(capsys, "enumerate", path, "--max-ops", "3")
+    assert (code, text_err) == (0, stderr)
+    assert out.splitlines() == sorted({line.split(" ::")[0] for line in listing.splitlines()})
+
+
 def test_enumerate_json_is_deterministic(capsys, fixtures_dir):
     args = (
         "enumerate",
@@ -402,6 +418,31 @@ def test_enumerate_json_is_deterministic(capsys, fixtures_dir):
     assert code1 == code2 == 0
     assert out1 == out2
     assert json.loads(out1)["truncated"] is True
+
+
+def test_output_does_not_depend_on_the_hash_seed(fixtures_dir):
+    commands = [
+        ["enumerate", str(fixtures_dir / "cooks_eats.lstag"), "--format", "json", "--no-restrictions",
+         "--max-ops", "3"],
+        ["derive", str(fixtures_dir / "cooks_eats.lstag"), str(fixtures_dir / "scripts" / "cooks_eats.script"),
+         "--format", "dot"],
+        ["validate", "--json", str(fixtures_dir / "excised.lstag")],
+    ]
+    src = str(pathlib.Path(lstag.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # All six runs at once, to keep the test's wall time near one interpreter start.
+    runs = {
+        (seed, i): subprocess.Popen(
+            [sys.executable, "-m", "lstag.cli", *argv], env=dict(env, PYTHONHASHSEED=seed),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        for seed in ("0", "1")
+        for i, argv in enumerate(commands)
+    }
+    outputs = {key: (*proc.communicate(timeout=60), proc.returncode) for key, proc in runs.items()}
+    for i in range(len(commands)):
+        assert outputs[("0", i)] == outputs[("1", i)]
+        assert outputs[("0", i)][0] or outputs[("0", i)][1]
 
 
 def test_enumerate_respects_restrictions(capsys, fixtures_dir):

@@ -23,6 +23,7 @@ from lstag import (
     SubstitutionSlot,
     SyntaxTree,
     TagGrammar,
+    TreeClass,
     adjoin,
     check_lexical_contiguity,
     enumerate_derivations,
@@ -36,6 +37,7 @@ from lstag import (
     structure_from_pair,
     substitute,
     usable_lstag_names,
+    validate_derivation,
     yield_tokens,
 )
 from lstag import engine
@@ -277,6 +279,66 @@ def test_replay_ignores_edge_presentation_order(data):
     forward = replay(grammar, DerivationTree("root", tuple(edges)))
     permuted = replay(grammar, DerivationTree("root", tuple(shuffled)))
     assert forward == permuted == reference_trees.replay(grammar, DerivationTree("root", tuple(edges)))
+
+
+_COOKED = load_grammar(str(FIXTURES / "cooked.tag")).tag_grammar()
+_NAMES = _COOKED.names() + ("nope",)
+# Every address of a cooked.tag tree, plus two that none of them has.
+_ADDRESSES = sorted(
+    {a for _, e in _COOKED.entries for a in e.tree.addresses()} | {GornAddress((3,)), GornAddress((2, 2, 1))}
+)
+
+
+def _sites(tree: SyntaxTree) -> list[tuple[GornAddress, tuple[str, ...]]]:
+    """Each address of `tree` that some cooked.tag tree composes at, with the names that do."""
+    out = []
+    for addr, kind in tree.items():
+        want = {SubstitutionSlot: TreeClass.INITIAL, Interior: TreeClass.AUXILIARY}.get(type(kind))
+        fits = tuple(n for n, e in _COOKED.entries if e.tree_class is want and e.tree.root_symbol == kind.symbol)
+        if fits:
+            out.append((addr, fits))
+    return out
+
+
+_SITES = {name: _sites(entry.tree) for name, entry in _COOKED.entries}
+
+
+@st.composite
+def cooked_derivations(draw, depth=3, name=None):
+    """Derivation trees over cooked.tag names and one unknown name.
+
+    Four edges in five fit their parent's site when one exists; the rest
+    have any address and any child, so both valid and invalid derivations
+    come up often.
+    """
+    name = name or draw(st.sampled_from(_NAMES))
+    if depth == 0:
+        return DerivationTree(name)
+    edges = {}
+    for _ in range(draw(st.integers(0, 2))):
+        sites = _SITES.get(name)
+        if sites and draw(st.integers(0, 4)):
+            addr, fits = draw(st.sampled_from(sites))
+            child = draw(cooked_derivations(depth - 1, draw(st.sampled_from(fits))))
+        else:
+            addr, child = draw(st.sampled_from(_ADDRESSES)), draw(cooked_derivations(depth - 1))
+        edges[addr] = child
+    return DerivationTree(name, tuple(edges.items()))
+
+
+@given(cooked_derivations())
+@settings(max_examples=200, deadline=None)
+def test_replay_fails_exactly_when_validate_derivation_reports(d):
+    diags = validate_derivation(_COOKED, d)
+    try:
+        derived = replay(_COOKED, d)
+    except LstagError as exc:
+        assert diags, f"replay raised {exc!r} on a derivation with no diagnostics"
+        assert type(exc).__name__ == diags[0].code
+        assert diags[0].message in str(exc)
+    else:
+        assert diags == []
+        assert derived == reference_trees.replay(_COOKED, d)
 
 
 # --- synchronous link bookkeeping --------------------------------------------------
