@@ -18,7 +18,9 @@ otherwise returns whether the next state will be complete, worked out from
 slot counts, and the `build` that composes it and cannot fail.  The core
 expands a state's moves in key order and drops a move whose
 `(root, history + record)` key it has already seen before checking it; a
-move whose check passes marks its key.  The queue holds one kind of entry,
+move whose check passes marks its key.  The record set of the history is
+built once per expanded state, and each move's key extends it by the one
+record, so only that record is hashed.  The queue holds one kind of entry,
 `(complete, build)`, for roots and children alike, and a state is built
 when popped.  A state at the operation budget is never expanded: it
 decides `truncated` by asking whether some move passes its check.  The
@@ -28,10 +30,15 @@ too, and it is built only if it is complete.
 Plain TAG substitutes initial trees at every slot and adjoins auxiliary
 trees at every interior node.  Its moves match the guest's class and root
 symbol before they are yielded, so they are legal by construction and
-build with the unchecked `fill_slot` and `splice`.  Link-sharing
+build with the unchecked `fill_slot` and `splice`.  They walk the tree's
+nodes with their child-index paths and build a site's `GornAddress`, its
+order-key text and the guest instance-id prefix once, at the first guest
+that fits there; other nodes get no address.  Link-sharing
 substitutions are driven by live link groups (one move fills every shared
 site); adjunctions are tried at every legal pair of interior sites.  Either
-way each node of an elementary tree hosts at most one adjunction.  A move
+way each node of an elementary tree hosts at most one adjunction; the free
+interior sites come from each tree's cached `preorder`, the walk that
+`locate` and `left_address`/`right_address` read too.  A move
 reads the elementary site of the node it composes at (its `SiteRef`) off
 the node itself, so no state keeps a provenance table.
 """
@@ -56,7 +63,7 @@ from .sharing import (
     compose_record,
     derivation_projections,
     group_record,
-    guest_instance_id,
+    instance_prefix,
     structure_from_pair,
 )
 from .tag import DerivationTree, TagGrammar
@@ -150,8 +157,9 @@ def _search(
         if len(state.history) >= budget.max_operations:
             truncated = truncated or any(_passes(check) for _, _, check in moves(state))
             continue
+        base = frozenset(state.history)
         for _, record, check in sorted(moves(state), key=lambda m: m[0]):
-            key = (state.root, frozenset(state.history + (record,)))
+            key = (state.root, base | {record})  # the copy keeps base's hashes: only record is hashed
             if key in seen:
                 continue
             try:
@@ -209,20 +217,28 @@ def _legal(complete: bool, build: Callable[[], _TagState]) -> _Checked:
 
 def _tag_moves(guests: dict[str, list[tuple[str, SyntaxTree]]], state: _TagState) -> Iterator[_Move]:
     slots = state.tree.root.slots
-    for addr, node in state.tree.walk():
-        kind, ref = node.kind, node.site
+    adjoined = state.adjoined
+    for parts, node in state.tree.paths():
+        kind = node.kind
         if isinstance(kind, SubstitutionSlot):
             operation, open_slots = "substitution", slots - 1
-        elif isinstance(kind, Interior) and ref not in state.adjoined:
+        elif isinstance(kind, Interior):
             operation, open_slots = "adjunction", slots
         else:
             continue
+        addr = None  # built at the first guest that fits, then shared by every guest at this site
         for name, tree in guests[operation]:
             if tree.root_symbol != kind.symbol:
                 continue
-            record = DerivationRecord(operation, name, guest_instance_id(ref, name), ref, ())
+            if addr is None:
+                ref = node.site
+                if operation == "adjunction" and ref in adjoined:
+                    break  # this node already hosts an adjunction
+                addr = GornAddress._of(parts)
+                addr_text, id_prefix = str(addr), instance_prefix(ref)
+            record = DerivationRecord(operation, name, id_prefix + name, ref, ())
             build = partial(_tag_child, state, addr, tree, record)
-            yield (str(addr), name), record, partial(_legal, open_slots + tree.root.slots == 0, build)
+            yield (addr_text, name), record, partial(_legal, open_slots + tree.root.slots == 0, build)
 
 
 # --- link-sharing moves -----------------------------------------------------------
@@ -250,11 +266,11 @@ def _lstag_moves(
                 continue
             yield (0, gi, name), record, partial(check_group, s, group, pair, record)
     left_sites = [
-        (a, n.kind.symbol) for a, n in s.left_tree.walk()
+        (a, n.kind.symbol) for a, n in s.left_tree.preorder
         if isinstance(n.kind, Interior) and n.site not in s.adjoined_left
     ]
     right_sites = [
-        (a, n.kind.symbol) for a, n in s.right_spine.walk()
+        (a, n.kind.symbol) for a, n in s.right_spine.preorder
         if isinstance(n.kind, Interior) and n.site not in s.adjoined_right
     ]
     for name, pair in auxiliary:

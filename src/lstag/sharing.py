@@ -283,8 +283,13 @@ def as_structure(host: LstagPair | DerivedStructure) -> DerivedStructure:
     return host if isinstance(host, DerivedStructure) else structure_from_pair(host)
 
 
+def instance_prefix(left_ref: SiteRef) -> str:
+    """The start of the id of every guest instance composed at the left site `left_ref`."""
+    return f"{left_ref.owner}/{left_ref.addr}:"
+
+
 def guest_instance_id(left_ref: SiteRef, guest_name: str) -> str:
-    return f"{left_ref.owner}/{left_ref.addr}:{guest_name}"
+    return instance_prefix(left_ref) + guest_name
 
 
 def compose_record(

@@ -10,6 +10,14 @@ its own provenance.  `check_substitution` and `check_adjunction` hold the
 rules a composition checks, and `fill_slot` and `splice` compose without
 checking, for callers that have checked.  No operation here recurses on
 tree depth.
+
+Addresses are not stored; a traversal builds one only where its caller
+reads it.  `nodes()` walks nodes alone (yield, size, equality and hashing
+need no more), `paths()` walks child-index paths, and `walk()` builds each
+node's `GornAddress`.  The walks that are read again are cached per tree:
+`preorder`, which `locate` and the link-sharing move generator read, and
+the (kind, child count, address) rows `owned_by` stamps a grammar tree
+from.
 """
 
 from __future__ import annotations
@@ -152,20 +160,50 @@ class SyntaxTree:
         return cls(_from_preorder([(kinds[p], arity[p], None) for p in order]))
 
     def owned_by(self, owner: str) -> "SyntaxTree":
-        """This tree with every node's site set to `SiteRef(owner, its address)`."""
-        rows = [(n.kind, len(n.children), SiteRef(owner, a)) for a, n in self.walk()]
-        return SyntaxTree(_from_preorder(rows))
+        """This tree with every node's site set to `SiteRef(owner, its address)`.
+
+        The (kind, child count, address) rows are worked out once per tree
+        and cached, so stamping a grammar tree again builds only the sites
+        and the nodes.
+        """
+        return SyntaxTree(_from_preorder([(kind, count, SiteRef(owner, a)) for kind, count, a in self._rows]))
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[NodeKind, int, GornAddress], ...]:
+        return tuple((n.kind, len(n.children), a) for a, n in self.walk())
+
+    def nodes(self) -> Iterator[TreeNode]:
+        """The nodes in preorder, without their addresses."""
+        stack = [self.root]
+        pop, extend = stack.pop, stack.extend
+        while stack:
+            node = pop()
+            yield node
+            kids = node.children
+            if kids:
+                extend(kids[::-1])
+
+    def paths(self) -> Iterator[tuple[tuple[int, ...], TreeNode]]:
+        """(child-index path, node) pairs in preorder; a path is its address's `parts`."""
+        stack = [((), self.root)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            parts, node = pop()
+            yield parts, node
+            k = len(node.children)
+            for kid in reversed(node.children):
+                push((parts + (k,), kid))
+                k -= 1
 
     def walk(self) -> Iterator[tuple[GornAddress, TreeNode]]:
         """(address, node) pairs in preorder, which is Gorn order."""
-        stack = [((), self.root)]
-        pop, push, address = stack.pop, stack.append, GornAddress._of
-        while stack:
-            parts, node = pop()
-            yield address(parts), node
-            kids = node.children
-            for k in range(len(kids), 0, -1):
-                push((parts + (k,), kids[k - 1]))
+        address = GornAddress._of
+        return ((address(parts), node) for parts, node in self.paths())
+
+    @cached_property
+    def preorder(self) -> tuple[tuple[GornAddress, TreeNode], ...]:
+        """The pairs of `walk()`, walked once and kept: `locate` and the move generator read them."""
+        return tuple(self.walk())
 
     @cached_property
     def entries(self) -> tuple[tuple[GornAddress, NodeKind], ...]:
@@ -192,10 +230,10 @@ class SyntaxTree:
 
     @cached_property
     def _by_site(self) -> dict[SiteRef | None, tuple[GornAddress, TreeNode]]:
-        return {n.site: (a, n) for a, n in self.walk()}
+        return {pair[1].site: pair for pair in self.preorder}
 
     def locate(self, site: SiteRef) -> tuple[GornAddress, TreeNode]:
-        """The address and node of the node that carries `site`, found by one cached walk."""
+        """The address and node of the node that carries `site`, read off `preorder`."""
         try:
             return self._by_site[site]
         except KeyError:
@@ -243,11 +281,11 @@ class SyntaxTree:
         return self.root.kind.symbol  # type: ignore[union-attr]
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.walk())
+        return sum(1 for _ in self.nodes())
 
     def _shape(self) -> tuple[tuple[NodeKind, int], ...]:
         """Each node's kind and child count in preorder, which fix the tree."""
-        return tuple((n.kind, len(n.children)) for _, n in self.walk())
+        return tuple((n.kind, len(n.children)) for n in self.nodes())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SyntaxTree):
@@ -373,7 +411,7 @@ def yield_tokens(tree: SyntaxTree, partial: bool = False) -> tuple[str, ...]:
     as placeholders so in-progress structures can still be inspected.
     """
     out: list[str] = []
-    for addr, node in tree.walk():
+    for node in tree.nodes():
         if node.children:
             continue
         kind = node.kind
@@ -381,14 +419,19 @@ def yield_tokens(tree: SyntaxTree, partial: bool = False) -> tuple[str, ...]:
             out.append(kind.token)
         elif isinstance(kind, SubstitutionSlot):
             if not partial:
-                raise IncompleteTree(f"substitution slot remains at {addr}")
+                raise IncompleteTree(f"substitution slot remains at {_address_of(tree, node)}")
             out.append(f"⟨{kind.symbol}↓⟩")
         elif isinstance(kind, Foot):
             if not partial:
-                raise IncompleteTree(f"foot node remains at {addr}")
+                raise IncompleteTree(f"foot node remains at {_address_of(tree, node)}")
             out.append(f"⟨{kind.symbol}*⟩")
         # childless interior nodes spell out nothing
     return tuple(out)
+
+
+def _address_of(tree: SyntaxTree, node: TreeNode) -> GornAddress:
+    """The address of `node`'s first place in `tree`'s preorder."""
+    return next(a for a, n in tree.walk() if n is node)
 
 
 def yield_string(tree: SyntaxTree, partial: bool = False) -> str:

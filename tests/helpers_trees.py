@@ -62,13 +62,15 @@ def random_tree(
     return SyntaxTree.from_nodes(nodes)
 
 
-def random_initial(rng: random.Random, root_symbol: str | None = None, allow_slots=True) -> SyntaxTree:
-    return random_tree(rng, root_symbol=root_symbol, allow_slots=allow_slots)
+def random_initial(
+    rng: random.Random, root_symbol: str | None = None, allow_slots=True, max_depth: int = 3
+) -> SyntaxTree:
+    return random_tree(rng, max_depth=max_depth, root_symbol=root_symbol, allow_slots=allow_slots)
 
 
-def random_auxiliary(rng: random.Random, root_symbol: str | None = None) -> SyntaxTree:
+def random_auxiliary(rng: random.Random, root_symbol: str | None = None, max_depth: int = 3) -> SyntaxTree:
     symbol = root_symbol or rng.choice(SYMBOLS)
-    return random_tree(rng, root_symbol=symbol, foot_symbol=symbol)
+    return random_tree(rng, max_depth=max_depth, root_symbol=symbol, foot_symbol=symbol)
 
 
 def interior_addresses(tree: SyntaxTree) -> list[GornAddress]:

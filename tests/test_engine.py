@@ -1,8 +1,17 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers_trees import check_structure, pair_grammar, replay_lstag_records
+from helpers_trees import (
+    SYMBOLS,
+    check_structure,
+    pair_grammar,
+    random_auxiliary,
+    random_initial,
+    replay_lstag_records,
+)
 from reference_search import reference_enumerate
 
 from lstag import (
@@ -244,6 +253,25 @@ def test_search_matches_the_build_then_dedupe_reference(fixtures_dir, fixture, g
         grammar = doc.tag_grammar()
     budget = EnumerationBudget(ops, max_structures)
     # Items compare by root, records, yield and both projections.
+    assert enumerate_derivations(grammar, budget) == reference_enumerate(grammar, budget)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_tag_search_matches_the_reference_on_random_grammars(data):
+    """Capped and uncapped TAG searches take their moves in the reference's order.
+
+    Every root symbol has several guests: the slot-free fillers cover each
+    symbol and repeat one, and three auxiliaries share two root symbols, so
+    an auxiliary's root can take another auxiliary (the chains stack).
+    """
+    rng = random.Random(data.draw(st.integers(0, 2**48)))
+    trees = {"i0": random_initial(rng, "S", max_depth=2)}
+    fillers = SYMBOLS + (rng.choice(SYMBOLS),)
+    trees.update((f"f{k}", random_initial(rng, s, allow_slots=False, max_depth=2)) for k, s in enumerate(fillers))
+    trees.update((f"a{k}", random_auxiliary(rng, rng.choice("SA"), max_depth=2)) for k in range(3))
+    grammar = TagGrammar.from_trees(trees)
+    budget = EnumerationBudget(data.draw(st.integers(1, 3)), data.draw(st.sampled_from([3, 7, 40, 10000])))
     assert enumerate_derivations(grammar, budget) == reference_enumerate(grammar, budget)
 
 

@@ -13,6 +13,7 @@ from lstag import (
     EnumerationBudget,
     Foot,
     GornAddress,
+    IncompleteTree,
     Interior,
     Link,
     LstagError,
@@ -23,13 +24,16 @@ from lstag import (
     SubstitutionSlot,
     SyntaxTree,
     TagGrammar,
+    Terminal,
     TreeClass,
     adjoin,
     check_lexical_contiguity,
     enumerate_derivations,
+    format_tree,
     link_share,
     load_grammar,
     lstag_compose,
+    parse_tree,
     rebase_address,
     replay,
     shared_substitute,
@@ -215,6 +219,54 @@ def test_invalid_components_are_still_rejected(parts, bad):
         GornAddress(parts + (bad,))
     with pytest.raises(ValueError):
         GornAddress(parts).child(bad)
+
+
+# --- node-only traversals ------------------------------------------------------------
+
+
+def walk_shape(tree):
+    return tuple((n.kind, len(n.children)) for _, n in tree.walk())
+
+
+def walk_yield(tree):
+    """The partial yield and the first open leaf's message, read off the (address, node) walk."""
+    out, first_open = [], None
+    for a, n in tree.walk():
+        kind = n.kind
+        if n.children or isinstance(kind, Interior):
+            continue
+        if isinstance(kind, Terminal):
+            out.append(kind.token)
+            continue
+        is_slot = isinstance(kind, SubstitutionSlot)
+        out.append(f"⟨{kind.symbol}{'↓' if is_slot else '*'}⟩")
+        if first_open is None:
+            first_open = f"{'substitution slot' if is_slot else 'foot node'} remains at {a}"
+    return tuple(out), first_open
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_node_only_traversals_agree_with_the_address_walk(data):
+    """Size, equality, hashing and yields read the same tree as `walk()` does."""
+    target, _, aux, results = compositions(data, rng_from(data))
+    trees = [target, aux] + [res.tree for res in results]
+    trees += [t.owned_by("x") for t in trees]
+    for t in trees:
+        assert len(t) == sum(1 for _ in t.walk())
+        assert hash(t) == hash(walk_shape(t))
+        assert t == parse_tree(format_tree(t))
+        tokens, first_open = walk_yield(t)
+        assert yield_tokens(t, partial=True) == tokens
+        if first_open is None:
+            assert yield_tokens(t) == tokens
+        else:
+            with pytest.raises(IncompleteTree) as raised:
+                yield_tokens(t)
+            assert str(raised.value) == first_open
+    for t in trees:
+        for u in trees:
+            assert (t == u) == (walk_shape(t) == walk_shape(u))
 
 
 # --- substitution locality and commutation ---------------------------------------

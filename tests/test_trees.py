@@ -10,6 +10,7 @@ from lstag import (
     NotASlot,
     NotInterior,
     ParseError,
+    SiteRef,
     SubstitutionSlot,
     SymbolMismatch,
     SyntaxTree,
@@ -25,6 +26,7 @@ from lstag import (
     yield_tokens,
 )
 from lstag.gorn import ROOT
+from lstag.trees import splice
 
 A = GornAddress.parse
 
@@ -229,6 +231,28 @@ def test_strict_yield_rejects_open_positions():
         yield_tokens(DRIED)
 
 
+def test_strict_yield_names_where_an_open_position_sits_now():
+    # Adjoining at the root moves COOKED's slots from 1 and 2.2 to 2.1 and 2.2.2;
+    # the slot's site still names its elementary address, 1.
+    often = splice(COOKED.owned_by("cooked"), ROOT, parse_tree('S(ADV("often") S*)'), "often")
+    assert often.node(A("2.1")).site == SiteRef("cooked", A("1"))
+    with pytest.raises(IncompleteTree, match=r"^substitution slot remains at 2\.1$"):
+        yield_tokens(often)
+    # DRIED's foot moves from 2 to 2.2 under a second modifier.
+    fresh = splice(DRIED.owned_by("dried"), ROOT, parse_tree('N(A("fresh") N*)'), "fresh")
+    with pytest.raises(IncompleteTree, match=r"^foot node remains at 2\.2$"):
+        yield_tokens(fresh)
+
+
+def test_strict_yield_names_the_first_place_of_a_shared_node():
+    # Unstamped fillers are shared, so one slot node sits at both 1.1 and 3.1.
+    filler = parse_tree('NP(D! N("x"))')
+    twice = substitute(substitute(parse_tree('S(NP! V("v") NP!)'), A("3"), filler), A("1"), filler)
+    assert twice.node(A("1.1")) is twice.node(A("3.1"))
+    with pytest.raises(IncompleteTree, match=r"^substitution slot remains at 1\.1$"):
+        yield_tokens(twice)
+
+
 def test_partial_yield_renders_slots():
     assert yield_string(COOKED, partial=True) == "⟨NP↓⟩ cooked ⟨NP↓⟩"
 
@@ -276,3 +300,13 @@ def test_equality_compares_kinds_and_shape_but_not_sites():
     for text in ('VP(NP! VP(V("cooked") NP!))', 'S(NP! VP(V("cooked")) NP!)', 'S(NP! VP(V("cooked") NP*))'):
         assert parse_tree(text) != COOKED
     assert COOKED != format_tree(COOKED)
+
+
+@pytest.mark.parametrize("owners", [("cooked", "other"), ("other", "cooked")])
+def test_stamping_one_tree_under_two_owners(owners):
+    source = parse_tree('S(NP! VP(V("cooked") NP!))')
+    copies = [(owner, source.owned_by(owner)) for owner in owners]
+    for owner, copy in copies:
+        assert [n.site for _, n in copy.walk()] == [SiteRef(owner, a) for a in source.addresses()]
+        assert copy == source
+    assert all(n.site is None for n in source.nodes())
