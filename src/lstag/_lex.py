@@ -1,23 +1,39 @@
-"""Tokenizer shared by the bracketed tree format and the grammar file format."""
+"""Tokenizer shared by the bracketed tree format and the grammar file format.
+
+Fast path: `lex` splits the text at newlines and scans each line with one
+compiled alternation of every token pattern, one match per token, run of
+blanks or comment.  A token's column is its offset in its line plus one,
+counted in characters; the EOF token after a trailing comment keeps the
+comment's column.  Error path: where a match does not start where the last
+one ended, no token starts there, and `_error_at` classifies that one
+offset as an unexpected character, a bad escape or an unterminated string.
+"""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import ParseError
-from .gorn import ROOT_TEXT, GornAddress
+from .gorn import GornAddress
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_ADDR_RE = re.compile(r"\d+(?:\.\d+)*")
-_TWO_CHAR = ("<-", "->")
-_ONE_CHAR = "(){}[]:~,!*@"
+# The alternatives start with disjoint characters, so their order only
+# affects speed: the most frequent come first.
+_TOKEN_RE = re.compile(
+    r"""(?P<NAME>[A-Za-z_][A-Za-z0-9_']*)
+    |(?P<SKIP>[ \t\r]+)
+    |(?P<PUNCT><-|->|[(){}\[\]:~,!*@])
+    |(?P<STRING>"(?:[^"\\]|\\["\\])*")
+    |(?P<ADDR>ε|\d+(?:\.\d+)*)
+    |(?P<COMMENT>\#.*)""",
+    re.VERBOSE,
+)
+_STRING_PREFIX_RE = re.compile(r'"(?:[^"\\]|\\["\\])*')
+_ESCAPE_RE = re.compile(r"\\(.)")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NAME, ADDR, STRING, PUNCT, EOF
     text: str
     line: int
@@ -26,80 +42,48 @@ class Token:
 
 def lex(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text[i : i + 2] in _TWO_CHAR:
-            tokens.append(Token("PUNCT", text[i : i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if ch == '"':
-            j = i + 1
-            out = []
-            while j < n:
-                c = text[j]
-                if c == "\\":
-                    if j + 1 >= n or text[j + 1] not in ('"', "\\"):
-                        raise ParseError("invalid escape in string literal", line, col)
-                    out.append(text[j + 1])
-                    j += 2
-                    continue
-                if c == '"':
-                    break
-                if c == "\n":
-                    raise ParseError("unterminated string literal", line, col)
-                out.append(c)
-                j += 1
+    append = tokens.append
+    make = tuple.__new__  # Token(...) without the Python-level __new__ frame
+    for line, row in enumerate(text.split("\n"), 1):
+        end = 0
+        for m in _TOKEN_RE.finditer(row):
+            start = m.start()
+            if start != end:
+                raise _error_at(row, end, line)
+            kind = m.lastgroup
+            end = m.end()
+            if kind == "SKIP":
+                continue
+            if kind == "STRING":
+                body = row[start + 1 : end - 1]
+                if "\\" in body:
+                    body = _ESCAPE_RE.sub(r"\1", body)
+                append(make(Token, ("STRING", body, line, start + 1)))
+            elif kind == "COMMENT":
+                end = start  # so EOF after a trailing comment takes the comment's column
             else:
-                raise ParseError("unterminated string literal", line, col)
-            tokens.append(Token("STRING", "".join(out), line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch == ROOT_TEXT:
-            tokens.append(Token("ADDR", ROOT_TEXT, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _ADDR_RE.match(text, i)
-        if m:
-            tokens.append(Token("ADDR", m.group(0), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        m = _NAME_RE.match(text, i)
-        if m:
-            tokens.append(Token("NAME", m.group(0), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(Token("PUNCT", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+                append(make(Token, (kind, m[0], line, start + 1)))
+        if end < len(row) and row[end] != "#":
+            raise _error_at(row, end, line)
+    append(Token("EOF", "", line, end + 1))
     return tokens
 
 
+def _error_at(row: str, pos: int, line: int) -> ParseError:
+    """The error for the text at offset `pos` of a line, where no token starts."""
+    if row[pos] != '"':
+        return ParseError(f"unexpected character {row[pos]!r}", line, pos + 1)
+    if row.startswith("\\", _STRING_PREFIX_RE.match(row, pos).end()):
+        return ParseError("invalid escape in string literal", line, pos + 1)
+    return ParseError("unterminated string literal", line, pos + 1)
+
+
 class Cursor:
-    """Single-lookahead reader over a token list."""
+    """Single-lookahead reader over a token list that ends in EOF.
+
+    `expect` and `accept` are never asked for EOF, so the cursor never
+    moves past it.  The tree parser reads `tokens` and `pos` directly.
+    """
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -108,18 +92,13 @@ class Cursor:
     def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
     def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind or (text is not None and tok.text != text):
             wanted = text if text is not None else kind
             raise ParseError(f"expected {wanted!r}, found {tok.text or tok.kind!r}", tok.line, tok.column)
-        return self.next()
+        self.pos += 1
+        return tok
 
     def address(self) -> GornAddress:
         """Read an ADDR token; a malformed address is a parse error at that token."""
@@ -130,13 +109,14 @@ class Cursor:
             raise ParseError(str(exc), tok.line, tok.column) from None
 
     def accept(self, kind: str, text: str | None = None) -> Token | None:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == kind and (text is None or tok.text == text):
-            return self.next()
+            self.pos += 1
+            return tok
         return None
 
     def error(self, message: str) -> ParseError:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return ParseError(message, tok.line, tok.column)
 
 

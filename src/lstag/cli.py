@@ -103,7 +103,7 @@ def run_lstag_script(grammar: LstagGrammar, text: str) -> DerivedStructure:
         else:
             raise ParseError("expected 'root', 'adjoin' or 'substitute'", lineno)
         if cur.peek().kind != "EOF":
-            raise ParseError("trailing input on script line", lineno)
+            raise cur.error("trailing input on script line")
     if structure is None:
         raise ParseError("empty derivation script")
     return structure

@@ -221,7 +221,7 @@ def parse_derivation_script(text: str) -> DerivationTree:
             parent.edges.append((addr, child))
             add(child)
         if cur.peek().kind != "EOF":
-            raise ParseError("trailing input on script line", lineno)
+            raise cur.error("trailing input on script line")
     if root is None:
         raise ParseError("empty derivation script: needs a root or at least one edge")
 

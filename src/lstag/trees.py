@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
-from ._lex import Cursor, lex
+from ._lex import Cursor, Token, lex
 from .errors import (
     AddressNotFound,
     ClassMismatch,
@@ -464,40 +464,57 @@ def format_tree(tree: SyntaxTree) -> str:
 
 
 def parse_tree_tokens(cur: Cursor) -> SyntaxTree:
-    rows: list[list] = []  # [kind, child count, site] per node, in preorder
-    open_rows: list[list] = []  # interior nodes whose ')' is still to come
+    """Parse one bracketed tree from `cur.tokens` at `cur.pos`; leave `cur.pos` just past it.
+
+    Each open interior node waits on `stack` with the children built so
+    far, and a `)` builds it and hands it on to the node below.  A
+    non-interior root is reported at its token, a second foot at its own.
+    """
+    tokens, i = cur.tokens, cur.pos
+    stack: list[tuple[Interior, list[TreeNode]]] = []
+    feet: list[Token] = []
     while True:
-        tok = cur.peek()
-        if tok.kind not in ("STRING", "NAME"):
-            raise cur.error("expected a node symbol or quoted terminal")
-        cur.next()
+        tok = tokens[i]
+        if stack and tok.kind == "EOF":
+            raise ParseError("unterminated tree, expected ')'", tok.line, tok.column)
+        i += 1
         if tok.kind == "STRING":
             kind: NodeKind = Terminal(tok.text)
-        elif cur.accept("PUNCT", "!"):
-            kind = SubstitutionSlot(tok.text)
-        elif cur.accept("PUNCT", "*"):
-            kind = Foot(tok.text)
+        elif tok.kind == "NAME":
+            mark = tokens[i].text if tokens[i].kind == "PUNCT" else ""
+            if mark == "(":
+                if tokens[i + 1].text == ")" and tokens[i + 1].kind == "PUNCT":
+                    raise ParseError("empty child list", tok.line, tok.column)
+                stack.append((Interior(tok.text), []))
+                i += 1
+                continue
+            if mark == "!":
+                kind = SubstitutionSlot(tok.text)
+                i += 1
+            elif mark == "*":
+                kind = Foot(tok.text)
+                feet.append(tok)
+                i += 1
+            else:
+                kind = Interior(tok.text)
         else:
-            kind = Interior(tok.text)
-        if open_rows:
-            open_rows[-1][1] += 1
-        rows.append([kind, 0, None])
-        if isinstance(kind, Interior) and cur.accept("PUNCT", "("):
-            if cur.accept("PUNCT", ")"):
-                raise ParseError("empty child list", tok.line, tok.column)
-            open_rows.append(rows[-1])
-        else:
-            while open_rows and cur.accept("PUNCT", ")"):
-                open_rows.pop()
-            if not open_rows:
+            raise ParseError("expected a node symbol or quoted terminal", tok.line, tok.column)
+        node = TreeNode(kind)
+        while stack:
+            stack[-1][1].append(node)
+            if tokens[i].text != ")" or tokens[i].kind != "PUNCT":
                 break
-        if cur.peek().kind == "EOF":
-            raise cur.error("unterminated tree, expected ')'")
-    if not isinstance(rows[0][0], Interior):
-        raise ParseError("root node must be an interior node")
-    if sum(isinstance(kind, Foot) for kind, _, _ in rows) > 1:
-        raise ParseError("tree has more than one foot node")
-    return SyntaxTree(_from_preorder(rows))
+            i += 1
+            symbol, children = stack.pop()
+            node = TreeNode(symbol, tuple(children))
+        else:
+            break
+    if not isinstance(node.kind, Interior):
+        raise cur.error("root node must be an interior node")
+    if len(feet) > 1:
+        raise ParseError("tree has more than one foot node", feet[1].line, feet[1].column)
+    cur.pos = i
+    return SyntaxTree(node)
 
 
 def parse_tree(text: str) -> SyntaxTree:

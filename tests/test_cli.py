@@ -71,6 +71,21 @@ def test_parse_error_exits_with_usage_status(capsys, tmp_path):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('tree a: S("a")\n\n  tree x: NP!\n', "root node must be an interior node (line 3, column 11)"),
+        ('tree x: S(A*\n   VP("v" B*))\n', "tree has more than one foot node (line 2, column 11)"),
+    ],
+)
+def test_whole_tree_errors_give_their_location(capsys, tmp_path, text, message):
+    path = tmp_path / "located.tag"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert err == f"parse error: {message}\n"
+
+
 def test_missing_file_exits_with_usage_status(capsys, tmp_path):
     code, out, err = run(capsys, "validate", str(tmp_path / "nope.tag"))
     assert code == 2
@@ -233,6 +248,10 @@ def test_derive_site_pair_must_match_the_verb(capsys, fixtures_dir, tmp_path, st
     [
         ("cooks_eats.lstag", "root cooks\n\nadjoin and_eats at 2.1 ~\n", "(line 3, column 25)"),
         ("cooked.tag", "root cooked\ncooked @ 1 <- john\n   cooked @ 2.2 <-\n", "(line 3, column 19)"),
+        ("cooks_eats.lstag", "root cooks\nadjoin and_eats at 2.1 ~ ε ~\n",
+         "trailing input on script line (line 2, column 28)"),
+        ("cooked.tag", "root cooked\n\ncooked @ 1 <- john beans\n",
+         "trailing input on script line (line 3, column 20)"),
     ],
 )
 def test_derive_parse_error_reports_script_line_and_column(
