@@ -36,18 +36,18 @@ order-key text and the guest instance-id prefix once, at the first guest
 that fits there; other nodes get no address.  Link-sharing
 substitutions are driven by live link groups (one move fills every shared
 site); adjunctions are tried at every legal pair of interior sites.  Either
-way each node of an elementary tree hosts at most one adjunction; the free
-interior sites come from each tree's cached `preorder`, the walk that
-`locate` and `left_address`/`right_address` read too.  A move
-reads the elementary site of the node it composes at (its `SiteRef`) off
-the node itself, so no state keeps a provenance table.
+way each node of an elementary tree hosts at most one adjunction, so an
+interior node whose `adjoined` mark `splice` has set takes none; the
+link-sharing sites come from each tree's cached `preorder`, which `locate`
+reads too.  A move reads the elementary site of the node it composes at
+(its `SiteRef`) off the node itself, so no state keeps a provenance table.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Iterable, Iterator, Union
 
 from .errors import LstagError
@@ -69,7 +69,6 @@ from .sharing import (
 from .tag import DerivationTree, TagGrammar
 from .trees import (
     Interior,
-    SiteRef,
     SubstitutionSlot,
     SyntaxTree,
     TreeClass,
@@ -189,11 +188,6 @@ class _TagState:
     tree: SyntaxTree
     history: tuple[DerivationRecord, ...]
 
-    @cached_property
-    def adjoined(self) -> frozenset[SiteRef]:
-        """Elementary nodes that already host an adjunction."""
-        return frozenset(r.left_site for r in self.history if r.operation == "adjunction")
-
     @property
     def is_complete(self) -> bool:
         return not self.tree.root.slots
@@ -217,12 +211,11 @@ def _legal(complete: bool, build: Callable[[], _TagState]) -> _Checked:
 
 def _tag_moves(guests: dict[str, list[tuple[str, SyntaxTree]]], state: _TagState) -> Iterator[_Move]:
     slots = state.tree.root.slots
-    adjoined = state.adjoined
     for parts, node in state.tree.paths():
         kind = node.kind
         if isinstance(kind, SubstitutionSlot):
             operation, open_slots = "substitution", slots - 1
-        elif isinstance(kind, Interior):
+        elif isinstance(kind, Interior) and not node.adjoined:
             operation, open_slots = "adjunction", slots
         else:
             continue
@@ -232,8 +225,6 @@ def _tag_moves(guests: dict[str, list[tuple[str, SyntaxTree]]], state: _TagState
                 continue
             if addr is None:
                 ref = node.site
-                if operation == "adjunction" and ref in adjoined:
-                    break  # this node already hosts an adjunction
                 addr = GornAddress._of(parts)
                 addr_text, id_prefix = str(addr), instance_prefix(ref)
             record = DerivationRecord(operation, name, id_prefix + name, ref, ())
@@ -265,14 +256,10 @@ def _lstag_moves(
             except LstagError:
                 continue
             yield (0, gi, name), record, partial(check_group, s, group, pair, record)
-    left_sites = [
-        (a, n.kind.symbol) for a, n in s.left_tree.preorder
-        if isinstance(n.kind, Interior) and n.site not in s.adjoined_left
-    ]
-    right_sites = [
-        (a, n.kind.symbol) for a, n in s.right_spine.preorder
-        if isinstance(n.kind, Interior) and n.site not in s.adjoined_right
-    ]
+    left_sites, right_sites = (
+        [(a, n.kind.symbol) for a, n in tree.preorder if not n.adjoined and isinstance(n.kind, Interior)]
+        for tree in (s.left_tree, s.right_spine)
+    )
     for name, pair in auxiliary:
         for la, left_symbol in left_sites:
             if left_symbol != pair.left_tree.root_symbol:

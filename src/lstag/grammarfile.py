@@ -183,9 +183,9 @@ def format_grammar(doc: GrammarDocument) -> str:
 
 
 def read_source(path: str) -> str:
-    """The text of a grammar or script file; a file that is not UTF-8 is a parse error."""
+    """The text of a grammar or script file without a leading byte-order mark; not UTF-8 is a parse error."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not valid UTF-8 ({exc.reason})") from None

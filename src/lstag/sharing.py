@@ -214,16 +214,6 @@ class DerivedStructure:
     history: tuple[DerivationRecord, ...]
 
     @cached_property
-    def adjoined_left(self) -> frozenset[SiteRef]:
-        """Left elementary nodes that already host an adjunction."""
-        return frozenset(r.left_site for r in self.history if r.operation == "adjunction")
-
-    @cached_property
-    def adjoined_right(self) -> frozenset[SiteRef]:
-        """Right elementary nodes that already host an adjunction."""
-        return frozenset(r.right_sites[0] for r in self.history if r.operation == "adjunction")
-
-    @cached_property
     def fragment_parents(self) -> frozenset[SiteRef]:
         return frozenset(p for f in self.fragments for p in f.parents)
 
@@ -343,6 +333,7 @@ def check_compose(
     which cannot fail.
     """
     left_ref, (right_ref,) = record.left_site, record.right_sites
+    left, right = hs.left_tree.node(left_site), hs.right_spine.node(right_site)
     live = hs.live_links
     if record.operation == "substitution":
         if right_ref in hs.fragment_parents:
@@ -357,13 +348,13 @@ def check_compose(
             live = tuple(g for g in live if g not in touching)
         check, graft, consumed = check_substitution, fill_slot, 1
     else:
-        if left_ref in hs.adjoined_left:
+        if left.adjoined:
             raise DuplicateAdjunction(f"left node {left_ref} already hosts an adjunction")
-        if right_ref in hs.adjoined_right:
+        if right.adjoined:
             raise DuplicateAdjunction(f"right node {right_ref} already hosts an adjunction")
         check, graft, consumed = check_adjunction, splice, 0
-    check(hs.left_tree.node_at(left_site), left_site, guest.left_tree)
-    check(hs.right_spine.node_at(right_site), right_site, guest.right_tree)
+    check(left.kind, left_site, guest.left_tree)
+    check(right.kind, right_site, guest.right_tree)
     _check_cardinality(live, guest.phi)
     complete = _closed(
         hs.left_tree.root.slots - consumed + guest.left_tree.root.slots,

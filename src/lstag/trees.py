@@ -6,10 +6,11 @@ slot leaf with an initial tree; adjunction splices an auxiliary tree into an
 interior node, replanting the detached subtree at the foot.  Both copy only
 the path from the root to the site and share every other subtree, stamping
 the guest's nodes with their elementary sites, so a derived tree carries
-its own provenance.  `check_substitution` and `check_adjunction` hold the
-rules a composition checks, and `fill_slot` and `splice` compose without
-checking, for callers that have checked.  No operation here recurses on
-tree depth.
+its own provenance.  Adjunction marks the node it replants `adjoined` and
+path copies keep the mark, so a tree tells which nodes host an adjunction.
+`check_substitution` and `check_adjunction` hold the rules a composition
+checks, and `fill_slot` and `splice` compose without checking, for callers
+that have checked.  No operation here recurses on tree depth.
 
 Addresses are not stored; a traversal builds one only where its caller
 reads it.  `nodes()` walks nodes alone (yield, size, equality and hashing
@@ -82,16 +83,27 @@ class SiteRef:
 class TreeNode:
     """A node: its kind, its children and the elementary site it came from.
 
-    `site` is None on parsed trees.  `slots` counts the substitution slots
-    at or below the node.  Nodes never change, so trees share them freely.
+    `site` is None on parsed trees.  `adjoined` is True on the node an
+    adjunction replanted under its auxiliary's foot: that elementary node
+    hosts an adjunction and takes no other.  Parsed and stamped trees are
+    unmarked.  Tree equality and hashing ignore both `site` and `adjoined`.
+    `slots` counts the substitution slots at or below the node.  Nodes
+    never change, so trees share them freely.
     """
 
-    __slots__ = ("kind", "children", "site", "slots")
+    __slots__ = ("kind", "children", "site", "adjoined", "slots")
 
-    def __init__(self, kind: NodeKind, children: tuple["TreeNode", ...] = (), site: SiteRef | None = None):
+    def __init__(
+        self,
+        kind: NodeKind,
+        children: tuple[TreeNode, ...] = (),
+        site: SiteRef | None = None,
+        adjoined: bool = False,
+    ):
         self.kind = kind
         self.children = children
         self.site = site
+        self.adjoined = adjoined
         self.slots = sum(c.slots for c in children) if children else int(isinstance(kind, SubstitutionSlot))
 
 
@@ -110,7 +122,7 @@ def _from_preorder(rows: Sequence[Sequence]) -> TreeNode:
 
 
 def _replaced(top: TreeNode, parts: tuple[int, ...], new: TreeNode) -> TreeNode:
-    """`top` with the node at `parts` replaced by `new`, sharing every subtree off that path."""
+    """`top` with `new` at `parts`, sharing every subtree off the path; the path's copies keep sites and marks."""
     path = []
     node = top
     for k in parts:
@@ -118,7 +130,7 @@ def _replaced(top: TreeNode, parts: tuple[int, ...], new: TreeNode) -> TreeNode:
         node = node.children[k - 1]
     for parent, k in zip(reversed(path), reversed(parts)):
         kids = parent.children
-        new = TreeNode(parent.kind, kids[: k - 1] + (new,) + kids[k:], parent.site)
+        new = TreeNode(parent.kind, kids[: k - 1] + (new,) + kids[k:], parent.site, parent.adjoined)
     return new
 
 
@@ -130,7 +142,8 @@ class SyntaxTree:
     `SyntaxTree(root)` directly checks nothing; substitution and adjunction
     build their results that way, since composing well-formed trees always
     gives a well-formed tree.  The address views are worked out from the
-    nodes when read.  Equality and hashing ignore the nodes' sites.
+    nodes when read.  Equality and hashing ignore the nodes' sites and
+    adjunction marks.
     """
 
     root: TreeNode
@@ -371,10 +384,13 @@ def fill_slot(target: SyntaxTree, addr: GornAddress, filler: SyntaxTree, guest_i
 def splice(target: SyntaxTree, addr: GornAddress, aux: SyntaxTree, guest_id: str | None = None) -> SyntaxTree:
     """`target` with `aux` adjoined at `addr`, unchecked: the caller ensured what `check_adjunction` checks.
 
-    The detached subtree, sites and all, replaces the auxiliary's foot.
+    The detached subtree, sites and all, replaces the auxiliary's foot, and
+    its root is marked `adjoined`.
     """
     guest = aux if guest_id is None else aux.owned_by(guest_id)
-    wrapped = _replaced(guest.root, aux.foot_address.parts, target.node(addr))  # type: ignore[union-attr]
+    host = target.node(addr)
+    marked = TreeNode(host.kind, host.children, host.site, True)
+    wrapped = _replaced(guest.root, aux.foot_address.parts, marked)  # type: ignore[union-attr]
     return SyntaxTree(_replaced(target.root, addr.parts, wrapped))
 
 

@@ -9,6 +9,7 @@ connectivity oracle is a BFS over the induced subgraph.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from lstag import (
     Foot,
@@ -134,7 +135,9 @@ def check_structure(s, grammar, linked_slots: bool = True) -> None:
     spine slot whose symbol is the fragment's root symbol.  With
     `linked_slots`, each live group also ties a left slot to right slots,
     all of one symbol, as the link-bearing pairs of a well-formed
-    coordination grammar do.
+    coordination grammar do.  The nodes marked `adjoined` are exactly those
+    that carry an adjunction record's sites: its left site on the left, its
+    right site on the spine.
     """
     owners = {s.root: s.root}
     owners.update((r.guest_id, r.guest) for r in s.history)
@@ -161,6 +164,34 @@ def check_structure(s, grammar, linked_slots: bool = True) -> None:
             kind = right_nodes[parent].kind
             assert isinstance(kind, SubstitutionSlot), (fragment, parent)
             assert kind.symbol == fragment.tree.root_symbol, (fragment, parent)
+    adjunctions = [r for r in s.history if r.operation == "adjunction"]
+    marked_left = Counter(node.site for node in s.left_tree.nodes() if node.adjoined)
+    marked_right = Counter(node.site for node in s.right_spine.nodes() if node.adjoined)
+    assert marked_left == Counter(r.left_site for r in adjunctions), marked_left
+    assert marked_right == Counter(r.right_sites[0] for r in adjunctions), marked_right
+
+
+def free_adjunction_keys(s, auxiliary) -> set[tuple]:
+    """The order keys of the adjunction moves the search should try at `s`.
+
+    Each (name, pair) of `auxiliary` goes at every left and right pair of
+    interior nodes of its root symbols that no adjunction record of the
+    history names, worked out without the nodes' `adjoined` marks.
+    """
+    adjunctions = [r for r in s.history if r.operation == "adjunction"]
+    taken = ({r.left_site for r in adjunctions}, {r.right_sites[0] for r in adjunctions})
+    left, right = (
+        [(str(a), n.kind.symbol) for a, n in tree.walk() if isinstance(n.kind, Interior) and n.site not in used]
+        for tree, used in zip((s.left_tree, s.right_spine), taken)
+    )
+    return {
+        (1, la, ra, name)
+        for name, pair in auxiliary
+        for la, left_symbol in left
+        if left_symbol == pair.left_tree.root_symbol
+        for ra, right_symbol in right
+        if right_symbol == pair.right_tree.root_symbol
+    }
 
 
 def group_addresses(s) -> list[tuple[GornAddress, tuple[GornAddress, ...]]]:

@@ -104,6 +104,37 @@ def test_invalid_utf8_is_a_parse_error(capsys, fixtures_dir, tmp_path):
     assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "grammar, script", [("cooks_eats.lstag", "cooks_eats.script"), ("cooked.tag", "cooked_dried.script")]
+)
+def test_a_leading_byte_order_mark_is_ignored(capsys, fixtures_dir, tmp_path, grammar, script):
+    sources = [fixtures_dir / grammar, fixtures_dir / "scripts" / script]
+    outcomes = []
+    for mark in ("", "\ufeff"):
+        paths = [str(tmp_path / f"{len(mark)}-{source.name}") for source in sources]
+        for path, source in zip(paths, sources):
+            pathlib.Path(path).write_text(mark + source.read_text(encoding="utf-8"), encoding="utf-8")
+        outcomes.append([run(capsys, "validate", paths[0])[:2], run(capsys, "derive", *paths)[:2]])
+    assert outcomes[1] == outcomes[0]
+    assert [code for code, _ in outcomes[0]] == [0, 0]
+
+
+@pytest.mark.parametrize("where", ["grammar", "script"])
+def test_a_byte_order_mark_after_the_start_is_a_parse_error(capsys, fixtures_dir, tmp_path, where):
+    grammar = (fixtures_dir / "cooks_eats.lstag").read_text(encoding="utf-8")
+    script = (fixtures_dir / "scripts" / "cooks_eats.script").read_text(encoding="utf-8")
+    if where == "grammar":
+        grammar = "\ufeff\ufeff" + grammar
+    else:
+        script = script.replace("\n", "\n\ufeff", 1)
+    paths = [tmp_path / "g.lstag", tmp_path / "s.script"]
+    for path, text in zip(paths, (grammar, script)):
+        path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "derive", *map(str, paths))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: unexpected character '\\ufeff'"), err
+
+
 # --- derive ---------------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from helpers_trees import (
     SYMBOLS,
     check_structure,
+    free_adjunction_keys,
     pair_grammar,
     random_auxiliary,
     random_initial,
@@ -47,7 +48,9 @@ def checked_states(monkeypatch):
     A root is checked when it is expanded and every other state when it is
     built, so a state built at the budget and never expanded is checked too;
     a built state must also be complete exactly when its check said so.
-    Returns the list of checked states, which grows as the search runs.
+    The adjunction moves of every state must be those `free_adjunction_keys`
+    works out from its history.  Returns the list of checked states, which
+    grows as the search runs.
     """
     checked = []
     grammar = {}
@@ -61,7 +64,9 @@ def checked_states(monkeypatch):
         grammar["pairs"] = pair_grammar(*(p for _, p in initial + auxiliary))
         if not s.history:
             check(s)
-        return moves(initial, auxiliary, s)
+        yielded = list(moves(initial, auxiliary, s))
+        assert {key for key, _, _ in yielded if key[0] == 1} == free_adjunction_keys(s, auxiliary)
+        return iter(yielded)
 
     def checking(check_move):
         def checked_move(*args):

@@ -722,8 +722,19 @@ def test_checks_agree_with_compositions_on_random_chains(data):
     assert_checks_agree(s, guests)
 
 
+def history_adjoined(history) -> frozenset[SiteRef]:
+    """The elementary nodes that host an adjunction, read off the derivation records alone."""
+    return frozenset(r.left_site for r in history if r.operation == "adjunction")
+
+
 def assert_tag_moves_agree(guests, state) -> None:
-    """The TAG moves are the compositions that succeed at nodes free to take them, with exact completeness flags."""
+    """The TAG moves are the compositions that succeed at nodes free to take them, with exact completeness flags.
+
+    The marked nodes are exactly the adjunction records' left sites.
+    """
+    adjoined = history_adjoined(state.history)
+    marked = [node.site for node in state.tree.nodes() if node.adjoined]
+    assert len(marked) == len(adjoined) and set(marked) == adjoined
     yielded = {}
     for key, _, check in engine._tag_moves(guests, state):
         complete, build = check()
@@ -732,7 +743,7 @@ def assert_tag_moves_agree(guests, state) -> None:
         yielded[key] = built.tree
     expected = {}
     for addr, node in state.tree.walk():
-        if isinstance(node.kind, Interior) and node.site in state.adjoined:
+        if isinstance(node.kind, Interior) and node.site in adjoined:
             continue
         compose = substitute_with_maps if isinstance(node.kind, SubstitutionSlot) else adjoin_with_maps
         for name, tree in guests["substitution"] + guests["adjunction"]:

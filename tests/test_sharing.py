@@ -204,9 +204,14 @@ def test_compose_substitution_cannot_orphan_a_shared_group():
 def test_second_adjunction_at_same_elementary_node_rejected():
     s = coordinated()
     # after the first step the original V head sits at 2.1.1 and the original
-    # right root at 3; both already host an adjunction
-    with pytest.raises(DuplicateAdjunction):
+    # right root at 3; both already host an adjunction, and the left is checked first
+    with pytest.raises(DuplicateAdjunction) as left:
         lstag_compose(s, A("2.1.1"), A("3"), BETA)
+    assert str(left.value) == "left node cooks@2.1 already hosts an adjunction"
+    # the fresh auxiliary root at 2.1 is free on the left, so the right is reported
+    with pytest.raises(DuplicateAdjunction) as right:
+        lstag_compose(s, A("2.1"), A("3"), BETA)
+    assert str(right.value) == "right node cooks@ε already hosts an adjunction"
 
 
 def test_readjunction_at_the_fresh_auxiliary_root_is_allowed():
