@@ -23,10 +23,10 @@ from .grammarfile import (
 )
 from .render import (
     derived_tree_with_derivation_to_dot,
+    grammar_to_dot,
     structure_to_dot,
     structure_to_json_obj,
     to_json_text,
-    tree_dot_lines,
 )
 from .sharing import (
     DerivedStructure,
@@ -140,20 +140,6 @@ def _grammar_to_json_obj(doc: GrammarDocument) -> dict:
             for p in doc.lstag_pairs
         ],
     }
-
-
-def _grammar_to_dot(doc: GrammarDocument) -> str:
-    clusters = [(f"tree {name}", tree) for name, tree in doc.trees]
-    for p in (*doc.stag_pairs, *doc.lstag_pairs):
-        clusters += [(f"{p.name} left", p.left_tree), (f"{p.name} right", p.right_tree)]
-    lines = ["digraph grammar {"]
-    for index, (label, tree) in enumerate(clusters):
-        lines.append(f"  subgraph cluster_{index} {{")
-        lines.append(f'    label="{label}";')
-        lines.extend(tree_dot_lines(tree, f"t{index}", indent="    "))
-        lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def _positive_int(text: str) -> int:
@@ -319,7 +305,7 @@ def _cmd_export(args) -> int:
     if args.format == "json":
         print(to_json_text(_grammar_to_json_obj(doc)), end="")
     elif args.format == "dot":
-        print(_grammar_to_dot(doc), end="")
+        print(grammar_to_dot(doc), end="")
     else:
         print(format_grammar(doc), end="")
     return 0
@@ -353,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
+    # UTF-8 whatever the locale, so the output bytes (`↓`, `ε`) never depend on it.
+    sys.stdout.reconfigure(encoding="utf-8")
+    sys.stderr.reconfigure(encoding="utf-8")
     sys.exit(main())
 
 

@@ -1,15 +1,20 @@
 """Deterministic JSON and DOT renderings of trees, structures, and derivations.
 
-Shared right-side nodes are drawn once with one incoming edge per parent,
-so the tangled shape of a coordination derivation is visible directly in
-the graph output.  Nothing here depends on time, locale, or hashing order.
+DOT documents are composed from line builders (`tree_dot_lines`,
+`derivation_tree_dot_lines`, `derivation_graph_dot_lines`) whose node ids
+start with the caller's prefix, so graphs share a document as clusters and
+no rendered text is rewritten.  A tree node's id spells its Gorn address; a
+derivation node's id spells its edge addresses, with `'` appended where two
+paths spell the same id, so each id is declared once.  Shared right-side
+nodes are drawn once with one incoming edge per parent.  Nothing here
+depends on time, locale, or hashing order.
 """
 
 from __future__ import annotations
 
 import json
 
-from .gorn import ROOT, GornAddress
+from .grammarfile import GrammarDocument
 from .sharing import DerivationGraph, DerivedStructure, derivation_projections
 from .tag import DerivationTree, derivation_to_json_obj
 from .trees import Foot, Interior, SubstitutionSlot, SyntaxTree, Terminal, format_tree
@@ -29,50 +34,66 @@ def _kind_label(kind) -> str:
     return kind.token
 
 
-def _tree_node_id(prefix: str, addr: GornAddress) -> str:
-    if not addr.parts:
-        return prefix
-    return prefix + "_" + "_".join(str(k) for k in addr.parts)
+def _digraph(name: str, lines: list[str]) -> str:
+    return "\n".join([f"digraph {name} {{", *lines, "}\n"])
+
+
+def _cluster(name: str, label: str, lines: list[str]) -> list[str]:
+    return [f"  subgraph cluster_{name} {{", f'    label="{_esc(label)}";', *lines, "  }"]
 
 
 def tree_dot_lines(tree: SyntaxTree, prefix: str, indent: str = "  ") -> list[str]:
     """Node lines in address order, then each node's child edges in the same order."""
     lines, edges = [], []
-    for addr, node in tree.walk():
-        node_id = _tree_node_id(prefix, addr)
+    ids: list[str] = []  # ids[k]: the id of the last node seen at depth k, in preorder a node's parent
+    for parts, node in tree.paths():
+        node_id = f"{ids[len(parts) - 1]}_{parts[-1]}" if parts else prefix
+        ids[len(parts):] = [node_id]
         shape = "box" if isinstance(node.kind, Terminal) else "plaintext"
         lines.append(f'{indent}"{node_id}" [label="{_esc(_kind_label(node.kind))}" shape={shape}];')
         for k in range(1, len(node.children) + 1):
-            edges.append(f'{indent}"{node_id}" -> "{_tree_node_id(prefix, addr.child(k))}";')
+            edges.append(f'{indent}"{node_id}" -> "{node_id}_{k}";')
     return lines + edges
 
 
 def tree_to_dot(tree: SyntaxTree, name: str = "tree") -> str:
-    body = "\n".join(tree_dot_lines(tree, "n"))
-    return f'digraph "{_esc(name)}" {{\n{body}\n}}\n'
+    return _digraph(f'"{_esc(name)}"', tree_dot_lines(tree, "n"))
+
+
+def derivation_tree_dot_lines(d: DerivationTree, prefix: str = "d", indent: str = "  ") -> list[str]:
+    """Each node's line, then for each edge its line and the child's lines, in preorder.
+
+    A child's id is its parent's id, `_` and the edge address with `_` for `.`.  An id already taken
+    (child 1 of child 2 and child 2.1 both spell `d_2_1`) gets `'`, which no address spells, until free.
+    """
+    lines: list[str] = []
+    taken: set[str] = set()
+    stack: list[tuple[DerivationTree, str | None, str]] = [(d, None, "")]  # node, parent id, edge address
+    while stack:
+        node, parent_id, addr = stack.pop()
+        node_id = prefix if parent_id is None else parent_id + "_" + addr.replace(".", "_")
+        while node_id in taken:
+            node_id += "'"
+        taken.add(node_id)
+        if parent_id is not None:
+            lines.append(f'{indent}"{parent_id}" -> "{node_id}" [label="{addr}"];')
+        lines.append(f'{indent}"{node_id}" [label="{_esc(node.root)}" shape=plaintext];')
+        stack.extend((child, node_id, str(a)) for a, child in reversed(node.edges))
+    return lines
 
 
 def derivation_tree_to_dot(d: DerivationTree) -> str:
-    """Each node's line, then for each edge its line and the child's lines, in preorder."""
-    lines: list[str] = []
-    stack: list[tuple[DerivationTree, str, str | None]] = [(d, "d", None)]  # node, id, edge line into it
-    while stack:
-        node, node_id, edge_line = stack.pop()
-        if edge_line is not None:
-            lines.append(edge_line)
-        lines.append(f'  "{node_id}" [label="{_esc(node.root)}" shape=plaintext];')
-        for addr, child in reversed(node.edges):
-            child_id = node_id + "_" + str(addr).replace(".", "_")
-            stack.append((child, child_id, f'  "{node_id}" -> "{child_id}" [label="{addr}"];'))
-    return "digraph derivation {\n" + "\n".join(lines) + "\n}\n"
+    return _digraph("derivation", derivation_tree_dot_lines(d))
+
+
+def derivation_graph_dot_lines(g: DerivationGraph, prefix: str = "", indent: str = "  ") -> list[str]:
+    """Node lines in `g.nodes` order, then edge lines in `g.edges` order; ids are `prefix` and the instance id."""
+    nodes = [f'{indent}"{prefix}{_esc(i)}" [label="{_esc(label)}" shape=plaintext];' for i, label in g.nodes]
+    return nodes + [f'{indent}"{prefix}{_esc(a)}" -> "{prefix}{_esc(b)}" [label="{addr}"];' for a, addr, b in g.edges]
 
 
 def derivation_graph_to_dot(g: DerivationGraph) -> str:
-    lines = [f'  "{_esc(i)}" [label="{_esc(label)}" shape=plaintext];' for i, label in g.nodes]
-    lines.extend(
-        f'  "{_esc(parent)}" -> "{_esc(child)}" [label="{addr}"];' for parent, addr, child in g.edges
-    )
-    return "digraph derivation_graph {\n" + "\n".join(lines) + "\n}\n"
+    return _digraph("derivation_graph", derivation_graph_dot_lines(g))
 
 
 def derivation_graph_to_json_obj(g: DerivationGraph) -> dict:
@@ -156,48 +177,35 @@ def to_json_text(obj) -> str:
 
 
 def structure_to_dot(s: DerivedStructure) -> str:
-    lines: list[str] = ["digraph derived {"]
-    lines.append('  subgraph cluster_left {')
-    lines.append('    label="left (constituency)";')
-    lines.extend(tree_dot_lines(s.left_tree, "L", indent="    "))
-    lines.append("  }")
-    lines.append('  subgraph cluster_right {')
-    lines.append('    label="right (dependency)";')
-    lines.extend(tree_dot_lines(s.right_spine, "R", indent="    "))
+    right = tree_dot_lines(s.right_spine, "R", "    ")
     for idx, frag in enumerate(s.fragments):
-        prefix = f"F{idx}"
-        lines.extend(tree_dot_lines(frag.tree, prefix, indent="    "))
-        for parent in frag.parents:
-            parent_id = _tree_node_id("R", s.right_address(parent))
-            lines.append(f'    "{parent_id}" -> "{_tree_node_id(prefix, ROOT)}" [style=dashed];')
-    lines.append("  }")
+        right += tree_dot_lines(frag.tree, f"F{idx}", "    ")
+        for p in frag.parents:
+            parent_id = "R" + "".join(f"_{k}" for k in s.right_address(p).parts)
+            right.append(f'    "{parent_id}" -> "F{idx}" [style=dashed];')
     left_proj, right_proj = derivation_projections(s.history, s.root)
-    lines.append('  subgraph cluster_derivation_left {')
-    lines.append('    label="left derivation (tree)";')
-    for raw in derivation_tree_to_dot(left_proj).splitlines()[1:-1]:
-        lines.append("  " + raw.replace('"d"', '"dl"').replace('"d_', '"dl_'))
-    lines.append("  }")
-    lines.append('  subgraph cluster_derivation_right {')
-    lines.append('    label="right derivation (graph)";')
-    for node_id, label in right_proj.nodes:
-        lines.append(f'    "dr:{_esc(node_id)}" [label="{_esc(label)}" shape=plaintext];')
-    for parent, addr, child in right_proj.edges:
-        lines.append(f'    "dr:{_esc(parent)}" -> "dr:{_esc(child)}" [label="{addr}"];')
-    lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _digraph("derived", [
+        *_cluster("left", "left (constituency)", tree_dot_lines(s.left_tree, "L", "    ")),
+        *_cluster("right", "right (dependency)", right),
+        *_cluster("derivation_left", "left derivation (tree)", derivation_tree_dot_lines(left_proj, "dl", "    ")),
+        *_cluster("derivation_right", "right derivation (graph)",
+                  derivation_graph_dot_lines(right_proj, "dr:", "    ")),
+    ])
 
 
 def derived_tree_with_derivation_to_dot(tree: SyntaxTree, d: DerivationTree) -> str:
-    lines: list[str] = ["digraph derived {"]
-    lines.append('  subgraph cluster_tree {')
-    lines.append('    label="derived tree";')
-    lines.extend(tree_dot_lines(tree, "T", indent="    "))
-    lines.append("  }")
-    lines.append('  subgraph cluster_derivation {')
-    lines.append('    label="derivation";')
-    for raw in derivation_tree_to_dot(d).splitlines()[1:-1]:
-        lines.append("  " + raw)
-    lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _digraph("derived", [
+        *_cluster("tree", "derived tree", tree_dot_lines(tree, "T", "    ")),
+        *_cluster("derivation", "derivation", derivation_tree_dot_lines(d, "d", "    ")),
+    ])
+
+
+def grammar_to_dot(doc: GrammarDocument) -> str:
+    """One cluster per tree and per side of each pair, in file order; cluster i's node ids start with `t<i>`."""
+    entries = [(f"tree {name}", tree) for name, tree in doc.trees]
+    for p in (*doc.stag_pairs, *doc.lstag_pairs):
+        entries += [(f"{p.name} left", p.left_tree), (f"{p.name} right", p.right_tree)]
+    lines: list[str] = []
+    for index, (label, tree) in enumerate(entries):
+        lines += _cluster(str(index), label, tree_dot_lines(tree, f"t{index}", "    "))
+    return _digraph("grammar", lines)

@@ -462,11 +462,11 @@ def format_tree(tree: SyntaxTree) -> str:
     """Canonical bracketed text: `S(NP! VP(V("cooked") NP!))`."""
     out: list[str] = []
     depth = -1
-    for addr, node in tree.walk():
+    for parts, node in tree.paths():
         # Close the lists of the previous node's ancestors that do not contain this one.
-        if len(addr) <= depth:
-            out.append(")" * (depth - len(addr)) + " ")
-        depth = len(addr)
+        if len(parts) <= depth:
+            out.append(")" * (depth - len(parts)) + " ")
+        depth = len(parts)
         kind = node.kind
         if isinstance(kind, Terminal):
             out.append(_quote(kind.token))

@@ -205,6 +205,42 @@ def test_derive_tag_dot_golden_bytes(capsys, fixtures_dir, golden_dir):
     assert out == (golden_dir / "cooked_dried_derive.dot").read_text(encoding="utf-8")
 
 
+def test_derive_dot_ids_of_nested_edge_addresses_stay_distinct(capsys, fixtures_dir, tmp_path):
+    # vpmod's child at 1 and cooked's child at 2.1 both spell d_2_1.
+    grammar = tmp_path / "mods.tag"
+    grammar.write_text(
+        (fixtures_dir / "cooked.tag").read_text(encoding="utf-8")
+        + 'tree vpmod: VP(ADV("quickly") VP*)\n'
+        + 'tree advmod: ADV(ADV("very") ADV*)\n'
+        + 'tree vmod: V(A("al") V*)\n',
+        encoding="utf-8",
+    )
+    script = tmp_path / "mods.script"
+    script.write_text(
+        "root cooked\ncooked @ 1 <- john\ncooked @ 2 <- vpmod\nvpmod @ 1 <- advmod\n"
+        "cooked @ 2.1 <- vmod\ncooked @ 2.2 <- beans\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "derive", str(grammar), str(script), "--format", "dot")
+    assert (code, err) == (0, "")
+    declared = [line.split('"')[1] for line in out.splitlines() if line.startswith('    "d') and "->" not in line]
+    assert len(set(declared)) == len(declared) == 6
+    assert '    "d" -> "d_2_1\'" [label="2.1"];' in out
+
+
+def test_derive_dot_bytes_do_not_depend_on_the_stdout_encoding(fixtures_dir, golden_dir):
+    src = str(pathlib.Path(lstag.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONIOENCODING="ascii",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lstag.cli", "derive", str(fixtures_dir / "cooks_eats.lstag"),
+         str(fixtures_dir / "scripts" / "cooks_eats.script"), "--format", "dot"],
+        env=env, capture_output=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (golden_dir / "cooks_eats_derive.dot").read_bytes()
+
+
 def test_derive_root_only_script(capsys, fixtures_dir, tmp_path):
     script = tmp_path / "just.script"
     script.write_text("root john\n", encoding="utf-8")
