@@ -12,7 +12,7 @@ import sys
 
 from ._lex import script_lines
 from .engine import EnumerationBudget, enumerate_derivations
-from .errors import Diagnostic, LstagError, OperationMismatch, ParseError
+from .errors import Diagnostic, LstagError, OperationMismatch, ParseError, UnknownTree
 from .grammarfile import (
     GrammarDocument,
     format_grammar,
@@ -202,7 +202,12 @@ def _cmd_derive(args) -> int:
         except LstagError as exc:
             if isinstance(exc, ParseError):
                 raise
-            _print_diagnostics([Diagnostic("DerivationFailed", str(exc))], False)
+            message = str(exc)
+            if isinstance(exc, UnknownTree) and exc.name in ls_names:
+                diags = validate_document(doc, restrictions=not args.no_restrictions)
+                codes = ", ".join(dict.fromkeys(d.code for d in diags if d.where == exc.name))
+                message = f"pair {exc.name!r} is excluded by validation: {codes}"
+            _print_diagnostics([Diagnostic("DerivationFailed", message)], False)
             return 1
         _emit_structure(structure, args.format)
         return 0
@@ -278,7 +283,7 @@ def _cmd_enumerate(args) -> int:
     else:
         grammar = doc.tag_grammar()
     result = enumerate_derivations(grammar, budget)
-    if args.format == "json" and not args.strings_only:
+    if args.format == "json":
         obj = {
             "truncated": result.truncated,
             "items": [
@@ -323,6 +328,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "enumerate" and args.strings_only and args.format == "json":
+            parser.error("--strings-only prints text only; it does not take --format json")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -35,7 +35,9 @@ class IncompleteTree(LstagError):
 
 
 class UnknownTree(LstagError):
-    pass
+    def __init__(self, message: str, name: str | None = None):
+        super().__init__(message)
+        self.name = name  # the name looked up, where one was
 
 
 class EdgeAddressInvalid(LstagError):

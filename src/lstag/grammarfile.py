@@ -22,7 +22,7 @@ from .errors import ClassMismatch, Diagnostic, ParseError
 from .gorn import GornAddress
 from .restrictions import Correspondence, check_left_contiguity, check_lexical_contiguity
 from .sharing import LstagGrammar, LstagPair, validate_pair
-from .stag import Link, StagGrammar, StagPair
+from .stag import Link, StagPair
 from .tag import TagGrammar
 from .trees import SyntaxTree, classify, format_tree, parse_tree_tokens
 
@@ -38,18 +38,8 @@ class GrammarDocument:
     def correspondence_map(self) -> dict[str, Correspondence]:
         return dict(self.correspondences)
 
-    def names(self) -> list[str]:
-        return (
-            [n for n, _ in self.trees]
-            + [p.name for p in self.stag_pairs]
-            + [p.name for p in self.lstag_pairs]
-        )
-
     def tag_grammar(self) -> TagGrammar:
         return TagGrammar.from_trees(dict(self.trees))
-
-    def stag_grammar(self) -> StagGrammar:
-        return StagGrammar(tuple((p.name, p) for p in self.stag_pairs))
 
     def lstag_grammar(self, usable: set[str] | None = None) -> LstagGrammar:
         pairs = self.lstag_pairs

@@ -3,7 +3,10 @@
 Two checks gate which pairs may take part in coordination: the left element
 must correspond to a dominance-connected region of the right element, and
 an elementary tree that spells out a lexically discontiguous string (a slot
-or foot between two anchors on its frontier) cannot coordinate.
+or foot between two anchors on its frontier) cannot coordinate.  The
+smallest connected region holding a correspondence image runs from each
+image address up to the image's longest common prefix; the region's nodes
+outside the image are the excised segment.
 """
 
 from __future__ import annotations
@@ -30,24 +33,6 @@ class Correspondence:
         if len(set(rights)) != len(rights):
             raise ValueError("correspondence is not injective")
 
-    @property
-    def image(self) -> tuple[GornAddress, ...]:
-        return tuple(sorted(r for _, r in self.pairs))
-
-
-def _dominance_path(a: GornAddress, b: GornAddress) -> set[GornAddress]:
-    """All nodes on the path from a to b through their least common ancestor."""
-    common = 0
-    for x, y in zip(a.parts, b.parts):
-        if x != y:
-            break
-        common += 1
-    lca = GornAddress(a.parts[:common])
-    path = {GornAddress(a.parts[:k]) for k in range(common, len(a.parts) + 1)}
-    path |= {GornAddress(b.parts[:k]) for k in range(common, len(b.parts) + 1)}
-    path.add(lca)
-    return path
-
 
 def check_left_contiguity(p: LstagPair, c: Correspondence) -> list[Diagnostic]:
     """The correspondence image must form one connected region of the right tree."""
@@ -63,14 +48,13 @@ def check_left_contiguity(p: LstagPair, c: Correspondence) -> list[Diagnostic]:
             )
     if diags:
         return diags
-    image = set(c.image)
-    missing: set[GornAddress] = set()
-    addrs = sorted(image)
-    for i, a in enumerate(addrs):
-        for b in addrs[i + 1 :]:
-            missing |= _dominance_path(a, b) - image
+    image = {right.parts for _, right in c.pairs}
+    # A set's longest common prefix is that of its lexicographic first and last.
+    first, last = min(image, default=()), max(image, default=())
+    top = next((k for k, (x, y) in enumerate(zip(first, last)) if x != y), min(len(first), len(last)))
+    missing = {a[:k] for a in image for k in range(top, len(a) + 1)} - image
     if missing:
-        segment = ", ".join(str(a) for a in sorted(missing))
+        segment = ", ".join(str(GornAddress._of(a)) for a in sorted(missing))
         diags.append(
             Diagnostic(
                 "Discontiguous",

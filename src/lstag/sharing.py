@@ -44,7 +44,7 @@ from .errors import (
 )
 from .gorn import ROOT, GornAddress
 from .stag import Link
-from .tag import DerivationTree
+from .tag import DerivationTree, derivation_tree
 from .trees import (
     Interior,
     SiteRef,
@@ -118,7 +118,7 @@ class LstagGrammar:
         try:
             return self._by_name[name]
         except KeyError:
-            raise UnknownTree(f"no pair named {name!r}") from None
+            raise UnknownTree(f"no pair named {name!r}", name) from None
 
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.pairs)
@@ -143,10 +143,6 @@ class DerivationRecord:
     guest_id: str
     left_site: SiteRef
     right_sites: tuple[SiteRef, ...]
-
-    @property
-    def host(self) -> str:
-        return self.left_site.owner
 
     def to_line(self) -> str:
         if not self.right_sites:
@@ -524,21 +520,7 @@ class DerivationGraph:
         children: dict[str, list[tuple[GornAddress, str]]] = defaultdict(list)
         for parent, addr, child in self.edges:
             children[parent].append((GornAddress.parse(addr), child))
-        return _derivation_tree(self.root, self.labels, children)
-
-
-def _derivation_tree(
-    root: str, labels: dict[str, str], children: dict[str, list[tuple[GornAddress, str]]]
-) -> DerivationTree:
-    """The derivation tree of the instances below `root`, built leaves first, without recursion."""
-    order = [root]
-    for node_id in order:
-        order.extend(child for _, child in children.get(node_id, ()))
-    built: dict[str, DerivationTree] = {}
-    for node_id in reversed(order):
-        kids = children.get(node_id, ())
-        built[node_id] = DerivationTree(labels[node_id], tuple((a, built[c]) for a, c in kids))
-    return built[root]
+        return derivation_tree(self.root, self.labels, children)
 
 
 def derivation_projections(
@@ -550,8 +532,7 @@ def derivation_projections(
     on the right a shared guest gets one node with an edge from every right
     host, which is what makes the dependency projection a DAG.
     """
-    known: dict[str, str] = {root: root}
-    nodes: list[tuple[str, str]] = [(root, root)]
+    known: dict[str, str] = {root: root}  # instance id -> elementary name, in attachment order
     edges: list[tuple[str, str, str]] = []
     left_children: dict[str, list[tuple[GornAddress, str]]] = defaultdict(list)
     for r in records:
@@ -563,8 +544,7 @@ def derivation_projections(
             if site.owner not in known:
                 raise InconsistentHistory(f"unknown right host {site.owner!r}")
         known[r.guest_id] = r.guest
-        nodes.append((r.guest_id, r.guest))
         left_children[r.left_site.owner].append((r.left_site.addr, r.guest_id))
         for site in r.right_sites:
             edges.append((site.owner, str(site.addr), r.guest_id))
-    return _derivation_tree(root, known, left_children), DerivationGraph(root, tuple(nodes), tuple(edges))
+    return derivation_tree(root, known, left_children), DerivationGraph(root, tuple(known.items()), tuple(edges))

@@ -12,9 +12,8 @@ site); the consumed member itself never reappears.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .errors import LinkNotFound, OperationMismatch, UnknownTree
+from .errors import LinkNotFound, OperationMismatch
 from .gorn import GornAddress
 from .trees import (
     Interior,
@@ -51,26 +50,6 @@ class StagPair:
                 raise ValueError(f"link endpoint {link.left} missing from left tree of {self.name!r}")
             if not self.right_tree.has_address(link.right):
                 raise ValueError(f"link endpoint {link.right} missing from right tree of {self.name!r}")
-
-
-@dataclass(frozen=True)
-class StagGrammar:
-    pairs: tuple[tuple[str, StagPair], ...]
-
-    def __post_init__(self):
-        names = [n for n, _ in self.pairs]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate pair names")
-
-    @cached_property
-    def _by_name(self) -> dict[str, StagPair]:
-        return dict(self.pairs)
-
-    def get(self, name: str) -> StagPair:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise UnknownTree(f"no pair named {name!r}") from None
 
 
 def stag_compose(host: StagPair, member_index: int, guest: StagPair) -> StagPair:

@@ -8,15 +8,19 @@ reports; the build after that check is unchecked and cannot fail.  Replay
 is bottom-up: children are rebuilt first, then attached with `fill_slot`
 or `splice`.  A parent's edges are composed in reverse address order, so
 no composition moves a site still to come, and edge addresses are used
-exactly as written in the grammar.  Replay, script parsing and printing
-walk derivations with an explicit stack, so a derivation may be deeper
-than Python's recursion limit.
+exactly as written in the grammar.  `derivation_tree` is the one builder
+of derivation trees: the script parser, the JSON reader and `sharing`'s
+projections collect each node's name and edges and call it.  Replay, that
+builder, script parsing and printing walk derivations with an explicit
+stack, so a derivation may be deeper than Python's recursion limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from functools import cached_property
+from typing import Hashable, Mapping
 
 from ._lex import script_lines
 from .errors import (
@@ -90,6 +94,21 @@ class DerivationTree:
         if len(set(addrs)) != len(addrs):
             raise ValueError(f"duplicate edge addresses under {self.root!r}")
         object.__setattr__(self, "edges", edges)
+
+
+def derivation_tree(root: Hashable, labels, children: Mapping) -> DerivationTree:
+    """The derivation tree below node `root`, built leaves first, without recursion.
+
+    `labels[node]` is a node's elementary name and `children.get(node)` its
+    (edge address, child node) pairs; a node `children` omits is a leaf.
+    """
+    order = [root]  # parents before children
+    for node in order:
+        order.extend(child for _, child in children.get(node, ()))
+    built: dict = {}
+    for node in reversed(order):
+        built[node] = DerivationTree(labels[node], tuple((a, built[c]) for a, c in children.get(node, ())))
+    return built[root]
 
 
 _DIAGNOSTIC_ERRORS = {e.__name__: e for e in (EdgeAddressInvalid, OperationMismatch, SymbolMismatch, UnknownTree)}
@@ -176,37 +195,30 @@ def validate_derivation(grammar: TagGrammar, d: DerivationTree) -> list[Diagnost
 # Parents are referenced by name and must be unambiguous at the point of use.
 
 
-@dataclass
-class _Node:
-    name: str
-    edges: list[tuple[GornAddress, "_Node"]] = field(default_factory=list)
-
-
 def parse_derivation_script(text: str) -> DerivationTree:
-    root: _Node | None = None
-    occurrences: dict[str, list[_Node]] = {}
-    created: list[_Node] = []
+    labels: list[str] = []  # by node number; node 0 is the root
+    children: defaultdict[int, list[tuple[GornAddress, int]]] = defaultdict(list)
+    occurrences: dict[str, list[int]] = {}
 
-    def add(node: _Node) -> None:
-        occurrences.setdefault(node.name, []).append(node)
-        created.append(node)
+    def add(name: str) -> int:
+        occurrences.setdefault(name, []).append(len(labels))
+        labels.append(name)
+        return len(labels) - 1
 
     for lineno, cur in script_lines(text):
         if cur.accept("NAME", "root"):
             name = cur.expect("NAME").text
-            if root is not None:
+            if labels:
                 raise ParseError("duplicate root declaration", lineno)
-            root = _Node(name)
-            add(root)
+            add(name)
         else:
             parent_name = cur.expect("NAME").text
             cur.expect("PUNCT", "@")
             addr = cur.address()
             cur.expect("PUNCT", "<-")
             child_name = cur.expect("NAME").text
-            if root is None:
-                root = _Node(parent_name)
-                add(root)
+            if not labels:
+                add(parent_name)
             candidates = occurrences.get(parent_name, [])
             if not candidates:
                 raise ParseError(f"unknown parent {parent_name!r}", lineno)
@@ -214,21 +226,15 @@ def parse_derivation_script(text: str) -> DerivationTree:
                 raise ParseError(
                     f"parent {parent_name!r} is ambiguous ({len(candidates)} occurrences)", lineno
                 )
-            parent = candidates[0]
-            if any(a == addr for a, _ in parent.edges):
+            edges = children[candidates[0]]
+            if any(a == addr for a, _ in edges):
                 raise ParseError(f"duplicate edge at address {addr} under {parent_name!r}", lineno)
-            child = _Node(child_name)
-            parent.edges.append((addr, child))
-            add(child)
+            edges.append((addr, add(child_name)))
         if cur.peek().kind != "EOF":
             raise cur.error("trailing input on script line")
-    if root is None:
+    if not labels:
         raise ParseError("empty derivation script: needs a root or at least one edge")
-
-    frozen: dict[int, DerivationTree] = {}
-    for node in reversed(created):  # children were created after their parents
-        frozen[id(node)] = DerivationTree(node.name, tuple((a, frozen[id(c)]) for a, c in node.edges))
-    return frozen[id(root)]
+    return derivation_tree(0, labels, children)
 
 
 def format_derivation_script(d: DerivationTree) -> str:
@@ -255,11 +261,10 @@ def derivation_to_json_obj(d: DerivationTree) -> dict:
 
 
 def derivation_from_json_obj(obj: dict) -> DerivationTree:
-    order = [obj]  # parents before children
-    for node in order:
-        order.extend(c["node"] for c in node.get("children", []))
-    built: dict[int, DerivationTree] = {}
-    for node in reversed(order):
-        edges = tuple((GornAddress.parse(c["addr"]), built[id(c["node"])]) for c in node.get("children", []))
-        built[id(node)] = DerivationTree(node["name"], edges)
-    return built[id(obj)]
+    nodes = [obj]  # by node number, parents before children
+    children: dict[int, list[tuple[GornAddress, int]]] = {}
+    for number, node in enumerate(nodes):
+        kids = node.get("children", [])
+        children[number] = [(GornAddress.parse(c["addr"]), len(nodes) + k) for k, c in enumerate(kids)]
+        nodes.extend(c["node"] for c in kids)
+    return derivation_tree(0, [node["name"] for node in nodes], children)

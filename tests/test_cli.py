@@ -52,6 +52,19 @@ def test_validate_no_restrictions_loads_discontiguous_pair(capsys, fixtures_dir)
     assert err == ""
 
 
+def test_color_switch_wraps_human_diagnostics_only(capsys, monkeypatch, fixtures_dir):
+    grammar = str(fixtures_dir / "excised.lstag")
+    monkeypatch.delenv("LSTAG_COLOR", raising=False)
+    plain = run(capsys, "validate", grammar)
+    json_lines = run(capsys, "validate", grammar, "--json")
+    assert plain[2] and "\x1b" not in plain[2]
+    monkeypatch.setenv("LSTAG_COLOR", "1")
+    colored = "".join(f"\x1b[31m{line}\x1b[0m\n" for line in plain[2].splitlines())
+    assert run(capsys, "validate", grammar) == (1, "", colored)
+    assert run(capsys, "validate", grammar, "--json") == json_lines
+    assert "\x1b" not in json_lines[2]
+
+
 def test_validate_flags_non_reflexive_phi(capsys, tmp_path):
     bad = tmp_path / "bad.lstag"
     bad.write_text(
@@ -266,6 +279,31 @@ def test_derive_rejects_an_auxiliary_root_pair(capsys, fixtures_dir, tmp_path):
     assert "DerivationFailed" in err
 
 
+def test_derive_names_a_root_pair_that_validation_excluded(capsys, fixtures_dir, tmp_path):
+    script = tmp_path / "topic.script"
+    script.write_text("root peanuts_likes\nsubstitute john at 2.1\n", encoding="utf-8")
+    code, out, err = run(capsys, "derive", str(fixtures_dir / "topicalization.lstag"), str(script))
+    assert (code, out) == (1, "")
+    assert err == "DerivationFailed: pair 'peanuts_likes' is excluded by validation: LexicallyDiscontiguous\n"
+
+
+def test_derive_names_a_guest_pair_that_validation_excluded(capsys, tmp_path):
+    grammar = tmp_path / "gapped.lstag"
+    grammar.write_text(
+        'lspair cooks { left: S(NP! VP(V("cooks") NP!)) right: S(NP! VP(V("cooks") NP!)) '
+        "delta: [1~1, 2.2~2.2] phi: [] }\n"
+        'lspair and_gapped { left: V(V* CC("and") ADV! V("eats")) right: S(NP! VP(V("eats") NP!) S*) '
+        "delta: [] phi: [1, 2.2] }\n",
+        encoding="utf-8",
+    )
+    script = tmp_path / "gapped.script"
+    script.write_text("root cooks\nadjoin and_gapped at 2.1 ~ ε\n", encoding="utf-8")
+    code, out, err = run(capsys, "derive", str(grammar), str(script))
+    assert (code, out) == (1, "")
+    assert err == "DerivationFailed: pair 'and_gapped' is excluded by validation: LexicallyDiscontiguous\n"
+    assert run(capsys, "derive", str(grammar), str(script), "--no-restrictions")[0] == 0
+
+
 _TWO_SLOTS_ONE_RIGHT = """\
 lspair host { left: S(NP! VP(V("cooks") NP!)) right: S(NP! VP(V("cooks") NP!)) delta: [1~1, 2.2~1] phi: [] }
 lspair and_w { left: V(V* CC("and") V("eats")) right: S(NP! VP(V("eats") NP!) S*) delta: [] phi: [1, 1] }
@@ -455,6 +493,13 @@ def test_enumerate_strings_only(capsys, fixtures_dir):
 def test_enumerate_zero_budget_is_a_usage_error(capsys, fixtures_dir):
     code, out, err = run(capsys, "enumerate", str(fixtures_dir / "cooked.tag"), "--max-ops", "0")
     assert code == 2
+
+
+def test_enumerate_strings_only_takes_no_json_format(capsys, fixtures_dir):
+    argv = ("enumerate", str(fixtures_dir / "cooks_eats.lstag"), "--strings-only", "--format", "json")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "--strings-only prints text only" in err
 
 
 def test_enumerate_over_a_broken_grammar_fails_cleanly(capsys, tmp_path):
@@ -696,3 +741,9 @@ def test_readme_commands_keep_their_documented_exit_status(capsys, monkeypatch, 
     code, out, err = run(capsys, *argv)
     assert code == expected, err
     assert "Traceback" not in err
+
+
+def test_readme_library_block_imports():
+    section = (REPO / "README.md").read_text(encoding="utf-8").split("\n## Library entry points\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

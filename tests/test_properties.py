@@ -1,5 +1,6 @@
 """Property tests for the composition laws and link bookkeeping."""
 
+import itertools
 import pathlib
 import random
 from functools import cache, partial
@@ -29,10 +30,12 @@ from lstag import (
     adjoin,
     check_lexical_contiguity,
     enumerate_derivations,
+    format_derivation_script,
     format_tree,
     link_share,
     load_grammar,
     lstag_compose,
+    parse_derivation_script,
     parse_tree,
     rebase_address,
     replay,
@@ -46,6 +49,7 @@ from lstag import (
 )
 from lstag import engine
 from lstag.sharing import check_compose, check_group, compose_record, group_record
+from lstag.tag import derivation_from_json_obj, derivation_to_json_obj
 from lstag.trees import adjoin_with_maps, substitute_with_maps
 
 import reference_trees
@@ -391,6 +395,30 @@ def test_replay_fails_exactly_when_validate_derivation_reports(d):
     else:
         assert diags == []
         assert derived == reference_trees.replay(_COOKED, d)
+
+
+# Edge addresses that nest: 2 and 1 against 2.1, and the root.
+_NESTING_ADDRESSES = [GornAddress(p) for p in [(), (1,), (2,), (2, 1), (1, 2), (2, 1, 1)]]
+
+
+@st.composite
+def distinct_name_derivations(draw, depth=3):
+    """Derivation trees whose node names are all distinct, as a script needs to name its parents."""
+    names = itertools.count()
+
+    def node(depth):
+        name = f"t{next(names)}"
+        addrs = draw(st.lists(st.sampled_from(_NESTING_ADDRESSES), unique=True, max_size=2 if depth else 0))
+        return DerivationTree(name, tuple((a, node(depth - 1)) for a in addrs))
+
+    return node(depth)
+
+
+@given(distinct_name_derivations())
+@settings(max_examples=150, deadline=None)
+def test_derivation_scripts_and_json_round_trip(d):
+    assert parse_derivation_script(format_derivation_script(d)) == d
+    assert derivation_from_json_obj(derivation_to_json_obj(d)) == d
 
 
 # --- synchronous link bookkeeping --------------------------------------------------
@@ -808,3 +836,22 @@ def test_left_contiguity_agrees_with_connectivity_oracle(data):
     c = Correspondence(tuple((a, a) for a in sorted(image)))
     diags = check_left_contiguity(pair, c)
     assert (diags == []) == image_connected_oracle(tree, image)
+    missing = pairwise_excised_segment(image)
+    segment = ", ".join(str(a) for a in sorted(missing))
+    message = f"left element corresponds to discontinuous parts of the right element; excised segment at {segment}"
+    assert [d.message for d in diags] == ([message] if missing else [])
+
+
+def pairwise_excised_segment(image: set[GornAddress]) -> set[GornAddress]:
+    """The nodes on the dominance path between some two image nodes, through
+    their least common ancestor, that are not in the image."""
+    path: set[GornAddress] = set()
+    for a, b in itertools.combinations(sorted(image), 2):
+        common = 0
+        for x, y in zip(a.parts, b.parts):
+            if x != y:
+                break
+            common += 1
+        path |= {GornAddress(a.parts[:k]) for k in range(common, len(a.parts) + 1)}
+        path |= {GornAddress(b.parts[:k]) for k in range(common, len(b.parts) + 1)}
+    return path - image
