@@ -234,10 +234,10 @@ def _cmd_derive(args) -> int:
             print("derivation:")
             print(format_derivation_script(derivation), end="")
         return 0
-    _print_diagnostics(
-        [Diagnostic("UnknownTree", f"script root {root!r} is not a tree or lspair in the grammar")],
-        False,
-    )
+    code, what = "UnknownTree", "not a tree or lspair in the grammar"
+    if any(p.name == root for p in doc.stag_pairs):
+        code, what = "SynchronousPair", "a synchronous pair; derive takes trees and lspairs only"
+    _print_diagnostics([Diagnostic(code, f"script root {root!r} is {what}")], False)
     return 1
 
 
@@ -280,6 +280,9 @@ def _cmd_enumerate(args) -> int:
     if doc.lstag_pairs:
         usable = usable_lstag_names(doc, restrictions=not args.no_restrictions)
         grammar = doc.lstag_grammar(usable)
+    elif doc.stag_pairs and not doc.trees:
+        _print_diagnostics([Diagnostic("SynchronousPair", "synchronous pairs are not enumerated")], False)
+        return 1
     else:
         grammar = doc.tag_grammar()
     result = enumerate_derivations(grammar, budget)

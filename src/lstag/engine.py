@@ -33,14 +33,13 @@ symbol before they are yielded, so they are legal by construction and
 build with the unchecked `fill_slot` and `splice`.  They walk the tree's
 nodes with their child-index paths and build a site's `GornAddress`, its
 order-key text and the guest instance-id prefix once, at the first guest
-that fits there; other nodes get no address.  Link-sharing
-substitutions are driven by live link groups (one move fills every shared
-site); adjunctions are tried at every legal pair of interior sites.  Either
-way each node of an elementary tree hosts at most one adjunction, so an
-interior node whose `adjoined` mark `splice` has set takes none; the
-link-sharing sites come from each tree's cached `preorder`, which `locate`
-reads too.  A move reads the elementary site of the node it composes at
-(its `SiteRef`) off the node itself, so no state keeps a provenance table.
+that fits there; other nodes get no address.  Link-sharing moves are
+checked by `sharing.check_step`: substitutions fill live link groups (one
+move fills every shared site), whose sites are located once per state, and
+adjunctions pair the interior nodes of each tree's cached `preorder` that
+no adjunction has marked `adjoined`, with records built from those nodes.
+A move reads the elementary site it composes at (its `SiteRef`) off the
+node itself, so no state keeps a provenance table.
 """
 
 from __future__ import annotations
@@ -58,11 +57,10 @@ from .sharing import (
     DerivedStructure,
     LstagGrammar,
     LstagPair,
-    check_compose,
-    check_group,
-    compose_record,
+    check_step,
     derivation_projections,
     group_record,
+    guest_instance_id,
     instance_prefix,
     structure_from_pair,
 )
@@ -250,25 +248,27 @@ def _lstag_moves(
     s: DerivedStructure,
 ) -> Iterator[_Move]:
     for gi, group in enumerate(s.live_links):
+        left = s.left_tree.by_site.get(group.left_site)
+        rights = tuple(s.right_spine.by_site.get(site) for site in group.right_sites)
+        if left is None or None in rights:  # an unvalidated link names no node, so no guest fills its group
+            continue
         for name, pair in initial:
-            try:
-                record = group_record(s, group, name)
-            except LstagError:
-                continue
-            yield (0, gi, name), record, partial(check_group, s, group, pair, record)
+            record = group_record(group, name)
+            yield (0, gi, name), record, partial(check_step, s, record, pair, left, rights)
     left_sites, right_sites = (
-        [(a, n.kind.symbol) for a, n in tree.preorder if not n.adjoined and isinstance(n.kind, Interior)]
+        [(a, n) for a, n in tree.preorder if not n.adjoined and isinstance(n.kind, Interior)]
         for tree in (s.left_tree, s.right_spine)
     )
     for name, pair in auxiliary:
-        for la, left_symbol in left_sites:
-            if left_symbol != pair.left_tree.root_symbol:
+        for la, ln in left_sites:
+            if ln.kind.symbol != pair.left_tree.root_symbol:
                 continue
-            for ra, right_symbol in right_sites:
-                if right_symbol != pair.right_tree.root_symbol:
-                    continue
-                record = compose_record(s, la, ra, name)
-                yield (1, str(la), str(ra), name), record, partial(check_compose, s, la, ra, pair, record)
+            guest_id = guest_instance_id(ln.site, name)
+            for ra, rn in right_sites:
+                if rn.kind.symbol == pair.right_tree.root_symbol:
+                    record = DerivationRecord("adjunction", name, guest_id, ln.site, (rn.site,))
+                    check = partial(check_step, s, record, pair, (la, ln), ((ra, rn),))
+                    yield (1, str(la), str(ra), name), record, check
 
 
 def enumerate_derivations(

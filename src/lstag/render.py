@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 
 from .grammarfile import GrammarDocument
-from .sharing import DerivationGraph, DerivedStructure, derivation_projections
+from .sharing import DerivationGraph, DerivedStructure
 from .tag import DerivationTree, derivation_to_json_obj
 from .trees import Foot, Interior, SubstitutionSlot, SyntaxTree, Terminal, format_tree
 
@@ -105,7 +105,7 @@ def derivation_graph_to_json_obj(g: DerivationGraph) -> dict:
 
 
 def structure_to_json_obj(s: DerivedStructure) -> dict:
-    left_proj, right_proj = derivation_projections(s.history, s.root)
+    left_proj, right_proj = s.projections()
     return {
         "root": s.root,
         "left": format_tree(s.left_tree),
@@ -183,7 +183,7 @@ def structure_to_dot(s: DerivedStructure) -> str:
         for p in frag.parents:
             parent_id = "R" + "".join(f"_{k}" for k in s.right_address(p).parts)
             right.append(f'    "{parent_id}" -> "F{idx}" [style=dashed];')
-    left_proj, right_proj = derivation_projections(s.history, s.root)
+    left_proj, right_proj = s.projections()
     return _digraph("derived", [
         *_cluster("left", "left (constituency)", tree_dot_lines(s.left_tree, "L", "    ")),
         *_cluster("right", "right (dependency)", right),

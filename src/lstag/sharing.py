@@ -15,17 +15,19 @@ as derivation records do, so a composition never rebuilds them; derived
 addresses are worked out from the trees only where output or a caller asks
 for them.
 
-Each composition is split in two.  `check_compose` and `check_group` raise
-every error the step can raise before anything is composed, and say
-whether the structure it builds will be complete; the build they return
-cannot fail.  `lstag_compose` and `shared_substitute` run one and then the
-other, and the enumerator builds only the states it needs.
+A `DerivationRecord` names one step; `compose_record` (at host addresses)
+and `group_record` (filling a live group) make one.  `check_step` raises
+every error the step can raise before anything is composed, given the
+(address, node) pairs of the record's sites, which its caller locates once;
+it says whether the structure will be complete and returns a build that
+cannot fail.  `lstag_compose` and `shared_substitute` run both, and the
+enumerator builds only the states it needs.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -51,6 +53,7 @@ from .trees import (
     SubstitutionSlot,
     SyntaxTree,
     TreeClass,
+    TreeNode,
     check_adjunction,
     check_substitution,
     classify,
@@ -138,6 +141,8 @@ class SharedLinkGroup:
 
 @dataclass(frozen=True)
 class DerivationRecord:
+    """A record names its step: the operation, the guest and its instance id, and the sites it composes at."""
+
     operation: str  # "substitution" | "adjunction" | "shared-substitution"
     guest: str
     guest_id: str
@@ -278,60 +283,97 @@ def guest_instance_id(left_ref: SiteRef, guest_name: str) -> str:
     return instance_prefix(left_ref) + guest_name
 
 
+Located = tuple[GornAddress, TreeNode]  # a site's derived address and its node
+
+
+def _operation(left: Located, right: Located) -> str:
+    """The operation at a left and a right site: two slots substitute, two interior nodes adjoin."""
+    (left_addr, left_node), (right_addr, right_node) = left, right
+    if isinstance(left_node.kind, SubstitutionSlot) and isinstance(right_node.kind, SubstitutionSlot):
+        return "substitution"
+    if isinstance(left_node.kind, Interior) and isinstance(right_node.kind, Interior):
+        return "adjunction"
+    raise OperationMismatch(
+        f"left site {left_addr} is {left_node.kind} while right site {right_addr} is {right_node.kind}; "
+        "both sides must substitute or both must adjoin"
+    )
+
+
 def compose_record(
     hs: DerivedStructure, left_site: GornAddress, right_site: GornAddress, guest_name: str
 ) -> DerivationRecord:
     """The record `lstag_compose` appends for a guest named `guest_name` at these sites.
 
-    The operation follows from the two sites' kinds; this raises what
-    `lstag_compose` raises for sites that are missing or of different kinds.
+    It raises what `lstag_compose` raises for sites that are missing or of different kinds.
     """
     left, right = hs.left_tree.node(left_site), hs.right_spine.node(right_site)
-    if isinstance(left.kind, SubstitutionSlot) and isinstance(right.kind, SubstitutionSlot):
-        operation = "substitution"
-    elif isinstance(left.kind, Interior) and isinstance(right.kind, Interior):
-        operation = "adjunction"
-    else:
-        raise OperationMismatch(
-            f"left site {left_site} is {left.kind} while right site {right_site} is {right.kind}; "
-            "both sides must substitute or both must adjoin"
-        )
-    guest_id = guest_instance_id(left.site, guest_name)
-    return DerivationRecord(operation, guest_name, guest_id, left.site, (right.site,))
+    operation = _operation((left_site, left), (right_site, right))
+    return DerivationRecord(operation, guest_name, guest_instance_id(left.site, guest_name), left.site, (right.site,))
 
 
-def group_record(hs: DerivedStructure, group: SharedLinkGroup, guest_name: str) -> DerivationRecord:
-    """The record `shared_substitute` appends when it fills `group` with that guest.
-
-    A one-site group is filled by an ordinary composition, so this raises
-    what `compose_record` raises for its sites; a multi-site record carries
-    the group's sites as they are.
-    """
-    if len(group.right_sites) == 1:
-        left, right = hs.left_address(group.left_site), hs.right_address(group.right_sites[0])
-        return compose_record(hs, left, right, guest_name)
+def group_record(group: SharedLinkGroup, guest_name: str) -> DerivationRecord:
+    """The record `shared_substitute` appends when it fills `group` with that guest: the group's own sites."""
+    operation = "substitution" if len(group.right_sites) == 1 else "shared-substitution"
     guest_id = guest_instance_id(group.left_site, guest_name)
-    return DerivationRecord("shared-substitution", guest_name, guest_id, group.left_site, group.right_sites)
+    return DerivationRecord(operation, guest_name, guest_id, group.left_site, group.right_sites)
 
 
-def check_compose(
-    hs: DerivedStructure,
-    left_site: GornAddress,
-    right_site: GornAddress,
-    guest: LstagPair,
-    record: DerivationRecord,
+def check_step(
+    hs: DerivedStructure, record: DerivationRecord, guest: LstagPair, left: Located, rights: tuple[Located, ...]
 ) -> tuple[bool, Callable[[], DerivedStructure]]:
-    """Raise what `lstag_compose` raises for this step, before anything is composed.
+    """Raise what composing `guest` in the step `record` names raises, before anything is composed.
 
-    `record` is `compose_record(hs, left_site, right_site, guest.name)`.
-    Returns whether the structure the step builds is complete, worked out
-    from the slot counts of the host and the guest, and the step itself,
-    which cannot fail.
+    `left` and `rights` are the (derived address, node) pairs of the
+    record's left and right sites.  Returns whether the structure the step
+    builds is complete, worked out from the slot counts of the host and the
+    guest, and the step itself, which cannot fail.
     """
-    left_ref, (right_ref,) = record.left_site, record.right_sites
-    left, right = hs.left_tree.node(left_site), hs.right_spine.node(right_site)
+    left_site, left_node = left
+    if len(rights) > 1:
+        if guest.delta or guest.phi:
+            raise UnsupportedGuestLinks("a guest attached at several shared sites cannot carry links of its own")
+        if classify(guest.left_tree) is not TreeClass.INITIAL or classify(guest.right_tree) is not TreeClass.INITIAL:
+            raise ClassMismatch("shared substitution requires initial guest trees")
+        check_substitution(left_node.kind, left_site, guest.left_tree)
+        parents = hs.fragment_parents
+        for addr, node in rights:
+            kind = node.kind
+            if node.site in parents:
+                raise NotASlot(f"right slot at {addr} is already filled by a shared fragment")
+            if not isinstance(kind, SubstitutionSlot):
+                raise NotASlot(f"right node at {addr} is {kind}, not a substitution slot")
+            if guest.right_tree.root_symbol != kind.symbol:
+                raise SymbolMismatch(
+                    f"right slot at {addr} expects {kind.symbol!r}, guest root is {guest.right_tree.root_symbol!r}"
+                )
+        complete = _closed(
+            hs.left_tree.root.slots - 1 + guest.left_tree.root.slots,
+            hs.fragment_slots + guest.right_tree.root.slots,
+            hs.right_spine.root.slots,
+            len(parents.union(record.right_sites)),
+        )
+
+        def build_shared() -> DerivedStructure:
+            left_tree = fill_slot(hs.left_tree, left_site, guest.left_tree, record.guest_id)
+            fragment = Fragment(record.guest_id, guest.name, guest.right_tree, record.right_sites)
+            # Another group on the filled left slot now names the guest root, which sits where the slot was.
+            filler, group = SiteRef(record.guest_id, ROOT), SharedLinkGroup(record.left_site, record.right_sites)
+            live = tuple(
+                SharedLinkGroup(filler, g.right_sites) if g.left_site == record.left_site else g
+                for g in hs.live_links if g != group
+            )
+            return DerivedStructure(
+                hs.root, left_tree, hs.right_spine, hs.fragments + (fragment,), live, hs.history + (record,)
+            )
+
+        return complete, build_shared
+    right_site, right_node = rights[0]
+    operation = _operation(left, rights[0])
+    if operation != record.operation:  # a one-site group of two interior nodes is filled by adjunction
+        record = replace(record, operation=operation)
+    left_ref, right_ref = left_node.site, right_node.site
     live = hs.live_links
-    if record.operation == "substitution":
+    if operation == "substitution":
         if right_ref in hs.fragment_parents:
             raise NotASlot(f"right slot at {right_site} is already filled by a shared fragment")
         touching = [g for g in live if g.left_site == left_ref or right_ref in g.right_sites]
@@ -344,13 +386,13 @@ def check_compose(
             live = tuple(g for g in live if g not in touching)
         check, graft, consumed = check_substitution, fill_slot, 1
     else:
-        if left.adjoined:
+        if left_node.adjoined:
             raise DuplicateAdjunction(f"left node {left_ref} already hosts an adjunction")
-        if right.adjoined:
+        if right_node.adjoined:
             raise DuplicateAdjunction(f"right node {right_ref} already hosts an adjunction")
         check, graft, consumed = check_adjunction, splice, 0
-    check(left.kind, left_site, guest.left_tree)
-    check(right.kind, right_site, guest.right_tree)
+    check(left_node.kind, left_site, guest.left_tree)
+    check(right_node.kind, right_site, guest.right_tree)
     _check_cardinality(live, guest.phi)
     complete = _closed(
         hs.left_tree.root.slots - consumed + guest.left_tree.root.slots,
@@ -392,64 +434,8 @@ def lstag_compose(
     """
     hs = as_structure(host)
     record = compose_record(hs, left_site, right_site, guest.name)
-    return check_compose(hs, left_site, right_site, guest, record)[1]()
-
-
-def check_group(
-    hs: DerivedStructure, group: SharedLinkGroup, guest: LstagPair, record: DerivationRecord
-) -> tuple[bool, Callable[[], DerivedStructure]]:
-    """Raise what `shared_substitute` raises for a live group, before anything is composed.
-
-    `record` is `group_record(hs, group, guest.name)`.  Returns whether the
-    structure the step builds is complete and the step itself, which cannot
-    fail, as `check_compose` does.
-    """
-    if len(group.right_sites) == 1:
-        left, right = hs.left_address(group.left_site), hs.right_address(group.right_sites[0])
-        return check_compose(hs, left, right, guest, record)
-
-    if guest.delta or guest.phi:
-        raise UnsupportedGuestLinks(
-            "a guest attached at several shared sites cannot carry links of its own"
-        )
-    if classify(guest.left_tree) is not TreeClass.INITIAL or classify(guest.right_tree) is not TreeClass.INITIAL:
-        raise ClassMismatch("shared substitution requires initial guest trees")
-    left_addr, left_node = hs.left_tree.locate(group.left_site)
-    check_substitution(left_node.kind, left_addr, guest.left_tree)
-    parents = hs.fragment_parents
-    for site in group.right_sites:
-        addr, node = hs.right_spine.locate(site)
-        if site in parents:
-            raise NotASlot(f"right slot at {addr} is already filled by a shared fragment")
-        kind = node.kind
-        if not isinstance(kind, SubstitutionSlot):
-            raise NotASlot(f"right node at {addr} is {kind}, not a substitution slot")
-        if guest.right_tree.root_symbol != kind.symbol:
-            raise SymbolMismatch(
-                f"right slot at {addr} expects {kind.symbol!r}, guest root is "
-                f"{guest.right_tree.root_symbol!r}"
-            )
-    complete = _closed(
-        hs.left_tree.root.slots - 1 + guest.left_tree.root.slots,
-        hs.fragment_slots + guest.right_tree.root.slots,
-        hs.right_spine.root.slots,
-        len(parents.union(group.right_sites)),
-    )
-
-    def build() -> DerivedStructure:
-        left_tree = fill_slot(hs.left_tree, left_addr, guest.left_tree, record.guest_id)
-        fragment = Fragment(record.guest_id, guest.name, guest.right_tree, group.right_sites)
-        # Another group on the filled left slot now names the guest root, which sits where the slot was.
-        filler = SiteRef(record.guest_id, ROOT)
-        live = tuple(
-            SharedLinkGroup(filler, g.right_sites) if g.left_site == group.left_site else g
-            for g in hs.live_links if g != group
-        )
-        return DerivedStructure(
-            hs.root, left_tree, hs.right_spine, hs.fragments + (fragment,), live, hs.history + (record,)
-        )
-
-    return complete, build
+    left, right = (left_site, hs.left_tree.node(left_site)), (right_site, hs.right_spine.node(right_site))
+    return check_step(hs, record, guest, left, (right,))[1]()
 
 
 def shared_substitute(
@@ -467,7 +453,9 @@ def shared_substitute(
     hs = as_structure(host)
     if group not in hs.live_links:
         raise GroupNotLive(f"the group at left site {group.left_site} is not live in this structure")
-    return check_group(hs, group, guest, group_record(hs, group, guest.name))[1]()
+    left = hs.left_tree.locate(group.left_site)
+    rights = tuple(hs.right_spine.locate(site) for site in group.right_sites)
+    return check_step(hs, group_record(group, guest.name), guest, left, rights)[1]()
 
 
 @dataclass(frozen=True)

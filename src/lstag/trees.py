@@ -242,13 +242,14 @@ class SyntaxTree:
         return self.node(addr).kind
 
     @cached_property
-    def _by_site(self) -> dict[SiteRef | None, tuple[GornAddress, TreeNode]]:
+    def by_site(self) -> dict[SiteRef | None, tuple[GornAddress, TreeNode]]:
+        """The (address, node) pair of `preorder` each site names."""
         return {pair[1].site: pair for pair in self.preorder}
 
     def locate(self, site: SiteRef) -> tuple[GornAddress, TreeNode]:
         """The address and node of the node that carries `site`, read off `preorder`."""
         try:
-            return self._by_site[site]
+            return self.by_site[site]
         except KeyError:
             raise AddressNotFound(f"no node carries {site}") from None
 

@@ -377,6 +377,22 @@ def test_derive_unknown_root(capsys, fixtures_dir, tmp_path):
     assert "UnknownTree" in err
 
 
+def test_derive_says_a_synchronous_pair_root_is_not_derived(capsys, fixtures_dir, tmp_path):
+    script = tmp_path / "sync.script"
+    script.write_text("root cooked_sync\nsubstitute john_sync at 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "derive", str(fixtures_dir / "translation.stag"), str(script))
+    assert (code, out) == (1, "")
+    assert err == (
+        "SynchronousPair: script root 'cooked_sync' is a synchronous pair; derive takes trees and lspairs only\n"
+    )
+
+
+def test_enumerate_refuses_a_grammar_of_synchronous_pairs_only(capsys, fixtures_dir):
+    code, out, err = run(capsys, "enumerate", str(fixtures_dir / "translation.stag"))
+    assert (code, out) == (1, "")
+    assert err == "SynchronousPair: synchronous pairs are not enumerated\n"
+
+
 @pytest.mark.parametrize(
     "grammar, script",
     [

@@ -11,14 +11,20 @@ from helpers_trees import (
     pair_grammar,
     random_auxiliary,
     random_initial,
+    random_links,
     replay_lstag_records,
+    slot_addresses,
 )
 from reference_search import reference_enumerate
 
 from lstag import (
     EnumerationBudget,
     GornAddress,
+    Link,
     LstagError,
+    LstagGrammar,
+    LstagPair,
+    OperationMismatch,
     TagGrammar,
     enumerate_derivations,
     language_sample,
@@ -26,6 +32,8 @@ from lstag import (
     parse_grammar,
     parse_tree,
     replay,
+    shared_substitute,
+    structure_from_pair,
     usable_lstag_names,
     yield_tokens,
 )
@@ -83,8 +91,7 @@ def checked_states(monkeypatch):
         return checked_move
 
     monkeypatch.setattr(engine, "_lstag_moves", checked_moves)
-    for name in ("check_compose", "check_group"):
-        monkeypatch.setattr(engine, name, checking(getattr(engine, name)))
+    monkeypatch.setattr(engine, "check_step", checking(engine.check_step))
     return checked
 
 
@@ -309,6 +316,60 @@ def test_moves_that_fail_to_compose_match_the_reference(delta, ops, truncated):
     assert result == reference_enumerate(grammar, budget)
 
 
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_lstag_search_matches_the_reference_on_random_grammars(data):
+    """Capped and uncapped link-sharing searches take their moves in the reference's order.
+
+    Two hosts link their slots pairwise.  A host's right tree is often not a
+    copy of its left one, and a host often has one random link more, which
+    may join a slot to an interior node.  Slot-free fillers cover every
+    symbol.  Three auxiliaries carry a random delta link and phi links at
+    their right slots; most are coordinators whose slots copy a host's, so
+    the groups they extend are filled by shared substitutions.
+    """
+    rng = random.Random(data.draw(st.integers(0, 2**48)))
+    pairs = []
+    for k in range(2):
+        left = random_initial(rng, "S", max_depth=2)
+        right = left if rng.random() < 0.5 else random_initial(rng, "S", max_depth=2)
+        delta = [Link(a, b) for a, b in zip(slot_addresses(left), slot_addresses(right))]
+        delta += random_links(rng, left, right, rng.randint(0, 1))
+        pairs.append(LstagPair(f"h{k}", left, right, delta=tuple(delta)))
+    for k, symbol in enumerate(SYMBOLS):
+        pairs.append(LstagPair(f"f{k}", *(random_initial(rng, symbol, allow_slots=False, max_depth=1) for _ in "lr")))
+    for k in range(3):
+        left, right = (random_auxiliary(rng, rng.choice("SA"), max_depth=2) for _ in "lr")
+        if rng.random() < 0.7:  # a coordinator: a slot like each of a host's first right slots, in order
+            host = rng.choice(pairs[:2]).right_tree
+            right = parse_tree("S(%s S*)" % " ".join(f"{host.node_at(a).symbol}!" for a in slot_addresses(host)[:2]))
+        phi = tuple(Link(a, a) for a in rng.sample(slot_addresses(right), min(2, len(slot_addresses(right)))))
+        delta = tuple(random_links(rng, left, right, rng.randint(0, 1)))
+        pairs.append(LstagPair(f"a{k}", left, right, delta=delta, phi=phi))
+    grammar = LstagGrammar(tuple((p.name, p) for p in pairs))
+    budget = EnumerationBudget(data.draw(st.integers(1, 3)), data.draw(st.sampled_from([3, 7, 40, 10000])))
+    assert enumerate_derivations(grammar, budget) == reference_enumerate(grammar, budget)
+
+
+_SLOT_TO_INTERIOR = 'lspair host { left: S(NP! VP(V("x"))) right: S(NP! VP(V("x"))) delta: [1~2] phi: [] }'
+
+
+def test_a_group_joining_a_slot_to_an_interior_node_takes_no_guest():
+    grammar = parse_grammar("\n".join([_SLOT_TO_INTERIOR, _JOHN]) + "\n").lstag_grammar()
+    s = structure_from_pair(grammar.get("host"))
+    with pytest.raises(OperationMismatch) as raised:
+        shared_substitute(s, s.live_links[0], grammar.get("john"))
+    assert str(raised.value) == (
+        "left site 1 is SubstitutionSlot(symbol='NP') while right site 2 is Interior(symbol='VP'); "
+        "both sides must substitute or both must adjoin"
+    )
+    for ops in (1, 2):
+        result = enumerate_derivations(grammar, EnumerationBudget(ops))
+        assert result.truncated is False
+        assert [(item.root, item.records) for item in result.items] == [("john", ())]
+        assert result == reference_enumerate(grammar, EnumerationBudget(ops))
+
+
 @pytest.mark.parametrize(
     "fixture, gated, items", [("topicalization.lstag", False, 180), ("cooks_eats.lstag", True, 18)]
 )
@@ -341,8 +402,7 @@ def test_incomplete_states_at_the_budget_are_built_only_to_decide_truncation(
 
         return logged
 
-    for name in ("check_compose", "check_group"):
-        monkeypatch.setattr(engine, name, logging(getattr(engine, name)))
+    monkeypatch.setattr(engine, "check_step", logging(engine.check_step))
     moves = engine._lstag_moves
 
     def logged_moves(initial, auxiliary, s):

@@ -48,7 +48,7 @@ from lstag import (
     yield_tokens,
 )
 from lstag import engine
-from lstag.sharing import check_compose, check_group, compose_record, group_record
+from lstag.sharing import check_step, compose_record, group_record
 from lstag.tag import derivation_from_json_obj, derivation_to_json_obj
 from lstag.trees import adjoin_with_maps, substitute_with_maps
 
@@ -698,15 +698,17 @@ def assert_checks_agree(s, guests) -> None:
     for guest in guests:
         for la in s.left_tree.addresses():
             for ra in s.right_spine.addresses():
+                left, right = (la, s.left_tree.node(la)), (ra, s.right_spine.node(ra))
                 assert_split_agrees(
                     partial(compose_record, s, la, ra, guest.name),
-                    partial(check_compose, s, la, ra, guest),
+                    lambda record: check_step(s, record, guest, left, (right,)),
                     partial(lstag_compose, s, la, ra, guest),
                 )
         for group in s.live_links:
+            sites = lambda: (s.left_tree.locate(group.left_site), tuple(map(s.right_spine.locate, group.right_sites)))
             assert_split_agrees(
-                partial(group_record, s, group, guest.name),
-                partial(check_group, s, group, guest),
+                partial(group_record, group, guest.name),
+                lambda record: check_step(s, record, guest, *sites()),
                 partial(shared_substitute, s, group, guest),
             )
 

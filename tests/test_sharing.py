@@ -26,7 +26,7 @@ from lstag import (
     validate_pair,
 )
 
-from lstag.sharing import check_compose, check_group, compose_record, group_record
+from lstag.sharing import check_step, compose_record, group_record
 
 from helpers_trees import check_structure, group_addresses, pair_grammar, parent_addresses
 
@@ -299,7 +299,8 @@ def test_check_says_whether_filling_the_last_group_completes(shared, guest, comp
         s = shared_substitute(s, s.live_links[1], BEANS)
     (last,) = s.live_links
     assert len(last.right_sites) == (2 if shared else 1)
-    assert check_group(s, last, guest, group_record(s, last, guest.name))[0] is complete
+    left, rights = s.left_tree.locate(last.left_site), tuple(s.right_spine.locate(x) for x in last.right_sites)
+    assert check_step(s, group_record(last, guest.name), guest, left, rights)[0] is complete
     assert shared_substitute(s, last, guest).is_complete is complete
 
 
@@ -308,7 +309,8 @@ def test_check_counts_the_open_slots_of_earlier_fragments():
     s = shared_substitute(s, s.live_links[0], BEANS)
     today = LstagPair("today", parse_tree('V(V* ADV("today"))'), parse_tree('S(S* ADV("today"))'))
     record = compose_record(s, A("2.1.3"), E, today.name)
-    assert check_compose(s, A("2.1.3"), E, today, record)[0] is False
+    left, right = (A("2.1.3"), s.left_tree.node(A("2.1.3"))), (E, s.right_spine.node(E))
+    assert check_step(s, record, today, left, (right,))[0] is False
     assert not lstag_compose(s, A("2.1.3"), E, today).is_complete
 
 
@@ -317,6 +319,18 @@ def test_shared_substitute_requires_live_group():
     dead = group("cooks", "1", "9")
     with pytest.raises(GroupNotLive):
         shared_substitute(s, dead, JOHN)
+
+
+def test_a_one_site_group_of_two_interior_nodes_is_filled_by_adjunction():
+    tree = parse_tree('S(NP("x") VP(V("x")))')
+    host = LstagPair("host", tree, tree, delta=(lk("2"),))
+    vp = LstagPair("vp", parse_tree('VP(VP* ADV("y"))'), parse_tree('VP(VP* ADV("y"))'))
+    s = structure_from_pair(host)
+    with pytest.raises(ClassMismatch, match="only auxiliary trees adjoin"):
+        shared_substitute(s, s.live_links[0], JOHN)
+    s = shared_substitute(s, s.live_links[0], vp)
+    assert [r.to_line() for r in s.history] == ["adjunction host/2:vp right=[host@2]"]
+    assert " ".join(s.left_yield()) == "x x y"
 
 
 def test_shared_substitute_checks_every_right_slot():
