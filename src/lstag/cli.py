@@ -277,11 +277,16 @@ def _emit_structure(structure: DerivedStructure, fmt: str) -> None:
 def _cmd_enumerate(args) -> int:
     doc = load_grammar(args.grammar)
     budget = EnumerationBudget(args.max_ops, args.max_structures)
+    skipped = []  # one diagnostic per kind of declaration the enumeration leaves out
+    if doc.trees and doc.lstag_pairs:
+        skipped.append(Diagnostic("PlainTree", "trees are not enumerated alongside lspairs"))
+    if doc.stag_pairs:
+        skipped.append(Diagnostic("SynchronousPair", "synchronous pairs are not enumerated"))
+    _print_diagnostics(skipped, False)
     if doc.lstag_pairs:
         usable = usable_lstag_names(doc, restrictions=not args.no_restrictions)
         grammar = doc.lstag_grammar(usable)
     elif doc.stag_pairs and not doc.trees:
-        _print_diagnostics([Diagnostic("SynchronousPair", "synchronous pairs are not enumerated")], False)
         return 1
     else:
         grammar = doc.tag_grammar()

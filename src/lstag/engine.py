@@ -31,13 +31,15 @@ Plain TAG substitutes initial trees at every slot and adjoins auxiliary
 trees at every interior node.  Its moves match the guest's class and root
 symbol before they are yielded, so they are legal by construction and
 build with the unchecked `fill_slot` and `splice`.  They walk the tree's
-nodes with their child-index paths and build a site's `GornAddress`, its
-order-key text and the guest instance-id prefix once, at the first guest
-that fits there; other nodes get no address.  Link-sharing moves are
-checked by `sharing.check_step`: substitutions fill live link groups (one
-move fills every shared site), whose sites are located once per state, and
-adjunctions pair the interior nodes of each tree's cached `preorder` that
-no adjunction has marked `adjoined`, with records built from those nodes.
+rows and build a site's `GornAddress`, its order-key text and the guest
+instance-id prefix once, at the first guest that fits there; other nodes
+get no address.  Link-sharing moves are checked by `sharing.check_step`
+on the rows of their sites: substitutions fill live link groups (one move
+fills every shared site), whose rows are read off `by_site` once per
+state, and adjunctions pair the interior nodes of each tree that no
+adjunction has marked `adjoined` and whose symbol is an auxiliary's root,
+with records built from those nodes.  Such a site's address text, for the
+order key, is built once per state.
 A move reads the elementary site it composes at (its `SiteRef`) off the
 node itself, so no state keeps a provenance table.
 """
@@ -72,6 +74,7 @@ from .trees import (
     TreeClass,
     classify,
     fill_slot,
+    row_address,
     splice,
     yield_tokens,
 )
@@ -209,7 +212,8 @@ def _legal(complete: bool, build: Callable[[], _TagState]) -> _Checked:
 
 def _tag_moves(guests: dict[str, list[tuple[str, SyntaxTree]]], state: _TagState) -> Iterator[_Move]:
     slots = state.tree.root.slots
-    for parts, node in state.tree.paths():
+    for row in state.tree.rows():
+        node = row[2]
         kind = node.kind
         if isinstance(kind, SubstitutionSlot):
             operation, open_slots = "substitution", slots - 1
@@ -223,7 +227,7 @@ def _tag_moves(guests: dict[str, list[tuple[str, SyntaxTree]]], state: _TagState
                 continue
             if addr is None:
                 ref = node.site
-                addr = GornAddress._of(parts)
+                addr = row_address(row)
                 addr_text, id_prefix = str(addr), instance_prefix(ref)
             record = DerivationRecord(operation, name, id_prefix + name, ref, ())
             build = partial(_tag_child, state, addr, tree, record)
@@ -249,26 +253,30 @@ def _lstag_moves(
 ) -> Iterator[_Move]:
     for gi, group in enumerate(s.live_links):
         left = s.left_tree.by_site.get(group.left_site)
-        rights = tuple(s.right_spine.by_site.get(site) for site in group.right_sites)
+        rights = tuple(map(s.right_spine.by_site.get, group.right_sites))
         if left is None or None in rights:  # an unvalidated link names no node, so no guest fills its group
             continue
         for name, pair in initial:
             record = group_record(group, name)
             yield (0, gi, name), record, partial(check_step, s, record, pair, left, rights)
+    # (address text, row, node) of each node no adjunction has marked whose kind is an auxiliary's root, in preorder
     left_sites, right_sites = (
-        [(a, n) for a, n in tree.preorder if not n.adjoined and isinstance(n.kind, Interior)]
-        for tree in (s.left_tree, s.right_spine)
+        [(str(row_address(r)), r, r[2]) for r in tree.rows() if r[2].kind in roots and not r[2].adjoined]
+        for tree, roots in (
+            (s.left_tree, {pair.left_tree.root.kind for _, pair in auxiliary}),
+            (s.right_spine, {pair.right_tree.root.kind for _, pair in auxiliary}),
+        )
     )
     for name, pair in auxiliary:
-        for la, ln in left_sites:
+        for left_text, left, ln in left_sites:
             if ln.kind.symbol != pair.left_tree.root_symbol:
                 continue
             guest_id = guest_instance_id(ln.site, name)
-            for ra, rn in right_sites:
+            for right_text, right, rn in right_sites:
                 if rn.kind.symbol == pair.right_tree.root_symbol:
                     record = DerivationRecord("adjunction", name, guest_id, ln.site, (rn.site,))
-                    check = partial(check_step, s, record, pair, (la, ln), ((ra, rn),))
-                    yield (1, str(la), str(ra), name), record, check
+                    check = partial(check_step, s, record, pair, left, (right,))
+                    yield (1, left_text, right_text, name), record, check
 
 
 def enumerate_derivations(

@@ -6,12 +6,14 @@ every extension of itself and siblings sort by index.
 
 `GornAddress(parts)` and `GornAddress.parse` are the checked boundary: both
 reject a component that is not an integer >= 1.  Addresses derived from
-valid ones (`extend`, `parent`, `suffix_after`, the address views of a
-tree, `child` once its new index is checked, and `trees.rebase_address`,
-which only the host map of `adjoin_with_maps` applies, for `stag_compose`'s
-link endpoints) are trusted and skip that check.  Whether an address names
-a node of a given tree is a separate question: `tag.validate_derivation`
-answers it once for a derivation's edges, before `replay` composes there.
+valid ones are trusted and skip that check: `extend`, `parent`,
+`suffix_after`, `child` once its new index is checked, `trees.row_address`
+(every address view of a tree reads a node's address off the rows of one
+tree walk with it) and `trees.rebase_address` (which only the host map of
+`adjoin_with_maps` applies, for `stag_compose`'s link endpoints).  Whether
+an address names a node of a given tree is a separate question:
+`tag.validate_derivation` answers it once for a derivation's edges, before
+`replay` composes there.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ class GornAddress:
 
     def child(self, k: int) -> "GornAddress":
         if not _is_index(k):
-            raise ValueError(f"address components must be integers >= 1, got {self.parts + (k,)!r}")
-        return GornAddress._of(self.parts + (k,))
+            raise ValueError(f"address components must be integers >= 1, got {(*self.parts, k)!r}")
+        return GornAddress._of((*self.parts, k))
 
     def extend(self, other: "GornAddress") -> "GornAddress":
         return GornAddress._of(self.parts + other.parts)

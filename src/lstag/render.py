@@ -17,7 +17,7 @@ import json
 from .grammarfile import GrammarDocument
 from .sharing import DerivationGraph, DerivedStructure
 from .tag import DerivationTree, derivation_to_json_obj
-from .trees import Foot, Interior, SubstitutionSlot, SyntaxTree, Terminal, format_tree
+from .trees import Foot, Interior, Row, SubstitutionSlot, SyntaxTree, Terminal, format_tree
 
 
 def _esc(text: str) -> str:
@@ -45,10 +45,13 @@ def _cluster(name: str, label: str, lines: list[str]) -> list[str]:
 def tree_dot_lines(tree: SyntaxTree, prefix: str, indent: str = "  ") -> list[str]:
     """Node lines in address order, then each node's child edges in the same order."""
     lines, edges = [], []
-    ids: list[str] = []  # ids[k]: the id of the last node seen at depth k, in preorder a node's parent
-    for parts, node in tree.paths():
-        node_id = f"{ids[len(parts) - 1]}_{parts[-1]}" if parts else prefix
-        ids[len(parts):] = [node_id]
+    path: list[tuple[Row, str]] = []  # (row, id) from the root to the last node; in preorder a node's parent is on it
+    for row in tree.rows():
+        parent, k, node = row
+        while path and path[-1][0] is not parent:
+            path.pop()
+        node_id = f"{path[-1][1]}_{k}" if path else prefix
+        path.append((row, node_id))
         shape = "box" if isinstance(node.kind, Terminal) else "plaintext"
         lines.append(f'{indent}"{node_id}" [label="{_esc(_kind_label(node.kind))}" shape={shape}];')
         for k in range(1, len(node.children) + 1):

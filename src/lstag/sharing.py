@@ -18,9 +18,10 @@ for them.
 A `DerivationRecord` names one step; `compose_record` (at host addresses)
 and `group_record` (filling a live group) make one.  `check_step` raises
 every error the step can raise before anything is composed, given the
-(address, node) pairs of the record's sites, which its caller locates once;
-it says whether the structure will be complete and returns a build that
-cannot fail.  `lstag_compose` and `shared_substitute` run both, and the
+tree rows (`trees.Row`) of the record's sites, which its caller locates
+once; it builds only the addresses it composes at or reports.  It says
+whether the structure will be complete and returns a build that cannot
+fail.  `lstag_compose` and `shared_substitute` run both, and the
 enumerator builds only the states it needs.
 """
 
@@ -53,12 +54,14 @@ from .trees import (
     SubstitutionSlot,
     SyntaxTree,
     TreeClass,
+    Row,
     TreeNode,
     check_adjunction,
     check_substitution,
     classify,
     fill_slot,
     splice,
+    row_address,
     yield_tokens,
 )
 
@@ -82,22 +85,15 @@ class LstagPair:
 def validate_pair(p: LstagPair) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     for link in p.delta:
-        if not p.left_tree.has_address(link.left):
-            diags.append(
-                Diagnostic("AddressNotFound", f"delta endpoint {link.left} missing from left tree", p.name)
-            )
-        if not p.right_tree.has_address(link.right):
-            diags.append(
-                Diagnostic("AddressNotFound", f"delta endpoint {link.right} missing from right tree", p.name)
-            )
+        for side, tree, end in (("left", p.left_tree, link.left), ("right", p.right_tree, link.right)):
+            if not tree.has_address(end):
+                diags.append(Diagnostic("AddressNotFound", f"delta endpoint {end} missing from {side} tree", p.name))
     for link in p.phi:
         if not link.is_reflexive:
             diags.append(Diagnostic("NotReflexive", f"phi link {link} is not reflexive", p.name))
         for end in {link.left, link.right}:
             if not p.right_tree.has_address(end):
-                diags.append(
-                    Diagnostic("AddressNotFound", f"phi endpoint {end} missing from right tree", p.name)
-                )
+                diags.append(Diagnostic("AddressNotFound", f"phi endpoint {end} missing from right tree", p.name))
     overlap = set(p.delta) & set(p.phi)
     for link in sorted(overlap, key=str):
         diags.append(Diagnostic("NotDisjoint", f"link {link} appears in both delta and phi", p.name))
@@ -220,11 +216,11 @@ class DerivedStructure:
 
     def left_address(self, site: SiteRef) -> GornAddress:
         """The derived address of the left node that carries `site`."""
-        return self.left_tree.locate(site)[0]
+        return row_address(self.left_tree.locate(site))
 
     def right_address(self, site: SiteRef) -> GornAddress:
         """The derived address of the spine node that carries `site`."""
-        return self.right_spine.locate(site)[0]
+        return row_address(self.right_spine.locate(site))
 
     def fragment_named(self, name: str) -> Fragment:
         for f in self.fragments:
@@ -283,12 +279,8 @@ def guest_instance_id(left_ref: SiteRef, guest_name: str) -> str:
     return instance_prefix(left_ref) + guest_name
 
 
-Located = tuple[GornAddress, TreeNode]  # a site's derived address and its node
-
-
-def _operation(left: Located, right: Located) -> str:
+def _operation(left_addr: GornAddress, left_node: TreeNode, right_addr: GornAddress, right_node: TreeNode) -> str:
     """The operation at a left and a right site: two slots substitute, two interior nodes adjoin."""
-    (left_addr, left_node), (right_addr, right_node) = left, right
     if isinstance(left_node.kind, SubstitutionSlot) and isinstance(right_node.kind, SubstitutionSlot):
         return "substitution"
     if isinstance(left_node.kind, Interior) and isinstance(right_node.kind, Interior):
@@ -307,7 +299,7 @@ def compose_record(
     It raises what `lstag_compose` raises for sites that are missing or of different kinds.
     """
     left, right = hs.left_tree.node(left_site), hs.right_spine.node(right_site)
-    operation = _operation((left_site, left), (right_site, right))
+    operation = _operation(left_site, left, right_site, right)
     return DerivationRecord(operation, guest_name, guest_instance_id(left.site, guest_name), left.site, (right.site,))
 
 
@@ -319,16 +311,17 @@ def group_record(group: SharedLinkGroup, guest_name: str) -> DerivationRecord:
 
 
 def check_step(
-    hs: DerivedStructure, record: DerivationRecord, guest: LstagPair, left: Located, rights: tuple[Located, ...]
+    hs: DerivedStructure, record: DerivationRecord, guest: LstagPair, left: Row, rights: tuple[Row, ...]
 ) -> tuple[bool, Callable[[], DerivedStructure]]:
     """Raise what composing `guest` in the step `record` names raises, before anything is composed.
 
-    `left` and `rights` are the (derived address, node) pairs of the
-    record's left and right sites.  Returns whether the structure the step
+    `left` and `rights` are the rows of the record's left and right sites
+    in the host's trees.  A shared substitution builds the address of its
+    right sites only to report one.  Returns whether the structure the step
     builds is complete, worked out from the slot counts of the host and the
     guest, and the step itself, which cannot fail.
     """
-    left_site, left_node = left
+    left_site, left_node = row_address(left), left[2]
     if len(rights) > 1:
         if guest.delta or guest.phi:
             raise UnsupportedGuestLinks("a guest attached at several shared sites cannot carry links of its own")
@@ -336,15 +329,17 @@ def check_step(
             raise ClassMismatch("shared substitution requires initial guest trees")
         check_substitution(left_node.kind, left_site, guest.left_tree)
         parents = hs.fragment_parents
-        for addr, node in rights:
+        for row in rights:
+            node = row[2]
             kind = node.kind
             if node.site in parents:
-                raise NotASlot(f"right slot at {addr} is already filled by a shared fragment")
+                raise NotASlot(f"right slot at {row_address(row)} is already filled by a shared fragment")
             if not isinstance(kind, SubstitutionSlot):
-                raise NotASlot(f"right node at {addr} is {kind}, not a substitution slot")
+                raise NotASlot(f"right node at {row_address(row)} is {kind}, not a substitution slot")
             if guest.right_tree.root_symbol != kind.symbol:
                 raise SymbolMismatch(
-                    f"right slot at {addr} expects {kind.symbol!r}, guest root is {guest.right_tree.root_symbol!r}"
+                    f"right slot at {row_address(row)} expects {kind.symbol!r}, "
+                    f"guest root is {guest.right_tree.root_symbol!r}"
                 )
         complete = _closed(
             hs.left_tree.root.slots - 1 + guest.left_tree.root.slots,
@@ -367,8 +362,8 @@ def check_step(
             )
 
         return complete, build_shared
-    right_site, right_node = rights[0]
-    operation = _operation(left, rights[0])
+    right_site, right_node = row_address(rights[0]), rights[0][2]
+    operation = _operation(left_site, left_node, right_site, right_node)
     if operation != record.operation:  # a one-site group of two interior nodes is filled by adjunction
         record = replace(record, operation=operation)
     left_ref, right_ref = left_node.site, right_node.site
@@ -434,8 +429,7 @@ def lstag_compose(
     """
     hs = as_structure(host)
     record = compose_record(hs, left_site, right_site, guest.name)
-    left, right = (left_site, hs.left_tree.node(left_site)), (right_site, hs.right_spine.node(right_site))
-    return check_step(hs, record, guest, left, (right,))[1]()
+    return check_step(hs, record, guest, hs.left_tree.row_at(left_site), (hs.right_spine.row_at(right_site),))[1]()
 
 
 def shared_substitute(
@@ -454,7 +448,7 @@ def shared_substitute(
     if group not in hs.live_links:
         raise GroupNotLive(f"the group at left site {group.left_site} is not live in this structure")
     left = hs.left_tree.locate(group.left_site)
-    rights = tuple(hs.right_spine.locate(site) for site in group.right_sites)
+    rights = tuple(map(hs.right_spine.locate, group.right_sites))
     return check_step(hs, group_record(group, guest.name), guest, left, rights)[1]()
 
 

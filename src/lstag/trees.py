@@ -12,13 +12,15 @@ path copies keep the mark, so a tree tells which nodes host an adjunction.
 checks, and `fill_slot` and `splice` compose without checking, for callers
 that have checked.  No operation here recurses on tree depth.
 
-Addresses are not stored; a traversal builds one only where its caller
-reads it.  `nodes()` walks nodes alone (yield, size, equality and hashing
-need no more), `paths()` walks child-index paths, and `walk()` builds each
-node's `GornAddress`.  The walks that are read again are cached per tree:
-`preorder`, which `locate` and the link-sharing move generator read, and
-the (kind, child count, address) rows `owned_by` stamps a grammar tree
-from.
+Addresses are not stored.  `nodes()` walks nodes alone (yield, size,
+equality and hashing need no more).  `rows()` is the one walk with
+positions: each node's row holds its parent's row, its child index and the
+node, and holds no address.  `row_address` builds a row's `GornAddress`
+up its parent rows, in O(depth), only for a node whose address a caller
+reads.  Every positional view reads `rows()`; the views read again are
+cached per tree: `by_site`, which maps a site to its row for `locate`, and
+the address tables `entries`, `frontier`, `slot_addresses` and
+`foot_address`.
 """
 
 from __future__ import annotations
@@ -107,30 +109,42 @@ class TreeNode:
         self.slots = sum(c.slots for c in children) if children else int(isinstance(kind, SubstitutionSlot))
 
 
-def _from_preorder(rows: Sequence[Sequence]) -> TreeNode:
-    """Build the nodes listed as (kind, child count, site) rows in preorder.
+Row = tuple["Row | None", int, TreeNode]
+"""A node's place in a walk: (its parent's row, its child index, the node); the root's row is (None, 0, root)."""
 
-    In reverse preorder a node's children are built before it, the first
-    child last.
+
+def row_address(row: Row) -> GornAddress:
+    """The address of a row's node, read off its parent rows in O(depth)."""
+    parts = []
+    while row[0] is not None:
+        parts.append(row[1])
+        row = row[0]
+    return GornAddress._of(tuple(reversed(parts)))
+
+
+def _from_preorder(rows: Sequence[tuple[int, NodeKind, SiteRef | None]]) -> TreeNode:
+    """Build the nodes listed as (depth, kind, site) rows in preorder.
+
+    In reverse preorder a node's children are built before it: they are the
+    deeper nodes on top of `done`, the first child on top.
     """
-    done: list[TreeNode] = []
-    for kind, count, site in reversed(rows):
-        kids = tuple(reversed(done[len(done) - count:]))
-        del done[len(done) - count:]
-        done.append(TreeNode(kind, kids, site))
-    return done[0]
+    done: list[tuple[int, TreeNode]] = []
+    for depth, kind, site in reversed(rows):
+        kids = []
+        while done and done[-1][0] > depth:
+            kids.append(done.pop()[1])
+        done.append((depth, TreeNode(kind, tuple(kids), site)))
+    return done[0][1]
 
 
-def _replaced(top: TreeNode, parts: tuple[int, ...], new: TreeNode) -> TreeNode:
-    """`top` with `new` at `parts`, sharing every subtree off the path; the path's copies keep sites and marks."""
-    path = []
-    node = top
-    for k in parts:
-        path.append(node)
-        node = node.children[k - 1]
-    for parent, k in zip(reversed(path), reversed(parts)):
-        kids = parent.children
-        new = TreeNode(parent.kind, kids[: k - 1] + (new,) + kids[k:], parent.site, parent.adjoined)
+def _replaced(row: Row, new: TreeNode) -> TreeNode:
+    """`row`'s tree rebuilt up its parent rows with `new` in its place; the copies keep their sites and marks."""
+    parent, k, _ = row
+    while parent is not None:
+        node = parent[2]
+        kids = node.children
+        new = TreeNode(node.kind, kids[: k - 1] + (new,) + kids[k:], node.site, node.adjoined)
+        parent, k, _ = parent
     return new
 
 
@@ -159,7 +173,6 @@ class SyntaxTree:
         if sum(isinstance(k, Foot) for k in kinds.values()) > 1:
             raise ValueError("tree has more than one foot node")
         order = sorted(kinds)
-        arity = dict.fromkeys(order, 0)
         for parts in order[1:]:
             parent, k = parts[:-1], parts[-1]
             if parent not in kinds:
@@ -169,21 +182,15 @@ class SyntaxTree:
             if k > 1 and parent + (k - 1,) not in kinds:
                 missing = GornAddress._of(parent + (k - 1,))
                 raise ValueError(f"missing sibling {missing} before {GornAddress._of(parts)}")
-            arity[parent] += 1
-        return cls(_from_preorder([(kinds[p], arity[p], None) for p in order]))
+        return cls(_from_preorder([(len(p), kinds[p], None) for p in order]))
 
     def owned_by(self, owner: str) -> "SyntaxTree":
         """This tree with every node's site set to `SiteRef(owner, its address)`.
 
-        The (kind, child count, address) rows are worked out once per tree
-        and cached, so stamping a grammar tree again builds only the sites
-        and the nodes.
+        The addresses come from the cached `entries`, so stamping a grammar
+        tree again builds only the sites and the nodes.
         """
-        return SyntaxTree(_from_preorder([(kind, count, SiteRef(owner, a)) for kind, count, a in self._rows]))
-
-    @cached_property
-    def _rows(self) -> tuple[tuple[NodeKind, int, GornAddress], ...]:
-        return tuple((n.kind, len(n.children), a) for a, n in self.walk())
+        return SyntaxTree(_from_preorder([(len(a.parts), kind, SiteRef(owner, a)) for a, kind in self.entries]))
 
     def nodes(self) -> Iterator[TreeNode]:
         """The nodes in preorder, without their addresses."""
@@ -196,65 +203,59 @@ class SyntaxTree:
             if kids:
                 extend(kids[::-1])
 
-    def paths(self) -> Iterator[tuple[tuple[int, ...], TreeNode]]:
-        """(child-index path, node) pairs in preorder; a path is its address's `parts`."""
-        stack = [((), self.root)]
+    def rows(self) -> Iterator[Row]:
+        """Each node's row in preorder, which is Gorn order; a row is built once and holds no address."""
+        stack: list[Row] = [(None, 0, self.root)]
         pop, push = stack.pop, stack.append
         while stack:
-            parts, node = pop()
-            yield parts, node
-            k = len(node.children)
-            for kid in reversed(node.children):
-                push((parts + (k,), kid))
+            row = pop()
+            yield row
+            kids = row[2].children
+            k = len(kids)
+            while k:
+                push((row, k, kids[k - 1]))
                 k -= 1
-
-    def walk(self) -> Iterator[tuple[GornAddress, TreeNode]]:
-        """(address, node) pairs in preorder, which is Gorn order."""
-        address = GornAddress._of
-        return ((address(parts), node) for parts, node in self.paths())
-
-    @cached_property
-    def preorder(self) -> tuple[tuple[GornAddress, TreeNode], ...]:
-        """The pairs of `walk()`, walked once and kept: `locate` and the move generator read them."""
-        return tuple(self.walk())
 
     @cached_property
     def entries(self) -> tuple[tuple[GornAddress, NodeKind], ...]:
         """The (address, kind) table in Gorn order."""
-        return tuple((a, n.kind) for a, n in self.walk())
+        return tuple((row_address(row), row[2].kind) for row in self.rows())
 
-    def _find(self, addr: GornAddress) -> TreeNode | None:
-        node = self.root
+    def row_at(self, addr: GornAddress) -> Row:
+        """The row of the node at `addr`, built down from the root."""
+        row: Row = (None, 0, self.root)
         for k in addr.parts:
-            if k > len(node.children):
-                return None
-            node = node.children[k - 1]
-        return node
+            kids = row[2].children
+            if k > len(kids):
+                raise AddressNotFound(f"no node at address {addr}")
+            row = (row, k, kids[k - 1])
+        return row
 
     def node(self, addr: GornAddress) -> TreeNode:
         """The node at `addr`: its kind, children and elementary site."""
-        node = self._find(addr)
-        if node is None:
-            raise AddressNotFound(f"no node at address {addr}")
-        return node
+        return self.row_at(addr)[2]
 
     def node_at(self, addr: GornAddress) -> NodeKind:
         return self.node(addr).kind
 
     @cached_property
-    def by_site(self) -> dict[SiteRef | None, tuple[GornAddress, TreeNode]]:
-        """The (address, node) pair of `preorder` each site names."""
-        return {pair[1].site: pair for pair in self.preorder}
+    def by_site(self) -> dict[SiteRef | None, Row]:
+        """The row of the node each site names, the last in preorder where several share one."""
+        return {row[2].site: row for row in self.rows()}
 
-    def locate(self, site: SiteRef) -> tuple[GornAddress, TreeNode]:
-        """The address and node of the node that carries `site`, read off `preorder`."""
+    def locate(self, site: SiteRef) -> Row:
+        """The row of the node that carries `site`, read off `by_site`."""
         try:
             return self.by_site[site]
         except KeyError:
             raise AddressNotFound(f"no node carries {site}") from None
 
     def has_address(self, addr: GornAddress) -> bool:
-        return self._find(addr) is not None
+        try:
+            self.node(addr)
+        except AddressNotFound:
+            return False
+        return True
 
     def addresses(self) -> tuple[GornAddress, ...]:
         return tuple(a for a, _ in self.entries)
@@ -262,33 +263,18 @@ class SyntaxTree:
     def items(self) -> tuple[tuple[GornAddress, NodeKind], ...]:
         return self.entries
 
-    def children(self, addr: GornAddress) -> tuple[GornAddress, ...]:
-        node = self._find(addr)
-        count = len(node.children) if node is not None else 0
-        return tuple(GornAddress._of(addr.parts + (k,)) for k in range(1, count + 1))
-
     @cached_property
     def frontier(self) -> tuple[GornAddress, ...]:
         """Leaf addresses in left-to-right order."""
-        return tuple(a for a, n in self.walk() if not n.children)
+        return tuple(row_address(row) for row in self.rows() if not row[2].children)
 
     @cached_property
     def foot_address(self) -> GornAddress | None:
-        path: list[int] = []  # child indices from the root to the node just taken
-        stack = [(0, 0, self.root)]  # (depth, child index, node)
-        while stack:
-            depth, k, node = stack.pop()
-            if depth:
-                del path[depth - 1:]
-                path.append(k)
-            if isinstance(node.kind, Foot):
-                return GornAddress._of(tuple(path))
-            stack.extend((depth + 1, k, c) for k, c in enumerate(node.children, 1))
-        return None
+        return next((row_address(row) for row in self.rows() if isinstance(row[2].kind, Foot)), None)
 
     @cached_property
     def slot_addresses(self) -> tuple[GornAddress, ...]:
-        return tuple(a for a, n in self.walk() if isinstance(n.kind, SubstitutionSlot))
+        return tuple(row_address(row) for row in self.rows() if isinstance(row[2].kind, SubstitutionSlot))
 
     @property
     def root_symbol(self) -> str:
@@ -379,7 +365,7 @@ def fill_slot(target: SyntaxTree, addr: GornAddress, filler: SyntaxTree, guest_i
     A `guest_id` stamps the guest's nodes as that instance's.
     """
     guest = filler if guest_id is None else filler.owned_by(guest_id)
-    return SyntaxTree(_replaced(target.root, addr.parts, guest.root))
+    return SyntaxTree(_replaced(target.row_at(addr), guest.root))
 
 
 def splice(target: SyntaxTree, addr: GornAddress, aux: SyntaxTree, guest_id: str | None = None) -> SyntaxTree:
@@ -389,10 +375,11 @@ def splice(target: SyntaxTree, addr: GornAddress, aux: SyntaxTree, guest_id: str
     its root is marked `adjoined`.
     """
     guest = aux if guest_id is None else aux.owned_by(guest_id)
-    host = target.node(addr)
+    row = target.row_at(addr)
+    host = row[2]
     marked = TreeNode(host.kind, host.children, host.site, True)
-    wrapped = _replaced(guest.root, aux.foot_address.parts, marked)  # type: ignore[union-attr]
-    return SyntaxTree(_replaced(target.root, addr.parts, wrapped))
+    wrapped = _replaced(guest.row_at(aux.foot_address), marked)  # type: ignore[arg-type]
+    return SyntaxTree(_replaced(row, wrapped))
 
 
 def substitute_with_maps(
@@ -429,26 +416,18 @@ def yield_tokens(tree: SyntaxTree, partial: bool = False) -> tuple[str, ...]:
     """
     out: list[str] = []
     for node in tree.nodes():
-        if node.children:
-            continue
         kind = node.kind
+        if isinstance(kind, Interior):  # spelled out by its leaves; a childless one spells nothing
+            continue
         if isinstance(kind, Terminal):
             out.append(kind.token)
-        elif isinstance(kind, SubstitutionSlot):
-            if not partial:
-                raise IncompleteTree(f"substitution slot remains at {_address_of(tree, node)}")
-            out.append(f"⟨{kind.symbol}↓⟩")
-        elif isinstance(kind, Foot):
-            if not partial:
-                raise IncompleteTree(f"foot node remains at {_address_of(tree, node)}")
-            out.append(f"⟨{kind.symbol}*⟩")
-        # childless interior nodes spell out nothing
+        elif partial:
+            out.append(f"⟨{kind.symbol}↓⟩" if isinstance(kind, SubstitutionSlot) else f"⟨{kind.symbol}*⟩")
+        else:
+            what = "substitution slot" if isinstance(kind, SubstitutionSlot) else "foot node"
+            row = next(row for row in tree.rows() if row[2] is node)  # the node's first place
+            raise IncompleteTree(f"{what} remains at {row_address(row)}")
     return tuple(out)
-
-
-def _address_of(tree: SyntaxTree, node: TreeNode) -> GornAddress:
-    """The address of `node`'s first place in `tree`'s preorder."""
-    return next(a for a, n in tree.walk() if n is node)
 
 
 def yield_string(tree: SyntaxTree, partial: bool = False) -> str:
@@ -462,12 +441,17 @@ def _quote(token: str) -> str:
 def format_tree(tree: SyntaxTree) -> str:
     """Canonical bracketed text: `S(NP! VP(V("cooked") NP!))`."""
     out: list[str] = []
-    depth = -1
-    for parts, node in tree.paths():
-        # Close the lists of the previous node's ancestors that do not contain this one.
-        if len(parts) <= depth:
-            out.append(")" * (depth - len(parts)) + " ")
-        depth = len(parts)
+    path: list[Row] = []  # the rows from the root to the last node; in preorder a node's parent is on it
+    for row in tree.rows():
+        # Close the lists of the last node's ancestors that do not contain this one.
+        closed = 0
+        while path and path[-1] is not row[0]:
+            path.pop()
+            closed += 1
+        if closed:
+            out.append(")" * (closed - 1) + " ")
+        path.append(row)
+        node = row[2]
         kind = node.kind
         if isinstance(kind, Terminal):
             out.append(_quote(kind.token))
@@ -477,7 +461,7 @@ def format_tree(tree: SyntaxTree) -> str:
             out.append(kind.symbol + "*")
         else:
             out.append(kind.symbol + ("(" if node.children else ""))
-    return "".join(out) + ")" * depth
+    return "".join(out) + ")" * (len(path) - 1)
 
 
 def parse_tree_tokens(cur: Cursor) -> SyntaxTree:

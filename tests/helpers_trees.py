@@ -143,13 +143,13 @@ def check_structure(s, grammar, linked_slots: bool = True) -> None:
     owners.update((r.guest_id, r.guest) for r in s.history)
     for side, tree in (("left_tree", s.left_tree), ("right_tree", s.right_spine)):
         assert SyntaxTree.from_nodes(dict(tree.items())) == tree
-        for addr, node in tree.walk():
+        for addr, node in zip(tree.addresses(), tree.nodes()):
             site = node.site
             assert site is not None and site.owner in owners, (side, addr, site)
             elementary = getattr(grammar.get(owners[site.owner]), side)
             assert elementary.node_at(site.addr) == node.kind, (side, addr, site)
-    left_nodes = {node.site: node for _, node in s.left_tree.walk()}
-    right_nodes = {node.site: node for _, node in s.right_spine.walk()}
+    left_nodes = {node.site: node for node in s.left_tree.nodes()}
+    right_nodes = {node.site: node for node in s.right_spine.nodes()}
     for group in s.live_links:
         assert group.left_site in left_nodes, group
         assert all(site in right_nodes for site in group.right_sites), group
@@ -181,7 +181,11 @@ def free_adjunction_keys(s, auxiliary) -> set[tuple]:
     adjunctions = [r for r in s.history if r.operation == "adjunction"]
     taken = ({r.left_site for r in adjunctions}, {r.right_sites[0] for r in adjunctions})
     left, right = (
-        [(str(a), n.kind.symbol) for a, n in tree.walk() if isinstance(n.kind, Interior) and n.site not in used]
+        [
+            (str(a), n.kind.symbol)
+            for a, n in zip(tree.addresses(), tree.nodes())
+            if isinstance(n.kind, Interior) and n.site not in used
+        ]
         for tree, used in zip((s.left_tree, s.right_spine), taken)
     )
     return {
@@ -224,7 +228,7 @@ def replay_lstag_records(grammar, root: str, records):
     from lstag import SharedLinkGroup, lstag_compose, shared_substitute, structure_from_pair
 
     def located(tree, site):
-        return next(a for a, node in tree.walk() if node.site == site)
+        return next(a for a, node in zip(tree.addresses(), tree.nodes()) if node.site == site)
 
     structure = structure_from_pair(grammar.get(root))
     check_structure(structure, grammar)
@@ -254,7 +258,8 @@ def image_connected_oracle(tree: SyntaxTree, image: set[GornAddress]) -> bool:
         neighbours = []
         if node.parts:
             neighbours.append(node.parent)
-        neighbours.extend(tree.children(node))
+        count = len(tree.node(node).children) if tree.has_address(node) else 0
+        neighbours.extend(node.child(k) for k in range(1, count + 1))
         for n in neighbours:
             if n in image and n not in seen:
                 seen.add(n)

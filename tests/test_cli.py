@@ -393,6 +393,33 @@ def test_enumerate_refuses_a_grammar_of_synchronous_pairs_only(capsys, fixtures_
     assert err == "SynchronousPair: synchronous pairs are not enumerated\n"
 
 
+_SKIPPED_PAIRS = "SynchronousPair: synchronous pairs are not enumerated\n"
+_SKIPPED_TREES = "PlainTree: trees are not enumerated alongside lspairs\n"
+_COOKED_TREE = 'tree cooked: S(NP! VP(V("cooked") NP!))\n'  # named apart from the lspairs of cooks_eats.lstag
+
+
+@pytest.mark.parametrize(
+    "enumerated, extras, skipped",
+    [
+        ("cooked.tag", ["translation.stag"], _SKIPPED_PAIRS),
+        ("cooks_eats.lstag", [_COOKED_TREE], _SKIPPED_TREES),
+        ("cooks_eats.lstag", [_COOKED_TREE, "translation.stag"], _SKIPPED_TREES + _SKIPPED_PAIRS),
+    ],
+    ids=["trees-and-pairs", "lspairs-and-trees", "all-three-kinds"],
+)
+def test_enumerate_reports_each_kind_of_declaration_it_leaves_out(
+    capsys, fixtures_dir, tmp_path, enumerated, extras, skipped
+):
+    """Stdout and exit status are those of the enumerated file alone; stderr adds one line per kind left out."""
+    sources = [x if x.startswith("tree ") else (fixtures_dir / x).read_text(encoding="utf-8") for x in extras]
+    mixed = tmp_path / "mixed.txt"
+    mixed.write_text((fixtures_dir / enumerated).read_text(encoding="utf-8") + "".join(sources), encoding="utf-8")
+    alone = run(capsys, "enumerate", str(fixtures_dir / enumerated), "--max-ops", "2")
+    code, out, err = run(capsys, "enumerate", str(mixed), "--max-ops", "2")
+    assert alone[0] == 0 and (code, out) == alone[:2]
+    assert err == skipped + alone[2]
+
+
 @pytest.mark.parametrize(
     "grammar, script",
     [

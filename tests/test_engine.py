@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,6 +161,26 @@ def test_lstag_yields_include_coordination(lstag_grammar):
     sample = language_sample(lstag_grammar, EnumerationBudget(4))
     assert "John cooks beans" in sample
     assert "John cooks and eats beans" in sample
+
+
+@pytest.mark.parametrize(
+    "fixture, ops",
+    [("cooks_eats.lstag", 5), ("topicalization.lstag", 3), ("degenerate.lstag", 4), ("excised.lstag", 4)],
+)
+@pytest.mark.parametrize("gated", [True, False], ids=["gated", "ungated"])
+def test_the_right_projection_holds_each_left_instance_once(fixtures_dir, fixture, ops, gated):
+    """The right graph has the left derivation tree's instances, and a guest one parent per right site."""
+    doc = load_grammar(str(fixtures_dir / fixture))
+    grammar = doc.lstag_grammar(usable_lstag_names(doc, restrictions=gated))
+    for item in enumerate_derivations(grammar, EnumerationBudget(ops)).items:
+        right, labels, stack = item.right_derivation, [], [item.left_derivation]
+        while stack:
+            node = stack.pop()
+            labels.append(node.root)
+            stack.extend(child for _, child in node.edges)
+        assert Counter(labels) == Counter(right.labels.values()), item.record_lines()
+        for record in item.records:
+            assert right.in_degree(record.guest_id) == len(record.right_sites), record
 
 
 def test_monotonicity_in_the_operation_budget(tag_grammar, lstag_grammar, checked_states):

@@ -50,7 +50,7 @@ from lstag import (
 from lstag import engine
 from lstag.sharing import check_step, compose_record, group_record
 from lstag.tag import derivation_from_json_obj, derivation_to_json_obj
-from lstag.trees import adjoin_with_maps, substitute_with_maps
+from lstag.trees import adjoin_with_maps, row_address, substitute_with_maps
 
 import reference_trees
 
@@ -174,7 +174,7 @@ def test_composition_matches_the_flat_table_reference(data):
         for a in tree.addresses():
             assert res.host_map(a) == ref.host_map(a)
         prov = dict(reference_trees.updated_prov(prov, ref.host_moved, ref.guest_placed, guest_id))
-        assert [(a, node.site) for a, node in res.tree.walk()] == sorted(prov.items())
+        assert [(a, node.site) for a, node in zip(res.tree.addresses(), res.tree.nodes())] == sorted(prov.items())
         tree = res.tree
 
 
@@ -183,10 +183,15 @@ def test_composition_matches_the_flat_table_reference(data):
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
-def test_frontier_matches_a_children_reference(data):
+def test_frontier_matches_a_recursive_reference(data):
+    def leaves(node, parts=()):
+        if not node.children:
+            return [GornAddress(parts)]
+        return [a for k, kid in enumerate(node.children, 1) for a in leaves(kid, parts + (k,))]
+
     target, _, aux, results = compositions(data, rng_from(data))
     for tree in [target, aux] + [res.tree for res in results]:
-        assert tree.frontier == tuple(a for a in tree.addresses() if not tree.children(a))
+        assert tree.frontier == tuple(leaves(tree.root))
 
 
 @given(st.data())
@@ -229,13 +234,14 @@ def test_invalid_components_are_still_rejected(parts, bad):
 
 
 def walk_shape(tree):
-    return tuple((n.kind, len(n.children)) for _, n in tree.walk())
+    return tuple((row[2].kind, len(row[2].children)) for row in tree.rows())
 
 
 def walk_yield(tree):
-    """The partial yield and the first open leaf's message, read off the (address, node) walk."""
+    """The partial yield and the first open leaf's message, read off the rows walk."""
     out, first_open = [], None
-    for a, n in tree.walk():
+    for row in tree.rows():
+        a, n = row_address(row), row[2]
         kind = n.kind
         if n.children or isinstance(kind, Interior):
             continue
@@ -252,12 +258,12 @@ def walk_yield(tree):
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_node_only_traversals_agree_with_the_address_walk(data):
-    """Size, equality, hashing and yields read the same tree as `walk()` does."""
+    """Size, equality, hashing and yields read the same tree as `rows()` does."""
     target, _, aux, results = compositions(data, rng_from(data))
     trees = [target, aux] + [res.tree for res in results]
     trees += [t.owned_by("x") for t in trees]
     for t in trees:
-        assert len(t) == sum(1 for _ in t.walk())
+        assert len(t) == sum(1 for _ in t.rows())
         assert hash(t) == hash(walk_shape(t))
         assert t == parse_tree(format_tree(t))
         tokens, first_open = walk_yield(t)
@@ -698,7 +704,7 @@ def assert_checks_agree(s, guests) -> None:
     for guest in guests:
         for la in s.left_tree.addresses():
             for ra in s.right_spine.addresses():
-                left, right = (la, s.left_tree.node(la)), (ra, s.right_spine.node(ra))
+                left, right = s.left_tree.row_at(la), s.right_spine.row_at(ra)
                 assert_split_agrees(
                     partial(compose_record, s, la, ra, guest.name),
                     lambda record: check_step(s, record, guest, left, (right,)),
@@ -772,7 +778,7 @@ def assert_tag_moves_agree(guests, state) -> None:
         assert built.is_complete == complete
         yielded[key] = built.tree
     expected = {}
-    for addr, node in state.tree.walk():
+    for addr, node in zip(state.tree.addresses(), state.tree.nodes()):
         if isinstance(node.kind, Interior) and node.site in adjoined:
             continue
         compose = substitute_with_maps if isinstance(node.kind, SubstitutionSlot) else adjoin_with_maps

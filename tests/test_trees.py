@@ -3,6 +3,7 @@ import pytest
 from lstag import (
     AddressNotFound,
     ClassMismatch,
+    DerivedStructure,
     Foot,
     GornAddress,
     IncompleteTree,
@@ -26,7 +27,8 @@ from lstag import (
     yield_tokens,
 )
 from lstag.gorn import ROOT
-from lstag.trees import splice
+from lstag.render import tree_to_dot
+from lstag.trees import TreeNode, splice
 
 A = GornAddress.parse
 
@@ -307,6 +309,30 @@ def test_stamping_one_tree_under_two_owners(owners):
     source = parse_tree('S(NP! VP(V("cooked") NP!))')
     copies = [(owner, source.owned_by(owner)) for owner in owners]
     for owner, copy in copies:
-        assert [n.site for _, n in copy.walk()] == [SiteRef(owner, a) for a in source.addresses()]
+        assert [n.site for n in copy.nodes()] == [SiteRef(owner, a) for a in source.addresses()]
         assert copy == source
     assert all(n.site is None for n in source.nodes())
+
+
+# --- deep trees: addresses are built only where a caller reads one ------------------
+
+
+def test_a_deep_tree_builds_one_address_per_address_read(monkeypatch):
+    """On a 2,000-deep chain, `by_site` and `locate` build no address and `left_address` builds one."""
+    depth = 2000
+    node = TreeNode(SubstitutionSlot("X"), (), SiteRef("n", ROOT))
+    for i in range(depth):
+        node = TreeNode(Interior("X"), (node,), SiteRef(f"n{i}", ROOT))
+    tree = SyntaxTree(node)
+    structure = DerivedStructure("n", tree, tree, (), (), ())
+    deepest = GornAddress((1,) * depth)
+    built = []
+    of = GornAddress._of.__func__
+    monkeypatch.setattr(GornAddress, "_of", classmethod(lambda cls, parts: built.append(parts) or of(cls, parts)))
+    assert len(tree.by_site) == depth + 1 and built == []
+    assert tree.locate(SiteRef("n", ROOT))[2].kind == SubstitutionSlot("X") and built == []
+    assert structure.left_address(SiteRef("n", ROOT)) == deepest and len(built) == 1
+    monkeypatch.undo()
+    assert format_tree(tree) == "X(" * depth + "X!" + ")" * depth
+    assert tree_to_dot(tree).count("\n") == 2 + 2 * depth + 1
+    assert yield_tokens(tree, partial=True) == ("⟨X↓⟩",)
