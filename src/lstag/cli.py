@@ -12,7 +12,7 @@ import sys
 
 from ._lex import script_lines
 from .engine import EnumerationBudget, enumerate_derivations
-from .errors import Diagnostic, LstagError, OperationMismatch, ParseError, UnknownTree
+from .errors import AddressNotFound, Diagnostic, LstagError, OperationMismatch, ParseError, UnknownTree
 from .grammarfile import (
     GrammarDocument,
     format_grammar,
@@ -31,9 +31,9 @@ from .render import (
 from .sharing import (
     DerivedStructure,
     LstagGrammar,
+    check_step,
     compose_record,
     shared_substitute,
-    lstag_compose,
     structure_from_pair,
 )
 from .tag import (
@@ -59,19 +59,16 @@ def _print_diagnostics(diags: list[Diagnostic], as_json: bool) -> None:
             print(str(d), file=sys.stderr)
 
 
-# --- link-sharing derivation scripts -------------------------------------------
-#
-#     root cooks
-#     adjoin and_eats at 2.1 ~ ε
-#     substitute john at 1          # fills the live group with left address 1
-#     substitute beans at 2.2 ~ 2.2 # explicit site pair
-
-
 def run_lstag_script(grammar: LstagGrammar, text: str) -> DerivedStructure:
+    """The structure a link-sharing script derives, each step checked as the enumerator checks its moves.
+
+        root cooks
+        adjoin and_eats at 2.1 ~ ε      # walks to both sites once, builds one record, runs check_step
+        substitute john at 1            # fills the first live group whose left site is the node at 1
+        substitute beans at 2.2 ~ 2.2   # an explicit site pair
+    """
     structure: DerivedStructure | None = None
-    step = 0
-    for lineno, cur in script_lines(text):
-        step += 1
+    for step, (lineno, cur) in enumerate(script_lines(text), 1):
         if cur.accept("NAME", "root"):
             if structure is not None:
                 raise ParseError("duplicate root declaration", lineno)
@@ -85,21 +82,21 @@ def run_lstag_script(grammar: LstagGrammar, text: str) -> DerivedStructure:
                 raise ParseError("script needs a root declaration first", lineno)
             if cur.accept("PUNCT", "~"):
                 second = cur.address()
-                operation = compose_record(structure, first, second, guest.name).operation
-                if (verb == "adjoin") != (operation == "adjunction"):
-                    raise OperationMismatch(
-                        f"step {step}: sites {first} ~ {second} take {operation}, not {verb}"
-                    )
-                structure = lstag_compose(structure, first, second, guest)
+                left, right = structure.left_tree.row_at(first), structure.right_spine.row_at(second)
+                record = compose_record(left, right, guest.name)
+                if (verb == "adjoin") != (record.operation == "adjunction"):
+                    message = f"step {step}: sites {first} ~ {second} take {record.operation}, not {verb}"
+                    raise OperationMismatch(message)
+                structure = check_step(structure, record, guest, left, (right,))[1]()
             else:
                 if verb != "substitute":
                     raise ParseError("adjoin steps need a left ~ right site pair", lineno)
-                for group in structure.live_links:
-                    if structure.left_address(group.left_site) == first:
-                        structure = shared_substitute(structure, group, guest)
-                        break
-                else:
-                    raise LstagError(f"step {step}: no live link group with left address {first}")
+                try:
+                    site = structure.left_tree.row_at(first)[2].site
+                    group = next(g for g in structure.live_links if g.left_site == site)
+                except (AddressNotFound, StopIteration):
+                    raise LstagError(f"step {step}: no live link group with left address {first}") from None
+                structure = shared_substitute(structure, group, guest)
         else:
             raise ParseError("expected 'root', 'adjoin' or 'substitute'", lineno)
         if cur.peek().kind != "EOF":
@@ -242,9 +239,12 @@ def _cmd_derive(args) -> int:
 
 
 def _script_root(script: str) -> str:
-    for _, cur in script_lines(script):
-        cur.accept("NAME", "root")
-        return cur.expect("NAME").text
+    for lineno, cur in script_lines(script):
+        declared = cur.accept("NAME", "root")
+        name = cur.expect("NAME").text
+        if not declared and name in ("adjoin", "substitute") and cur.peek().kind == "NAME":  # an lspair step
+            raise ParseError("script needs a root declaration first", lineno)
+        return name
     raise ParseError("empty derivation script")
 
 

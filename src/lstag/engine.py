@@ -202,7 +202,7 @@ class _TagState:
 
 def _tag_child(state: _TagState, addr: GornAddress, guest: SyntaxTree, record: DerivationRecord) -> _TagState:
     graft = fill_slot if record.operation == "substitution" else splice
-    return _TagState(state.root, graft(state.tree, addr, guest, record.guest_id), state.history + (record,))
+    return _TagState(state.root, graft(state.tree.row_at(addr), guest, record.guest_id), state.history + (record,))
 
 
 def _legal(complete: bool, build: Callable[[], _TagState]) -> _Checked:

@@ -15,14 +15,14 @@ as derivation records do, so a composition never rebuilds them; derived
 addresses are worked out from the trees only where output or a caller asks
 for them.
 
-A `DerivationRecord` names one step; `compose_record` (at host addresses)
-and `group_record` (filling a live group) make one.  `check_step` raises
-every error the step can raise before anything is composed, given the
-tree rows (`trees.Row`) of the record's sites, which its caller locates
-once; it builds only the addresses it composes at or reports.  It says
-whether the structure will be complete and returns a build that cannot
-fail.  `lstag_compose` and `shared_substitute` run both, and the
-enumerator builds only the states it needs.
+Every step takes one shape.  Its sites are located once, as tree rows
+(`trees.Row`); its `DerivationRecord` is built once, by `compose_record`
+from a left and a right row or by `group_record` from a live group;
+`check_step` raises every error the step can raise before anything is
+composed, building an address only to report one, and says whether the
+structure will be complete; and the build it returns grafts at those rows
+and cannot fail.  `lstag_compose`, `shared_substitute`, the enumerator and
+`lstag derive` all take that shape.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .trees import (
     SyntaxTree,
     TreeClass,
     Row,
-    TreeNode,
     check_adjunction,
     check_substitution,
     classify,
@@ -279,28 +278,26 @@ def guest_instance_id(left_ref: SiteRef, guest_name: str) -> str:
     return instance_prefix(left_ref) + guest_name
 
 
-def _operation(left_addr: GornAddress, left_node: TreeNode, right_addr: GornAddress, right_node: TreeNode) -> str:
+def _operation(left: Row, right: Row) -> str:
     """The operation at a left and a right site: two slots substitute, two interior nodes adjoin."""
-    if isinstance(left_node.kind, SubstitutionSlot) and isinstance(right_node.kind, SubstitutionSlot):
+    left_kind, right_kind = left[2].kind, right[2].kind
+    if isinstance(left_kind, SubstitutionSlot) and isinstance(right_kind, SubstitutionSlot):
         return "substitution"
-    if isinstance(left_node.kind, Interior) and isinstance(right_node.kind, Interior):
+    if isinstance(left_kind, Interior) and isinstance(right_kind, Interior):
         return "adjunction"
     raise OperationMismatch(
-        f"left site {left_addr} is {left_node.kind} while right site {right_addr} is {right_node.kind}; "
+        f"left site {row_address(left)} is {left_kind} while right site {row_address(right)} is {right_kind}; "
         "both sides must substitute or both must adjoin"
     )
 
 
-def compose_record(
-    hs: DerivedStructure, left_site: GornAddress, right_site: GornAddress, guest_name: str
-) -> DerivationRecord:
-    """The record `lstag_compose` appends for a guest named `guest_name` at these sites.
+def compose_record(left: Row, right: Row, guest_name: str) -> DerivationRecord:
+    """The record of composing a guest named `guest_name` at these rows of a host's left and right trees.
 
-    It raises what `lstag_compose` raises for sites that are missing or of different kinds.
+    It raises `OperationMismatch` if the two sites are of different kinds.
     """
-    left, right = hs.left_tree.node(left_site), hs.right_spine.node(right_site)
-    operation = _operation(left_site, left, right_site, right)
-    return DerivationRecord(operation, guest_name, guest_instance_id(left.site, guest_name), left.site, (right.site,))
+    operation, ref = _operation(left, right), left[2].site
+    return DerivationRecord(operation, guest_name, guest_instance_id(ref, guest_name), ref, (right[2].site,))
 
 
 def group_record(group: SharedLinkGroup, guest_name: str) -> DerivationRecord:
@@ -316,23 +313,21 @@ def check_step(
     """Raise what composing `guest` in the step `record` names raises, before anything is composed.
 
     `left` and `rights` are the rows of the record's left and right sites
-    in the host's trees.  A shared substitution builds the address of its
-    right sites only to report one.  Returns whether the structure the step
-    builds is complete, worked out from the slot counts of the host and the
-    guest, and the step itself, which cannot fail.
+    in the host's trees; a site's address is built only to report an error.
+    Returns whether the structure the step builds is complete, worked out
+    from the slot counts of the host and the guest, and the step itself,
+    which grafts at those rows and cannot fail.
     """
-    left_site, left_node = row_address(left), left[2]
     if len(rights) > 1:
         if guest.delta or guest.phi:
             raise UnsupportedGuestLinks("a guest attached at several shared sites cannot carry links of its own")
         if classify(guest.left_tree) is not TreeClass.INITIAL or classify(guest.right_tree) is not TreeClass.INITIAL:
             raise ClassMismatch("shared substitution requires initial guest trees")
-        check_substitution(left_node.kind, left_site, guest.left_tree)
+        check_substitution(left, guest.left_tree)
         parents = hs.fragment_parents
         for row in rights:
-            node = row[2]
-            kind = node.kind
-            if node.site in parents:
+            kind = row[2].kind
+            if row[2].site in parents:
                 raise NotASlot(f"right slot at {row_address(row)} is already filled by a shared fragment")
             if not isinstance(kind, SubstitutionSlot):
                 raise NotASlot(f"right node at {row_address(row)} is {kind}, not a substitution slot")
@@ -349,7 +344,7 @@ def check_step(
         )
 
         def build_shared() -> DerivedStructure:
-            left_tree = fill_slot(hs.left_tree, left_site, guest.left_tree, record.guest_id)
+            left_tree = fill_slot(left, guest.left_tree, record.guest_id)
             fragment = Fragment(record.guest_id, guest.name, guest.right_tree, record.right_sites)
             # Another group on the filled left slot now names the guest root, which sits where the slot was.
             filler, group = SiteRef(record.guest_id, ROOT), SharedLinkGroup(record.left_site, record.right_sites)
@@ -362,15 +357,15 @@ def check_step(
             )
 
         return complete, build_shared
-    right_site, right_node = row_address(rights[0]), rights[0][2]
-    operation = _operation(left_site, left_node, right_site, right_node)
+    right = rights[0]
+    operation = _operation(left, right)
     if operation != record.operation:  # a one-site group of two interior nodes is filled by adjunction
         record = replace(record, operation=operation)
-    left_ref, right_ref = left_node.site, right_node.site
+    left_ref, right_ref = left[2].site, right[2].site
     live = hs.live_links
     if operation == "substitution":
         if right_ref in hs.fragment_parents:
-            raise NotASlot(f"right slot at {right_site} is already filled by a shared fragment")
+            raise NotASlot(f"right slot at {row_address(right)} is already filled by a shared fragment")
         touching = [g for g in live if g.left_site == left_ref or right_ref in g.right_sites]
         if touching:
             if touching != [SharedLinkGroup(left_ref, (right_ref,))]:
@@ -381,13 +376,13 @@ def check_step(
             live = tuple(g for g in live if g not in touching)
         check, graft, consumed = check_substitution, fill_slot, 1
     else:
-        if left_node.adjoined:
+        if left[2].adjoined:
             raise DuplicateAdjunction(f"left node {left_ref} already hosts an adjunction")
-        if right_node.adjoined:
+        if right[2].adjoined:
             raise DuplicateAdjunction(f"right node {right_ref} already hosts an adjunction")
         check, graft, consumed = check_adjunction, splice, 0
-    check(left_node.kind, left_site, guest.left_tree)
-    check(right_node.kind, right_site, guest.right_tree)
+    check(left, guest.left_tree)
+    check(right, guest.right_tree)
     _check_cardinality(live, guest.phi)
     complete = _closed(
         hs.left_tree.root.slots - consumed + guest.left_tree.root.slots,
@@ -397,8 +392,8 @@ def check_step(
     )
 
     def build() -> DerivedStructure:
-        left_tree = graft(hs.left_tree, left_site, guest.left_tree, record.guest_id)
-        right_spine = graft(hs.right_spine, right_site, guest.right_tree, record.guest_id)
+        left_tree = graft(left, guest.left_tree, record.guest_id)
+        right_spine = graft(right, guest.right_tree, record.guest_id)
         feet = guest.left_tree.foot_address, guest.right_tree.foot_address
         left_of = lambda a: left_ref if a == feet[0] else SiteRef(record.guest_id, a)
         right_of = lambda a: right_ref if a == feet[1] else SiteRef(record.guest_id, a)
@@ -412,10 +407,7 @@ def check_step(
 
 
 def lstag_compose(
-    host: LstagPair | DerivedStructure,
-    left_site: GornAddress,
-    right_site: GornAddress,
-    guest: LstagPair,
+    host: LstagPair | DerivedStructure, left_site: GornAddress, right_site: GornAddress, guest: LstagPair
 ) -> DerivedStructure:
     """One synchronized composition step: same operation on both sides.
 
@@ -428,14 +420,12 @@ def lstag_compose(
     sites, so no other group and no fragment is rebuilt.
     """
     hs = as_structure(host)
-    record = compose_record(hs, left_site, right_site, guest.name)
-    return check_step(hs, record, guest, hs.left_tree.row_at(left_site), (hs.right_spine.row_at(right_site),))[1]()
+    left, right = hs.left_tree.row_at(left_site), hs.right_spine.row_at(right_site)
+    return check_step(hs, compose_record(left, right, guest.name), guest, left, (right,))[1]()
 
 
 def shared_substitute(
-    host: LstagPair | DerivedStructure,
-    group: SharedLinkGroup,
-    guest: LstagPair,
+    host: LstagPair | DerivedStructure, group: SharedLinkGroup, guest: LstagPair
 ) -> DerivedStructure:
     """Fill one link group with a single guest instance.
 

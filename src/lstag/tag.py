@@ -5,9 +5,10 @@ edge labels giving the address in the parent's original elementary tree.
 Whether a derivation is valid is decided edge by edge, so `replay` checks
 once, with `validate_derivation`'s rule, and raises the first problem it
 reports; the build after that check is unchecked and cannot fail.  Replay
-is bottom-up: children are rebuilt first, then attached with `fill_slot`
-or `splice`.  A parent's edges are composed in reverse address order, so
-no composition moves a site still to come, and edge addresses are used
+is bottom-up: children are rebuilt first, then attached at each edge's
+row, walked to once, by `fill_slot` or `splice` as its node is a slot or
+not.  A parent's edges are composed in reverse address order, so no
+composition moves a site still to come, and edge addresses are used
 exactly as written in the grammar.  `derivation_tree` is the one builder
 of derivation trees: the script parser, the JSON reader and `sharing`'s
 projections collect each node's name and edges and call it.  Replay, that
@@ -129,10 +130,10 @@ def replay(grammar: TagGrammar, d: DerivationTree) -> SyntaxTree:
         order.extend(child for _, child in node.edges)
     built: dict[int, SyntaxTree] = {}
     for node in reversed(order):
-        tree = result = grammar.get(node.root).tree
+        result = grammar.get(node.root).tree
         for addr, child in reversed(node.edges):  # each composition moves only its own subtree
-            graft = fill_slot if isinstance(tree.node_at(addr), SubstitutionSlot) else splice
-            result = graft(result, addr, built[id(child)])
+            row = result.row_at(addr)
+            result = (fill_slot if isinstance(row[2].kind, SubstitutionSlot) else splice)(row, built[id(child)])
         built[id(node)] = result
     return built[id(d)]
 

@@ -9,8 +9,9 @@ the guest's nodes with their elementary sites, so a derived tree carries
 its own provenance.  Adjunction marks the node it replants `adjoined` and
 path copies keep the mark, so a tree tells which nodes host an adjunction.
 `check_substitution` and `check_adjunction` hold the rules a composition
-checks, and `fill_slot` and `splice` compose without checking, for callers
-that have checked.  No operation here recurses on tree depth.
+checks, and `fill_slot` and `splice` graft without checking.  All four take
+the row of the host's site, which the caller locates once (below), and
+build its address only to report a failure.  None recurses on tree depth.
 
 Addresses are not stored.  `nodes()` walks nodes alone (yield, size,
 equality and hashing need no more).  `rows()` is the one walk with
@@ -18,9 +19,9 @@ positions: each node's row holds its parent's row, its child index and the
 node, and holds no address.  `row_address` builds a row's `GornAddress`
 up its parent rows, in O(depth), only for a node whose address a caller
 reads.  Every positional view reads `rows()`; the views read again are
-cached per tree: `by_site`, which maps a site to its row for `locate`, and
-the address tables `entries`, `frontier`, `slot_addresses` and
-`foot_address`.
+cached per tree: `by_site`, which maps a site to its row for `locate`, the
+foot's row, and the address tables `entries`, `frontier`, `slot_addresses`
+and `foot_address`.  `row_at` walks down from the root to an address's row.
 """
 
 from __future__ import annotations
@@ -269,8 +270,12 @@ class SyntaxTree:
         return tuple(row_address(row) for row in self.rows() if not row[2].children)
 
     @cached_property
+    def foot_row(self) -> Row | None:
+        return next((row for row in self.rows() if isinstance(row[2].kind, Foot)), None)
+
+    @cached_property
     def foot_address(self) -> GornAddress | None:
-        return next((row_address(row) for row in self.rows() if isinstance(row[2].kind, Foot)), None)
+        return None if self.foot_row is None else row_address(self.foot_row)
 
     @cached_property
     def slot_addresses(self) -> tuple[GornAddress, ...]:
@@ -301,10 +306,10 @@ class SyntaxTree:
 
 def classify(tree: SyntaxTree) -> TreeClass:
     """Initial trees have no foot; auxiliaries have one whose symbol matches the root."""
-    foot = tree.foot_address
+    foot = tree.foot_row
     if foot is None:
         return TreeClass.INITIAL
-    foot_symbol = tree.node_at(foot).symbol  # type: ignore[union-attr]
+    foot_symbol = foot[2].kind.symbol  # type: ignore[union-attr]
     if foot_symbol != tree.root_symbol:
         raise ClassMismatch(
             f"foot symbol {foot_symbol!r} does not match root symbol {tree.root_symbol!r}"
@@ -335,10 +340,11 @@ class ComposeResult:
     host_map: Callable[[GornAddress], GornAddress]
 
 
-def check_substitution(kind: NodeKind, addr: GornAddress, filler: SyntaxTree) -> None:
-    """Raise what substituting `filler` at a node of this kind at `addr` raises."""
+def check_substitution(row: Row, filler: SyntaxTree) -> None:
+    """Raise what substituting `filler` at the node of `row` raises."""
+    kind = row[2].kind
     if not isinstance(kind, SubstitutionSlot):
-        raise NotASlot(f"node at {addr} is {kind}, not a substitution slot")
+        raise NotASlot(f"node at {row_address(row)} is {kind}, not a substitution slot")
     if classify(filler) is not TreeClass.INITIAL:
         raise ClassMismatch("only initial trees substitute")
     if filler.root_symbol != kind.symbol:
@@ -347,10 +353,11 @@ def check_substitution(kind: NodeKind, addr: GornAddress, filler: SyntaxTree) ->
         )
 
 
-def check_adjunction(kind: NodeKind, addr: GornAddress, aux: SyntaxTree) -> None:
-    """Raise what adjoining `aux` at a node of this kind at `addr` raises."""
+def check_adjunction(row: Row, aux: SyntaxTree) -> None:
+    """Raise what adjoining `aux` at the node of `row` raises."""
+    kind = row[2].kind
     if not isinstance(kind, Interior):
-        raise NotInterior(f"node at {addr} is {kind}, not an interior node")
+        raise NotInterior(f"node at {row_address(row)} is {kind}, not an interior node")
     if classify(aux) is not TreeClass.AUXILIARY:
         raise ClassMismatch("only auxiliary trees adjoin")
     if aux.root_symbol != kind.symbol:
@@ -359,23 +366,22 @@ def check_adjunction(kind: NodeKind, addr: GornAddress, aux: SyntaxTree) -> None
         )
 
 
-def fill_slot(target: SyntaxTree, addr: GornAddress, filler: SyntaxTree, guest_id: str | None = None) -> SyntaxTree:
-    """`target` with `filler` at `addr`, unchecked: the caller ensured what `check_substitution` checks.
+def fill_slot(row: Row, filler: SyntaxTree, guest_id: str | None = None) -> SyntaxTree:
+    """The tree of `row` with `filler` at its node, unchecked: the caller ensured what `check_substitution` checks.
 
     A `guest_id` stamps the guest's nodes as that instance's.
     """
     guest = filler if guest_id is None else filler.owned_by(guest_id)
-    return SyntaxTree(_replaced(target.row_at(addr), guest.root))
+    return SyntaxTree(_replaced(row, guest.root))
 
 
-def splice(target: SyntaxTree, addr: GornAddress, aux: SyntaxTree, guest_id: str | None = None) -> SyntaxTree:
-    """`target` with `aux` adjoined at `addr`, unchecked: the caller ensured what `check_adjunction` checks.
+def splice(row: Row, aux: SyntaxTree, guest_id: str | None = None) -> SyntaxTree:
+    """The tree of `row` with `aux` adjoined at its node, unchecked: the caller ensured `check_adjunction`'s rules.
 
     The detached subtree, sites and all, replaces the auxiliary's foot, and
     its root is marked `adjoined`.
     """
     guest = aux if guest_id is None else aux.owned_by(guest_id)
-    row = target.row_at(addr)
     host = row[2]
     marked = TreeNode(host.kind, host.children, host.site, True)
     wrapped = _replaced(guest.row_at(aux.foot_address), marked)  # type: ignore[arg-type]
@@ -386,18 +392,20 @@ def substitute_with_maps(
     target: SyntaxTree, addr: GornAddress, filler: SyntaxTree, guest_id: str | None = None
 ) -> ComposeResult:
     """Fill the slot at `addr`; a `guest_id` stamps the guest's nodes as that instance's."""
-    check_substitution(target.node_at(addr), addr, filler)
-    return ComposeResult(fill_slot(target, addr, filler, guest_id), lambda a: a)
+    row = target.row_at(addr)
+    check_substitution(row, filler)
+    return ComposeResult(fill_slot(row, filler, guest_id), lambda a: a)
 
 
 def adjoin_with_maps(
     target: SyntaxTree, addr: GornAddress, aux: SyntaxTree, guest_id: str | None = None
 ) -> ComposeResult:
     """Splice `aux` in at `addr`; the detached subtree, sites and all, replaces its foot."""
-    check_adjunction(target.node_at(addr), addr, aux)
+    row = target.row_at(addr)
+    check_adjunction(row, aux)
     foot = aux.foot_address
     assert foot is not None
-    return ComposeResult(splice(target, addr, aux, guest_id), lambda a: rebase_address(a, addr, foot))
+    return ComposeResult(splice(row, aux, guest_id), lambda a: rebase_address(a, addr, foot))
 
 
 def substitute(target: SyntaxTree, addr: GornAddress, filler: SyntaxTree) -> SyntaxTree:

@@ -17,9 +17,11 @@ from lstag import (
     Interior,
     Link,
     LstagGrammar,
+    LstagPair,
     SubstitutionSlot,
     SyntaxTree,
     Terminal,
+    parse_tree,
 )
 from lstag.gorn import ROOT
 
@@ -86,6 +88,36 @@ def random_links(rng: random.Random, left: SyntaxTree, right: SyntaxTree, count:
     lefts = list(left.addresses())
     rights = list(right.addresses())
     return [Link(rng.choice(lefts), rng.choice(rights)) for _ in range(count)]
+
+
+def random_lstag_grammar(rng: random.Random) -> LstagGrammar:
+    """A random link-sharing grammar of two hosts, slot-free fillers and three auxiliaries.
+
+    Two hosts link their slots pairwise.  A host's right tree is often not a
+    copy of its left one, and a host often has one random link more, which
+    may join a slot to an interior node.  Slot-free fillers cover every
+    symbol.  Three auxiliaries carry a random delta link and phi links at
+    their right slots; most are coordinators whose slots copy a host's, so
+    the groups they extend are filled by shared substitutions.
+    """
+    pairs = []
+    for k in range(2):
+        left = random_initial(rng, "S", max_depth=2)
+        right = left if rng.random() < 0.5 else random_initial(rng, "S", max_depth=2)
+        delta = [Link(a, b) for a, b in zip(slot_addresses(left), slot_addresses(right))]
+        delta += random_links(rng, left, right, rng.randint(0, 1))
+        pairs.append(LstagPair(f"h{k}", left, right, delta=tuple(delta)))
+    for k, symbol in enumerate(SYMBOLS):
+        pairs.append(LstagPair(f"f{k}", *(random_initial(rng, symbol, allow_slots=False, max_depth=1) for _ in "lr")))
+    for k in range(3):
+        left, right = (random_auxiliary(rng, rng.choice("SA"), max_depth=2) for _ in "lr")
+        if rng.random() < 0.7:  # a coordinator: a slot like each of a host's first right slots, in order
+            host = rng.choice(pairs[:2]).right_tree
+            right = parse_tree("S(%s S*)" % " ".join(f"{host.node_at(a).symbol}!" for a in slot_addresses(host)[:2]))
+        phi = tuple(Link(a, a) for a in rng.sample(slot_addresses(right), min(2, len(slot_addresses(right)))))
+        delta = tuple(random_links(rng, left, right, rng.randint(0, 1)))
+        pairs.append(LstagPair(f"a{k}", left, right, delta=delta, phi=phi))
+    return LstagGrammar(tuple((p.name, p) for p in pairs))
 
 
 def frontier_entries(tree: SyntaxTree) -> list[tuple[GornAddress, str]]:
@@ -243,6 +275,31 @@ def replay_lstag_records(grammar, root: str, records):
             structure = shared_substitute(structure, group, guest)
         check_structure(structure, grammar)
     return structure
+
+
+def lstag_script(grammar, root: str, records) -> str:
+    """The `lstag derive` script of a history, its sites written as derived addresses.
+
+    An adjunction record is written `adjoin G at L ~ R` and a substitution
+    record, shared or not, `substitute G at L`; the addresses are read off
+    the structure built so far, which the writer builds through the
+    library's composition functions.
+    """
+    from lstag import SharedLinkGroup, lstag_compose, shared_substitute, structure_from_pair
+
+    lines = [f"root {root}"]
+    structure = structure_from_pair(grammar.get(root))
+    for record in records:
+        guest = grammar.get(record.guest)
+        left = structure.left_address(record.left_site)
+        if record.operation == "adjunction":
+            right = structure.right_address(record.right_sites[0])
+            lines.append(f"adjoin {record.guest} at {left} ~ {right}")
+            structure = lstag_compose(structure, left, right, guest)
+        else:
+            lines.append(f"substitute {record.guest} at {left}")
+            structure = shared_substitute(structure, SharedLinkGroup(record.left_site, record.right_sites), guest)
+    return "\n".join(lines) + "\n"
 
 
 def image_connected_oracle(tree: SyntaxTree, image: set[GornAddress]) -> bool:

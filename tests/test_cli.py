@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lstag
-from lstag.cli import main
+from lstag import load_grammar
+from lstag.cli import main, run_lstag_script
 
 
 def run(capsys, *argv):
@@ -268,6 +269,68 @@ def test_derive_failing_step_reports_diagnostic(capsys, fixtures_dir, tmp_path):
     code, out, err = run(capsys, "derive", str(fixtures_dir / "cooks_eats.lstag"), str(script))
     assert code == 1
     assert "DerivationFailed" in err
+
+
+@pytest.mark.parametrize(
+    "steps, stderr",
+    [
+        (["substitute john at 9.9"], "step 2: no live link group with left address 9.9"),
+        (["substitute john at 1", "substitute john at 1"], "step 3: no live link group with left address 1"),
+        (["adjoin john at 1 ~ 1"], "step 2: sites 1 ~ 1 take substitution, not adjoin"),
+        (["substitute and_eats at 2.1 ~ ε"], "step 2: sites 2.1 ~ ε take adjunction, not substitute"),
+        (["adjoin and_eats at 2.1 ~ 9.9"], "no node at address 9.9"),
+        (
+            ["adjoin and_eats at 2.1.1 ~ ε"],
+            "left site 2.1.1 is Terminal(token='cooks') while right site ε is Interior(symbol='S'); "
+            "both sides must substitute or both must adjoin",
+        ),
+        (
+            ["substitute john at 1 ~ 2.2"],
+            "substitution at a shared link group must fill every linked site in one operation; use shared_substitute",
+        ),
+    ],
+)
+def test_each_failing_lstag_step_prints_its_exact_diagnostic(capsys, fixtures_dir, tmp_path, steps, stderr):
+    script = tmp_path / "bad.script"
+    script.write_text("\n".join(["root cooks", *steps]) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "derive", str(fixtures_dir / "cooks_eats.lstag"), str(script))
+    assert (code, out, err) == (1, "", f"DerivationFailed: {stderr}\n")
+
+
+@pytest.mark.parametrize("step", ["adjoin and_eats at 2.1 ~ ε", "substitute john at 1"])
+def test_an_lspair_script_without_a_root_is_a_parse_error(capsys, fixtures_dir, tmp_path, step):
+    script = tmp_path / "rootless.script"
+    script.write_text(f"# no root\n\n{step}\n", encoding="utf-8")
+    code, out, err = run(capsys, "derive", str(fixtures_dir / "cooks_eats.lstag"), str(script))
+    assert (code, out, err) == (2, "", "parse error: script needs a root declaration first (line 3)\n")
+
+
+def test_a_tag_script_may_start_with_an_edge_line(capsys, fixtures_dir, tmp_path):
+    script = tmp_path / "edges.script"
+    script.write_text("cooked @ 1 <- john\ncooked @ 2.2 <- beans\n", encoding="utf-8")
+    code, out, err = run(capsys, "derive", str(fixtures_dir / "cooked.tag"), str(script))
+    assert (code, err) == (0, "")
+    assert out.startswith("yield: John cooked beans\n")
+
+
+def test_each_lstag_step_walks_to_its_sites_once(fixtures_dir, monkeypatch):
+    """A `~` line walks from a root at most 4 times, a `substitute ... at L` line once, and builds one record."""
+    grammar = load_grammar(str(fixtures_dir / "cooks_eats.lstag")).lstag_grammar()
+    walks, records = [], []
+    row_at, compose_record = lstag.SyntaxTree.row_at, lstag.cli.compose_record
+    monkeypatch.setattr(lstag.SyntaxTree, "row_at", lambda tree, addr: walks.append(addr) or row_at(tree, addr))
+    monkeypatch.setattr(lstag.cli, "compose_record", lambda *a: records.append(a) or compose_record(*a))
+    depth = 16
+    steps = ["root cooks"] + ["adjoin and_eats at 2.1 ~ ε"] * depth + ["substitute john at 1", "substitute beans at 2.2"]
+    counts = []
+    for n in range(1, len(steps) + 1):
+        walks.clear()
+        records.clear()
+        run_lstag_script(grammar, "\n".join(steps[:n]) + "\n")
+        counts.append((len(walks), len(records)))
+    per_line = [(w - pw, r - pr) for (w, r), (pw, pr) in zip(counts[1:], counts)]
+    assert per_line[:depth] == [(4, 1)] * depth
+    assert per_line[depth:] == [(1, 0), (1, 0)]
 
 
 def test_derive_rejects_an_auxiliary_root_pair(capsys, fixtures_dir, tmp_path):

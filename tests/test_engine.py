@@ -9,22 +9,19 @@ from helpers_trees import (
     SYMBOLS,
     check_structure,
     free_adjunction_keys,
+    lstag_script,
     pair_grammar,
     random_auxiliary,
     random_initial,
-    random_links,
+    random_lstag_grammar,
     replay_lstag_records,
-    slot_addresses,
 )
 from reference_search import reference_enumerate
 
 from lstag import (
     EnumerationBudget,
     GornAddress,
-    Link,
     LstagError,
-    LstagGrammar,
-    LstagPair,
     OperationMismatch,
     TagGrammar,
     enumerate_derivations,
@@ -39,6 +36,7 @@ from lstag import (
     yield_tokens,
 )
 from lstag import engine
+from lstag.cli import run_lstag_script
 
 A = GornAddress.parse
 
@@ -181,6 +179,42 @@ def test_the_right_projection_holds_each_left_instance_once(fixtures_dir, fixtur
         assert Counter(labels) == Counter(right.labels.values()), item.record_lines()
         for record in item.records:
             assert right.in_degree(record.guest_id) == len(record.right_sites), record
+
+
+def assert_items_replay_as_scripts(grammar, items, linked_slots: bool = True) -> None:
+    """Each item's `lstag_script` derives its history, yield and both projections, and a sound structure."""
+    for item in items:
+        script = lstag_script(grammar, item.root, item.records)
+        structure = run_lstag_script(grammar, script)
+        assert structure.history == item.records, script
+        assert structure.left_yield() == item.left_yield, script
+        assert structure.projections() == (item.left_derivation, item.right_derivation), script
+        check_structure(structure, grammar, linked_slots)
+
+
+@pytest.mark.parametrize(
+    "fixture, ops",
+    [
+        ("cooks_eats.lstag", 4),
+        ("cooks_eats.lstag", 5),
+        ("topicalization.lstag", 3),
+        ("degenerate.lstag", 4),
+        ("excised.lstag", 3),
+    ],
+)
+@pytest.mark.parametrize("gated", [True, False], ids=["gated", "ungated"])
+def test_every_fixture_item_replays_as_a_derive_script(fixtures_dir, fixture, ops, gated):
+    doc = load_grammar(str(fixtures_dir / fixture))
+    grammar = doc.lstag_grammar(usable_lstag_names(doc, restrictions=gated))
+    assert_items_replay_as_scripts(grammar, enumerate_derivations(grammar, EnumerationBudget(ops)).items)
+
+
+def test_every_item_of_random_grammars_replays_as_a_derive_script():
+    # Random links may join a slot to an interior node, so groups need not tie slots.
+    for seed in range(15):
+        grammar = random_lstag_grammar(random.Random(seed))
+        items = enumerate_derivations(grammar, EnumerationBudget(3)).items
+        assert_items_replay_as_scripts(grammar, items, linked_slots=False)
 
 
 def test_monotonicity_in_the_operation_budget(tag_grammar, lstag_grammar, checked_states):
@@ -340,34 +374,9 @@ def test_moves_that_fail_to_compose_match_the_reference(delta, ops, truncated):
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_lstag_search_matches_the_reference_on_random_grammars(data):
-    """Capped and uncapped link-sharing searches take their moves in the reference's order.
-
-    Two hosts link their slots pairwise.  A host's right tree is often not a
-    copy of its left one, and a host often has one random link more, which
-    may join a slot to an interior node.  Slot-free fillers cover every
-    symbol.  Three auxiliaries carry a random delta link and phi links at
-    their right slots; most are coordinators whose slots copy a host's, so
-    the groups they extend are filled by shared substitutions.
-    """
+    """Capped and uncapped searches over `random_lstag_grammar` grammars take their moves in the reference's order."""
     rng = random.Random(data.draw(st.integers(0, 2**48)))
-    pairs = []
-    for k in range(2):
-        left = random_initial(rng, "S", max_depth=2)
-        right = left if rng.random() < 0.5 else random_initial(rng, "S", max_depth=2)
-        delta = [Link(a, b) for a, b in zip(slot_addresses(left), slot_addresses(right))]
-        delta += random_links(rng, left, right, rng.randint(0, 1))
-        pairs.append(LstagPair(f"h{k}", left, right, delta=tuple(delta)))
-    for k, symbol in enumerate(SYMBOLS):
-        pairs.append(LstagPair(f"f{k}", *(random_initial(rng, symbol, allow_slots=False, max_depth=1) for _ in "lr")))
-    for k in range(3):
-        left, right = (random_auxiliary(rng, rng.choice("SA"), max_depth=2) for _ in "lr")
-        if rng.random() < 0.7:  # a coordinator: a slot like each of a host's first right slots, in order
-            host = rng.choice(pairs[:2]).right_tree
-            right = parse_tree("S(%s S*)" % " ".join(f"{host.node_at(a).symbol}!" for a in slot_addresses(host)[:2]))
-        phi = tuple(Link(a, a) for a in rng.sample(slot_addresses(right), min(2, len(slot_addresses(right)))))
-        delta = tuple(random_links(rng, left, right, rng.randint(0, 1)))
-        pairs.append(LstagPair(f"a{k}", left, right, delta=delta, phi=phi))
-    grammar = LstagGrammar(tuple((p.name, p) for p in pairs))
+    grammar = random_lstag_grammar(rng)
     budget = EnumerationBudget(data.draw(st.integers(1, 3)), data.draw(st.sampled_from([3, 7, 40, 10000])))
     assert enumerate_derivations(grammar, budget) == reference_enumerate(grammar, budget)
 

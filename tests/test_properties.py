@@ -706,7 +706,7 @@ def assert_checks_agree(s, guests) -> None:
             for ra in s.right_spine.addresses():
                 left, right = s.left_tree.row_at(la), s.right_spine.row_at(ra)
                 assert_split_agrees(
-                    partial(compose_record, s, la, ra, guest.name),
+                    partial(compose_record, left, right, guest.name),
                     lambda record: check_step(s, record, guest, left, (right,)),
                     partial(lstag_compose, s, la, ra, guest),
                 )

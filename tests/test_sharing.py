@@ -308,8 +308,8 @@ def test_check_counts_the_open_slots_of_earlier_fragments():
     s = shared_substitute(coordinated(), coordinated().live_links[0], OPEN_NP)
     s = shared_substitute(s, s.live_links[0], BEANS)
     today = LstagPair("today", parse_tree('V(V* ADV("today"))'), parse_tree('S(S* ADV("today"))'))
-    record = compose_record(s, A("2.1.3"), E, today.name)
     left, right = s.left_tree.row_at(A("2.1.3")), s.right_spine.row_at(E)
+    record = compose_record(left, right, today.name)
     assert check_step(s, record, today, left, (right,))[0] is False
     assert not lstag_compose(s, A("2.1.3"), E, today).is_complete
 

@@ -1,18 +1,24 @@
+from collections import Counter
+
 import pytest
 
 from lstag import (
     DerivationTree,
     EdgeAddressInvalid,
+    EnumerationBudget,
     GornAddress,
     OperationMismatch,
     TagGrammar,
     UnknownTree,
+    enumerate_derivations,
+    load_grammar,
     parse_derivation_script,
     format_derivation_script,
     parse_tree,
     replay,
     validate_derivation,
     yield_string,
+    yield_tokens,
 )
 from lstag.errors import Diagnostic, ParseError
 from lstag.tag import derivation_from_json_obj, derivation_to_json_obj
@@ -264,3 +270,40 @@ def test_script_and_json_keep_edge_order_below_every_node():
         return {"name": name, "children": [{"addr": str(k), "node": c} for k, c in enumerate(children, 1)]}
 
     assert derivation_to_json_obj(d) == node("a", node("b", node("d", leaf("f")), leaf("e")), leaf("c"))
+
+
+def names_an_ambiguous_parent(script: str) -> bool:
+    """Whether an edge line of `script` names a parent whose name labels two nodes listed before it."""
+    seen = Counter()
+    for words in map(str.split, script.splitlines()):
+        if words[0] == "root":
+            seen[words[1]] += 1
+            continue
+        if seen[words[0]] > 1:
+            return True
+        seen[words[-1]] += 1
+    return False
+
+
+@pytest.mark.parametrize("ops, ambiguous, total", [(3, 2, 13), (4, 5, 19)])
+def test_enumerated_derivations_read_back_unless_a_parent_name_is_ambiguous(fixtures_dir, ops, ambiguous, total):
+    """A script names a parent by its name alone, so it cannot say which of two like-named nodes a line means.
+
+    `cooked @ 1 <- beans`, `cooked @ 2.2 <- beans`, `beans @ 1 <- dried` is
+    one such script.  Every other item's script parses back to its
+    derivation and replays to its yield.
+    """
+    grammar = load_grammar(str(fixtures_dir / "cooked.tag")).tag_grammar()
+    items = enumerate_derivations(grammar, EnumerationBudget(ops)).items
+    failing = 0
+    for item in items:
+        script = format_derivation_script(item.left_derivation)
+        if names_an_ambiguous_parent(script):
+            failing += 1
+            with pytest.raises(ParseError, match=r"^parent '\w+' is ambiguous \(2 occurrences\)"):
+                parse_derivation_script(script)
+            continue
+        derivation = parse_derivation_script(script)
+        assert derivation == item.left_derivation, script
+        assert yield_tokens(replay(grammar, derivation)) == item.left_yield, script
+    assert (failing, len(items)) == (ambiguous, total)
