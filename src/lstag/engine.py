@@ -60,10 +60,10 @@ from .sharing import (
     LstagGrammar,
     LstagPair,
     check_step,
-    derivation_projections,
     group_record,
     guest_instance_id,
     instance_prefix,
+    left_projection,
     structure_from_pair,
 )
 from .tag import DerivationTree, TagGrammar
@@ -197,7 +197,7 @@ class _TagState:
         return yield_tokens(self.tree)
 
     def projections(self) -> tuple[DerivationTree, None]:
-        return derivation_projections(self.history, self.root)[0], None
+        return left_projection(self.history, self.root), None
 
 
 def _tag_child(state: _TagState, addr: GornAddress, guest: SyntaxTree, record: DerivationRecord) -> _TagState:

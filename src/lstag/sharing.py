@@ -495,18 +495,22 @@ class DerivationGraph:
         return derivation_tree(self.root, self.labels, children)
 
 
-def derivation_projections(
-    records: Sequence[DerivationRecord], root: str
-) -> tuple[DerivationTree, DerivationGraph]:
+def derivation_projections(records: Sequence[DerivationRecord], root: str) -> tuple[DerivationTree, DerivationGraph]:
     """Split a history into its left (tree) and right (graph) projections.
 
     On the left every guest has the single parent that owns its left site;
     on the right a shared guest gets one node with an edge from every right
     host, which is what makes the dependency projection a DAG.
     """
-    known: dict[str, str] = {root: root}  # instance id -> elementary name, in attachment order
-    edges: list[tuple[str, str, str]] = []
-    left_children: dict[str, list[tuple[GornAddress, str]]] = defaultdict(list)
+    nodes = ((root, root), *((r.guest_id, r.guest) for r in records))  # in attachment order
+    edges = tuple((site.owner, str(site.addr), r.guest_id) for r in records for site in r.right_sites)
+    return left_projection(records, root), DerivationGraph(root, nodes, edges)
+
+
+def left_projection(records: Sequence[DerivationRecord], root: str) -> DerivationTree:
+    """The left projection alone, which is all plain TAG reads; raises `InconsistentHistory` for both."""
+    known: dict[str, str] = {root: root}  # instance id -> elementary name
+    left: dict[str, list[tuple[GornAddress, str]]] = defaultdict(list)
     for r in records:
         if r.guest_id in known:
             raise InconsistentHistory(f"guest {r.guest_id!r} attached twice")
@@ -516,7 +520,5 @@ def derivation_projections(
             if site.owner not in known:
                 raise InconsistentHistory(f"unknown right host {site.owner!r}")
         known[r.guest_id] = r.guest
-        left_children[r.left_site.owner].append((r.left_site.addr, r.guest_id))
-        for site in r.right_sites:
-            edges.append((site.owner, str(site.addr), r.guest_id))
-    return derivation_tree(root, known, left_children), DerivationGraph(root, tuple(known.items()), tuple(edges))
+        left[r.left_site.owner].append((r.left_site.addr, r.guest_id))
+    return derivation_tree(root, known, left)

@@ -9,11 +9,13 @@ is bottom-up: children are rebuilt first, then attached at each edge's
 row, walked to once, by `fill_slot` or `splice` as its node is a slot or
 not.  A parent's edges are composed in reverse address order, so no
 composition moves a site still to come, and edge addresses are used
-exactly as written in the grammar.  `derivation_tree` is the one builder
-of derivation trees: the script parser, the JSON reader and `sharing`'s
-projections collect each node's name and edges and call it.  Replay, that
-builder, script parsing and printing walk derivations with an explicit
-stack, so a derivation may be deeper than Python's recursion limit.
+exactly as written in the grammar.  `derivation_tree` is the one internal
+builder of derivation trees: the script parser, the JSON reader and
+`sharing`'s projections collect each node's name and edges and call it.  It
+checks each node's edges once, as the public `DerivationTree(...)` checks
+them, and builds the nodes without that check.  Replay, that builder,
+script parsing and printing walk derivations with an explicit stack, so a
+derivation may be deeper than Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Hashable, Mapping
 
 from ._lex import script_lines
 from .errors import (
+    AddressNotFound,
     Diagnostic,
     EdgeAddressInvalid,
     OperationMismatch,
@@ -86,6 +89,8 @@ class TagGrammar:
 
 @dataclass(frozen=True)
 class DerivationTree:
+    """Checked: sorts the edges by address and rejects a repeated one.  `derivation_tree` builds trusted nodes."""
+
     root: str
     edges: tuple[tuple[GornAddress, "DerivationTree"], ...] = ()
 
@@ -102,13 +107,22 @@ def derivation_tree(root: Hashable, labels, children: Mapping) -> DerivationTree
 
     `labels[node]` is a node's elementary name and `children.get(node)` its
     (edge address, child node) pairs; a node `children` omits is a leaf.
+    Edges are checked as `DerivationTree` checks them, then nodes built trusted.
     """
     order = [root]  # parents before children
     for node in order:
         order.extend(child for _, child in children.get(node, ()))
     built: dict = {}
+    new, set_field = object.__new__, object.__setattr__
     for node in reversed(order):
-        built[node] = DerivationTree(labels[node], tuple((a, built[c]) for a, c in children.get(node, ())))
+        edges = children.get(node, ())
+        if len(edges) > 1:
+            edges = sorted(edges, key=lambda e: e[0].parts)
+            if any(a.parts == b.parts for (a, _), (b, _) in zip(edges, edges[1:])):
+                raise ValueError(f"duplicate edge addresses under {labels[node]!r}")
+        tree = built[node] = new(DerivationTree)
+        set_field(tree, "root", labels[node])
+        set_field(tree, "edges", tuple([(a, built[c]) for a, c in edges]))
     return built[root]
 
 
@@ -140,12 +154,13 @@ def replay(grammar: TagGrammar, d: DerivationTree) -> SyntaxTree:
 
 def _edge_problem(grammar: TagGrammar, parent: str, addr: GornAddress, child: str) -> tuple[str, str] | None:
     """The (code, message) of what is wrong with composing `child` into `parent` at `addr`, if anything."""
-    tree = grammar.get(parent).tree
-    if not tree.has_address(addr):
+    try:
+        kind = grammar.get(parent).tree.row_at(addr)[2].kind
+    except AddressNotFound:
         return "EdgeAddressInvalid", f"{parent!r} has no address {addr}"
     if child not in grammar:
         return None  # reported when the child is visited
-    kind, entry = tree.node_at(addr), grammar.get(child)
+    entry = grammar.get(child)
     if isinstance(kind, SubstitutionSlot):
         if entry.tree_class is not TreeClass.INITIAL:
             return "OperationMismatch", f"slot at {addr} needs an initial tree, got {child!r}"
@@ -164,6 +179,15 @@ def _edge_problem(grammar: TagGrammar, parent: str, addr: GornAddress, child: st
     return None
 
 
+def _path(entry: tuple) -> str:
+    """A `validate_derivation` entry's derivation path, such as `root/2.2/1`, built only for a diagnostic."""
+    parts = []
+    while entry[2] is not None:
+        parts.append(str(entry[1]))
+        entry = entry[2]
+    return "/".join(["root", *reversed(parts)])
+
+
 def validate_derivation(grammar: TagGrammar, d: DerivationTree) -> list[Diagnostic]:
     """All problems that would make `replay` fail, with derivation-tree paths.
 
@@ -171,19 +195,18 @@ def validate_derivation(grammar: TagGrammar, d: DerivationTree) -> list[Diagnost
     of the subtree below it.  Children of an unknown tree are not visited.
     """
     diags: list[Diagnostic] = []
-    # (node, its path, and the (parent name, address, parent path) of the edge above it)
-    stack: list[tuple[DerivationTree, str, tuple[str, GornAddress, str] | None]] = [(d, "root", None)]
+    stack: list[tuple] = [(d, None, None)]  # (node, the address of the edge above it, its parent's entry)
     while stack:
-        node, path, edge = stack.pop()
-        if edge is not None:
-            parent, addr, parent_path = edge
-            problem = _edge_problem(grammar, parent, addr, node.root)
+        entry = stack.pop()
+        node, addr, up = entry
+        if up is not None:
+            problem = _edge_problem(grammar, up[0].root, addr, node.root)
             if problem is not None:
-                diags.append(Diagnostic(*problem, parent_path))
+                diags.append(Diagnostic(*problem, _path(up)))
         if node.root not in grammar:
-            diags.append(Diagnostic("UnknownTree", f"no elementary tree named {node.root!r}", path))
+            diags.append(Diagnostic("UnknownTree", f"no elementary tree named {node.root!r}", _path(entry)))
             continue
-        stack.extend((child, f"{path}/{addr}", (node.root, addr, path)) for addr, child in reversed(node.edges))
+        stack.extend((child, addr, entry) for addr, child in reversed(node.edges))
     return diags
 
 

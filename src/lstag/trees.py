@@ -107,7 +107,10 @@ class TreeNode:
         self.children = children
         self.site = site
         self.adjoined = adjoined
-        self.slots = sum(c.slots for c in children) if children else int(isinstance(kind, SubstitutionSlot))
+        slots = 0 if children else int(isinstance(kind, SubstitutionSlot))
+        for child in children:
+            slots += child.slots
+        self.slots = slots
 
 
 Row = tuple["Row | None", int, TreeNode]
@@ -271,7 +274,10 @@ class SyntaxTree:
 
     @cached_property
     def foot_row(self) -> Row | None:
-        return next((row for row in self.rows() if isinstance(row[2].kind, Foot)), None)
+        for row in self.rows():
+            if isinstance(row[2].kind, Foot):
+                return row
+        return None
 
     @cached_property
     def foot_address(self) -> GornAddress | None:
@@ -384,8 +390,8 @@ def splice(row: Row, aux: SyntaxTree, guest_id: str | None = None) -> SyntaxTree
     guest = aux if guest_id is None else aux.owned_by(guest_id)
     host = row[2]
     marked = TreeNode(host.kind, host.children, host.site, True)
-    wrapped = _replaced(guest.row_at(aux.foot_address), marked)  # type: ignore[arg-type]
-    return SyntaxTree(_replaced(row, wrapped))
+    foot = aux.foot_row if guest is aux else guest.row_at(aux.foot_address)  # type: ignore[arg-type]
+    return SyntaxTree(_replaced(row, _replaced(foot, marked)))  # type: ignore[arg-type]
 
 
 def substitute_with_maps(
@@ -423,12 +429,19 @@ def yield_tokens(tree: SyntaxTree, partial: bool = False) -> tuple[str, ...]:
     as placeholders so in-progress structures can still be inspected.
     """
     out: list[str] = []
-    for node in tree.nodes():
-        kind = node.kind
-        if isinstance(kind, Interior):  # spelled out by its leaves; a childless one spells nothing
+    stack = [tree.root]
+    pop, extend = stack.pop, stack.extend
+    while stack:
+        node = pop()
+        kids = node.children
+        if kids:  # an interior node is spelled out by its leaves
+            extend(kids[::-1])
             continue
+        kind = node.kind
         if isinstance(kind, Terminal):
             out.append(kind.token)
+        elif isinstance(kind, Interior):  # a childless one spells nothing
+            continue
         elif partial:
             out.append(f"⟨{kind.symbol}↓⟩" if isinstance(kind, SubstitutionSlot) else f"⟨{kind.symbol}*⟩")
         else:

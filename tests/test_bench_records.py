@@ -19,6 +19,9 @@ def full_record():
     return {
         "seeds": [1],
         "machine": {"cpu": "x86-64"},
+        "all_correct": True,
+        "failed": 0,
+        "claim": {"workload": "tag-enum", "metric": "case_ms_geomean", "target": "at least 15% lower"},
         "workloads": {w["name"]: json.loads(json.dumps(metrics)) for w in benchmark["workloads"]},
     }
 
@@ -48,3 +51,54 @@ def test_a_record_without_a_median_or_json_fails(tmp_path):
         "BENCH_1.json: cli-batch setup_s: no parent median",
     ]
     assert len(lines) == 4 and lines[3].startswith("BENCH_2.json: does not parse")
+
+
+def check_record(tmp_path, record):
+    shutil.copy(REPO / "BENCHMARK.json", tmp_path)
+    (tmp_path / "BENCH_1.json").write_text(json.dumps(record), encoding="utf-8")
+    result = check(tmp_path)
+    return result.returncode, result.stderr.splitlines()
+
+
+def test_a_record_with_an_incorrect_run_fails(tmp_path):
+    record = full_record()
+    assert check_record(tmp_path, record) == (0, [])
+    for value in (False, None, "true"):
+        record["all_correct"] = value
+        assert check_record(tmp_path, record) == (1, ["BENCH_1.json: 'all_correct' is not true"])
+    del record["all_correct"]
+    assert check_record(tmp_path, record) == (1, ["BENCH_1.json: 'all_correct' is not true"])
+
+
+def test_a_record_with_a_failed_operation_fails(tmp_path):
+    record = full_record()
+    for value in (3, False, None, "0"):
+        record["failed"] = value
+        assert check_record(tmp_path, record) == (1, ["BENCH_1.json: 'failed' is not 0"])
+    record["failed"] = 0.0
+    assert check_record(tmp_path, record) == (0, [])
+
+
+def test_a_record_must_claim_a_benchmark_metric_its_change_beats(tmp_path):
+    record = full_record()
+    unnamed = ["BENCH_1.json: 'claim' names no workload and end-to-end metric of BENCHMARK.json"]
+    for claim in (None, "faster", {"workload": "tag-enum"}, {"workload": "tag-enum", "metric": "gorn.self_ms"},
+                  {"workload": "tag", "metric": "case_ms_geomean"}, {"workload": ["tag-enum"], "metric": {}}):
+        record["claim"] = claim
+        assert check_record(tmp_path, record) == (1, unnamed)
+    # Every change median in full_record is 1.0 and every parent median 2.0.
+    record["claim"] = {"workload": "cli-batch", "metric": "cases_per_s"}
+    assert check_record(tmp_path, record) == (
+        1,
+        ["BENCH_1.json: claim: cli-batch cases_per_s change median does not beat the parent's (higher is better)"],
+    )
+    record["workloads"]["cli-batch"]["cases_per_s"]["change"]["median"] = 2.5
+    assert check_record(tmp_path, record) == (0, [])
+    record["workloads"]["cli-batch"]["cases_per_s"]["change"]["median"] = 2.0
+    assert check_record(tmp_path, record)[0] == 1
+    record["claim"] = {"workload": "coord-enum", "metric": "peak_rss_mb"}
+    record["workloads"]["coord-enum"]["peak_rss_mb"]["change"]["median"] = 2.0
+    assert check_record(tmp_path, record) == (
+        1,
+        ["BENCH_1.json: claim: coord-enum peak_rss_mb change median does not beat the parent's (lower is better)"],
+    )

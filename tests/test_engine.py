@@ -19,11 +19,13 @@ from helpers_trees import (
 from reference_search import reference_enumerate
 
 from lstag import (
+    DerivationTree,
     EnumerationBudget,
     GornAddress,
     LstagError,
     OperationMismatch,
     TagGrammar,
+    derivation_projections,
     enumerate_derivations,
     language_sample,
     load_grammar,
@@ -240,6 +242,37 @@ def test_every_tag_item_replays_to_its_yield(tag_grammar):
     for item in result.items:
         derived = replay(tag_grammar, item.left_derivation)
         assert yield_tokens(derived) == item.left_yield
+
+
+# A modifier chain: m0 and m1 adjoin at any X, so they stack up on the X of n, and vm adjoins at the VP.
+MODIFIER_CHAIN = TagGrammar.from_trees(
+    {
+        "v": parse_tree('S(NP! VP(V("v") NP!))'),
+        "n": parse_tree('NP(X("n"))'),
+        "o": parse_tree('NP(N("o"))'),
+        "m0": parse_tree('X(A("a0") X*)'),
+        "m1": parse_tree('X(A("a1") X*)'),
+        "vm": parse_tree('VP(ADV("very") VP*)'),
+    }
+)
+
+
+def checked_copy(d):
+    """`d` rebuilt node by node through the checked `DerivationTree` constructor, its edges reversed first."""
+    return DerivationTree(d.root, tuple((a, checked_copy(c)) for a, c in reversed(d.edges)))
+
+
+@pytest.mark.parametrize("which", ["cooked", "chain"])
+def test_tag_items_carry_the_left_projection_alone(tag_grammar, which):
+    grammar = tag_grammar if which == "cooked" else MODIFIER_CHAIN
+    for ops in range(1, 6):
+        result = enumerate_derivations(grammar, EnumerationBudget(ops))
+        assert result.items
+        for item in result.items:
+            assert item.right_derivation is None
+            left, right = derivation_projections(item.records, item.root)
+            assert item.left_derivation == left == checked_copy(left)
+            assert right.edges == () and len(right.nodes) == len(item.records) + 1
 
 
 def test_lstag_records_replay_to_consistent_structures(lstag_grammar):

@@ -49,10 +49,11 @@ from lstag import (
 )
 from lstag import engine
 from lstag.sharing import check_step, compose_record, group_record
-from lstag.tag import derivation_from_json_obj, derivation_to_json_obj
+from lstag.tag import derivation_from_json_obj, derivation_to_json_obj, derivation_tree
 from lstag.trees import adjoin_with_maps, row_address, substitute_with_maps
 
 import reference_trees
+import reference_validate
 
 from helpers_trees import (
     SYMBOLS,
@@ -403,6 +404,15 @@ def test_replay_fails_exactly_when_validate_derivation_reports(d):
         assert derived == reference_trees.replay(_COOKED, d)
 
 
+@given(cooked_derivations())
+@settings(max_examples=200, deadline=None)
+def test_validate_derivation_matches_the_eager_path_reference(d):
+    def triples(diags):
+        return [(x.code, x.message, x.where) for x in diags]
+
+    assert triples(validate_derivation(_COOKED, d)) == triples(reference_validate.validate_derivation(_COOKED, d))
+
+
 # Edge addresses that nest: 2 and 1 against 2.1, and the root.
 _NESTING_ADDRESSES = [GornAddress(p) for p in [(), (1,), (2,), (2, 1), (1, 2), (2, 1, 1)]]
 
@@ -425,6 +435,46 @@ def distinct_name_derivations(draw, depth=3):
 def test_derivation_scripts_and_json_round_trip(d):
     assert parse_derivation_script(format_derivation_script(d)) == d
     assert derivation_from_json_obj(derivation_to_json_obj(d)) == d
+
+
+@st.composite
+def derivation_tables(draw):
+    """(root, labels, children) tables as `derivation_tree` reads them.
+
+    Node 0 is the root and every other node hangs under an earlier one.  A
+    parent's edges come in node order, so their addresses are often out of
+    order, and they are drawn from six, so they often repeat.
+    """
+    n = draw(st.integers(1, 10))
+    labels = [draw(st.sampled_from("abc")) for _ in range(n)]
+    children: dict[int, list[tuple[GornAddress, int]]] = {}
+    for node in range(1, n):
+        parent = draw(st.integers(0, node - 1))
+        children.setdefault(parent, []).append((draw(st.sampled_from(_NESTING_ADDRESSES)), node))
+    return 0, labels, children
+
+
+def checked_derivation_tree(root, labels, children) -> DerivationTree:
+    """The tree of a table built node by node through `DerivationTree(...)`, leaves first in the same order."""
+    order = [root]
+    for node in order:
+        order.extend(child for _, child in children.get(node, ()))
+    built = {}
+    for node in reversed(order):
+        built[node] = DerivationTree(labels[node], tuple((a, built[c]) for a, c in children.get(node, ())))
+    return built[root]
+
+
+@given(derivation_tables())
+@settings(max_examples=300, deadline=None)
+def test_the_trusted_builder_agrees_with_the_checked_constructor(table):
+    def outcome(build):
+        try:
+            return build(*table)
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+
+    assert outcome(derivation_tree) == outcome(checked_derivation_tree)
 
 
 # --- synchronous link bookkeeping --------------------------------------------------

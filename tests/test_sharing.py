@@ -26,7 +26,7 @@ from lstag import (
     validate_pair,
 )
 
-from lstag.sharing import check_step, compose_record, group_record
+from lstag.sharing import check_step, compose_record, group_record, left_projection
 
 from helpers_trees import check_structure, group_addresses, pair_grammar, parent_addresses
 
@@ -439,6 +439,23 @@ def test_projections_reject_unknown_hosts():
     s = full_structure()
     with pytest.raises(InconsistentHistory):
         derivation_projections(s.history[1:], s.root)
+
+
+def test_both_projections_check_a_history_with_one_message_each():
+    def record(guest_id, left_host, right_hosts=()):
+        right_sites = tuple(SiteRef(h, E) for h in right_hosts)
+        return DerivationRecord("adjunction", "aux", guest_id, SiteRef(left_host, E), right_sites)
+
+    histories = {
+        "guest 'g' attached twice": [record("g", "cooks"), record("g", "cooks")],
+        "unknown left host 'x'": [record("g", "x", ["cooks"])],
+        "unknown right host 'x'": [record("g", "cooks", ["x"])],
+    }
+    for message, records in histories.items():
+        for project in (derivation_projections, left_projection):
+            with pytest.raises(InconsistentHistory) as info:
+                project(records, "cooks")
+            assert str(info.value) == message
 
 
 def test_projections_of_a_deep_history():
