@@ -28,20 +28,22 @@ search is breadth-first, so every entry left after that is at the budget
 too, and it is built only if it is complete.
 
 Plain TAG substitutes initial trees at every slot and adjoins auxiliary
-trees at every interior node.  Its moves match the guest's class and root
-symbol before they are yielded, so they are legal by construction and
-build with the unchecked `fill_slot` and `splice`.  They walk the tree's
-rows and build a site's `GornAddress`, its order-key text and the guest
-instance-id prefix once, at the first guest that fits there; other nodes
-get no address.  Link-sharing moves are checked by `sharing.check_step`
-on the rows of their sites: substitutions fill live link groups (one move
-fills every shared site), whose rows are read off `by_site` once per
-state, and adjunctions pair the interior nodes of each tree that no
-adjunction has marked `adjoined` and whose symbol is an auxiliary's root,
-with records built from those nodes.  Such a site's address text, for the
-order key, is built once per state.
-A move reads the elementary site it composes at (its `SiteRef`) off the
-node itself, so no state keeps a provenance table.
+trees at every interior node.  The guests are grouped by operation and
+root symbol once per enumeration, so a site meets only the guests that fit
+it, and its moves are legal by construction and build with the unchecked
+`fill_slot` and `splice`.  They walk the tree's rows and build a site's
+`GornAddress`, its order-key text and the guest instance-id prefix once,
+where some guest fits; other nodes get no address.  Each guest instance's
+tree is stamped with its sites once per enumeration, at its first use, in
+a table the enumeration drops when it returns.  Link-sharing moves are
+checked by `sharing.check_step` on the rows of their sites: substitutions
+fill live link groups (one move fills every shared site), whose rows are
+read off `by_site` once per state, and adjunctions pair the interior nodes
+of each tree that no adjunction has marked `adjoined` and whose symbol is
+an auxiliary's root, with records built from those nodes.  Such a site's
+address text, for the order key, is built once per state.  A move reads
+the elementary site it composes at (its `SiteRef`) off the node itself, so
+no state keeps a provenance table.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from .sharing import (
     left_projection,
     structure_from_pair,
 )
-from .tag import DerivationTree, TagGrammar
+from .tag import DerivationTree, ElementaryTree, TagGrammar
 from .trees import (
     Interior,
     SubstitutionSlot,
@@ -118,6 +120,8 @@ class EnumerationResult:
 _State = Union["_TagState", DerivedStructure]
 _Checked = tuple[bool, Callable[[], _State]]
 _Move = tuple[tuple, DerivationRecord, Callable[[], _Checked]]
+_Guests = dict[str, dict[str, list[tuple[str, SyntaxTree]]]]
+"""The plain-TAG guests, as {operation: {root symbol: [(name, tree), ...]}}."""
 
 
 def _passes(check: Callable[[], _Checked]) -> bool:
@@ -200,9 +204,29 @@ class _TagState:
         return left_projection(self.history, self.root), None
 
 
-def _tag_child(state: _TagState, addr: GornAddress, guest: SyntaxTree, record: DerivationRecord) -> _TagState:
+def _tag_guests(entries: Iterable[tuple[str, ElementaryTree]]) -> _Guests:
+    """The guests of each operation by root symbol, in grammar order: initial trees substitute, auxiliaries adjoin."""
+    guests: _Guests = {"substitution": {}, "adjunction": {}}
+    for name, entry in entries:
+        operation = "substitution" if entry.tree_class is TreeClass.INITIAL else "adjunction"
+        guests[operation].setdefault(entry.tree.root_symbol, []).append((name, entry.tree))
+    return guests
+
+
+def _tag_child(
+    stamped: dict[tuple[str, str], SyntaxTree],
+    state: _TagState,
+    addr: GornAddress,
+    guest: SyntaxTree,
+    record: DerivationRecord,
+) -> _TagState:
+    """`state` with `record`'s step taken; `stamped` holds each guest instance's tree, stamped at its first use."""
+    key = (record.guest, record.guest_id)
+    tree = stamped.get(key)
+    if tree is None:
+        tree = stamped[key] = guest.owned_by(record.guest_id)
     graft = fill_slot if record.operation == "substitution" else splice
-    return _TagState(state.root, graft(state.tree.row_at(addr), guest, record.guest_id), state.history + (record,))
+    return _TagState(state.root, graft(state.tree.row_at(addr), tree), state.history + (record,))
 
 
 def _legal(complete: bool, build: Callable[[], _TagState]) -> _Checked:
@@ -210,27 +234,26 @@ def _legal(complete: bool, build: Callable[[], _TagState]) -> _Checked:
     return complete, build
 
 
-def _tag_moves(guests: dict[str, list[tuple[str, SyntaxTree]]], state: _TagState) -> Iterator[_Move]:
+def _tag_moves(guests: _Guests, stamped: dict[tuple[str, str], SyntaxTree], state: _TagState) -> Iterator[_Move]:
     slots = state.tree.root.slots
+    initial, auxiliary = guests["substitution"], guests["adjunction"]
     for row in state.tree.rows():
         node = row[2]
         kind = node.kind
         if isinstance(kind, SubstitutionSlot):
-            operation, open_slots = "substitution", slots - 1
+            operation, open_slots, fits = "substitution", slots - 1, initial.get(kind.symbol)
         elif isinstance(kind, Interior) and not node.adjoined:
-            operation, open_slots = "adjunction", slots
+            operation, open_slots, fits = "adjunction", slots, auxiliary.get(kind.symbol)
         else:
             continue
-        addr = None  # built at the first guest that fits, then shared by every guest at this site
-        for name, tree in guests[operation]:
-            if tree.root_symbol != kind.symbol:
-                continue
-            if addr is None:
-                ref = node.site
-                addr = row_address(row)
-                addr_text, id_prefix = str(addr), instance_prefix(ref)
+        if not fits:
+            continue
+        ref = node.site
+        addr = row_address(row)
+        addr_text, id_prefix = str(addr), instance_prefix(ref)
+        for name, tree in fits:
             record = DerivationRecord(operation, name, id_prefix + name, ref, ())
-            build = partial(_tag_child, state, addr, tree, record)
+            build = partial(_tag_child, stamped, state, addr, tree, record)
             yield (addr_text, name), record, partial(_legal, open_slots + tree.root.slots == 0, build)
 
 
@@ -283,15 +306,9 @@ def enumerate_derivations(
     grammar: TagGrammar | LstagGrammar, budget: EnumerationBudget
 ) -> EnumerationResult:
     if isinstance(grammar, TagGrammar):
-        guests = {
-            operation: [(n, e.tree) for n, e in grammar.entries if e.tree_class is tree_class]
-            for operation, tree_class in (
-                ("substitution", TreeClass.INITIAL),
-                ("adjunction", TreeClass.AUXILIARY),
-            )
-        }
-        roots = (_TagState(name, tree.owned_by(name), ()) for name, tree in guests["substitution"])
-        return _search(roots, partial(_tag_moves, guests), budget)
+        roots = (_TagState(n, e.tree.owned_by(n), ()) for n, e in grammar.entries if e.tree_class is TreeClass.INITIAL)
+        # One stamp per guest instance: the table lives for this call alone.
+        return _search(roots, partial(_tag_moves, _tag_guests(grammar.entries), {}), budget)
     if isinstance(grammar, LstagGrammar):
         classes = {name: _pair_class(pair) for name, pair in grammar.pairs}
         initial = [(n, p) for n, p in grammar.pairs if classes[n] is TreeClass.INITIAL]

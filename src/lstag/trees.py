@@ -18,10 +18,13 @@ equality and hashing need no more).  `rows()` is the one walk with
 positions: each node's row holds its parent's row, its child index and the
 node, and holds no address.  `row_address` builds a row's `GornAddress`
 up its parent rows, in O(depth), only for a node whose address a caller
-reads.  Every positional view reads `rows()`; the views read again are
-cached per tree: `by_site`, which maps a site to its row for `locate`, the
-foot's row, and the address tables `entries`, `frontier`, `slot_addresses`
-and `foot_address`.  `row_at` walks down from the root to an address's row.
+reads.  Every positional view but the foot's reads `rows()`; the views
+read again are cached per tree: `by_site`, which maps a site to its row for
+`locate`, and the address tables `entries`, `frontier`, `slot_addresses`
+and `foot_address`.  No walk searches for the foot: each node records
+which child leads to it (`TreeNode.foot`, set with `slots` when the node
+is built), and `foot_row` follows those indexes down from the root in
+O(depth), as `row_at` walks down from the root to an address's row.
 """
 
 from __future__ import annotations
@@ -90,11 +93,13 @@ class TreeNode:
     adjunction replanted under its auxiliary's foot: that elementary node
     hosts an adjunction and takes no other.  Parsed and stamped trees are
     unmarked.  Tree equality and hashing ignore both `site` and `adjoined`.
-    `slots` counts the substitution slots at or below the node.  Nodes
-    never change, so trees share them freely.
+    `slots` counts the substitution slots at or below the node.  `foot` is
+    the 1-based index of the first child whose subtree holds a foot, -1 on
+    a foot leaf and 0 where no foot lies at or below the node.  Nodes never
+    change, so trees share them freely.
     """
 
-    __slots__ = ("kind", "children", "site", "adjoined", "slots")
+    __slots__ = ("kind", "children", "site", "adjoined", "slots", "foot")
 
     def __init__(
         self,
@@ -107,10 +112,17 @@ class TreeNode:
         self.children = children
         self.site = site
         self.adjoined = adjoined
-        slots = 0 if children else int(isinstance(kind, SubstitutionSlot))
-        for child in children:
-            slots += child.slots
+        if children:
+            slots = foot = k = 0
+            for child in children:
+                k += 1
+                slots += child.slots
+                if child.foot and not foot:
+                    foot = k
+        else:
+            slots, foot = int(isinstance(kind, SubstitutionSlot)), -1 if isinstance(kind, Foot) else 0
         self.slots = slots
+        self.foot = foot
 
 
 Row = tuple["Row | None", int, TreeNode]
@@ -274,10 +286,16 @@ class SyntaxTree:
 
     @cached_property
     def foot_row(self) -> Row | None:
-        for row in self.rows():
-            if isinstance(row[2].kind, Foot):
-                return row
-        return None
+        """The row of the first foot in preorder, followed down the nodes' `foot` indexes in O(depth)."""
+        row: Row = (None, 0, self.root)
+        k = self.root.foot
+        if not k:
+            return None
+        while k > 0:
+            node = row[2].children[k - 1]
+            row = (row, k, node)
+            k = node.foot
+        return row
 
     @cached_property
     def foot_address(self) -> GornAddress | None:
@@ -390,8 +408,7 @@ def splice(row: Row, aux: SyntaxTree, guest_id: str | None = None) -> SyntaxTree
     guest = aux if guest_id is None else aux.owned_by(guest_id)
     host = row[2]
     marked = TreeNode(host.kind, host.children, host.site, True)
-    foot = aux.foot_row if guest is aux else guest.row_at(aux.foot_address)  # type: ignore[arg-type]
-    return SyntaxTree(_replaced(row, _replaced(foot, marked)))  # type: ignore[arg-type]
+    return SyntaxTree(_replaced(row, _replaced(guest.foot_row, marked)))  # type: ignore[arg-type]
 
 
 def substitute_with_maps(

@@ -314,7 +314,10 @@ def test_a_tag_script_may_start_with_an_edge_line(capsys, fixtures_dir, tmp_path
 
 
 def test_each_lstag_step_walks_to_its_sites_once(fixtures_dir, monkeypatch):
-    """A `~` line walks from a root at most 4 times, a `substitute ... at L` line once, and builds one record."""
+    """A `~` line walks from a root twice, a `substitute ... at L` line once, and builds one record.
+
+    The two walks locate the step's left and right sites; no walk looks for a guest's foot.
+    """
     grammar = load_grammar(str(fixtures_dir / "cooks_eats.lstag")).lstag_grammar()
     walks, records = [], []
     row_at, compose_record = lstag.SyntaxTree.row_at, lstag.cli.compose_record
@@ -329,7 +332,7 @@ def test_each_lstag_step_walks_to_its_sites_once(fixtures_dir, monkeypatch):
         run_lstag_script(grammar, "\n".join(steps[:n]) + "\n")
         counts.append((len(walks), len(records)))
     per_line = [(w - pw, r - pr) for (w, r), (pw, pr) in zip(counts[1:], counts)]
-    assert per_line[:depth] == [(4, 1)] * depth
+    assert per_line[:depth] == [(2, 1)] * depth
     assert per_line[depth:] == [(1, 0), (1, 0)]
 
 

@@ -24,6 +24,7 @@ from lstag import (
     GornAddress,
     LstagError,
     OperationMismatch,
+    SyntaxTree,
     TagGrammar,
     derivation_projections,
     enumerate_derivations,
@@ -273,6 +274,21 @@ def test_tag_items_carry_the_left_projection_alone(tag_grammar, which):
             left, right = derivation_projections(item.records, item.root)
             assert item.left_derivation == left == checked_copy(left)
             assert right.edges == () and len(right.nodes) == len(item.records) + 1
+
+
+def test_a_tag_enumeration_stamps_each_guest_instance_once(tag_grammar, monkeypatch):
+    """No (tree, owner) pair is stamped twice in one enumeration, and the next enumeration stamps afresh."""
+    stamps = []
+    owned_by = SyntaxTree.owned_by
+    monkeypatch.setattr(
+        SyntaxTree, "owned_by", lambda tree, owner: stamps.append((id(tree), owner)) or owned_by(tree, owner)
+    )
+    first = enumerate_derivations(tag_grammar, EnumerationBudget(4))
+    once = list(stamps)
+    assert once and len(set(once)) == len(once)
+    stamps.clear()
+    assert enumerate_derivations(tag_grammar, EnumerationBudget(4)) == first
+    assert stamps == once
 
 
 def test_lstag_records_replay_to_consistent_structures(lstag_grammar):

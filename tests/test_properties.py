@@ -50,7 +50,7 @@ from lstag import (
 from lstag import engine
 from lstag.sharing import check_step, compose_record, group_record
 from lstag.tag import derivation_from_json_obj, derivation_to_json_obj, derivation_tree
-from lstag.trees import adjoin_with_maps, row_address, substitute_with_maps
+from lstag.trees import TreeNode, adjoin_with_maps, fill_slot, row_address, splice, substitute_with_maps
 
 import reference_trees
 import reference_validate
@@ -278,6 +278,55 @@ def test_node_only_traversals_agree_with_the_address_walk(data):
     for t in trees:
         for u in trees:
             assert (t == u) == (walk_shape(t) == walk_shape(u))
+
+
+# --- the foot index ----------------------------------------------------------------
+
+
+def first_foot_row(tree):
+    """The row of the first foot in preorder, found by walking `rows()`."""
+    return next((row for row in tree.rows() if isinstance(row[2].kind, Foot)), None)
+
+
+def assert_foot_index_agrees(tree) -> None:
+    """Below every node, `foot_row` and `foot_address` name the first foot `rows()` meets."""
+    for node in tree.nodes():
+        sub = SyntaxTree(node)
+        want = first_foot_row(sub)
+        assert sub.foot_row == want
+        assert sub.foot_address == (None if want is None else row_address(want))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_the_foot_index_finds_the_first_foot_of_composed_trees(data):
+    """Random trees and every tree of a random chain of `fill_slot` and `splice` steps, stamped or not."""
+    rng = rng_from(data)
+    trees = [random_initial(rng), random_auxiliary(rng), random_auxiliary(rng, max_depth=4)]
+    for step in range(data.draw(st.integers(0, 8))):
+        row = rng.choice(list(rng.choice(trees).rows()))
+        kind, guest_id = row[2].kind, rng.choice([None, f"g{step}"])
+        if isinstance(kind, SubstitutionSlot):
+            fits = [t for t in trees if first_foot_row(t) is None and t.root_symbol == kind.symbol]
+            guest = rng.choice(fits) if fits and rng.random() < 0.5 else random_initial(rng, kind.symbol)
+            trees.append(fill_slot(row, guest, guest_id))
+        elif isinstance(kind, Interior):
+            fits = [t for t in trees if first_foot_row(t) is not None and t.root_symbol == kind.symbol]
+            guest = rng.choice(fits) if fits and rng.random() < 0.5 else random_auxiliary(rng, kind.symbol)
+            trees.append(splice(row, guest, guest_id))
+    for tree in trees:
+        assert_foot_index_agrees(tree)
+
+
+def test_the_foot_index_finds_the_first_of_two_feet():
+    """A tree built without checks may hold two feet, or one subtree twice; the first in preorder is the foot."""
+    below = TreeNode(Interior("A"), (TreeNode(Terminal("a")), TreeNode(Interior("B"), (TreeNode(Foot("S")),))))
+    two_feet = SyntaxTree(TreeNode(Interior("S"), (TreeNode(Terminal("x")), below, TreeNode(Foot("S")))))
+    shared = SyntaxTree(TreeNode(Interior("S"), (below, below)))
+    assert two_feet.foot_address == GornAddress.parse("2.2.1")
+    assert shared.foot_address == GornAddress.parse("1.2.1")
+    for tree in (two_feet, shared):
+        assert_foot_index_agrees(tree)
 
 
 # --- substitution locality and commutation ---------------------------------------
@@ -813,7 +862,7 @@ def history_adjoined(history) -> frozenset[SiteRef]:
     return frozenset(r.left_site for r in history if r.operation == "adjunction")
 
 
-def assert_tag_moves_agree(guests, state) -> None:
+def assert_tag_moves_agree(grammar, stamped, state) -> None:
     """The TAG moves are the compositions that succeed at nodes free to take them, with exact completeness flags.
 
     The marked nodes are exactly the adjunction records' left sites.
@@ -822,7 +871,7 @@ def assert_tag_moves_agree(guests, state) -> None:
     marked = [node.site for node in state.tree.nodes() if node.adjoined]
     assert len(marked) == len(adjoined) and set(marked) == adjoined
     yielded = {}
-    for key, _, check in engine._tag_moves(guests, state):
+    for key, _, check in engine._tag_moves(engine._tag_guests(grammar.entries), stamped, state):
         complete, build = check()
         built = build()
         assert built.is_complete == complete
@@ -832,7 +881,8 @@ def assert_tag_moves_agree(guests, state) -> None:
         if isinstance(node.kind, Interior) and node.site in adjoined:
             continue
         compose = substitute_with_maps if isinstance(node.kind, SubstitutionSlot) else adjoin_with_maps
-        for name, tree in guests["substitution"] + guests["adjunction"]:
+        for name, entry in grammar.entries:
+            tree = entry.tree
             try:
                 expected[(str(addr), name)] = compose(state.tree, addr, tree).tree
             except LstagError:
@@ -846,19 +896,17 @@ def test_tag_move_checks_agree_with_compositions(data):
     rng = rng_from(data)
     trees = {f"i{k}": random_initial(rng) for k in range(3)}
     trees.update((f"a{k}", random_auxiliary(rng)) for k in range(2))
-    guests = {
-        "substitution": [(n, t) for n, t in trees.items() if n.startswith("i")],
-        "adjunction": [(n, t) for n, t in trees.items() if n.startswith("a")],
-    }
+    grammar = TagGrammar.from_trees(trees)
+    stamped = {}  # one stamp table for the run, as one enumeration keeps
     state = engine._TagState("i0", trees["i0"].owned_by("i0"), ())
     for _ in range(data.draw(st.integers(0, 3))):
-        assert_tag_moves_agree(guests, state)
-        moves = list(engine._tag_moves(guests, state))
+        assert_tag_moves_agree(grammar, stamped, state)
+        moves = list(engine._tag_moves(engine._tag_guests(grammar.entries), stamped, state))
         if not moves:
             break
         _, _, check = data.draw(st.sampled_from(moves))
         state = check()[1]()
-    assert_tag_moves_agree(guests, state)
+    assert_tag_moves_agree(grammar, stamped, state)
 
 
 # --- contiguity ---------------------------------------------------------------------

@@ -8,6 +8,7 @@ from lstag import (
     EnumerationBudget,
     GornAddress,
     OperationMismatch,
+    SyntaxTree,
     TagGrammar,
     UnknownTree,
     enumerate_derivations,
@@ -181,6 +182,35 @@ def test_validate_a_derivation_deeper_than_the_recursion_limit():
     assert validate_derivation(grammar, d) == [
         Diagnostic("UnknownTree", "no elementary tree named 'nope'", "root" + "/ε" * (depth + 1))
     ]
+
+
+def modifier_stack(k: int) -> tuple[TagGrammar, DerivationTree]:
+    """A transitive verb whose subject carries k stacked modifiers, `mod{i} @ 1 <- mod{i+1}`.
+
+    Modifier i is `Xi(X{i+1}("wi") Xi*)`, so each adjoins below the root of
+    the one before and every derived auxiliary keeps its foot at depth 1.
+    """
+    trees = {"v": 'S(NP! VP(V("v") NP!))', "s": 'NP(X1("s"))', "o": 'NP(X1("o"))'}
+    trees.update((f"mod{i}", f'X{i}(X{i + 1}("w{i}") X{i}*)') for i in range(1, k + 1))
+    lines = ["root v", "v @ 1 <- s", "v @ 2.2 <- o", "s @ 1 <- mod1"]
+    lines += [f"mod{i} @ 1 <- mod{i + 1}" for i in range(1, k)]
+    grammar = TagGrammar.from_trees({name: parse_tree(text) for name, text in trees.items()})
+    return grammar, parse_derivation_script("\n".join(lines) + "\n")
+
+
+def test_replaying_a_modifier_stack_walks_no_more_trees_as_it_grows(monkeypatch):
+    """No splice walks its derived auxiliary to find the foot, so the `rows()` walks do not grow with the stack."""
+    walks = []
+    rows = SyntaxTree.rows
+    monkeypatch.setattr(SyntaxTree, "rows", lambda tree: walks.append(tree) or rows(tree))
+    counts = []
+    for k in (30, 60):
+        grammar, d = modifier_stack(k)
+        walks.clear()
+        tree = replay(grammar, d)
+        counts.append(len(walks))
+        assert yield_string(tree) == " ".join([f"w{i}" for i in range(k, 0, -1)] + ["s", "v", "o"])
+    assert counts[0] == counts[1]
 
 
 # --- script and JSON formats ------------------------------------------------------

@@ -2,7 +2,7 @@
 
     python3 tools/scale_derive.py --shape coord --n 320 640 1280 2560 --repeat 3
 
-Two script shapes:
+Three script shapes:
 
 - `coord`: n-way verb coordination, built by `Coordination` of
   `perfbench/gen.py`.  It is `root cooks`, then n x `adjoin and_eats at 2.1
@@ -12,16 +12,21 @@ Two script shapes:
   v`, `v @ 1 <- n`, `v @ 2.2 <- o`, `n @ 1 <- m0`, then `mK @ ε <- mK+1`
   for K < n, parsed and replayed as `lstag derive` does.  Each modifier
   adjoins at the root of the one before, so the foot of the derived
-  auxiliary sinks one level per step.  The `Chain` family of
-  `perfbench/gen.py` adjoins below its parent's root, so its feet stay
-  shallow, and it is not used here.
+  auxiliary sinks one level per step.
+- `stack`: the modifier stack of the `Chain` family of `perfbench/gen.py`,
+  the shape the benchmark's `derive chain` cases derive.  It is `Chain.script`
+  at depth n: `root v`, `v @ 1 <- s`, `v @ 2.2 <- o`, `s @ 1 <- mod_w1`,
+  then `mod_wK @ 1 <- mod_wK+1` for K < n, replayed as `chain` is.  Each
+  modifier adjoins below the root of the one before, so every derived
+  auxiliary keeps its foot at depth 1.
 
 Each shape is timed as a whole and adjoin-only.  The adjoin-only script
 leaves out the steps that fill the verb's slots: the two substitutions of
-`coord`, and for `chain` the verb and its object, with `n` as the root.  The grammar is parsed once, outside the timing.  Each time is the
-best of `--repeat` runs.  Per shape, the tool prints ms per n, µs per
-adjoined auxiliary, the whole/adjoin-only ratio, and the least-squares slope of
-log(ms) over log(n).  It exits 1 if a whole script does not derive the
+`coord`, and for `chain` and `stack` the verb and its object, with the
+subject as the root.  The grammar is parsed once, outside the timing.
+Each time is the best of `--repeat` runs.  Per shape, the tool prints ms
+per n, µs per adjoined auxiliary, the whole/adjoin-only ratio, and the
+least-squares slope of log(ms) over log(n).  It exits 1 if a whole script does not derive the
 sentence its family predicts.  The lstag it times is the one under `src/`
 of this checkout.
 """
@@ -68,7 +73,18 @@ def _chain(n: int):
     return adjoin_only, whole, sentence, derive
 
 
-SHAPES = {"coord": _coord, "chain": _chain}
+def _stack(n: int):
+    """The same for `stack` at n."""
+    family = gen.Chain("v", ("s", "o"), tuple(f"w{k}" for k in range(1, n + 1)))
+    whole, sentence = family.script(n)
+    lines = whole.splitlines()
+    grammar = parse_grammar(family.text()).tag_grammar()
+    derive = lambda script: yield_string(replay(grammar, parse_derivation_script(script)), partial=True)
+    adjoin_only = "\n".join(["root s", *lines[3:]]) + "\n"
+    return adjoin_only, whole, sentence, derive
+
+
+SHAPES = {"coord": _coord, "chain": _chain, "stack": _stack}
 
 
 def _best_ms(run, script: str, repeat: int) -> float:
