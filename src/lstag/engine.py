@@ -27,16 +27,18 @@ decides `truncated` by asking whether some move passes its check.  The
 search is breadth-first, so every entry left after that is at the budget
 too, and it is built only if it is complete.
 
-Plain TAG substitutes initial trees at every slot and adjoins auxiliary
-trees at every interior node.  The guests are grouped by operation and
-root symbol once per enumeration, so a site meets only the guests that fit
-it, and its moves are legal by construction and build with the unchecked
-`fill_slot` and `splice`.  They walk the tree's rows and build a site's
-`GornAddress`, its order-key text and the guest instance-id prefix once,
-where some guest fits; other nodes get no address.  Each guest instance's
-tree is stamped with its sites once per enumeration, at its first use, in
-a table the enumeration drops when it returns.  Link-sharing moves are
-checked by `sharing.check_step` on the rows of their sites: substitutions
+Plain TAG takes at each node the operation `trees.OPERATION` names for its
+kind: initial trees substitute at slots and auxiliary trees adjoin at
+interior nodes.  The guests are grouped by operation and root symbol once
+per enumeration, so a site meets only the guests that fit it, and its
+moves are legal by construction and build with the unchecked graft
+`trees.RULE` pairs with their operation.  They walk the tree's rows and
+build a site's `GornAddress`, its order-key text and the guest instance-id
+prefix once, where some guest fits; other nodes get no address.  Grafts
+never stamp, so each guest instance's tree is stamped with its sites
+(`owned_by`) once per enumeration, at its first use, in a table the
+enumeration drops when it returns.  Link-sharing moves are checked by
+`sharing.check_step` on the rows of their sites: substitutions
 fill live link groups (one move fills every shared site), whose rows are
 read off `by_site` once per state, and adjunctions pair the interior nodes
 of each tree that no adjunction has marked `adjoined` and whose symbol is
@@ -69,17 +71,7 @@ from .sharing import (
     structure_from_pair,
 )
 from .tag import DerivationTree, ElementaryTree, TagGrammar
-from .trees import (
-    Interior,
-    SubstitutionSlot,
-    SyntaxTree,
-    TreeClass,
-    classify,
-    fill_slot,
-    row_address,
-    splice,
-    yield_tokens,
-)
+from .trees import OPERATION, RULE, SyntaxTree, TreeClass, classify, row_address, yield_tokens
 
 
 @dataclass(frozen=True)
@@ -225,7 +217,7 @@ def _tag_child(
     tree = stamped.get(key)
     if tree is None:
         tree = stamped[key] = guest.owned_by(record.guest_id)
-    graft = fill_slot if record.operation == "substitution" else splice
+    graft = RULE[record.operation][1]
     return _TagState(state.root, graft(state.tree.row_at(addr), tree), state.history + (record,))
 
 
@@ -236,18 +228,15 @@ def _legal(complete: bool, build: Callable[[], _TagState]) -> _Checked:
 
 def _tag_moves(guests: _Guests, stamped: dict[tuple[str, str], SyntaxTree], state: _TagState) -> Iterator[_Move]:
     slots = state.tree.root.slots
-    initial, auxiliary = guests["substitution"], guests["adjunction"]
     for row in state.tree.rows():
         node = row[2]
-        kind = node.kind
-        if isinstance(kind, SubstitutionSlot):
-            operation, open_slots, fits = "substitution", slots - 1, initial.get(kind.symbol)
-        elif isinstance(kind, Interior) and not node.adjoined:
-            operation, open_slots, fits = "adjunction", slots, auxiliary.get(kind.symbol)
-        else:
+        operation = OPERATION.get(type(node.kind))
+        if operation is None or node.adjoined:  # only an interior node is ever marked
             continue
+        fits = guests[operation].get(node.kind.symbol)  # type: ignore[union-attr]
         if not fits:
             continue
+        open_slots = slots - (operation == "substitution")
         ref = node.site
         addr = row_address(row)
         addr_text, id_prefix = str(addr), instance_prefix(ref)

@@ -9,11 +9,11 @@ reject a component that is not an integer >= 1.  Addresses derived from
 valid ones are trusted and skip that check: `extend`, `parent`,
 `suffix_after`, `child` once its new index is checked, `trees.row_address`
 (every address view of a tree reads a node's address off the rows of one
-tree walk with it) and `trees.rebase_address` (which only the host map of
-`adjoin_with_maps` applies, for `stag_compose`'s link endpoints).  Whether
-an address names a node of a given tree is a separate question:
-`tag.validate_derivation` answers it once for a derivation's edges, before
-`replay` composes there.
+tree walk with it) and `trees.rebase_address` (which `stag_compose` applies
+to the link endpoints an adjunction moves, as does the host map of
+`adjoin_with_maps`).  Whether an address names a node of a given tree is a
+separate question: `tag.validate_derivation` answers it once for a
+derivation's edges, before `replay` composes there.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import Diagnostic
 from .gorn import GornAddress
 from .sharing import LstagPair
-from .trees import Foot, SubstitutionSlot, SyntaxTree, Terminal
+from .trees import Foot, SubstitutionSlot, SyntaxTree, Terminal, row_address
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,15 @@ def check_left_contiguity(p: LstagPair, c: Correspondence) -> list[Diagnostic]:
 
 def check_lexical_contiguity(t: SyntaxTree) -> list[Diagnostic]:
     """The terminal anchors must form one uninterrupted block on the frontier."""
-    frontier = [(a, t.node_at(a)) for a in t.frontier]
-    terminal_positions = [i for i, (_, k) in enumerate(frontier) if isinstance(k, Terminal)]
+    frontier = [row for row in t.rows() if not row[2].children]  # the leaves' rows, left to right
+    terminal_positions = [i for i, row in enumerate(frontier) if isinstance(row[2].kind, Terminal)]
     if len(terminal_positions) < 2:
         return []
     first, last = terminal_positions[0], terminal_positions[-1]
     gaps = [
-        frontier[i][0]
+        row_address(frontier[i])
         for i in range(first + 1, last)
-        if isinstance(frontier[i][1], (SubstitutionSlot, Foot))
+        if isinstance(frontier[i][2].kind, (SubstitutionSlot, Foot))
     ]
     if not gaps:
         return []

@@ -20,9 +20,12 @@ Every step takes one shape.  Its sites are located once, as tree rows
 from a left and a right row or by `group_record` from a live group;
 `check_step` raises every error the step can raise before anything is
 composed, building an address only to report one, and says whether the
-structure will be complete; and the build it returns grafts at those rows
-and cannot fail.  `lstag_compose`, `shared_substitute`, the enumerator and
-`lstag derive` all take that shape.
+structure will be complete; and the build it returns cannot fail: it
+stamps the guest's trees as the instance the record names (`owned_by`),
+since grafts never stamp, and grafts them at those rows.  A one-site step
+takes the operation `trees.OPERATION` names for both sites' kinds, and
+checks and grafts with the pair `trees.RULE` gives it.  `lstag_compose`,
+`shared_substitute`, the enumerator and `lstag derive` all take that shape.
 """
 
 from __future__ import annotations
@@ -49,17 +52,16 @@ from .gorn import ROOT, GornAddress
 from .stag import Link
 from .tag import DerivationTree, derivation_tree
 from .trees import (
-    Interior,
+    OPERATION,
+    RULE,
     SiteRef,
     SubstitutionSlot,
     SyntaxTree,
     TreeClass,
     Row,
-    check_adjunction,
     check_substitution,
     classify,
     fill_slot,
-    splice,
     row_address,
     yield_tokens,
 )
@@ -83,6 +85,14 @@ class LstagPair:
 
 def validate_pair(p: LstagPair) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
+    try:
+        left, right = classify(p.left_tree), classify(p.right_tree)
+    except ClassMismatch:  # `validate_document` reports the tree that does not classify
+        pass
+    else:
+        if left is not right:  # both sides take one operation, so both trees are of one class
+            message = f"left tree is {left.value} but right tree is {right.value}"
+            diags.append(Diagnostic("ClassMismatch", message, p.name))
     for link in p.delta:
         for side, tree, end in (("left", p.left_tree, link.left), ("right", p.right_tree, link.right)):
             if not tree.has_address(end):
@@ -117,9 +127,6 @@ class LstagGrammar:
             return self._by_name[name]
         except KeyError:
             raise UnknownTree(f"no pair named {name!r}", name) from None
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -279,16 +286,15 @@ def guest_instance_id(left_ref: SiteRef, guest_name: str) -> str:
 
 
 def _operation(left: Row, right: Row) -> str:
-    """The operation at a left and a right site: two slots substitute, two interior nodes adjoin."""
+    """The operation both sites host (`trees.OPERATION`): two slots substitute, two interior nodes adjoin."""
     left_kind, right_kind = left[2].kind, right[2].kind
-    if isinstance(left_kind, SubstitutionSlot) and isinstance(right_kind, SubstitutionSlot):
-        return "substitution"
-    if isinstance(left_kind, Interior) and isinstance(right_kind, Interior):
-        return "adjunction"
-    raise OperationMismatch(
-        f"left site {row_address(left)} is {left_kind} while right site {row_address(right)} is {right_kind}; "
-        "both sides must substitute or both must adjoin"
-    )
+    operation = OPERATION.get(type(left_kind))
+    if operation is None or operation != OPERATION.get(type(right_kind)):
+        raise OperationMismatch(
+            f"left site {row_address(left)} is {left_kind} while right site {row_address(right)} is {right_kind}; "
+            "both sides must substitute or both must adjoin"
+        )
+    return operation
 
 
 def compose_record(left: Row, right: Row, guest_name: str) -> DerivationRecord:
@@ -344,7 +350,7 @@ def check_step(
         )
 
         def build_shared() -> DerivedStructure:
-            left_tree = fill_slot(left, guest.left_tree, record.guest_id)
+            left_tree = fill_slot(left, guest.left_tree.owned_by(record.guest_id))
             fragment = Fragment(record.guest_id, guest.name, guest.right_tree, record.right_sites)
             # Another group on the filled left slot now names the guest root, which sits where the slot was.
             filler, group = SiteRef(record.guest_id, ROOT), SharedLinkGroup(record.left_site, record.right_sites)
@@ -363,7 +369,8 @@ def check_step(
         record = replace(record, operation=operation)
     left_ref, right_ref = left[2].site, right[2].site
     live = hs.live_links
-    if operation == "substitution":
+    consumed = operation == "substitution"  # the slot each side fills
+    if consumed:
         if right_ref in hs.fragment_parents:
             raise NotASlot(f"right slot at {row_address(right)} is already filled by a shared fragment")
         touching = [g for g in live if g.left_site == left_ref or right_ref in g.right_sites]
@@ -374,13 +381,12 @@ def check_step(
                     "operation; use shared_substitute"
                 )
             live = tuple(g for g in live if g not in touching)
-        check, graft, consumed = check_substitution, fill_slot, 1
     else:
         if left[2].adjoined:
             raise DuplicateAdjunction(f"left node {left_ref} already hosts an adjunction")
         if right[2].adjoined:
             raise DuplicateAdjunction(f"right node {right_ref} already hosts an adjunction")
-        check, graft, consumed = check_adjunction, splice, 0
+    check, graft = RULE[operation]
     check(left, guest.left_tree)
     check(right, guest.right_tree)
     _check_cardinality(live, guest.phi)
@@ -392,8 +398,8 @@ def check_step(
     )
 
     def build() -> DerivedStructure:
-        left_tree = graft(left, guest.left_tree, record.guest_id)
-        right_spine = graft(right, guest.right_tree, record.guest_id)
+        left_tree = graft(left, guest.left_tree.owned_by(record.guest_id))
+        right_spine = graft(right, guest.right_tree.owned_by(record.guest_id))
         feet = guest.left_tree.foot_address, guest.right_tree.foot_address
         left_of = lambda a: left_ref if a == feet[0] else SiteRef(record.guest_id, a)
         right_of = lambda a: right_ref if a == feet[1] else SiteRef(record.guest_id, a)

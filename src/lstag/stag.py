@@ -3,10 +3,12 @@
 A pair carries two trees and an ordered set of links between their node
 addresses.  Composing a guest pair at link member i performs the same
 operation (substitution or adjunction) on both sides at the member's two
-addresses.  Every other host link and every guest link is inherited, with
-surviving endpoints rebased through the composition's `host_map` (links
-here are addresses by definition; `sharing` names them by elementary
-site); the consumed member itself never reappears.
+addresses.  The two sites are located once, as rows, and checked and
+grafted through `trees.RULE`.  Every other host link and every guest link
+is inherited; after an adjunction the surviving endpoints are moved under
+the foot by `trees.rebase_address` (links here are addresses by
+definition; `sharing` names them by elementary site).  The consumed member
+itself never reappears.
 """
 
 from __future__ import annotations
@@ -15,13 +17,7 @@ from dataclasses import dataclass
 
 from .errors import LinkNotFound, OperationMismatch
 from .gorn import GornAddress
-from .trees import (
-    Interior,
-    SubstitutionSlot,
-    SyntaxTree,
-    substitute_with_maps,
-    adjoin_with_maps,
-)
+from .trees import OPERATION, RULE, SyntaxTree, rebase_address
 
 
 @dataclass(frozen=True)
@@ -57,30 +53,24 @@ def stag_compose(host: StagPair, member_index: int, guest: StagPair) -> StagPair
     if not 0 <= member_index < len(host.links):
         raise LinkNotFound(f"{host.name!r} has no link member {member_index}")
     member = host.links[member_index]
-    left_kind = host.left_tree.node_at(member.left)
-    right_kind = host.right_tree.node_at(member.right)
-    if isinstance(left_kind, SubstitutionSlot) and isinstance(right_kind, SubstitutionSlot):
-        left_res = substitute_with_maps(host.left_tree, member.left, guest.left_tree)
-        right_res = substitute_with_maps(host.right_tree, member.right, guest.right_tree)
-    elif isinstance(left_kind, Interior) and isinstance(right_kind, Interior):
-        left_res = adjoin_with_maps(host.left_tree, member.left, guest.left_tree)
-        right_res = adjoin_with_maps(host.right_tree, member.right, guest.right_tree)
-    else:
+    left, right = host.left_tree.row_at(member.left), host.right_tree.row_at(member.right)
+    operation = OPERATION.get(type(left[2].kind))
+    if operation is None or operation != OPERATION.get(type(right[2].kind)):
         raise OperationMismatch(
-            f"link member {member} joins {left_kind} with {right_kind}; "
+            f"link member {member} joins {left[2].kind} with {right[2].kind}; "
             "both sides must substitute or both must adjoin"
         )
-    links = [
-        Link(left_res.host_map(l.left), right_res.host_map(l.right))
-        for i, l in enumerate(host.links)
-        if i != member_index
-    ]
-    links.extend(
-        Link(member.left.extend(l.left), member.right.extend(l.right)) for l in guest.links
-    )
+    check, graft = RULE[operation]
+    check(left, guest.left_tree)
+    check(right, guest.right_tree)
+    links = [l for i, l in enumerate(host.links) if i != member_index]
+    if operation == "adjunction":  # endpoints at or below the site move under the foot
+        feet = guest.left_tree.foot_address, guest.right_tree.foot_address
+        links = [
+            Link(rebase_address(l.left, member.left, feet[0]), rebase_address(l.right, member.right, feet[1]))
+            for l in links
+        ]
+    links.extend(Link(member.left.extend(l.left), member.right.extend(l.right)) for l in guest.links)
     return StagPair(
-        f"{host.name}+{guest.name}",
-        left_res.tree,
-        right_res.tree,
-        tuple(links),
+        f"{host.name}+{guest.name}", graft(left, guest.left_tree), graft(right, guest.right_tree), tuple(links)
     )

@@ -6,9 +6,9 @@ Whether a derivation is valid is decided edge by edge, so `replay` checks
 once, with `validate_derivation`'s rule, and raises the first problem it
 reports; the build after that check is unchecked and cannot fail.  Replay
 is bottom-up: children are rebuilt first, then attached at each edge's
-row, walked to once, by `fill_slot` or `splice` as its node is a slot or
-not.  A parent's edges are composed in reverse address order, so no
-composition moves a site still to come, and edge addresses are used
+row, walked to once, by the graft `trees.RULE` pairs with the operation
+its node hosts.  A parent's edges are composed in reverse address order,
+so no composition moves a site still to come, and edge addresses are used
 exactly as written in the grammar.  `derivation_tree` is the one internal
 builder of derivation trees: the script parser, the JSON reader and
 `sharing`'s projections collect each node's name and edges and call it.  It
@@ -36,15 +36,7 @@ from .errors import (
     UnknownTree,
 )
 from .gorn import GornAddress
-from .trees import (
-    Interior,
-    SubstitutionSlot,
-    SyntaxTree,
-    TreeClass,
-    classify,
-    fill_slot,
-    splice,
-)
+from .trees import OPERATION, RULE, Interior, SubstitutionSlot, SyntaxTree, TreeClass, classify
 
 
 @dataclass(frozen=True)
@@ -147,7 +139,7 @@ def replay(grammar: TagGrammar, d: DerivationTree) -> SyntaxTree:
         result = grammar.get(node.root).tree
         for addr, child in reversed(node.edges):  # each composition moves only its own subtree
             row = result.row_at(addr)
-            result = (fill_slot if isinstance(row[2].kind, SubstitutionSlot) else splice)(row, built[id(child)])
+            result = RULE[OPERATION[type(row[2].kind)]][1](row, built[id(child)])
         built[id(node)] = result
     return built[id(d)]
 

@@ -4,14 +4,18 @@ A tree is an immutable nested node; each node holds its kind, its children
 and the elementary site (`SiteRef`) it came from.  Substitution replaces a
 slot leaf with an initial tree; adjunction splices an auxiliary tree into an
 interior node, replanting the detached subtree at the foot.  Both copy only
-the path from the root to the site and share every other subtree, stamping
-the guest's nodes with their elementary sites, so a derived tree carries
-its own provenance.  Adjunction marks the node it replants `adjoined` and
-path copies keep the mark, so a tree tells which nodes host an adjunction.
+the path from the root to the site and share every other subtree.  They
+never stamp: a caller that names the guest instance stamps its tree with
+its elementary sites first (`owned_by`), so a derived tree carries its own
+provenance.  Adjunction marks the node it replants `adjoined` and path
+copies keep the mark, so a tree tells which nodes host an adjunction.
 `check_substitution` and `check_adjunction` hold the rules a composition
 checks, and `fill_slot` and `splice` graft without checking.  All four take
 the row of the host's site, which the caller locates once (below), and
 build its address only to report a failure.  None recurses on tree depth.
+The composition rule is written once, as two tables every composer reads:
+`OPERATION` maps a node kind to the operation it hosts, and `RULE` maps an
+operation to its (check, graft) pair.
 
 Addresses are not stored.  `nodes()` walks nodes alone (yield, size,
 equality and hashing need no more).  `rows()` is the one walk with
@@ -390,45 +394,46 @@ def check_adjunction(row: Row, aux: SyntaxTree) -> None:
         )
 
 
-def fill_slot(row: Row, filler: SyntaxTree, guest_id: str | None = None) -> SyntaxTree:
-    """The tree of `row` with `filler` at its node, unchecked: the caller ensured what `check_substitution` checks.
-
-    A `guest_id` stamps the guest's nodes as that instance's.
-    """
-    guest = filler if guest_id is None else filler.owned_by(guest_id)
-    return SyntaxTree(_replaced(row, guest.root))
+def fill_slot(row: Row, filler: SyntaxTree) -> SyntaxTree:
+    """The tree of `row` with `filler` at its node, unchecked: the caller ensured what `check_substitution` checks."""
+    return SyntaxTree(_replaced(row, filler.root))
 
 
-def splice(row: Row, aux: SyntaxTree, guest_id: str | None = None) -> SyntaxTree:
+def splice(row: Row, aux: SyntaxTree) -> SyntaxTree:
     """The tree of `row` with `aux` adjoined at its node, unchecked: the caller ensured `check_adjunction`'s rules.
 
     The detached subtree, sites and all, replaces the auxiliary's foot, and
     its root is marked `adjoined`.
     """
-    guest = aux if guest_id is None else aux.owned_by(guest_id)
     host = row[2]
     marked = TreeNode(host.kind, host.children, host.site, True)
-    return SyntaxTree(_replaced(row, _replaced(guest.foot_row, marked)))  # type: ignore[arg-type]
+    return SyntaxTree(_replaced(row, _replaced(aux.foot_row, marked)))  # type: ignore[arg-type]
 
 
-def substitute_with_maps(
-    target: SyntaxTree, addr: GornAddress, filler: SyntaxTree, guest_id: str | None = None
-) -> ComposeResult:
-    """Fill the slot at `addr`; a `guest_id` stamps the guest's nodes as that instance's."""
+OPERATION: dict[type, str] = {SubstitutionSlot: "substitution", Interior: "adjunction"}
+"""The operation a node of each kind hosts; a foot or a terminal hosts none."""
+
+RULE: dict[str, tuple[Callable[[Row, SyntaxTree], None], Callable[[Row, SyntaxTree], SyntaxTree]]] = {
+    "substitution": (check_substitution, fill_slot),
+    "adjunction": (check_adjunction, splice),
+}
+"""Each operation's (check, graft): the check raises what composing there raises, the graft cannot fail."""
+
+
+def substitute_with_maps(target: SyntaxTree, addr: GornAddress, filler: SyntaxTree) -> ComposeResult:
+    """Fill the slot at `addr`."""
     row = target.row_at(addr)
     check_substitution(row, filler)
-    return ComposeResult(fill_slot(row, filler, guest_id), lambda a: a)
+    return ComposeResult(fill_slot(row, filler), lambda a: a)
 
 
-def adjoin_with_maps(
-    target: SyntaxTree, addr: GornAddress, aux: SyntaxTree, guest_id: str | None = None
-) -> ComposeResult:
+def adjoin_with_maps(target: SyntaxTree, addr: GornAddress, aux: SyntaxTree) -> ComposeResult:
     """Splice `aux` in at `addr`; the detached subtree, sites and all, replaces its foot."""
     row = target.row_at(addr)
     check_adjunction(row, aux)
     foot = aux.foot_address
     assert foot is not None
-    return ComposeResult(splice(row, aux, guest_id), lambda a: rebase_address(a, addr, foot))
+    return ComposeResult(splice(row, aux), lambda a: rebase_address(a, addr, foot))
 
 
 def substitute(target: SyntaxTree, addr: GornAddress, filler: SyntaxTree) -> SyntaxTree:

@@ -77,6 +77,43 @@ def test_validate_flags_non_reflexive_phi(capsys, tmp_path):
     assert "NotReflexive" in err
 
 
+_MIXED_CLASS = """\
+lspair cooks { left: S(NP! VP(V("cooks") NP!)) right: S(NP! VP(V("cooks") NP!)) delta: [1~1, 2.2~2.2] phi: [] }
+lspair m { left: VP(ADV("often") VP*) right: VP(ADV("oft") V("x")) delta: [] phi: [] }
+"""
+
+
+def test_validate_flags_a_pair_whose_trees_differ_in_class(capsys, tmp_path):
+    grammar = tmp_path / "mixed.lstag"
+    grammar.write_text(_MIXED_CLASS, encoding="utf-8")
+    assert run(capsys, "validate", str(grammar)) == (
+        1,
+        "",
+        "m: ClassMismatch: left tree is auxiliary but right tree is initial\n",
+    )
+    script = tmp_path / "mixed.script"
+    script.write_text("root cooks\nadjoin m at 2 ~ 2\n", encoding="utf-8")
+    assert run(capsys, "derive", str(grammar), str(script)) == (
+        1,
+        "",
+        "DerivationFailed: pair 'm' is excluded by validation: ClassMismatch\n",
+    )
+
+
+def test_a_non_injective_correspondence_is_a_parse_error(capsys, tmp_path):
+    grammar = tmp_path / "noninjective.lstag"
+    grammar.write_text(
+        'lspair g { left: S(NP! V("likes")) right: S(NP! V("likes")) delta: [1~1] phi: [] '
+        "correspond: [1 -> 1, 2 -> 1] }\n",
+        encoding="utf-8",
+    )
+    assert run(capsys, "validate", str(grammar)) == (
+        2,
+        "",
+        "parse error: correspondence is not injective (line 1, column 94)\n",
+    )
+
+
 def test_parse_error_exits_with_usage_status(capsys, tmp_path):
     broken = tmp_path / "broken.tag"
     broken.write_text("tree a: S(", encoding="utf-8")
@@ -295,6 +332,24 @@ def test_each_failing_lstag_step_prints_its_exact_diagnostic(capsys, fixtures_di
     script.write_text("\n".join(["root cooks", *steps]) + "\n", encoding="utf-8")
     code, out, err = run(capsys, "derive", str(fixtures_dir / "cooks_eats.lstag"), str(script))
     assert (code, out, err) == (1, "", f"DerivationFailed: {stderr}\n")
+
+
+def test_an_adjoin_step_needs_a_site_pair(capsys, fixtures_dir, tmp_path):
+    script = tmp_path / "one_site.script"
+    script.write_text("root cooks\nadjoin and_eats at 2.1\n", encoding="utf-8")
+    code, out, err = run(capsys, "derive", str(fixtures_dir / "cooks_eats.lstag"), str(script))
+    assert (code, out, err) == (2, "", "parse error: adjoin steps need a left ~ right site pair (line 2)\n")
+
+
+def test_derive_json_before_the_substitutions_lists_the_live_links(capsys, fixtures_dir, tmp_path):
+    script = tmp_path / "half.script"
+    script.write_text("root cooks\nadjoin and_eats at 2.1 ~ ε\n", encoding="utf-8")
+    code, out, err = run(capsys, "derive", str(fixtures_dir / "cooks_eats.lstag"), str(script), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["liveLinks"] == [
+        {"left": "1", "right": ["3.1", "1"]},
+        {"left": "2.2", "right": ["3.2.2", "2.2"]},
+    ]
 
 
 @pytest.mark.parametrize("step", ["adjoin and_eats at 2.1 ~ ε", "substitute john at 1"])
@@ -604,6 +659,12 @@ def test_enumerate_zero_budget_is_a_usage_error(capsys, fixtures_dir):
     assert code == 2
 
 
+def test_enumerate_budget_that_is_not_an_integer_is_a_usage_error(capsys, fixtures_dir):
+    code, out, err = run(capsys, "enumerate", str(fixtures_dir / "cooked.tag"), "--max-ops", "abc")
+    assert (code, out) == (2, "")
+    assert "argument --max-ops: not an integer: 'abc'" in err
+
+
 def test_enumerate_strings_only_takes_no_json_format(capsys, fixtures_dir):
     argv = ("enumerate", str(fixtures_dir / "cooks_eats.lstag"), "--strings-only", "--format", "json")
     code, out, err = run(capsys, *argv)
@@ -728,6 +789,16 @@ def test_export_json(capsys, fixtures_dir):
     assert code == 0
     payload = json.loads(out)
     assert payload["pairs"][0]["links"] == ["1~1", "2.2~2.2"]
+
+
+def test_export_json_writes_the_correspondence(capsys, fixtures_dir):
+    code, out, err = run(capsys, "export", str(fixtures_dir / "excised.lstag"), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["lspairs"][0]["correspond"] == [
+        {"left": "ε", "right": "ε"},
+        {"left": "1", "right": "1"},
+        {"left": "2", "right": "2.2.1"},
+    ]
 
 
 def test_trees_deeper_than_the_recursion_limit(capsys, tmp_path):

@@ -161,14 +161,14 @@ def test_composition_matches_the_flat_table_reference(data):
         if slots and data.draw(st.booleans()):
             site = slots[data.draw(st.integers(0, len(slots) - 1))]
             guest = random_initial(rng, tree.node_at(site).symbol)
-            res = substitute_with_maps(tree, site, guest, guest_id)
+            res = substitute_with_maps(tree, site, guest.owned_by(guest_id))
             ref = reference_trees.substitute_with_maps(tree, site, guest)
             unstamped = substitute_with_maps(tree, site, guest)
         else:
             sites = interior_addresses(tree)
             site = sites[data.draw(st.integers(0, len(sites) - 1))]
             guest = random_auxiliary(rng, tree.node_at(site).symbol)
-            res = adjoin_with_maps(tree, site, guest, guest_id)
+            res = adjoin_with_maps(tree, site, guest.owned_by(guest_id))
             ref = reference_trees.adjoin_with_maps(tree, site, guest)
             unstamped = adjoin_with_maps(tree, site, guest)
         assert res.tree.items() == ref.tree.items() == unstamped.tree.items()
@@ -309,11 +309,11 @@ def test_the_foot_index_finds_the_first_foot_of_composed_trees(data):
         if isinstance(kind, SubstitutionSlot):
             fits = [t for t in trees if first_foot_row(t) is None and t.root_symbol == kind.symbol]
             guest = rng.choice(fits) if fits and rng.random() < 0.5 else random_initial(rng, kind.symbol)
-            trees.append(fill_slot(row, guest, guest_id))
+            trees.append(fill_slot(row, guest if guest_id is None else guest.owned_by(guest_id)))
         elif isinstance(kind, Interior):
             fits = [t for t in trees if first_foot_row(t) is not None and t.root_symbol == kind.symbol]
             guest = rng.choice(fits) if fits and rng.random() < 0.5 else random_auxiliary(rng, kind.symbol)
-            trees.append(splice(row, guest, guest_id))
+            trees.append(splice(row, guest if guest_id is None else guest.owned_by(guest_id)))
     for tree in trees:
         assert_foot_index_agrees(tree)
 

@@ -2,6 +2,7 @@ import pytest
 
 from lstag import (
     Correspondence,
+    Diagnostic,
     GornAddress,
     Link,
     LstagPair,
@@ -50,6 +51,12 @@ def test_unresolved_correspondence_endpoints():
     assert [d.code for d in diags] == ["AddressNotFound"]
 
 
+def test_a_missing_correspondence_target_is_reported():
+    assert check_left_contiguity(GAPPED, corr(("1", "9"))) == [
+        Diagnostic("AddressNotFound", "correspondence target 9 missing from right tree", "likes_gapped")
+    ]
+
+
 def test_correspondence_must_be_injective():
     with pytest.raises(ValueError):
         corr(("1", "1"), ("2", "1"))
@@ -91,6 +98,13 @@ def test_edge_slots_do_not_break_contiguity():
 def test_foot_between_anchors_breaks_contiguity():
     tree = parse_tree('S(X("a") S* Y("b"))')
     assert [d.code for d in check_lexical_contiguity(tree)] == ["LexicallyDiscontiguous"]
+
+
+def test_every_open_position_between_the_anchors_is_named_in_order():
+    tree = parse_tree('S(NP! V("a") NP! V("b") NP(D! N("c")) X S* NP!)')
+    assert check_lexical_contiguity(tree) == [
+        Diagnostic("LexicallyDiscontiguous", "lexical string is interrupted by open positions at 3, 5.1")
+    ]
 
 
 def test_foot_before_anchors_is_fine():

@@ -4,6 +4,7 @@ from lstag import (
     CardinalityViolation,
     ClassMismatch,
     DerivationRecord,
+    Diagnostic,
     DuplicateAdjunction,
     GornAddress,
     GroupNotLive,
@@ -87,6 +88,21 @@ def test_validate_flags_shared_link_in_both_sets():
 def test_validate_flags_dangling_endpoints():
     broken = LstagPair("x", GAMMA.left_tree, GAMMA.right_tree, delta=(Link(A("9"), A("1")),))
     assert [d.code for d in validate_pair(broken)] == ["AddressNotFound"]
+
+
+def test_validate_flags_a_dangling_phi_endpoint():
+    broken = LstagPair("x", BETA.left_tree, BETA.right_tree, phi=(lk("1"), lk("9")))
+    assert validate_pair(broken) == [Diagnostic("AddressNotFound", "phi endpoint 9 missing from right tree", "x")]
+
+
+def test_validate_flags_trees_of_different_classes():
+    mixed = LstagPair("m", BETA.left_tree, JOHN.right_tree)
+    assert validate_pair(mixed) == [
+        Diagnostic("ClassMismatch", "left tree is auxiliary but right tree is initial", "m")
+    ]
+    # A tree that does not classify is reported once, by the document's validation, not again here.
+    odd = LstagPair("odd", parse_tree('S(A("x") NP*)'), JOHN.right_tree)
+    assert validate_pair(odd) == []
 
 
 # --- link_share ------------------------------------------------------------------
@@ -351,6 +367,13 @@ def test_shared_substitute_rejects_interior_left_endpoint():
     assert s.left_address(s.live_links[0].left_site) == A("2")
     with pytest.raises(NotASlot):
         shared_substitute(s, s.live_links[0], JOHN)
+
+
+def test_shared_substitute_rejects_an_auxiliary_right_tree():
+    s = coordinated()
+    aux_right = LstagPair("aux_right", parse_tree('NP("x")'), parse_tree('NP(A("y") NP*)'))
+    with pytest.raises(ClassMismatch, match="^shared substitution requires initial guest trees$"):
+        shared_substitute(s, s.live_links[0], aux_right)
 
 
 def test_shared_guest_with_links_is_rejected():

@@ -236,12 +236,12 @@ def test_strict_yield_rejects_open_positions():
 def test_strict_yield_names_where_an_open_position_sits_now():
     # Adjoining at the root moves COOKED's slots from 1 and 2.2 to 2.1 and 2.2.2;
     # the slot's site still names its elementary address, 1.
-    often = splice(COOKED.owned_by("cooked").row_at(ROOT), parse_tree('S(ADV("often") S*)'), "often")
+    often = splice(COOKED.owned_by("cooked").row_at(ROOT), parse_tree('S(ADV("often") S*)').owned_by("often"))
     assert often.node(A("2.1")).site == SiteRef("cooked", A("1"))
     with pytest.raises(IncompleteTree, match=r"^substitution slot remains at 2\.1$"):
         yield_tokens(often)
     # DRIED's foot moves from 2 to 2.2 under a second modifier.
-    fresh = splice(DRIED.owned_by("dried").row_at(ROOT), parse_tree('N(A("fresh") N*)'), "fresh")
+    fresh = splice(DRIED.owned_by("dried").row_at(ROOT), parse_tree('N(A("fresh") N*)').owned_by("fresh"))
     with pytest.raises(IncompleteTree, match=r"^foot node remains at 2\.2$"):
         yield_tokens(fresh)
 
