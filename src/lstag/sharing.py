@@ -167,10 +167,6 @@ class Fragment:
     tree: SyntaxTree
     parents: tuple[SiteRef, ...]
 
-    @property
-    def in_degree(self) -> int:
-        return len(self.parents)
-
 
 def _check_cardinality(groups: Sequence[SharedLinkGroup], phi: Sequence[Link]) -> None:
     if len(groups) < len(phi):
@@ -227,12 +223,6 @@ class DerivedStructure:
     def right_address(self, site: SiteRef) -> GornAddress:
         """The derived address of the spine node that carries `site`."""
         return row_address(self.right_spine.locate(site))
-
-    def fragment_named(self, name: str) -> Fragment:
-        for f in self.fragments:
-            if f.name == name:
-                return f
-        raise KeyError(name)
 
     @cached_property
     def fragment_slots(self) -> int:
@@ -457,18 +447,11 @@ class DerivationGraph:
     edges: tuple[tuple[str, str, str], ...]  # (parent id, address text, child id)
 
     @cached_property
-    def labels(self) -> dict[str, str]:
-        return dict(self.nodes)
-
-    @cached_property
     def _in_degrees(self) -> Counter[str]:
         return Counter(child for _, _, child in self.edges)
 
     def in_degree(self, node_id: str) -> int:
         return self._in_degrees[node_id]
-
-    def ids_with_label(self, label: str) -> tuple[str, ...]:
-        return tuple(i for i, l in self.nodes if l == label)
 
     def is_tree(self) -> bool:
         return all(self.in_degree(i) == 1 for i, _ in self.nodes if i != self.root) and (
@@ -491,14 +474,6 @@ class DerivationGraph:
                 if indeg[child] == 0:
                     queue.append(child)
         return seen == len(self.nodes)
-
-    def to_derivation_tree(self) -> DerivationTree:
-        if not self.is_tree():
-            raise InconsistentHistory("derivation graph is not a tree")
-        children: dict[str, list[tuple[GornAddress, str]]] = defaultdict(list)
-        for parent, addr, child in self.edges:
-            children[parent].append((GornAddress.parse(addr), child))
-        return derivation_tree(self.root, self.labels, children)
 
 
 def derivation_projections(records: Sequence[DerivationRecord], root: str) -> tuple[DerivationTree, DerivationGraph]:

@@ -10,10 +10,10 @@ row, walked to once, by the graft `trees.RULE` pairs with the operation
 its node hosts.  A parent's edges are composed in reverse address order,
 so no composition moves a site still to come, and edge addresses are used
 exactly as written in the grammar.  `derivation_tree` is the one internal
-builder of derivation trees: the script parser, the JSON reader and
-`sharing`'s projections collect each node's name and edges and call it.  It
+maker of derivation trees: the script parser and `sharing`'s
+projections collect each node's name and edges and call it.  It
 checks each node's edges once, as the public `DerivationTree(...)` checks
-them, and builds the nodes without that check.  Replay, that builder,
+them, and builds the nodes without that check.  Replay, `derivation_tree`,
 script parsing and printing walk derivations with an explicit stack, so a
 derivation may be deeper than Python's recursion limit.
 """
@@ -71,9 +71,6 @@ class TagGrammar:
             return self._by_name[name]
         except KeyError:
             raise UnknownTree(f"no elementary tree named {name!r}") from None
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.entries)
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
@@ -224,8 +221,9 @@ def parse_derivation_script(text: str) -> DerivationTree:
     for lineno, cur in script_lines(text):
         if cur.accept("NAME", "root"):
             name = cur.expect("NAME").text
-            if labels:
-                raise ParseError("duplicate root declaration", lineno)
+            if labels:  # `children` is empty until the first edge line
+                message = "root declaration must come before the edges" if children else "duplicate root declaration"
+                raise ParseError(message, lineno)
             add(name)
         else:
             parent_name = cur.expect("NAME").text
@@ -275,12 +273,3 @@ def derivation_to_json_obj(d: DerivationTree) -> dict:
             stack.append((child, child_obj))
     return top
 
-
-def derivation_from_json_obj(obj: dict) -> DerivationTree:
-    nodes = [obj]  # by node number, parents before children
-    children: dict[int, list[tuple[GornAddress, int]]] = {}
-    for number, node in enumerate(nodes):
-        kids = node.get("children", [])
-        children[number] = [(GornAddress.parse(c["addr"]), len(nodes) + k) for k, c in enumerate(kids)]
-        nodes.extend(c["node"] for c in kids)
-    return derivation_tree(0, [node["name"] for node in nodes], children)

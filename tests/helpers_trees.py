@@ -24,6 +24,7 @@ from lstag import (
     parse_tree,
 )
 from lstag.gorn import ROOT
+from lstag.tag import derivation_tree
 
 SYMBOLS = ("S", "A", "B")
 TOKENS = ("a", "b", "c", "d")
@@ -300,6 +301,26 @@ def lstag_script(grammar, root: str, records) -> str:
             lines.append(f"substitute {record.guest} at {left}")
             structure = shared_substitute(structure, SharedLinkGroup(record.left_site, record.right_sites), guest)
     return "\n".join(lines) + "\n"
+
+
+def derivation_from_json_obj(obj: dict):
+    """The derivation tree `tag.derivation_to_json_obj` printed as `obj`, built without recursion."""
+    nodes = [obj]  # by node number, parents before children
+    children: dict[int, list[tuple[GornAddress, int]]] = {}
+    for number, node in enumerate(nodes):
+        kids = node.get("children", [])
+        children[number] = [(GornAddress.parse(c["addr"]), len(nodes) + k) for k, c in enumerate(kids)]
+        nodes.extend(c["node"] for c in kids)
+    return derivation_tree(0, [node["name"] for node in nodes], children)
+
+
+def graph_to_derivation_tree(graph):
+    """The derivation tree a `DerivationGraph` draws; the graph must be a tree."""
+    assert graph.is_tree()
+    children: dict[str, list[tuple[GornAddress, str]]] = {}
+    for parent, addr, child in graph.edges:
+        children.setdefault(parent, []).append((GornAddress.parse(addr), child))
+    return derivation_tree(graph.root, dict(graph.nodes), children)
 
 
 def image_connected_oracle(tree: SyntaxTree, image: set[GornAddress]) -> bool:

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import lstag
 from lstag import load_grammar
 from lstag.cli import main, run_lstag_script
+from lstag.errors import ParseError
 
 
 def run(capsys, *argv):
@@ -368,6 +369,26 @@ def test_a_tag_script_may_start_with_an_edge_line(capsys, fixtures_dir, tmp_path
     assert out.startswith("yield: John cooked beans\n")
 
 
+def test_a_tag_edge_into_a_slot_of_another_symbol_prints_its_exact_diagnostic(capsys, tmp_path):
+    grammar, script = tmp_path / "a.tag", tmp_path / "a.script"
+    grammar.write_text("tree a: S(NP!)\n", encoding="utf-8")
+    script.write_text("root a\na @ 1 <- a\n", encoding="utf-8")
+    code, out, err = run(capsys, "derive", str(grammar), str(script))
+    assert (code, out, err) == (1, "", "DerivationFailed: root: slot at 1 expects 'NP', got root 'S'\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("substitute john at 1\n", "script needs a root declaration first (line 1)"), ("", "empty derivation script")],
+    ids=["step-first", "empty"],
+)
+def test_run_lstag_script_needs_a_root_line_first(fixtures_dir, text, message):
+    grammar = load_grammar(str(fixtures_dir / "cooks_eats.lstag")).lstag_grammar()
+    with pytest.raises(ParseError) as info:
+        run_lstag_script(grammar, text)
+    assert str(info.value) == message
+
+
 def test_each_lstag_step_walks_to_its_sites_once(fixtures_dir, monkeypatch):
     """A `~` line walks from a root twice, a `substitute ... at L` line once, and builds one record.
 
@@ -478,6 +499,11 @@ def test_derive_site_pair_must_match_the_verb(capsys, fixtures_dir, tmp_path, st
          "trailing input on script line (line 2, column 28)"),
         ("cooked.tag", "root cooked\n\ncooked @ 1 <- john beans\n",
          "trailing input on script line (line 3, column 20)"),
+        ("cooked.tag", "cooked @ 1 <- john\nroot cooked\n", "root declaration must come before the edges (line 2)"),
+        ("cooked.tag", "root cooked\nroot cooked\n", "duplicate root declaration (line 2)"),
+        ("cooks_eats.lstag", "root cooks\nroot cooks\n", "duplicate root declaration (line 2)"),
+        ("cooked.tag", "root cooked\ncooked @ 1 <- john\ncooked @ 1 <- john\n",
+         "duplicate edge at address 1 under 'cooked' (line 3)"),
     ],
 )
 def test_derive_parse_error_reports_script_line_and_column(

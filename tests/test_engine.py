@@ -23,6 +23,8 @@ from lstag import (
     EnumerationBudget,
     GornAddress,
     LstagError,
+    LstagGrammar,
+    LstagPair,
     OperationMismatch,
     SyntaxTree,
     TagGrammar,
@@ -114,6 +116,18 @@ def test_budget_must_be_positive():
         EnumerationBudget(2, 0)
 
 
+def test_enumeration_takes_a_tag_or_lstag_grammar_only():
+    with pytest.raises(TypeError):
+        enumerate_derivations(object(), EnumerationBudget(2))
+
+
+def test_a_pair_whose_tree_does_not_classify_is_never_composed(lstag_grammar):
+    tree = parse_tree('VP(NP* V("sleeps"))')  # its foot's symbol is not the root's
+    with_bad = LstagGrammar(lstag_grammar.pairs + (("bad", LstagPair("bad", tree, tree)),))
+    expected = items_as_obj(enumerate_derivations(lstag_grammar, EnumerationBudget(3)))
+    assert expected and items_as_obj(enumerate_derivations(with_bad, EnumerationBudget(3))) == expected
+
+
 def test_single_slot_free_tree_enumerates_to_itself():
     grammar = TagGrammar.from_trees({"hi": parse_tree('NP("hi")')})
     result = enumerate_derivations(grammar, EnumerationBudget(2))
@@ -179,7 +193,7 @@ def test_the_right_projection_holds_each_left_instance_once(fixtures_dir, fixtur
             node = stack.pop()
             labels.append(node.root)
             stack.extend(child for _, child in node.edges)
-        assert Counter(labels) == Counter(right.labels.values()), item.record_lines()
+        assert Counter(labels) == Counter(label for _, label in right.nodes), item.record_lines()
         for record in item.records:
             assert right.in_degree(record.guest_id) == len(record.right_sites), record
 

@@ -49,7 +49,7 @@ from lstag import (
 )
 from lstag import engine
 from lstag.sharing import check_step, compose_record, group_record
-from lstag.tag import derivation_from_json_obj, derivation_to_json_obj, derivation_tree
+from lstag.tag import derivation_to_json_obj, derivation_tree
 from lstag.trees import TreeNode, adjoin_with_maps, fill_slot, row_address, splice, substitute_with_maps
 
 import reference_trees
@@ -58,6 +58,7 @@ import reference_validate
 from helpers_trees import (
     SYMBOLS,
     check_structure,
+    derivation_from_json_obj,
     group_addresses,
     image_connected_oracle,
     pair_grammar,
@@ -394,7 +395,7 @@ def test_replay_ignores_edge_presentation_order(data):
 
 
 _COOKED = load_grammar(str(FIXTURES / "cooked.tag")).tag_grammar()
-_NAMES = _COOKED.names() + ("nope",)
+_NAMES = tuple(name for name, _ in _COOKED.entries) + ("nope",)
 # Every address of a cooked.tag tree, plus two that none of them has.
 _ADDRESSES = sorted(
     {a for _, e in _COOKED.entries for a in e.tree.addresses()} | {GornAddress((3,)), GornAddress((2, 2, 1))}

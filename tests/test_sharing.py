@@ -10,6 +10,7 @@ from lstag import (
     GroupNotLive,
     InconsistentHistory,
     Link,
+    LstagGrammar,
     LstagPair,
     NotASlot,
     OperationMismatch,
@@ -29,7 +30,7 @@ from lstag import (
 
 from lstag.sharing import check_step, compose_record, group_record, left_projection
 
-from helpers_trees import check_structure, group_addresses, pair_grammar, parent_addresses
+from helpers_trees import check_structure, graph_to_derivation_tree, group_addresses, pair_grammar, parent_addresses
 
 A = GornAddress.parse
 E = GornAddress(())
@@ -261,8 +262,8 @@ def test_cardinality_checked_against_live_groups():
 def test_shared_substitution_gives_in_degree_two():
     s = coordinated()
     s = shared_substitute(s, s.live_links[0], JOHN)
-    frag = s.fragment_named("john")
-    assert frag.in_degree == 2
+    (frag,) = [f for f in s.fragments if f.name == "john"]
+    assert len(frag.parents) == 2
     assert parent_addresses(s, frag) == (A("3.1"), A("1"))
     assert s.history[-1].operation == "shared-substitution"
 
@@ -280,7 +281,8 @@ def test_later_adjunction_moves_shared_fragment_parents():
     s = shared_substitute(s, s.live_links[0], JOHN)
     today = LstagPair("today", parse_tree('V(V* ADV("today"))'), parse_tree('S(S* ADV("today"))'))
     s = lstag_compose(s, A("2.1.3"), E, today)
-    assert parent_addresses(s, s.fragment_named("john")) == (A("1.3.1"), A("1.1"))
+    (john,) = [f for f in s.fragments if f.name == "john"]
+    assert parent_addresses(s, john) == (A("1.3.1"), A("1.1"))
     check_structure(s, pair_grammar(GAMMA, BETA, JOHN, today))
 
 
@@ -410,7 +412,8 @@ def test_iterated_coordination_grows_one_group():
     assert len(s.live_links) == 1
     assert len(s.live_links[0].right_sites) == 3
     s = shared_substitute(s, s.live_links[0], kiki)
-    assert s.fragment_named("kiki").in_degree == 3
+    (kiki_fragment,) = [f for f in s.fragments if f.name == "kiki"]
+    assert len(kiki_fragment.parents) == 3
     assert " ".join(s.left_yield()) == "Kiki frolics and sings and plays"
     assert s.is_complete
 
@@ -438,8 +441,8 @@ def test_right_projection_is_a_dag_not_a_tree():
     _, right = full_structure().projections()
     assert right.is_dag()
     assert not right.is_tree()
-    (john_id,) = right.ids_with_label("john")
-    (beans_id,) = right.ids_with_label("beans")
+    (john_id,) = [i for i, label in right.nodes if label == "john"]
+    (beans_id,) = [i for i, label in right.nodes if label == "beans"]
     assert right.in_degree(john_id) == 2
     assert right.in_degree(beans_id) == 2
 
@@ -450,6 +453,19 @@ def test_unshared_derivation_projects_to_a_tree_on_the_right():
     s = shared_substitute(s, s.live_links[0], BEANS)
     _, right = s.projections()
     assert right.is_tree()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LstagGrammar((("cooks", GAMMA), ("cooks", GAMMA))), "duplicate pair names"),
+        (lambda: SharedLinkGroup(site("cooks", "1"), ()), "a shared link group needs at least one right site"),
+    ],
+    ids=["repeated-pair-name", "group-without-right-sites"],
+)
+def test_a_grammar_or_link_group_that_cannot_be_built_is_a_value_error(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_projections_reject_duplicate_guests():
@@ -490,7 +506,7 @@ def test_projections_of_a_deep_history():
         host = f"g{k}"
     left, right = derivation_projections(records, "cooks")
     assert right.is_tree()
-    assert format_derivation_script(right.to_derivation_tree()) == format_derivation_script(left)
+    assert format_derivation_script(graph_to_derivation_tree(right)) == format_derivation_script(left)
     node, depth = left, 0
     while node.edges:
         ((addr, node),) = node.edges

@@ -36,6 +36,8 @@ DRIED = pair("dried", 'N(A("dried") N*)', 'N(A("getrocknete") N*)')
 def test_endpoints_must_resolve():
     with pytest.raises(ValueError):
         pair("bad", 'NP("x")', 'NP("y")', [Link(A("9"), A("1"))])
+    with pytest.raises(ValueError, match="link endpoint 9 missing from right tree of 'bad'"):
+        pair("bad", 'NP("x")', 'NP("y")', [Link(A("1"), A("9"))])
 
 
 def test_link_count_arithmetic():

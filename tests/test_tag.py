@@ -22,7 +22,9 @@ from lstag import (
     yield_tokens,
 )
 from lstag.errors import Diagnostic, ParseError
-from lstag.tag import derivation_from_json_obj, derivation_to_json_obj
+from lstag.tag import derivation_to_json_obj
+
+from helpers_trees import derivation_from_json_obj
 
 A = GornAddress.parse
 
@@ -95,6 +97,13 @@ def test_stacked_adjunction_through_the_auxiliary_itself():
 def test_replay_unknown_tree():
     with pytest.raises(UnknownTree):
         replay(GRAMMAR, DerivationTree("missing"))
+
+
+def test_a_grammar_rejects_a_repeated_name_and_a_lookup_of_a_missing_one():
+    with pytest.raises(ValueError, match="duplicate elementary tree names"):
+        TagGrammar(GRAMMAR.entries + GRAMMAR.entries[:1])
+    with pytest.raises(UnknownTree, match="no elementary tree named 'nope'"):
+        GRAMMAR.get("nope")
 
 
 def test_replay_invalid_edge_address():

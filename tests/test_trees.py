@@ -41,6 +41,11 @@ DRIED = parse_tree('N(A("dried") N*)')
 # --- construction invariants ---------------------------------------------------
 
 
+def test_a_tree_needs_a_root():
+    with pytest.raises(ValueError, match="tree has no root node"):
+        SyntaxTree.from_nodes({})
+
+
 def test_root_must_be_interior():
     with pytest.raises(ValueError):
         SyntaxTree.from_nodes({ROOT: Terminal("x")})
