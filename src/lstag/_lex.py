@@ -1,131 +1,166 @@
 """Tokenizer shared by the bracketed tree format and the grammar file format.
 
-Fast path: `lex` splits the text at newlines and scans each line with one
-compiled alternation of every token pattern, one match per token, run of
-blanks or comment.  A token's column is its offset in its line plus one,
-counted in characters; the EOF token after a trailing comment keeps the
-comment's column.  Error path: where a match does not start where the last
-one ended, no token starts there, and `_error_at` classifies that one
-offset as an unexpected character, a bad escape or an unterminated string.
+`lex` is one `findall` of one pattern, whose one group is the token after
+the blanks, newlines and comments before it.  A token is its text as
+written (a STRING keeps its quotes), read by kind off its first character;
+any character no token starts with is a one-character stray token, and the
+EOF's text is ''.  Positions are worked out only for an error: `Cursor`
+scans the text once more with the same pattern and keeps every token's
+offset.  The EOF after a trailing comment takes the comment's column.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import groupby
-from typing import Iterator, NamedTuple
+import string
 
 from .errors import ParseError
 from .gorn import GornAddress
 
+PUNCT = "(){}[]:~,!*@"
+NAME_START = frozenset(string.ascii_letters + "_")
+
+_STRING_PREFIX = r'"[^"\\\n]*(?:\\["\\][^"\\\n]*)*'
 # The alternatives start with disjoint characters, so their order only
-# affects speed: the most frequent come first.
+# affects speed: the most frequent come first.  The prefix is greedy and the
+# group matches wherever it stops, so the pattern never backtracks.
 _TOKEN_RE = re.compile(
-    r"""(?P<NAME>[A-Za-z_][A-Za-z0-9_']*)
-    |(?P<SKIP>[ \t\r]+)
-    |(?P<PUNCT><-|->|[(){}\[\]:~,!*@])
-    |(?P<STRING>"(?:[^"\\]|\\["\\])*")
-    |(?P<ADDR>ε|\d+(?:\.\d+)*)
-    |(?P<COMMENT>\#.*)""",
-    re.VERBOSE,
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"  # blanks, newlines and comments
+    r"([A-Za-z_][A-Za-z0-9_']*"  # NAME
+    r"|<-|->|[" + re.escape(PUNCT) + "]"  # PUNCT
+    r"|" + _STRING_PREFIX + '"'  # STRING
+    r"|ε|\d+(?:\.\d+)*"  # ADDR
+    r"|."  # any other character: a stray token
+    r"|\Z)"  # EOF
 )
-_STRING_PREFIX_RE = re.compile(r'"(?:[^"\\]|\\["\\])*')
+_STRING_PREFIX_RE = re.compile(_STRING_PREFIX)
 _ESCAPE_RE = re.compile(r"\\(.)")
 
 
-class Token(NamedTuple):
-    kind: str  # NAME, ADDR, STRING, PUNCT, EOF
-    text: str
-    line: int
-    column: int
+def lex(text: str, line: int = 1) -> list[str]:
+    """The token texts of `text`, which starts on line `line`, and the EOF text ''; a stray token is an error."""
+    texts = _TOKEN_RE.findall(text)
+    if len(texts) > 1 and not texts[-2]:
+        texts.pop()  # blanks or a comment end the text: an empty match at \Z follows the one over them
+    strays = [t for t in set(texts) if len(t) == 1 and t not in PUNCT and token_kind(t) not in ("NAME", "ADDR")]
+    if not strays:
+        return texts
+    cur, index = Cursor(text, texts, line), min(map(texts.index, strays))
+    if texts[index] != '"':
+        raise cur.error(f"unexpected character {texts[index]!r}", index)
+    if text.startswith("\\", _STRING_PREFIX_RE.match(text, cur.offset(index)).end()):
+        raise cur.error("invalid escape in string literal", index)
+    raise cur.error("unterminated string literal", index)
 
 
-def lex(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    make = tuple.__new__  # Token(...) without the Python-level __new__ frame
-    for line, row in enumerate(text.split("\n"), 1):
-        end = 0
-        for m in _TOKEN_RE.finditer(row):
-            start = m.start()
-            if start != end:
-                raise _error_at(row, end, line)
-            kind = m.lastgroup
-            end = m.end()
-            if kind == "SKIP":
-                continue
-            if kind == "STRING":
-                body = row[start + 1 : end - 1]
-                if "\\" in body:
-                    body = _ESCAPE_RE.sub(r"\1", body)
-                append(make(Token, ("STRING", body, line, start + 1)))
-            elif kind == "COMMENT":
-                end = start  # so EOF after a trailing comment takes the comment's column
-            else:
-                append(make(Token, (kind, m[0], line, start + 1)))
-        if end < len(row) and row[end] != "#":
-            raise _error_at(row, end, line)
-    append(Token("EOF", "", line, end + 1))
-    return tokens
+def token_kind(text: str) -> str:
+    """NAME, ADDR, STRING, PUNCT or EOF, read off a token text's first character."""
+    first = text[:1]
+    if first in NAME_START:
+        return "NAME"
+    if first == "ε" or first.isdecimal():
+        return "ADDR"
+    if first == '"':
+        return "STRING"
+    return "PUNCT" if first else "EOF"
 
 
-def _error_at(row: str, pos: int, line: int) -> ParseError:
-    """The error for the text at offset `pos` of a line, where no token starts."""
-    if row[pos] != '"':
-        return ParseError(f"unexpected character {row[pos]!r}", line, pos + 1)
-    if row.startswith("\\", _STRING_PREFIX_RE.match(row, pos).end()):
-        return ParseError("invalid escape in string literal", line, pos + 1)
-    return ParseError("unterminated string literal", line, pos + 1)
+def string_value(text: str) -> str:
+    """A STRING token's value: what its quotes enclose, unescaped."""
+    body = text[1:-1]
+    return _ESCAPE_RE.sub(r"\1", body) if "\\" in body else body
 
 
 class Cursor:
-    """Single-lookahead reader over a token list that ends in EOF.
+    """Single-lookahead reader over the token texts of `source` (from line `line`), which end in EOF.
 
-    `expect` and `accept` are never asked for EOF, so the cursor never
-    moves past it.  The tree parser reads `tokens` and `pos` directly.
+    `accept` and `expect` compare texts, `name` and `address` read a NAME and
+    an ADDR (each distinct address is parsed once per cursor), and none moves
+    past EOF; the tree parser reads `texts` and `pos` directly.  The first
+    error built scans `source` for the token offsets, which the cursor keeps.
     """
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, source: str, texts: list[str], line: int = 1):
+        self.source = source
+        self.texts = texts
+        self.line = line
         self.pos = 0
+        self._addresses: dict[str, GornAddress] = {}
+        self._offsets: list[int] | None = None
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.texts[self.pos]
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind or (text is not None and tok.text != text):
-            wanted = text if text is not None else kind
-            raise ParseError(f"expected {wanted!r}, found {tok.text or tok.kind!r}", tok.line, tok.column)
+    def accept(self, text: str) -> bool:
+        if self.texts[self.pos] == text:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, text: str) -> None:
+        if self.texts[self.pos] != text:
+            raise self._expected(text)
         self.pos += 1
-        return tok
+
+    def name(self) -> str:
+        text = self.texts[self.pos]
+        if text[:1] not in NAME_START:
+            raise self._expected("NAME")
+        self.pos += 1
+        return text
 
     def address(self) -> GornAddress:
         """Read an ADDR token; a malformed address is a parse error at that token."""
-        tok = self.expect("ADDR")
-        try:
-            return GornAddress.parse(tok.text)
-        except ValueError as exc:
-            raise ParseError(str(exc), tok.line, tok.column) from None
+        text = self.texts[self.pos]
+        addr = self._addresses.get(text)
+        if addr is None:
+            if token_kind(text) != "ADDR":
+                raise self._expected("ADDR")
+            try:
+                addr = self._addresses[text] = GornAddress.parse(text)
+            except ValueError as exc:
+                raise self.error(str(exc)) from None
+        self.pos += 1
+        return addr
 
-    def accept(self, kind: str, text: str | None = None) -> Token | None:
-        tok = self.tokens[self.pos]
-        if tok.kind == kind and (text is None or tok.text == text):
-            self.pos += 1
-            return tok
-        return None
+    def _expected(self, wanted: str) -> ParseError:
+        text = self.texts[self.pos]
+        shown = (string_value(text) if text[:1] == '"' else text) or token_kind(text)
+        return self.error(f"expected {wanted!r}, found {shown!r}")
 
-    def error(self, message: str) -> ParseError:
-        tok = self.tokens[self.pos]
-        return ParseError(message, tok.line, tok.column)
+    def error(self, message: str, index: int | None = None) -> ParseError:
+        """A parse error at token `index`, by default the next one."""
+        return ParseError(message, *self.where(self.pos if index is None else index))
+
+    def where(self, index: int) -> tuple[int, int]:
+        """The line and column of token `index`."""
+        at = self.offset(index)
+        return self.line + self.source.count("\n", 0, at), at - self.source.rfind("\n", 0, at)
+
+    def offset(self, index: int) -> int:
+        """Where token `index` starts in `source`."""
+        if self._offsets is None:
+            offsets = [m.start(1) for m in _TOKEN_RE.finditer(self.source)]
+            eof = len(self.texts) - 1
+            end = offsets[eof - 1] + len(self.texts[eof - 1]) if eof else 0
+            offsets[eof:] = [self._eof_offset(end)]
+            self._offsets = offsets
+        return self._offsets[index]
+
+    def _eof_offset(self, end: int) -> int:
+        """Where EOF is, given where the last token ends: at a comment on the last line, else at the end."""
+        comment = self.source.find("#", max(end, self.source.rfind("\n") + 1))
+        return comment if comment >= 0 else len(self.source)
 
 
-def script_lines(text: str) -> Iterator[tuple[int, Cursor]]:
-    """Lex a line-oriented script once; yield (line number, cursor) per non-empty line.
+class _LineCursor(Cursor):
+    """A script line's cursor, whose EOF is just past the line's last token."""
 
-    Each cursor ends in an EOF token just past its line's last token, so a
-    token-level error reports the script's own line and column.
-    """
-    for lineno, group in groupby(lex(text)[:-1], key=lambda tok: tok.line):
-        *tokens, last = group
-        yield lineno, Cursor([*tokens, last, Token("EOF", "", lineno, last.column + len(last.text))])
+    def _eof_offset(self, end: int) -> int:
+        return end
+
+
+def script_lines(text: str) -> list[tuple[int, Cursor]]:
+    """(line number, cursor) per line with tokens; every line is lexed first, so a lexical error precedes any step."""
+    lines = [(lineno, row, lex(row, lineno)) for lineno, row in enumerate(text.split("\n"), 1)]
+    return [(lineno, _LineCursor(row, texts, lineno)) for lineno, row, texts in lines if len(texts) > 1]

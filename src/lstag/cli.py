@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from ._lex import script_lines
+from ._lex import Cursor, script_lines, token_kind
 from .engine import EnumerationBudget, enumerate_derivations
 from .errors import AddressNotFound, Diagnostic, LstagError, OperationMismatch, ParseError, UnknownTree
 from .grammarfile import (
@@ -67,20 +67,20 @@ def run_lstag_script(grammar: LstagGrammar, text: str) -> DerivedStructure:
         substitute john at 1            # fills the first live group whose left site is the node at 1
         substitute beans at 2.2 ~ 2.2   # an explicit site pair
     """
-    structure: DerivedStructure | None = None
-    for step, (lineno, cur) in enumerate(script_lines(text), 1):
-        if cur.accept("NAME", "root"):
+    lines = script_lines(text)
+    _script_root(lines)
+    structure: DerivedStructure | None = None  # line 1 sets it or raises: `_script_root` turns away a step there
+    for step, (lineno, cur) in enumerate(lines, 1):
+        if cur.accept("root"):
             if structure is not None:
                 raise ParseError("duplicate root declaration", lineno)
-            structure = structure_from_pair(grammar.get(cur.expect("NAME").text))
-        elif cur.accept("NAME", "adjoin") or cur.accept("NAME", "substitute"):
-            verb = cur.tokens[cur.pos - 1].text
-            guest = grammar.get(cur.expect("NAME").text)
-            cur.expect("NAME", "at")
+            structure = structure_from_pair(grammar.get(cur.name()))
+        elif cur.peek() in ("adjoin", "substitute"):
+            verb = cur.name()
+            guest = grammar.get(cur.name())
+            cur.expect("at")
             first = cur.address()
-            if structure is None:
-                raise ParseError("script needs a root declaration first", lineno)
-            if cur.accept("PUNCT", "~"):
+            if cur.accept("~"):
                 second = cur.address()
                 left, right = structure.left_tree.row_at(first), structure.right_spine.row_at(second)
                 record = compose_record(left, right, guest.name)
@@ -99,10 +99,8 @@ def run_lstag_script(grammar: LstagGrammar, text: str) -> DerivedStructure:
                 structure = shared_substitute(structure, group, guest)
         else:
             raise ParseError("expected 'root', 'adjoin' or 'substitute'", lineno)
-        if cur.peek().kind != "EOF":
+        if cur.peek():
             raise cur.error("trailing input on script line")
-    if structure is None:
-        raise ParseError("empty derivation script")
     return structure
 
 
@@ -190,7 +188,7 @@ def _cmd_derive(args) -> int:
     script = read_source(args.script)
     tree_names = {n for n, _ in doc.trees}
     ls_names = {p.name for p in doc.lstag_pairs}
-    root = _script_root(script)
+    root = _script_root(script_lines(script))
     if root in ls_names:
         usable = usable_lstag_names(doc, restrictions=not args.no_restrictions)
         grammar = doc.lstag_grammar(usable)
@@ -238,14 +236,17 @@ def _cmd_derive(args) -> int:
     return 1
 
 
-def _script_root(script: str) -> str:
-    for lineno, cur in script_lines(script):
-        declared = cur.accept("NAME", "root")
-        name = cur.expect("NAME").text
-        if not declared and name in ("adjoin", "substitute") and cur.peek().kind == "NAME":  # an lspair step
-            raise ParseError("script needs a root declaration first", lineno)
-        return name
-    raise ParseError("empty derivation script")
+def _script_root(lines: list[tuple[int, Cursor]]) -> str:
+    """The name the first line starts with, left unread; a script with no lines or an lspair step first is an error."""
+    if not lines:
+        raise ParseError("empty derivation script")
+    lineno, cur = lines[0]
+    declared = cur.accept("root")
+    name = cur.name()
+    if not declared and name in ("adjoin", "substitute") and token_kind(cur.peek()) == "NAME":  # an lspair step
+        raise ParseError("script needs a root declaration first", lineno)
+    cur.pos = 0
+    return name
 
 
 def _emit_structure(structure: DerivedStructure, fmt: str) -> None:

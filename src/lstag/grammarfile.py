@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._lex import Cursor, Token, lex
+from ._lex import Cursor, lex
 from .errors import ClassMismatch, Diagnostic, ParseError
 from .gorn import GornAddress
 from .restrictions import Correspondence, check_left_contiguity, check_lexical_contiguity
@@ -50,18 +50,18 @@ class GrammarDocument:
 
 def _parse_address_pairs(cur: Cursor, sep: str, bare: bool = False) -> list[tuple[GornAddress, GornAddress]]:
     """`[a <sep> b, ...]`; with `bare`, a lone `a` stands for `a <sep> a`."""
-    cur.expect("PUNCT", "[")
+    cur.expect("[")
     pairs: list[tuple[GornAddress, GornAddress]] = []
-    while not cur.accept("PUNCT", "]"):
+    while not cur.accept("]"):
         first = cur.address()
-        if bare and not cur.accept("PUNCT", sep):
+        if bare and not cur.accept(sep):
             pairs.append((first, first))
         else:
             if not bare:
-                cur.expect("PUNCT", sep)
+                cur.expect(sep)
             pairs.append((first, cur.address()))
-        if not cur.accept("PUNCT", ","):
-            cur.expect("PUNCT", "]")
+        if not cur.accept(","):
+            cur.expect("]")
             break
     return pairs
 
@@ -71,71 +71,63 @@ def _parse_links(cur: Cursor, bare: bool = False) -> list[Link]:
 
 
 def _parse_correspond_list(cur: Cursor) -> Correspondence:
-    open_tok = cur.peek()
+    open_at = cur.pos
     pairs = _parse_address_pairs(cur, "->")
     try:
         return Correspondence(tuple(pairs))
     except ValueError as exc:
-        raise ParseError(str(exc), open_tok.line, open_tok.column) from None
+        raise cur.error(str(exc), open_at) from None
 
 
 def parse_grammar(text: str) -> GrammarDocument:
-    cur = Cursor(lex(text))
+    cur = Cursor(text, lex(text))
     trees: list[tuple[str, SyntaxTree]] = []
     stag_pairs: list[StagPair] = []
     lstag_pairs: list[LstagPair] = []
     correspondences: list[tuple[str, Correspondence]] = []
     seen: set[str] = set()
 
-    def declare(name: str, tok: Token) -> None:
+    while cur.peek():
+        keyword = cur.name()
+        if keyword not in ("tree", "pair", "lspair"):
+            raise cur.error(f"expected 'tree', 'pair' or 'lspair', found {keyword!r}", cur.pos - 1)
+        name = cur.name()
+        name_at = cur.pos - 1
         if name in seen:
-            raise ParseError(f"duplicate declaration of {name!r}", tok.line, tok.column)
+            raise cur.error(f"duplicate declaration of {name!r}", name_at)
         seen.add(name)
-
-    while cur.peek().kind != "EOF":
-        keyword = cur.expect("NAME")
-        if keyword.text == "tree":
-            name_tok = cur.expect("NAME")
-            declare(name_tok.text, name_tok)
-            cur.expect("PUNCT", ":")
-            trees.append((name_tok.text, parse_tree_tokens(cur)))
-        elif keyword.text in ("pair", "lspair"):
-            name_tok = cur.expect("NAME")
-            declare(name_tok.text, name_tok)
-            cur.expect("PUNCT", "{")
-            cur.expect("NAME", "left")
-            cur.expect("PUNCT", ":")
-            left = parse_tree_tokens(cur)
-            cur.expect("NAME", "right")
-            cur.expect("PUNCT", ":")
-            right = parse_tree_tokens(cur)
-            if keyword.text == "pair":
-                cur.expect("NAME", "links")
-                cur.expect("PUNCT", ":")
-                links = _parse_links(cur)
-                cur.expect("PUNCT", "}")
-                try:
-                    stag_pairs.append(StagPair(name_tok.text, left, right, tuple(links)))
-                except ValueError as exc:
-                    raise ParseError(str(exc), name_tok.line, name_tok.column) from None
-            else:
-                cur.expect("NAME", "delta")
-                cur.expect("PUNCT", ":")
-                delta = _parse_links(cur)
-                cur.expect("NAME", "phi")
-                cur.expect("PUNCT", ":")
-                phi = _parse_links(cur, bare=True)
-                if cur.accept("NAME", "correspond"):
-                    cur.expect("PUNCT", ":")
-                    correspondences.append((name_tok.text, _parse_correspond_list(cur)))
-                cur.expect("PUNCT", "}")
-                lstag_pairs.append(LstagPair(name_tok.text, left, right, tuple(delta), tuple(phi)))
+        if keyword == "tree":
+            cur.expect(":")
+            trees.append((name, parse_tree_tokens(cur)))
+            continue
+        cur.expect("{")
+        cur.expect("left")
+        cur.expect(":")
+        left = parse_tree_tokens(cur)
+        cur.expect("right")
+        cur.expect(":")
+        right = parse_tree_tokens(cur)
+        if keyword == "pair":
+            cur.expect("links")
+            cur.expect(":")
+            links = _parse_links(cur)
+            cur.expect("}")
+            try:
+                stag_pairs.append(StagPair(name, left, right, tuple(links)))
+            except ValueError as exc:
+                raise cur.error(str(exc), name_at) from None
         else:
-            raise ParseError(
-                f"expected 'tree', 'pair' or 'lspair', found {keyword.text!r}",
-                keyword.line,
-                keyword.column,
-            )
+            cur.expect("delta")
+            cur.expect(":")
+            delta = _parse_links(cur)
+            cur.expect("phi")
+            cur.expect(":")
+            phi = _parse_links(cur, bare=True)
+            if cur.accept("correspond"):
+                cur.expect(":")
+                correspondences.append((name, _parse_correspond_list(cur)))
+            cur.expect("}")
+            lstag_pairs.append(LstagPair(name, left, right, tuple(delta), tuple(phi)))
     return GrammarDocument(
         tuple(trees), tuple(stag_pairs), tuple(lstag_pairs), tuple(correspondences)
     )

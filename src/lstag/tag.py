@@ -219,18 +219,18 @@ def parse_derivation_script(text: str) -> DerivationTree:
         return len(labels) - 1
 
     for lineno, cur in script_lines(text):
-        if cur.accept("NAME", "root"):
-            name = cur.expect("NAME").text
+        if cur.accept("root"):
+            name = cur.name()
             if labels:  # `children` is empty until the first edge line
                 message = "root declaration must come before the edges" if children else "duplicate root declaration"
                 raise ParseError(message, lineno)
             add(name)
         else:
-            parent_name = cur.expect("NAME").text
-            cur.expect("PUNCT", "@")
+            parent_name = cur.name()
+            cur.expect("@")
             addr = cur.address()
-            cur.expect("PUNCT", "<-")
-            child_name = cur.expect("NAME").text
+            cur.expect("<-")
+            child_name = cur.name()
             if not labels:
                 add(parent_name)
             candidates = occurrences.get(parent_name, [])
@@ -244,7 +244,7 @@ def parse_derivation_script(text: str) -> DerivationTree:
             if any(a == addr for a, _ in edges):
                 raise ParseError(f"duplicate edge at address {addr} under {parent_name!r}", lineno)
             edges.append((addr, add(child_name)))
-        if cur.peek().kind != "EOF":
+        if cur.peek():
             raise cur.error("trailing input on script line")
     if not labels:
         raise ParseError("empty derivation script: needs a root or at least one edge")

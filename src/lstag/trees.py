@@ -38,14 +38,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
-from ._lex import Cursor, Token, lex
+from ._lex import NAME_START, Cursor, lex, string_value
 from .errors import (
     AddressNotFound,
     ClassMismatch,
     IncompleteTree,
     NotASlot,
     NotInterior,
-    ParseError,
     SymbolMismatch,
 )
 from .gorn import GornAddress
@@ -508,45 +507,47 @@ def format_tree(tree: SyntaxTree) -> str:
 
 
 def parse_tree_tokens(cur: Cursor) -> SyntaxTree:
-    """Parse one bracketed tree from `cur.tokens` at `cur.pos`; leave `cur.pos` just past it.
+    """Parse one bracketed tree from `cur.texts` at `cur.pos`; leave `cur.pos` just past it.
 
     Each open interior node waits on `stack` with the children built so
-    far, and a `)` builds it and hands it on to the node below.  A
-    non-interior root is reported at its token, a second foot at its own.
+    far, and a `)` builds it and hands it on to the node below.  A STRING is
+    unescaped here.  A non-interior root is reported at its token, a second
+    foot at its own.
     """
-    tokens, i = cur.tokens, cur.pos
+    texts, i = cur.texts, cur.pos
     stack: list[tuple[Interior, list[TreeNode]]] = []
-    feet: list[Token] = []
+    feet: list[int] = []  # the token index of each foot
     while True:
-        tok = tokens[i]
-        if stack and tok.kind == "EOF":
-            raise ParseError("unterminated tree, expected ')'", tok.line, tok.column)
+        tok = texts[i]
+        if stack and not tok:
+            raise cur.error("unterminated tree, expected ')'", i)
         i += 1
-        if tok.kind == "STRING":
-            kind: NodeKind = Terminal(tok.text)
-        elif tok.kind == "NAME":
-            mark = tokens[i].text if tokens[i].kind == "PUNCT" else ""
+        first = tok[:1]
+        if first in NAME_START:
+            mark = texts[i]
             if mark == "(":
-                if tokens[i + 1].text == ")" and tokens[i + 1].kind == "PUNCT":
-                    raise ParseError("empty child list", tok.line, tok.column)
-                stack.append((Interior(tok.text), []))
+                if texts[i + 1] == ")":
+                    raise cur.error("empty child list", i - 1)
+                stack.append((Interior(tok), []))
                 i += 1
                 continue
             if mark == "!":
-                kind = SubstitutionSlot(tok.text)
+                kind: NodeKind = SubstitutionSlot(tok)
                 i += 1
             elif mark == "*":
-                kind = Foot(tok.text)
-                feet.append(tok)
+                kind = Foot(tok)
+                feet.append(i - 1)
                 i += 1
             else:
-                kind = Interior(tok.text)
+                kind = Interior(tok)
+        elif first == '"':
+            kind = Terminal(string_value(tok))
         else:
-            raise ParseError("expected a node symbol or quoted terminal", tok.line, tok.column)
+            raise cur.error("expected a node symbol or quoted terminal", i - 1)
         node = TreeNode(kind)
         while stack:
             stack[-1][1].append(node)
-            if tokens[i].text != ")" or tokens[i].kind != "PUNCT":
+            if texts[i] != ")":
                 break
             i += 1
             symbol, children = stack.pop()
@@ -556,14 +557,14 @@ def parse_tree_tokens(cur: Cursor) -> SyntaxTree:
     if not isinstance(node.kind, Interior):
         raise cur.error("root node must be an interior node")
     if len(feet) > 1:
-        raise ParseError("tree has more than one foot node", feet[1].line, feet[1].column)
+        raise cur.error("tree has more than one foot node", feet[1])
     cur.pos = i
     return SyntaxTree(node)
 
 
 def parse_tree(text: str) -> SyntaxTree:
-    cur = Cursor(lex(text))
+    cur = Cursor(text, lex(text))
     tree = parse_tree_tokens(cur)
-    if cur.peek().kind != "EOF":
+    if cur.peek():
         raise cur.error("trailing input after tree")
     return tree

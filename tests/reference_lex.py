@@ -5,11 +5,13 @@ alternation: `lex` steps through the text one character per loop
 iteration and tries each token pattern in turn.  `parse_tree_tokens` is the
 tree parser of that time, which reads through `Cursor` calls, lists
 (kind, child count, site) rows in preorder and builds the nodes from them
-with `_from_preorder`.  The library's `lex` and `parse_tree_tokens` must
-agree with these on every token, tree, cursor position and `ParseError`
-message, line and column, except that the library also locates the two
-whole-tree errors (a non-interior root, a second foot), which these raise
-without a line.  `test_front_end.py` checks that.
+with `_from_preorder`.  `parse_grammar` is the grammar file parser of the
+time before token texts, which read `Token` fields through the same
+`Cursor`.  The library's `lex`, `parse_tree_tokens` and `parse_grammar`
+must agree with these on every token, tree, document, cursor position and
+`ParseError` message, line and column, except that the library also
+locates the two whole-tree errors (a non-interior root, a second foot),
+which these raise without a line.  `test_front_end.py` checks that.
 """
 
 from __future__ import annotations
@@ -21,6 +23,10 @@ from typing import Iterator, Sequence
 
 from lstag.errors import ParseError
 from lstag.gorn import ROOT_TEXT, GornAddress
+from lstag.grammarfile import GrammarDocument
+from lstag.restrictions import Correspondence
+from lstag.sharing import LstagPair
+from lstag.stag import Link, StagPair
 from lstag.trees import Foot, Interior, NodeKind, SubstitutionSlot, SyntaxTree, Terminal, TreeNode
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
@@ -213,3 +219,96 @@ def parse_tree_tokens(cur: Cursor) -> SyntaxTree:
     if sum(isinstance(kind, Foot) for kind, _, _ in rows) > 1:
         raise ParseError("tree has more than one foot node")
     return SyntaxTree(_from_preorder(rows))
+
+
+def _parse_address_pairs(cur: Cursor, sep: str, bare: bool = False) -> list[tuple[GornAddress, GornAddress]]:
+    """`[a <sep> b, ...]`; with `bare`, a lone `a` stands for `a <sep> a`."""
+    cur.expect("PUNCT", "[")
+    pairs: list[tuple[GornAddress, GornAddress]] = []
+    while not cur.accept("PUNCT", "]"):
+        first = cur.address()
+        if bare and not cur.accept("PUNCT", sep):
+            pairs.append((first, first))
+        else:
+            if not bare:
+                cur.expect("PUNCT", sep)
+            pairs.append((first, cur.address()))
+        if not cur.accept("PUNCT", ","):
+            cur.expect("PUNCT", "]")
+            break
+    return pairs
+
+
+def _parse_links(cur: Cursor, bare: bool = False) -> list[Link]:
+    return [Link(left, right) for left, right in _parse_address_pairs(cur, "~", bare)]
+
+
+def _parse_correspond_list(cur: Cursor) -> Correspondence:
+    open_tok = cur.peek()
+    pairs = _parse_address_pairs(cur, "->")
+    try:
+        return Correspondence(tuple(pairs))
+    except ValueError as exc:
+        raise ParseError(str(exc), open_tok.line, open_tok.column) from None
+
+
+def parse_grammar(cur: Cursor) -> GrammarDocument:
+    """The document `cur` reads from its start to its EOF."""
+    trees: list[tuple[str, SyntaxTree]] = []
+    stag_pairs: list[StagPair] = []
+    lstag_pairs: list[LstagPair] = []
+    correspondences: list[tuple[str, Correspondence]] = []
+    seen: set[str] = set()
+
+    def declare(name: str, tok: Token) -> None:
+        if name in seen:
+            raise ParseError(f"duplicate declaration of {name!r}", tok.line, tok.column)
+        seen.add(name)
+
+    while cur.peek().kind != "EOF":
+        keyword = cur.expect("NAME")
+        if keyword.text == "tree":
+            name_tok = cur.expect("NAME")
+            declare(name_tok.text, name_tok)
+            cur.expect("PUNCT", ":")
+            trees.append((name_tok.text, parse_tree_tokens(cur)))
+        elif keyword.text in ("pair", "lspair"):
+            name_tok = cur.expect("NAME")
+            declare(name_tok.text, name_tok)
+            cur.expect("PUNCT", "{")
+            cur.expect("NAME", "left")
+            cur.expect("PUNCT", ":")
+            left = parse_tree_tokens(cur)
+            cur.expect("NAME", "right")
+            cur.expect("PUNCT", ":")
+            right = parse_tree_tokens(cur)
+            if keyword.text == "pair":
+                cur.expect("NAME", "links")
+                cur.expect("PUNCT", ":")
+                links = _parse_links(cur)
+                cur.expect("PUNCT", "}")
+                try:
+                    stag_pairs.append(StagPair(name_tok.text, left, right, tuple(links)))
+                except ValueError as exc:
+                    raise ParseError(str(exc), name_tok.line, name_tok.column) from None
+            else:
+                cur.expect("NAME", "delta")
+                cur.expect("PUNCT", ":")
+                delta = _parse_links(cur)
+                cur.expect("NAME", "phi")
+                cur.expect("PUNCT", ":")
+                phi = _parse_links(cur, bare=True)
+                if cur.accept("NAME", "correspond"):
+                    cur.expect("PUNCT", ":")
+                    correspondences.append((name_tok.text, _parse_correspond_list(cur)))
+                cur.expect("PUNCT", "}")
+                lstag_pairs.append(LstagPair(name_tok.text, left, right, tuple(delta), tuple(phi)))
+        else:
+            raise ParseError(
+                f"expected 'tree', 'pair' or 'lspair', found {keyword.text!r}",
+                keyword.line,
+                keyword.column,
+            )
+    return GrammarDocument(
+        tuple(trees), tuple(stag_pairs), tuple(lstag_pairs), tuple(correspondences)
+    )

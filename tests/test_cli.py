@@ -504,6 +504,13 @@ def test_derive_site_pair_must_match_the_verb(capsys, fixtures_dir, tmp_path, st
         ("cooks_eats.lstag", "root cooks\nroot cooks\n", "duplicate root declaration (line 2)"),
         ("cooked.tag", "root cooked\ncooked @ 1 <- john\ncooked @ 1 <- john\n",
          "duplicate edge at address 1 under 'cooked' (line 3)"),
+        # A script line's EOF is just past its last token, before blanks and a comment.
+        ("cooks_eats.lstag", "root cooks\nadjoin and_eats at 2.1 ~   # c\n",
+         "expected 'ADDR', found 'EOF' (line 2, column 25)"),
+        # A lexical error anywhere stops the script before a step runs, a failing one too.
+        ("cooks_eats.lstag", "root cooks\nsubstitute john at 9.9\n  $\n", "unexpected character '$' (line 3, column 3)"),
+        ("cooked.tag", "root cooked\ncooked @ 9 <- john\ncooked @ 2.2 <- \"b\n",
+         "unterminated string literal (line 3, column 17)"),
     ],
 )
 def test_derive_parse_error_reports_script_line_and_column(

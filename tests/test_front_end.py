@@ -1,21 +1,23 @@
-"""The tokenizer and the tree parser against the character-at-a-time reference.
+"""The tokenizer, the tree parser and the grammar parser against the character-at-a-time reference.
 
 `reference_lex.py` holds the front end as it was before `lex` became one
 compiled alternation and `parse_tree_tokens` read tokens by index.  On any
-text the two lexers give the same tokens or the same `ParseError`, and on
-any token list the two tree parsers give the same tree and cursor position
-or the same `ParseError`.  The one allowed difference is that the library
-locates a non-interior root at its token and a second foot at the foot's
-token, where the reference gave no line.
+text the two lexers give the same tokens or the same `ParseError`, on any
+token list the two tree parsers give the same tree and cursor position or
+the same `ParseError`, and on any grammar text the two grammar parsers give
+the same document or the same `ParseError`.  The one allowed difference is
+that the library locates a non-interior root at its token and a second foot
+at the foot's token, where the reference gave no line.
 """
 
+import pathlib
 import sys
 
 import reference_lex as ref
 from hypothesis import example, given, settings, strategies as st
 
-from lstag import ParseError, parse_tree
-from lstag._lex import Cursor, lex
+from lstag import GornAddress, ParseError, parse_grammar, parse_tree
+from lstag._lex import Cursor, lex, string_value, token_kind
 from lstag.trees import parse_tree_tokens
 
 
@@ -51,7 +53,14 @@ def _texts(draw):
 
 
 def tokens_of(fn, text):
-    return [(t.kind, t.text, t.line, t.column) for t in fn(text)]
+    """(kind, text, line, column) per token; a STRING's text is its value, as the reference gives it."""
+    if fn is ref.lex:
+        return [(t.kind, t.text, t.line, t.column) for t in fn(text)]
+    cur = Cursor(text, fn(text))
+    return [
+        (token_kind(t), string_value(t) if token_kind(t) == "STRING" else t, *cur.where(i))
+        for i, t in enumerate(cur.texts)
+    ]
 
 
 @settings(max_examples=400, deadline=None)
@@ -64,8 +73,8 @@ def test_lex_matches_the_reference(text):
 
 
 def test_eof_after_a_trailing_comment_keeps_the_comment_column():
-    assert lex("a  # note")[-1] == ("EOF", "", 1, 4)
-    assert lex("a\n# note\n")[-1] == ("EOF", "", 3, 1)
+    assert tokens_of(lex, "a  # note")[-1] == ("EOF", "", 1, 4)
+    assert tokens_of(lex, "a\n# note\n")[-1] == ("EOF", "", 3, 1)
 
 
 def test_lex_errors_give_line_and_column_in_characters():
@@ -139,7 +148,7 @@ def _foot_tokens(tokens, start, stop):
 @example(text="tree x: NP!")
 @example(text='tree x: S(A* VP("a" B*))')
 def test_parse_tree_tokens_matches_the_reference(text):
-    new_cur, ref_cur = Cursor(lex(text)), ref.Cursor(ref.lex(text))
+    new_cur, ref_cur = Cursor(text, lex(text)), ref.Cursor(ref.lex(text))
     new_cur.pos = ref_cur.pos = 3  # just past `tree x :`
     got = outcome(_parsed, parse_tree_tokens, new_cur)
     want = outcome(_parsed, ref.parse_tree_tokens, ref_cur)
@@ -150,6 +159,113 @@ def test_parse_tree_tokens_matches_the_reference(text):
         second = _foot_tokens(ref_cur.tokens, 3, ref_cur.pos)[1]
         want = want[:2] + (second.line, second.column)
     assert got == want
+
+
+# --- the grammar parser ------------------------------------------------------
+
+_WHOLE_TREE_ERRORS = ("root node must be an interior node", "tree has more than one foot node")
+
+
+def _reference_grammar(text):
+    """The reference grammar parser, with the library's locations for the two whole-tree errors."""
+    cur = ref.Cursor(ref.lex(text))
+    try:
+        return ref.parse_grammar(cur)
+    except ParseError as exc:
+        if exc.message not in _WHOLE_TREE_ERRORS:
+            raise
+        # The failing tree ends at the cursor and starts just past the last `:` before it.
+        start = 1 + max(i for i, t in enumerate(cur.tokens[:cur.pos]) if (t.kind, t.text) == ("PUNCT", ":"))
+        tok = cur.tokens[start] if exc.message == _WHOLE_TREE_ERRORS[0] else _foot_tokens(cur.tokens, start, cur.pos)[1]
+        raise ParseError(exc.message, tok.line, tok.column) from None
+
+
+_NAMES = st.sampled_from(["a", "b", "c"])
+_ADDRS = st.sampled_from(["ε", "1", "2", "1.1", "2.1", "0"])
+
+
+@st.composite
+def _declarations(draw):
+    """The source tokens of one tree, pair or lspair declaration; names and links need not fit."""
+
+    def addresses(sep, bare=False):
+        out = ["["]
+        for k in range(draw(st.integers(0, 3))):
+            first = draw(_ADDRS)
+            out += ([","] if k else []) + ([first] if bare and draw(st.booleans()) else [first, sep, draw(_ADDRS)])
+        return out + ["]"]
+
+    keyword = draw(st.sampled_from(["tree", "pair", "lspair"]))
+    toks = [keyword, draw(_NAMES)]
+    if keyword == "tree":
+        return toks + [":"] + draw(_trees(6))
+    toks += ["{", "left", ":"] + draw(_trees(6)) + ["right", ":"] + draw(_trees(6))
+    if keyword == "pair":
+        return toks + ["links", ":"] + addresses("~") + ["}"]
+    toks += ["delta", ":"] + addresses("~") + ["phi", ":"] + addresses("~", bare=True)
+    if draw(st.booleans()):
+        toks += ["correspond", ":"] + addresses("->")
+    return toks + ["}"]
+
+
+_FIXTURE_TOKENS = [
+    lex(path.read_text(encoding="utf-8"))[:-1]
+    for path in sorted((pathlib.Path(__file__).resolve().parent.parent / "fixtures").glob("*.*tag"))
+]
+_GRAMMAR_JUNK = st.sampled_from([
+    "tree", "lspair", "a", "left", "links", "phi", "correspond", ":", "{", "}", "[", "]", ",", "~", "->",
+    "1", "0", "ε", "(", ")", "S", '"t"', "!", "*",
+])
+
+
+@st.composite
+def _grammar_texts(draw):
+    """Random declarations or a fixture, with up to three token deletions, insertions or swaps and stray characters."""
+    if draw(st.booleans()):
+        toks = [t for decl in draw(st.lists(_declarations(), max_size=3)) for t in decl]
+    else:
+        toks = list(draw(st.sampled_from(_FIXTURE_TOKENS)))
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(["delete", "insert", "swap"]))
+        at = draw(st.integers(0, len(toks)))
+        if op == "insert":
+            toks.insert(at, draw(_GRAMMAR_JUNK))
+        elif toks and at < len(toks):
+            if op == "delete":
+                del toks[at]
+            else:
+                other = draw(st.integers(0, len(toks) - 1))
+                toks[at], toks[other] = toks[other], toks[at]
+    text = draw(st.sampled_from([" ", "\n", " \n  "])).join(toks) + draw(st.sampled_from(["", "\n", "  # end"]))
+    for junk in draw(st.lists(st.sampled_from("$\"<-é\f"), max_size=draw(st.integers(0, 2)))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + junk + text[at:]
+    return text
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_grammar_texts())
+@example(text="tree a: S\ntree b: NP\n  pair a { left: S right: S links: [] }")
+@example(text="tree a: S\n  twig b: S")
+@example(text="pair a { left: S(A!) right: S(B!)\n links: [1~1, 2~1] }")
+@example(text="lspair a { left: S(A!) right: S(B!) delta: [] phi: []\n correspond: [1 -> 1, ε -> 1] }")
+@example(text="lspair a { left: S(A!) right: S(B* C*) delta: [] phi: [] }")
+@example(text='tree a: S(A! "x\\"y")  # end')
+@example(text="tree a: S(A B(C")
+@example(text="tree a: S(A B())")
+def test_parse_grammar_matches_the_reference(text):
+    assert outcome(parse_grammar, text) == outcome(_reference_grammar, text)
+
+
+def test_each_cursor_parses_each_distinct_address_once(monkeypatch):
+    calls = []
+    parse = GornAddress.parse
+    monkeypatch.setattr(GornAddress, "parse", classmethod(lambda cls, text: calls.append(text) or parse(text)))
+    text = "lspair p { left: S(A! B!) right: S(A! B!) delta: [1~1, 2~2] phi: [1, 2.1] correspond: [1 -> 1] }"
+    for _ in range(2):
+        calls.clear()
+        parse_grammar(text)
+        assert sorted(calls) == ["1", "2", "2.1"]
 
 
 def test_a_1200_level_tree_parses_without_recursion():
