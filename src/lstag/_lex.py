@@ -1,4 +1,4 @@
-"""Tokenizer shared by the bracketed tree format and the grammar file format.
+"""Tokenizer shared by the bracketed tree format, the grammar file format and derivation scripts.
 
 `lex` is one `findall` of one pattern, whose one group is the token after
 the blanks, newlines and comments before it.  A token is its text as
@@ -7,6 +7,8 @@ any character no token starts with is a one-character stray token, and the
 EOF's text is ''.  Positions are worked out only for an error: `Cursor`
 scans the text once more with the same pattern and keeps every token's
 offset.  The EOF after a trailing comment takes the comment's column.
+`read_script` lexes each line of a script once and reads its root, for
+both script readers.
 """
 
 from __future__ import annotations
@@ -153,14 +155,37 @@ class Cursor:
         return comment if comment >= 0 else len(self.source)
 
 
-class _LineCursor(Cursor):
+class LineCursor(Cursor):
     """A script line's cursor, whose EOF is just past the line's last token."""
+
+    def end(self) -> None:
+        """The line ends here: a token left on it is a parse error."""
+        if self.texts[self.pos]:
+            raise self.error("trailing input on script line")
 
     def _eof_offset(self, end: int) -> int:
         return end
 
 
-def script_lines(text: str) -> list[tuple[int, Cursor]]:
-    """(line number, cursor) per line with tokens; every line is lexed first, so a lexical error precedes any step."""
-    lines = [(lineno, row, lex(row, lineno)) for lineno, row in enumerate(text.split("\n"), 1)]
-    return [(lineno, _LineCursor(row, texts, lineno)) for lineno, row, texts in lines if len(texts) > 1]
+def read_script(text: str) -> tuple[str, list[tuple[int, LineCursor]]]:
+    """A derivation script's root, and a (line number, cursor) per line with tokens after a `root` line.
+
+    Every line is lexed first, so a lexical error precedes any step.  A first
+    line `root NAME` is read to its end and consumed; any other first line is
+    left unread, and the script is rooted at the first name on it, as a TAG
+    script that starts with an edge is.  An lspair step first is an error.
+    """
+    rows = [(lineno, row, lex(row, lineno)) for lineno, row in enumerate(text.split("\n"), 1)]
+    lines = [(lineno, LineCursor(row, texts, lineno)) for lineno, row, texts in rows if len(texts) > 1]
+    if not lines:
+        raise ParseError("empty derivation script")
+    lineno, cur = lines[0]
+    if cur.accept("root"):
+        root = cur.name()
+        cur.end()
+        return root, lines[1:]
+    root = cur.name()
+    if root in ("adjoin", "substitute") and token_kind(cur.peek()) == "NAME":  # an lspair step
+        raise ParseError("script needs a root declaration first", lineno)
+    cur.pos = 0
+    return root, lines

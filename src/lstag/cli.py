@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from ._lex import Cursor, script_lines, token_kind
+from ._lex import LineCursor, read_script
 from .engine import EnumerationBudget, enumerate_derivations
 from .errors import AddressNotFound, Diagnostic, LstagError, OperationMismatch, ParseError, UnknownTree
 from .grammarfile import (
@@ -34,15 +34,16 @@ from .sharing import (
     check_step,
     compose_record,
     shared_substitute,
+    site_operation,
     structure_from_pair,
 )
 from .tag import (
     derivation_to_json_obj,
     format_derivation_script,
-    parse_derivation_script,
+    read_derivation_lines,
     replay,
 )
-from .trees import format_tree, yield_string
+from .trees import format_tree, row_address, yield_string
 
 
 def _color_enabled() -> bool:
@@ -59,48 +60,48 @@ def _print_diagnostics(diags: list[Diagnostic], as_json: bool) -> None:
             print(str(d), file=sys.stderr)
 
 
-def run_lstag_script(grammar: LstagGrammar, text: str) -> DerivedStructure:
+def run_lstag_script(grammar: LstagGrammar, root: str, lines: list[tuple[int, LineCursor]]) -> DerivedStructure:
     """The structure a link-sharing script derives, each step checked as the enumerator checks its moves.
+
+    `root` and the step `lines` are what `_lex.read_script` reads from the script:
 
         root cooks
         adjoin and_eats at 2.1 ~ ε      # walks to both sites once, builds one record, runs check_step
         substitute john at 1            # fills the first live group whose left site is the node at 1
         substitute beans at 2.2 ~ 2.2   # an explicit site pair
     """
-    lines = script_lines(text)
-    _script_root(lines)
-    structure: DerivedStructure | None = None  # line 1 sets it or raises: `_script_root` turns away a step there
-    for step, (lineno, cur) in enumerate(lines, 1):
-        if cur.accept("root"):
-            if structure is not None:
-                raise ParseError("duplicate root declaration", lineno)
-            structure = structure_from_pair(grammar.get(cur.name()))
-        elif cur.peek() in ("adjoin", "substitute"):
-            verb = cur.name()
-            guest = grammar.get(cur.name())
-            cur.expect("at")
-            first = cur.address()
-            if cur.accept("~"):
-                second = cur.address()
-                left, right = structure.left_tree.row_at(first), structure.right_spine.row_at(second)
-                record = compose_record(left, right, guest.name)
-                if (verb == "adjoin") != (record.operation == "adjunction"):
-                    message = f"step {step}: sites {first} ~ {second} take {record.operation}, not {verb}"
-                    raise OperationMismatch(message)
-                structure = check_step(structure, record, guest, left, (right,))[1]()
-            else:
-                if verb != "substitute":
-                    raise ParseError("adjoin steps need a left ~ right site pair", lineno)
-                try:
-                    site = structure.left_tree.row_at(first)[2].site
-                    group = next(g for g in structure.live_links if g.left_site == site)
-                except (AddressNotFound, StopIteration):
-                    raise LstagError(f"step {step}: no live link group with left address {first}") from None
-                structure = shared_substitute(structure, group, guest)
-        else:
+    structure = structure_from_pair(grammar.get(root))
+    for step, (lineno, cur) in enumerate(lines, 2):  # step 1 is the root line
+        if cur.peek() == "root":
+            raise ParseError("duplicate root declaration", lineno)
+        if cur.peek() not in ("adjoin", "substitute"):
             raise ParseError("expected 'root', 'adjoin' or 'substitute'", lineno)
-        if cur.peek():
-            raise cur.error("trailing input on script line")
+        verb, name = cur.name(), cur.name()
+        cur.expect("at")
+        first = cur.address()
+        second = cur.address() if cur.accept("~") else None
+        cur.end()
+        if second is None and verb != "substitute":
+            raise ParseError("adjoin steps need a left ~ right site pair", lineno)
+        guest = grammar.get(name)
+        if second is not None:
+            left, right = structure.left_tree.row_at(first), structure.right_spine.row_at(second)
+            record = compose_record(left, right, guest.name)
+            if (verb == "adjoin") != (record.operation == "adjunction"):
+                raise OperationMismatch(f"step {step}: sites {first} ~ {second} take {record.operation}, not {verb}")
+            structure = check_step(structure, record, guest, left, (right,))[1]()
+            continue
+        try:
+            left = structure.left_tree.row_at(first)
+            group = next(g for g in structure.live_links if g.left_site == left[2].site)
+        except (AddressNotFound, StopIteration):
+            raise LstagError(f"step {step}: no live link group with left address {first}") from None
+        if len(group.right_sites) == 1:  # the verb rule of the `~` form, at the group's one site pair
+            right = structure.right_spine.locate(group.right_sites[0])
+            if site_operation(left, right) == "adjunction":
+                second = row_address(right)
+                raise OperationMismatch(f"step {step}: sites {first} ~ {second} take adjunction, not substitute")
+        structure = shared_substitute(structure, group, guest)
     return structure
 
 
@@ -185,68 +186,48 @@ def _cmd_validate(args) -> int:
 
 def _cmd_derive(args) -> int:
     doc = load_grammar(args.grammar)
-    script = read_source(args.script)
-    tree_names = {n for n, _ in doc.trees}
+    root, lines = read_script(read_source(args.script))
     ls_names = {p.name for p in doc.lstag_pairs}
-    root = _script_root(script_lines(script))
-    if root in ls_names:
-        usable = usable_lstag_names(doc, restrictions=not args.no_restrictions)
-        grammar = doc.lstag_grammar(usable)
-        try:
-            structure = run_lstag_script(grammar, script)
-        except LstagError as exc:
-            if isinstance(exc, ParseError):
-                raise
-            message = str(exc)
-            if isinstance(exc, UnknownTree) and exc.name in ls_names:
-                diags = validate_document(doc, restrictions=not args.no_restrictions)
-                codes = ", ".join(dict.fromkeys(d.code for d in diags if d.where == exc.name))
-                message = f"pair {exc.name!r} is excluded by validation: {codes}"
-            _print_diagnostics([Diagnostic("DerivationFailed", message)], False)
-            return 1
-        _emit_structure(structure, args.format)
-        return 0
-    if root in tree_names:
-        grammar = doc.tag_grammar()
-        derivation = parse_derivation_script(script)
-        try:
-            derived = replay(grammar, derivation)
-        except LstagError as exc:
-            _print_diagnostics([Diagnostic("DerivationFailed", str(exc))], False)
-            return 1
-        if args.format == "json":
-            obj = {
-                "yield": yield_string(derived, partial=True),
-                "tree": format_tree(derived),
-                "derivation": derivation_to_json_obj(derivation),
-            }
-            print(to_json_text(obj), end="")
-        elif args.format == "dot":
-            print(derived_tree_with_derivation_to_dot(derived, derivation), end="")
+    if root not in ls_names and all(name != root for name, _ in doc.trees):
+        code, what = "UnknownTree", "not a tree or lspair in the grammar"
+        if any(p.name == root for p in doc.stag_pairs):
+            code, what = "SynchronousPair", "a synchronous pair; derive takes trees and lspairs only"
+        _print_diagnostics([Diagnostic(code, f"script root {root!r} is {what}")], False)
+        return 1
+    diags = validate_document(doc, restrictions=not args.no_restrictions) if root in ls_names else []
+    try:
+        if root in ls_names:
+            usable = ls_names - {d.where for d in diags}
+            structure = run_lstag_script(doc.lstag_grammar(usable), root, lines)
         else:
-            print(f"yield: {yield_string(derived, partial=True)}")
-            print(f"tree: {format_tree(derived)}")
-            print("derivation:")
-            print(format_derivation_script(derivation), end="")
-        return 0
-    code, what = "UnknownTree", "not a tree or lspair in the grammar"
-    if any(p.name == root for p in doc.stag_pairs):
-        code, what = "SynchronousPair", "a synchronous pair; derive takes trees and lspairs only"
-    _print_diagnostics([Diagnostic(code, f"script root {root!r} is {what}")], False)
-    return 1
-
-
-def _script_root(lines: list[tuple[int, Cursor]]) -> str:
-    """The name the first line starts with, left unread; a script with no lines or an lspair step first is an error."""
-    if not lines:
-        raise ParseError("empty derivation script")
-    lineno, cur = lines[0]
-    declared = cur.accept("root")
-    name = cur.name()
-    if not declared and name in ("adjoin", "substitute") and token_kind(cur.peek()) == "NAME":  # an lspair step
-        raise ParseError("script needs a root declaration first", lineno)
-    cur.pos = 0
-    return name
+            derivation = read_derivation_lines(root, lines)
+            derived = replay(doc.tag_grammar(), derivation)
+    except ParseError:
+        raise
+    except LstagError as exc:
+        message = str(exc)
+        if isinstance(exc, UnknownTree) and exc.name in ls_names:
+            codes = ", ".join(dict.fromkeys(d.code for d in diags if d.where == exc.name))
+            message = f"pair {exc.name!r} is excluded by validation: {codes}"
+        _print_diagnostics([Diagnostic("DerivationFailed", message)], False)
+        return 1
+    if root in ls_names:
+        _emit_structure(structure, args.format)
+    elif args.format == "json":
+        obj = {
+            "yield": yield_string(derived, partial=True),
+            "tree": format_tree(derived),
+            "derivation": derivation_to_json_obj(derivation),
+        }
+        print(to_json_text(obj), end="")
+    elif args.format == "dot":
+        print(derived_tree_with_derivation_to_dot(derived, derivation), end="")
+    else:
+        print(f"yield: {yield_string(derived, partial=True)}")
+        print(f"tree: {format_tree(derived)}")
+        print("derivation:")
+        print(format_derivation_script(derivation), end="")
+    return 0
 
 
 def _emit_structure(structure: DerivedStructure, fmt: str) -> None:

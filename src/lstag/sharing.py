@@ -275,7 +275,7 @@ def guest_instance_id(left_ref: SiteRef, guest_name: str) -> str:
     return instance_prefix(left_ref) + guest_name
 
 
-def _operation(left: Row, right: Row) -> str:
+def site_operation(left: Row, right: Row) -> str:
     """The operation both sites host (`trees.OPERATION`): two slots substitute, two interior nodes adjoin."""
     left_kind, right_kind = left[2].kind, right[2].kind
     operation = OPERATION.get(type(left_kind))
@@ -292,7 +292,7 @@ def compose_record(left: Row, right: Row, guest_name: str) -> DerivationRecord:
 
     It raises `OperationMismatch` if the two sites are of different kinds.
     """
-    operation, ref = _operation(left, right), left[2].site
+    operation, ref = site_operation(left, right), left[2].site
     return DerivationRecord(operation, guest_name, guest_instance_id(ref, guest_name), ref, (right[2].site,))
 
 
@@ -354,7 +354,7 @@ def check_step(
 
         return complete, build_shared
     right = rights[0]
-    operation = _operation(left, right)
+    operation = site_operation(left, right)
     if operation != record.operation:  # a one-site group of two interior nodes is filled by adjunction
         record = replace(record, operation=operation)
     left_ref, right_ref = left[2].site, right[2].site

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Mapping
 
-from ._lex import script_lines
+from ._lex import LineCursor, read_script
 from .errors import (
     AddressNotFound,
     Diagnostic,
@@ -209,45 +209,37 @@ def validate_derivation(grammar: TagGrammar, d: DerivationTree) -> list[Diagnost
 
 
 def parse_derivation_script(text: str) -> DerivationTree:
-    labels: list[str] = []  # by node number; node 0 is the root
+    return read_derivation_lines(*read_script(text))
+
+
+def read_derivation_lines(root: str, lines: list[tuple[int, LineCursor]]) -> DerivationTree:
+    """The derivation tree of a script that `_lex.read_script` has read to `root` and its edge lines."""
+    labels: list[str] = [root]  # by node number; node 0 is the root
     children: defaultdict[int, list[tuple[GornAddress, int]]] = defaultdict(list)
-    occurrences: dict[str, list[int]] = {}
+    occurrences: dict[str, list[int]] = {root: [0]}
 
-    def add(name: str) -> int:
-        occurrences.setdefault(name, []).append(len(labels))
-        labels.append(name)
-        return len(labels) - 1
-
-    for lineno, cur in script_lines(text):
+    for lineno, cur in lines:
         if cur.accept("root"):
-            name = cur.name()
-            if labels:  # `children` is empty until the first edge line
-                message = "root declaration must come before the edges" if children else "duplicate root declaration"
-                raise ParseError(message, lineno)
-            add(name)
-        else:
-            parent_name = cur.name()
-            cur.expect("@")
-            addr = cur.address()
-            cur.expect("<-")
-            child_name = cur.name()
-            if not labels:
-                add(parent_name)
-            candidates = occurrences.get(parent_name, [])
-            if not candidates:
-                raise ParseError(f"unknown parent {parent_name!r}", lineno)
-            if len(candidates) > 1:
-                raise ParseError(
-                    f"parent {parent_name!r} is ambiguous ({len(candidates)} occurrences)", lineno
-                )
-            edges = children[candidates[0]]
-            if any(a == addr for a, _ in edges):
-                raise ParseError(f"duplicate edge at address {addr} under {parent_name!r}", lineno)
-            edges.append((addr, add(child_name)))
-        if cur.peek():
-            raise cur.error("trailing input on script line")
-    if not labels:
-        raise ParseError("empty derivation script: needs a root or at least one edge")
+            cur.name()
+            message = "root declaration must come before the edges" if children else "duplicate root declaration"
+            raise ParseError(message, lineno)
+        parent_name = cur.name()
+        cur.expect("@")
+        addr = cur.address()
+        cur.expect("<-")
+        child_name = cur.name()
+        cur.end()
+        candidates = occurrences.get(parent_name, [])
+        if not candidates:
+            raise ParseError(f"unknown parent {parent_name!r}", lineno)
+        if len(candidates) > 1:
+            raise ParseError(f"parent {parent_name!r} is ambiguous ({len(candidates)} occurrences)", lineno)
+        edges = children[candidates[0]]
+        if any(a == addr for a, _ in edges):
+            raise ParseError(f"duplicate edge at address {addr} under {parent_name!r}", lineno)
+        occurrences.setdefault(child_name, []).append(len(labels))
+        edges.append((addr, len(labels)))
+        labels.append(child_name)
     return derivation_tree(0, labels, children)
 
 

@@ -26,6 +26,7 @@ from lstag import (
     yield_string,
     yield_tokens,
 )
+from lstag._lex import read_script
 from lstag.cli import run_lstag_script
 from lstag.render import structure_to_json_obj, to_json_text
 from lstag.trees import adjoin_with_maps, rebase_address
@@ -62,7 +63,7 @@ def test_full_derivation_of_the_modified_transitive_sentence(fixtures_dir):
 def test_coordination_golden_structure(fixtures_dir, golden_dir):
     doc = load_grammar(str(fixtures_dir / "cooks_eats.lstag"))
     script = (fixtures_dir / "scripts" / "cooks_eats.script").read_text(encoding="utf-8")
-    structure = run_lstag_script(doc.lstag_grammar(), script)
+    structure = run_lstag_script(doc.lstag_grammar(), *read_script(script))
     assert " ".join(structure.left_yield()) == "John cooks and eats beans"
     (john,) = [f for f in structure.fragments if f.name == "john"]
     (beans,) = [f for f in structure.fragments if f.name == "beans"]

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import lstag
 from lstag import load_grammar
+from lstag._lex import read_script
 from lstag.cli import main, run_lstag_script
 from lstag.errors import ParseError
 
@@ -385,7 +386,7 @@ def test_a_tag_edge_into_a_slot_of_another_symbol_prints_its_exact_diagnostic(ca
 def test_run_lstag_script_needs_a_root_line_first(fixtures_dir, text, message):
     grammar = load_grammar(str(fixtures_dir / "cooks_eats.lstag")).lstag_grammar()
     with pytest.raises(ParseError) as info:
-        run_lstag_script(grammar, text)
+        run_lstag_script(grammar, *read_script(text))
     assert str(info.value) == message
 
 
@@ -405,7 +406,7 @@ def test_each_lstag_step_walks_to_its_sites_once(fixtures_dir, monkeypatch):
     for n in range(1, len(steps) + 1):
         walks.clear()
         records.clear()
-        run_lstag_script(grammar, "\n".join(steps[:n]) + "\n")
+        run_lstag_script(grammar, *read_script("\n".join(steps[:n]) + "\n"))
         counts.append((len(walks), len(records)))
     per_line = [(w - pw, r - pr) for (w, r), (pw, pr) in zip(counts[1:], counts)]
     assert per_line[:depth] == [(2, 1)] * depth
@@ -427,6 +428,72 @@ def test_derive_names_a_root_pair_that_validation_excluded(capsys, fixtures_dir,
     code, out, err = run(capsys, "derive", str(fixtures_dir / "topicalization.lstag"), str(script))
     assert (code, out) == (1, "")
     assert err == "DerivationFailed: pair 'peanuts_likes' is excluded by validation: LexicallyDiscontiguous\n"
+
+
+def _wrap_everywhere(monkeypatch, name, original, calls):
+    """Record the arguments of every call of `original` made through the name `name` in any lstag module."""
+    wrapper = lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs)
+    for module in list(sys.modules.values()):
+        if module.__name__.split(".")[0] == "lstag" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, wrapper)
+
+
+def test_derive_validates_once_for_an_excluded_root_pair(capsys, fixtures_dir, tmp_path, monkeypatch):
+    script = tmp_path / "topic.script"
+    script.write_text("root peanuts_likes\nsubstitute john at 2.1\n", encoding="utf-8")
+    calls = []
+    _wrap_everywhere(monkeypatch, "validate_document", lstag.grammarfile.validate_document, calls)
+    code, out, err = run(capsys, "derive", str(fixtures_dir / "topicalization.lstag"), str(script))
+    assert (code, out, len(calls)) == (1, "", 1)
+    assert err == "DerivationFailed: pair 'peanuts_likes' is excluded by validation: LexicallyDiscontiguous\n"
+
+
+@pytest.mark.parametrize(
+    "grammar, script", [("cooks_eats.lstag", "cooks_eats.script"), ("cooked.tag", "cooked_dried.script")]
+)
+def test_derive_lexes_each_script_line_once(capsys, fixtures_dir, monkeypatch, grammar, script):
+    calls = []
+    _wrap_everywhere(monkeypatch, "lex", lstag._lex.lex, calls)
+    code, _, err = run(capsys, "derive", str(fixtures_dir / grammar), str(fixtures_dir / "scripts" / script))
+    assert (code, err) == (0, "")
+    grammar_text, script_text = ((fixtures_dir / f).read_text(encoding="utf-8") for f in (grammar, "scripts/" + script))
+    script_calls = [args for args in calls if args[0] != grammar_text]
+    assert [args[1] for args in script_calls] == list(range(1, script_text.count("\n") + 2))
+    assert [args[0] for args in script_calls] == script_text.split("\n")
+
+
+_ONE_SITE_INTERIOR_GROUP = """\
+lspair h { left: S(NP! VP(V("x"))) right: S(NP! VP(V("x"))) delta: [1~1, 2~2] phi: [] }
+lspair a { left: VP(ADV("a") VP*) right: VP(ADV("a") VP*) delta: [] phi: [] }
+lspair n { left: NP(N("n")) right: NP(N("n")) delta: [] phi: [] }
+"""
+
+
+@pytest.mark.parametrize("step", ["substitute a at 2", "substitute a at 2 ~ 2"])
+def test_substitute_at_a_group_of_two_interior_nodes_is_a_verb_mismatch(capsys, tmp_path, monkeypatch, step):
+    """A `delta` link between two interior nodes is a one-site group: both forms of `substitute` refuse it."""
+    grammar, script = tmp_path / "h.lstag", tmp_path / "h.script"
+    grammar.write_text(_ONE_SITE_INTERIOR_GROUP, encoding="utf-8")
+    script.write_text(f"root h\n{step}\nsubstitute n at 1\n", encoding="utf-8")
+    composed = []
+    _wrap_everywhere(monkeypatch, "check_step", lstag.sharing.check_step, composed)
+    assert run(capsys, "derive", str(grammar), str(script)) == (
+        1,
+        "",
+        "DerivationFailed: step 2: sites 2 ~ 2 take adjunction, not substitute\n",
+    )
+    assert composed == []
+
+
+@pytest.mark.parametrize("step", ["substitute john at 1 junk", "adjoin and_eats at 2.1 ~ ε junk"])
+def test_a_step_line_is_read_to_its_end_before_its_step_runs(capsys, fixtures_dir, tmp_path, monkeypatch, step):
+    script = tmp_path / "junk.script"
+    script.write_text(f"root cooks\n{step}\n", encoding="utf-8")
+    composed = []
+    _wrap_everywhere(monkeypatch, "check_step", lstag.sharing.check_step, composed)
+    code, out, err = run(capsys, "derive", str(fixtures_dir / "cooks_eats.lstag"), str(script))
+    assert (code, out, composed) == (2, "", [])
+    assert err.startswith("parse error: trailing input on script line (line 2, ")
 
 
 def test_derive_names_a_guest_pair_that_validation_excluded(capsys, tmp_path):
@@ -499,6 +566,10 @@ def test_derive_site_pair_must_match_the_verb(capsys, fixtures_dir, tmp_path, st
          "trailing input on script line (line 2, column 28)"),
         ("cooked.tag", "root cooked\n\ncooked @ 1 <- john beans\n",
          "trailing input on script line (line 3, column 20)"),
+        ("cooks_eats.lstag", "root cooks\nsubstitute john at 9.9 junk\n",
+         "trailing input on script line (line 2, column 24)"),
+        ("cooks_eats.lstag", "root cooks\nadjoin and_eats at 2.1 ~ ε junk\n",
+         "trailing input on script line (line 2, column 28)"),
         ("cooked.tag", "cooked @ 1 <- john\nroot cooked\n", "root declaration must come before the edges (line 2)"),
         ("cooked.tag", "root cooked\nroot cooked\n", "duplicate root declaration (line 2)"),
         ("cooks_eats.lstag", "root cooks\nroot cooks\n", "duplicate root declaration (line 2)"),

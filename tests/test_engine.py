@@ -41,6 +41,7 @@ from lstag import (
     yield_tokens,
 )
 from lstag import engine
+from lstag._lex import read_script
 from lstag.cli import run_lstag_script
 
 A = GornAddress.parse
@@ -202,7 +203,7 @@ def assert_items_replay_as_scripts(grammar, items, linked_slots: bool = True) ->
     """Each item's `lstag_script` derives its history, yield and both projections, and a sound structure."""
     for item in items:
         script = lstag_script(grammar, item.root, item.records)
-        structure = run_lstag_script(grammar, script)
+        structure = run_lstag_script(grammar, *read_script(script))
         assert structure.history == item.records, script
         assert structure.left_yield() == item.left_yield, script
         assert structure.projections() == (item.left_derivation, item.right_derivation), script

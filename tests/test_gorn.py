@@ -62,3 +62,8 @@ def test_parent():
     with pytest.raises(ValueError):
         _ = ROOT.parent
 
+
+
+def test_repr_spells_the_address():
+    assert repr(GornAddress.parse("2.1")) == "GornAddress('2.1')"
+    assert repr(ROOT) == "GornAddress('ε')"

@@ -15,6 +15,7 @@ from lstag import (
     shared_substitute,
     usable_lstag_names,
 )
+from lstag._lex import read_script
 from lstag.cli import run_lstag_script
 from lstag.render import (
     derivation_graph_to_dot,
@@ -178,7 +179,7 @@ def test_structure_dot_labels_a_pair_named_d(fixtures_dir):
     doc = parse_grammar(text)
     script = (fixtures_dir / "scripts" / "cooks_eats.script").read_text(encoding="utf-8")
     script = script.replace("substitute john", "substitute d")
-    s = run_lstag_script(doc.lstag_grammar(usable_lstag_names(doc)), script)
+    s = run_lstag_script(doc.lstag_grammar(usable_lstag_names(doc)), *read_script(script))
     nodes = dot_nodes(structure_to_dot(s))
     left, right = s.projections()
     assert [label for node_id, label in nodes if node_id.startswith("dl")] == preorder_names(left)

@@ -341,3 +341,7 @@ def test_a_deep_tree_builds_one_address_per_address_read(monkeypatch):
     assert format_tree(tree) == "X(" * depth + "X!" + ")" * depth
     assert tree_to_dot(tree).count("\n") == 2 + 2 * depth + 1
     assert yield_tokens(tree, partial=True) == ("⟨X↓⟩",)
+
+
+def test_repr_spells_the_tree():
+    assert repr(parse_tree('S(NP! VP(V("x")))')) == """SyntaxTree('S(NP! VP(V("x")))')"""

@@ -6,11 +6,13 @@ Three script shapes:
 
 - `coord`: n-way verb coordination, built by `Coordination` of
   `perfbench/gen.py`.  It is `root cooks`, then n x `adjoin and_eats at 2.1
-  ~ ε`, then `substitute john at 1` and `substitute beans at 2.2`, run by
-  `cli.run_lstag_script`.
+  ~ ε`, then `substitute john at 1` and `substitute beans at 2.2`, read
+  once by `_lex.read_script` and run by `cli.run_lstag_script`, as `lstag
+  derive` does.
 - `chain`: a modifier chain over `tree mK: X(A("aK") X*)`.  It is `root
   v`, `v @ 1 <- n`, `v @ 2.2 <- o`, `n @ 1 <- m0`, then `mK @ ε <- mK+1`
-  for K < n, parsed and replayed as `lstag derive` does.  Each modifier
+  for K < n, parsed by `tag.parse_derivation_script` (the `read_script`
+  and edge reader that `lstag derive` calls) and replayed.  Each modifier
   adjoins at the root of the one before, so the foot of the derived
   auxiliary sinks one level per step.
 - `stack`: the modifier stack of the `Chain` family of `perfbench/gen.py`,
@@ -44,6 +46,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import gen  # noqa: E402  (found through the path set above)
 from lstag import parse_grammar  # noqa: E402
+from lstag._lex import read_script  # noqa: E402
 from lstag.cli import run_lstag_script  # noqa: E402
 from lstag.tag import parse_derivation_script, replay  # noqa: E402
 from lstag.trees import yield_string  # noqa: E402
@@ -56,7 +59,7 @@ def _coord(n: int):
     whole = family.script(seq, "John", "beans")
     adjoin_only = "".join(whole.splitlines(keepends=True)[:-2])
     grammar = parse_grammar(family.text()).lstag_grammar()
-    derive = lambda script: " ".join(run_lstag_script(grammar, script).left_yield(partial=True))
+    derive = lambda script: " ".join(run_lstag_script(grammar, *read_script(script)).left_yield(partial=True))
     return adjoin_only, whole, family.sentence("John", seq, "beans"), derive
 
 
