@@ -188,27 +188,28 @@ def _cmd_derive(args) -> int:
     doc = load_grammar(args.grammar)
     root, lines = read_script(read_source(args.script))
     ls_names = {p.name for p in doc.lstag_pairs}
-    if root not in ls_names and all(name != root for name, _ in doc.trees):
+    names = ls_names if root in ls_names else {name for name, _ in doc.trees}  # the root's kind of declaration
+    if root not in names:
         code, what = "UnknownTree", "not a tree or lspair in the grammar"
         if any(p.name == root for p in doc.stag_pairs):
             code, what = "SynchronousPair", "a synchronous pair; derive takes trees and lspairs only"
         _print_diagnostics([Diagnostic(code, f"script root {root!r} is {what}")], False)
         return 1
-    diags = validate_document(doc, restrictions=not args.no_restrictions) if root in ls_names else []
+    diags = validate_document(doc, restrictions=not args.no_restrictions)
+    usable = names - {d.where for d in diags}  # the grammar holds the declarations validation keeps
     try:
         if root in ls_names:
-            usable = ls_names - {d.where for d in diags}
             structure = run_lstag_script(doc.lstag_grammar(usable), root, lines)
         else:
             derivation = read_derivation_lines(root, lines)
-            derived = replay(doc.tag_grammar(), derivation)
+            derived = replay(doc.tag_grammar(usable), derivation)
     except ParseError:
         raise
     except LstagError as exc:
         message = str(exc)
-        if isinstance(exc, UnknownTree) and exc.name in ls_names:
+        if isinstance(exc, UnknownTree) and exc.name in names - usable:
             codes = ", ".join(dict.fromkeys(d.code for d in diags if d.where == exc.name))
-            message = f"pair {exc.name!r} is excluded by validation: {codes}"
+            message = f"{'pair' if root in ls_names else 'tree'} {exc.name!r} is excluded by validation: {codes}"
         _print_diagnostics([Diagnostic("DerivationFailed", message)], False)
         return 1
     if root in ls_names:

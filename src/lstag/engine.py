@@ -29,10 +29,9 @@ too, and it is built only if it is complete.
 
 Plain TAG takes at each node the operation `trees.OPERATION` names for its
 kind: initial trees substitute at slots and auxiliary trees adjoin at
-interior nodes.  The guests are grouped by operation and root symbol once
-per enumeration, so a site meets only the guests that fit it, and its
-moves are legal by construction and build with the unchecked graft
-`trees.RULE` pairs with their operation.  They walk the tree's rows and
+interior nodes.  A site meets only the guests `TagGrammar.guests` lists
+for its operation and root symbol, so its moves are legal by construction
+and build with the unchecked graft `trees.RULE` pairs with their operation.  They walk the tree's rows and
 build a site's `GornAddress`, its order-key text and the guest instance-id
 prefix once, where some guest fits; other nodes get no address.  Grafts
 never stamp, so each guest instance's tree is stamped with its sites
@@ -70,7 +69,7 @@ from .sharing import (
     left_projection,
     structure_from_pair,
 )
-from .tag import DerivationTree, ElementaryTree, TagGrammar
+from .tag import DerivationTree, TagGrammar
 from .trees import OPERATION, RULE, SyntaxTree, TreeClass, classify, row_address, yield_tokens
 
 
@@ -112,8 +111,7 @@ class EnumerationResult:
 _State = Union["_TagState", DerivedStructure]
 _Checked = tuple[bool, Callable[[], _State]]
 _Move = tuple[tuple, DerivationRecord, Callable[[], _Checked]]
-_Guests = dict[str, dict[str, list[tuple[str, SyntaxTree]]]]
-"""The plain-TAG guests, as {operation: {root symbol: [(name, tree), ...]}}."""
+_Guests = dict[str, dict[str, dict[str, SyntaxTree]]]  # `TagGrammar.guests`: {operation: {root symbol: {name: tree}}}
 
 
 def _passes(check: Callable[[], _Checked]) -> bool:
@@ -196,15 +194,6 @@ class _TagState:
         return left_projection(self.history, self.root), None
 
 
-def _tag_guests(entries: Iterable[tuple[str, ElementaryTree]]) -> _Guests:
-    """The guests of each operation by root symbol, in grammar order: initial trees substitute, auxiliaries adjoin."""
-    guests: _Guests = {"substitution": {}, "adjunction": {}}
-    for name, entry in entries:
-        operation = "substitution" if entry.tree_class is TreeClass.INITIAL else "adjunction"
-        guests[operation].setdefault(entry.tree.root_symbol, []).append((name, entry.tree))
-    return guests
-
-
 def _tag_child(
     stamped: dict[tuple[str, str], SyntaxTree],
     state: _TagState,
@@ -240,7 +229,7 @@ def _tag_moves(guests: _Guests, stamped: dict[tuple[str, str], SyntaxTree], stat
         ref = node.site
         addr = row_address(row)
         addr_text, id_prefix = str(addr), instance_prefix(ref)
-        for name, tree in fits:
+        for name, tree in fits.items():
             record = DerivationRecord(operation, name, id_prefix + name, ref, ())
             build = partial(_tag_child, stamped, state, addr, tree, record)
             yield (addr_text, name), record, partial(_legal, open_slots + tree.root.slots == 0, build)
@@ -297,7 +286,7 @@ def enumerate_derivations(
     if isinstance(grammar, TagGrammar):
         roots = (_TagState(n, e.tree.owned_by(n), ()) for n, e in grammar.entries if e.tree_class is TreeClass.INITIAL)
         # One stamp per guest instance: the table lives for this call alone.
-        return _search(roots, partial(_tag_moves, _tag_guests(grammar.entries), {}), budget)
+        return _search(roots, partial(_tag_moves, grammar.guests, {}), budget)
     if isinstance(grammar, LstagGrammar):
         classes = {name: _pair_class(pair) for name, pair in grammar.pairs}
         initial = [(n, p) for n, p in grammar.pairs if classes[n] is TreeClass.INITIAL]

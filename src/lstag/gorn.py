@@ -11,9 +11,8 @@ valid ones are trusted and skip that check: `extend`, `parent`,
 (every address view of a tree reads a node's address off the rows of one
 tree walk with it) and `trees.rebase_address` (which `stag_compose` applies
 to the link endpoints an adjunction moves, as does the host map of
-`adjoin_with_maps`).  Whether an address names a node of a given tree is a
-separate question: `tag.validate_derivation` answers it once for a
-derivation's edges, before `replay` composes there.
+`adjoin_with_maps`).  Whether an address names a node of a tree is a
+separate question, which `tag.replay` answers for an edge as it walks to it.
 """
 
 from __future__ import annotations

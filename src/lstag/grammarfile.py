@@ -38,8 +38,8 @@ class GrammarDocument:
     def correspondence_map(self) -> dict[str, Correspondence]:
         return dict(self.correspondences)
 
-    def tag_grammar(self) -> TagGrammar:
-        return TagGrammar.from_trees(dict(self.trees))
+    def tag_grammar(self, usable: set[str] | None = None) -> TagGrammar:
+        return TagGrammar.from_trees({n: t for n, t in self.trees if usable is None or n in usable})
 
     def lstag_grammar(self, usable: set[str] | None = None) -> LstagGrammar:
         pairs = self.lstag_pairs

@@ -1,21 +1,21 @@
 """Plain TAG grammars, derivation trees, and replay of derivations.
 
-A derivation tree records which elementary tree composed into which, with
-edge labels giving the address in the parent's original elementary tree.
-Whether a derivation is valid is decided edge by edge, so `replay` checks
-once, with `validate_derivation`'s rule, and raises the first problem it
-reports; the build after that check is unchecked and cannot fail.  Replay
-is bottom-up: children are rebuilt first, then attached at each edge's
-row, walked to once, by the graft `trees.RULE` pairs with the operation
-its node hosts.  A parent's edges are composed in reverse address order,
-so no composition moves a site still to come, and edge addresses are used
-exactly as written in the grammar.  `derivation_tree` is the one internal
-maker of derivation trees: the script parser and `sharing`'s
-projections collect each node's name and edges and call it.  It
-checks each node's edges once, as the public `DerivationTree(...)` checks
-them, and builds the nodes without that check.  Replay, `derivation_tree`,
-script parsing and printing walk derivations with an explicit stack, so a
-derivation may be deeper than Python's recursion limit.
+A derivation tree records which elementary tree composed into which, with edge
+labels giving the address in the parent's original elementary tree.  `replay`
+is one top-down pass: each derivation node rebuilds only the nodes of its
+elementary tree on a path from the root to an edge, or to its foot where it is
+adjoined.  A child's expansion takes the place of the slot it fills or the node
+it adjoins at, and that node, rebuilt with the edges below it and marked
+`adjoined`, goes to the child's first foot; so a chain of n modifiers costs
+O(n).  Each edge is checked as it is reached, against the guests
+`TagGrammar.guests` lists for its node; at the first that fails, replay raises
+the first problem `validate_derivation` reports.  `derivation_tree` is the one
+internal maker of derivation trees: the script parser and `sharing`'s
+projections collect each node's name and edges and call it.  It checks each
+node's edges once, as the public `DerivationTree(...)` checks them, and builds
+the nodes without that check.  Replay, `derivation_tree`, script parsing and
+printing walk derivations with an explicit stack, so a derivation may be
+deeper than Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -30,13 +30,14 @@ from .errors import (
     AddressNotFound,
     Diagnostic,
     EdgeAddressInvalid,
+    LstagError,
     OperationMismatch,
     ParseError,
     SymbolMismatch,
     UnknownTree,
 )
 from .gorn import GornAddress
-from .trees import OPERATION, RULE, Interior, SubstitutionSlot, SyntaxTree, TreeClass, classify
+from .trees import OPERATION, Interior, SubstitutionSlot, SyntaxTree, TreeClass, TreeNode, classify
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,15 @@ class TagGrammar:
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
+
+    @cached_property
+    def guests(self) -> dict[str, dict[str, dict[str, SyntaxTree]]]:
+        """The trees by operation and root symbol, `{operation: {symbol: {name: tree}}}`, in grammar order."""
+        table: dict[str, dict[str, dict[str, SyntaxTree]]] = {"substitution": {}, "adjunction": {}}
+        for name, entry in self.entries:
+            operation = "substitution" if entry.tree_class is TreeClass.INITIAL else "adjunction"
+            table[operation].setdefault(entry.tree.root_symbol, {})[name] = entry.tree
+        return table
 
 
 @dataclass(frozen=True)
@@ -121,24 +131,65 @@ _DIAGNOSTIC_ERRORS = {e.__name__: e for e in (EdgeAddressInvalid, OperationMisma
 def replay(grammar: TagGrammar, d: DerivationTree) -> SyntaxTree:
     """The derived tree of `d`; raises the first problem `validate_derivation` reports.
 
-    The error is the class the diagnostic's code names, and its message is
-    prefixed by the diagnostic's derivation path.
+    The error is the class the diagnostic's code names, its message prefixed by the diagnostic's derivation path.
     """
-    problems = validate_derivation(grammar, d)
-    if problems:
-        first = problems[0]
-        raise _DIAGNOSTIC_ERRORS[first.code](f"{first.where}: {first.message}")
-    order = [d]  # parents before children
-    for node in order:
-        order.extend(child for _, child in node.edges)
-    built: dict[int, SyntaxTree] = {}
-    for node in reversed(order):
-        result = grammar.get(node.root).tree
-        for addr, child in reversed(node.edges):  # each composition moves only its own subtree
-            row = result.row_at(addr)
-            result = RULE[OPERATION[type(row[2].kind)]][1](row, built[id(child)])
-        built[id(node)] = result
-    return built[id(d)]
+    guests, top = grammar.guests, grammar._by_name.get(d.root)
+    if top is None:
+        raise _first_problem(grammar, d)
+    out: list = [None]
+    rows: list[tuple] = []  # (kind, site, adjoined, children, into, k) in preorder: build a node into `into[k]`
+    # (elementary node, its derivation node's edges, the range at or below it, depth, host for its foot, into, k)
+    stack: list[tuple] = [(top.tree.root, d.edges, 0, len(d.edges), 0, None, out, 0)]
+    while stack:
+        v, edges, lo, hi, depth, host, into, k = stack.pop()
+        if lo < hi and len(edges[lo][0].parts) == depth:  # an edge at v: the child's expansion takes v's place
+            child = edges[lo][1]
+            operation = OPERATION.get(type(v.kind))
+            fits = guests[operation].get(v.kind.symbol) if operation else None
+            tree = fits.get(child.root) if fits else None
+            if tree is None or (operation == "substitution" and lo + 1 < hi):
+                raise _first_problem(grammar, d)
+            host = (v, edges, lo + 1, hi, depth, host) if operation == "adjunction" else None
+            stack.append((tree.root, child.edges, 0, len(child.edges), 0, host, into, k))
+        elif lo == hi and host is None:
+            into[k] = v
+        else:
+            adjoined = v.adjoined
+            if host is not None and v.foot < 0 and lo == hi:  # an adjoined tree's foot: its host goes here, marked
+                v, edges, lo, hi, depth, host = host
+                adjoined = True
+            kids = list(v.children)
+            rows.append((v.kind, v.site, adjoined, kids, into, k))
+            foot = v.foot if host is not None else 0  # the child on the way to the foot the host goes to
+            i = j = hi
+            while j > lo or foot:  # push the children that edges or the foot lead to, last first
+                c = edges[j - 1][0].parts[depth] if j > lo else 0
+                if c > len(kids):  # also an edge below a foot that takes a host
+                    raise _first_problem(grammar, d)
+                if c < foot:  # the foot's child, below no edge
+                    c = foot
+                else:  # the edges below child c are edges[i:j]
+                    i -= 1
+                    while i > lo and edges[i - 1][0].parts[depth] == c:
+                        i -= 1
+                stack.append((kids[c - 1], edges, i, j, depth + 1, host if c == foot else None, kids, c - 1))
+                foot = 0 if c == foot else foot
+                j = i
+    for kind, site, adjoined, kids, into, k in reversed(rows):
+        into[k] = TreeNode(kind, tuple(kids), site, adjoined)
+    return SyntaxTree(out[0])
+
+
+def _first_problem(grammar: TagGrammar, d: DerivationTree) -> LstagError:
+    """The error of the first problem `validate_derivation` reports on `d`; an `UnknownTree` carries the name."""
+    first = validate_derivation(grammar, d)[0]
+    error = _DIAGNOSTIC_ERRORS[first.code](f"{first.where}: {first.message}")
+    if isinstance(error, UnknownTree):  # validation visits nodes in preorder, so it reports the first unknown one
+        stack = [d]
+        while (node := stack.pop()).root in grammar:
+            stack.extend(child for _, child in reversed(node.edges))
+        error.name = node.root
+    return error
 
 
 def _edge_problem(grammar: TagGrammar, parent: str, addr: GornAddress, child: str) -> tuple[str, str] | None:

@@ -38,6 +38,7 @@ from lstag import (
     classify,
     rebase_address,
 )
+from lstag.trees import OPERATION, RULE
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,33 @@ def updated_prov(
     for orig, placed_at in placed:
         new[placed_at] = SiteRef(guest_id, orig)
     return tuple(sorted(new.items(), key=lambda kv: kv[0]))
+
+
+# --- replay by bottom-up grafts -----------------------------------------------------
+
+
+def graft_replay(grammar, d) -> SyntaxTree:
+    """`tag.replay` as it was before it built the derived tree top down, in one pass, for a valid `d`.
+
+    Bottom-up: children are rebuilt first, then attached at each edge's
+    row by the graft `trees.RULE` pairs with the operation its node hosts.
+    A parent's edges are composed in reverse address order, so no
+    composition moves a site still to come.  Each graft copies the path
+    from the root to its site, and an adjunction also the auxiliary's path
+    to its foot, so the nodes, their marks, slot counts, foot indexes and
+    sites are what a splice leaves.
+    """
+    order = [d]  # parents before children
+    for node in order:
+        order.extend(child for _, child in node.edges)
+    built: dict[int, SyntaxTree] = {}
+    for node in reversed(order):
+        result = grammar.get(node.root).tree
+        for addr, child in reversed(node.edges):  # each composition moves only its own subtree
+            row = result.row_at(addr)
+            result = RULE[OPERATION[type(row[2].kind)]][1](row, built[id(child)])
+        built[id(node)] = result
+    return built[id(d)]
 
 
 # --- link groups and fragment parents as derived addresses ------------------------

@@ -513,6 +513,39 @@ def test_derive_names_a_guest_pair_that_validation_excluded(capsys, tmp_path):
     assert run(capsys, "derive", str(grammar), str(script), "--no-restrictions")[0] == 0
 
 
+_WITH_A_BAD_TREE = """\
+tree cooked: S(NP! VP(V("cooked") NP!))
+tree john: NP("John")
+tree bad: X(A("a") Y*)
+"""
+
+
+def test_derive_on_trees_leaves_out_a_tree_that_validation_excludes(capsys, tmp_path):
+    """A tree that does not classify is left out of the grammar, as an excluded lspair is, so a script that does not name it derives."""
+    grammar, script = tmp_path / "bad.tag", tmp_path / "john.script"
+    grammar.write_text(_WITH_A_BAD_TREE, encoding="utf-8")
+    script.write_text("root cooked\ncooked @ 1 <- john\n", encoding="utf-8")
+    assert run(capsys, "derive", str(grammar), str(script)) == (
+        0,
+        "yield: John cooked ⟨NP↓⟩\n"
+        'tree: S(NP("John") VP(V("cooked") NP!))\n'
+        "derivation:\nroot cooked\ncooked @ 1 <- john\n",
+        "",
+    )
+
+
+@pytest.mark.parametrize("text", ["root bad\n", "root cooked\ncooked @ 1 <- john\ncooked @ 2.2 <- bad\n"])
+def test_derive_names_a_tree_that_validation_excluded(capsys, tmp_path, text):
+    grammar, script = tmp_path / "bad.tag", tmp_path / "bad.script"
+    grammar.write_text(_WITH_A_BAD_TREE, encoding="utf-8")
+    script.write_text(text, encoding="utf-8")
+    assert run(capsys, "derive", str(grammar), str(script)) == (
+        1,
+        "",
+        "DerivationFailed: tree 'bad' is excluded by validation: ClassMismatch\n",
+    )
+
+
 _TWO_SLOTS_ONE_RIGHT = """\
 lspair host { left: S(NP! VP(V("cooks") NP!)) right: S(NP! VP(V("cooks") NP!)) delta: [1~1, 2.2~1] phi: [] }
 lspair and_w { left: V(V* CC("and") V("eats")) right: S(NP! VP(V("eats") NP!) S*) delta: [] phi: [1, 1] }

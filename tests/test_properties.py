@@ -467,6 +467,61 @@ def test_validate_derivation_matches_the_eager_path_reference(d):
 _NESTING_ADDRESSES = [GornAddress(p) for p in [(), (1,), (2,), (2, 1), (1, 2), (2, 1, 1)]]
 
 
+# --- replay against the bottom-up graft oracle, node by node -------------------------
+
+
+def node_marks(tree: SyntaxTree) -> list[tuple]:
+    """Each node's (kind, child count, adjoined, slots, foot, site) in preorder."""
+    return [(n.kind, len(n.children), n.adjoined, n.slots, n.foot, n.site) for n in tree.nodes()]
+
+
+# cooked.tag with each tree stamped with its own name, so every node's site names its elementary tree.
+_COOKED_OWNED = TagGrammar.from_trees({name: entry.tree.owned_by(name) for name, entry in _COOKED.entries})
+
+
+@given(cooked_derivations())
+@settings(max_examples=80, deadline=None)
+def test_replay_builds_the_nodes_bottom_up_grafts_build(d):
+    if validate_derivation(_COOKED_OWNED, d):
+        return
+    assert node_marks(replay(_COOKED_OWNED, d)) == node_marks(reference_trees.graft_replay(_COOKED_OWNED, d))
+
+
+# Each tree has an interior node or a slot at every nesting address; `m` and `n` have their feet below 1, so
+# edges nest below hosts, along the path to a foot and at the roots of adjoined trees.
+_NESTED = TagGrammar.from_trees(
+    {
+        name: parse_tree(text).owned_by(name)
+        for name, text in {
+            "a": 'X(X(X! X!) X(X(X("a")) X!))',
+            "b": 'X(X(X("b") X(X("b"))) X(X(X!)))',
+            "m": 'X(X(X* X("m")) X(X(X("m"))))',
+            "n": 'X(X(X("n") X(X*)) X(X(X("n"))))',
+        }.items()
+    }
+)
+
+
+@st.composite
+def nesting_derivations(draw, depth=3, name=None):
+    """Valid derivations over `_NESTED` whose edge addresses are drawn from `_NESTING_ADDRESSES`."""
+    name = name or draw(st.sampled_from("abmn"))
+    tree = _NESTED.get(name).tree
+    edges = []
+    for addr in draw(st.lists(st.sampled_from(_NESTING_ADDRESSES), unique=True, max_size=3 if depth else 0)):
+        child = draw(st.sampled_from("ab" if isinstance(tree.node_at(addr), SubstitutionSlot) else "mn"))
+        edges.append((addr, draw(nesting_derivations(depth - 1, child))))
+    return DerivationTree(name, tuple(edges))
+
+
+@given(nesting_derivations())
+@settings(max_examples=60, deadline=None)
+def test_replay_builds_the_nodes_bottom_up_grafts_build_at_nesting_addresses(d):
+    derived = replay(_NESTED, d)
+    assert node_marks(derived) == node_marks(reference_trees.graft_replay(_NESTED, d))
+    assert derived == reference_trees.replay(_NESTED, d)
+
+
 @st.composite
 def distinct_name_derivations(draw, depth=3):
     """Derivation trees whose node names are all distinct, as a script needs to name its parents."""
@@ -872,7 +927,7 @@ def assert_tag_moves_agree(grammar, stamped, state) -> None:
     marked = [node.site for node in state.tree.nodes() if node.adjoined]
     assert len(marked) == len(adjoined) and set(marked) == adjoined
     yielded = {}
-    for key, _, check in engine._tag_moves(engine._tag_guests(grammar.entries), stamped, state):
+    for key, _, check in engine._tag_moves(grammar.guests, stamped, state):
         complete, build = check()
         built = build()
         assert built.is_complete == complete
@@ -902,7 +957,7 @@ def test_tag_move_checks_agree_with_compositions(data):
     state = engine._TagState("i0", trees["i0"].owned_by("i0"), ())
     for _ in range(data.draw(st.integers(0, 3))):
         assert_tag_moves_agree(grammar, stamped, state)
-        moves = list(engine._tag_moves(engine._tag_guests(grammar.entries), stamped, state))
+        moves = list(engine._tag_moves(grammar.guests, stamped, state))
         if not moves:
             break
         _, _, check = data.draw(st.sampled_from(moves))

@@ -1,6 +1,11 @@
+import contextlib
+import re
+import sys
 from collections import Counter
 
 import pytest
+
+import lstag
 
 from lstag import (
     DerivationTree,
@@ -8,11 +13,13 @@ from lstag import (
     EnumerationBudget,
     GornAddress,
     OperationMismatch,
+    SymbolMismatch,
     SyntaxTree,
     TagGrammar,
     UnknownTree,
     enumerate_derivations,
     load_grammar,
+    parse_grammar,
     parse_derivation_script,
     format_derivation_script,
     parse_tree,
@@ -23,6 +30,7 @@ from lstag import (
 )
 from lstag.errors import Diagnostic, ParseError
 from lstag.tag import derivation_to_json_obj
+from lstag.trees import TreeNode
 
 from helpers_trees import derivation_from_json_obj
 
@@ -116,6 +124,18 @@ def test_replay_operation_mismatch_at_slot():
     bad = DerivationTree("cooked", ((A("1"), DerivationTree("dried")),))
     with pytest.raises(OperationMismatch):
         replay(GRAMMAR, bad)
+
+
+@pytest.mark.parametrize(
+    "addr, child, message",
+    [
+        ("1", "cooked", "root: slot at 1 expects 'NP', got root 'S'"),
+        ("2", "dried", "root: adjunction at 2 expects 'VP', got root 'N'"),
+    ],
+)
+def test_replay_symbol_mismatch(addr, child, message):
+    with pytest.raises(SymbolMismatch, match=f"^{re.escape(message)}$"):
+        replay(GRAMMAR, DerivationTree("cooked", ((A(addr), DerivationTree(child)),)))
 
 
 # --- validate_derivation ---------------------------------------------------------
@@ -220,6 +240,98 @@ def test_replaying_a_modifier_stack_walks_no_more_trees_as_it_grows(monkeypatch)
         counts.append(len(walks))
         assert yield_string(tree) == " ".join([f"w{i}" for i in range(k, 0, -1)] + ["s", "v", "o"])
     assert counts[0] == counts[1]
+
+
+# --- replay in one pass ------------------------------------------------------------
+
+
+def test_replay_raises_validations_first_problem_not_the_first_it_meets():
+    """Replay meets `h @ 1.1 <- nope` first, below the host it moves to `m`'s foot; validation reports `m @ 2` first."""
+    grammar = TagGrammar.from_trees({"h": parse_tree("X(Y(Z!) W!)"), "m": parse_tree("Y(Y* Q!)")})
+    d = DerivationTree(
+        "h",
+        (
+            (A("1"), DerivationTree("m", ((A("2"), DerivationTree("nope2")),))),
+            (A("1.1"), DerivationTree("nope")),
+        ),
+    )
+    assert [x.where for x in validate_derivation(grammar, d)] == ["root/1/2", "root/1.1"]
+    with pytest.raises(UnknownTree) as caught:
+        replay(grammar, d)
+    assert (str(caught.value), caught.value.name) == ("root/1/2: no elementary tree named 'nope2'", "nope2")
+
+
+def test_replay_runs_validate_derivation_only_on_failure(monkeypatch):
+    calls = []
+    monkeypatch.setattr(lstag.tag, "validate_derivation", lambda g, d: calls.append(d) or validate_derivation(g, d))
+    replay(GRAMMAR, FULL_DERIVATION)
+    assert calls == []
+    bad = DerivationTree("cooked", ((A("1"), DerivationTree("dried")), (A("9"), DerivationTree("john"))))
+    with pytest.raises(OperationMismatch, match=r"^root: slot at 1 needs an initial tree, got 'dried'$"):
+        replay(GRAMMAR, bad)
+    assert calls == [bad]
+
+
+@contextlib.contextmanager
+def recursion_limit(limit: int):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def modifier_chain(n: int) -> tuple[TagGrammar, DerivationTree]:
+    """`tools/scale_derive.py --shape chain` at n: n links `mK @ ε <- mK+1`, each at the root of the one before."""
+    trees = ['tree v: S(NP! VP(V("v") NP!))', 'tree n: NP(X("n"))', 'tree o: NP(N("o"))']
+    trees += [f'tree m{k}: X(A("a{k}") X*)' for k in range(n + 1)]
+    lines = ["root v", "v @ 1 <- n", "v @ 2.2 <- o", "n @ 1 <- m0"] + [f"m{k} @ ε <- m{k + 1}" for k in range(n)]
+    return parse_grammar("\n".join(trees) + "\n").tag_grammar(), parse_derivation_script("\n".join(lines) + "\n")
+
+
+def test_replay_a_5000_link_modifier_chain_without_recursion():
+    grammar, d = modifier_chain(5000)
+    with recursion_limit(200):
+        tree = replay(grammar, d)
+    assert yield_tokens(tree) == tuple(f"a{k}" for k in range(5000, -1, -1)) + ("n", "v", "o")
+    assert sum(node.adjoined for node in tree.nodes()) == 5001
+
+
+def test_replay_a_5000_deep_substitution_chain_without_recursion():
+    grammar = TagGrammar.from_trees({"s": parse_tree('Y(A("s") Y!)'), "e": parse_tree('Y(A("e"))')})
+    d = DerivationTree("e")
+    for _ in range(5000):
+        d = DerivationTree("s", ((A("2"), d),))
+    with recursion_limit(200):
+        tree = replay(grammar, d)
+    assert yield_tokens(tree) == ("s",) * 5000 + ("e",)
+
+
+def test_replay_an_edge_1200_levels_down_an_elementary_tree_without_recursion():
+    deep = parse_tree("S(" * 1200 + "NP!" + ")" * 1200)
+    grammar = TagGrammar.from_trees({"deep": deep, "john": parse_tree('NP("John")'), "m": parse_tree('S(S* A("m"))')})
+    edges = ((GornAddress((1,) * 600), DerivationTree("m")), (GornAddress((1,) * 1200), DerivationTree("john")))
+    d = DerivationTree("deep", edges)
+    with recursion_limit(200):
+        tree = replay(grammar, d)
+    assert yield_tokens(tree) == ("John", "m")
+    assert len(tree) == len(deep) + 1 + 3  # the slot's filler adds its terminal, the auxiliary all but its foot
+    assert [node.kind for node in tree.nodes() if node.adjoined] == [deep.root.kind]
+
+
+def test_replaying_a_modifier_chain_builds_the_same_nodes_per_link(monkeypatch):
+    """Each link rebuilds a bounded number of nodes, so the work per link does not grow with the chain."""
+    built = []
+    init = TreeNode.__init__
+    monkeypatch.setattr(TreeNode, "__init__", lambda node, *args: built.append(node) or init(node, *args))
+    counts = {}
+    for n in (0, 100, 200):
+        grammar, d = modifier_chain(n)
+        built.clear()
+        replay(grammar, d)
+        counts[n] = len(built)
+    assert (counts[100] - counts[0]) / 100 == (counts[200] - counts[0]) / 200
 
 
 # --- script and JSON formats ------------------------------------------------------
