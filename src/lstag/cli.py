@@ -18,7 +18,6 @@ from .grammarfile import (
     format_grammar,
     load_grammar,
     read_source,
-    usable_lstag_names,
     validate_document,
 )
 from .render import (
@@ -32,9 +31,7 @@ from .sharing import (
     DerivedStructure,
     LstagGrammar,
     check_step,
-    compose_record,
-    shared_substitute,
-    site_operation,
+    step_record,
     structure_from_pair,
 )
 from .tag import (
@@ -43,7 +40,7 @@ from .tag import (
     read_derivation_lines,
     replay,
 )
-from .trees import format_tree, row_address, yield_string
+from .trees import format_tree, row_address, site_operation, yield_string
 
 
 def _color_enabled() -> bool:
@@ -69,6 +66,8 @@ def run_lstag_script(grammar: LstagGrammar, root: str, lines: list[tuple[int, Li
         adjoin and_eats at 2.1 ~ ε      # walks to both sites once, builds one record, runs check_step
         substitute john at 1            # fills the first live group whose left site is the node at 1
         substitute beans at 2.2 ~ 2.2   # an explicit site pair
+
+    Both forms give a left row and a tuple of right rows; a one-site step's verb must name its operation.
     """
     structure = structure_from_pair(grammar.get(root))
     for step, (lineno, cur) in enumerate(lines, 2):  # step 1 is the root line
@@ -85,23 +84,19 @@ def run_lstag_script(grammar: LstagGrammar, root: str, lines: list[tuple[int, Li
             raise ParseError("adjoin steps need a left ~ right site pair", lineno)
         guest = grammar.get(name)
         if second is not None:
-            left, right = structure.left_tree.row_at(first), structure.right_spine.row_at(second)
-            record = compose_record(left, right, guest.name)
-            if (verb == "adjoin") != (record.operation == "adjunction"):
-                raise OperationMismatch(f"step {step}: sites {first} ~ {second} take {record.operation}, not {verb}")
-            structure = check_step(structure, record, guest, left, (right,))[1]()
-            continue
-        try:
-            left = structure.left_tree.row_at(first)
-            group = next(g for g in structure.live_links if g.left_site == left[2].site)
-        except (AddressNotFound, StopIteration):
-            raise LstagError(f"step {step}: no live link group with left address {first}") from None
-        if len(group.right_sites) == 1:  # the verb rule of the `~` form, at the group's one site pair
-            right = structure.right_spine.locate(group.right_sites[0])
-            if site_operation(left, right) == "adjunction":
-                second = row_address(right)
-                raise OperationMismatch(f"step {step}: sites {first} ~ {second} take adjunction, not substitute")
-        structure = shared_substitute(structure, group, guest)
+            left, rights = structure.left_tree.row_at(first), (structure.right_spine.row_at(second),)
+        else:
+            try:
+                left = structure.left_tree.row_at(first)
+                group = next(g for g in structure.live_links if g.left_site == left[2].site)
+            except (AddressNotFound, StopIteration):
+                raise LstagError(f"step {step}: no live link group with left address {first}") from None
+            rights = tuple(map(structure.right_spine.locate, group.right_sites))
+        record = step_record(left, rights, guest.name)
+        if len(rights) == 1 and (verb == "adjoin") != (site_operation(left, rights[0]) == "adjunction"):
+            sites = f"{first} ~ {row_address(rights[0])}"
+            raise OperationMismatch(f"step {step}: sites {sites} take {record.operation}, not {verb}")
+        structure = check_step(structure, record, guest, left, rights)[1]()
     return structure
 
 
@@ -184,6 +179,12 @@ def _cmd_validate(args) -> int:
     return 0 if not diags else 1
 
 
+def _validated(doc: GrammarDocument, names: set[str], restrictions: bool) -> tuple[set[str], list[Diagnostic]]:
+    """The declarations in `names` that validation keeps, and validation's diagnostics."""
+    diags = validate_document(doc, restrictions=restrictions)
+    return names - {d.where for d in diags}, diags
+
+
 def _cmd_derive(args) -> int:
     doc = load_grammar(args.grammar)
     root, lines = read_script(read_source(args.script))
@@ -195,8 +196,7 @@ def _cmd_derive(args) -> int:
             code, what = "SynchronousPair", "a synchronous pair; derive takes trees and lspairs only"
         _print_diagnostics([Diagnostic(code, f"script root {root!r} is {what}")], False)
         return 1
-    diags = validate_document(doc, restrictions=not args.no_restrictions)
-    usable = names - {d.where for d in diags}  # the grammar holds the declarations validation keeps
+    usable, diags = _validated(doc, names, not args.no_restrictions)
     try:
         if root in ls_names:
             structure = run_lstag_script(doc.lstag_grammar(usable), root, lines)
@@ -266,13 +266,11 @@ def _cmd_enumerate(args) -> int:
     if doc.stag_pairs:
         skipped.append(Diagnostic("SynchronousPair", "synchronous pairs are not enumerated"))
     _print_diagnostics(skipped, False)
-    if doc.lstag_pairs:
-        usable = usable_lstag_names(doc, restrictions=not args.no_restrictions)
-        grammar = doc.lstag_grammar(usable)
-    elif doc.stag_pairs and not doc.trees:
+    if doc.stag_pairs and not (doc.trees or doc.lstag_pairs):
         return 1
-    else:
-        grammar = doc.tag_grammar()
+    names = {p.name for p in doc.lstag_pairs} or {name for name, _ in doc.trees}
+    usable = _validated(doc, names, not args.no_restrictions)[0]
+    grammar = doc.lstag_grammar(usable) if doc.lstag_pairs else doc.tag_grammar(usable)
     result = enumerate_derivations(grammar, budget)
     if args.format == "json":
         obj = {

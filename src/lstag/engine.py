@@ -22,10 +22,12 @@ move whose check passes marks its key.  The record set of the history is
 built once per expanded state, and each move's key extends it by the one
 record, so only that record is hashed.  The queue holds one kind of entry,
 `(complete, build)`, for roots and children alike, and a state is built
-when popped.  A state at the operation budget is never expanded: it
-decides `truncated` by asking whether some move passes its check.  The
-search is breadth-first, so every entry left after that is at the budget
-too, and it is built only if it is complete.
+when popped.  Roots are queued unkeyed: grammars reject duplicate names, and
+a child's key holds a record, so no key could repeat a root's.  A state at
+the operation budget is never expanded: it decides `truncated` by asking
+whether some move passes its check.  The search is breadth-first, so every
+entry left after that is at the budget too, and it is built only if it is
+complete.
 
 Plain TAG takes at each node the operation `trees.OPERATION` names for its
 kind: initial trees substitute at slots and auxiliary trees adjoin at
@@ -37,14 +39,14 @@ prefix once, where some guest fits; other nodes get no address.  Grafts
 never stamp, so each guest instance's tree is stamped with its sites
 (`owned_by`) once per enumeration, at its first use, in a table the
 enumeration drops when it returns.  Link-sharing moves are checked by
-`sharing.check_step` on the rows of their sites: substitutions
-fill live link groups (one move fills every shared site), whose rows are
-read off `by_site` once per state, and adjunctions pair the interior nodes
-of each tree that no adjunction has marked `adjoined` and whose symbol is
-an auxiliary's root, with records built from those nodes.  Such a site's
-address text, for the order key, is built once per state.  A move reads
-the elementary site it composes at (its `SiteRef`) off the node itself, so
-no state keeps a provenance table.
+`sharing.check_step` on the rows of their sites: substitutions fill live
+link groups (one move fills every shared site), whose rows are read off
+`by_site` once per state and give `sharing.step_record` its record, and
+adjunctions pair the interior nodes of each tree that no adjunction has
+marked `adjoined` and whose symbol is an auxiliary's root, with records
+built from those nodes.  Such a site's address text, for the order key, is
+built once per state.  A move reads the elementary site it composes at (its
+`SiteRef`) off the node itself, so no state keeps a provenance table.
 """
 
 from __future__ import annotations
@@ -63,10 +65,10 @@ from .sharing import (
     LstagGrammar,
     LstagPair,
     check_step,
-    group_record,
     guest_instance_id,
     instance_prefix,
     left_projection,
+    step_record,
     structure_from_pair,
 )
 from .tag import DerivationTree, TagGrammar
@@ -128,12 +130,7 @@ def _search(
     budget: EnumerationBudget,
 ) -> EnumerationResult:
     seen: set[tuple[str, frozenset[DerivationRecord]]] = set()
-    queue: deque[_Checked] = deque()
-    for state in roots:
-        key = (state.root, frozenset(state.history))
-        if key not in seen:
-            seen.add(key)
-            queue.append((state.is_complete, partial(_built, state)))
+    queue: deque[_Checked] = deque((state.is_complete, partial(_built, state)) for state in roots)
     complete: list[_State] = []
     truncated = False
     explored = 0
@@ -258,7 +255,7 @@ def _lstag_moves(
         if left is None or None in rights:  # an unvalidated link names no node, so no guest fills its group
             continue
         for name, pair in initial:
-            record = group_record(group, name)
+            record = step_record(left, rights, name)
             yield (0, gi, name), record, partial(check_step, s, record, pair, left, rights)
     # (address text, row, node) of each node no adjunction has marked whose kind is an auxiliary's root, in preorder
     left_sites, right_sites = (

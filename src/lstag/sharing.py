@@ -16,22 +16,23 @@ addresses are worked out from the trees only where output or a caller asks
 for them.
 
 Every step takes one shape.  Its sites are located once, as tree rows
-(`trees.Row`); its `DerivationRecord` is built once, by `compose_record`
-from a left and a right row or by `group_record` from a live group;
-`check_step` raises every error the step can raise before anything is
-composed, building an address only to report one, and says whether the
-structure will be complete; and the build it returns cannot fail: it
+(`trees.Row`): one left row and a tuple of right rows.  `step_record`
+builds its `DerivationRecord` once, from those rows; `check_step` raises
+every error the step can raise before anything is composed, building an
+address only to report one, appends that record unchanged, and says whether
+the structure will be complete; and the build it returns cannot fail: it
 stamps the guest's trees as the instance the record names (`owned_by`),
-since grafts never stamp, and grafts them at those rows.  A one-site step
-takes the operation `trees.OPERATION` names for both sites' kinds, and
-checks and grafts with the pair `trees.RULE` gives it.  `lstag_compose`,
-`shared_substitute`, the enumerator and `lstag derive` all take that shape.
+since grafts never stamp, and grafts them at those rows.  Several right
+rows take a shared substitution; one takes the operation
+`trees.site_operation` names for both sites' kinds, checked and grafted
+with the pair `trees.RULE` gives it.  `lstag_compose`, `shared_substitute`,
+the enumerator and `lstag derive` all take that shape.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -43,7 +44,6 @@ from .errors import (
     GroupNotLive,
     InconsistentHistory,
     NotASlot,
-    OperationMismatch,
     SymbolMismatch,
     UnknownTree,
     UnsupportedGuestLinks,
@@ -63,6 +63,7 @@ from .trees import (
     classify,
     fill_slot,
     row_address,
+    site_operation,
     yield_tokens,
 )
 
@@ -275,32 +276,16 @@ def guest_instance_id(left_ref: SiteRef, guest_name: str) -> str:
     return instance_prefix(left_ref) + guest_name
 
 
-def site_operation(left: Row, right: Row) -> str:
-    """The operation both sites host (`trees.OPERATION`): two slots substitute, two interior nodes adjoin."""
-    left_kind, right_kind = left[2].kind, right[2].kind
-    operation = OPERATION.get(type(left_kind))
-    if operation is None or operation != OPERATION.get(type(right_kind)):
-        raise OperationMismatch(
-            f"left site {row_address(left)} is {left_kind} while right site {row_address(right)} is {right_kind}; "
-            "both sides must substitute or both must adjoin"
-        )
-    return operation
-
-
-def compose_record(left: Row, right: Row, guest_name: str) -> DerivationRecord:
+def step_record(left: Row, rights: tuple[Row, ...], guest_name: str) -> DerivationRecord:
     """The record of composing a guest named `guest_name` at these rows of a host's left and right trees.
 
-    It raises `OperationMismatch` if the two sites are of different kinds.
+    Several right rows take a shared substitution, one the operation `trees.OPERATION` names for the left
+    node (None if it hosts none); it never raises, since `check_step` rejects sites of different kinds.
     """
-    operation, ref = site_operation(left, right), left[2].site
-    return DerivationRecord(operation, guest_name, guest_instance_id(ref, guest_name), ref, (right[2].site,))
-
-
-def group_record(group: SharedLinkGroup, guest_name: str) -> DerivationRecord:
-    """The record `shared_substitute` appends when it fills `group` with that guest: the group's own sites."""
-    operation = "substitution" if len(group.right_sites) == 1 else "shared-substitution"
-    guest_id = guest_instance_id(group.left_site, guest_name)
-    return DerivationRecord(operation, guest_name, guest_id, group.left_site, group.right_sites)
+    ref = left[2].site
+    operation = OPERATION.get(type(left[2].kind)) if len(rights) == 1 else "shared-substitution"
+    sites = tuple([row[2].site for row in rights])
+    return DerivationRecord(operation, guest_name, guest_instance_id(ref, guest_name), ref, sites)
 
 
 def check_step(
@@ -312,7 +297,7 @@ def check_step(
     in the host's trees; a site's address is built only to report an error.
     Returns whether the structure the step builds is complete, worked out
     from the slot counts of the host and the guest, and the step itself,
-    which grafts at those rows and cannot fail.
+    which grafts at those rows, appends `record` unchanged and cannot fail.
     """
     if len(rights) > 1:
         if guest.delta or guest.phi:
@@ -355,8 +340,6 @@ def check_step(
         return complete, build_shared
     right = rights[0]
     operation = site_operation(left, right)
-    if operation != record.operation:  # a one-site group of two interior nodes is filled by adjunction
-        record = replace(record, operation=operation)
     left_ref, right_ref = left[2].site, right[2].site
     live = hs.live_links
     consumed = operation == "substitution"  # the slot each side fills
@@ -417,7 +400,7 @@ def lstag_compose(
     """
     hs = as_structure(host)
     left, right = hs.left_tree.row_at(left_site), hs.right_spine.row_at(right_site)
-    return check_step(hs, compose_record(left, right, guest.name), guest, left, (right,))[1]()
+    return check_step(hs, step_record(left, (right,), guest.name), guest, left, (right,))[1]()
 
 
 def shared_substitute(
@@ -425,7 +408,7 @@ def shared_substitute(
 ) -> DerivedStructure:
     """Fill one link group with a single guest instance.
 
-    With one right site this is an ordinary synchronized substitution.
+    With one right site this is the step `lstag_compose` takes at the two sites.
     With several, the guest's right tree is attached once as a shared
     fragment below every linked slot, so the node's in-degree equals the
     number of shared sites.  A slot a fragment already fills takes no other.
@@ -435,7 +418,7 @@ def shared_substitute(
         raise GroupNotLive(f"the group at left site {group.left_site} is not live in this structure")
     left = hs.left_tree.locate(group.left_site)
     rights = tuple(map(hs.right_spine.locate, group.right_sites))
-    return check_step(hs, group_record(group, guest.name), guest, left, rights)[1]()
+    return check_step(hs, step_record(left, rights, guest.name), guest, left, rights)[1]()
 
 
 @dataclass(frozen=True)

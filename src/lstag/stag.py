@@ -3,21 +3,21 @@
 A pair carries two trees and an ordered set of links between their node
 addresses.  Composing a guest pair at link member i performs the same
 operation (substitution or adjunction) on both sides at the member's two
-addresses.  The two sites are located once, as rows, and checked and
-grafted through `trees.RULE`.  Every other host link and every guest link
-is inherited; after an adjunction the surviving endpoints are moved under
-the foot by `trees.rebase_address` (links here are addresses by
-definition; `sharing` names them by elementary site).  The consumed member
-itself never reappears.
+addresses.  The two sites are located once, as rows; `trees.site_operation`
+names their operation, and `trees.RULE` checks and grafts it.  Every other
+host link and every guest link is inherited; after an adjunction the
+surviving endpoints are moved under the foot by `trees.rebase_address`
+(links here are addresses by definition; `sharing` names them by elementary
+site).  The consumed member itself never reappears.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LinkNotFound, OperationMismatch
+from .errors import LinkNotFound
 from .gorn import GornAddress
-from .trees import OPERATION, RULE, SyntaxTree, rebase_address
+from .trees import RULE, SyntaxTree, rebase_address, site_operation
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,7 @@ def stag_compose(host: StagPair, member_index: int, guest: StagPair) -> StagPair
         raise LinkNotFound(f"{host.name!r} has no link member {member_index}")
     member = host.links[member_index]
     left, right = host.left_tree.row_at(member.left), host.right_tree.row_at(member.right)
-    operation = OPERATION.get(type(left[2].kind))
-    if operation is None or operation != OPERATION.get(type(right[2].kind)):
-        raise OperationMismatch(
-            f"link member {member} joins {left[2].kind} with {right[2].kind}; "
-            "both sides must substitute or both must adjoin"
-        )
+    operation = site_operation(left, right)
     check, graft = RULE[operation]
     check(left, guest.left_tree)
     check(right, guest.right_tree)

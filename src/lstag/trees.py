@@ -15,7 +15,8 @@ the row of the host's site, which the caller locates once (below), and
 build its address only to report a failure.  None recurses on tree depth.
 The composition rule is written once, as two tables every composer reads:
 `OPERATION` maps a node kind to the operation it hosts, and `RULE` maps an
-operation to its (check, graft) pair.
+operation to its (check, graft) pair; `site_operation` reads `OPERATION` at
+two linked sites, as a synchronous step composes at both.
 
 Addresses are not stored.  `nodes()` walks nodes alone (yield, size,
 equality and hashing need no more).  `rows()` is the one walk with
@@ -45,6 +46,7 @@ from .errors import (
     IncompleteTree,
     NotASlot,
     NotInterior,
+    OperationMismatch,
     SymbolMismatch,
 )
 from .gorn import GornAddress
@@ -417,6 +419,18 @@ RULE: dict[str, tuple[Callable[[Row, SyntaxTree], None], Callable[[Row, SyntaxTr
     "adjunction": (check_adjunction, splice),
 }
 """Each operation's (check, graft): the check raises what composing there raises, the graft cannot fail."""
+
+
+def site_operation(left: Row, right: Row) -> str:
+    """The operation two linked sites host: two slots substitute, two interior nodes adjoin."""
+    left_kind, right_kind = left[2].kind, right[2].kind
+    operation = OPERATION.get(type(left_kind))
+    if operation is None or operation != OPERATION.get(type(right_kind)):
+        raise OperationMismatch(
+            f"left site {row_address(left)} is {left_kind} while right site {row_address(right)} is {right_kind}; "
+            "both sides must substitute or both must adjoin"
+        )
+    return operation
 
 
 def substitute_with_maps(target: SyntaxTree, addr: GornAddress, filler: SyntaxTree) -> ComposeResult:

@@ -391,15 +391,15 @@ def test_run_lstag_script_needs_a_root_line_first(fixtures_dir, text, message):
 
 
 def test_each_lstag_step_walks_to_its_sites_once(fixtures_dir, monkeypatch):
-    """A `~` line walks from a root twice, a `substitute ... at L` line once, and builds one record.
+    """A `~` line walks from a root twice, a `substitute ... at L` line once, and each builds one record.
 
     The two walks locate the step's left and right sites; no walk looks for a guest's foot.
     """
     grammar = load_grammar(str(fixtures_dir / "cooks_eats.lstag")).lstag_grammar()
     walks, records = [], []
-    row_at, compose_record = lstag.SyntaxTree.row_at, lstag.cli.compose_record
+    row_at, step_record = lstag.SyntaxTree.row_at, lstag.cli.step_record
     monkeypatch.setattr(lstag.SyntaxTree, "row_at", lambda tree, addr: walks.append(addr) or row_at(tree, addr))
-    monkeypatch.setattr(lstag.cli, "compose_record", lambda *a: records.append(a) or compose_record(*a))
+    monkeypatch.setattr(lstag.cli, "step_record", lambda *a: records.append(a) or step_record(*a))
     depth = 16
     steps = ["root cooks"] + ["adjoin and_eats at 2.1 ~ ε"] * depth + ["substitute john at 1", "substitute beans at 2.2"]
     counts = []
@@ -410,7 +410,7 @@ def test_each_lstag_step_walks_to_its_sites_once(fixtures_dir, monkeypatch):
         counts.append((len(walks), len(records)))
     per_line = [(w - pw, r - pr) for (w, r), (pw, pr) in zip(counts[1:], counts)]
     assert per_line[:depth] == [(2, 1)] * depth
-    assert per_line[depth:] == [(1, 0), (1, 0)]
+    assert per_line[depth:] == [(1, 1), (1, 1)]
 
 
 def test_derive_rejects_an_auxiliary_root_pair(capsys, fixtures_dir, tmp_path):
@@ -809,12 +809,18 @@ def test_enumerate_strings_only_takes_no_json_format(capsys, fixtures_dir):
     assert "--strings-only prints text only" in err
 
 
-def test_enumerate_over_a_broken_grammar_fails_cleanly(capsys, tmp_path):
-    bad = tmp_path / "bad.tag"
-    bad.write_text('tree odd: S(A("x") NP*)', encoding="utf-8")
-    code, out, err = run(capsys, "enumerate", str(bad), "--max-ops", "2")
-    assert code == 1
-    assert "ClassMismatch" in err
+def test_enumerate_leaves_out_a_tree_that_validation_excludes(capsys, tmp_path):
+    """As with lspairs, the grammar holds the trees validation keeps: a tree that does not classify is left out."""
+    good = 'tree cooked: S(NP! VP(V("cooked") NP!))\ntree john: NP("John")\n'
+    texts = {"good": good, "bad": good + 'tree bad: X(A("a") Y*)\n', "odd": 'tree odd: S(A("x") NP*)\n'}
+    outputs = {}
+    for name, text in texts.items():
+        (tmp_path / f"{name}.tag").write_text(text, encoding="utf-8")
+        outputs[name] = run(capsys, "enumerate", str(tmp_path / f"{name}.tag"), "--max-ops", "2")
+    listing = "John ::\nJohn cooked John :: substitution cooked/1:john; substitution cooked/2.2:john\n"
+    assert outputs["good"] == (0, listing, "")
+    assert outputs["bad"] == outputs["good"]
+    assert outputs["odd"] == (0, "", "")
 
 
 def test_enumerate_coordination_listing(capsys, fixtures_dir):

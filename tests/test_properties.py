@@ -48,7 +48,7 @@ from lstag import (
     yield_tokens,
 )
 from lstag import engine
-from lstag.sharing import check_step, compose_record, group_record
+from lstag.sharing import check_step, step_record
 from lstag.tag import derivation_to_json_obj, derivation_tree
 from lstag.trees import TreeNode, adjoin_with_maps, fill_slot, row_address, splice, substitute_with_maps
 
@@ -861,14 +861,14 @@ def assert_checks_agree(s, guests) -> None:
             for ra in s.right_spine.addresses():
                 left, right = s.left_tree.row_at(la), s.right_spine.row_at(ra)
                 assert_split_agrees(
-                    partial(compose_record, left, right, guest.name),
+                    partial(step_record, left, (right,), guest.name),
                     lambda record: check_step(s, record, guest, left, (right,)),
                     partial(lstag_compose, s, la, ra, guest),
                 )
         for group in s.live_links:
             sites = lambda: (s.left_tree.locate(group.left_site), tuple(map(s.right_spine.locate, group.right_sites)))
             assert_split_agrees(
-                partial(group_record, group, guest.name),
+                lambda: step_record(*sites(), guest.name),
                 lambda record: check_step(s, record, guest, *sites()),
                 partial(shared_substitute, s, group, guest),
             )

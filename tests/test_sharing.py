@@ -28,7 +28,7 @@ from lstag import (
     validate_pair,
 )
 
-from lstag.sharing import check_step, compose_record, group_record, left_projection
+from lstag.sharing import check_step, left_projection, step_record
 
 from helpers_trees import check_structure, graph_to_derivation_tree, group_addresses, pair_grammar, parent_addresses
 
@@ -318,7 +318,7 @@ def test_check_says_whether_filling_the_last_group_completes(shared, guest, comp
     (last,) = s.live_links
     assert len(last.right_sites) == (2 if shared else 1)
     left, rights = s.left_tree.locate(last.left_site), tuple(s.right_spine.locate(x) for x in last.right_sites)
-    assert check_step(s, group_record(last, guest.name), guest, left, rights)[0] is complete
+    assert check_step(s, step_record(left, rights, guest.name), guest, left, rights)[0] is complete
     assert shared_substitute(s, last, guest).is_complete is complete
 
 
@@ -327,7 +327,7 @@ def test_check_counts_the_open_slots_of_earlier_fragments():
     s = shared_substitute(s, s.live_links[0], BEANS)
     today = LstagPair("today", parse_tree('V(V* ADV("today"))'), parse_tree('S(S* ADV("today"))'))
     left, right = s.left_tree.row_at(A("2.1.3")), s.right_spine.row_at(E)
-    record = compose_record(left, right, today.name)
+    record = step_record(left, (right,), today.name)
     assert check_step(s, record, today, left, (right,))[0] is False
     assert not lstag_compose(s, A("2.1.3"), E, today).is_complete
 
@@ -349,6 +349,18 @@ def test_a_one_site_group_of_two_interior_nodes_is_filled_by_adjunction():
     s = shared_substitute(s, s.live_links[0], vp)
     assert [r.to_line() for r in s.history] == ["adjunction host/2:vp right=[host@2]"]
     assert " ".join(s.left_yield()) == "x x y"
+
+
+def test_check_step_appends_the_record_it_is_given():
+    tree = parse_tree('S(NP("x") VP(V("x")))')
+    s = structure_from_pair(LstagPair("host", tree, tree, delta=(lk("2"),)))
+    vp = LstagPair("vp", parse_tree('VP(VP* ADV("y"))'), parse_tree('VP(VP* ADV("y"))'))
+    (group,) = s.live_links
+    left, rights = s.left_tree.locate(group.left_site), (s.right_spine.locate(group.right_sites[0]),)
+    record = step_record(left, rights, vp.name)
+    appended = check_step(s, record, vp, left, rights)[1]().history[-1]
+    assert appended is record
+    assert record.operation == "adjunction"
 
 
 def test_shared_substitute_checks_every_right_slot():

@@ -97,8 +97,12 @@ def test_mixed_operation_kinds_rejected():
         'S(NP! VP(V("gekocht") NP!))',
         [Link(A("1"), A("2"))],  # slot on the left, interior on the right
     )
-    with pytest.raises(OperationMismatch):
+    with pytest.raises(OperationMismatch) as info:
         stag_compose(host, 0, JOHN)
+    assert str(info.value) == (
+        "left site 1 is SubstitutionSlot(symbol='NP') while right site 2 is Interior(symbol='VP'); "
+        "both sides must substitute or both must adjoin"
+    )
 
 
 def test_symbol_mismatch_propagates():
