@@ -15,9 +15,13 @@ from __future__ import annotations
 
 import re
 import string
+from typing import TYPE_CHECKING
 
 from .errors import ParseError
 from .gorn import GornAddress
+
+if TYPE_CHECKING:
+    from .trees import Interior, TreeNode
 
 PUNCT = "(){}[]:~,!*@"
 NAME_START = frozenset(string.ascii_letters + "_")
@@ -78,8 +82,12 @@ class Cursor:
 
     `accept` and `expect` compare texts, `name` and `address` read a NAME and
     an ADDR (each distinct address is parsed once per cursor), and none moves
-    past EOF; the tree parser reads `texts` and `pos` directly.  The first
-    error built scans `source` for the token offsets, which the cursor keeps.
+    past EOF.  The tree parser reads `texts` and `pos` directly, and builds
+    each distinct leaf node and interior kind once per cursor: `leaves` maps
+    a leaf's written form (`NP!`, `S*`, `NP`, `"x"`) to its node, `interiors`
+    a symbol to its `Interior` kind.  Both live as long as the cursor, so no
+    node is shared across documents.  The first error built scans `source`
+    for the token offsets, which the cursor keeps.
     """
 
     def __init__(self, source: str, texts: list[str], line: int = 1):
@@ -87,6 +95,8 @@ class Cursor:
         self.texts = texts
         self.line = line
         self.pos = 0
+        self.leaves: dict[str, TreeNode] = {}
+        self.interiors: dict[str, Interior] = {}
         self._addresses: dict[str, GornAddress] = {}
         self._offsets: list[int] | None = None
 

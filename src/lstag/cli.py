@@ -68,36 +68,50 @@ def run_lstag_script(grammar: LstagGrammar, root: str, lines: list[tuple[int, Li
         substitute beans at 2.2 ~ 2.2   # an explicit site pair
 
     Both forms give a left row and a tuple of right rows; a one-site step's verb must name its operation.
+    A step that fails raises its error, of its own class, with the message prefixed `step N: `.
     """
     structure = structure_from_pair(grammar.get(root))
     for step, (lineno, cur) in enumerate(lines, 2):  # step 1 is the root line
-        if cur.peek() == "root":
-            raise ParseError("duplicate root declaration", lineno)
-        if cur.peek() not in ("adjoin", "substitute"):
-            raise ParseError("expected 'root', 'adjoin' or 'substitute'", lineno)
-        verb, name = cur.name(), cur.name()
-        cur.expect("at")
-        first = cur.address()
-        second = cur.address() if cur.accept("~") else None
-        cur.end()
-        if second is None and verb != "substitute":
-            raise ParseError("adjoin steps need a left ~ right site pair", lineno)
-        guest = grammar.get(name)
-        if second is not None:
-            left, rights = structure.left_tree.row_at(first), (structure.right_spine.row_at(second),)
-        else:
-            try:
-                left = structure.left_tree.row_at(first)
-                group = next(g for g in structure.live_links if g.left_site == left[2].site)
-            except (AddressNotFound, StopIteration):
-                raise LstagError(f"step {step}: no live link group with left address {first}") from None
-            rights = tuple(map(structure.right_spine.locate, group.right_sites))
-        record = step_record(left, rights, guest.name)
-        if len(rights) == 1 and (verb == "adjoin") != (site_operation(left, rights[0]) == "adjunction"):
-            sites = f"{first} ~ {row_address(rights[0])}"
-            raise OperationMismatch(f"step {step}: sites {sites} take {record.operation}, not {verb}")
-        structure = check_step(structure, record, guest, left, rights)[1]()
+        try:
+            structure = _run_lstag_step(grammar, structure, lineno, cur)
+        except ParseError:
+            raise
+        except LstagError as exc:
+            exc.args = (f"step {step}: {exc}",)
+            raise
     return structure
+
+
+def _run_lstag_step(
+    grammar: LstagGrammar, structure: DerivedStructure, lineno: int, cur: LineCursor
+) -> DerivedStructure:
+    """The structure one script line derives from `structure`."""
+    if cur.peek() == "root":
+        raise ParseError("duplicate root declaration", lineno)
+    if cur.peek() not in ("adjoin", "substitute"):
+        raise ParseError("expected 'root', 'adjoin' or 'substitute'", lineno)
+    verb, name = cur.name(), cur.name()
+    cur.expect("at")
+    first = cur.address()
+    second = cur.address() if cur.accept("~") else None
+    cur.end()
+    if second is None and verb != "substitute":
+        raise ParseError("adjoin steps need a left ~ right site pair", lineno)
+    guest = grammar.get(name)
+    if second is not None:
+        left, rights = structure.left_tree.row_at(first), (structure.right_spine.row_at(second),)
+    else:
+        try:
+            left = structure.left_tree.row_at(first)
+            group = next(g for g in structure.live_links if g.left_site == left[2].site)
+        except (AddressNotFound, StopIteration):
+            raise LstagError(f"no live link group with left address {first}") from None
+        rights = tuple(map(structure.right_spine.locate, group.right_sites))
+    record = step_record(left, rights, guest.name)
+    if len(rights) == 1 and (verb == "adjoin") != (site_operation(left, rights[0]) == "adjunction"):
+        sites = f"{first} ~ {row_address(rights[0])}"
+        raise OperationMismatch(f"sites {sites} take {record.operation}, not {verb}")
+    return check_step(structure, record, guest, left, rights)[1]()
 
 
 def _grammar_to_json_obj(doc: GrammarDocument) -> dict:
@@ -209,7 +223,9 @@ def _cmd_derive(args) -> int:
         message = str(exc)
         if isinstance(exc, UnknownTree) and exc.name in names - usable:
             codes = ", ".join(dict.fromkeys(d.code for d in diags if d.where == exc.name))
-            message = f"{'pair' if root in ls_names else 'tree'} {exc.name!r} is excluded by validation: {codes}"
+            what = f"{'pair' if root in ls_names else 'tree'} {exc.name!r} is excluded by validation: {codes}"
+            step = message.partition("no pair")[0] if root in ls_names else ""  # a failing lspair step's `step N: `
+            message = step + what
         _print_diagnostics([Diagnostic("DerivationFailed", message)], False)
         return 1
     if root in ls_names:

@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ._lex import Cursor, lex
-from .errors import ClassMismatch, Diagnostic, ParseError
+from .errors import AddressNotFound, ClassMismatch, Diagnostic, OperationMismatch, ParseError
 from .gorn import GornAddress
 from .restrictions import Correspondence, check_left_contiguity, check_lexical_contiguity
 from .sharing import LstagGrammar, LstagPair, validate_pair
 from .stag import Link, StagPair
 from .tag import TagGrammar
-from .trees import SyntaxTree, classify, format_tree, parse_tree_tokens
+from .trees import SyntaxTree, classify, format_tree, parse_tree_tokens, site_operation
 
 
 @dataclass(frozen=True)
@@ -177,24 +177,39 @@ def load_grammar(path: str) -> GrammarDocument:
     return parse_grammar(read_source(path))
 
 
+def _operation_mismatches(p: StagPair | LstagPair, label: str, links: tuple[Link, ...]) -> list[Diagnostic]:
+    """An `OperationMismatch` for each link whose ends both exist and take different operations.
+
+    `trees.site_operation` is the rule, as it is when a step composes at the two ends.
+    """
+    diags = []
+    for link in links:
+        try:
+            site_operation(p.left_tree.row_at(link.left), p.right_tree.row_at(link.right))
+        except AddressNotFound:  # a missing lspair endpoint is `validate_pair`'s finding
+            continue
+        except OperationMismatch as exc:
+            diags.append(Diagnostic("OperationMismatch", f"{label} {link}: {exc}", p.name))
+    return diags
+
+
 def validate_document(doc: GrammarDocument, restrictions: bool = True) -> list[Diagnostic]:
     """Structural validation plus, by default, the coordination restrictions."""
     diags: list[Diagnostic] = []
-    # (where, message prefix, tree, lspair whose links to check after this tree)
+    # (where, message prefix, tree, pair whose links to check after this tree)
     checks = [(name, "", tree, None) for name, tree in doc.trees]
     for p in (*doc.stag_pairs, *doc.lstag_pairs):
-        lspair = p if isinstance(p, LstagPair) else None
-        checks += [
-            (p.name, "left tree: ", p.left_tree, None),
-            (p.name, "right tree: ", p.right_tree, lspair),
-        ]
-    for where, prefix, tree, lspair in checks:
+        checks += [(p.name, "left tree: ", p.left_tree, None), (p.name, "right tree: ", p.right_tree, p)]
+    for where, prefix, tree, pair in checks:
         try:
             classify(tree)
         except ClassMismatch as exc:
             diags.append(Diagnostic("ClassMismatch", f"{prefix}{exc}", where))
-        if lspair is not None:
-            diags.extend(validate_pair(lspair))
+        if isinstance(pair, StagPair):
+            diags.extend(_operation_mismatches(pair, "link", pair.links))
+        elif pair is not None:
+            diags.extend(validate_pair(pair))
+            diags.extend(_operation_mismatches(pair, "delta link", pair.delta))
     if restrictions:
         diags.extend(restriction_diagnostics(doc))
     return diags

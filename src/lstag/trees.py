@@ -30,6 +30,16 @@ and `foot_address`.  No walk searches for the foot: each node records
 which child leads to it (`TreeNode.foot`, set with `slots` when the node
 is built), and `foot_row` follows those indexes down from the root in
 O(depth), as `row_at` walks down from the root to an address's row.
+
+Parsing builds each distinct leaf node once per document: `parse_tree_tokens`
+reads a leaf (`NP!`, `S*`, `NP`, `"x"`) and an open node's `Interior` kind
+off its cursor's memo, so the trees of one grammar file share their leaves,
+and a pair whose two sides repeat a tree shares them across the sides.
+Interior nodes are built afresh.  Sharing is safe: a parsed node never
+changes, equality and hashing read shapes, and a walk tells two places of
+one node apart by their rows.  So a derived tree, whether `owned_by`
+stamped its parts anew or `tag.replay` kept elementary subtrees as they
+are, reads as it would without the sharing.
 """
 
 from __future__ import annotations
@@ -101,7 +111,9 @@ class TreeNode:
     `slots` counts the substitution slots at or below the node.  `foot` is
     the 1-based index of the first child whose subtree holds a foot, -1 on
     a foot leaf and 0 where no foot lies at or below the node.  Nodes never
-    change, so trees share them freely.
+    change, so trees share them freely: the trees parsed from one document
+    share each distinct leaf, and compositions share every subtree they do
+    not copy.
     """
 
     __slots__ = ("kind", "children", "site", "adjoined", "slots", "foot")
@@ -520,15 +532,32 @@ def format_tree(tree: SyntaxTree) -> str:
     return "".join(out) + ")" * (len(path) - 1)
 
 
+def _leaf_kind(key: str, interiors: dict[str, Interior]) -> NodeKind:
+    """The kind of the leaf written `key`: a quoted terminal, or a symbol with its `!` or `*` mark or none."""
+    if key[0] == '"':
+        return Terminal(string_value(key))
+    if key[-1] == "!":
+        return SubstitutionSlot(key[:-1])
+    if key[-1] == "*":
+        return Foot(key[:-1])
+    kind = interiors.get(key)
+    if kind is None:
+        kind = interiors[key] = Interior(key)
+    return kind
+
+
 def parse_tree_tokens(cur: Cursor) -> SyntaxTree:
     """Parse one bracketed tree from `cur.texts` at `cur.pos`; leave `cur.pos` just past it.
 
     Each open interior node waits on `stack` with the children built so
-    far, and a `)` builds it and hands it on to the node below.  A STRING is
-    unescaped here.  A non-interior root is reported at its token, a second
+    far, and a `)` builds it and hands it on to the node below.  A leaf and
+    an open node's `Interior` kind are read off the cursor's memos (see
+    `Cursor`) and built, a STRING unescaped, only the first time the cursor
+    meets them.  A non-interior root is reported at its token, a second
     foot at its own.
     """
     texts, i = cur.texts, cur.pos
+    leaves, interiors = cur.leaves, cur.interiors
     stack: list[tuple[Interior, list[TreeNode]]] = []
     feet: list[int] = []  # the token index of each foot
     while True:
@@ -542,23 +571,26 @@ def parse_tree_tokens(cur: Cursor) -> SyntaxTree:
             if mark == "(":
                 if texts[i + 1] == ")":
                     raise cur.error("empty child list", i - 1)
-                stack.append((Interior(tok), []))
+                kind = interiors.get(tok)
+                if kind is None:
+                    kind = interiors[tok] = Interior(tok)
+                stack.append((kind, []))
                 i += 1
                 continue
-            if mark == "!":
-                kind: NodeKind = SubstitutionSlot(tok)
-                i += 1
-            elif mark == "*":
-                kind = Foot(tok)
-                feet.append(i - 1)
+            if mark == "!" or mark == "*":
+                if mark == "*":
+                    feet.append(i - 1)
+                key = tok + mark
                 i += 1
             else:
-                kind = Interior(tok)
+                key = tok
         elif first == '"':
-            kind = Terminal(string_value(tok))
+            key = tok
         else:
             raise cur.error("expected a node symbol or quoted terminal", i - 1)
-        node = TreeNode(kind)
+        node = leaves.get(key)
+        if node is None:
+            node = leaves[key] = TreeNode(_leaf_kind(key, interiors))
         while stack:
             stack[-1][1].append(node)
             if texts[i] != ")":

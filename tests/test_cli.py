@@ -98,8 +98,39 @@ def test_validate_flags_a_pair_whose_trees_differ_in_class(capsys, tmp_path):
     assert run(capsys, "derive", str(grammar), str(script)) == (
         1,
         "",
-        "DerivationFailed: pair 'm' is excluded by validation: ClassMismatch\n",
+        "DerivationFailed: step 2: pair 'm' is excluded by validation: ClassMismatch\n",
     )
+
+
+_NEVER_COMPOSES = """\
+lspair h { left: S(NP! VP(V("x") NP!)) right: S(NP! VP(V("x") NP!)) delta: [1~2, 2.2~2.2] phi: [] }
+lspair n { left: NP(N("n")) right: NP(N("n")) delta: [] phi: [] }
+"""
+_SLOT_AND_INTERIOR = (
+    "left site 1 is SubstitutionSlot(symbol='NP') while right site 2 is Interior(symbol='VP'); "
+    "both sides must substitute or both must adjoin"
+)
+
+
+def test_validate_flags_a_delta_link_whose_ends_take_different_operations(capsys, tmp_path):
+    grammar, script = tmp_path / "h.lstag", tmp_path / "h.script"
+    grammar.write_text(_NEVER_COMPOSES, encoding="utf-8")
+    script.write_text("root h\nsubstitute n at 1\n", encoding="utf-8")
+    want = f"h: OperationMismatch: delta link 1~2: {_SLOT_AND_INTERIOR}\n"
+    assert run(capsys, "validate", str(grammar)) == (1, "", want)
+    assert run(capsys, "derive", str(grammar), str(script)) == (
+        1,
+        "",
+        "DerivationFailed: pair 'h' is excluded by validation: OperationMismatch\n",
+    )
+
+
+def test_validate_flags_a_pair_link_whose_ends_take_different_operations(capsys, tmp_path):
+    grammar = tmp_path / "p.stag"
+    grammar.write_text(
+        'pair p { left: S(NP! VP(V("x"))) right: S(NP! VP(V("x"))) links: [1~1, 1~2] }\n', encoding="utf-8"
+    )
+    assert run(capsys, "validate", str(grammar)) == (1, "", f"p: OperationMismatch: link 1~2: {_SLOT_AND_INTERIOR}\n")
 
 
 def test_a_non_injective_correspondence_is_a_parse_error(capsys, tmp_path):
@@ -317,15 +348,16 @@ def test_derive_failing_step_reports_diagnostic(capsys, fixtures_dir, tmp_path):
         (["substitute john at 1", "substitute john at 1"], "step 3: no live link group with left address 1"),
         (["adjoin john at 1 ~ 1"], "step 2: sites 1 ~ 1 take substitution, not adjoin"),
         (["substitute and_eats at 2.1 ~ ε"], "step 2: sites 2.1 ~ ε take adjunction, not substitute"),
-        (["adjoin and_eats at 2.1 ~ 9.9"], "no node at address 9.9"),
+        (["adjoin and_eats at 2.1 ~ 9.9"], "step 2: no node at address 9.9"),
         (
             ["adjoin and_eats at 2.1.1 ~ ε"],
-            "left site 2.1.1 is Terminal(token='cooks') while right site ε is Interior(symbol='S'); "
+            "step 2: left site 2.1.1 is Terminal(token='cooks') while right site ε is Interior(symbol='S'); "
             "both sides must substitute or both must adjoin",
         ),
         (
             ["substitute john at 1 ~ 2.2"],
-            "substitution at a shared link group must fill every linked site in one operation; use shared_substitute",
+            "step 2: substitution at a shared link group must fill every linked site in one operation; "
+            "use shared_substitute",
         ),
     ],
 )
@@ -334,6 +366,23 @@ def test_each_failing_lstag_step_prints_its_exact_diagnostic(capsys, fixtures_di
     script.write_text("\n".join(["root cooks", *steps]) + "\n", encoding="utf-8")
     code, out, err = run(capsys, "derive", str(fixtures_dir / "cooks_eats.lstag"), str(script))
     assert (code, out, err) == (1, "", f"DerivationFailed: {stderr}\n")
+
+
+@pytest.mark.parametrize(
+    "step, error, message",
+    [
+        ("adjoin and_eats at 2.1 ~ 9.9", lstag.AddressNotFound, "step 2: no node at address 9.9"),
+        ("substitute nobody at 2.2", lstag.UnknownTree, "step 2: no pair named 'nobody'"),
+        ("adjoin and_eats at 2.1.1 ~ ε", lstag.OperationMismatch, "step 2: left site 2.1.1 is Terminal"),
+        ("substitute john at 1 ~ 2.2", lstag.GroupNotLive, "step 2: substitution at a shared link group"),
+    ],
+)
+def test_a_failing_lstag_step_keeps_its_class_and_names_its_step(fixtures_dir, step, error, message):
+    grammar = load_grammar(str(fixtures_dir / "cooks_eats.lstag")).lstag_grammar()
+    with pytest.raises(error) as info:
+        run_lstag_script(grammar, *read_script(f"root cooks\n{step}\n"))
+    assert type(info.value) is error and str(info.value).startswith(message)
+    assert getattr(info.value, "name", "nobody") == "nobody"  # an UnknownTree keeps the name it looked up
 
 
 def test_an_adjoin_step_needs_a_site_pair(capsys, fixtures_dir, tmp_path):
@@ -509,7 +558,7 @@ def test_derive_names_a_guest_pair_that_validation_excluded(capsys, tmp_path):
     script.write_text("root cooks\nadjoin and_gapped at 2.1 ~ ε\n", encoding="utf-8")
     code, out, err = run(capsys, "derive", str(grammar), str(script))
     assert (code, out) == (1, "")
-    assert err == "DerivationFailed: pair 'and_gapped' is excluded by validation: LexicallyDiscontiguous\n"
+    assert err == "DerivationFailed: step 2: pair 'and_gapped' is excluded by validation: LexicallyDiscontiguous\n"
     assert run(capsys, "derive", str(grammar), str(script), "--no-restrictions")[0] == 0
 
 
@@ -565,7 +614,7 @@ def test_derive_rejects_a_second_fragment_at_filled_right_slots(capsys, tmp_path
     )
     code, out, err = run(capsys, "derive", str(grammar), str(script))
     assert (code, out) == (1, "")
-    assert err == "DerivationFailed: right slot at 3.1 is already filled by a shared fragment\n"
+    assert err == "DerivationFailed: step 4: right slot at 3.1 is already filled by a shared fragment\n"
 
 
 @pytest.mark.parametrize(

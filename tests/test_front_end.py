@@ -5,7 +5,8 @@ compiled alternation and `parse_tree_tokens` read tokens by index.  On any
 text the two lexers give the same tokens or the same `ParseError`, on any
 token list the two tree parsers give the same tree and cursor position or
 the same `ParseError`, and on any grammar text the two grammar parsers give
-the same document or the same `ParseError`.  The one allowed difference is
+the same document or the same `ParseError`.  Trees are compared node by
+node, on what `==` leaves out too, so sharing parsed leaves shows nowhere.  The one allowed difference is
 that the library locates a non-interior root at its token and a second foot
 at the foot's token, where the reference gave no line.
 """
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lstag import GornAddress, ParseError, parse_grammar, parse_tree
 from lstag._lex import Cursor, lex, string_value, token_kind
-from lstag.trees import parse_tree_tokens
+from lstag.trees import Foot, Interior, SubstitutionSlot, Terminal, TreeNode, parse_tree_tokens
 
 
 def outcome(fn, *args):
@@ -133,9 +134,14 @@ def _tree_token_texts(draw):
     return "tree x: " + newline.join(toks) + " " + tail
 
 
+def node_rows(tree):
+    """Each node's (kind, child count, slots, foot, site, adjoined) in preorder: what tree `==` leaves out too."""
+    return tuple((n.kind, len(n.children), n.slots, n.foot, n.site, n.adjoined) for n in tree.nodes())
+
+
 def _parsed(parse, cursor):
     tree = parse(cursor)
-    return tree, cursor.pos
+    return node_rows(tree), cursor.pos
 
 
 def _foot_tokens(tokens, start, stop):
@@ -147,6 +153,7 @@ def _foot_tokens(tokens, start, stop):
 @given(text=_tree_token_texts())
 @example(text="tree x: NP!")
 @example(text='tree x: S(A* VP("a" B*))')
+@example(text='tree x: S(NP! NP "NP" VP(NP* NP!) NP)')
 def test_parse_tree_tokens_matches_the_reference(text):
     new_cur, ref_cur = Cursor(text, lex(text)), ref.Cursor(ref.lex(text))
     new_cur.pos = ref_cur.pos = 3  # just past `tree x :`
@@ -254,7 +261,55 @@ def _grammar_texts(draw):
 @example(text="tree a: S(A B(C")
 @example(text="tree a: S(A B())")
 def test_parse_grammar_matches_the_reference(text):
-    assert outcome(parse_grammar, text) == outcome(_reference_grammar, text)
+    assert outcome(_with_nodes, parse_grammar, text) == outcome(_with_nodes, _reference_grammar, text)
+
+
+def document_trees(doc):
+    pairs = (*doc.stag_pairs, *doc.lstag_pairs)
+    return [t for _, t in doc.trees] + [t for p in pairs for t in (p.left_tree, p.right_tree)]
+
+
+def _with_nodes(parse, text):
+    doc = parse(text)
+    return doc, [node_rows(tree) for tree in document_trees(doc)]
+
+
+_REPEATED_LEAVES = (
+    'lspair h { left: S(NP! VP(V("x") NP!)) right: S(NP! VP(V("x") NP!)) delta: [1~1] phi: [] }\n'
+    'tree m: N(A("x") N*)\n'
+    'tree c: S(NP "NP" NP! N* VP(V("x\\"y") NP))\n'
+)
+
+
+def test_each_cursor_builds_each_distinct_leaf_once(monkeypatch):
+    distinct = [SubstitutionSlot("NP"), Terminal("x"), Foot("N"), Interior("NP"), Terminal("NP"), Terminal('x"y')]
+    leaves, interiors = [], []
+    node_init, interior_init = TreeNode.__init__, Interior.__init__
+
+    def count_node(node, kind, children=(), *rest):
+        if not children:
+            leaves.append(kind)
+        node_init(node, kind, children, *rest)
+
+    monkeypatch.setattr(TreeNode, "__init__", count_node)
+    count_interior = lambda kind, symbol: interiors.append(symbol) or interior_init(kind, symbol)
+    monkeypatch.setattr(Interior, "__init__", count_interior)
+    for _ in range(2):
+        leaves.clear()
+        interiors.clear()
+        doc = parse_grammar(_REPEATED_LEAVES)
+        assert leaves == distinct
+        assert interiors == ["S", "VP", "V", "N", "A", "NP"]
+        left, right = doc.lstag_pairs[0].left_tree, doc.lstag_pairs[0].right_tree
+        assert left.node(GornAddress.parse("1")) is right.node(GornAddress.parse("2.2"))
+        assert left.node(GornAddress.parse("2.1.1")) is doc.trees[0][1].node(GornAddress.parse("1.1"))
+
+
+def test_two_parses_share_no_node():
+    docs = [parse_grammar(_REPEATED_LEAVES) for _ in range(2)]
+    first, second = ({id(n) for tree in document_trees(doc) for n in tree.nodes()} for doc in docs)
+    assert not first & second
+    assert docs[0] == docs[1]
 
 
 def test_each_cursor_parses_each_distinct_address_once(monkeypatch):

@@ -1,6 +1,7 @@
 import pytest
 
 from lstag import (
+    Diagnostic,
     GornAddress,
     Link,
     ParseError,
@@ -117,3 +118,29 @@ def test_unlinked_pair_may_be_lexically_discontiguous():
 def test_validation_clean_fixture(fixtures_dir):
     doc = load_grammar(str(fixtures_dir / "cooks_eats.lstag"))
     assert validate_document(doc) == []
+
+
+_MISMATCH = (
+    "left site 1 is SubstitutionSlot(symbol='NP') while right site 2 is Interior(symbol='VP'); "
+    "both sides must substitute or both must adjoin"
+)
+
+
+def test_a_link_whose_ends_take_different_operations_is_an_operation_mismatch():
+    doc = parse_grammar(
+        'lspair h { left: S(NP! VP(V("x") NP!)) right: S(NP! VP(V("x") NP!)) delta: [1~2, 2.2~2.2, 9~1] phi: [] }\n'
+        'pair p { left: S(NP! VP(V("x") NP!)) right: S(NP! VP(V("x") NP!)) links: [1~2, ε~ε, 2.1.1~2.1.1] }\n'
+        'lspair n { left: NP(N("n")) right: NP(N("n")) delta: [] phi: [] }\n'
+    )
+    assert validate_document(doc) == [
+        Diagnostic("OperationMismatch", f"link 1~2: {_MISMATCH}", "p"),
+        Diagnostic(
+            "OperationMismatch",
+            "link 2.1.1~2.1.1: left site 2.1.1 is Terminal(token='x') while right site 2.1.1 is Terminal(token='x'); "
+            "both sides must substitute or both must adjoin",
+            "p",
+        ),
+        Diagnostic("AddressNotFound", "delta endpoint 9 missing from left tree", "h"),
+        Diagnostic("OperationMismatch", f"delta link 1~2: {_MISMATCH}", "h"),
+    ]
+    assert usable_lstag_names(doc) == {"n"}
