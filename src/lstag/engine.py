@@ -47,6 +47,14 @@ marked `adjoined` and whose symbol is an auxiliary's root, with records
 built from those nodes.  Such a site's address text, for the order key, is
 built once per state.  A move reads the elementary site it composes at (its
 `SiteRef`) off the node itself, so no state keeps a provenance table.
+Like a plain-TAG site, a link-sharing step meets only the guests that can
+fit it, read off the guest pair and the host alone: a group meets an
+initial guest only at a left substitution slot of the guest's left root
+symbol, a group of several right sites only a guest with no links of its
+own, and no guest is offered whose phi links outnumber the groups the step
+leaves live (every live group for an adjunction, all but the filled one for
+a substitution).  `check_step` is still the judge of every move offered, so
+leaving out moves it would reject changes no result.
 """
 
 from __future__ import annotations
@@ -72,7 +80,7 @@ from .sharing import (
     structure_from_pair,
 )
 from .tag import DerivationTree, TagGrammar
-from .trees import OPERATION, RULE, SyntaxTree, TreeClass, classify, row_address, yield_tokens
+from .trees import OPERATION, RULE, SubstitutionSlot, SyntaxTree, TreeClass, classify, row_address, yield_tokens
 
 
 @dataclass(frozen=True)
@@ -249,14 +257,24 @@ def _lstag_moves(
     auxiliary: list[tuple[str, LstagPair]],
     s: DerivedStructure,
 ) -> Iterator[_Move]:
+    live = len(s.live_links)  # a guest spends every phi link on a group the step leaves live
     for gi, group in enumerate(s.live_links):
         left = s.left_tree.by_site.get(group.left_site)
         rights = tuple(map(s.right_spine.by_site.get, group.right_sites))
         if left is None or None in rights:  # an unvalidated link names no node, so no guest fills its group
             continue
+        slot = left[2].kind
+        if not isinstance(slot, SubstitutionSlot):  # an initial guest only substitutes
+            continue
+        shared = len(rights) > 1  # a guest shared by several right sites carries no link of its own
         for name, pair in initial:
+            if pair.left_tree.root_symbol != slot.symbol or len(pair.phi) >= live:
+                continue
+            if shared and (pair.delta or pair.phi):
+                continue
             record = step_record(left, rights, name)
             yield (0, gi, name), record, partial(check_step, s, record, pair, left, rights)
+    auxiliary = [(name, pair) for name, pair in auxiliary if len(pair.phi) <= live]
     # (address text, row, node) of each node no adjunction has marked whose kind is an auxiliary's root, in preorder
     left_sites, right_sites = (
         [(str(row_address(r)), r, r[2]) for r in tree.rows() if r[2].kind in roots and not r[2].adjoined]

@@ -104,6 +104,9 @@ def validate_pair(p: LstagPair) -> list[Diagnostic]:
         for end in {link.left, link.right}:
             if not p.right_tree.has_address(end):
                 diags.append(Diagnostic("AddressNotFound", f"phi endpoint {end} missing from right tree", p.name))
+            elif type(kind := p.right_tree.node_at(end)) not in OPERATION:  # the group it joins could never be filled
+                message = f"phi endpoint {end} is {kind}, which hosts no operation"
+                diags.append(Diagnostic("OperationMismatch", message, p.name))
     overlap = set(p.delta) & set(p.phi)
     for link in sorted(overlap, key=str):
         diags.append(Diagnostic("NotDisjoint", f"link {link} appears in both delta and phi", p.name))

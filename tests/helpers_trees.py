@@ -207,9 +207,10 @@ def check_structure(s, grammar, linked_slots: bool = True) -> None:
 def free_adjunction_keys(s, auxiliary) -> set[tuple]:
     """The order keys of the adjunction moves the search should try at `s`.
 
-    Each (name, pair) of `auxiliary` goes at every left and right pair of
-    interior nodes of its root symbols that no adjunction record of the
-    history names, worked out without the nodes' `adjoined` marks.
+    Each (name, pair) of `auxiliary` whose phi links the live link groups
+    can take goes at every left and right pair of interior nodes of its
+    root symbols that no adjunction record of the history names, worked out
+    without the nodes' `adjoined` marks.
     """
     adjunctions = [r for r in s.history if r.operation == "adjunction"]
     taken = ({r.left_site for r in adjunctions}, {r.right_sites[0] for r in adjunctions})
@@ -224,6 +225,7 @@ def free_adjunction_keys(s, auxiliary) -> set[tuple]:
     return {
         (1, la, ra, name)
         for name, pair in auxiliary
+        if len(pair.phi) <= len(s.live_links)
         for la, left_symbol in left
         if left_symbol == pair.left_tree.root_symbol
         for ra, right_symbol in right

@@ -125,6 +125,28 @@ def test_validate_flags_a_delta_link_whose_ends_take_different_operations(capsys
     )
 
 
+_PHI_AT_A_TERMINAL = """\
+lspair cooks { left: S(NP! VP(V("cooks") NP!)) right: S(NP! VP(V("cooks") NP!)) delta: [1~1, 2.2~2.2] phi: [] }
+lspair john { left: NP("John") right: NP("John") delta: [] phi: [] }
+lspair and_eats { left: VP(VP* CC("and") VP(V("eats") NP!)) right: S(S* CC("and") S(NP! VP(V("eats") NP!))) \
+delta: [3.2~3.2.2] phi: [3.2.1.1, 3.2.2] }
+"""
+
+
+def test_validate_flags_a_phi_endpoint_that_hosts_no_operation(capsys, tmp_path):
+    """A phi link at a terminal joins a host group to a node no guest can fill, so the pair is excluded."""
+    grammar, script = tmp_path / "phi.lstag", tmp_path / "phi.script"
+    grammar.write_text(_PHI_AT_A_TERMINAL, encoding="utf-8")
+    script.write_text("root cooks\nadjoin and_eats at 2 ~ ε\nsubstitute john at 1\n", encoding="utf-8")
+    want = "and_eats: OperationMismatch: phi endpoint 3.2.1.1 is Terminal(token='eats'), which hosts no operation\n"
+    assert run(capsys, "validate", str(grammar)) == (1, "", want)
+    assert run(capsys, "derive", str(grammar), str(script)) == (
+        1,
+        "",
+        "DerivationFailed: step 2: pair 'and_eats' is excluded by validation: OperationMismatch\n",
+    )
+
+
 def test_validate_flags_a_pair_link_whose_ends_take_different_operations(capsys, tmp_path):
     grammar = tmp_path / "p.stag"
     grammar.write_text(

@@ -1,6 +1,9 @@
 import json
+import pathlib
 import random
 from collections import Counter
+from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +46,8 @@ from lstag import (
 from lstag import engine
 from lstag._lex import read_script
 from lstag.cli import run_lstag_script
+from lstag.sharing import check_step, step_record
+from lstag.trees import Interior, row_address
 
 A = GornAddress.parse
 
@@ -518,3 +523,133 @@ def test_incomplete_states_at_the_budget_are_built_only_to_decide_truncation(
     assert len(built) - len(wasted) == sum(1 for it in result.items if len(it.records) == ops)
     assert all(i < decided for i in wasted)
     assert all(id(events[i][1]) in probed for i in wasted)
+
+
+_LSTAG_FIXTURES = sorted(path.name for path in pathlib.Path(__file__).resolve().parent.parent.glob("fixtures/*.lstag"))
+
+
+@pytest.fixture
+def rejected_moves(monkeypatch):
+    """Run every move `_lstag_moves` yields through its check, also one the search skips as seen.
+
+    Returns the list of (order key, error class name) of the moves whose
+    check raised, which grows as the search runs.
+    """
+    rejected = []
+    moves = engine._lstag_moves
+
+    def checked_moves(initial, auxiliary, s):
+        yielded = list(moves(initial, auxiliary, s))
+        for key, _, check in yielded:
+            try:
+                check()
+            except LstagError as exc:
+                rejected.append((key, type(exc).__name__))
+        return iter(yielded)
+
+    monkeypatch.setattr(engine, "_lstag_moves", checked_moves)
+    return rejected
+
+
+@pytest.mark.parametrize("ops", [2, 3, 4])
+@pytest.mark.parametrize("gated", [True, False], ids=["gated", "ungated"])
+@pytest.mark.parametrize("fixture", _LSTAG_FIXTURES)
+def test_every_lstag_move_on_the_fixtures_passes_its_check(fixtures_dir, fixture, gated, ops, rejected_moves):
+    doc = load_grammar(str(fixtures_dir / fixture))
+    grammar = doc.lstag_grammar(usable_lstag_names(doc, restrictions=gated))
+    enumerate_derivations(grammar, EnumerationBudget(ops))
+    assert rejected_moves == []
+
+
+def test_ungated_topicalization_checks_only_moves_that_pass(fixtures_dir, monkeypatch):
+    """Every check of the search passes, budget probes included: counted by record operation or error class."""
+    counts = Counter()
+
+    def counted(hs, record, *args):
+        try:
+            checked = check_step(hs, record, *args)
+        except LstagError as exc:
+            counts[type(exc).__name__] += 1
+            raise
+        counts[record.operation] += 1
+        return checked
+
+    monkeypatch.setattr(engine, "check_step", counted)
+    doc = load_grammar(str(fixtures_dir / "topicalization.lstag"))
+    grammar = doc.lstag_grammar(usable_lstag_names(doc, restrictions=False))
+    result = enumerate_derivations(grammar, EnumerationBudget(4))
+    assert (result.truncated, len(result.items)) == (True, 180)
+    assert counts == {"adjunction": 1434, "shared-substitution": 179, "substitution": 1}
+
+
+# What the fixtures lack: a link group joining two interior nodes, which no
+# initial guest fills (h's 2~2, between its two slot groups); initial guests
+# that spend one phi link (m) or two (m2); and one that carries a delta link
+# (d), which a single slot takes but a shared group does not.
+_FITTING = """\
+lspair h { left: S(NP! VP(V("x") NP!)) right: S(NP! VP(V("x") NP!)) delta: [1~1, 2~2, 2.2~2.2] phi: [] }
+lspair vp { left: VP(V("y")) right: VP(V("y")) delta: [] phi: [] }
+lspair m { left: NP(N("m")) right: NP(N("m") NP!) delta: [] phi: [2] }
+lspair m2 { left: NP(N("m")) right: NP(N("m") NP! NP!) delta: [] phi: [2, 3] }
+lspair d { left: NP(N("d") NP!) right: NP(N("d") NP!) delta: [2~2] phi: [] }
+lspair n { left: NP(N("n")) right: NP(N("n")) delta: [] phi: [] }
+"""
+
+
+@pytest.mark.parametrize("ops", [1, 2, 3])
+def test_initial_guests_meet_only_the_groups_they_fit(ops, rejected_moves):
+    """No offered move fails on a grammar where every fit rule leaves moves out, and none that passes is left out."""
+    doc = parse_grammar(_FITTING)
+    assert usable_lstag_names(doc) == {p.name for p in doc.lstag_pairs}
+    grammar = doc.lstag_grammar()
+    budget = EnumerationBudget(ops)
+    result = enumerate_derivations(grammar, budget)
+    assert rejected_moves == []
+    assert result == reference_enumerate(grammar, budget)
+
+
+def every_lstag_move(initial, auxiliary, s):
+    """The moves `_lstag_moves` would offer without its fit rules, as (order key, check).
+
+    Every initial pair goes at every live group whose sites name nodes, and
+    every auxiliary at every left and right pair of interior nodes of its
+    root symbols that no adjunction has marked.
+    """
+    for gi, group in enumerate(s.live_links):
+        left = s.left_tree.by_site.get(group.left_site)
+        rights = tuple(map(s.right_spine.by_site.get, group.right_sites))
+        if left is None or None in rights:
+            continue
+        for name, pair in initial:
+            yield (0, gi, name), partial(check_step, s, step_record(left, rights, name), pair, left, rights)
+    left_sites, right_sites = (
+        [(str(row_address(r)), r) for r in tree.rows() if isinstance(r[2].kind, Interior) and not r[2].adjoined]
+        for tree in (s.left_tree, s.right_spine)
+    )
+    for name, pair in auxiliary:
+        roots = (pair.left_tree.root_symbol, pair.right_tree.root_symbol)
+        for left_text, left in left_sites:
+            for right_text, right in right_sites:
+                if (left[2].kind.symbol, right[2].kind.symbol) == roots:
+                    check = partial(check_step, s, step_record(left, (right,), name), pair, left, (right,))
+                    yield (1, left_text, right_text, name), check
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_the_fit_rules_leave_out_only_moves_that_fail(data):
+    """At every state of a random grammar's search the offered moves are some of all moves, and as many pass."""
+    rng = random.Random(data.draw(st.integers(0, 2**48)))
+    grammar = random_lstag_grammar(rng)
+    moves = engine._lstag_moves
+
+    def compared(initial, auxiliary, s):
+        offered = list(moves(initial, auxiliary, s))
+        every = list(every_lstag_move(initial, auxiliary, s))
+        assert {key for key, _, _ in offered} <= {key for key, _ in every}
+        passing = {key for key, check in every if engine._passes(check)}
+        assert {key for key, _, check in offered if engine._passes(check)} == passing
+        return iter(offered)
+
+    with mock.patch.object(engine, "_lstag_moves", compared):
+        enumerate_derivations(grammar, EnumerationBudget(data.draw(st.integers(1, 3)), 200))

@@ -96,6 +96,20 @@ def test_validate_flags_a_dangling_phi_endpoint():
     assert validate_pair(broken) == [Diagnostic("AddressNotFound", "phi endpoint 9 missing from right tree", "x")]
 
 
+def test_validate_flags_a_phi_endpoint_that_hosts_no_operation():
+    """A phi link at a terminal or a foot is reported; one at a slot or an interior node is not."""
+    at_terminal = LstagPair("x", BETA.left_tree, BETA.right_tree, phi=(lk("1"), lk("2.1.1")))
+    at_foot = LstagPair("y", BETA.left_tree, BETA.right_tree, phi=(lk("3"),))
+    at_interior = LstagPair("z", BETA.left_tree, BETA.right_tree, phi=(lk("2"),))
+    assert validate_pair(at_terminal) == [
+        Diagnostic("OperationMismatch", "phi endpoint 2.1.1 is Terminal(token='eats'), which hosts no operation", "x")
+    ]
+    assert validate_pair(at_foot) == [
+        Diagnostic("OperationMismatch", "phi endpoint 3 is Foot(symbol='S'), which hosts no operation", "y")
+    ]
+    assert validate_pair(at_interior) == []
+
+
 def test_validate_flags_trees_of_different_classes():
     mixed = LstagPair("m", BETA.left_tree, JOHN.right_tree)
     assert validate_pair(mixed) == [
