@@ -33,28 +33,35 @@ Plain TAG takes at each node the operation `trees.OPERATION` names for its
 kind: initial trees substitute at slots and auxiliary trees adjoin at
 interior nodes.  A site meets only the guests `TagGrammar.guests` lists
 for its operation and root symbol, so its moves are legal by construction
-and build with the unchecked graft `trees.RULE` pairs with their operation.  They walk the tree's rows and
-build a site's `GornAddress`, its order-key text and the guest instance-id
-prefix once, where some guest fits; other nodes get no address.  Grafts
-never stamp, so each guest instance's tree is stamped with its sites
-(`owned_by`) once per enumeration, at its first use, in a table the
-enumeration drops when it returns.  Link-sharing moves are checked by
-`sharing.check_step` on the rows of their sites: substitutions fill live
-link groups (one move fills every shared site), whose rows are read off
-`by_site` once per state and give `sharing.step_record` its record, and
-adjunctions pair the interior nodes of each tree that no adjunction has
-marked `adjoined` and whose symbol is an auxiliary's root, with records
-built from those nodes.  Such a site's address text, for the order key, is
-built once per state.  A move reads the elementary site it composes at (its
-`SiteRef`) off the node itself, so no state keeps a provenance table.
-Like a plain-TAG site, a link-sharing step meets only the guests that can
-fit it, read off the guest pair and the host alone: a group meets an
-initial guest only at a left substitution slot of the guest's left root
-symbol, a group of several right sites only a guest with no links of its
-own, and no guest is offered whose phi links outnumber the groups the step
-leaves live (every live group for an adjunction, all but the filled one for
-a substitution).  `check_step` is still the judge of every move offered, so
-leaving out moves it would reject changes no result.
+and build with the unchecked graft `trees.RULE` pairs with their operation.
+What a node can host, and which guests fit it, is fixed by its elementary
+site (`SiteRef`), so an enumeration keeps one site table, which it drops
+when it returns.  The first time a site is met, the table stores one offer
+per guest that fits there, in grammar order: the guest, its record, built
+once, and the change in open slots its step makes; a site no guest fits
+stores none.  Grafts never stamp, so an offer also holds its guest
+instance's tree, stamped with its sites (`owned_by`) at the offer's first
+build.  Each state builds its own `GornAddress` and order-key text, at
+the nodes some guest fits only.  The moves walk the tree's rows once; in a
+grammar with no auxiliary tree, the only sites are slots, so the walk
+enters only subtrees that hold one (`TreeNode.slots`).
+
+Link-sharing moves are checked by `sharing.check_step` on the rows of their
+sites: substitutions fill live link groups (one move fills every shared
+site), whose rows are read off `by_site` once per state and give
+`sharing.step_record` its record, and adjunctions pair the interior nodes
+of each tree that no adjunction has marked `adjoined` and whose symbol is
+an auxiliary's root, with records built from those nodes.  Such a site's
+address text, for the order key, is built once per state.  A move reads the
+elementary site it composes at (its `SiteRef`) off the node itself, so no
+state keeps a provenance table.  Like a plain-TAG site, a link-sharing step
+meets only the guests that can fit it, read off the guest pair and the host
+alone: a group meets an initial guest only at a left substitution slot of
+the guest's left root symbol, a group of several right sites only a guest
+with no links of its own, and no guest is offered whose phi links outnumber
+the groups the step leaves live (every live group for an adjunction, all
+but the filled one for a substitution).  `check_step` is still the judge of
+every move offered, so leaving out moves it would reject changes no result.
 """
 
 from __future__ import annotations
@@ -80,7 +87,19 @@ from .sharing import (
     structure_from_pair,
 )
 from .tag import DerivationTree, TagGrammar
-from .trees import OPERATION, RULE, SubstitutionSlot, SyntaxTree, TreeClass, classify, row_address, yield_tokens
+from .trees import (
+    OPERATION,
+    RULE,
+    Row,
+    SiteRef,
+    SubstitutionSlot,
+    SyntaxTree,
+    TreeClass,
+    TreeNode,
+    classify,
+    row_address,
+    yield_tokens,
+)
 
 
 @dataclass(frozen=True)
@@ -199,20 +218,37 @@ class _TagState:
         return left_projection(self.history, self.root), None
 
 
-def _tag_child(
-    stamped: dict[tuple[str, str], SyntaxTree],
-    state: _TagState,
-    addr: GornAddress,
-    guest: SyntaxTree,
-    record: DerivationRecord,
-) -> _TagState:
-    """`state` with `record`'s step taken; `stamped` holds each guest instance's tree, stamped at its first use."""
-    key = (record.guest, record.guest_id)
-    tree = stamped.get(key)
+class _Offer:
+    """One guest that fits an elementary site: its record, its slot change and its instance's tree once stamped."""
+
+    __slots__ = ("name", "tree", "record", "change", "stamped")
+
+    def __init__(self, name: str, tree: SyntaxTree, record: DerivationRecord, change: int):
+        self.name, self.tree, self.record, self.change = name, tree, record, change
+        self.stamped: SyntaxTree | None = None
+
+
+def _offers(guests: _Guests, node: TreeNode) -> list[_Offer]:
+    """The offers at `node`'s elementary site, one per guest that fits there, in grammar order."""
+    operation = OPERATION.get(type(node.kind))
+    fits = guests[operation].get(node.kind.symbol) if operation else None  # type: ignore[union-attr]
+    if not fits:
+        return []
+    ref, consumed = node.site, operation == "substitution"
+    id_prefix = instance_prefix(ref)
+    return [
+        _Offer(name, tree, DerivationRecord(operation, name, id_prefix + name, ref, ()), tree.root.slots - consumed)
+        for name, tree in fits.items()
+    ]
+
+
+def _tag_child(offer: _Offer, state: _TagState, addr: GornAddress) -> _TagState:
+    """`state` with `offer`'s step taken at `addr`; the guest instance's tree is stamped at the offer's first build."""
+    tree = offer.stamped
     if tree is None:
-        tree = stamped[key] = guest.owned_by(record.guest_id)
-    graft = RULE[record.operation][1]
-    return _TagState(state.root, graft(state.tree.row_at(addr), tree), state.history + (record,))
+        tree = offer.stamped = offer.tree.owned_by(offer.record.guest_id)
+    graft = RULE[offer.record.operation][1]
+    return _TagState(state.root, graft(state.tree.row_at(addr), tree), state.history + (offer.record,))
 
 
 def _legal(complete: bool, build: Callable[[], _TagState]) -> _Checked:
@@ -220,24 +256,31 @@ def _legal(complete: bool, build: Callable[[], _TagState]) -> _Checked:
     return complete, build
 
 
-def _tag_moves(guests: _Guests, stamped: dict[tuple[str, str], SyntaxTree], state: _TagState) -> Iterator[_Move]:
+def _tag_moves(guests: _Guests, table: dict[SiteRef | None, list[_Offer]], state: _TagState) -> Iterator[_Move]:
     slots = state.tree.root.slots
-    for row in state.tree.rows():
+    everywhere = bool(guests["adjunction"])  # with no auxiliary, the only sites are slots
+    stack: list[Row] = [(None, 0, state.tree.root)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        row = pop()
         node = row[2]
-        operation = OPERATION.get(type(node.kind))
-        if operation is None or node.adjoined:  # only an interior node is ever marked
-            continue
-        fits = guests[operation].get(node.kind.symbol)  # type: ignore[union-attr]
-        if not fits:
-            continue
-        open_slots = slots - (operation == "substitution")
-        ref = node.site
-        addr = row_address(row)
-        addr_text, id_prefix = str(addr), instance_prefix(ref)
-        for name, tree in fits.items():
-            record = DerivationRecord(operation, name, id_prefix + name, ref, ())
-            build = partial(_tag_child, stamped, state, addr, tree, record)
-            yield (addr_text, name), record, partial(_legal, open_slots + tree.root.slots == 0, build)
+        if not node.adjoined:  # only an interior node is ever marked
+            site = node.site
+            offers = table.get(site)
+            if offers is None:
+                offers = table[site] = _offers(guests, node)
+            if offers:
+                addr = row_address(row)
+                addr_text = str(addr)
+                for offer in offers:
+                    build = partial(_tag_child, offer, state, addr)
+                    yield (addr_text, offer.name), offer.record, partial(_legal, slots + offer.change == 0, build)
+        kids = node.children
+        k = len(kids)
+        while k:
+            if everywhere or kids[k - 1].slots:
+                push((row, k, kids[k - 1]))
+            k -= 1
 
 
 # --- link-sharing moves -----------------------------------------------------------
@@ -300,7 +343,7 @@ def enumerate_derivations(
 ) -> EnumerationResult:
     if isinstance(grammar, TagGrammar):
         roots = (_TagState(n, e.tree.owned_by(n), ()) for n, e in grammar.entries if e.tree_class is TreeClass.INITIAL)
-        # One stamp per guest instance: the table lives for this call alone.
+        # One site table, with one stamp per guest instance: it lives for this call alone.
         return _search(roots, partial(_tag_moves, grammar.guests, {}), budget)
     if isinstance(grammar, LstagGrammar):
         classes = {name: _pair_class(pair) for name, pair in grammar.pairs}

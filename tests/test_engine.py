@@ -296,6 +296,19 @@ def test_tag_items_carry_the_left_projection_alone(tag_grammar, which):
             assert right.edges == () and len(right.nodes) == len(item.records) + 1
 
 
+def test_a_tag_enumeration_builds_one_record_per_site_and_guest(tag_grammar):
+    """One enumeration's records of a (site, guest) pair are one object; the next enumeration builds its own."""
+    first = enumerate_derivations(tag_grammar, EnumerationBudget(4))
+    records = [record for item in first.items for record in item.records]
+    built = {}
+    for record in records:
+        assert built.setdefault((record.left_site, record.guest), record) is record
+    assert len(built) < len(records)  # some (site, guest) pair recurs, or this proves nothing
+    second = enumerate_derivations(tag_grammar, EnumerationBudget(4))
+    assert second == first
+    assert {id(record) for item in second.items for record in item.records}.isdisjoint(map(id, records))
+
+
 def test_a_tag_enumeration_stamps_each_guest_instance_once(tag_grammar, monkeypatch):
     """No (tree, owner) pair is stamped twice in one enumeration, and the next enumeration stamps afresh."""
     stamps = []
@@ -393,19 +406,21 @@ def test_search_matches_the_build_then_dedupe_reference(fixtures_dir, fixture, g
 
 
 @given(st.data())
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=45, deadline=None)
 def test_tag_search_matches_the_reference_on_random_grammars(data):
     """Capped and uncapped TAG searches take their moves in the reference's order.
 
     Every root symbol has several guests: the slot-free fillers cover each
     symbol and repeat one, and three auxiliaries share two root symbols, so
-    an auxiliary's root can take another auxiliary (the chains stack).
+    an auxiliary's root can take another auxiliary (the chains stack).  Some
+    grammars have no auxiliary, so their moves walk only to slots.
     """
     rng = random.Random(data.draw(st.integers(0, 2**48)))
+    auxiliaries = data.draw(st.sampled_from([0, 3]))
     trees = {"i0": random_initial(rng, "S", max_depth=2)}
     fillers = SYMBOLS + (rng.choice(SYMBOLS),)
     trees.update((f"f{k}", random_initial(rng, s, allow_slots=False, max_depth=2)) for k, s in enumerate(fillers))
-    trees.update((f"a{k}", random_auxiliary(rng, rng.choice("SA"), max_depth=2)) for k in range(3))
+    trees.update((f"a{k}", random_auxiliary(rng, rng.choice("SA"), max_depth=2)) for k in range(auxiliaries))
     grammar = TagGrammar.from_trees(trees)
     budget = EnumerationBudget(data.draw(st.integers(1, 3)), data.draw(st.sampled_from([3, 7, 40, 10000])))
     assert enumerate_derivations(grammar, budget) == reference_enumerate(grammar, budget)
