@@ -37,14 +37,16 @@ and build with the unchecked graft `trees.RULE` pairs with their operation.
 What a node can host, and which guests fit it, is fixed by its elementary
 site (`SiteRef`), so an enumeration keeps one site table, which it drops
 when it returns.  The first time a site is met, the table stores one offer
-per guest that fits there, in grammar order: the guest, its record, built
-once, and the change in open slots its step makes; a site no guest fits
-stores none.  Grafts never stamp, so an offer also holds its guest
-instance's tree, stamped with its sites (`owned_by`) at the offer's first
-build.  Each state builds its own `GornAddress` and order-key text, at
+per guest that fits there, in grammar order.  An offer is a whole value,
+built then and never changed: the step's record, the change in open slots
+the step makes and, since grafts never stamp, the guest instance's tree,
+stamped with its sites (`owned_by`) from the start.  A site no guest fits
+stores none.  Each state builds its own address and order-key text, at
 the nodes some guest fits only.  The moves walk the tree's rows once; in a
 grammar with no auxiliary tree, the only sites are slots, so the walk
-enters only subtrees that hold one (`TreeNode.slots`).
+enters only subtrees that hold one (`TreeNode.slots`).  A move's build
+grafts at the row its move found, so no build walks back down from the
+root.
 
 Link-sharing moves are checked by `sharing.check_step` on the rows of their
 sites: substitutions fill live link groups (one move fills every shared
@@ -72,7 +74,6 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, Union
 
 from .errors import LstagError
-from .gorn import GornAddress
 from .sharing import (
     DerivationGraph,
     DerivationRecord,
@@ -81,7 +82,6 @@ from .sharing import (
     LstagPair,
     check_step,
     guest_instance_id,
-    instance_prefix,
     left_projection,
     step_record,
     structure_from_pair,
@@ -141,6 +141,8 @@ _State = Union["_TagState", DerivedStructure]
 _Checked = tuple[bool, Callable[[], _State]]
 _Move = tuple[tuple, DerivationRecord, Callable[[], _Checked]]
 _Guests = dict[str, dict[str, dict[str, SyntaxTree]]]  # `TagGrammar.guests`: {operation: {root symbol: {name: tree}}}
+# A site table, kept for one enumeration: {site: [(record, slot change, stamped guest tree)]}
+_Sites = dict[SiteRef | None, list[tuple[DerivationRecord, int, SyntaxTree]]]
 
 
 def _passes(check: Callable[[], _Checked]) -> bool:
@@ -218,37 +220,18 @@ class _TagState:
         return left_projection(self.history, self.root), None
 
 
-class _Offer:
-    """One guest that fits an elementary site: its record, its slot change and its instance's tree once stamped."""
-
-    __slots__ = ("name", "tree", "record", "change", "stamped")
-
-    def __init__(self, name: str, tree: SyntaxTree, record: DerivationRecord, change: int):
-        self.name, self.tree, self.record, self.change = name, tree, record, change
-        self.stamped: SyntaxTree | None = None
-
-
-def _offers(guests: _Guests, node: TreeNode) -> list[_Offer]:
+def _offers(guests: _Guests, node: TreeNode) -> list[tuple[DerivationRecord, int, SyntaxTree]]:
     """The offers at `node`'s elementary site, one per guest that fits there, in grammar order."""
     operation = OPERATION.get(type(node.kind))
-    fits = guests[operation].get(node.kind.symbol) if operation else None  # type: ignore[union-attr]
-    if not fits:
-        return []
+    fits = guests[operation].get(node.kind.symbol, {}) if operation else {}  # type: ignore[union-attr]
     ref, consumed = node.site, operation == "substitution"
-    id_prefix = instance_prefix(ref)
-    return [
-        _Offer(name, tree, DerivationRecord(operation, name, id_prefix + name, ref, ()), tree.root.slots - consumed)
-        for name, tree in fits.items()
-    ]
+    records = [DerivationRecord(operation, name, guest_instance_id(ref, name), ref, ()) for name in fits]
+    return [(r, tree.root.slots - consumed, tree.owned_by(r.guest_id)) for r, tree in zip(records, fits.values())]
 
 
-def _tag_child(offer: _Offer, state: _TagState, addr: GornAddress) -> _TagState:
-    """`state` with `offer`'s step taken at `addr`; the guest instance's tree is stamped at the offer's first build."""
-    tree = offer.stamped
-    if tree is None:
-        tree = offer.stamped = offer.tree.owned_by(offer.record.guest_id)
-    graft = RULE[offer.record.operation][1]
-    return _TagState(state.root, graft(state.tree.row_at(addr), tree), state.history + (offer.record,))
+def _tag_child(record: DerivationRecord, tree: SyntaxTree, state: _TagState, row: Row) -> _TagState:
+    """`state` with the step `record` taken at `row` of its tree, grafting the stamped guest `tree`."""
+    return _TagState(state.root, RULE[record.operation][1](row, tree), state.history + (record,))
 
 
 def _legal(complete: bool, build: Callable[[], _TagState]) -> _Checked:
@@ -256,7 +239,7 @@ def _legal(complete: bool, build: Callable[[], _TagState]) -> _Checked:
     return complete, build
 
 
-def _tag_moves(guests: _Guests, table: dict[SiteRef | None, list[_Offer]], state: _TagState) -> Iterator[_Move]:
+def _tag_moves(guests: _Guests, table: _Sites, state: _TagState) -> Iterator[_Move]:
     slots = state.tree.root.slots
     everywhere = bool(guests["adjunction"])  # with no auxiliary, the only sites are slots
     stack: list[Row] = [(None, 0, state.tree.root)]
@@ -265,16 +248,13 @@ def _tag_moves(guests: _Guests, table: dict[SiteRef | None, list[_Offer]], state
         row = pop()
         node = row[2]
         if not node.adjoined:  # only an interior node is ever marked
-            site = node.site
-            offers = table.get(site)
-            if offers is None:
-                offers = table[site] = _offers(guests, node)
+            if (offers := table.get(node.site)) is None:
+                offers = table[node.site] = _offers(guests, node)
             if offers:
-                addr = row_address(row)
-                addr_text = str(addr)
-                for offer in offers:
-                    build = partial(_tag_child, offer, state, addr)
-                    yield (addr_text, offer.name), offer.record, partial(_legal, slots + offer.change == 0, build)
+                addr_text = str(row_address(row))
+                for record, change, tree in offers:
+                    build = partial(_tag_child, record, tree, state, row)
+                    yield (addr_text, record.guest), record, partial(_legal, slots + change == 0, build)
         kids = node.children
         k = len(kids)
         while k:

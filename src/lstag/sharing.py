@@ -270,13 +270,9 @@ def as_structure(host: LstagPair | DerivedStructure) -> DerivedStructure:
     return host if isinstance(host, DerivedStructure) else structure_from_pair(host)
 
 
-def instance_prefix(left_ref: SiteRef) -> str:
-    """The start of the id of every guest instance composed at the left site `left_ref`."""
-    return f"{left_ref.owner}/{left_ref.addr}:"
-
-
 def guest_instance_id(left_ref: SiteRef, guest_name: str) -> str:
-    return instance_prefix(left_ref) + guest_name
+    """The id of the instance of the guest `guest_name` composed at the left site `left_ref`."""
+    return f"{left_ref.owner}/{left_ref.addr}:{guest_name}"
 
 
 def step_record(left: Row, rights: tuple[Row, ...], guest_name: str) -> DerivationRecord:

@@ -324,6 +324,16 @@ def test_a_tag_enumeration_stamps_each_guest_instance_once(tag_grammar, monkeypa
     assert stamps == once
 
 
+def test_a_tag_enumeration_builds_at_the_rows_its_moves_found(tag_grammar, monkeypatch):
+    """No plain-TAG build walks back down from the root to the site its move already found."""
+    walks = []
+    row_at = SyntaxTree.row_at
+    monkeypatch.setattr(SyntaxTree, "row_at", lambda tree, addr: walks.append(addr) or row_at(tree, addr))
+    result = enumerate_derivations(tag_grammar, EnumerationBudget(4))
+    assert any(item.records for item in result.items)  # some move was built, or this proves nothing
+    assert walks == []
+
+
 def test_lstag_records_replay_to_consistent_structures(lstag_grammar):
     result = enumerate_derivations(lstag_grammar, EnumerationBudget(4))
     for item in result.items:
