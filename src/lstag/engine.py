@@ -49,21 +49,30 @@ grafts at the row its move found, so no build walks back down from the
 root.
 
 Link-sharing moves are checked by `sharing.check_step` on the rows of their
-sites: substitutions fill live link groups (one move fills every shared
-site), whose rows are read off `by_site` once per state and give
-`sharing.step_record` its record, and adjunctions pair the interior nodes
-of each tree that no adjunction has marked `adjoined` and whose symbol is
-an auxiliary's root, with records built from those nodes.  Such a site's
+sites, and no state builds a whole-tree table (`by_site`).  Substitutions
+fill live link groups (one move fills every shared site).  A group takes an
+initial guest only if its sites are substitution slots, so its rows are
+found by one walk per tree that enters only subtrees holding a slot, and
+they give `sharing.step_record` its record.  Adjunctions pair the interior
+nodes of each tree that no adjunction has marked `adjoined` and whose
+symbol is the root symbol of an auxiliary that fits, found by one walk per
+tree that enters interior nodes only, with records built from those nodes;
+where no auxiliary fits, neither tree is walked for them.  Such a site's
 address text, for the order key, is built once per state.  A move reads the
 elementary site it composes at (its `SiteRef`) off the node itself, so no
-state keeps a provenance table.  Like a plain-TAG site, a link-sharing step
-meets only the guests that can fit it, read off the guest pair and the host
-alone: a group meets an initial guest only at a left substitution slot of
-the guest's left root symbol, a group of several right sites only a guest
-with no links of its own, and no guest is offered whose phi links outnumber
-the groups the step leaves live (every live group for an adjunction, all
-but the filled one for a substitution).  `check_step` is still the judge of
-every move offered, so leaving out moves it would reject changes no result.
+state keeps a provenance table.  Each guest instance is stamped once per
+enumeration: the search keeps one stamp table (`sharing.Stamps`), which a
+move's build fills the first time it builds that instance, and drops it
+when it returns.
+
+Like a plain-TAG site, a link-sharing step meets only the guests that can
+fit it, read off the guest pair and the host alone: a group meets an
+initial guest only at a left substitution slot of the guest's left root
+symbol, a group of several right sites only a guest with no links of its
+own, and no guest is offered whose phi links outnumber the groups the step
+leaves live (every live group for an adjunction, all but the filled one
+for a substitution).  `check_step` is still the judge of every move
+offered, so leaving out moves it would reject changes no result.
 """
 
 from __future__ import annotations
@@ -80,6 +89,7 @@ from .sharing import (
     DerivedStructure,
     LstagGrammar,
     LstagPair,
+    Stamps,
     check_step,
     guest_instance_id,
     left_projection,
@@ -90,9 +100,9 @@ from .tag import DerivationTree, TagGrammar
 from .trees import (
     OPERATION,
     RULE,
+    Interior,
     Row,
     SiteRef,
-    SubstitutionSlot,
     SyntaxTree,
     TreeClass,
     TreeNode,
@@ -275,20 +285,63 @@ def _pair_class(pair: LstagPair) -> TreeClass | None:
     return left if left is right else None
 
 
+def _slot_rows(tree: SyntaxTree) -> dict[SiteRef | None, Row]:
+    """The row of each substitution slot of `tree` by its site, the last in preorder where several share one.
+
+    The walk enters only subtrees that hold a slot (`TreeNode.slots`), so a leaf it reaches is a slot.
+    """
+    rows: dict[SiteRef | None, Row] = {}
+    stack: list[Row] = [(None, 0, tree.root)] if tree.root.slots else []
+    pop, push = stack.pop, stack.append
+    while stack:
+        row = pop()
+        kids = row[2].children
+        if not kids:
+            rows[row[2].site] = row
+        k = len(kids)
+        while k:
+            if kids[k - 1].slots:
+                push((row, k, kids[k - 1]))
+            k -= 1
+    return rows
+
+
+def _adjunction_sites(tree: SyntaxTree, symbols: set[str]) -> list[tuple[str, Row, TreeNode]]:
+    """(address text, row, node) of each interior node no adjunction has marked whose symbol is in `symbols`.
+
+    In preorder; the walk enters interior nodes only.
+    """
+    sites = []
+    stack: list[Row] = [(None, 0, tree.root)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        row = pop()
+        node = row[2]
+        if node.kind.symbol in symbols and not node.adjoined:
+            sites.append((str(row_address(row)), row, node))
+        kids = node.children
+        k = len(kids)
+        while k:
+            if isinstance(kids[k - 1].kind, Interior):
+                push((row, k, kids[k - 1]))
+            k -= 1
+    return sites
+
+
 def _lstag_moves(
     initial: list[tuple[str, LstagPair]],
     auxiliary: list[tuple[str, LstagPair]],
+    stamps: Stamps,
     s: DerivedStructure,
 ) -> Iterator[_Move]:
     live = len(s.live_links)  # a guest spends every phi link on a group the step leaves live
+    lefts, rights_at = _slot_rows(s.left_tree), _slot_rows(s.right_spine)
     for gi, group in enumerate(s.live_links):
-        left = s.left_tree.by_site.get(group.left_site)
-        rights = tuple(map(s.right_spine.by_site.get, group.right_sites))
-        if left is None or None in rights:  # an unvalidated link names no node, so no guest fills its group
+        left = lefts.get(group.left_site)
+        rights = tuple(map(rights_at.get, group.right_sites))
+        if left is None or None in rights:  # an initial guest fills slots only, and an unvalidated link names none
             continue
         slot = left[2].kind
-        if not isinstance(slot, SubstitutionSlot):  # an initial guest only substitutes
-            continue
         shared = len(rights) > 1  # a guest shared by several right sites carries no link of its own
         for name, pair in initial:
             if pair.left_tree.root_symbol != slot.symbol or len(pair.phi) >= live:
@@ -296,16 +349,12 @@ def _lstag_moves(
             if shared and (pair.delta or pair.phi):
                 continue
             record = step_record(left, rights, name)
-            yield (0, gi, name), record, partial(check_step, s, record, pair, left, rights)
+            yield (0, gi, name), record, partial(check_step, stamps, s, record, pair, left, rights)
     auxiliary = [(name, pair) for name, pair in auxiliary if len(pair.phi) <= live]
-    # (address text, row, node) of each node no adjunction has marked whose kind is an auxiliary's root, in preorder
-    left_sites, right_sites = (
-        [(str(row_address(r)), r, r[2]) for r in tree.rows() if r[2].kind in roots and not r[2].adjoined]
-        for tree, roots in (
-            (s.left_tree, {pair.left_tree.root.kind for _, pair in auxiliary}),
-            (s.right_spine, {pair.right_tree.root.kind for _, pair in auxiliary}),
-        )
-    )
+    if not auxiliary:  # no site is walked to for an adjunction that no guest can make
+        return
+    left_sites = _adjunction_sites(s.left_tree, {pair.left_tree.root_symbol for _, pair in auxiliary})
+    right_sites = _adjunction_sites(s.right_spine, {pair.right_tree.root_symbol for _, pair in auxiliary})
     for name, pair in auxiliary:
         for left_text, left, ln in left_sites:
             if ln.kind.symbol != pair.left_tree.root_symbol:
@@ -314,7 +363,7 @@ def _lstag_moves(
             for right_text, right, rn in right_sites:
                 if rn.kind.symbol == pair.right_tree.root_symbol:
                     record = DerivationRecord("adjunction", name, guest_id, ln.site, (rn.site,))
-                    check = partial(check_step, s, record, pair, left, (right,))
+                    check = partial(check_step, stamps, s, record, pair, left, (right,))
                     yield (1, left_text, right_text, name), record, check
 
 
@@ -330,7 +379,8 @@ def enumerate_derivations(
         initial = [(n, p) for n, p in grammar.pairs if classes[n] is TreeClass.INITIAL]
         auxiliary = [(n, p) for n, p in grammar.pairs if classes[n] is TreeClass.AUXILIARY]
         roots = (structure_from_pair(pair) for _, pair in initial)
-        return _search(roots, partial(_lstag_moves, initial, auxiliary), budget)
+        # One stamp table, with one stamp per guest instance: it lives for this call alone.
+        return _search(roots, partial(_lstag_moves, initial, auxiliary, {}), budget)
     raise TypeError(f"cannot enumerate over {type(grammar).__name__}")
 
 

@@ -21,12 +21,16 @@ builds its `DerivationRecord` once, from those rows; `check_step` raises
 every error the step can raise before anything is composed, building an
 address only to report one, appends that record unchanged, and says whether
 the structure will be complete; and the build it returns cannot fail: it
-stamps the guest's trees as the instance the record names (`owned_by`),
-since grafts never stamp, and grafts them at those rows.  Several right
-rows take a shared substitution; one takes the operation
-`trees.site_operation` names for both sites' kinds, checked and grafted
-with the pair `trees.RULE` gives it.  `lstag_compose`, `shared_substitute`,
-the enumerator and `lstag derive` all take that shape.
+grafts at those rows the guest's trees stamped as the instance the record
+names (`owned_by`), since grafts never stamp.  It reads them off the stamp
+table (`Stamps`) it is given, which the first build of an instance fills:
+the enumerator keeps one table per enumeration, so it stamps each guest
+instance once, and `lstag_compose`, `shared_substitute` and a `derive`
+step each pass a fresh one.  Several right rows take a shared
+substitution; one takes the operation `trees.site_operation` names for
+both sites' kinds, checked and grafted with the pair `trees.RULE` gives
+it.  `lstag_compose`, `shared_substitute`, the enumerator and `lstag
+derive` all take that shape.
 """
 
 from __future__ import annotations
@@ -287,8 +291,25 @@ def step_record(left: Row, rights: tuple[Row, ...], guest_name: str) -> Derivati
     return DerivationRecord(operation, guest_name, guest_instance_id(ref, guest_name), ref, sites)
 
 
+Stamps = dict[str, tuple[SyntaxTree, SyntaxTree]]
+"""A stamp table: guest instance id -> the guest's left and right trees stamped as that instance (`owned_by`)."""
+
+
+def _stamped(stamps: Stamps, guest: LstagPair, guest_id: str) -> tuple[SyntaxTree, SyntaxTree]:
+    """`guest`'s trees stamped as the instance `guest_id`, read off `stamps` or stamped now and kept there."""
+    trees = stamps.get(guest_id)
+    if trees is None:
+        trees = stamps[guest_id] = (guest.left_tree.owned_by(guest_id), guest.right_tree.owned_by(guest_id))
+    return trees
+
+
 def check_step(
-    hs: DerivedStructure, record: DerivationRecord, guest: LstagPair, left: Row, rights: tuple[Row, ...]
+    stamps: Stamps,
+    hs: DerivedStructure,
+    record: DerivationRecord,
+    guest: LstagPair,
+    left: Row,
+    rights: tuple[Row, ...],
 ) -> tuple[bool, Callable[[], DerivedStructure]]:
     """Raise what composing `guest` in the step `record` names raises, before anything is composed.
 
@@ -297,6 +318,8 @@ def check_step(
     Returns whether the structure the step builds is complete, worked out
     from the slot counts of the host and the guest, and the step itself,
     which grafts at those rows, appends `record` unchanged and cannot fail.
+    It grafts the guest's trees stamped as the record's instance, read off
+    `stamps`, which the first build of that instance fills.
     """
     if len(rights) > 1:
         if guest.delta or guest.phi:
@@ -324,7 +347,7 @@ def check_step(
         )
 
         def build_shared() -> DerivedStructure:
-            left_tree = fill_slot(left, guest.left_tree.owned_by(record.guest_id))
+            left_tree = fill_slot(left, _stamped(stamps, guest, record.guest_id)[0])
             fragment = Fragment(record.guest_id, guest.name, guest.right_tree, record.right_sites)
             # Another group on the filled left slot now names the guest root, which sits where the slot was.
             filler, group = SiteRef(record.guest_id, ROOT), SharedLinkGroup(record.left_site, record.right_sites)
@@ -370,8 +393,8 @@ def check_step(
     )
 
     def build() -> DerivedStructure:
-        left_tree = graft(left, guest.left_tree.owned_by(record.guest_id))
-        right_spine = graft(right, guest.right_tree.owned_by(record.guest_id))
+        left_guest, right_guest = _stamped(stamps, guest, record.guest_id)
+        left_tree, right_spine = graft(left, left_guest), graft(right, right_guest)
         feet = guest.left_tree.foot_address, guest.right_tree.foot_address
         left_of = lambda a: left_ref if a == feet[0] else SiteRef(record.guest_id, a)
         right_of = lambda a: right_ref if a == feet[1] else SiteRef(record.guest_id, a)
@@ -399,7 +422,7 @@ def lstag_compose(
     """
     hs = as_structure(host)
     left, right = hs.left_tree.row_at(left_site), hs.right_spine.row_at(right_site)
-    return check_step(hs, step_record(left, (right,), guest.name), guest, left, (right,))[1]()
+    return check_step({}, hs, step_record(left, (right,), guest.name), guest, left, (right,))[1]()
 
 
 def shared_substitute(
@@ -417,7 +440,7 @@ def shared_substitute(
         raise GroupNotLive(f"the group at left site {group.left_site} is not live in this structure")
     left = hs.left_tree.locate(group.left_site)
     rights = tuple(map(hs.right_spine.locate, group.right_sites))
-    return check_step(hs, step_record(left, rights, guest.name), guest, left, rights)[1]()
+    return check_step({}, hs, step_record(left, rights, guest.name), guest, left, rights)[1]()
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from lstag import engine
 from lstag._lex import read_script
 from lstag.cli import run_lstag_script
 from lstag.sharing import check_step, step_record
-from lstag.trees import Interior, row_address
+from lstag.trees import Interior, SubstitutionSlot, row_address
 
 A = GornAddress.parse
 
@@ -78,11 +78,11 @@ def checked_states(monkeypatch):
         check_structure(s, grammar["pairs"])
         checked.append(s)
 
-    def checked_moves(initial, auxiliary, s):
+    def checked_moves(initial, auxiliary, stamps, s):
         grammar["pairs"] = pair_grammar(*(p for _, p in initial + auxiliary))
         if not s.history:
             check(s)
-        yielded = list(moves(initial, auxiliary, s))
+        yielded = list(moves(initial, auxiliary, stamps, s))
         assert {key for key, _, _ in yielded if key[0] == 1} == free_adjunction_keys(s, auxiliary)
         return iter(yielded)
 
@@ -509,13 +509,13 @@ def test_incomplete_states_at_the_budget_are_built_only_to_decide_truncation(
     events = []  # ("check", host, passed), ("build", state) and ("moves", state), in call order
 
     def logging(check_move):
-        def logged(*args):
+        def logged(stamps, host, *args):
             try:
-                complete, build = check_move(*args)
+                complete, build = check_move(stamps, host, *args)
             except LstagError:
-                events.append(("check", args[0], False))
+                events.append(("check", host, False))
                 raise
-            events.append(("check", args[0], True))
+            events.append(("check", host, True))
 
             def logged_build():
                 s = build()
@@ -529,9 +529,9 @@ def test_incomplete_states_at_the_budget_are_built_only_to_decide_truncation(
     monkeypatch.setattr(engine, "check_step", logging(engine.check_step))
     moves = engine._lstag_moves
 
-    def logged_moves(initial, auxiliary, s):
+    def logged_moves(initial, auxiliary, stamps, s):
         events.append(("moves", s))
-        return moves(initial, auxiliary, s)
+        return moves(initial, auxiliary, stamps, s)
 
     monkeypatch.setattr(engine, "_lstag_moves", logged_moves)
 
@@ -563,8 +563,8 @@ def rejected_moves(monkeypatch):
     rejected = []
     moves = engine._lstag_moves
 
-    def checked_moves(initial, auxiliary, s):
-        yielded = list(moves(initial, auxiliary, s))
+    def checked_moves(initial, auxiliary, stamps, s):
+        yielded = list(moves(initial, auxiliary, stamps, s))
         for key, _, check in yielded:
             try:
                 check()
@@ -590,9 +590,9 @@ def test_ungated_topicalization_checks_only_moves_that_pass(fixtures_dir, monkey
     """Every check of the search passes, budget probes included: counted by record operation or error class."""
     counts = Counter()
 
-    def counted(hs, record, *args):
+    def counted(stamps, hs, record, *args):
         try:
-            checked = check_step(hs, record, *args)
+            checked = check_step(stamps, hs, record, *args)
         except LstagError as exc:
             counts[type(exc).__name__] += 1
             raise
@@ -605,6 +605,36 @@ def test_ungated_topicalization_checks_only_moves_that_pass(fixtures_dir, monkey
     result = enumerate_derivations(grammar, EnumerationBudget(4))
     assert (result.truncated, len(result.items)) == (True, 180)
     assert counts == {"adjunction": 1434, "shared-substitution": 179, "substitution": 1}
+
+
+@pytest.mark.parametrize("fixture, gated", [("topicalization.lstag", False), ("cooks_eats.lstag", True)])
+def test_an_lstag_enumeration_stamps_each_guest_instance_once(fixtures_dir, monkeypatch, fixture, gated):
+    """No (tree, owner) pair is stamped twice in one enumeration, and the next enumeration stamps afresh."""
+    doc = load_grammar(str(fixtures_dir / fixture))
+    grammar = doc.lstag_grammar(usable_lstag_names(doc, restrictions=gated))
+    stamps = []
+    owned_by = SyntaxTree.owned_by
+    monkeypatch.setattr(
+        SyntaxTree, "owned_by", lambda tree, owner: stamps.append((id(tree), owner)) or owned_by(tree, owner)
+    )
+    first = enumerate_derivations(grammar, EnumerationBudget(4))
+    once = list(stamps)
+    assert any(":" in owner for _, owner in once)  # some guest instance was stamped, or this proves nothing
+    assert len(set(once)) == len(once)
+    stamps.clear()
+    assert enumerate_derivations(grammar, EnumerationBudget(4)) == first
+    assert stamps == once
+
+
+@pytest.mark.parametrize("fixture", ["cooks_eats.lstag", "degenerate.lstag", "topicalization.lstag"])
+def test_an_lstag_enumeration_reads_by_site_zero_times(fixtures_dir, monkeypatch, fixture):
+    """Link-sharing moves walk to the nodes they use, so no state builds a whole-tree site table."""
+    reads = []
+    by_site = SyntaxTree.by_site.func
+    monkeypatch.setattr(SyntaxTree, "by_site", property(lambda tree: reads.append(tree) or by_site(tree)))
+    result = enumerate_derivations(load_grammar(str(fixtures_dir / fixture)).lstag_grammar(), EnumerationBudget(4))
+    assert any(item.records for item in result.items)  # some move was built, or this proves nothing
+    assert reads == []
 
 
 # What the fixtures lack: a link group joining two interior nodes, which no
@@ -646,7 +676,7 @@ def every_lstag_move(initial, auxiliary, s):
         if left is None or None in rights:
             continue
         for name, pair in initial:
-            yield (0, gi, name), partial(check_step, s, step_record(left, rights, name), pair, left, rights)
+            yield (0, gi, name), partial(check_step, {}, s, step_record(left, rights, name), pair, left, rights)
     left_sites, right_sites = (
         [(str(row_address(r)), r) for r in tree.rows() if isinstance(r[2].kind, Interior) and not r[2].adjoined]
         for tree in (s.left_tree, s.right_spine)
@@ -656,7 +686,7 @@ def every_lstag_move(initial, auxiliary, s):
         for left_text, left in left_sites:
             for right_text, right in right_sites:
                 if (left[2].kind.symbol, right[2].kind.symbol) == roots:
-                    check = partial(check_step, s, step_record(left, (right,), name), pair, left, (right,))
+                    check = partial(check_step, {}, s, step_record(left, (right,), name), pair, left, (right,))
                     yield (1, left_text, right_text, name), check
 
 
@@ -668,13 +698,50 @@ def test_the_fit_rules_leave_out_only_moves_that_fail(data):
     grammar = random_lstag_grammar(rng)
     moves = engine._lstag_moves
 
-    def compared(initial, auxiliary, s):
-        offered = list(moves(initial, auxiliary, s))
+    def compared(initial, auxiliary, stamps, s):
+        offered = list(moves(initial, auxiliary, stamps, s))
         every = list(every_lstag_move(initial, auxiliary, s))
         assert {key for key, _, _ in offered} <= {key for key, _ in every}
         passing = {key for key, check in every if engine._passes(check)}
         assert {key for key, _, check in offered if engine._passes(check)} == passing
         return iter(offered)
+
+    with mock.patch.object(engine, "_lstag_moves", compared):
+        enumerate_derivations(grammar, EnumerationBudget(data.draw(st.integers(1, 3)), 200))
+
+
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_the_move_walks_find_what_the_whole_tree_walks_find(data):
+    """At every state of a random grammar's search, each walk of `_lstag_moves` agrees with a walk of every row.
+
+    The slot walk finds every slot's row by its site, as `by_site` does, so
+    it finds the rows of every live group whose left site is a slot; the
+    adjunction-site walk finds what a filter over every row of `rows()` finds.
+    """
+    rng = random.Random(data.draw(st.integers(0, 2**48)))
+    grammar = random_lstag_grammar(rng)
+    moves = engine._lstag_moves
+    aux = [pair for _, pair in grammar.pairs if pair.left_tree.foot_row is not None]
+    symbol_sets = [set(), set(SYMBOLS), {p.left_tree.root_symbol for p in aux}, {p.right_tree.root_symbol for p in aux}]
+
+    def compared(initial, auxiliary, stamps, s):
+        for tree in (s.left_tree, s.right_spine):
+            slots = {site: row for site, row in tree.by_site.items() if isinstance(row[2].kind, SubstitutionSlot)}
+            assert engine._slot_rows(tree) == slots
+            for symbols in symbol_sets:
+                kinds = {Interior(symbol) for symbol in symbols}
+                every = [r for r in tree.rows() if r[2].kind in kinds and not r[2].adjoined]
+                assert engine._adjunction_sites(tree, symbols) == [(str(row_address(r)), r, r[2]) for r in every]
+        lefts, rights = engine._slot_rows(s.left_tree), engine._slot_rows(s.right_spine)
+        for group in s.live_links:
+            left = s.left_tree.by_site.get(group.left_site)
+            if left is not None and isinstance(left[2].kind, SubstitutionSlot):
+                assert lefts[group.left_site] == left
+                for site in group.right_sites:
+                    row = s.right_spine.by_site.get(site)
+                    assert rights.get(site) == (row if row and isinstance(row[2].kind, SubstitutionSlot) else None)
+        return moves(initial, auxiliary, stamps, s)
 
     with mock.patch.object(engine, "_lstag_moves", compared):
         enumerate_derivations(grammar, EnumerationBudget(data.draw(st.integers(1, 3)), 200))

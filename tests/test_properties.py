@@ -862,14 +862,14 @@ def assert_checks_agree(s, guests) -> None:
                 left, right = s.left_tree.row_at(la), s.right_spine.row_at(ra)
                 assert_split_agrees(
                     partial(step_record, left, (right,), guest.name),
-                    lambda record: check_step(s, record, guest, left, (right,)),
+                    lambda record: check_step({}, s, record, guest, left, (right,)),
                     partial(lstag_compose, s, la, ra, guest),
                 )
         for group in s.live_links:
             sites = lambda: (s.left_tree.locate(group.left_site), tuple(map(s.right_spine.locate, group.right_sites)))
             assert_split_agrees(
                 lambda: step_record(*sites(), guest.name),
-                lambda record: check_step(s, record, guest, *sites()),
+                lambda record: check_step({}, s, record, guest, *sites()),
                 partial(shared_substitute, s, group, guest),
             )
 

@@ -332,7 +332,7 @@ def test_check_says_whether_filling_the_last_group_completes(shared, guest, comp
     (last,) = s.live_links
     assert len(last.right_sites) == (2 if shared else 1)
     left, rights = s.left_tree.locate(last.left_site), tuple(s.right_spine.locate(x) for x in last.right_sites)
-    assert check_step(s, step_record(left, rights, guest.name), guest, left, rights)[0] is complete
+    assert check_step({}, s, step_record(left, rights, guest.name), guest, left, rights)[0] is complete
     assert shared_substitute(s, last, guest).is_complete is complete
 
 
@@ -342,7 +342,7 @@ def test_check_counts_the_open_slots_of_earlier_fragments():
     today = LstagPair("today", parse_tree('V(V* ADV("today"))'), parse_tree('S(S* ADV("today"))'))
     left, right = s.left_tree.row_at(A("2.1.3")), s.right_spine.row_at(E)
     record = step_record(left, (right,), today.name)
-    assert check_step(s, record, today, left, (right,))[0] is False
+    assert check_step({}, s, record, today, left, (right,))[0] is False
     assert not lstag_compose(s, A("2.1.3"), E, today).is_complete
 
 
@@ -372,7 +372,7 @@ def test_check_step_appends_the_record_it_is_given():
     (group,) = s.live_links
     left, rights = s.left_tree.locate(group.left_site), (s.right_spine.locate(group.right_sites[0]),)
     record = step_record(left, rights, vp.name)
-    appended = check_step(s, record, vp, left, rights)[1]().history[-1]
+    appended = check_step({}, s, record, vp, left, rights)[1]().history[-1]
     assert appended is record
     assert record.operation == "adjunction"
 
