@@ -29,41 +29,41 @@ whether some move passes its check.  The search is breadth-first, so every
 entry left after that is at the budget too, and it is built only if it is
 complete.
 
-Plain TAG takes at each node the operation `trees.OPERATION` names for its
-kind: initial trees substitute at slots and auxiliary trees adjoin at
-interior nodes.  A site meets only the guests `TagGrammar.guests` lists
-for its operation and root symbol, so its moves are legal by construction
-and build with the unchecked graft `trees.RULE` pairs with their operation.
-What a node can host, and which guests fit it, is fixed by its elementary
-site (`SiteRef`), so an enumeration keeps one site table, which it drops
+Both grammars take TAG's two operations, substitution at slots and
+adjunction at interior nodes, so both move generators find their sites with
+the same two walks, one per operation.  `_slot_rows` maps the site of each
+substitution slot to its row and enters only subtrees that hold a slot
+(`TreeNode.slots`).  `_adjunction_sites` lists in preorder, with its address
+text, each interior node that no adjunction has marked `adjoined` and whose
+symbol is the root symbol of an auxiliary that may fit; it enters interior
+nodes only, and it is not called where no auxiliary can fit.  A move reads
+the elementary site it composes at (its `SiteRef`) off its node and grafts
+at the row its walk found.
+
+Plain TAG: a site meets only the guests `TagGrammar.guests` lists for its
+walk's operation and its root symbol, so its moves are legal by
+construction and build with the unchecked graft `trees.RULE` pairs with
+that operation.  What a node can host, and which guests fit it, is fixed by
+its elementary site, so an enumeration keeps one site table, which it drops
 when it returns.  The first time a site is met, the table stores one offer
 per guest that fits there, in grammar order.  An offer is a whole value,
 built then and never changed: the step's record, the change in open slots
 the step makes and, since grafts never stamp, the guest instance's tree,
 stamped with its sites (`owned_by`) from the start.  A site no guest fits
-stores none.  Each state builds its own address and order-key text, at
-the nodes some guest fits only.  The moves walk the tree's rows once; in a
-grammar with no auxiliary tree, the only sites are slots, so the walk
-enters only subtrees that hold one (`TreeNode.slots`).  A move's build
-grafts at the row its move found, so no build walks back down from the
-root.
+stores none.  Each state builds its own address and order-key text, at the
+nodes some guest fits only.  No two nodes of a plain-TAG state share a site
+(a guest instance's id names the one host site it fills), so the slot
+walk's table holds every slot.
 
 Link-sharing moves are checked by `sharing.check_step` on the rows of their
-sites, and no state builds a whole-tree table (`by_site`).  Substitutions
-fill live link groups (one move fills every shared site).  A group takes an
-initial guest only if its sites are substitution slots, so its rows are
-found by one walk per tree that enters only subtrees holding a slot, and
-they give `sharing.step_record` its record.  Adjunctions pair the interior
-nodes of each tree that no adjunction has marked `adjoined` and whose
-symbol is the root symbol of an auxiliary that fits, found by one walk per
-tree that enters interior nodes only, with records built from those nodes;
-where no auxiliary fits, neither tree is walked for them.  Such a site's
-address text, for the order key, is built once per state.  A move reads the
-elementary site it composes at (its `SiteRef`) off the node itself, so no
-state keeps a provenance table.  Each guest instance is stamped once per
-enumeration: the search keeps one stamp table (`sharing.Stamps`), which a
-move's build fills the first time it builds that instance, and drops it
-when it returns.
+sites.  Substitutions fill live link groups (one move fills every shared
+site).  A group takes an initial guest only if its sites are substitution
+slots, so the slot walk of each tree gives its rows, and they give
+`sharing.step_record` its record.  Adjunctions pair the sites the interior
+walk finds in the two trees, with records built from those nodes.  Each
+guest instance is stamped once per enumeration: the search keeps one stamp
+table (`sharing.Stamps`), which a move's build fills the first time it
+builds that instance, and drops it when it returns.
 
 Like a plain-TAG site, a link-sharing step meets only the guests that can
 fit it, read off the guest pair and the host alone: a group meets an
@@ -80,7 +80,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Container, Iterable, Iterator, Union
 
 from .errors import LstagError
 from .sharing import (
@@ -98,7 +98,6 @@ from .sharing import (
 )
 from .tag import DerivationTree, TagGrammar
 from .trees import (
-    OPERATION,
     RULE,
     Interior,
     Row,
@@ -210,81 +209,6 @@ def _built(state: _State) -> _State:
     return state
 
 
-# --- plain TAG moves ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _TagState:
-    root: str
-    tree: SyntaxTree
-    history: tuple[DerivationRecord, ...]
-
-    @property
-    def is_complete(self) -> bool:
-        return not self.tree.root.slots
-
-    def left_yield(self) -> tuple[str, ...]:
-        return yield_tokens(self.tree)
-
-    def projections(self) -> tuple[DerivationTree, None]:
-        return left_projection(self.history, self.root), None
-
-
-def _offers(guests: _Guests, node: TreeNode) -> list[tuple[DerivationRecord, int, SyntaxTree]]:
-    """The offers at `node`'s elementary site, one per guest that fits there, in grammar order."""
-    operation = OPERATION.get(type(node.kind))
-    fits = guests[operation].get(node.kind.symbol, {}) if operation else {}  # type: ignore[union-attr]
-    ref, consumed = node.site, operation == "substitution"
-    records = [DerivationRecord(operation, name, guest_instance_id(ref, name), ref, ()) for name in fits]
-    return [(r, tree.root.slots - consumed, tree.owned_by(r.guest_id)) for r, tree in zip(records, fits.values())]
-
-
-def _tag_child(record: DerivationRecord, tree: SyntaxTree, state: _TagState, row: Row) -> _TagState:
-    """`state` with the step `record` taken at `row` of its tree, grafting the stamped guest `tree`."""
-    return _TagState(state.root, RULE[record.operation][1](row, tree), state.history + (record,))
-
-
-def _legal(complete: bool, build: Callable[[], _TagState]) -> _Checked:
-    """The check of a move that is legal by construction."""
-    return complete, build
-
-
-def _tag_moves(guests: _Guests, table: _Sites, state: _TagState) -> Iterator[_Move]:
-    slots = state.tree.root.slots
-    everywhere = bool(guests["adjunction"])  # with no auxiliary, the only sites are slots
-    stack: list[Row] = [(None, 0, state.tree.root)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        row = pop()
-        node = row[2]
-        if not node.adjoined:  # only an interior node is ever marked
-            if (offers := table.get(node.site)) is None:
-                offers = table[node.site] = _offers(guests, node)
-            if offers:
-                addr_text = str(row_address(row))
-                for record, change, tree in offers:
-                    build = partial(_tag_child, record, tree, state, row)
-                    yield (addr_text, record.guest), record, partial(_legal, slots + change == 0, build)
-        kids = node.children
-        k = len(kids)
-        while k:
-            if everywhere or kids[k - 1].slots:
-                push((row, k, kids[k - 1]))
-            k -= 1
-
-
-# --- link-sharing moves -----------------------------------------------------------
-
-
-def _pair_class(pair: LstagPair) -> TreeClass | None:
-    """The class both trees of a pair share, or None if they differ or are ill-formed."""
-    try:
-        left, right = classify(pair.left_tree), classify(pair.right_tree)
-    except LstagError:
-        return None
-    return left if left is right else None
-
-
 def _slot_rows(tree: SyntaxTree) -> dict[SiteRef | None, Row]:
     """The row of each substitution slot of `tree` by its site, the last in preorder where several share one.
 
@@ -306,7 +230,7 @@ def _slot_rows(tree: SyntaxTree) -> dict[SiteRef | None, Row]:
     return rows
 
 
-def _adjunction_sites(tree: SyntaxTree, symbols: set[str]) -> list[tuple[str, Row, TreeNode]]:
+def _adjunction_sites(tree: SyntaxTree, symbols: Container[str]) -> list[tuple[str, Row, TreeNode]]:
     """(address text, row, node) of each interior node no adjunction has marked whose symbol is in `symbols`.
 
     In preorder; the walk enters interior nodes only.
@@ -326,6 +250,72 @@ def _adjunction_sites(tree: SyntaxTree, symbols: set[str]) -> list[tuple[str, Ro
                 push((row, k, kids[k - 1]))
             k -= 1
     return sites
+
+
+# --- plain TAG moves ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _TagState:
+    root: str
+    tree: SyntaxTree
+    history: tuple[DerivationRecord, ...]
+
+    @property
+    def is_complete(self) -> bool:
+        return not self.tree.root.slots
+
+    def left_yield(self) -> tuple[str, ...]:
+        return yield_tokens(self.tree)
+
+    def projections(self) -> tuple[DerivationTree, None]:
+        return left_projection(self.history, self.root), None
+
+
+def _offers(guests: _Guests, operation: str, node: TreeNode) -> list[tuple[DerivationRecord, int, SyntaxTree]]:
+    """The offers at `node`'s elementary site, one per guest of `operation` that fits there, in grammar order."""
+    fits = guests[operation].get(node.kind.symbol, {})  # type: ignore[union-attr]
+    ref, consumed = node.site, operation == "substitution"
+    records = [DerivationRecord(operation, name, guest_instance_id(ref, name), ref, ()) for name in fits]
+    return [(r, tree.root.slots - consumed, tree.owned_by(r.guest_id)) for r, tree in zip(records, fits.values())]
+
+
+def _tag_child(record: DerivationRecord, tree: SyntaxTree, state: _TagState, row: Row) -> _TagState:
+    """`state` with the step `record` taken at `row` of its tree, grafting the stamped guest `tree`."""
+    return _TagState(state.root, RULE[record.operation][1](row, tree), state.history + (record,))
+
+
+def _legal(complete: bool, build: Callable[[], _TagState]) -> _Checked:
+    """The check of a move that is legal by construction."""
+    return complete, build
+
+
+def _tag_moves(guests: _Guests, table: _Sites, state: _TagState) -> Iterator[_Move]:
+    tree, slots = state.tree, state.tree.root.slots
+    sites: list[tuple[str, str | None, Row]] = [("substitution", None, row) for row in _slot_rows(tree).values()]
+    if guests["adjunction"]:  # with no auxiliary, the only sites are slots
+        sites += [("adjunction", text, row) for text, row, _ in _adjunction_sites(tree, guests["adjunction"])]
+    for operation, addr_text, row in sites:
+        node = row[2]
+        if (offers := table.get(node.site)) is None:
+            offers = table[node.site] = _offers(guests, operation, node)
+        if offers:
+            addr_text = addr_text or str(row_address(row))
+            for record, change, guest in offers:
+                build = partial(_tag_child, record, guest, state, row)
+                yield (addr_text, record.guest), record, partial(_legal, slots + change == 0, build)
+
+
+# --- link-sharing moves -----------------------------------------------------------
+
+
+def _pair_class(pair: LstagPair) -> TreeClass | None:
+    """The class both trees of a pair share, or None if they differ or are ill-formed."""
+    try:
+        left, right = classify(pair.left_tree), classify(pair.right_tree)
+    except LstagError:
+        return None
+    return left if left is right else None
 
 
 def _lstag_moves(

@@ -25,13 +25,14 @@ node, and holds no address.  `row_address` builds a row's `GornAddress`
 up its parent rows, in O(depth), only for a node whose address a caller
 reads.  Every positional view but the foot's reads `rows()`; the views
 read again are cached per tree: `by_site`, which maps a site to its row for
-`locate` (read by `lstag_compose`, `shared_substitute`, `lstag derive` and
-the `DerivedStructure` address views; the enumerator walks to the nodes it
-uses instead), and the address tables `entries`, `frontier`,
-`slot_addresses` and `foot_address`.  No walk searches for the foot: each node records
-which child leads to it (`TreeNode.foot`, set with `slots` when the node
-is built), and `foot_row` follows those indexes down from the root in
-O(depth), as `row_at` walks down from the root to an address's row.
+`locate` (read by `shared_substitute`, `lstag derive` and the
+`DerivedStructure` address views; `lstag_compose` calls `row_at`, and the
+enumerator walks to the nodes it uses instead), and the address tables
+`entries`, `frontier`, `slot_addresses` and `foot_address`.  No walk
+searches for the foot: each node records which child leads to it
+(`TreeNode.foot`, set with `slots` when the node is built), and `foot_row`
+follows those indexes down from the root in O(depth), as `row_at` walks
+down from the root to an address's row.
 
 Parsing builds each distinct leaf node once per document: `parse_tree_tokens`
 reads a leaf (`NP!`, `S*`, `NP`, `"x"`) and an open node's `Interior` kind

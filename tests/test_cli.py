@@ -942,10 +942,11 @@ def test_output_does_not_depend_on_the_hash_seed(fixtures_dir):
         ["derive", str(fixtures_dir / "cooks_eats.lstag"), str(fixtures_dir / "scripts" / "cooks_eats.script"),
          "--format", "dot"],
         ["validate", "--json", str(fixtures_dir / "excised.lstag")],
+        ["enumerate", str(fixtures_dir / "cooked.tag"), "--max-ops", "3", "--format", "json"],
     ]
     src = str(pathlib.Path(lstag.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    # All six runs at once, to keep the test's wall time near one interpreter start.
+    # All eight runs at once, to keep the test's wall time near one interpreter start.
     runs = {
         (seed, i): subprocess.Popen(
             [sys.executable, "-m", "lstag.cli", *argv], env=dict(env, PYTHONHASHSEED=seed),

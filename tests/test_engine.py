@@ -423,7 +423,7 @@ def test_tag_search_matches_the_reference_on_random_grammars(data):
     Every root symbol has several guests: the slot-free fillers cover each
     symbol and repeat one, and three auxiliaries share two root symbols, so
     an auxiliary's root can take another auxiliary (the chains stack).  Some
-    grammars have no auxiliary, so their moves walk only to slots.
+    grammars have no auxiliary, so their moves make no adjunction-site walk.
     """
     rng = random.Random(data.draw(st.integers(0, 2**48)))
     auxiliaries = data.draw(st.sampled_from([0, 3]))
@@ -713,11 +713,14 @@ def test_the_fit_rules_leave_out_only_moves_that_fail(data):
 @given(st.data())
 @settings(max_examples=50, deadline=None)
 def test_the_move_walks_find_what_the_whole_tree_walks_find(data):
-    """At every state of a random grammar's search, each walk of `_lstag_moves` agrees with a walk of every row.
+    """At every state of a random link-sharing grammar's search, each move walk agrees with a walk of every row.
 
-    The slot walk finds every slot's row by its site, as `by_site` does, so
-    it finds the rows of every live group whose left site is a slot; the
-    adjunction-site walk finds what a filter over every row of `rows()` finds.
+    The two walks serve both move generators; this checks them on the
+    link-sharing trees, and `assert_tag_moves_agree` in `test_properties.py`
+    on plain-TAG trees.  The slot walk finds every slot's row by its site, as
+    `by_site` does, so it finds the rows of every live group whose left site
+    is a slot; the adjunction-site walk finds what a filter over every row of
+    `rows()` finds.
     """
     rng = random.Random(data.draw(st.integers(0, 2**48)))
     grammar = random_lstag_grammar(rng)

@@ -921,13 +921,21 @@ def history_adjoined(history) -> frozenset[SiteRef]:
 def assert_tag_moves_agree(grammar, table, state) -> None:
     """The TAG moves are the compositions that succeed at nodes free to take them, with exact completeness flags.
 
-    The marked nodes are exactly the adjunction records' left sites.
+    The marked nodes are exactly the adjunction records' left sites.  The
+    slot walk keeps one row per slot (no two slots share a site), and every
+    move sits at a row the slot walk or the adjunction-site walk returned.
     """
     adjoined = history_adjoined(state.history)
     marked = [node.site for node in state.tree.nodes() if node.adjoined]
     assert len(marked) == len(adjoined) and set(marked) == adjoined
+    slot_rows = engine._slot_rows(state.tree)
+    assert len(slot_rows) == state.tree.root.slots
+    walked = {(str(row_address(row)), row[2].site, "substitution") for row in slot_rows.values()}
+    for text, _, node in engine._adjunction_sites(state.tree, grammar.guests["adjunction"]):
+        walked.add((text, node.site, "adjunction"))
     yielded = {}
-    for key, _, check in engine._tag_moves(grammar.guests, table, state):
+    for key, record, check in engine._tag_moves(grammar.guests, table, state):
+        assert (key[0], record.left_site, record.operation) in walked
         complete, build = check()
         built = build()
         assert built.is_complete == complete
@@ -949,7 +957,7 @@ def assert_tag_moves_agree(grammar, table, state) -> None:
 @given(st.data())
 @settings(max_examples=90, deadline=None)
 def test_tag_move_checks_agree_with_compositions(data):
-    """Some grammars have no auxiliary, so their moves walk only to slots."""
+    """Some grammars have no auxiliary, so their moves make no adjunction-site walk."""
     rng = rng_from(data)
     trees = {f"i{k}": random_initial(rng) for k in range(3)}
     trees.update((f"a{k}", random_auxiliary(rng)) for k in range(data.draw(st.sampled_from([0, 2]))))
