@@ -18,16 +18,17 @@ otherwise returns whether the next state will be complete, worked out from
 slot counts, and the `build` that composes it and cannot fail.  The core
 expands a state's moves in key order and drops a move whose
 `(root, history + record)` key it has already seen before checking it; a
-move whose check passes marks its key.  The record set of the history is
-built once per expanded state, and each move's key extends it by the one
-record, so only that record is hashed.  The queue holds one kind of entry,
-`(complete, build)`, for roots and children alike, and a state is built
-when popped.  Roots are queued unkeyed: grammars reject duplicate names, and
-a child's key holds a record, so no key could repeat a root's.  A state at
-the operation budget is never expanded: it decides `truncated` by asking
-whether some move passes its check.  The search is breadth-first, so every
-entry left after that is at the budget too, and it is built only if it is
-complete.
+move whose check passes marks its key.  The queue holds one kind of entry,
+`(complete, build, record set)`, for roots and children alike, and a state
+is built when popped.  A child's record set is the one its key built, and
+roots share one empty set, so no history is hashed again: each move's key
+extends its state's set by the one record, and a record hashes its fields
+once, when it is built.  Roots are queued unkeyed: grammars reject
+duplicate names, and a child's key holds a record, so no key could repeat a
+root's.  A state at the operation budget is never expanded: it decides
+`truncated` by asking whether some move passes its check.  The search is
+breadth-first, so every entry left after that is at the budget too, and it
+is built only if it is complete.
 
 Both grammars take TAG's two operations, substitution at slots and
 adjunction at interior nodes, so both move generators find their sites with
@@ -55,6 +56,15 @@ nodes some guest fits only.  No two nodes of a plain-TAG state share a site
 (a guest instance's id names the one host site it fills), so the slot
 walk's table holds every slot.
 
+A plain-TAG state also carries its derivation tree, equal to
+`sharing.left_projection` of its history, so an item projects nothing.  A
+build path-copies the parent's tree: it rebuilds the nodes from the root down
+to the host instance, adds the new edge there in address order, and shares
+every other subtree.  The path of edge addresses down to a guest instance
+depends on its instance id alone, so an offer holds it, worked out when the
+offer is made (the owner's path plus the site address) and kept in a path
+table that, like the site table, lives for one enumeration.
+
 Link-sharing moves are checked by `sharing.check_step` on the rows of their
 sites.  Substitutions fill live link groups (one move fills every shared
 site).  A group takes an initial guest only if its sites are substitution
@@ -77,12 +87,14 @@ offered, so leaving out moves it would reject changes no result.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Container, Iterable, Iterator, Union
 
 from .errors import LstagError
+from .gorn import GornAddress
 from .sharing import (
     DerivationGraph,
     DerivationRecord,
@@ -92,7 +104,6 @@ from .sharing import (
     Stamps,
     check_step,
     guest_instance_id,
-    left_projection,
     step_record,
     structure_from_pair,
 )
@@ -149,9 +160,11 @@ class EnumerationResult:
 _State = Union["_TagState", DerivedStructure]
 _Checked = tuple[bool, Callable[[], _State]]
 _Move = tuple[tuple, DerivationRecord, Callable[[], _Checked]]
+_Entry = tuple[bool, Callable[[], _State], frozenset[DerivationRecord]]  # a queue entry: _Checked and its record set
 _Guests = dict[str, dict[str, dict[str, SyntaxTree]]]  # `TagGrammar.guests`: {operation: {root symbol: {name: tree}}}
-# A site table, kept for one enumeration: {site: [(record, slot change, stamped guest tree)]}
-_Sites = dict[SiteRef | None, list[tuple[DerivationRecord, int, SyntaxTree]]]
+_Path = tuple[GornAddress, ...]  # the edge addresses from a derivation's root down to one guest instance
+_Offer = tuple[DerivationRecord, int, SyntaxTree, _Path]  # (record, slot change, stamped guest tree, its path)
+_Sites = dict[SiteRef | None, list[_Offer]]  # a site table, kept for one enumeration
 
 
 def _passes(check: Callable[[], _Checked]) -> bool:
@@ -168,12 +181,13 @@ def _search(
     budget: EnumerationBudget,
 ) -> EnumerationResult:
     seen: set[tuple[str, frozenset[DerivationRecord]]] = set()
-    queue: deque[_Checked] = deque((state.is_complete, partial(_built, state)) for state in roots)
+    none: frozenset[DerivationRecord] = frozenset()
+    queue: deque[_Entry] = deque((state.is_complete, partial(_built, state), none) for state in roots)
     complete: list[_State] = []
     truncated = False
     explored = 0
     while queue:
-        will_complete, build = queue.popleft()
+        will_complete, build, base = queue.popleft()
         explored += 1
         if explored > budget.max_structures:
             truncated = True
@@ -186,7 +200,6 @@ def _search(
         if len(state.history) >= budget.max_operations:
             truncated = truncated or any(_passes(check) for _, _, check in moves(state))
             continue
-        base = frozenset(state.history)
         for _, record, check in sorted(moves(state), key=lambda m: m[0]):
             key = (state.root, base | {record})  # the copy keeps base's hashes: only record is hashed
             if key in seen:
@@ -196,7 +209,7 @@ def _search(
             except LstagError:
                 continue
             seen.add(key)
-            queue.append(checked)
+            queue.append((*checked, key[1]))
     items = sorted(
         (EnumerationItem(s.root, s.history, s.left_yield(), *s.projections()) for s in complete),
         key=EnumerationItem.sort_key,
@@ -260,6 +273,7 @@ class _TagState:
     root: str
     tree: SyntaxTree
     history: tuple[DerivationRecord, ...]
+    derivation: DerivationTree  # left_projection(history, root), path-copied from the parent state's
 
     @property
     def is_complete(self) -> bool:
@@ -269,20 +283,52 @@ class _TagState:
         return yield_tokens(self.tree)
 
     def projections(self) -> tuple[DerivationTree, None]:
-        return left_projection(self.history, self.root), None
+        return self.derivation, None
 
 
-def _offers(guests: _Guests, operation: str, node: TreeNode) -> list[tuple[DerivationRecord, int, SyntaxTree]]:
+def _offers(guests: _Guests, paths: dict[str, _Path], operation: str, node: TreeNode) -> list[_Offer]:
     """The offers at `node`'s elementary site, one per guest of `operation` that fits there, in grammar order."""
     fits = guests[operation].get(node.kind.symbol, {})  # type: ignore[union-attr]
     ref, consumed = node.site, operation == "substitution"
+    path = paths[ref.owner] + (ref.addr,)  # each guest instance's path, also kept in the path table
     records = [DerivationRecord(operation, name, guest_instance_id(ref, name), ref, ()) for name in fits]
-    return [(r, tree.root.slots - consumed, tree.owned_by(r.guest_id)) for r, tree in zip(records, fits.values())]
+    paths.update((r.guest_id, path) for r in records)
+    return [(r, tree.root.slots - consumed, tree.owned_by(r.guest_id), path) for r, tree in zip(records, fits.values())]
 
 
-def _tag_child(record: DerivationRecord, tree: SyntaxTree, state: _TagState, row: Row) -> _TagState:
-    """`state` with the step `record` taken at `row` of its tree, grafting the stamped guest `tree`."""
-    return _TagState(state.root, RULE[record.operation][1](row, tree), state.history + (record,))
+def _derivation_node(label: str, edges: tuple[tuple[GornAddress, DerivationTree], ...]) -> DerivationTree:
+    """A node built trusted, as `tag.derivation_tree` builds them: `edges` are already in address order."""
+    node = object.__new__(DerivationTree)
+    object.__setattr__(node, "root", label)
+    object.__setattr__(node, "edges", edges)
+    return node
+
+
+def _grafted(derivation: DerivationTree, path: _Path, label: str) -> DerivationTree:
+    """`derivation` with a new leaf `label` at the end of `path`, inserted in address order among its host's edges.
+
+    Path copying: only the nodes from the root down to the host are rebuilt, and every other subtree is shared.
+    """
+    above: list[tuple[DerivationTree, int]] = []  # each node above the host, with the index of its edge down
+    host = derivation
+    for addr in path[:-1]:
+        edges = host.edges
+        i = bisect_left(edges, addr.parts, key=lambda e: e[0].parts)
+        above.append((host, i))
+        host = edges[i][1]
+    edges, addr = host.edges, path[-1]
+    i = bisect_left(edges, addr.parts, key=lambda e: e[0].parts)
+    node = _derivation_node(host.root, (*edges[:i], (addr, _derivation_node(label, ())), *edges[i:]))
+    for host, i in reversed(above):
+        edges = host.edges
+        node = _derivation_node(host.root, (*edges[:i], (edges[i][0], node), *edges[i + 1 :]))
+    return node
+
+
+def _tag_child(record: DerivationRecord, tree: SyntaxTree, path: _Path, state: _TagState, row: Row) -> _TagState:
+    """`state` with the step `record` taken at `row` of its tree, grafting the stamped guest `tree` at `path`."""
+    derivation = _grafted(state.derivation, path, record.guest)
+    return _TagState(state.root, RULE[record.operation][1](row, tree), state.history + (record,), derivation)
 
 
 def _legal(complete: bool, build: Callable[[], _TagState]) -> _Checked:
@@ -290,7 +336,7 @@ def _legal(complete: bool, build: Callable[[], _TagState]) -> _Checked:
     return complete, build
 
 
-def _tag_moves(guests: _Guests, table: _Sites, state: _TagState) -> Iterator[_Move]:
+def _tag_moves(guests: _Guests, table: _Sites, paths: dict[str, _Path], state: _TagState) -> Iterator[_Move]:
     tree, slots = state.tree, state.tree.root.slots
     sites: list[tuple[str, str | None, Row]] = [("substitution", None, row) for row in _slot_rows(tree).values()]
     if guests["adjunction"]:  # with no auxiliary, the only sites are slots
@@ -298,11 +344,11 @@ def _tag_moves(guests: _Guests, table: _Sites, state: _TagState) -> Iterator[_Mo
     for operation, addr_text, row in sites:
         node = row[2]
         if (offers := table.get(node.site)) is None:
-            offers = table[node.site] = _offers(guests, operation, node)
+            offers = table[node.site] = _offers(guests, paths, operation, node)
         if offers:
             addr_text = addr_text or str(row_address(row))
-            for record, change, guest in offers:
-                build = partial(_tag_child, record, guest, state, row)
+            for record, change, guest, path in offers:
+                build = partial(_tag_child, record, guest, path, state, row)
                 yield (addr_text, record.guest), record, partial(_legal, slots + change == 0, build)
 
 
@@ -361,9 +407,10 @@ def enumerate_derivations(
     grammar: TagGrammar | LstagGrammar, budget: EnumerationBudget
 ) -> EnumerationResult:
     if isinstance(grammar, TagGrammar):
-        roots = (_TagState(n, e.tree.owned_by(n), ()) for n, e in grammar.entries if e.tree_class is TreeClass.INITIAL)
-        # One site table, with one stamp per guest instance: it lives for this call alone.
-        return _search(roots, partial(_tag_moves, grammar.guests, {}), budget)
+        initial = [(n, e.tree) for n, e in grammar.entries if e.tree_class is TreeClass.INITIAL]
+        roots = (_TagState(n, tree.owned_by(n), (), DerivationTree(n)) for n, tree in initial)
+        # One site table, with one stamp per guest instance, and one path table: they live for this call alone.
+        return _search(roots, partial(_tag_moves, grammar.guests, {}, {n: () for n, _ in initial}), budget)
     if isinstance(grammar, LstagGrammar):
         classes = {name: _pair_class(pair) for name, pair in grammar.pairs}
         initial = [(n, p) for n, p in grammar.pairs if classes[n] is TreeClass.INITIAL]

@@ -159,6 +159,14 @@ class DerivationRecord:
     left_site: SiteRef
     right_sites: tuple[SiteRef, ...]
 
+    def __post_init__(self):
+        """Hashes the fields once, to the dataclass hash's value: the search keys each move by its record."""
+        fields = (self.operation, self.guest, self.guest_id, self.left_site, self.right_sites)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def to_line(self) -> str:
         if not self.right_sites:
             return f"{self.operation} {self.guest_id}"

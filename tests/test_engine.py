@@ -2,6 +2,7 @@ import json
 import pathlib
 import random
 from collections import Counter
+from dataclasses import fields
 from functools import partial
 from unittest import mock
 
@@ -46,7 +47,8 @@ from lstag import (
 from lstag import engine
 from lstag._lex import read_script
 from lstag.cli import run_lstag_script
-from lstag.sharing import check_step, step_record
+from lstag import sharing
+from lstag.sharing import DerivationRecord, check_step, left_projection, step_record
 from lstag.trees import Interior, SubstitutionSlot, row_address
 
 A = GornAddress.parse
@@ -292,7 +294,7 @@ def test_tag_items_carry_the_left_projection_alone(tag_grammar, which):
         for item in result.items:
             assert item.right_derivation is None
             left, right = derivation_projections(item.records, item.root)
-            assert item.left_derivation == left == checked_copy(left)
+            assert item.left_derivation == left == checked_copy(left) == left_projection(item.records, item.root)
             assert right.edges == () and len(right.nodes) == len(item.records) + 1
 
 
@@ -332,6 +334,108 @@ def test_a_tag_enumeration_builds_at_the_rows_its_moves_found(tag_grammar, monke
     result = enumerate_derivations(tag_grammar, EnumerationBudget(4))
     assert any(item.records for item in result.items)  # some move was built, or this proves nothing
     assert walks == []
+
+
+def test_a_tag_enumeration_projects_no_history(tag_grammar, monkeypatch):
+    """Plain-TAG items take the derivation their states carry: no history is projected."""
+    calls = []
+    project = sharing.left_projection
+    counted = lambda records, root: calls.append(root) or project(records, root)  # noqa: E731
+    monkeypatch.setattr(sharing, "left_projection", counted)
+    monkeypatch.setattr(engine, "left_projection", counted, raising=False)  # however the engine reaches it
+    result = enumerate_derivations(tag_grammar, EnumerationBudget(4))
+    assert any(len(item.records) > 1 for item in result.items)  # some derivation has depth, or this proves nothing
+    assert calls == []
+
+
+def test_a_tag_edge_taken_after_one_at_a_later_address_is_sorted_in():
+    """The root's address text "ε" sorts after "1", so the search adjoins at the root after substituting at 1."""
+    grammar = TagGrammar.from_trees(
+        {"s": parse_tree('S(NP! VP(V("v")))'), "n": parse_tree('NP("n")'), "a": parse_tree('S(ADV("a") S*)')}
+    )
+    (item,) = [item for item in enumerate_derivations(grammar, EnumerationBudget(2)).items if len(item.records) == 2]
+    assert [r.left_site.addr for r in item.records] == [A("1"), A("ε")]
+    assert [a for a, _ in item.left_derivation.edges] == [A("ε"), A("1")]
+    assert item.left_derivation == left_projection(item.records, item.root)
+
+
+def instance_path(history, record):
+    """The edge addresses from the derivation root down to `record`'s guest instance, read off the history alone."""
+    sites = {r.guest_id: r.left_site for r in history}
+    path, site = [], record.left_site
+    while True:
+        path.append(site.addr)
+        if site.owner not in sites:  # the root instance
+            return tuple(reversed(path))
+        site = sites[site.owner]
+
+
+def assert_path_copied(old, new, path, label):
+    """`new` is `old` with a leaf `label` at the end of `path`, and shares every subtree off the path by identity."""
+    for depth, addr in enumerate(path):
+        assert new is not old and new.root == old.root
+        assert [a.parts for a, _ in new.edges] == sorted(a.parts for a, _ in new.edges)
+        old_edges, new_edges = dict(old.edges), dict(new.edges)
+        below = new_edges.pop(addr)
+        assert new_edges.keys() == old_edges.keys() - {addr}
+        assert all(new_edges[a] is old_edges[a] for a in new_edges)
+        if depth == len(path) - 1:
+            assert addr not in old_edges and below == DerivationTree(label)
+        else:
+            old, new = old_edges[addr], below
+
+
+def test_a_tag_child_path_copies_its_parent_derivation(tag_grammar, monkeypatch):
+    """A child's derivation rebuilds only the path down to its new edge and shares the rest with its parent's."""
+    pairs = []
+    tag_child = engine._tag_child
+
+    def recorded(record, *args):  # the parent state is the argument before the row
+        child = tag_child(record, *args)
+        pairs.append((record, args[-2], child))
+        return child
+
+    monkeypatch.setattr(engine, "_tag_child", recorded)
+    enumerate_derivations(tag_grammar, EnumerationBudget(4))
+    assert any(len(instance_path(parent.history, record)) > 1 for record, parent, _ in pairs)  # or this proves little
+    for record, parent, child in pairs:
+        assert child.history == parent.history + (record,)
+        assert child.derivation == left_projection(child.history, child.root)
+        assert_path_copied(parent.derivation, child.derivation, instance_path(parent.history, record), record.guest)
+
+
+def keyed(moves, ops, records):
+    """`moves` that also lists in `records` the record of every move a state short of `ops` operations yields."""
+
+    def listed(*args):
+        for move in moves(*args):
+            if len(args[-1].history) < ops:
+                records.append(move[1])
+            yield move
+
+    return listed
+
+
+@pytest.mark.parametrize("fixture, moves", [("cooked.tag", "_tag_moves"), ("cooks_eats.lstag", "_lstag_moves")])
+def test_the_search_hashes_each_keyed_record_once_and_no_history(fixtures_dir, fixture, moves, monkeypatch):
+    """A record is hashed once per move its key is built for; a state's history is never hashed again."""
+    doc = load_grammar(str(fixtures_dir / fixture))
+    grammar = doc.lstag_grammar() if doc.lstag_pairs else doc.tag_grammar()
+    records, hashed = [], []
+    monkeypatch.setattr(engine, moves, keyed(getattr(engine, moves), 4, records))
+    field_hash = DerivationRecord.__hash__
+    monkeypatch.setattr(DerivationRecord, "__hash__", lambda r: hashed.append(r) or field_hash(r))
+    result = enumerate_derivations(grammar, EnumerationBudget(4))
+    monkeypatch.undo()
+    assert any(len(item.records) > 1 for item in result.items)  # some state was expanded past its root
+    assert sorted(map(id, hashed)) == sorted(map(id, records))  # both lists keep their records alive
+    again = enumerate_derivations(grammar, EnumerationBudget(4))
+    assert again == result
+    for item, twin in zip(result.items, again.items):
+        for r, built in zip(item.records, twin.records):
+            assert hash(r) == hash((r.operation, r.guest, r.guest_id, r.left_site, r.right_sites))
+            assert built is not r and built == r and hash(built) == hash(r)
+    assert [f.name for f in fields(DerivationRecord)] == ["operation", "guest", "guest_id", "left_site", "right_sites"]
 
 
 def test_lstag_records_replay_to_consistent_structures(lstag_grammar):

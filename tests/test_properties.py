@@ -918,7 +918,7 @@ def history_adjoined(history) -> frozenset[SiteRef]:
     return frozenset(r.left_site for r in history if r.operation == "adjunction")
 
 
-def assert_tag_moves_agree(grammar, table, state) -> None:
+def assert_tag_moves_agree(grammar, table, paths, state) -> None:
     """The TAG moves are the compositions that succeed at nodes free to take them, with exact completeness flags.
 
     The marked nodes are exactly the adjunction records' left sites.  The
@@ -934,7 +934,7 @@ def assert_tag_moves_agree(grammar, table, state) -> None:
     for text, _, node in engine._adjunction_sites(state.tree, grammar.guests["adjunction"]):
         walked.add((text, node.site, "adjunction"))
     yielded = {}
-    for key, record, check in engine._tag_moves(grammar.guests, table, state):
+    for key, record, check in engine._tag_moves(grammar.guests, table, paths, state):
         assert (key[0], record.left_site, record.operation) in walked
         complete, build = check()
         built = build()
@@ -962,16 +962,16 @@ def test_tag_move_checks_agree_with_compositions(data):
     trees = {f"i{k}": random_initial(rng) for k in range(3)}
     trees.update((f"a{k}", random_auxiliary(rng)) for k in range(data.draw(st.sampled_from([0, 2]))))
     grammar = TagGrammar.from_trees(trees)
-    table = {}  # one site table for the run, as one enumeration keeps
-    state = engine._TagState("i0", trees["i0"].owned_by("i0"), ())
+    table, paths = {}, {"i0": ()}  # one site table and one path table for the run, as one enumeration keeps
+    state = engine._TagState("i0", trees["i0"].owned_by("i0"), (), DerivationTree("i0"))
     for _ in range(data.draw(st.integers(0, 3))):
-        assert_tag_moves_agree(grammar, table, state)
-        moves = list(engine._tag_moves(grammar.guests, table, state))
+        assert_tag_moves_agree(grammar, table, paths, state)
+        moves = list(engine._tag_moves(grammar.guests, table, paths, state))
         if not moves:
             break
         _, _, check = data.draw(st.sampled_from(moves))
         state = check()[1]()
-    assert_tag_moves_agree(grammar, table, state)
+    assert_tag_moves_agree(grammar, table, paths, state)
 
 
 # --- contiguity ---------------------------------------------------------------------
