@@ -37,7 +37,8 @@ substitution slot to its row and enters only subtrees that hold a slot
 (`TreeNode.slots`).  `_adjunction_sites` lists in preorder, with its address
 text, each interior node that no adjunction has marked `adjoined` and whose
 symbol is the root symbol of an auxiliary that may fit; it enters interior
-nodes only, and it is not called where no auxiliary can fit.  A move reads
+nodes only, builds each one's text as it walks down (its parent's text and
+`.k`), and it is not called where no auxiliary can fit.  A move reads
 the elementary site it composes at (its `SiteRef`) off its node and grafts
 at the row its walk found.
 
@@ -81,8 +82,10 @@ initial guest only at a left substitution slot of the guest's left root
 symbol, a group of several right sites only a guest with no links of its
 own, and no guest is offered whose phi links outnumber the groups the step
 leaves live (every live group for an adjunction, all but the filled one
-for a substitution).  `check_step` is still the judge of every move
-offered, so leaving out moves it would reject changes no result.
+for a substitution).  Each call reads the root symbols of the guests it
+may offer once, before it visits a site.  `check_step` is still the judge
+of every move offered, so leaving out moves it would reject changes no
+result.
 """
 
 from __future__ import annotations
@@ -91,10 +94,11 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Container, Iterable, Iterator, Union
 
 from .errors import LstagError
-from .gorn import GornAddress
+from .gorn import ROOT_TEXT, GornAddress
 from .sharing import (
     DerivationGraph,
     DerivationRecord,
@@ -200,7 +204,7 @@ def _search(
         if len(state.history) >= budget.max_operations:
             truncated = truncated or any(_passes(check) for _, _, check in moves(state))
             continue
-        for _, record, check in sorted(moves(state), key=lambda m: m[0]):
+        for _, record, check in sorted(moves(state), key=itemgetter(0)):
             key = (state.root, base | {record})  # the copy keeps base's hashes: only record is hashed
             if key in seen:
                 continue
@@ -246,21 +250,23 @@ def _slot_rows(tree: SyntaxTree) -> dict[SiteRef | None, Row]:
 def _adjunction_sites(tree: SyntaxTree, symbols: Container[str]) -> list[tuple[str, Row, TreeNode]]:
     """(address text, row, node) of each interior node no adjunction has marked whose symbol is in `symbols`.
 
-    In preorder; the walk enters interior nodes only.
+    In preorder; the walk enters interior nodes only, and builds each one's
+    address text as it goes down: its parent's text, then `.k`.
     """
     sites = []
-    stack: list[Row] = [(None, 0, tree.root)]
+    stack: list[tuple[Row, str]] = [((None, 0, tree.root), "")]  # each row with its address text, "" at the root
     pop, push = stack.pop, stack.append
     while stack:
-        row = pop()
+        row, text = pop()
         node = row[2]
         if node.kind.symbol in symbols and not node.adjoined:
-            sites.append((str(row_address(row)), row, node))
+            sites.append((text or ROOT_TEXT, row, node))
         kids = node.children
         k = len(kids)
+        prefix = text + "." if text else ""
         while k:
             if isinstance(kids[k - 1].kind, Interior):
-                push((row, k, kids[k - 1]))
+                push(((row, k, kids[k - 1]), f"{prefix}{k}"))
             k -= 1
     return sites
 
@@ -372,6 +378,8 @@ def _lstag_moves(
 ) -> Iterator[_Move]:
     live = len(s.live_links)  # a guest spends every phi link on a group the step leaves live
     lefts, rights_at = _slot_rows(s.left_tree), _slot_rows(s.right_spine)
+    # Each initial guest whose phi links leave a group live, with its left root symbol, read once per call.
+    fillers = [(name, pair, pair.left_tree.root_symbol) for name, pair in initial if len(pair.phi) < live]
     for gi, group in enumerate(s.live_links):
         left = lefts.get(group.left_site)
         rights = tuple(map(rights_at.get, group.right_sites))
@@ -379,25 +387,29 @@ def _lstag_moves(
             continue
         slot = left[2].kind
         shared = len(rights) > 1  # a guest shared by several right sites carries no link of its own
-        for name, pair in initial:
-            if pair.left_tree.root_symbol != slot.symbol or len(pair.phi) >= live:
+        for name, pair, symbol in fillers:
+            if symbol != slot.symbol:
                 continue
             if shared and (pair.delta or pair.phi):
                 continue
             record = step_record(left, rights, name)
             yield (0, gi, name), record, partial(check_step, stamps, s, record, pair, left, rights)
-    auxiliary = [(name, pair) for name, pair in auxiliary if len(pair.phi) <= live]
-    if not auxiliary:  # no site is walked to for an adjunction that no guest can make
+    adjoining = [
+        (name, pair, pair.left_tree.root_symbol, pair.right_tree.root_symbol)
+        for name, pair in auxiliary
+        if len(pair.phi) <= live
+    ]
+    if not adjoining:  # no site is walked to for an adjunction that no guest can make
         return
-    left_sites = _adjunction_sites(s.left_tree, {pair.left_tree.root_symbol for _, pair in auxiliary})
-    right_sites = _adjunction_sites(s.right_spine, {pair.right_tree.root_symbol for _, pair in auxiliary})
-    for name, pair in auxiliary:
+    left_sites = _adjunction_sites(s.left_tree, {left_root for _, _, left_root, _ in adjoining})
+    right_sites = _adjunction_sites(s.right_spine, {right_root for _, _, _, right_root in adjoining})
+    for name, pair, left_root, right_root in adjoining:
         for left_text, left, ln in left_sites:
-            if ln.kind.symbol != pair.left_tree.root_symbol:
+            if ln.kind.symbol != left_root:
                 continue
             guest_id = guest_instance_id(ln.site, name)
             for right_text, right, rn in right_sites:
-                if rn.kind.symbol == pair.right_tree.root_symbol:
+                if rn.kind.symbol == right_root:
                     record = DerivationRecord("adjunction", name, guest_id, ln.site, (rn.site,))
                     check = partial(check_step, stamps, s, record, pair, left, (right,))
                     yield (1, left_text, right_text, name), record, check

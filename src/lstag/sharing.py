@@ -219,6 +219,12 @@ class DerivedStructure:
     trees carries the `SiteRef` (instance, original address) it came from;
     link groups and fragment parents name nodes by it, and
     `left_address`/`right_address` give a site's derived address.
+
+    `fragment_parents` (the spine slots the fragments fill) and
+    `fragment_slots` (the substitution slots left open in the fragments) are
+    worked out when the structure is built: every completeness test and
+    every step's check reads them, and a cached property would take Python
+    3.11's per-property lock at each new structure's first read.
     """
 
     root: str
@@ -228,9 +234,9 @@ class DerivedStructure:
     live_links: tuple[SharedLinkGroup, ...]
     history: tuple[DerivationRecord, ...]
 
-    @cached_property
-    def fragment_parents(self) -> frozenset[SiteRef]:
-        return frozenset(p for f in self.fragments for p in f.parents)
+    def __post_init__(self):
+        object.__setattr__(self, "fragment_parents", frozenset(p for f in self.fragments for p in f.parents))
+        object.__setattr__(self, "fragment_slots", sum(f.tree.root.slots for f in self.fragments))
 
     def left_address(self, site: SiteRef) -> GornAddress:
         """The derived address of the left node that carries `site`."""
@@ -239,11 +245,6 @@ class DerivedStructure:
     def right_address(self, site: SiteRef) -> GornAddress:
         """The derived address of the spine node that carries `site`."""
         return row_address(self.right_spine.locate(site))
-
-    @cached_property
-    def fragment_slots(self) -> int:
-        """The substitution slots left open in the fragments."""
-        return sum(f.tree.root.slots for f in self.fragments)
 
     @property
     def is_complete(self) -> bool:

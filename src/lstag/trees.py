@@ -7,8 +7,13 @@ interior node, replanting the detached subtree at the foot.  Both copy only
 the path from the root to the site and share every other subtree.  They
 never stamp: a caller that names the guest instance stamps its tree with
 its elementary sites first (`owned_by`), so a derived tree carries its own
-provenance.  Adjunction marks the node it replants `adjoined` and path
-copies keep the mark, so a tree tells which nodes host an adjunction.
+provenance.  Stamping reads a plan cached on the tree it stamps (each
+node's row with its address, in reverse preorder), and a stamped node
+copies its source's kind, slot count and foot index, so stamping a grammar
+tree again builds only the sites and the nodes.  A site (`SiteRef`) hashes
+once, when it is built, as its address does.  Adjunction marks the node it
+replants `adjoined` and path copies keep the mark, so a tree tells which
+nodes host an adjunction.
 `check_substitution` and `check_adjunction` hold the rules a composition
 checks, and `fill_slot` and `splice` graft without checking.  All four take
 the row of the host's site, which the caller locates once (below), and
@@ -93,15 +98,50 @@ class TreeClass(enum.Enum):
     AUXILIARY = "auxiliary"
 
 
-@dataclass(frozen=True)
-class SiteRef:
-    """A node named by its owning elementary instance and original address."""
+_set = object.__setattr__  # sets a field of a frozen value
+
+
+class _Hashed:
+    """The slot of a site's hash, set when the site is built."""
+
+    __slots__ = ("_hash",)
+
+
+@dataclass(frozen=True, slots=True)
+class SiteRef(_Hashed):
+    """A node named by its owning elementary instance and original address.
+
+    Link groups, fragment parents, derivation records and the enumerator's
+    tables are keyed by sites, so a site hashes once, when it is built, to
+    the value a dataclass hash gives (`hash((owner, addr))`), and equality
+    takes an identity fast path.  The hash lives in a slot, and pickling
+    rebuilds a site through its constructor.
+    """
 
     owner: str
     addr: GornAddress
 
+    def __init__(self, owner: str, addr: GornAddress):
+        """Sets the slots directly: a stamp builds a site for every node it makes."""
+        _set(self, "owner", owner)
+        _set(self, "addr", addr)
+        _set(self, "_hash", hash((owner, addr)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.owner == other.owner and self.addr == other.addr  # type: ignore
+
     def __str__(self) -> str:
         return f"{self.owner}@{self.addr}"
+
+    def __reduce__(self):
+        return SiteRef, (self.owner, self.addr)
 
 
 class TreeNode:
@@ -221,12 +261,33 @@ class SyntaxTree:
         return cls(_from_preorder([(len(p), kinds[p], None) for p in order]))
 
     def owned_by(self, owner: str) -> "SyntaxTree":
-        """This tree with every node's site set to `SiteRef(owner, its address)`.
+        """This tree with every node's site set to `SiteRef(owner, its address)`, and no node marked `adjoined`.
 
-        The addresses come from the cached `entries`, so stamping a grammar
-        tree again builds only the sites and the nodes.
+        Stamping reads the plan cached on the tree, so stamping a grammar tree
+        again builds only the sites and the nodes.  In reverse preorder a
+        node's children are stamped before it: they are the last ones on
+        `done`, the first child last.  A stamped node copies its source's
+        `kind`, `slots` and `foot`, which stamping its children does not change.
         """
-        return SyntaxTree(_from_preorder([(len(a.parts), kind, SiteRef(owner, a)) for a, kind in self.entries]))
+        done: list[TreeNode] = []
+        for row, addr in self._stamp_plan:
+            source = row[2]
+            node = object.__new__(TreeNode)
+            node.kind, node.site, node.adjoined = source.kind, SiteRef(owner, addr), False
+            node.slots, node.foot = source.slots, source.foot
+            n = len(source.children)
+            if n:
+                node.children = tuple(done[: -n - 1 : -1])
+                del done[-n:]
+            else:
+                node.children = ()
+            done.append(node)
+        return SyntaxTree(done[0])
+
+    @cached_property
+    def _stamp_plan(self) -> tuple[tuple[Row, GornAddress], ...]:
+        """Each node's row with its address, in reverse preorder: what `owned_by` reads."""
+        return tuple(zip(self.rows(), self.addresses()))[::-1]
 
     def nodes(self) -> Iterator[TreeNode]:
         """The nodes in preorder, without their addresses."""

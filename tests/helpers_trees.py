@@ -25,6 +25,7 @@ from lstag import (
 )
 from lstag.gorn import ROOT
 from lstag.tag import derivation_tree
+from lstag.trees import SiteRef, _from_preorder
 
 SYMBOLS = ("S", "A", "B")
 TOKENS = ("a", "b", "c", "d")
@@ -119,6 +120,20 @@ def random_lstag_grammar(rng: random.Random) -> LstagGrammar:
         delta = tuple(random_links(rng, left, right, rng.randint(0, 1)))
         pairs.append(LstagPair(f"a{k}", left, right, delta=delta, phi=phi))
     return LstagGrammar(tuple((p.name, p) for p in pairs))
+
+
+def reference_owned_by(tree: SyntaxTree, owner: str) -> SyntaxTree:
+    """`SyntaxTree.owned_by` built the plain way: a (depth, kind, site) row per entry, through `_from_preorder`.
+
+    Each node is built by `TreeNode`'s constructor, which counts its slots and
+    finds its foot from its children.
+    """
+    return SyntaxTree(_from_preorder([(len(a.parts), kind, SiteRef(owner, a)) for a, kind in tree.entries]))
+
+
+def node_table(tree: SyntaxTree) -> list[tuple]:
+    """Each node's kind, child count, site, `slots`, `foot` and `adjoined` mark, in preorder."""
+    return [(n.kind, len(n.children), n.site, n.slots, n.foot, n.adjoined) for n in tree.nodes()]
 
 
 def frontier_entries(tree: SyntaxTree) -> list[tuple[GornAddress, str]]:

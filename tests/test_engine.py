@@ -814,6 +814,15 @@ def test_the_fit_rules_leave_out_only_moves_that_fail(data):
         enumerate_derivations(grammar, EnumerationBudget(data.draw(st.integers(1, 3)), 200))
 
 
+def test_the_adjunction_walk_spells_each_site_address_as_it_goes_down():
+    """Each interior node's text is its parent's text and its child index; a leaf is not walked to."""
+    tree = parse_tree('S(A(B(C("x")) A(S("y") B!)) S(A("z")))').owned_by("t")
+    sites = engine._adjunction_sites(tree, {"S", "A", "B", "C"})
+    assert [text for text, _, _ in sites] == ["ε", "1", "1.1", "1.1.1", "1.2", "1.2.1", "2", "2.1"]
+    assert [node.site.addr for _, _, node in sites] == [A(text) for text, _, _ in sites]
+    assert [text for text, _, _ in engine._adjunction_sites(tree, {"B", "S"})] == ["ε", "1.1", "1.2.1", "2"]
+
+
 @given(st.data())
 @settings(max_examples=50, deadline=None)
 def test_the_move_walks_find_what_the_whole_tree_walks_find(data):
@@ -824,7 +833,7 @@ def test_the_move_walks_find_what_the_whole_tree_walks_find(data):
     on plain-TAG trees.  The slot walk finds every slot's row by its site, as
     `by_site` does, so it finds the rows of every live group whose left site
     is a slot; the adjunction-site walk finds what a filter over every row of
-    `rows()` finds.
+    `rows()` finds, and spells each site's address as `row_address` does.
     """
     rng = random.Random(data.draw(st.integers(0, 2**48)))
     grammar = random_lstag_grammar(rng)
@@ -839,7 +848,9 @@ def test_the_move_walks_find_what_the_whole_tree_walks_find(data):
             for symbols in symbol_sets:
                 kinds = {Interior(symbol) for symbol in symbols}
                 every = [r for r in tree.rows() if r[2].kind in kinds and not r[2].adjoined]
-                assert engine._adjunction_sites(tree, symbols) == [(str(row_address(r)), r, r[2]) for r in every]
+                sites = engine._adjunction_sites(tree, symbols)
+                assert [(row, node) for _, row, node in sites] == [(r, r[2]) for r in every]
+                assert [text for text, _, _ in sites] == [str(row_address(row)) for _, row, _ in sites]
         lefts, rights = engine._slot_rows(s.left_tree), engine._slot_rows(s.right_spine)
         for group in s.live_links:
             left = s.left_tree.by_site.get(group.left_site)

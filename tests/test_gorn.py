@@ -40,6 +40,17 @@ def test_order_is_lexicographic_between_siblings():
     ) == [GornAddress.parse(t) for t in ["ε", "1", "1.1", "2", "2.2"]]
 
 
+def test_order_with_another_type_raises_type_error():
+    """As with built-in types: `__lt__` returns NotImplemented for a non-address, so Python raises TypeError."""
+    with pytest.raises(TypeError):
+        GornAddress((1,)) < 1
+    with pytest.raises(TypeError):
+        sorted([GornAddress((1,)), None])
+    with pytest.raises(TypeError):
+        (1,) <= GornAddress((1,))
+    assert GornAddress.__lt__(GornAddress((1,)), (2,)) is NotImplemented
+
+
 def test_prefix_tests():
     a = GornAddress.parse("1.2")
     assert GornAddress.parse("1").is_proper_prefix_of(a)

@@ -1,5 +1,13 @@
-import pytest
+import copy
+import pathlib
+import pickle
+import random
+from dataclasses import FrozenInstanceError, fields
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers_trees import node_table, random_auxiliary, random_tree, reference_owned_by
 from lstag import (
     AddressNotFound,
     ClassMismatch,
@@ -27,8 +35,11 @@ from lstag import (
     yield_tokens,
 )
 from lstag.gorn import ROOT
+from lstag.grammarfile import load_grammar
 from lstag.render import tree_to_dot
 from lstag.trees import TreeNode, splice
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 A = GornAddress.parse
 
@@ -317,6 +328,68 @@ def test_stamping_one_tree_under_two_owners(owners):
         assert [n.site for n in copy.nodes()] == [SiteRef(owner, a) for a in source.addresses()]
         assert copy == source
     assert all(n.site is None for n in source.nodes())
+
+
+def fixture_trees() -> list[SyntaxTree]:
+    """Every tree of every shipped grammar fixture, both sides of each pair."""
+    trees = []
+    for path in sorted(FIXTURES.glob("*.*")):
+        doc = load_grammar(str(path))
+        trees += [tree for _, tree in doc.trees]
+        trees += [t for p in (*doc.stag_pairs, *doc.lstag_pairs) for t in (p.left_tree, p.right_tree)]
+    return trees
+
+
+def test_owned_by_matches_the_reference_stamp_on_every_fixture_tree():
+    """Node for node: kind, child count, site, slots, foot and mark, under two owners in turn."""
+    trees = fixture_trees()
+    assert len(trees) > 20 and any(t.foot_row is not None for t in trees)
+    for tree in trees:
+        for owner in ("a", "b/1.2:c"):
+            assert node_table(tree.owned_by(owner)) == node_table(reference_owned_by(tree, owner))
+
+
+@given(st.integers(0, 2**48), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_owned_by_matches_the_reference_stamp(seed, derived):
+    """Random trees, with a foot or without, parsed or composed: a composed tree carries sites and marks to replace."""
+    rng = random.Random(seed)
+    tree = random_tree(rng, max_depth=4, foot_symbol=rng.choice([None, "S", "A"]))
+    if derived:
+        rows = [r for r in tree.owned_by("host").rows() if isinstance(r[2].kind, Interior)]
+        row = rng.choice(rows)
+        tree = splice(row, random_auxiliary(rng, root_symbol=row[2].kind.symbol).owned_by("guest"))
+    for owner in ("x", "y"):
+        stamped = tree.owned_by(owner)
+        assert node_table(stamped) == node_table(reference_owned_by(tree, owner))
+        assert stamped == tree and stamped.foot_address == tree.foot_address
+
+
+def test_addresses_and_sites_hash_compare_print_and_pickle_as_dataclass_values():
+    """Each hashes once, to the dataclass hash's value, and compares, prints, lists its fields and pickles as one."""
+    parts = [(), (1,), (2, 1), (1, 2, 3, 4)]
+    for p in parts:
+        assert hash(GornAddress(p)) == hash((p,)) == hash(GornAddress.parse(str(GornAddress(p))))
+        assert hash(SiteRef("x", GornAddress(p))) == hash(("x", GornAddress(p)))
+    assert [GornAddress(p) == GornAddress(q) for p in parts for q in parts] == [p == q for p in parts for q in parts]
+    assert GornAddress((1, 2)) != GornAddress((1, 3)) and SiteRef("x", A("1")) != SiteRef("y", A("1"))
+    assert SiteRef("x", A("1")) != SiteRef("x", A("2")) and SiteRef("x", A("1")) == SiteRef("x", GornAddress((1,)))
+    assert (GornAddress((1,)) == (1,)) is False and (SiteRef("x", ROOT) == ("x", ROOT)) is False
+    assert GornAddress((1,)) != (1,) and SiteRef("x", ROOT) != ("x", ROOT)
+    assert repr(SiteRef("x", A("2.1"))) == "SiteRef(owner='x', addr=GornAddress('2.1'))"
+    assert str(SiteRef("x", A("2.1"))) == "x@2.1" and str(SiteRef("x", ROOT)) == "x@ε"
+    assert [f.name for f in fields(GornAddress)] == ["parts"]
+    assert [f.name for f in fields(SiteRef)] == ["owner", "addr"]
+    values = [ROOT, A("2.1"), SiteRef("x", ROOT), SiteRef("y/1:z", A("1.2.3"))]
+    for value in values:
+        str(value)  # an address keeps the text it printed; a copy must not depend on it
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(value, protocol))
+            assert back == value and hash(back) == hash(value) and str(back) == str(value) and repr(back) == repr(value)
+        for back in (copy.copy(value), copy.deepcopy(value)):
+            assert back == value and hash(back) == hash(value)
+    with pytest.raises(FrozenInstanceError):
+        A("1").parts = (2,)
 
 
 # --- deep trees: addresses are built only where a caller reads one ------------------
