@@ -52,8 +52,11 @@ per guest that fits there, in grammar order.  An offer is a whole value,
 built then and never changed: the step's record, the change in open slots
 the step makes and, since grafts never stamp, the guest instance's tree,
 stamped with its sites (`owned_by`) from the start.  A site no guest fits
-stores none.  Each state builds its own address and order-key text, at the
-nodes some guest fits only.  No two nodes of a plain-TAG state share a site
+stores none.  A move's order key starts with its site's derived address
+text, spelled only at the nodes some guest fits: an adjunction site's is
+its walk's, and a slot's is joined from the child indexes of its parent
+rows (`_row_text`), with no `GornAddress` built.  A state is a plain tuple
+(`_TagState`).  No two nodes of a plain-TAG state share a site
 (a guest instance's id names the one host site it fills), so the slot
 walk's table holds every slot.
 
@@ -61,10 +64,13 @@ A plain-TAG state also carries its derivation tree, equal to
 `sharing.left_projection` of its history, so an item projects nothing.  A
 build path-copies the parent's tree: it rebuilds the nodes from the root down
 to the host instance, adds the new edge there in address order, and shares
-every other subtree.  The path of edge addresses down to a guest instance
-depends on its instance id alone, so an offer holds it, worked out when the
-offer is made (the owner's path plus the site address) and kept in a path
-table that, like the site table, lives for one enumeration.
+every other subtree.  A node has few edges, so each level scans them, with
+no key function: for the edge down by address identity, then parts, and at
+the host for the new edge's place by parts.  The path of edge addresses down
+to a guest instance depends on its instance id alone, so an offer holds it,
+worked out when the offer is made (the owner's path plus the site address)
+and kept in a path table that, like the site table, lives for one
+enumeration.
 
 Link-sharing moves are checked by `sharing.check_step` on the rows of their
 sites.  Substitutions fill live link groups (one move fills every shared
@@ -90,12 +96,11 @@ result.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Container, Iterable, Iterator, Union
+from typing import Callable, Container, Iterable, Iterator, NamedTuple, Union
 
 from .errors import LstagError
 from .gorn import ROOT_TEXT, GornAddress
@@ -121,7 +126,6 @@ from .trees import (
     TreeClass,
     TreeNode,
     classify,
-    row_address,
     yield_tokens,
 )
 
@@ -247,6 +251,15 @@ def _slot_rows(tree: SyntaxTree) -> dict[SiteRef | None, Row]:
     return rows
 
 
+def _row_text(row: Row) -> str:
+    """The address text of a row's node, spelled from its parent rows' child indexes as `row_address` prints it."""
+    parts = []
+    while row[0] is not None:
+        parts.append(row[1])
+        row = row[0]
+    return ".".join(map(str, reversed(parts))) if parts else ROOT_TEXT
+
+
 def _adjunction_sites(tree: SyntaxTree, symbols: Container[str]) -> list[tuple[str, Row, TreeNode]]:
     """(address text, row, node) of each interior node no adjunction has marked whose symbol is in `symbols`.
 
@@ -274,8 +287,9 @@ def _adjunction_sites(tree: SyntaxTree, symbols: Container[str]) -> list[tuple[s
 # --- plain TAG moves ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _TagState:
+class _TagState(NamedTuple):
+    """A plain-TAG search state, a plain tuple: the search builds one per move it takes."""
+
     root: str
     tree: SyntaxTree
     history: tuple[DerivationRecord, ...]
@@ -314,16 +328,21 @@ def _grafted(derivation: DerivationTree, path: _Path, label: str) -> DerivationT
     """`derivation` with a new leaf `label` at the end of `path`, inserted in address order among its host's edges.
 
     Path copying: only the nodes from the root down to the host are rebuilt, and every other subtree is shared.
+    Each level scans its node's few edges: for the path's address (that object, or its parts), or at the host
+    for the first edge past the new address.
     """
     above: list[tuple[DerivationTree, int]] = []  # each node above the host, with the index of its edge down
     host = derivation
     for addr in path[:-1]:
-        edges = host.edges
-        i = bisect_left(edges, addr.parts, key=lambda e: e[0].parts)
+        edges, i = host.edges, 0
+        while edges[i][0] is not addr and edges[i][0].parts != addr.parts:
+            i += 1
         above.append((host, i))
         host = edges[i][1]
     edges, addr = host.edges, path[-1]
-    i = bisect_left(edges, addr.parts, key=lambda e: e[0].parts)
+    parts, i = addr.parts, 0
+    while i < len(edges) and edges[i][0].parts < parts:
+        i += 1
     node = _derivation_node(host.root, (*edges[:i], (addr, _derivation_node(label, ())), *edges[i:]))
     for host, i in reversed(above):
         edges = host.edges
@@ -352,7 +371,7 @@ def _tag_moves(guests: _Guests, table: _Sites, paths: dict[str, _Path], state: _
         if (offers := table.get(node.site)) is None:
             offers = table[node.site] = _offers(guests, paths, operation, node)
         if offers:
-            addr_text = addr_text or str(row_address(row))
+            addr_text = addr_text or _row_text(row)
             for record, change, guest, path in offers:
                 build = partial(_tag_child, record, guest, path, state, row)
                 yield (addr_text, record.guest), record, partial(_legal, slots + change == 0, build)

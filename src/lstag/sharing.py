@@ -151,7 +151,13 @@ class SharedLinkGroup:
 
 @dataclass(frozen=True)
 class DerivationRecord:
-    """A record names its step: the operation, the guest and its instance id, and the sites it composes at."""
+    """A record names its step: the operation, the guest and its instance id, and the sites it composes at.
+
+    A record hashes its fields once, when it is built, to the dataclass hash's value (the search keys each
+    move by its record), and spells its line the first time `to_line` is called (items sort by their lines,
+    and states share records).  Neither takes part in equality or `repr`, and pickling rebuilds a record
+    through its constructor, so neither travels.
+    """
 
     operation: str  # "substitution" | "adjunction" | "shared-substitution"
     guest: str
@@ -160,18 +166,24 @@ class DerivationRecord:
     right_sites: tuple[SiteRef, ...]
 
     def __post_init__(self):
-        """Hashes the fields once, to the dataclass hash's value: the search keys each move by its record."""
         fields = (self.operation, self.guest, self.guest_id, self.left_site, self.right_sites)
         object.__setattr__(self, "_hash", hash(fields))
 
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        return DerivationRecord, (self.operation, self.guest, self.guest_id, self.left_site, self.right_sites)
+
     def to_line(self) -> str:
-        if not self.right_sites:
-            return f"{self.operation} {self.guest_id}"
-        rights = ", ".join(str(s) for s in self.right_sites)
-        return f"{self.operation} {self.guest_id} right=[{rights}]"
+        try:
+            return self._line
+        except AttributeError:  # the first call spells the line
+            line = f"{self.operation} {self.guest_id}"
+            if self.right_sites:
+                line += f" right=[{', '.join(map(str, self.right_sites))}]"
+            object.__setattr__(self, "_line", line)
+            return line
 
 
 @dataclass(frozen=True)

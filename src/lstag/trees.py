@@ -213,6 +213,19 @@ def _from_preorder(rows: Sequence[tuple[int, NodeKind, SiteRef | None]]) -> Tree
     return done[0][1]
 
 
+def _foot_row(root: TreeNode) -> Row | None:
+    """The row of the first foot in preorder below `root`, followed down the nodes' `foot` indexes."""
+    row: Row = (None, 0, root)
+    k = root.foot
+    if not k:
+        return None
+    while k > 0:
+        node = row[2].children[k - 1]
+        row = (row, k, node)
+        k = node.foot
+    return row
+
+
 def _replaced(row: Row, new: TreeNode) -> TreeNode:
     """`row`'s tree rebuilt up its parent rows with `new` in its place; the copies keep their sites and marks."""
     parent, k, _ = row
@@ -268,6 +281,8 @@ class SyntaxTree:
         node's children are stamped before it: they are the last ones on
         `done`, the first child last.  A stamped node copies its source's
         `kind`, `slots` and `foot`, which stamping its children does not change.
+        The stamped tree's `foot_row` is filled here, followed down those
+        `foot` indexes, so no read of it takes the cached property's lock.
         """
         done: list[TreeNode] = []
         for row, addr in self._stamp_plan:
@@ -282,7 +297,9 @@ class SyntaxTree:
             else:
                 node.children = ()
             done.append(node)
-        return SyntaxTree(done[0])
+        stamped = SyntaxTree(done[0])
+        stamped.__dict__["foot_row"] = _foot_row(done[0])
+        return stamped
 
     @cached_property
     def _stamp_plan(self) -> tuple[tuple[Row, GornAddress], ...]:
@@ -368,15 +385,7 @@ class SyntaxTree:
     @cached_property
     def foot_row(self) -> Row | None:
         """The row of the first foot in preorder, followed down the nodes' `foot` indexes in O(depth)."""
-        row: Row = (None, 0, self.root)
-        k = self.root.foot
-        if not k:
-            return None
-        while k > 0:
-            node = row[2].children[k - 1]
-            row = (row, k, node)
-            k = node.foot
-        return row
+        return _foot_row(self.root)
 
     @cached_property
     def foot_address(self) -> GornAddress | None:

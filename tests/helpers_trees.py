@@ -9,6 +9,7 @@ connectivity oracle is a BFS over the induced subgraph.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import Counter
 
 from lstag import (
@@ -24,7 +25,7 @@ from lstag import (
     parse_tree,
 )
 from lstag.gorn import ROOT
-from lstag.tag import derivation_tree
+from lstag.tag import DerivationTree, derivation_tree
 from lstag.trees import SiteRef, _from_preorder
 
 SYMBOLS = ("S", "A", "B")
@@ -129,6 +130,25 @@ def reference_owned_by(tree: SyntaxTree, owner: str) -> SyntaxTree:
     finds its foot from its children.
     """
     return SyntaxTree(_from_preorder([(len(a.parts), kind, SiteRef(owner, a)) for a, kind in tree.entries]))
+
+
+def reference_grafted(derivation: DerivationTree, path: tuple[GornAddress, ...], label: str) -> DerivationTree:
+    """`engine._grafted` written with `bisect_left`: `derivation` with a new leaf `label` at the end of `path`.
+
+    Each level finds its edge down, and the host the new edge's place, by bisecting the edges on their
+    address parts; only the nodes down the path are rebuilt, and every other subtree is shared.
+    """
+    edges = derivation.edges
+    i = bisect_left(edges, path[0].parts, key=lambda e: e[0].parts)
+    if len(path) == 1:
+        return DerivationTree(derivation.root, (*edges[:i], (path[0], DerivationTree(label)), *edges[i:]))
+    below = reference_grafted(edges[i][1], path[1:], label)
+    return DerivationTree(derivation.root, (*edges[:i], (edges[i][0], below), *edges[i + 1 :]))
+
+
+def first_foot_row(tree: SyntaxTree):
+    """The row of the first foot in preorder, found by walking `rows()`."""
+    return next((row for row in tree.rows() if isinstance(row[2].kind, Foot)), None)
 
 
 def node_table(tree: SyntaxTree) -> list[tuple]:

@@ -3,7 +3,7 @@ import pathlib
 import random
 from collections import Counter
 from dataclasses import fields
-from functools import partial
+from functools import cached_property, partial
 from unittest import mock
 
 import pytest
@@ -18,6 +18,7 @@ from helpers_trees import (
     random_auxiliary,
     random_initial,
     random_lstag_grammar,
+    reference_grafted,
     replay_lstag_records,
 )
 from reference_search import reference_enumerate
@@ -402,6 +403,94 @@ def test_a_tag_child_path_copies_its_parent_derivation(tag_grammar, monkeypatch)
         assert child.history == parent.history + (record,)
         assert child.derivation == left_projection(child.history, child.root)
         assert_path_copied(parent.derivation, child.derivation, instance_path(parent.history, record), record.guest)
+
+
+def subtree_ids(tree) -> set[int]:
+    """The ids of every node of a derivation tree."""
+    ids, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        ids.add(id(node))
+        stack.extend(below for _, below in node.edges)
+    return ids
+
+
+def shared_shape(tree, old: set[int]):
+    """`tree` as nested tuples of labels and edges, where a subtree whose id is in `old` stands as that id."""
+    if id(tree) in old:
+        return id(tree)
+    return tree.root, tuple((addr, shared_shape(below, old)) for addr, below in tree.edges)
+
+
+def test_the_derivation_copy_matches_the_bisect_reference(tag_grammar, monkeypatch):
+    """Each copy has the reference's edges, in its order, and shares the same subtrees of the parent's derivation.
+
+    Some copies descend through an edge that is not their host's first, and some put the new edge after another.
+    """
+    grafted, descents, inserts = engine._grafted, set(), set()
+
+    def compared(derivation, path, label):
+        got, want = grafted(derivation, path, label), reference_grafted(derivation, path, label)
+        old = subtree_ids(derivation)
+        assert got == want and shared_shape(got, old) == shared_shape(want, old)
+        node = want
+        for addr in path:
+            i = [a for a, _ in node.edges].index(addr)
+            (descents if addr is not path[-1] else inserts).add(i)
+            node = node.edges[i][1]
+        return got
+
+    monkeypatch.setattr(engine, "_grafted", compared)
+    enumerate_derivations(tag_grammar, EnumerationBudget(5))
+    assert max(descents) > 0 and max(inserts) > 0  # or the scans' order is not put to the test
+    # A path of addresses equal to the edges' but not the same objects is followed by their parts.
+    leaf = DerivationTree("d")
+    tree = DerivationTree("r", ((A("1"), DerivationTree("a")), (A("2"), DerivationTree("b", ((A("3"), leaf),)))))
+    for path in [(A("2"), A("1")), (A("2"), A("4")), (A("1.1"),), (A("3"),)]:
+        compared(tree, path, "new")
+
+
+_TAG_FIXTURES = sorted(path.name for path in pathlib.Path(__file__).resolve().parent.parent.glob("fixtures/*.tag"))
+
+
+@pytest.mark.parametrize("fixture", _TAG_FIXTURES)
+def test_every_tag_move_key_spells_its_row_address(fixtures_dir, fixture, monkeypatch):
+    """A plain-TAG move's order key starts with its site's derived address text, as `row_address` prints it."""
+    grammar = load_grammar(str(fixtures_dir / fixture)).tag_grammar()
+    moves, texts = engine._tag_moves, set()
+
+    def checked(guests, table, paths, state):
+        for key, record, check in moves(guests, table, paths, state):
+            assert key[0] == str(row_address(state.tree.locate(record.left_site)))
+            texts.add((record.operation, key[0].count(".")))
+            yield key, record, check
+
+    monkeypatch.setattr(engine, "_tag_moves", checked)
+    enumerate_derivations(grammar, EnumerationBudget(4))
+    assert {("substitution", 1), ("adjunction", 1), ("adjunction", 2)} <= texts  # texts of two and three parts
+
+
+@pytest.mark.parametrize("fixture", ["cooked.tag", "cooks_eats.lstag"])
+def test_an_enumeration_reads_no_foot_row_through_the_cached_property(fixtures_dir, fixture, monkeypatch):
+    """Stamping gives a guest instance its foot row, so no adjunction takes the cached property's lock to read it.
+
+    A first enumeration fills the grammar trees' cached views; the second stamps its guest instances anew.
+    """
+    doc = load_grammar(str(fixtures_dir / fixture))
+    grammar = doc.lstag_grammar() if doc.lstag_pairs else doc.tag_grammar()
+    enumerate_derivations(grammar, EnumerationBudget(4))
+    reads, get = [], cached_property.__get__
+
+    def counted(prop, instance, owner=None):
+        if prop.attrname == "foot_row" and instance is not None:
+            reads.append(instance)
+        return get(prop, instance, owner)
+
+    monkeypatch.setattr(cached_property, "__get__", counted)
+    result = enumerate_derivations(grammar, EnumerationBudget(4))
+    monkeypatch.undo()
+    assert any(r.operation == "adjunction" for item in result.items for r in item.records)
+    assert reads == []
 
 
 def keyed(moves, ops, records):

@@ -59,6 +59,7 @@ from helpers_trees import (
     SYMBOLS,
     check_structure,
     derivation_from_json_obj,
+    first_foot_row,
     group_addresses,
     image_connected_oracle,
     pair_grammar,
@@ -282,11 +283,6 @@ def test_node_only_traversals_agree_with_the_address_walk(data):
 
 
 # --- the foot index ----------------------------------------------------------------
-
-
-def first_foot_row(tree):
-    """The row of the first foot in preorder, found by walking `rows()`."""
-    return next((row for row in tree.rows() if isinstance(row[2].kind, Foot)), None)
 
 
 def assert_foot_index_agrees(tree) -> None:
@@ -922,20 +918,24 @@ def assert_tag_moves_agree(grammar, table, paths, state) -> None:
     """The TAG moves are the compositions that succeed at nodes free to take them, with exact completeness flags.
 
     The marked nodes are exactly the adjunction records' left sites.  The
-    slot walk keeps one row per slot (no two slots share a site), and every
-    move sits at a row the slot walk or the adjunction-site walk returned.
+    slot walk keeps one row per slot (no two slots share a site), every
+    move sits at a row the slot walk or the adjunction-site walk returned,
+    and its order key starts with that row's address text, as `row_address`
+    prints it.
     """
     adjoined = history_adjoined(state.history)
     marked = [node.site for node in state.tree.nodes() if node.adjoined]
     assert len(marked) == len(adjoined) and set(marked) == adjoined
     slot_rows = engine._slot_rows(state.tree)
     assert len(slot_rows) == state.tree.root.slots
-    walked = {(str(row_address(row)), row[2].site, "substitution") for row in slot_rows.values()}
-    for text, _, node in engine._adjunction_sites(state.tree, grammar.guests["adjunction"]):
-        walked.add((text, node.site, "adjunction"))
+    walked = {(row[2].site, "substitution") for row in slot_rows.values()}
+    for _, _, node in engine._adjunction_sites(state.tree, grammar.guests["adjunction"]):
+        walked.add((node.site, "adjunction"))
+    rows = {row[2].site: row for row in state.tree.rows()}
     yielded = {}
     for key, record, check in engine._tag_moves(grammar.guests, table, paths, state):
-        assert (key[0], record.left_site, record.operation) in walked
+        assert (record.left_site, record.operation) in walked
+        assert key[0] == str(row_address(rows[record.left_site]))
         complete, build = check()
         built = build()
         assert built.is_complete == complete

@@ -1,3 +1,9 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from lstag import (
@@ -539,3 +545,47 @@ def test_projections_of_a_deep_history():
         assert addr == E and node.root == "aux"
         depth += 1
     assert depth == 3000
+
+
+def test_a_record_spells_its_line_once():
+    """`to_line` gives the formatted line, the same text on every call; the kept line changes no comparison."""
+    shared = DerivationRecord("shared-substitution", "john", "cooks/1:john", SiteRef("cooks", A("1")),
+                              (SiteRef("cooks", A("1")), SiteRef("and_eats/2:x", A("2.2"))))
+    plain = DerivationRecord("substitution", "john", "cooks/1:john", SiteRef("cooks", A("1")), ())
+    lines = {
+        shared: "shared-substitution cooks/1:john right=[cooks@1, and_eats/2:x@2.2]",
+        plain: "substitution cooks/1:john",
+    }
+    for record, line in lines.items():
+        fresh = DerivationRecord(record.operation, record.guest, record.guest_id, record.left_site, record.right_sites)
+        assert record.to_line() == line and record.to_line() is record.to_line()
+        assert record == fresh and hash(record) == hash(fresh) and repr(record) == repr(fresh)
+        back = pickle.loads(pickle.dumps(record))
+        assert back == record and "_line" not in vars(back) and back.to_line() == line
+
+
+_PICKLE_RECORD = """
+import pickle, sys
+from lstag import DerivationRecord, GornAddress, SiteRef
+record = DerivationRecord("adjunction", "aux", "cooks/2:aux", SiteRef("cooks", GornAddress((2,))),
+                          (SiteRef("cooks", GornAddress((2, 1))),))
+if sys.argv[1] == "dump":
+    record.to_line()
+    sys.stdout.buffer.write(pickle.dumps(record))
+else:
+    back = pickle.loads(sys.stdin.buffer.read())
+    print(back == record, back in {record}, hash(back) == hash(record), "_line" in vars(back))
+"""
+
+
+def test_a_pickled_record_hashes_under_the_hash_seed_it_is_loaded_in():
+    """Pickled under one hash seed and loaded under another, a record is found in a set of fresh records."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(seed, mode, data):
+        argv = [sys.executable, "-c", _PICKLE_RECORD, mode]
+        done = subprocess.run(argv, input=data, env=dict(env, PYTHONHASHSEED=seed), capture_output=True, check=True)
+        return done.stdout
+
+    assert run("2", "load", run("1", "dump", b"")).decode().split() == ["True", "True", "True", "False"]

@@ -7,7 +7,7 @@ from dataclasses import FrozenInstanceError, fields
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers_trees import node_table, random_auxiliary, random_tree, reference_owned_by
+from helpers_trees import first_foot_row, node_table, random_auxiliary, random_tree, reference_owned_by
 from lstag import (
     AddressNotFound,
     ClassMismatch,
@@ -341,12 +341,17 @@ def fixture_trees() -> list[SyntaxTree]:
 
 
 def test_owned_by_matches_the_reference_stamp_on_every_fixture_tree():
-    """Node for node: kind, child count, site, slots, foot and mark, under two owners in turn."""
+    """Node for node: kind, child count, site, slots, foot and mark, under two owners in turn.
+
+    The stamped tree comes with its foot row, the one a walk of its rows finds first.
+    """
     trees = fixture_trees()
     assert len(trees) > 20 and any(t.foot_row is not None for t in trees)
     for tree in trees:
         for owner in ("a", "b/1.2:c"):
-            assert node_table(tree.owned_by(owner)) == node_table(reference_owned_by(tree, owner))
+            stamped = tree.owned_by(owner)
+            assert node_table(stamped) == node_table(reference_owned_by(tree, owner))
+            assert vars(stamped)["foot_row"] == first_foot_row(stamped)
 
 
 @given(st.integers(0, 2**48), st.booleans())
@@ -362,6 +367,7 @@ def test_owned_by_matches_the_reference_stamp(seed, derived):
     for owner in ("x", "y"):
         stamped = tree.owned_by(owner)
         assert node_table(stamped) == node_table(reference_owned_by(tree, owner))
+        assert vars(stamped)["foot_row"] == first_foot_row(stamped)
         assert stamped == tree and stamped.foot_address == tree.foot_address
 
 
