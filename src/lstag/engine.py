@@ -11,24 +11,35 @@ Plain TAG and link-sharing TAG share one breadth-first search core,
 already has: `root`, `history` (the derivation records), `is_complete`,
 `left_yield()` and `projections()`.  Plain TAG states (`_TagState`) return
 no right projection.  Each grammar supplies a lazy move generator that
-yields `(order_key, record, check)` for every candidate next step: `record`
-is the derivation record the step would append, worked out without
-composing, and `check()` raises `LstagError` if the step is illegal and
-otherwise returns whether the next state will be complete, worked out from
-slot counts, and the `build` that composes it and cannot fail.  The core
-expands a state's moves in key order and drops a move whose
+yields `(order_key, record, complete, check)` for every candidate next
+step: `record` is the derivation record the step would append, worked out
+without composing, `complete` whether the next state will be complete if
+the step is legal, read off slot counts, and `check()` raises `LstagError`
+if the step is illegal and otherwise returns `complete` and the `build`
+that composes it and cannot fail.  The core drops a move whose
 `(root, history + record)` key it has already seen before checking it; a
-move whose check passes marks its key.  The queue holds one kind of entry,
-`(complete, build, record set)`, for roots and children alike, and a state
-is built when popped.  A child's record set is the one its key built, and
-roots share one empty set, so no history is hashed again: each move's key
-extends its state's set by the one record, and a record hashes its fields
-once, when it is built.  Roots are queued unkeyed: grammars reject
+move whose check passes marks its key (`_admitted`).  A checked queue entry
+is `(complete, build, record set)`, for roots and children alike, and a
+state is built when popped.  A child's record set is the one its key built,
+and roots share one empty set, so no history is hashed again: each move's
+key extends its state's set by the one record, and a record hashes its
+fields once, when it is built.  Roots are queued unkeyed: grammars reject
 duplicate names, and a child's key holds a record, so no key could repeat a
-root's.  A state at the operation budget is never expanded: it decides
-`truncated` by asking whether some move passes its check.  The search is
-breadth-first, so every entry left after that is at the budget too, and it
-is built only if it is complete.
+root's.
+
+The core expands a state's moves in key order, but a state at the
+operation budget is never expanded: it decides `truncated` by asking
+whether some move passes its check.  Breadth first, every entry popped
+after a budget-level one is at the budget too, and it is built only if it
+is complete or `truncated` is undecided.  So a move into the budget level
+whose state will not be complete is queued unchecked, as `(None, check,
+(root, record set, record))`, and keyed, checked and counted only when
+popped.  At the first such pop the queue holds every budget-level entry, so
+at most `explored + len(queue) + 1` entries are ever counted: if that is
+within `max_structures`, the cap cannot bind, and once `truncated` is
+decided the unchecked entries are dropped unchecked.  Otherwise each is
+checked, since how many pass decides where the cap binds; and moves into
+the budget level are still made, since their number tells whether it can.
 
 Both grammars take TAG's two operations, substitution at slots and
 adjunction at interior nodes, so both move generators find their sites with
@@ -112,6 +123,7 @@ from .sharing import (
     LstagPair,
     Stamps,
     check_step,
+    closes,
     guest_instance_id,
     step_record,
     structure_from_pair,
@@ -167,8 +179,10 @@ class EnumerationResult:
 
 _State = Union["_TagState", DerivedStructure]
 _Checked = tuple[bool, Callable[[], _State]]
-_Move = tuple[tuple, DerivationRecord, Callable[[], _Checked]]
-_Entry = tuple[bool, Callable[[], _State], frozenset[DerivationRecord]]  # a queue entry: _Checked and its record set
+_Move = tuple[tuple, DerivationRecord, bool, Callable[[], _Checked]]  # (order key, record, complete, check)
+_Entry = tuple[bool, Callable[[], _State], frozenset[DerivationRecord]]  # a checked queue entry: _Checked, record set
+_Deferred = tuple[None, Callable[[], _Checked], tuple[str, frozenset[DerivationRecord], DerivationRecord]]
+_Keys = set[tuple[str, frozenset[DerivationRecord]]]  # the keys of the moves whose checks passed: (root, record set)
 _Guests = dict[str, dict[str, dict[str, SyntaxTree]]]  # `TagGrammar.guests`: {operation: {root symbol: {name: tree}}}
 _Path = tuple[GornAddress, ...]  # the edge addresses from a derivation's root down to one guest instance
 _Offer = tuple[DerivationRecord, int, SyntaxTree, _Path]  # (record, slot change, stamped guest tree, its path)
@@ -183,19 +197,43 @@ def _passes(check: Callable[[], _Checked]) -> bool:
     return True
 
 
+def _admitted(
+    seen: _Keys, root: str, base: frozenset[DerivationRecord], record: DerivationRecord, check: Callable[[], _Checked]
+) -> _Entry | None:
+    """A move's queue entry from a state of `root` with record set `base`, or None if its key is seen or check fails."""
+    key = (root, base | {record})  # the copy keeps base's hashes: only record is hashed
+    if key in seen:
+        return None
+    try:
+        checked = check()
+    except LstagError:
+        return None
+    seen.add(key)
+    return (*checked, key[1])
+
+
 def _search(
     roots: Iterable[_State],
     moves: Callable[[_State], Iterator[_Move]],
     budget: EnumerationBudget,
 ) -> EnumerationResult:
-    seen: set[tuple[str, frozenset[DerivationRecord]]] = set()
+    seen: _Keys = set()
     none: frozenset[DerivationRecord] = frozenset()
-    queue: deque[_Entry] = deque((state.is_complete, partial(_built, state), none) for state in roots)
+    queue: deque[_Entry | _Deferred] = deque((state.is_complete, partial(_built, state), none) for state in roots)
     complete: list[_State] = []
     truncated = False
     explored = 0
+    binds = None  # whether the cap can still bind, decided at the first deferred entry's pop
     while queue:
         will_complete, build, base = queue.popleft()
+        if will_complete is None:  # a move into the budget level, queued unchecked: build is its check
+            if binds is None:  # breadth first: the queue now holds every budget-level entry and no other
+                binds = explored + len(queue) + 1 > budget.max_structures
+            if truncated and not binds:
+                continue
+            if (entry := _admitted(seen, *base, build)) is None:
+                continue
+            will_complete, build, base = entry
         explored += 1
         if explored > budget.max_structures:
             truncated = True
@@ -206,18 +244,14 @@ def _search(
         if state.is_complete:
             complete.append(state)
         if len(state.history) >= budget.max_operations:
-            truncated = truncated or any(_passes(check) for _, _, check in moves(state))
+            truncated = truncated or any(_passes(check) for *_, check in moves(state))
             continue
-        for _, record, check in sorted(moves(state), key=itemgetter(0)):
-            key = (state.root, base | {record})  # the copy keeps base's hashes: only record is hashed
-            if key in seen:
-                continue
-            try:
-                checked = check()
-            except LstagError:
-                continue
-            seen.add(key)
-            queue.append((*checked, key[1]))
+        last = len(state.history) + 1 == budget.max_operations  # its children are at the budget
+        for _, record, completes, check in sorted(moves(state), key=itemgetter(0)):
+            if last and not completes:
+                queue.append((None, check, (state.root, base, record)))
+            elif entry := _admitted(seen, state.root, base, record, check):
+                queue.append(entry)
     items = sorted(
         (EnumerationItem(s.root, s.history, s.left_yield(), *s.projections()) for s in complete),
         key=EnumerationItem.sort_key,
@@ -373,8 +407,8 @@ def _tag_moves(guests: _Guests, table: _Sites, paths: dict[str, _Path], state: _
         if offers:
             addr_text = addr_text or _row_text(row)
             for record, change, guest, path in offers:
-                build = partial(_tag_child, record, guest, path, state, row)
-                yield (addr_text, record.guest), record, partial(_legal, slots + change == 0, build)
+                build, complete = partial(_tag_child, record, guest, path, state, row), slots + change == 0
+                yield (addr_text, record.guest), record, complete, partial(_legal, complete, build)
 
 
 # --- link-sharing moves -----------------------------------------------------------
@@ -412,7 +446,8 @@ def _lstag_moves(
             if shared and (pair.delta or pair.phi):
                 continue
             record = step_record(left, rights, name)
-            yield (0, gi, name), record, partial(check_step, stamps, s, record, pair, left, rights)
+            complete = closes(s, pair, record.operation, record.right_sites)
+            yield (0, gi, name), record, complete, partial(check_step, stamps, s, record, pair, left, rights)
     adjoining = [
         (name, pair, pair.left_tree.root_symbol, pair.right_tree.root_symbol)
         for name, pair in auxiliary
@@ -423,6 +458,7 @@ def _lstag_moves(
     left_sites = _adjunction_sites(s.left_tree, {left_root for _, _, left_root, _ in adjoining})
     right_sites = _adjunction_sites(s.right_spine, {right_root for _, _, _, right_root in adjoining})
     for name, pair, left_root, right_root in adjoining:
+        complete = closes(s, pair, "adjunction", ())  # the same at every site pair
         for left_text, left, ln in left_sites:
             if ln.kind.symbol != left_root:
                 continue
@@ -431,7 +467,7 @@ def _lstag_moves(
                 if rn.kind.symbol == right_root:
                     record = DerivationRecord("adjunction", name, guest_id, ln.site, (rn.site,))
                     check = partial(check_step, stamps, s, record, pair, left, (right,))
-                    yield (1, left_text, right_text, name), record, check
+                    yield (1, left_text, right_text, name), record, complete, check
 
 
 def enumerate_derivations(

@@ -20,7 +20,8 @@ Every step takes one shape.  Its sites are located once, as tree rows
 builds its `DerivationRecord` once, from those rows; `check_step` raises
 every error the step can raise before anything is composed, building an
 address only to report one, appends that record unchanged, and says whether
-the structure will be complete; and the build it returns cannot fail: it
+the structure will be complete (`closes`, which the enumerator also reads
+for moves it has not checked); and the build it returns cannot fail: it
 grafts at those rows the guest's trees stamped as the instance the record
 names (`owned_by`), since grafts never stamp.  It reads them off the stamp
 table (`Stamps`) it is given, which the first build of an instance fills:
@@ -276,6 +277,19 @@ def _closed(left_slots: int, fragment_slots: int, spine_slots: int, parents: int
     return not (left_slots or fragment_slots) and spine_slots == parents
 
 
+def closes(hs: DerivedStructure, guest: LstagPair, operation: str, right_sites: tuple[SiteRef, ...]) -> bool:
+    """Whether a legal step of `operation` composing `guest` at `right_sites` leaves no slot of `hs` open.
+
+    Read off slot counts alone: `check_step` returns it, and the search reads it for moves it has not checked.
+    """
+    left = hs.left_tree.root.slots + guest.left_tree.root.slots
+    spine, right = hs.right_spine.root.slots, guest.right_tree.root.slots
+    if operation == "shared-substitution":  # one left slot filled, the guest's right tree a fragment under them
+        return _closed(left - 1, hs.fragment_slots + right, spine, len(hs.fragment_parents.union(right_sites)))
+    consumed = operation == "substitution"  # the slot each side fills
+    return _closed(left - consumed, hs.fragment_slots, spine - consumed + right, len(hs.fragment_parents))
+
+
 def structure_from_pair(pair: LstagPair) -> DerivedStructure:
     """The one-pair structure a derivation starts from; both trees must be initial."""
     if any(classify(t) is not TreeClass.INITIAL for t in (pair.left_tree, pair.right_tree)):
@@ -336,9 +350,9 @@ def check_step(
 
     `left` and `rights` are the rows of the record's left and right sites
     in the host's trees; a site's address is built only to report an error.
-    Returns whether the structure the step builds is complete, worked out
-    from the slot counts of the host and the guest, and the step itself,
-    which grafts at those rows, appends `record` unchanged and cannot fail.
+    Returns whether the structure the step builds is complete (`closes`),
+    and the step itself, which grafts at those rows, appends `record`
+    unchanged and cannot fail.
     It grafts the guest's trees stamped as the record's instance, read off
     `stamps`, which the first build of that instance fills.
     """
@@ -360,12 +374,7 @@ def check_step(
                     f"right slot at {row_address(row)} expects {kind.symbol!r}, "
                     f"guest root is {guest.right_tree.root_symbol!r}"
                 )
-        complete = _closed(
-            hs.left_tree.root.slots - 1 + guest.left_tree.root.slots,
-            hs.fragment_slots + guest.right_tree.root.slots,
-            hs.right_spine.root.slots,
-            len(parents.union(record.right_sites)),
-        )
+        complete = closes(hs, guest, "shared-substitution", record.right_sites)
 
         def build_shared() -> DerivedStructure:
             left_tree = fill_slot(left, _stamped(stamps, guest, record.guest_id)[0])
@@ -406,12 +415,7 @@ def check_step(
     check(left, guest.left_tree)
     check(right, guest.right_tree)
     _check_cardinality(live, guest.phi)
-    complete = _closed(
-        hs.left_tree.root.slots - consumed + guest.left_tree.root.slots,
-        hs.fragment_slots,
-        hs.right_spine.root.slots - consumed + guest.right_tree.root.slots,
-        len(hs.fragment_parents),
-    )
+    complete = closes(hs, guest, operation, record.right_sites)
 
     def build() -> DerivedStructure:
         left_guest, right_guest = _stamped(stamps, guest, record.guest_id)

@@ -1,7 +1,7 @@
 import json
 import pathlib
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import fields
 from functools import cached_property, partial
 from unittest import mock
@@ -86,7 +86,7 @@ def checked_states(monkeypatch):
         if not s.history:
             check(s)
         yielded = list(moves(initial, auxiliary, stamps, s))
-        assert {key for key, _, _ in yielded if key[0] == 1} == free_adjunction_keys(s, auxiliary)
+        assert {key for key, *_ in yielded if key[0] == 1} == free_adjunction_keys(s, auxiliary)
         return iter(yielded)
 
     def checking(check_move):
@@ -460,10 +460,10 @@ def test_every_tag_move_key_spells_its_row_address(fixtures_dir, fixture, monkey
     moves, texts = engine._tag_moves, set()
 
     def checked(guests, table, paths, state):
-        for key, record, check in moves(guests, table, paths, state):
+        for key, record, *rest in moves(guests, table, paths, state):
             assert key[0] == str(row_address(state.tree.locate(record.left_site)))
             texts.add((record.operation, key[0].count(".")))
-            yield key, record, check
+            yield key, record, *rest
 
     monkeypatch.setattr(engine, "_tag_moves", checked)
     enumerate_derivations(grammar, EnumerationBudget(4))
@@ -507,17 +507,28 @@ def keyed(moves, ops, records):
 
 @pytest.mark.parametrize("fixture, moves", [("cooked.tag", "_tag_moves"), ("cooks_eats.lstag", "_lstag_moves")])
 def test_the_search_hashes_each_keyed_record_once_and_no_history(fixtures_dir, fixture, moves, monkeypatch):
-    """A record is hashed once per move its key is built for; a state's history is never hashed again."""
+    """A record is hashed once per move its key is built for (`_admitted`); a state's history is never hashed again.
+
+    Some moves into the budget level are never keyed: they are dropped unchecked once `truncated` is decided.
+    """
     doc = load_grammar(str(fixtures_dir / fixture))
     grammar = doc.lstag_grammar() if doc.lstag_pairs else doc.tag_grammar()
-    records, hashed = [], []
-    monkeypatch.setattr(engine, moves, keyed(getattr(engine, moves), 4, records))
+    generated, records, hashed = [], [], []
+    monkeypatch.setattr(engine, moves, keyed(getattr(engine, moves), 4, generated))
+    admitted = engine._admitted
+
+    def listed(seen, root, base, record, check):
+        records.append(record)
+        return admitted(seen, root, base, record, check)
+
+    monkeypatch.setattr(engine, "_admitted", listed)
     field_hash = DerivationRecord.__hash__
     monkeypatch.setattr(DerivationRecord, "__hash__", lambda r: hashed.append(r) or field_hash(r))
     result = enumerate_derivations(grammar, EnumerationBudget(4))
     monkeypatch.undo()
-    assert any(len(item.records) > 1 for item in result.items)  # some state was expanded past its root
-    assert sorted(map(id, hashed)) == sorted(map(id, records))  # both lists keep their records alive
+    assert result.truncated and any(len(item.records) > 1 for item in result.items)  # some state was expanded
+    assert sorted(map(id, hashed)) == sorted(map(id, records))  # the lists keep their records alive
+    assert {id(r) for r in records} < {id(r) for r in generated}
     again = enumerate_derivations(grammar, EnumerationBudget(4))
     assert again == result
     for item, twin in zip(result.items, again.items):
@@ -608,6 +619,35 @@ def test_search_matches_the_build_then_dedupe_reference(fixtures_dir, fixture, g
     assert enumerate_derivations(grammar, budget) == reference_enumerate(grammar, budget)
 
 
+@pytest.mark.parametrize(
+    "fixture, gated, ops", [("cooks_eats.lstag", True, 3), ("topicalization.lstag", False, 2), ("cooked.tag", None, 2)]
+)
+def test_every_cap_matches_the_reference(fixtures_dir, fixture, gated, ops, monkeypatch):
+    """Under every cap from 1 to one past the uncapped search's pops, the search returns what the reference returns.
+
+    A cap below the pops may bind, so the moves into the budget level that were queued unchecked are checked
+    and counted when popped; from the pops on it cannot, and they are dropped unchecked once `truncated` is
+    decided.  On `cooked.tag` the last entry the uncapped search pops is complete, so a cap one below the pops
+    leaves that item out.
+    """
+    doc = load_grammar(str(fixtures_dir / fixture))
+    grammar = doc.lstag_grammar(usable_lstag_names(doc, restrictions=gated)) if doc.lstag_pairs else doc.tag_grammar()
+    pops = []
+
+    class Counted(deque):
+        def popleft(self):
+            pops.append(None)
+            return super().popleft()
+
+    monkeypatch.setattr(engine, "deque", Counted)
+    uncapped = enumerate_derivations(grammar, EnumerationBudget(ops))
+    monkeypatch.undo()
+    assert uncapped.truncated
+    for cap in range(1, len(pops) + 2):
+        budget = EnumerationBudget(ops, cap)
+        assert enumerate_derivations(grammar, budget) == reference_enumerate(grammar, budget), cap
+
+
 @given(st.data())
 @settings(max_examples=45, deadline=None)
 def test_tag_search_matches_the_reference_on_random_grammars(data):
@@ -625,7 +665,8 @@ def test_tag_search_matches_the_reference_on_random_grammars(data):
     trees.update((f"f{k}", random_initial(rng, s, allow_slots=False, max_depth=2)) for k, s in enumerate(fillers))
     trees.update((f"a{k}", random_auxiliary(rng, rng.choice("SA"), max_depth=2)) for k in range(auxiliaries))
     grammar = TagGrammar.from_trees(trees)
-    budget = EnumerationBudget(data.draw(st.integers(1, 3)), data.draw(st.sampled_from([3, 7, 40, 10000])))
+    caps = st.sampled_from([3, 7, 40, 10000]) | st.integers(1, 60)
+    budget = EnumerationBudget(data.draw(st.integers(1, 3)), data.draw(caps))
     assert enumerate_derivations(grammar, budget) == reference_enumerate(grammar, budget)
 
 
@@ -664,7 +705,8 @@ def test_lstag_search_matches_the_reference_on_random_grammars(data):
     """Capped and uncapped searches over `random_lstag_grammar` grammars take their moves in the reference's order."""
     rng = random.Random(data.draw(st.integers(0, 2**48)))
     grammar = random_lstag_grammar(rng)
-    budget = EnumerationBudget(data.draw(st.integers(1, 3)), data.draw(st.sampled_from([3, 7, 40, 10000])))
+    caps = st.sampled_from([3, 7, 40, 10000]) | st.integers(1, 60)
+    budget = EnumerationBudget(data.draw(st.integers(1, 3)), data.draw(caps))
     assert enumerate_derivations(grammar, budget) == reference_enumerate(grammar, budget)
 
 
@@ -748,8 +790,9 @@ _LSTAG_FIXTURES = sorted(path.name for path in pathlib.Path(__file__).resolve().
 
 @pytest.fixture
 def rejected_moves(monkeypatch):
-    """Run every move `_lstag_moves` yields through its check, also one the search skips as seen.
+    """Run every move `_lstag_moves` yields through its check, also one the search skips as seen or never checks.
 
+    A move whose check passes must say, unchecked, what its check says: whether its state will be complete.
     Returns the list of (order key, error class name) of the moves whose
     check raised, which grows as the search runs.
     """
@@ -758,11 +801,13 @@ def rejected_moves(monkeypatch):
 
     def checked_moves(initial, auxiliary, stamps, s):
         yielded = list(moves(initial, auxiliary, stamps, s))
-        for key, _, check in yielded:
+        for key, _, completes, check in yielded:
             try:
-                check()
+                complete, _ = check()
             except LstagError as exc:
                 rejected.append((key, type(exc).__name__))
+            else:
+                assert completes is complete
         return iter(yielded)
 
     monkeypatch.setattr(engine, "_lstag_moves", checked_moves)
@@ -780,7 +825,12 @@ def test_every_lstag_move_on_the_fixtures_passes_its_check(fixtures_dir, fixture
 
 
 def test_ungated_topicalization_checks_only_moves_that_pass(fixtures_dir, monkeypatch):
-    """Every check of the search passes, budget probes included: counted by record operation or error class."""
+    """Every check of the search passes, budget probes included: counted by record operation or error class.
+
+    Of the moves into the budget level, only those whose state will be complete are checked when they are made;
+    the others wait in the queue, and `truncated` is decided before most of them are popped, so they are never
+    checked: 1,434 adjunction checks would run if every move were checked when made.
+    """
     counts = Counter()
 
     def counted(stamps, hs, record, *args):
@@ -797,7 +847,7 @@ def test_ungated_topicalization_checks_only_moves_that_pass(fixtures_dir, monkey
     grammar = doc.lstag_grammar(usable_lstag_names(doc, restrictions=False))
     result = enumerate_derivations(grammar, EnumerationBudget(4))
     assert (result.truncated, len(result.items)) == (True, 180)
-    assert counts == {"adjunction": 1434, "shared-substitution": 179, "substitution": 1}
+    assert counts == {"adjunction": 179, "shared-substitution": 179, "substitution": 1}
 
 
 @pytest.mark.parametrize("fixture, gated", [("topicalization.lstag", False), ("cooks_eats.lstag", True)])
@@ -894,9 +944,9 @@ def test_the_fit_rules_leave_out_only_moves_that_fail(data):
     def compared(initial, auxiliary, stamps, s):
         offered = list(moves(initial, auxiliary, stamps, s))
         every = list(every_lstag_move(initial, auxiliary, s))
-        assert {key for key, _, _ in offered} <= {key for key, _ in every}
+        assert {key for key, *_ in offered} <= {key for key, _ in every}
         passing = {key for key, check in every if engine._passes(check)}
-        assert {key for key, _, check in offered if engine._passes(check)} == passing
+        assert {key for key, *_, check in offered if engine._passes(check)} == passing
         return iter(offered)
 
     with mock.patch.object(engine, "_lstag_moves", compared):

@@ -933,12 +933,12 @@ def assert_tag_moves_agree(grammar, table, paths, state) -> None:
         walked.add((node.site, "adjunction"))
     rows = {row[2].site: row for row in state.tree.rows()}
     yielded = {}
-    for key, record, check in engine._tag_moves(grammar.guests, table, paths, state):
+    for key, record, completes, check in engine._tag_moves(grammar.guests, table, paths, state):
         assert (record.left_site, record.operation) in walked
         assert key[0] == str(row_address(rows[record.left_site]))
         complete, build = check()
         built = build()
-        assert built.is_complete == complete
+        assert built.is_complete == complete == completes
         yielded[key] = built.tree
     expected = {}
     for addr, node in zip(state.tree.addresses(), state.tree.nodes()):
@@ -969,7 +969,7 @@ def test_tag_move_checks_agree_with_compositions(data):
         moves = list(engine._tag_moves(grammar.guests, table, paths, state))
         if not moves:
             break
-        _, _, check = data.draw(st.sampled_from(moves))
+        *_, check = data.draw(st.sampled_from(moves))
         state = check()[1]()
     assert_tag_moves_agree(grammar, table, paths, state)
 
