@@ -111,7 +111,7 @@ def _run_lstag_step(
     if len(rights) == 1 and (verb == "adjoin") != (site_operation(left, rights[0]) == "adjunction"):
         sites = f"{first} ~ {row_address(rights[0])}"
         raise OperationMismatch(f"sites {sites} take {record.operation}, not {verb}")
-    return check_step({}, structure, record, guest, left, rights)[1]()
+    return check_step({}, structure, record, guest, left, rights)()
 
 
 def _grammar_to_json_obj(doc: GrammarDocument) -> dict:

@@ -15,31 +15,28 @@ yields `(order_key, record, complete, check)` for every candidate next
 step: `record` is the derivation record the step would append, worked out
 without composing, `complete` whether the next state will be complete if
 the step is legal, read off slot counts, and `check()` raises `LstagError`
-if the step is illegal and otherwise returns `complete` and the `build`
-that composes it and cannot fail.  The core drops a move whose
-`(root, history + record)` key it has already seen before checking it; a
-move whose check passes marks its key (`_admitted`).  A checked queue entry
-is `(complete, build, record set)`, for roots and children alike, and a
-state is built when popped.  A child's record set is the one its key built,
-and roots share one empty set, so no history is hashed again: each move's
-key extends its state's set by the one record, and a record hashes its
-fields once, when it is built.  Roots are queued unkeyed: grammars reject
-duplicate names, and a child's key holds a record, so no key could repeat a
-root's.
+if the step is illegal and otherwise returns the build that composes it and
+cannot fail.  Every queue entry is `(root, record set, record, complete,
+check)`: a move carries its parent's record set, and a root the empty set,
+no record and a check that returns its build.  The core keys, checks and
+counts a move only when it pops it: a move whose `(root, record set +
+record)` key is seen is dropped, and one whose check passes marks its key.
+The queue is first in, first out, so the move that first reaches a key is
+the first one made.  A record hashes its fields once, when it is built, and
+a key's set copies its parent's hashes, so no history is hashed again.  A
+root's key is never looked up: grammars reject duplicate names, and a
+move's key holds a record, so no key could repeat a root's.
 
-The core expands a state's moves in key order, but a state at the
-operation budget is never expanded: it decides `truncated` by asking
-whether some move passes its check.  Breadth first, every entry popped
-after a budget-level one is at the budget too, and it is built only if it
-is complete or `truncated` is undecided.  So a move into the budget level
-whose state will not be complete is queued unchecked, as `(None, check,
-(root, record set, record))`, and keyed, checked and counted only when
-popped.  At the first such pop the queue holds every budget-level entry, so
-at most `explored + len(queue) + 1` entries are ever counted: if that is
-within `max_structures`, the cap cannot bind, and once `truncated` is
-decided the unchecked entries are dropped unchecked.  Otherwise each is
-checked, since how many pass decides where the cap binds; and moves into
-the budget level are still made, since their number tells whether it can.
+The core expands a state's moves in key order, but a state at the operation
+budget is never expanded: it decides `truncated` by asking whether some
+move passes its check.  Breadth first, every entry popped after a
+budget-level state is at the budget too, and it is built only if it is
+complete or `truncated` is undecided.  So once `truncated` is decided, a
+move whose state will not be complete is at most counted: if counting it
+and every entry left, `explored + len(queue) + 1`, stays within
+`max_structures`, the cap cannot bind and it is dropped unchecked;
+otherwise it is keyed and checked, since how many pass decides where the
+cap binds.
 
 Both grammars take TAG's two operations, substitution at slots and
 adjunction at interior nodes, so both move generators find their sites with
@@ -128,7 +125,7 @@ from .sharing import (
     step_record,
     structure_from_pair,
 )
-from .tag import DerivationTree, TagGrammar
+from .tag import DerivationTree, TagGrammar, derivation_node
 from .trees import (
     RULE,
     Interior,
@@ -178,10 +175,9 @@ class EnumerationResult:
 
 
 _State = Union["_TagState", DerivedStructure]
-_Checked = tuple[bool, Callable[[], _State]]
-_Move = tuple[tuple, DerivationRecord, bool, Callable[[], _Checked]]  # (order key, record, complete, check)
-_Entry = tuple[bool, Callable[[], _State], frozenset[DerivationRecord]]  # a checked queue entry: _Checked, record set
-_Deferred = tuple[None, Callable[[], _Checked], tuple[str, frozenset[DerivationRecord], DerivationRecord]]
+_Check = Callable[[], Callable[[], _State]]  # raises LstagError if the move is illegal, else returns its build
+_Move = tuple[tuple, DerivationRecord, bool, _Check]  # (order key, record, complete, check)
+_Entry = tuple[str, frozenset[DerivationRecord], Union[DerivationRecord, None], bool, _Check]  # a queue entry
 _Keys = set[tuple[str, frozenset[DerivationRecord]]]  # the keys of the moves whose checks passed: (root, record set)
 _Guests = dict[str, dict[str, dict[str, SyntaxTree]]]  # `TagGrammar.guests`: {operation: {root symbol: {name: tree}}}
 _Path = tuple[GornAddress, ...]  # the edge addresses from a derivation's root down to one guest instance
@@ -189,27 +185,12 @@ _Offer = tuple[DerivationRecord, int, SyntaxTree, _Path]  # (record, slot change
 _Sites = dict[SiteRef | None, list[_Offer]]  # a site table, kept for one enumeration
 
 
-def _passes(check: Callable[[], _Checked]) -> bool:
+def _passes(check: _Check) -> bool:
     try:
         check()
     except LstagError:
         return False
     return True
-
-
-def _admitted(
-    seen: _Keys, root: str, base: frozenset[DerivationRecord], record: DerivationRecord, check: Callable[[], _Checked]
-) -> _Entry | None:
-    """A move's queue entry from a state of `root` with record set `base`, or None if its key is seen or check fails."""
-    key = (root, base | {record})  # the copy keeps base's hashes: only record is hashed
-    if key in seen:
-        return None
-    try:
-        checked = check()
-    except LstagError:
-        return None
-    seen.add(key)
-    return (*checked, key[1])
 
 
 def _search(
@@ -219,21 +200,23 @@ def _search(
 ) -> EnumerationResult:
     seen: _Keys = set()
     none: frozenset[DerivationRecord] = frozenset()
-    queue: deque[_Entry | _Deferred] = deque((state.is_complete, partial(_built, state), none) for state in roots)
+    queue: deque[_Entry] = deque((s.root, none, None, s.is_complete, lambda s=s: lambda: s) for s in roots)
     complete: list[_State] = []
     truncated = False
     explored = 0
-    binds = None  # whether the cap can still bind, decided at the first deferred entry's pop
     while queue:
-        will_complete, build, base = queue.popleft()
-        if will_complete is None:  # a move into the budget level, queued unchecked: build is its check
-            if binds is None:  # breadth first: the queue now holds every budget-level entry and no other
-                binds = explored + len(queue) + 1 > budget.max_structures
-            if truncated and not binds:
+        root, base, record, will_complete, check = queue.popleft()
+        if record is not None:  # a move; a root is queued unkeyed
+            if truncated and not will_complete and explored + len(queue) < budget.max_structures:
+                continue  # it would be counted and not built, and counting every entry left cannot pass the cap
+            base = base | {record}  # the copy keeps base's hashes: only record is hashed
+            if (root, base) in seen:
                 continue
-            if (entry := _admitted(seen, *base, build)) is None:
-                continue
-            will_complete, build, base = entry
+        try:
+            build = check()
+        except LstagError:
+            continue
+        seen.add((root, base))
         explored += 1
         if explored > budget.max_structures:
             truncated = True
@@ -246,22 +229,12 @@ def _search(
         if len(state.history) >= budget.max_operations:
             truncated = truncated or any(_passes(check) for *_, check in moves(state))
             continue
-        last = len(state.history) + 1 == budget.max_operations  # its children are at the budget
-        for _, record, completes, check in sorted(moves(state), key=itemgetter(0)):
-            if last and not completes:
-                queue.append((None, check, (state.root, base, record)))
-            elif entry := _admitted(seen, state.root, base, record, check):
-                queue.append(entry)
+        queue.extend((root, base, *move[1:]) for move in sorted(moves(state), key=itemgetter(0)))
     items = sorted(
         (EnumerationItem(s.root, s.history, s.left_yield(), *s.projections()) for s in complete),
         key=EnumerationItem.sort_key,
     )
     return EnumerationResult(tuple(items), truncated)
-
-
-def _built(state: _State) -> _State:
-    """The build of a state that already exists."""
-    return state
 
 
 def _slot_rows(tree: SyntaxTree) -> dict[SiteRef | None, Row]:
@@ -350,14 +323,6 @@ def _offers(guests: _Guests, paths: dict[str, _Path], operation: str, node: Tree
     return [(r, tree.root.slots - consumed, tree.owned_by(r.guest_id), path) for r, tree in zip(records, fits.values())]
 
 
-def _derivation_node(label: str, edges: tuple[tuple[GornAddress, DerivationTree], ...]) -> DerivationTree:
-    """A node built trusted, as `tag.derivation_tree` builds them: `edges` are already in address order."""
-    node = object.__new__(DerivationTree)
-    object.__setattr__(node, "root", label)
-    object.__setattr__(node, "edges", edges)
-    return node
-
-
 def _grafted(derivation: DerivationTree, path: _Path, label: str) -> DerivationTree:
     """`derivation` with a new leaf `label` at the end of `path`, inserted in address order among its host's edges.
 
@@ -377,10 +342,10 @@ def _grafted(derivation: DerivationTree, path: _Path, label: str) -> DerivationT
     parts, i = addr.parts, 0
     while i < len(edges) and edges[i][0].parts < parts:
         i += 1
-    node = _derivation_node(host.root, (*edges[:i], (addr, _derivation_node(label, ())), *edges[i:]))
+    node = derivation_node(host.root, (*edges[:i], (addr, derivation_node(label, ())), *edges[i:]))
     for host, i in reversed(above):
         edges = host.edges
-        node = _derivation_node(host.root, (*edges[:i], (edges[i][0], node), *edges[i + 1 :]))
+        node = derivation_node(host.root, (*edges[:i], (edges[i][0], node), *edges[i + 1 :]))
     return node
 
 
@@ -388,11 +353,6 @@ def _tag_child(record: DerivationRecord, tree: SyntaxTree, path: _Path, state: _
     """`state` with the step `record` taken at `row` of its tree, grafting the stamped guest `tree` at `path`."""
     derivation = _grafted(state.derivation, path, record.guest)
     return _TagState(state.root, RULE[record.operation][1](row, tree), state.history + (record,), derivation)
-
-
-def _legal(complete: bool, build: Callable[[], _TagState]) -> _Checked:
-    """The check of a move that is legal by construction."""
-    return complete, build
 
 
 def _tag_moves(guests: _Guests, table: _Sites, paths: dict[str, _Path], state: _TagState) -> Iterator[_Move]:
@@ -406,9 +366,9 @@ def _tag_moves(guests: _Guests, table: _Sites, paths: dict[str, _Path], state: _
             offers = table[node.site] = _offers(guests, paths, operation, node)
         if offers:
             addr_text = addr_text or _row_text(row)
-            for record, change, guest, path in offers:
-                build, complete = partial(_tag_child, record, guest, path, state, row), slots + change == 0
-                yield (addr_text, record.guest), record, complete, partial(_legal, complete, build)
+            for record, change, guest, path in offers:  # legal by construction: a check returns the build
+                check = partial(partial, _tag_child, record, guest, path, state, row)
+                yield (addr_text, record.guest), record, slots + change == 0, check
 
 
 # --- link-sharing moves -----------------------------------------------------------

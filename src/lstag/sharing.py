@@ -19,11 +19,10 @@ Every step takes one shape.  Its sites are located once, as tree rows
 (`trees.Row`): one left row and a tuple of right rows.  `step_record`
 builds its `DerivationRecord` once, from those rows; `check_step` raises
 every error the step can raise before anything is composed, building an
-address only to report one, appends that record unchanged, and says whether
-the structure will be complete (`closes`, which the enumerator also reads
-for moves it has not checked); and the build it returns cannot fail: it
-grafts at those rows the guest's trees stamped as the instance the record
-names (`owned_by`), since grafts never stamp.  It reads them off the stamp
+address only to report one, and returns the step's build, which appends
+that record unchanged and cannot fail: it grafts at those rows the guest's
+trees stamped as the instance the record names (`owned_by`), since grafts
+never stamp.  It reads them off the stamp
 table (`Stamps`) it is given, which the first build of an instance fills:
 the enumerator keeps one table per enumeration, so it stamps each guest
 instance once, and `lstag_compose`, `shared_substitute` and a `derive`
@@ -31,7 +30,8 @@ step each pass a fresh one.  Several right rows take a shared
 substitution; one takes the operation `trees.site_operation` names for
 both sites' kinds, checked and grafted with the pair `trees.RULE` gives
 it.  `lstag_compose`, `shared_substitute`, the enumerator and `lstag
-derive` all take that shape.
+derive` all take that shape.  Whether a legal step leaves the structure
+complete is `closes`, read off slot counts alone.
 """
 
 from __future__ import annotations
@@ -280,7 +280,7 @@ def _closed(left_slots: int, fragment_slots: int, spine_slots: int, parents: int
 def closes(hs: DerivedStructure, guest: LstagPair, operation: str, right_sites: tuple[SiteRef, ...]) -> bool:
     """Whether a legal step of `operation` composing `guest` at `right_sites` leaves no slot of `hs` open.
 
-    Read off slot counts alone: `check_step` returns it, and the search reads it for moves it has not checked.
+    Read off slot counts alone, so the enumerator knows it for every move before the move's check runs.
     """
     left = hs.left_tree.root.slots + guest.left_tree.root.slots
     spine, right = hs.right_spine.root.slots, guest.right_tree.root.slots
@@ -345,13 +345,12 @@ def check_step(
     guest: LstagPair,
     left: Row,
     rights: tuple[Row, ...],
-) -> tuple[bool, Callable[[], DerivedStructure]]:
+) -> Callable[[], DerivedStructure]:
     """Raise what composing `guest` in the step `record` names raises, before anything is composed.
 
     `left` and `rights` are the rows of the record's left and right sites
     in the host's trees; a site's address is built only to report an error.
-    Returns whether the structure the step builds is complete (`closes`),
-    and the step itself, which grafts at those rows, appends `record`
+    Returns the step itself, which grafts at those rows, appends `record`
     unchanged and cannot fail.
     It grafts the guest's trees stamped as the record's instance, read off
     `stamps`, which the first build of that instance fills.
@@ -374,7 +373,6 @@ def check_step(
                     f"right slot at {row_address(row)} expects {kind.symbol!r}, "
                     f"guest root is {guest.right_tree.root_symbol!r}"
                 )
-        complete = closes(hs, guest, "shared-substitution", record.right_sites)
 
         def build_shared() -> DerivedStructure:
             left_tree = fill_slot(left, _stamped(stamps, guest, record.guest_id)[0])
@@ -389,7 +387,7 @@ def check_step(
                 hs.root, left_tree, hs.right_spine, hs.fragments + (fragment,), live, hs.history + (record,)
             )
 
-        return complete, build_shared
+        return build_shared
     right = rights[0]
     operation = site_operation(left, right)
     left_ref, right_ref = left[2].site, right[2].site
@@ -415,7 +413,6 @@ def check_step(
     check(left, guest.left_tree)
     check(right, guest.right_tree)
     _check_cardinality(live, guest.phi)
-    complete = closes(hs, guest, operation, record.right_sites)
 
     def build() -> DerivedStructure:
         left_guest, right_guest = _stamped(stamps, guest, record.guest_id)
@@ -429,7 +426,7 @@ def check_step(
             hs.root, left_tree, right_spine, hs.fragments, shared + appended, hs.history + (record,)
         )
 
-    return complete, build
+    return build
 
 
 def lstag_compose(
@@ -447,7 +444,7 @@ def lstag_compose(
     """
     hs = as_structure(host)
     left, right = hs.left_tree.row_at(left_site), hs.right_spine.row_at(right_site)
-    return check_step({}, hs, step_record(left, (right,), guest.name), guest, left, (right,))[1]()
+    return check_step({}, hs, step_record(left, (right,), guest.name), guest, left, (right,))()
 
 
 def shared_substitute(
@@ -465,7 +462,7 @@ def shared_substitute(
         raise GroupNotLive(f"the group at left site {group.left_site} is not live in this structure")
     left = hs.left_tree.locate(group.left_site)
     rights = tuple(map(hs.right_spine.locate, group.right_sites))
-    return check_step({}, hs, step_record(left, rights, guest.name), guest, left, rights)[1]()
+    return check_step({}, hs, step_record(left, rights, guest.name), guest, left, rights)()
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ the first problem `validate_derivation` reports.  `derivation_tree` is the one
 internal maker of derivation trees: the script parser and `sharing`'s
 projections collect each node's name and edges and call it.  It checks each
 node's edges once, as the public `DerivationTree(...)` checks them, and builds
-the nodes without that check.  Replay, `derivation_tree`, script parsing and
+the nodes without that check (`derivation_node`, which the enumerator's path
+copies call too).  Replay, `derivation_tree`, script parsing and
 printing walk derivations with an explicit stack, so a derivation may be
 deeper than Python's recursion limit.
 """
@@ -101,6 +102,14 @@ class DerivationTree:
         object.__setattr__(self, "edges", edges)
 
 
+def derivation_node(label: str, edges: tuple[tuple[GornAddress, DerivationTree], ...]) -> DerivationTree:
+    """A node built trusted, without `DerivationTree`'s check: `edges` are already in address order, none repeated."""
+    node = object.__new__(DerivationTree)
+    object.__setattr__(node, "root", label)
+    object.__setattr__(node, "edges", edges)
+    return node
+
+
 def derivation_tree(root: Hashable, labels, children: Mapping) -> DerivationTree:
     """The derivation tree below node `root`, built leaves first, without recursion.
 
@@ -112,16 +121,13 @@ def derivation_tree(root: Hashable, labels, children: Mapping) -> DerivationTree
     for node in order:
         order.extend(child for _, child in children.get(node, ()))
     built: dict = {}
-    new, set_field = object.__new__, object.__setattr__
     for node in reversed(order):
         edges = children.get(node, ())
         if len(edges) > 1:
             edges = sorted(edges, key=lambda e: e[0].parts)
             if any(a.parts == b.parts for (a, _), (b, _) in zip(edges, edges[1:])):
                 raise ValueError(f"duplicate edge addresses under {labels[node]!r}")
-        tree = built[node] = new(DerivationTree)
-        set_field(tree, "root", labels[node])
-        set_field(tree, "edges", tuple([(a, built[c]) for a, c in edges]))
+        built[node] = derivation_node(labels[node], tuple([(a, built[c]) for a, c in edges]))
     return built[root]
 
 

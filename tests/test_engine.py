@@ -49,7 +49,7 @@ from lstag import engine
 from lstag._lex import read_script
 from lstag.cli import run_lstag_script
 from lstag import sharing
-from lstag.sharing import DerivationRecord, check_step, left_projection, step_record
+from lstag.sharing import DerivationRecord, check_step, closes, left_projection, step_record
 from lstag.trees import Interior, SubstitutionSlot, row_address
 
 A = GornAddress.parse
@@ -68,7 +68,7 @@ def checked_states(monkeypatch):
 
     A root is checked when it is expanded and every other state when it is
     built, so a state built at the budget and never expanded is checked too;
-    a built state must also be complete exactly when its check said so.
+    a built state must also be complete exactly when `closes` said so.
     The adjunction moves of every state must be those `free_adjunction_keys`
     works out from its history.  Returns the list of checked states, which
     grows as the search runs.
@@ -90,16 +90,16 @@ def checked_states(monkeypatch):
         return iter(yielded)
 
     def checking(check_move):
-        def checked_move(*args):
-            complete, build = check_move(*args)
+        def checked_move(stamps, hs, record, guest, *rows):
+            build = check_move(stamps, hs, record, guest, *rows)
 
             def checked_build():
                 s = build()
-                assert s.is_complete == complete
+                assert s.is_complete == closes(hs, guest, record.operation, record.right_sites)
                 check(s)
                 return s
 
-            return complete, checked_build
+            return checked_build
 
         return checked_move
 
@@ -507,21 +507,29 @@ def keyed(moves, ops, records):
 
 @pytest.mark.parametrize("fixture, moves", [("cooked.tag", "_tag_moves"), ("cooks_eats.lstag", "_lstag_moves")])
 def test_the_search_hashes_each_keyed_record_once_and_no_history(fixtures_dir, fixture, moves, monkeypatch):
-    """A record is hashed once per move its key is built for (`_admitted`); a state's history is never hashed again.
+    """A record is hashed once per move its key is built for; a state's history is never hashed again.
 
-    Some moves into the budget level are never keyed: they are dropped unchecked once `truncated` is decided.
+    A move's key is looked up in the search's `seen` set right after its entry is popped, so each lookup names
+    the record of the entry popped last.  Some moves into the budget level are never keyed: they are dropped
+    unchecked once `truncated` is decided.
     """
     doc = load_grammar(str(fixtures_dir / fixture))
     grammar = doc.lstag_grammar() if doc.lstag_pairs else doc.tag_grammar()
-    generated, records, hashed = [], [], []
+    generated, popped, records, hashed = [], [], [], []
     monkeypatch.setattr(engine, moves, keyed(getattr(engine, moves), 4, generated))
-    admitted = engine._admitted
 
-    def listed(seen, root, base, record, check):
-        records.append(record)
-        return admitted(seen, root, base, record, check)
+    class Popped(deque):
+        def popleft(self):
+            popped.append(super().popleft())
+            return popped[-1]
 
-    monkeypatch.setattr(engine, "_admitted", listed)
+    class Seen(set):
+        def __contains__(self, key):
+            records.append(popped[-1][2])
+            return super().__contains__(key)
+
+    monkeypatch.setattr(engine, "deque", Popped)
+    monkeypatch.setattr(engine, "set", Seen, raising=False)
     field_hash = DerivationRecord.__hash__
     monkeypatch.setattr(DerivationRecord, "__hash__", lambda r: hashed.append(r) or field_hash(r))
     result = enumerate_derivations(grammar, EnumerationBudget(4))
@@ -620,15 +628,16 @@ def test_search_matches_the_build_then_dedupe_reference(fixtures_dir, fixture, g
 
 
 @pytest.mark.parametrize(
-    "fixture, gated, ops", [("cooks_eats.lstag", True, 3), ("topicalization.lstag", False, 2), ("cooked.tag", None, 2)]
+    "fixture, gated, ops",
+    [("cooks_eats.lstag", True, 3), ("topicalization.lstag", False, 2), ("cooked.tag", None, 2), ("cooked.tag", None, 3)],
 )
 def test_every_cap_matches_the_reference(fixtures_dir, fixture, gated, ops, monkeypatch):
     """Under every cap from 1 to one past the uncapped search's pops, the search returns what the reference returns.
 
-    A cap below the pops may bind, so the moves into the budget level that were queued unchecked are checked
-    and counted when popped; from the pops on it cannot, and they are dropped unchecked once `truncated` is
-    decided.  On `cooked.tag` the last entry the uncapped search pops is complete, so a cap one below the pops
-    leaves that item out.
+    Every move is keyed, checked and counted when popped.  A cap below the pops may bind, so once `truncated` is
+    decided a move into the budget level whose state will not be complete is still checked, until counting every
+    entry left can no longer pass the cap; from the pops on it cannot, and such moves are dropped unchecked.
+    `cooked.tag` at ops 3 and `cooks_eats.lstag` at ops 3 have a level between the roots and the budget.
     """
     doc = load_grammar(str(fixtures_dir / fixture))
     grammar = doc.lstag_grammar(usable_lstag_names(doc, restrictions=gated)) if doc.lstag_pairs else doc.tag_grammar()
@@ -746,7 +755,7 @@ def test_incomplete_states_at_the_budget_are_built_only_to_decide_truncation(
     def logging(check_move):
         def logged(stamps, host, *args):
             try:
-                complete, build = check_move(stamps, host, *args)
+                build = check_move(stamps, host, *args)
             except LstagError:
                 events.append(("check", host, False))
                 raise
@@ -757,7 +766,7 @@ def test_incomplete_states_at_the_budget_are_built_only_to_decide_truncation(
                 events.append(("build", s))
                 return s
 
-            return complete, logged_build
+            return logged_build
 
         return logged
 
@@ -792,7 +801,7 @@ _LSTAG_FIXTURES = sorted(path.name for path in pathlib.Path(__file__).resolve().
 def rejected_moves(monkeypatch):
     """Run every move `_lstag_moves` yields through its check, also one the search skips as seen or never checks.
 
-    A move whose check passes must say, unchecked, what its check says: whether its state will be complete.
+    A move whose check passes must say, unchecked, whether the state its build builds is complete.
     Returns the list of (order key, error class name) of the moves whose
     check raised, which grows as the search runs.
     """
@@ -803,11 +812,11 @@ def rejected_moves(monkeypatch):
         yielded = list(moves(initial, auxiliary, stamps, s))
         for key, _, completes, check in yielded:
             try:
-                complete, _ = check()
+                build = check()
             except LstagError as exc:
                 rejected.append((key, type(exc).__name__))
             else:
-                assert completes is complete
+                assert build().is_complete is completes
         return iter(yielded)
 
     monkeypatch.setattr(engine, "_lstag_moves", checked_moves)

@@ -48,7 +48,7 @@ from lstag import (
     yield_tokens,
 )
 from lstag import engine
-from lstag.sharing import check_step, step_record
+from lstag.sharing import check_step, closes, step_record
 from lstag.tag import derivation_to_json_obj, derivation_tree
 from lstag.trees import TreeNode, adjoin_with_maps, fill_slot, row_address, splice, substitute_with_maps
 
@@ -836,17 +836,17 @@ def test_link_share_follows_list_order(data):
 # --- check before composing ------------------------------------------------------------
 
 
-def assert_split_agrees(record_of, check, compose) -> None:
-    """The check raises exactly what the composition raises; once it passes, its flag is the result's completeness."""
+def assert_split_agrees(s, guest, record_of, check, compose) -> None:
+    """The check raises exactly what the composition raises; once it passes, `closes` is the result's completeness."""
     try:
-        complete, build = check(record_of())
+        build = check(record := record_of())
     except LstagError as exc:
         with pytest.raises(LstagError) as raised:
             compose()
         assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
         return
     built = compose()
-    assert built.is_complete == complete
+    assert built.is_complete == closes(s, guest, record.operation, record.right_sites)
     assert build() == built
 
 
@@ -857,6 +857,8 @@ def assert_checks_agree(s, guests) -> None:
             for ra in s.right_spine.addresses():
                 left, right = s.left_tree.row_at(la), s.right_spine.row_at(ra)
                 assert_split_agrees(
+                    s,
+                    guest,
                     partial(step_record, left, (right,), guest.name),
                     lambda record: check_step({}, s, record, guest, left, (right,)),
                     partial(lstag_compose, s, la, ra, guest),
@@ -864,6 +866,8 @@ def assert_checks_agree(s, guests) -> None:
         for group in s.live_links:
             sites = lambda: (s.left_tree.locate(group.left_site), tuple(map(s.right_spine.locate, group.right_sites)))
             assert_split_agrees(
+                s,
+                guest,
                 lambda: step_record(*sites(), guest.name),
                 lambda record: check_step({}, s, record, guest, *sites()),
                 partial(shared_substitute, s, group, guest),
@@ -936,9 +940,8 @@ def assert_tag_moves_agree(grammar, table, paths, state) -> None:
     for key, record, completes, check in engine._tag_moves(grammar.guests, table, paths, state):
         assert (record.left_site, record.operation) in walked
         assert key[0] == str(row_address(rows[record.left_site]))
-        complete, build = check()
-        built = build()
-        assert built.is_complete == complete == completes
+        built = check()()
+        assert built.is_complete == completes
         yielded[key] = built.tree
     expected = {}
     for addr, node in zip(state.tree.addresses(), state.tree.nodes()):
@@ -970,7 +973,7 @@ def test_tag_move_checks_agree_with_compositions(data):
         if not moves:
             break
         *_, check = data.draw(st.sampled_from(moves))
-        state = check()[1]()
+        state = check()()
     assert_tag_moves_agree(grammar, table, paths, state)
 
 

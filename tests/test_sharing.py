@@ -34,7 +34,7 @@ from lstag import (
     validate_pair,
 )
 
-from lstag.sharing import check_step, left_projection, step_record
+from lstag.sharing import check_step, closes, left_projection, step_record
 
 from helpers_trees import check_structure, graph_to_derivation_tree, group_addresses, pair_grammar, parent_addresses
 
@@ -328,7 +328,7 @@ OPEN_NP = LstagPair("open", parse_tree('NP("x")'), parse_tree('NP(D! N("x"))'))
 
 @pytest.mark.parametrize("shared", [True, False])
 @pytest.mark.parametrize("guest, complete", [(JOHN, True), (OPEN_NP, False)])
-def test_check_says_whether_filling_the_last_group_completes(shared, guest, complete):
+def test_closes_says_whether_filling_the_last_group_completes(shared, guest, complete):
     # The last group is john's: shared after coordination, a single site without it.
     if shared:
         s = shared_substitute(coordinated(), coordinated().live_links[1], BEANS)
@@ -338,17 +338,20 @@ def test_check_says_whether_filling_the_last_group_completes(shared, guest, comp
     (last,) = s.live_links
     assert len(last.right_sites) == (2 if shared else 1)
     left, rights = s.left_tree.locate(last.left_site), tuple(s.right_spine.locate(x) for x in last.right_sites)
-    assert check_step({}, s, step_record(left, rights, guest.name), guest, left, rights)[0] is complete
+    record = step_record(left, rights, guest.name)
+    assert closes(s, guest, record.operation, record.right_sites) is complete
+    assert check_step({}, s, record, guest, left, rights)().is_complete is complete
     assert shared_substitute(s, last, guest).is_complete is complete
 
 
-def test_check_counts_the_open_slots_of_earlier_fragments():
+def test_closes_counts_the_open_slots_of_earlier_fragments():
     s = shared_substitute(coordinated(), coordinated().live_links[0], OPEN_NP)
     s = shared_substitute(s, s.live_links[0], BEANS)
     today = LstagPair("today", parse_tree('V(V* ADV("today"))'), parse_tree('S(S* ADV("today"))'))
     left, right = s.left_tree.row_at(A("2.1.3")), s.right_spine.row_at(E)
     record = step_record(left, (right,), today.name)
-    assert check_step({}, s, record, today, left, (right,))[0] is False
+    assert closes(s, today, record.operation, record.right_sites) is False
+    assert not check_step({}, s, record, today, left, (right,))().is_complete
     assert not lstag_compose(s, A("2.1.3"), E, today).is_complete
 
 
@@ -378,7 +381,7 @@ def test_check_step_appends_the_record_it_is_given():
     (group,) = s.live_links
     left, rights = s.left_tree.locate(group.left_site), (s.right_spine.locate(group.right_sites[0]),)
     record = step_record(left, rights, vp.name)
-    appended = check_step({}, s, record, vp, left, rights)[1]().history[-1]
+    appended = check_step({}, s, record, vp, left, rights)().history[-1]
     assert appended is record
     assert record.operation == "adjunction"
 
