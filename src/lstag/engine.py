@@ -16,27 +16,38 @@ step: `record` is the derivation record the step would append, worked out
 without composing, `complete` whether the next state will be complete if
 the step is legal, read off slot counts, and `check()` raises `LstagError`
 if the step is illegal and otherwise returns the build that composes it and
-cannot fail.  Every queue entry is `(root, record set, record, complete,
-check)`: a move carries its parent's record set, and a root the empty set,
-no record and a check that returns its build.  The core keys, checks and
-counts a move only when it pops it: a move whose `(root, record set +
-record)` key is seen is dropped, and one whose check passes marks its key.
-The queue is first in, first out, so the move that first reaches a key is
-the first one made.  A record hashes its fields once, when it is built, and
-a key's set copies its parent's hashes, so no history is hashed again.  A
-root's key is never looked up: grammars reject duplicate names, and a
-move's key holds a record, so no key could repeat a root's.
+cannot fail; given a one-item list, it counts there the moves whose state
+will not be complete, building no record, and yields only the others.  A
+queue entry other than a block (below) is `(root, record set, record,
+complete, check)`: a move carries its parent's record set, and a root the
+empty set, no record and a check that returns its build.  The core keys,
+checks and counts a move only when it pops it: a move whose `(root, record
+set + record)` key is seen is dropped, and one whose check passes marks its
+key.  The queue is first in, first out, so the move that first reaches a
+key is the first one made.  A record hashes its fields once, when it is
+built, and a key's set copies its parent's hashes, so no history is hashed
+again.  A root's key is never looked up: grammars reject duplicate names,
+and a move's key holds a record, so no key could repeat a root's.
 
 The core expands a state's moves in key order, but a state at the operation
 budget is never expanded: it decides `truncated` by asking whether some
 move passes its check.  Breadth first, every entry popped after a
 budget-level state is at the budget too, and it is built only if it is
-complete or `truncated` is undecided.  So once `truncated` is decided, a
-move whose state will not be complete is at most counted: if counting it
-and every entry left, `explored + len(queue) + 1`, stays within
-`max_structures`, the cap cannot bind and it is dropped unchecked;
-otherwise it is keyed and checked, since how many pass decides where the
-cap binds.
+complete or `truncated` is undecided.  So a state one operation short of
+the budget is queued as one block (partial expansion): the state, the
+moves it made, in key order, and the count of those it did not make.  The
+first block to hold a move whose state will not be complete makes every
+move, since such a move usually decides `truncated`; each later block
+makes only its complete moves and counts the others.  The cap test counts
+a block as all of its moves.  A block popped once `truncated` is decided,
+while `explored` and every move left, its own included, stay within
+`max_structures`, takes the moves it made and drops its counted ones
+unmade: the cap cannot bind, now or later, so each would be dropped
+unchecked.  Any other block with counted moves remakes its moves, and they
+are taken one by one in key order: once `truncated` is decided, a move
+whose state will not be complete is dropped unchecked while counting it
+and every move left stays within the cap, and otherwise keyed and checked,
+since how many pass decides where the cap binds.
 
 Both grammars take TAG's two operations, substitution at slots and
 adjunction at interior nodes, so both move generators find their sites with
@@ -108,7 +119,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Container, Iterable, Iterator, NamedTuple, Union
+from typing import Any, Callable, Container, Iterable, Iterator, NamedTuple, Union
 
 from .errors import LstagError
 from .gorn import ROOT_TEXT, GornAddress
@@ -177,7 +188,9 @@ class EnumerationResult:
 _State = Union["_TagState", DerivedStructure]
 _Check = Callable[[], Callable[[], _State]]  # raises LstagError if the move is illegal, else returns its build
 _Move = tuple[tuple, DerivationRecord, bool, _Check]  # (order key, record, complete, check)
-_Entry = tuple[str, frozenset[DerivationRecord], Union[DerivationRecord, None], bool, _Check]  # a queue entry
+# A queue entry: a root `(root, {}, None, complete, check)`, a move `(root, parent's record set, record, complete,
+# check)`, or a block `(root, parent's record set, parent, None, (the parent's moves made, count of the others))`.
+_Entry = tuple[str, frozenset[DerivationRecord], Any, Union[bool, None], Any]
 _Keys = set[tuple[str, frozenset[DerivationRecord]]]  # the keys of the moves whose checks passed: (root, record set)
 _Guests = dict[str, dict[str, dict[str, SyntaxTree]]]  # `TagGrammar.guests`: {operation: {root symbol: {name: tree}}}
 _Path = tuple[GornAddress, ...]  # the edge addresses from a derivation's root down to one guest instance
@@ -195,20 +208,27 @@ def _passes(check: _Check) -> bool:
 
 def _search(
     roots: Iterable[_State],
-    moves: Callable[[_State], Iterator[_Move]],
+    moves: Callable[..., Iterator[_Move]],  # given a one-item list, it counts the incomplete moves there instead
     budget: EnumerationBudget,
 ) -> EnumerationResult:
     seen: _Keys = set()
     none: frozenset[DerivationRecord] = frozenset()
     queue: deque[_Entry] = deque((s.root, none, None, s.is_complete, lambda s=s: lambda: s) for s in roots)
     complete: list[_State] = []
-    truncated = False
-    explored = 0
+    truncated = counting = False  # counting: some block holds a move whose state will not be complete
+    explored = hidden = 0  # hidden: the moves that queued blocks hold beyond the one entry each is
     while queue:
         root, base, record, will_complete, check = queue.popleft()
+        if will_complete is None:  # a block: `record` is the parent state, `check` its moves made and counted
+            made, count = check
+            hidden -= len(made) + count - 1
+            if count and (not truncated or explored + len(queue) + hidden + len(made) + count > budget.max_structures):
+                made = sorted(moves(record), key=itemgetter(0))  # every move, taken one by one in key order
+            queue.extendleft((root, base, *move[1:]) for move in reversed(made))
+            continue
         if record is not None:  # a move; a root is queued unkeyed
-            if truncated and not will_complete and explored + len(queue) < budget.max_structures:
-                continue  # it would be counted and not built, and counting every entry left cannot pass the cap
+            if truncated and not will_complete and explored + len(queue) + hidden < budget.max_structures:
+                continue  # it would be counted and not built, and counting every move left cannot pass the cap
             base = base | {record}  # the copy keeps base's hashes: only record is hashed
             if (root, base) in seen:
                 continue
@@ -229,7 +249,14 @@ def _search(
         if len(state.history) >= budget.max_operations:
             truncated = truncated or any(_passes(check) for *_, check in moves(state))
             continue
-        queue.extend((root, base, *move[1:]) for move in sorted(moves(state), key=itemgetter(0)))
+        if len(state.history) < budget.max_operations - 1:
+            queue.extend((root, base, *move[1:]) for move in sorted(moves(state), key=itemgetter(0)))
+            continue
+        count = [0]  # one short of the budget: one block, which counts the incomplete moves once another holds one
+        made = sorted(moves(state, count if counting else None), key=itemgetter(0))
+        counting = counting or not all(move[2] for move in made)
+        queue.append((root, base, state, None, (made, count[0])))
+        hidden += len(made) + count[0] - 1
     items = sorted(
         (EnumerationItem(s.root, s.history, s.left_yield(), *s.projections()) for s in complete),
         key=EnumerationItem.sort_key,
@@ -355,7 +382,9 @@ def _tag_child(record: DerivationRecord, tree: SyntaxTree, path: _Path, state: _
     return _TagState(state.root, RULE[record.operation][1](row, tree), state.history + (record,), derivation)
 
 
-def _tag_moves(guests: _Guests, table: _Sites, paths: dict[str, _Path], state: _TagState) -> Iterator[_Move]:
+def _tag_moves(
+    guests: _Guests, table: _Sites, paths: dict[str, _Path], state: _TagState, count: list[int] | None = None
+) -> Iterator[_Move]:
     tree, slots = state.tree, state.tree.root.slots
     sites: list[tuple[str, str | None, Row]] = [("substitution", None, row) for row in _slot_rows(tree).values()]
     if guests["adjunction"]:  # with no auxiliary, the only sites are slots
@@ -367,6 +396,9 @@ def _tag_moves(guests: _Guests, table: _Sites, paths: dict[str, _Path], state: _
         if offers:
             addr_text = addr_text or _row_text(row)
             for record, change, guest, path in offers:  # legal by construction: a check returns the build
+                if count is not None and slots + change:
+                    count[0] += 1
+                    continue
                 check = partial(partial, _tag_child, record, guest, path, state, row)
                 yield (addr_text, record.guest), record, slots + change == 0, check
 
@@ -388,6 +420,7 @@ def _lstag_moves(
     auxiliary: list[tuple[str, LstagPair]],
     stamps: Stamps,
     s: DerivedStructure,
+    count: list[int] | None = None,
 ) -> Iterator[_Move]:
     live = len(s.live_links)  # a guest spends every phi link on a group the step leaves live
     lefts, rights_at = _slot_rows(s.left_tree), _slot_rows(s.right_spine)
@@ -400,13 +433,17 @@ def _lstag_moves(
             continue
         slot = left[2].kind
         shared = len(rights) > 1  # a guest shared by several right sites carries no link of its own
+        operation = "shared-substitution" if shared else "substitution"  # the one `step_record` names
         for name, pair, symbol in fillers:
             if symbol != slot.symbol:
                 continue
             if shared and (pair.delta or pair.phi):
                 continue
+            complete = closes(s, pair, operation, group.right_sites)
+            if count is not None and not complete:
+                count[0] += 1
+                continue
             record = step_record(left, rights, name)
-            complete = closes(s, pair, record.operation, record.right_sites)
             yield (0, gi, name), record, complete, partial(check_step, stamps, s, record, pair, left, rights)
     adjoining = [
         (name, pair, pair.left_tree.root_symbol, pair.right_tree.root_symbol)
@@ -419,6 +456,10 @@ def _lstag_moves(
     right_sites = _adjunction_sites(s.right_spine, {right_root for _, _, _, right_root in adjoining})
     for name, pair, left_root, right_root in adjoining:
         complete = closes(s, pair, "adjunction", ())  # the same at every site pair
+        if count is not None and not complete:
+            lefts_fit = sum(node.kind.symbol == left_root for *_, node in left_sites)
+            count[0] += lefts_fit * sum(node.kind.symbol == right_root for *_, node in right_sites)
+            continue
         for left_text, left, ln in left_sites:
             if ln.kind.symbol != left_root:
                 continue

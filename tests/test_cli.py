@@ -961,6 +961,24 @@ def test_output_does_not_depend_on_the_hash_seed(fixtures_dir):
         assert outputs[("0", i)][0] or outputs[("0", i)][1]
 
 
+def test_the_parity_corpus_up_to_two_operations_matches_under_two_hash_seeds(fixtures_dir):
+    """`tools/parity.py --check --max-ops 2`: every enumeration of at most two operations and every derive
+    of the committed corpus gives the committed digests, under two hash seeds (CI checks the whole list)."""
+    tool = fixtures_dir.parent / "tools" / "parity.py"
+    src = str(pathlib.Path(lstag.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = [
+        subprocess.Popen(
+            [sys.executable, str(tool), "--check", "--max-ops", "2"], env=dict(env, PYTHONHASHSEED=seed),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for seed in ("0", "1")
+    ]
+    for proc in runs:
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err, out) == (0, "", "342 of 342 runs match tests/golden/parity.txt\n")
+
+
 def test_enumerate_respects_restrictions(capsys, fixtures_dir):
     code, out, err = run(
         capsys,

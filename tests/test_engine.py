@@ -62,6 +62,34 @@ def items_as_obj(result):
     ]
 
 
+def asked(moves, args, count, full):
+    """What the search asked a move generator for at `args`, given `full`, the moves it makes there in full.
+
+    Without a count, those moves.  With one, the moves `moves(*args, count)` makes, which must be the complete
+    moves of `full`, with the same keys and equal records, while it counts the others in `count`.
+    """
+    if count is None:
+        return iter(full)
+    made = list(moves(*args, count))
+    assert [move[:3] for move in made] == [move[:3] for move in full if move[2]]
+    assert count == [sum(not move[2] for move in full)]
+    return iter(made)
+
+
+def counting_checked(moves, checked):
+    """`moves`, checking with `asked` each state at which the search counts, and listing in `checked` for each
+    state the number of moves made and the number counted."""
+
+    def wrapped(*args):
+        args, count = (args[:4], args[4]) if len(args) > 4 else (args, None)
+        made = list(asked(moves, args, count, list(moves(*args))))
+        if count is not None:
+            checked.append((len(made), count[0]))
+        return iter(made)
+
+    return wrapped
+
+
 @pytest.fixture
 def checked_states(monkeypatch):
     """Check the `DerivedStructure` invariants on every state the LSTAG search makes.
@@ -69,9 +97,9 @@ def checked_states(monkeypatch):
     A root is checked when it is expanded and every other state when it is
     built, so a state built at the budget and never expanded is checked too;
     a built state must also be complete exactly when `closes` said so.
-    The adjunction moves of every state must be those `free_adjunction_keys`
-    works out from its history.  Returns the list of checked states, which
-    grows as the search runs.
+    The adjunction moves every state makes in full must be those
+    `free_adjunction_keys` works out from its history.  Returns the list of
+    checked states, which grows as the search runs.
     """
     checked = []
     grammar = {}
@@ -81,13 +109,13 @@ def checked_states(monkeypatch):
         check_structure(s, grammar["pairs"])
         checked.append(s)
 
-    def checked_moves(initial, auxiliary, stamps, s):
+    def checked_moves(initial, auxiliary, stamps, s, count=None):
         grammar["pairs"] = pair_grammar(*(p for _, p in initial + auxiliary))
         if not s.history:
             check(s)
-        yielded = list(moves(initial, auxiliary, stamps, s))
-        assert {key for key, *_ in yielded if key[0] == 1} == free_adjunction_keys(s, auxiliary)
-        return iter(yielded)
+        full = list(moves(initial, auxiliary, stamps, s))
+        assert {key for key, *_ in full if key[0] == 1} == free_adjunction_keys(s, auxiliary)
+        return asked(moves, (initial, auxiliary, stamps, s), count, full)
 
     def checking(check_move):
         def checked_move(stamps, hs, record, guest, *rows):
@@ -459,11 +487,12 @@ def test_every_tag_move_key_spells_its_row_address(fixtures_dir, fixture, monkey
     grammar = load_grammar(str(fixtures_dir / fixture)).tag_grammar()
     moves, texts = engine._tag_moves, set()
 
-    def checked(guests, table, paths, state):
-        for key, record, *rest in moves(guests, table, paths, state):
+    def checked(guests, table, paths, state, count=None):
+        full = list(moves(guests, table, paths, state))
+        for key, record, *_ in full:
             assert key[0] == str(row_address(state.tree.locate(record.left_site)))
             texts.add((record.operation, key[0].count(".")))
-            yield key, record, *rest
+        return asked(moves, (guests, table, paths, state), count, full)
 
     monkeypatch.setattr(engine, "_tag_moves", checked)
     enumerate_derivations(grammar, EnumerationBudget(4))
@@ -496,22 +525,28 @@ def test_an_enumeration_reads_no_foot_row_through_the_cached_property(fixtures_d
 def keyed(moves, ops, records):
     """`moves` that also lists in `records` the record of every move a state short of `ops` operations yields."""
 
-    def listed(*args):
+    def listed(*args):  # (..., state) or (..., state, count)
         for move in moves(*args):
-            if len(args[-1].history) < ops:
+            if len(args[3].history) < ops:
                 records.append(move[1])
             yield move
 
     return listed
 
 
-@pytest.mark.parametrize("fixture, moves", [("cooked.tag", "_tag_moves"), ("cooks_eats.lstag", "_lstag_moves")])
-def test_the_search_hashes_each_keyed_record_once_and_no_history(fixtures_dir, fixture, moves, monkeypatch):
+@pytest.mark.parametrize(
+    "fixture, moves, unkeyed",
+    [("cooked.tag", "_tag_moves", False), ("cooks_eats.lstag", "_lstag_moves", True)],
+    ids=["cooked.tag-_tag_moves", "cooks_eats.lstag-_lstag_moves"],
+)
+def test_the_search_hashes_each_keyed_record_once_and_no_history(fixtures_dir, fixture, moves, unkeyed, monkeypatch):
     """A record is hashed once per move its key is built for; a state's history is never hashed again.
 
     A move's key is looked up in the search's `seen` set right after its entry is popped, so each lookup names
-    the record of the entry popped last.  Some moves into the budget level are never keyed: they are dropped
-    unchecked once `truncated` is decided.
+    the record of the entry popped last.  A state one short of the budget makes only its complete moves, and
+    counts the others.  In `cooked.tag`, `truncated` is decided before any counted move is remade, so every
+    move made is keyed: none is made only to be dropped.  In `cooks_eats.lstag` the counted moves of one state
+    are remade to decide `truncated`, and those after the one that decides it are dropped unkeyed.
     """
     doc = load_grammar(str(fixtures_dir / fixture))
     grammar = doc.lstag_grammar() if doc.lstag_pairs else doc.tag_grammar()
@@ -536,7 +571,8 @@ def test_the_search_hashes_each_keyed_record_once_and_no_history(fixtures_dir, f
     monkeypatch.undo()
     assert result.truncated and any(len(item.records) > 1 for item in result.items)  # some state was expanded
     assert sorted(map(id, hashed)) == sorted(map(id, records))  # the lists keep their records alive
-    assert {id(r) for r in records} < {id(r) for r in generated}
+    looked_up, made = {id(r) for r in records}, {id(r) for r in generated}
+    assert looked_up <= made and (looked_up < made) is unkeyed
     again = enumerate_derivations(grammar, EnumerationBudget(4))
     assert again == result
     for item, twin in zip(result.items, again.items):
@@ -632,29 +668,66 @@ def test_search_matches_the_build_then_dedupe_reference(fixtures_dir, fixture, g
     [("cooks_eats.lstag", True, 3), ("topicalization.lstag", False, 2), ("cooked.tag", None, 2), ("cooked.tag", None, 3)],
 )
 def test_every_cap_matches_the_reference(fixtures_dir, fixture, gated, ops, monkeypatch):
-    """Under every cap from 1 to one past the uncapped search's pops, the search returns what the reference returns.
+    """Under every cap from 1 to one past the uncapped search's roots and moves, the search returns the reference's.
 
-    Every move is keyed, checked and counted when popped.  A cap below the pops may bind, so once `truncated` is
-    decided a move into the budget level whose state will not be complete is still checked, until counting every
-    entry left can no longer pass the cap; from the pops on it cannot, and such moves are dropped unchecked.
+    The moves are those of every state short of the budget, counted ones included, so the range does not depend
+    on how the queue holds them.  A cap below that number may bind, so once `truncated` is decided a move into
+    the budget level whose state will not be complete is still checked, until counting every move left can no
+    longer pass the cap; from that number on it cannot, and such moves are counted and dropped unmade.
     `cooked.tag` at ops 3 and `cooks_eats.lstag` at ops 3 have a level between the roots and the budget.
     """
     doc = load_grammar(str(fixtures_dir / fixture))
     grammar = doc.lstag_grammar(usable_lstag_names(doc, restrictions=gated)) if doc.lstag_pairs else doc.tag_grammar()
-    pops = []
+    name = "_lstag_moves" if doc.lstag_pairs else "_tag_moves"
+    moves, reach = getattr(engine, name), {}
 
-    class Counted(deque):
-        def popleft(self):
-            pops.append(None)
-            return super().popleft()
+    def counting(*args):  # (..., state) or (..., state, count)
+        made, state = list(moves(*args)), args[3]
+        if len(state.history) < ops:  # a root, and every move, counted or made, the first time a state makes them
+            count = args[4] if len(args) > 4 else None
+            reach.setdefault(id(state), (state, (not state.history) + len(made) + (count[0] if count else 0)))
+        return iter(made)
 
-    monkeypatch.setattr(engine, "deque", Counted)
+    monkeypatch.setattr(engine, name, counting)
     uncapped = enumerate_derivations(grammar, EnumerationBudget(ops))
     monkeypatch.undo()
     assert uncapped.truncated
-    for cap in range(1, len(pops) + 2):
+    for cap in range(1, sum(n for _, n in reach.values()) + 2):
         budget = EnumerationBudget(ops, cap)
         assert enumerate_derivations(grammar, budget) == reference_enumerate(grammar, budget), cap
+
+
+@pytest.mark.parametrize("seed", [1, 176])
+def test_every_cap_matches_the_reference_on_random_grammars_at_one_operation(seed):
+    """Every cap from 1 to 60 on two `random_lstag_grammar` grammars whose roots are blocks, found by a search.
+
+    Seed 1 has a cap (13) at which a block's cap test is at its bound, so counting one move too few there drops
+    a counted move that must be checked; in seed 176 only a counted move's state decides `truncated`, so a block
+    with counted moves must remake them while it is undecided.
+    """
+    grammar = random_lstag_grammar(random.Random(seed))
+    assert enumerate_derivations(grammar, EnumerationBudget(1)).truncated  # or no block is ever tested
+    for cap in range(1, 61):
+        budget = EnumerationBudget(1, cap)
+        assert enumerate_derivations(grammar, budget) == reference_enumerate(grammar, budget), cap
+
+
+def test_a_counting_generator_makes_the_complete_moves_and_counts_the_others(fixtures_dir, monkeypatch):
+    """At every state one short of the budget, both generators in counting mode agree with their full mode.
+
+    They make the complete moves the full mode makes, with the same keys and equal records, and count the others.
+    Every fixture grammar is enumerated at ops 2 to 5, gated and ungated.
+    """
+    checked = {"_tag_moves": [], "_lstag_moves": []}
+    for name, states in checked.items():
+        monkeypatch.setattr(engine, name, counting_checked(getattr(engine, name), states))
+    for fixture, gated in dict.fromkeys((fixture, gated) for fixture, gated, _ in _FIXTURE_GRAMMARS):
+        doc = load_grammar(str(fixtures_dir / fixture))
+        grammar = doc.lstag_grammar(usable_lstag_names(doc, gated)) if doc.lstag_pairs else doc.tag_grammar()
+        for ops in range(2, 6):
+            enumerate_derivations(grammar, EnumerationBudget(ops))
+    for states in checked.values():  # some states make moves and some count them, or this proves little
+        assert any(made for made, _ in states) and any(counted for _, counted in states)
 
 
 @given(st.data())
@@ -666,6 +739,7 @@ def test_tag_search_matches_the_reference_on_random_grammars(data):
     symbol and repeat one, and three auxiliaries share two root symbols, so
     an auxiliary's root can take another auxiliary (the chains stack).  Some
     grammars have no auxiliary, so their moves make no adjunction-site walk.
+    Where the search counts moves, `counting_checked` checks them against the full mode's.
     """
     rng = random.Random(data.draw(st.integers(0, 2**48)))
     auxiliaries = data.draw(st.sampled_from([0, 3]))
@@ -676,7 +750,8 @@ def test_tag_search_matches_the_reference_on_random_grammars(data):
     grammar = TagGrammar.from_trees(trees)
     caps = st.sampled_from([3, 7, 40, 10000]) | st.integers(1, 60)
     budget = EnumerationBudget(data.draw(st.integers(1, 3)), data.draw(caps))
-    assert enumerate_derivations(grammar, budget) == reference_enumerate(grammar, budget)
+    with mock.patch.object(engine, "_tag_moves", counting_checked(engine._tag_moves, [])):
+        assert enumerate_derivations(grammar, budget) == reference_enumerate(grammar, budget)
 
 
 _COOKS = 'lspair cooks { left: S(NP! VP(V("cooks") NP!)) right: S(NP! VP(V("cooks") NP!)) delta: [%s] phi: [] }'
@@ -711,12 +786,16 @@ def test_moves_that_fail_to_compose_match_the_reference(delta, ops, truncated):
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_lstag_search_matches_the_reference_on_random_grammars(data):
-    """Capped and uncapped searches over `random_lstag_grammar` grammars take their moves in the reference's order."""
+    """Capped and uncapped searches over `random_lstag_grammar` grammars take their moves in the reference's order.
+
+    Where the search counts moves, they are checked against the full mode's, as in the TAG property.
+    """
     rng = random.Random(data.draw(st.integers(0, 2**48)))
     grammar = random_lstag_grammar(rng)
     caps = st.sampled_from([3, 7, 40, 10000]) | st.integers(1, 60)
     budget = EnumerationBudget(data.draw(st.integers(1, 3)), data.draw(caps))
-    assert enumerate_derivations(grammar, budget) == reference_enumerate(grammar, budget)
+    with mock.patch.object(engine, "_lstag_moves", counting_checked(engine._lstag_moves, [])):
+        assert enumerate_derivations(grammar, budget) == reference_enumerate(grammar, budget)
 
 
 _SLOT_TO_INTERIOR = 'lspair host { left: S(NP! VP(V("x"))) right: S(NP! VP(V("x"))) delta: [1~2] phi: [] }'
@@ -773,9 +852,9 @@ def test_incomplete_states_at_the_budget_are_built_only_to_decide_truncation(
     monkeypatch.setattr(engine, "check_step", logging(engine.check_step))
     moves = engine._lstag_moves
 
-    def logged_moves(initial, auxiliary, stamps, s):
+    def logged_moves(initial, auxiliary, stamps, s, *count):
         events.append(("moves", s))
-        return moves(initial, auxiliary, stamps, s)
+        return moves(initial, auxiliary, stamps, s, *count)
 
     monkeypatch.setattr(engine, "_lstag_moves", logged_moves)
 
@@ -799,7 +878,7 @@ _LSTAG_FIXTURES = sorted(path.name for path in pathlib.Path(__file__).resolve().
 
 @pytest.fixture
 def rejected_moves(monkeypatch):
-    """Run every move `_lstag_moves` yields through its check, also one the search skips as seen or never checks.
+    """Run every move `_lstag_moves` makes in full through its check, also one the search skips, counts or never checks.
 
     A move whose check passes must say, unchecked, whether the state its build builds is complete.
     Returns the list of (order key, error class name) of the moves whose
@@ -808,16 +887,16 @@ def rejected_moves(monkeypatch):
     rejected = []
     moves = engine._lstag_moves
 
-    def checked_moves(initial, auxiliary, stamps, s):
-        yielded = list(moves(initial, auxiliary, stamps, s))
-        for key, _, completes, check in yielded:
+    def checked_moves(initial, auxiliary, stamps, s, count=None):
+        full = list(moves(initial, auxiliary, stamps, s))
+        for key, _, completes, check in full:
             try:
                 build = check()
             except LstagError as exc:
                 rejected.append((key, type(exc).__name__))
             else:
                 assert build().is_complete is completes
-        return iter(yielded)
+        return asked(moves, (initial, auxiliary, stamps, s), count, full)
 
     monkeypatch.setattr(engine, "_lstag_moves", checked_moves)
     return rejected
@@ -836,9 +915,9 @@ def test_every_lstag_move_on_the_fixtures_passes_its_check(fixtures_dir, fixture
 def test_ungated_topicalization_checks_only_moves_that_pass(fixtures_dir, monkeypatch):
     """Every check of the search passes, budget probes included: counted by record operation or error class.
 
-    Of the moves into the budget level, only those whose state will be complete are checked when they are made;
-    the others wait in the queue, and `truncated` is decided before most of them are popped, so they are never
-    checked: 1,434 adjunction checks would run if every move were checked when made.
+    Of the moves into the budget level, only those whose state will be complete are made and checked; the others
+    are counted, and `truncated` is decided before most of them would be remade, so they are never checked:
+    1,434 adjunction checks would run if every move were checked when made.
     """
     counts = Counter()
 
@@ -945,18 +1024,21 @@ def every_lstag_move(initial, auxiliary, s):
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_the_fit_rules_leave_out_only_moves_that_fail(data):
-    """At every state of a random grammar's search the offered moves are some of all moves, and as many pass."""
+    """At every state of a random grammar's search the moves offered in full are some of all moves, and as many pass.
+
+    A state one short of the budget is compared in full too, though the search makes only its complete moves.
+    """
     rng = random.Random(data.draw(st.integers(0, 2**48)))
     grammar = random_lstag_grammar(rng)
     moves = engine._lstag_moves
 
-    def compared(initial, auxiliary, stamps, s):
+    def compared(initial, auxiliary, stamps, s, count=None):
         offered = list(moves(initial, auxiliary, stamps, s))
         every = list(every_lstag_move(initial, auxiliary, s))
         assert {key for key, *_ in offered} <= {key for key, _ in every}
         passing = {key for key, check in every if engine._passes(check)}
         assert {key for key, *_, check in offered if engine._passes(check)} == passing
-        return iter(offered)
+        return asked(moves, (initial, auxiliary, stamps, s), count, offered)
 
     with mock.patch.object(engine, "_lstag_moves", compared):
         enumerate_derivations(grammar, EnumerationBudget(data.draw(st.integers(1, 3)), 200))
@@ -989,7 +1071,7 @@ def test_the_move_walks_find_what_the_whole_tree_walks_find(data):
     aux = [pair for _, pair in grammar.pairs if pair.left_tree.foot_row is not None]
     symbol_sets = [set(), set(SYMBOLS), {p.left_tree.root_symbol for p in aux}, {p.right_tree.root_symbol for p in aux}]
 
-    def compared(initial, auxiliary, stamps, s):
+    def compared(initial, auxiliary, stamps, s, *count):
         for tree in (s.left_tree, s.right_spine):
             slots = {site: row for site, row in tree.by_site.items() if isinstance(row[2].kind, SubstitutionSlot)}
             assert engine._slot_rows(tree) == slots
@@ -1007,7 +1089,7 @@ def test_the_move_walks_find_what_the_whole_tree_walks_find(data):
                 for site in group.right_sites:
                     row = s.right_spine.by_site.get(site)
                     assert rights.get(site) == (row if row and isinstance(row[2].kind, SubstitutionSlot) else None)
-        return moves(initial, auxiliary, stamps, s)
+        return moves(initial, auxiliary, stamps, s, *count)
 
     with mock.patch.object(engine, "_lstag_moves", compared):
         enumerate_derivations(grammar, EnumerationBudget(data.draw(st.integers(1, 3)), 200))
