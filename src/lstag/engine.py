@@ -11,30 +11,29 @@ Plain TAG and link-sharing TAG share one breadth-first search core,
 already has: `root`, `history` (the derivation records), `is_complete`,
 `left_yield()` and `projections()`.  Plain TAG states (`_TagState`) return
 no right projection.  Each grammar supplies a lazy move generator that
-yields `(order_key, record, complete, check)` for every candidate next
-step: `record` is the derivation record the step would append, worked out
-without composing, `complete` whether the next state will be complete if
-the step is legal, read off slot counts, and `check()` raises `LstagError`
-if the step is illegal and otherwise returns the build that composes it and
-cannot fail; given a one-item list, it counts there the moves whose state
-will not be complete, building no record, and yields only the others.  A
-queue entry other than a block (below) is `(root, record set, record,
-complete, check)`: a move carries its parent's record set, and a root the
-empty set, no record and a check that returns its build.  The core keys,
-checks and counts a move only when it pops it: a move whose `(root, record
-set + record)` key is seen is dropped, and one whose check passes marks its
-key.  The queue is first in, first out, so the move that first reaches a
-key is the first one made.  A record hashes its fields once, when it is
-built, and a key's set copies its parent's hashes, so no history is hashed
-again.  A root's key is never looked up: grammars reject duplicate names,
-and a move's key holds a record, so no key could repeat a root's.
+yields `(order_key, record, complete, build)` for every legal next step,
+and for no other: `record` is the derivation record the step appends,
+worked out without composing, `complete` whether the next state will be
+complete, read off slot counts, and `build()` composes the step unchecked;
+given a one-item list, it counts there the moves whose state will not be
+complete, building no record, and yields only the others.  A queue entry
+other than a block (below) is `(root, record set, record, complete,
+build)`: a move carries its parent's record set, and a root the empty set,
+no record and a build that returns the root.  The core keys and counts a
+move only when it pops it: a move whose `(root, record set + record)` key
+is seen is dropped, and any other marks its key.  The queue is first in,
+first out, so the move that first reaches a key is the first one made.  A
+record hashes its fields once, when it is built, and a key's set copies its
+parent's hashes, so no history is hashed again.  A root's key is never
+looked up: grammars reject duplicate names, and a move's key holds a
+record, so no key could repeat a root's.
 
 The core expands a state's moves in key order, but a state at the operation
-budget is never expanded: it decides `truncated` by asking whether some
-move passes its check.  Breadth first, every entry popped after a
-budget-level state is at the budget too, and it is built only if it is
-complete or `truncated` is undecided.  So a state one operation short of
-the budget is queued as one block (partial expansion): the state, the
+budget is never expanded: it decides `truncated` by asking only whether it
+has a move.  Breadth first, every entry popped after a budget-level state
+is at the budget too, and it is built only if it is complete or
+`truncated` is undecided.  So a state one operation short of the budget
+is queued as one block (partial expansion): the state, the
 moves it made, in key order, and the count of those it did not make.  The
 first block to hold a move whose state will not be complete makes every
 move, since such a move usually decides `truncated`; each later block
@@ -43,11 +42,11 @@ a block as all of its moves.  A block popped once `truncated` is decided,
 while `explored` and every move left, its own included, stay within
 `max_structures`, takes the moves it made and drops its counted ones
 unmade: the cap cannot bind, now or later, so each would be dropped
-unchecked.  Any other block with counted moves remakes its moves, and they
+unkeyed.  Any other block with counted moves remakes its moves, and they
 are taken one by one in key order: once `truncated` is decided, a move
-whose state will not be complete is dropped unchecked while counting it
-and every move left stays within the cap, and otherwise keyed and checked,
-since how many pass decides where the cap binds.
+whose state will not be complete is dropped unkeyed while counting it
+and every move left stays within the cap, and otherwise keyed and counted
+but not built, since how many keys are new decides where the cap binds.
 
 Both grammars take TAG's two operations, substitution at slots and
 adjunction at interior nodes, so both move generators find their sites with
@@ -91,7 +90,7 @@ worked out when the offer is made (the owner's path plus the site address)
 and kept in a path table that, like the site table, lives for one
 enumeration.
 
-Link-sharing moves are checked by `sharing.check_step` on the rows of their
+Link-sharing moves build with `sharing.build_step` on the rows of their
 sites.  Substitutions fill live link groups (one move fills every shared
 site).  A group takes an initial guest only if its sites are substitution
 slots, so the slot walk of each tree gives its rows, and they give
@@ -101,16 +100,19 @@ guest instance is stamped once per enumeration: the search keeps one stamp
 table (`sharing.Stamps`), which a move's build fills the first time it
 builds that instance, and drops it when it returns.
 
-Like a plain-TAG site, a link-sharing step meets only the guests that can
-fit it, read off the guest pair and the host alone: a group meets an
-initial guest only at a left substitution slot of the guest's left root
-symbol, a group of several right sites only a guest with no links of its
-own, and no guest is offered whose phi links outnumber the groups the step
-leaves live (every live group for an adjunction, all but the filled one
-for a substitution).  Each call reads the root symbols of the guests it
-may offer once, before it visits a site.  `check_step` is still the judge
-of every move offered, so leaving out moves it would reject changes no
-result.
+Like a plain-TAG site, a link-sharing step meets only the guests that fit
+it, read off the guest pair and the host alone, so the generator offers
+exactly the steps `sharing.check_step` passes and the engine checks none.
+A group meets an initial guest only if its left site is a slot of the
+guest's left root symbol and each right site a slot of its right root
+symbol that no fragment fills.  A group of several right sites meets only
+a guest with no links of its own, and a group of one only if no other live
+group meets its left or its right site, which the step would leave naming
+a filled slot.  An auxiliary meets each pair of unmarked interior nodes,
+one per tree, of its two root symbols.  No guest is offered whose phi
+links outnumber the groups the step leaves live (every live group for an
+adjunction, all but the filled one for a substitution).  Each call reads
+the root symbols of the guests it may offer once, before it visits a site.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ from .sharing import (
     LstagGrammar,
     LstagPair,
     Stamps,
-    check_step,
+    build_step,
     closes,
     guest_instance_id,
     step_record,
@@ -186,24 +188,15 @@ class EnumerationResult:
 
 
 _State = Union["_TagState", DerivedStructure]
-_Check = Callable[[], Callable[[], _State]]  # raises LstagError if the move is illegal, else returns its build
-_Move = tuple[tuple, DerivationRecord, bool, _Check]  # (order key, record, complete, check)
-# A queue entry: a root `(root, {}, None, complete, check)`, a move `(root, parent's record set, record, complete,
-# check)`, or a block `(root, parent's record set, parent, None, (the parent's moves made, count of the others))`.
+_Move = tuple[tuple, DerivationRecord, bool, Callable[[], _State]]  # (order key, record, complete, build)
+# A queue entry: a root `(root, {}, None, complete, build)`, a move `(root, parent's record set, record, complete,
+# build)`, or a block `(root, parent's record set, parent, None, (the parent's moves made, count of the others))`.
 _Entry = tuple[str, frozenset[DerivationRecord], Any, Union[bool, None], Any]
-_Keys = set[tuple[str, frozenset[DerivationRecord]]]  # the keys of the moves whose checks passed: (root, record set)
+_Keys = set[tuple[str, frozenset[DerivationRecord]]]  # the keys of the moves taken: (root, record set)
 _Guests = dict[str, dict[str, dict[str, SyntaxTree]]]  # `TagGrammar.guests`: {operation: {root symbol: {name: tree}}}
 _Path = tuple[GornAddress, ...]  # the edge addresses from a derivation's root down to one guest instance
 _Offer = tuple[DerivationRecord, int, SyntaxTree, _Path]  # (record, slot change, stamped guest tree, its path)
 _Sites = dict[SiteRef | None, list[_Offer]]  # a site table, kept for one enumeration
-
-
-def _passes(check: _Check) -> bool:
-    try:
-        check()
-    except LstagError:
-        return False
-    return True
 
 
 def _search(
@@ -213,14 +206,14 @@ def _search(
 ) -> EnumerationResult:
     seen: _Keys = set()
     none: frozenset[DerivationRecord] = frozenset()
-    queue: deque[_Entry] = deque((s.root, none, None, s.is_complete, lambda s=s: lambda: s) for s in roots)
+    queue: deque[_Entry] = deque((s.root, none, None, s.is_complete, lambda s=s: s) for s in roots)
     complete: list[_State] = []
     truncated = counting = False  # counting: some block holds a move whose state will not be complete
     explored = hidden = 0  # hidden: the moves that queued blocks hold beyond the one entry each is
     while queue:
-        root, base, record, will_complete, check = queue.popleft()
-        if will_complete is None:  # a block: `record` is the parent state, `check` its moves made and counted
-            made, count = check
+        root, base, record, will_complete, build = queue.popleft()
+        if will_complete is None:  # a block: `record` is the parent state, `build` its moves made and counted
+            made, count = build
             hidden -= len(made) + count - 1
             if count and (not truncated or explored + len(queue) + hidden + len(made) + count > budget.max_structures):
                 made = sorted(moves(record), key=itemgetter(0))  # every move, taken one by one in key order
@@ -232,10 +225,6 @@ def _search(
             base = base | {record}  # the copy keeps base's hashes: only record is hashed
             if (root, base) in seen:
                 continue
-        try:
-            build = check()
-        except LstagError:
-            continue
         seen.add((root, base))
         explored += 1
         if explored > budget.max_structures:
@@ -247,7 +236,7 @@ def _search(
         if state.is_complete:
             complete.append(state)
         if len(state.history) >= budget.max_operations:
-            truncated = truncated or any(_passes(check) for *_, check in moves(state))
+            truncated = truncated or any(moves(state))
             continue
         if len(state.history) < budget.max_operations - 1:
             queue.extend((root, base, *move[1:]) for move in sorted(moves(state), key=itemgetter(0)))
@@ -395,12 +384,12 @@ def _tag_moves(
             offers = table[node.site] = _offers(guests, paths, operation, node)
         if offers:
             addr_text = addr_text or _row_text(row)
-            for record, change, guest, path in offers:  # legal by construction: a check returns the build
+            for record, change, guest, path in offers:
                 if count is not None and slots + change:
                     count[0] += 1
                     continue
-                check = partial(partial, _tag_child, record, guest, path, state, row)
-                yield (addr_text, record.guest), record, slots + change == 0, check
+                build = partial(_tag_child, record, guest, path, state, row)
+                yield (addr_text, record.guest), record, slots + change == 0, build
 
 
 # --- link-sharing moves -----------------------------------------------------------
@@ -422,20 +411,28 @@ def _lstag_moves(
     s: DerivedStructure,
     count: list[int] | None = None,
 ) -> Iterator[_Move]:
-    live = len(s.live_links)  # a guest spends every phi link on a group the step leaves live
+    groups = s.live_links
+    live = len(groups)  # a guest spends every phi link on a group the step leaves live
     lefts, rights_at = _slot_rows(s.left_tree), _slot_rows(s.right_spine)
-    # Each initial guest whose phi links leave a group live, with its left root symbol, read once per call.
-    fillers = [(name, pair, pair.left_tree.root_symbol) for name, pair in initial if len(pair.phi) < live]
-    for gi, group in enumerate(s.live_links):
+    # Each initial guest whose phi links leave a group live, with its root symbols, read once per call.
+    fillers = [(n, p, p.left_tree.root_symbol, p.right_tree.root_symbol) for n, p in initial if len(p.phi) < live]
+    for gi, group in enumerate(groups):
         left = lefts.get(group.left_site)
         rights = tuple(map(rights_at.get, group.right_sites))
         if left is None or None in rights:  # an initial guest fills slots only, and an unvalidated link names none
             continue
-        slot = left[2].kind
+        if not s.fragment_parents.isdisjoint(group.right_sites):  # a slot a fragment fills takes no other guest
+            continue
         shared = len(rights) > 1  # a guest shared by several right sites carries no link of its own
+        site = group.right_sites[0]
+        if not shared and sum(g.left_site == group.left_site or site in g.right_sites for g in groups) > 1:
+            continue  # a one-site group is filled only where no other live group meets its sites
+        slot, right_symbols = left[2].kind, {row[2].kind.symbol for row in rights}
         operation = "shared-substitution" if shared else "substitution"  # the one `step_record` names
-        for name, pair, symbol in fillers:
+        for name, pair, symbol, right_symbol in fillers:
             if symbol != slot.symbol:
+                continue
+            if right_symbols != {right_symbol}:  # every right slot takes the guest's right root
                 continue
             if shared and (pair.delta or pair.phi):
                 continue
@@ -444,12 +441,8 @@ def _lstag_moves(
                 count[0] += 1
                 continue
             record = step_record(left, rights, name)
-            yield (0, gi, name), record, complete, partial(check_step, stamps, s, record, pair, left, rights)
-    adjoining = [
-        (name, pair, pair.left_tree.root_symbol, pair.right_tree.root_symbol)
-        for name, pair in auxiliary
-        if len(pair.phi) <= live
-    ]
+            yield (0, gi, name), record, complete, partial(build_step, stamps, s, record, pair, left, rights)
+    adjoining = [(n, p, p.left_tree.root_symbol, p.right_tree.root_symbol) for n, p in auxiliary if len(p.phi) <= live]
     if not adjoining:  # no site is walked to for an adjunction that no guest can make
         return
     left_sites = _adjunction_sites(s.left_tree, {left_root for _, _, left_root, _ in adjoining})
@@ -467,8 +460,8 @@ def _lstag_moves(
             for right_text, right, rn in right_sites:
                 if rn.kind.symbol == right_root:
                     record = DerivationRecord("adjunction", name, guest_id, ln.site, (rn.site,))
-                    check = partial(check_step, stamps, s, record, pair, left, (right,))
-                    yield (1, left_text, right_text, name), record, complete, check
+                    build = partial(build_step, stamps, s, record, pair, left, (right,))
+                    yield (1, left_text, right_text, name), record, complete, build
 
 
 def enumerate_derivations(

@@ -17,20 +17,22 @@ for them.
 
 Every step takes one shape.  Its sites are located once, as tree rows
 (`trees.Row`): one left row and a tuple of right rows.  `step_record`
-builds its `DerivationRecord` once, from those rows; `check_step` raises
-every error the step can raise before anything is composed, building an
-address only to report one, and returns the step's build, which appends
-that record unchanged and cannot fail: it grafts at those rows the guest's
-trees stamped as the instance the record names (`owned_by`), since grafts
-never stamp.  It reads them off the stamp
-table (`Stamps`) it is given, which the first build of an instance fills:
-the enumerator keeps one table per enumeration, so it stamps each guest
-instance once, and `lstag_compose`, `shared_substitute` and a `derive`
-step each pass a fresh one.  Several right rows take a shared
-substitution; one takes the operation `trees.site_operation` names for
-both sites' kinds, checked and grafted with the pair `trees.RULE` gives
-it.  `lstag_compose`, `shared_substitute`, the enumerator and `lstag
-derive` all take that shape.  Whether a legal step leaves the structure
+builds its `DerivationRecord` once, from those rows.  As `trees.RULE` pairs
+each operation's check with an unchecked graft, a step has a check and an
+unchecked build on the same arguments: `check_step` raises every error the
+step can raise before anything is composed, building an address only to
+report one, and returns `build_step` bound to them, which appends that
+record unchanged.  A build grafts at those rows the guest's trees stamped
+as the instance the record names (`owned_by`), since grafts never stamp.
+It reads them off the stamp table (`Stamps`) it is given, which the first
+build of an instance fills: the enumerator keeps one table per
+enumeration, so it stamps each guest instance once, and `lstag_compose`,
+`shared_substitute` and a `derive` step each pass a fresh one.  Several
+right rows take a shared substitution; one takes the operation
+`trees.site_operation` names for both sites' kinds, checked and grafted
+with the pair `trees.RULE` gives it.  `lstag_compose`, `shared_substitute`
+and `lstag derive` check each step; the enumerator offers only steps that
+pass and builds them unchecked.  Whether a legal step leaves the structure
 complete is `closes`, read off slot counts alone.
 """
 
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 from .errors import (
@@ -112,9 +114,14 @@ def validate_pair(p: LstagPair) -> list[Diagnostic]:
             elif type(kind := p.right_tree.node_at(end)) not in OPERATION:  # the group it joins could never be filled
                 message = f"phi endpoint {end} is {kind}, which hosts no operation"
                 diags.append(Diagnostic("OperationMismatch", message, p.name))
-    overlap = set(p.delta) & set(p.phi)
-    for link in sorted(overlap, key=str):
+    delta, phi = set(p.delta), set(p.phi)
+    for link in sorted(delta & phi, key=str):
         diags.append(Diagnostic("NotDisjoint", f"link {link} appears in both delta and phi", p.name))
+    for label, links, distinct in (("delta", p.delta, delta), ("phi", p.phi, phi)):
+        if len(distinct) < len(links):  # each copy makes a group at the same sites: filling one strands the other
+            for link, n in Counter(links).items():
+                if n > 1:
+                    diags.append(Diagnostic("DuplicateLink", f"{label} link {link} appears {n} times", p.name))
     return diags
 
 
@@ -280,7 +287,7 @@ def _closed(left_slots: int, fragment_slots: int, spine_slots: int, parents: int
 def closes(hs: DerivedStructure, guest: LstagPair, operation: str, right_sites: tuple[SiteRef, ...]) -> bool:
     """Whether a legal step of `operation` composing `guest` at `right_sites` leaves no slot of `hs` open.
 
-    Read off slot counts alone, so the enumerator knows it for every move before the move's check runs.
+    Read off slot counts alone, so the enumerator knows it for every move before it builds one.
     """
     left = hs.left_tree.root.slots + guest.left_tree.root.slots
     spine, right = hs.right_spine.root.slots, guest.right_tree.root.slots
@@ -330,30 +337,14 @@ Stamps = dict[str, tuple[SyntaxTree, SyntaxTree]]
 """A stamp table: guest instance id -> the guest's left and right trees stamped as that instance (`owned_by`)."""
 
 
-def _stamped(stamps: Stamps, guest: LstagPair, guest_id: str) -> tuple[SyntaxTree, SyntaxTree]:
-    """`guest`'s trees stamped as the instance `guest_id`, read off `stamps` or stamped now and kept there."""
-    trees = stamps.get(guest_id)
-    if trees is None:
-        trees = stamps[guest_id] = (guest.left_tree.owned_by(guest_id), guest.right_tree.owned_by(guest_id))
-    return trees
-
-
 def check_step(
-    stamps: Stamps,
-    hs: DerivedStructure,
-    record: DerivationRecord,
-    guest: LstagPair,
-    left: Row,
-    rights: tuple[Row, ...],
+    stamps: Stamps, hs: DerivedStructure, record: DerivationRecord, guest: LstagPair, left: Row, rights: tuple[Row, ...]
 ) -> Callable[[], DerivedStructure]:
     """Raise what composing `guest` in the step `record` names raises, before anything is composed.
 
     `left` and `rights` are the rows of the record's left and right sites
     in the host's trees; a site's address is built only to report an error.
-    Returns the step itself, which grafts at those rows, appends `record`
-    unchanged and cannot fail.
-    It grafts the guest's trees stamped as the record's instance, read off
-    `stamps`, which the first build of that instance fills.
+    Returns the step itself, `build_step` on these arguments.
     """
     if len(rights) > 1:
         if guest.delta or guest.phi:
@@ -373,21 +364,7 @@ def check_step(
                     f"right slot at {row_address(row)} expects {kind.symbol!r}, "
                     f"guest root is {guest.right_tree.root_symbol!r}"
                 )
-
-        def build_shared() -> DerivedStructure:
-            left_tree = fill_slot(left, _stamped(stamps, guest, record.guest_id)[0])
-            fragment = Fragment(record.guest_id, guest.name, guest.right_tree, record.right_sites)
-            # Another group on the filled left slot now names the guest root, which sits where the slot was.
-            filler, group = SiteRef(record.guest_id, ROOT), SharedLinkGroup(record.left_site, record.right_sites)
-            live = tuple(
-                SharedLinkGroup(filler, g.right_sites) if g.left_site == record.left_site else g
-                for g in hs.live_links if g != group
-            )
-            return DerivedStructure(
-                hs.root, left_tree, hs.right_spine, hs.fragments + (fragment,), live, hs.history + (record,)
-            )
-
-        return build_shared
+        return partial(build_step, stamps, hs, record, guest, left, rights)
     right = rights[0]
     operation = site_operation(left, right)
     left_ref, right_ref = left[2].site, right[2].site
@@ -409,24 +386,48 @@ def check_step(
             raise DuplicateAdjunction(f"left node {left_ref} already hosts an adjunction")
         if right[2].adjoined:
             raise DuplicateAdjunction(f"right node {right_ref} already hosts an adjunction")
-    check, graft = RULE[operation]
+    check = RULE[operation][0]
     check(left, guest.left_tree)
     check(right, guest.right_tree)
     _check_cardinality(live, guest.phi)
+    return partial(build_step, stamps, hs, record, guest, left, rights)
 
-    def build() -> DerivedStructure:
-        left_guest, right_guest = _stamped(stamps, guest, record.guest_id)
-        left_tree, right_spine = graft(left, left_guest), graft(right, right_guest)
-        feet = guest.left_tree.foot_address, guest.right_tree.foot_address
-        left_of = lambda a: left_ref if a == feet[0] else SiteRef(record.guest_id, a)
-        right_of = lambda a: right_ref if a == feet[1] else SiteRef(record.guest_id, a)
-        shared = link_share(live, guest.phi, right_of)
-        appended = tuple(SharedLinkGroup(left_of(l.left), (right_of(l.right),)) for l in guest.delta)
-        return DerivedStructure(
-            hs.root, left_tree, right_spine, hs.fragments, shared + appended, hs.history + (record,)
+
+def build_step(
+    stamps: Stamps, hs: DerivedStructure, record: DerivationRecord, guest: LstagPair, left: Row, rights: tuple[Row, ...]
+) -> DerivedStructure:
+    """The step `record` names, composed unchecked: the caller ensured what `check_step` checks.
+
+    It grafts at the rows `left` and `rights` the guest's trees stamped as
+    the record's instance, read off `stamps`, which the first build of that
+    instance fills, and appends `record` unchanged.
+    """
+    guest_id, history = record.guest_id, hs.history + (record,)
+    if (stamped := stamps.get(guest_id)) is None:  # the instance's first build stamps its trees for every later one
+        stamped = stamps[guest_id] = (guest.left_tree.owned_by(guest_id), guest.right_tree.owned_by(guest_id))
+    left_guest, right_guest = stamped
+    if record.operation == "shared-substitution":
+        fragment = Fragment(guest_id, guest.name, guest.right_tree, record.right_sites)
+        # Another group on the filled left slot now names the guest root, which sits where the slot was.
+        filler, group = SiteRef(guest_id, ROOT), SharedLinkGroup(record.left_site, record.right_sites)
+        live = tuple(
+            SharedLinkGroup(filler, g.right_sites) if g.left_site == record.left_site else g
+            for g in hs.live_links if g != group
         )
-
-    return build
+        left_tree = fill_slot(left, left_guest)
+        return DerivedStructure(hs.root, left_tree, hs.right_spine, hs.fragments + (fragment,), live, history)
+    graft = RULE[record.operation][1]
+    left_ref, right_ref = record.left_site, record.right_sites[0]
+    live = hs.live_links
+    if record.operation == "substitution":  # the one group at both sites is filled
+        live = tuple(g for g in live if g.left_site != left_ref and right_ref not in g.right_sites)
+    feet = guest.left_tree.foot_address, guest.right_tree.foot_address
+    left_of = lambda a: left_ref if a == feet[0] else SiteRef(guest_id, a)
+    right_of = lambda a: right_ref if a == feet[1] else SiteRef(guest_id, a)
+    shared = link_share(live, guest.phi, right_of)
+    appended = tuple(SharedLinkGroup(left_of(l.left), (right_of(l.right),)) for l in guest.delta)
+    left_tree, right_spine = graft(left, left_guest), graft(rights[0], right_guest)
+    return DerivedStructure(hs.root, left_tree, right_spine, hs.fragments, shared + appended, history)
 
 
 def lstag_compose(

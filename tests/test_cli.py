@@ -147,6 +147,32 @@ def test_validate_flags_a_phi_endpoint_that_hosts_no_operation(capsys, tmp_path)
     )
 
 
+_REPEATED_DELTA = """\
+lspair h { left: S(NP! VP(V("x"))) right: S(NP! VP(V("x"))) delta: [1~1, 1~1] phi: [] }
+lspair n { left: NP(N("n")) right: NP(N("n")) delta: [] phi: [] }
+"""
+
+
+def test_validate_flags_a_repeated_link(capsys, tmp_path):
+    """Each copy of a repeated delta link makes a group at the same two sites, and no step fills both at once,
+    so no derivation through the pair could complete: it is excluded."""
+    grammar, script = tmp_path / "h.lstag", tmp_path / "h.script"
+    grammar.write_text(_REPEATED_DELTA, encoding="utf-8")
+    message = "delta link 1~1 appears 2 times"
+    assert run(capsys, "validate", str(grammar)) == (1, "", f"h: DuplicateLink: {message}\n")
+    code, out, err = run(capsys, "validate", str(grammar), "--json")
+    assert (code, out) == (1, "")
+    assert [json.loads(line) for line in err.splitlines()] == [{"code": "DuplicateLink", "message": message, "where": "h"}]
+    for step in ("substitute n at 1", "substitute n at 1 ~ 1"):
+        script.write_text(f"root h\n{step}\n", encoding="utf-8")
+        assert run(capsys, "derive", str(grammar), str(script)) == (
+            1,
+            "",
+            "DerivationFailed: pair 'h' is excluded by validation: DuplicateLink\n",
+        )
+    assert run(capsys, "enumerate", str(grammar), "--max-ops", "2") == (0, "n ::\n", "")
+
+
 def test_validate_flags_a_pair_link_whose_ends_take_different_operations(capsys, tmp_path):
     grammar = tmp_path / "p.stag"
     grammar.write_text(
@@ -619,7 +645,7 @@ def test_derive_names_a_tree_that_validation_excluded(capsys, tmp_path, text):
 
 _TWO_SLOTS_ONE_RIGHT = """\
 lspair host { left: S(NP! VP(V("cooks") NP!)) right: S(NP! VP(V("cooks") NP!)) delta: [1~1, 2.2~1] phi: [] }
-lspair and_w { left: V(V* CC("and") V("eats")) right: S(NP! VP(V("eats") NP!) S*) delta: [] phi: [1, 1] }
+lspair and_w { left: V(V* CC("and") V("eats")) right: S(NP! VP(V("eats") NP!) S*) delta: [] phi: [1, 2.2] }
 lspair john { left: NP("John") right: NP("John") delta: [] phi: [] }
 lspair beans { left: NP("beans") right: NP("beans") delta: [] phi: [] }
 """
@@ -627,7 +653,7 @@ lspair beans { left: NP("beans") right: NP("beans") delta: [] phi: [] }
 
 def test_derive_rejects_a_second_fragment_at_filled_right_slots(capsys, tmp_path):
     # Both left slots link to right slot 1, so after and_w spends its phi
-    # links both groups name the spine slots [3.1, 1]; john fills them first.
+    # links the groups name the spine slots [3.1, 1] and [3.1, 2.2]; john fills the first.
     grammar = tmp_path / "two_slots.lstag"
     grammar.write_text(_TWO_SLOTS_ONE_RIGHT, encoding="utf-8")
     script = tmp_path / "two_fillers.script"
@@ -963,7 +989,7 @@ def test_output_does_not_depend_on_the_hash_seed(fixtures_dir):
 
 def test_the_parity_corpus_up_to_two_operations_matches_under_two_hash_seeds(fixtures_dir):
     """`tools/parity.py --check --max-ops 2`: every enumeration of at most two operations and every derive
-    of the committed corpus gives the committed digests, under two hash seeds (CI checks the whole list)."""
+    of the committed corpus gives the committed digests, under two hash seeds (CI checks the whole lists)."""
     tool = fixtures_dir.parent / "tools" / "parity.py"
     src = str(pathlib.Path(lstag.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -976,7 +1002,11 @@ def test_the_parity_corpus_up_to_two_operations_matches_under_two_hash_seeds(fix
     ]
     for proc in runs:
         out, err = proc.communicate(timeout=60)
-        assert (proc.returncode, err, out) == (0, "", "342 of 342 runs match tests/golden/parity.txt\n")
+        assert (proc.returncode, err) == (0, "")
+        assert out == (
+            "342 of 342 runs match tests/golden/parity.txt\n"
+            "600 of 600 runs match tests/golden/parity_random.txt\n"
+        )
 
 
 def test_enumerate_respects_restrictions(capsys, fixtures_dir):

@@ -92,6 +92,16 @@ def test_validate_flags_shared_link_in_both_sets():
     assert "NotDisjoint" in [d.code for d in validate_pair(broken)]
 
 
+def test_validate_flags_each_repeated_link_once():
+    """A repeated delta link makes two groups at the same sites, and a repeated phi link puts one site in two."""
+    broken = LstagPair("x", BETA.left_tree, BETA.right_tree, delta=(lk("2"),) * 3, phi=(lk("1"), lk("2.2"), lk("1")))
+    assert [(d.code, d.message, d.where) for d in validate_pair(broken)] == [
+        ("DuplicateLink", "delta link 2~2 appears 3 times", "x"),
+        ("DuplicateLink", "phi link 1~1 appears 2 times", "x"),
+    ]
+    assert validate_pair(LstagPair("y", GAMMA.left_tree, GAMMA.right_tree, delta=(lk("1"), lk("1", "2.2")))) == []
+
+
 def test_validate_flags_dangling_endpoints():
     broken = LstagPair("x", GAMMA.left_tree, GAMMA.right_tree, delta=(Link(A("9"), A("1")),))
     assert [d.code for d in validate_pair(broken)] == ["AddressNotFound"]

@@ -12,11 +12,21 @@ text, JSON and DOT.  Each run is one line: its arguments (paths relative to
 the repository), its exit status, and the SHA-256 of its standard output
 and of its standard error, UTF-8 encoded, separated by tabs.
 
-`--check` compares the runs with `tests/golden/parity.txt`, prints every
-line that differs, and exits 1 if there is any; `--max-ops N` checks only
-the enumerations at most N operations deep, and every derive.  The whole
-list also names each line of the file that no run makes.  `--write` runs
-the whole list and rewrites the file.
+A second list, kept in `tests/golden/parity_random.txt`, enumerates in
+process the `random_lstag_grammar` grammars of `tests/helpers_trees.py`
+for seeds 0 to 99, at `max_operations` 1 to 3 and `max_structures` 7, 40
+and the default.  Their searches meet steps that the link-sharing fit rules
+leave out, such as a group that shares a site with another live group or a
+right slot of another symbol than the guest's right root, so offering one
+changes a line.  Each run is one line: its seed and budget, then the
+SHA-256 of the items' records in history order, yields and both
+projections, and of `truncated`.
+
+`--check` compares the runs with the committed files, prints every line
+that differs, and exits 1 if there is any; `--max-ops N` checks only the
+enumerations at most N operations deep, and every derive.  The whole lists
+also name each line of the files that no run makes.  `--write` runs the
+whole lists and rewrites the files.
 
 `lstag` is imported from `PYTHONPATH` if it is there, else from `src/`.
 """
@@ -28,16 +38,20 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "golden" / "parity.txt"
+RANDOM_GOLDEN = REPO / "tests" / "golden" / "parity_random.txt"
 FLAGS = ((), ("--no-restrictions",), ("--format", "json"), ("--strings-only",))
 CAPS = ((), *(("--max-structures", str(cap)) for cap in (1, 3, 7, 13, 40, 120)))
 SCRIPTS = (("cooks_eats.lstag", "cooks_eats.script"), ("cooked.tag", "cooked_dried.script"))
 FORMATS = ("text", "json", "dot")
 ALL_OPS = 5
+RANDOM_OPS = 3
+RANDOM_CAPS = (7, 40, None)  # None: the default cap
 
 
 def runs(max_ops: int = ALL_OPS) -> list[tuple[str, ...]]:
@@ -65,6 +79,28 @@ def line(argv: tuple[str, ...]) -> str:
     return "\t".join((" ".join(argv), str(status), *digests))
 
 
+def random_runs(max_ops: int = ALL_OPS) -> list[tuple[int, int, int | None]]:
+    """(seed, max operations, cap) of the random-grammar runs at most `max_ops` operations deep, in file order."""
+    depths = range(1, min(max_ops, RANDOM_OPS) + 1)
+    return [(seed, ops, cap) for seed in range(100) for ops in depths for cap in RANDOM_CAPS]
+
+
+def random_line(seed: int, ops: int, cap: int | None) -> str:
+    """One enumeration of a random grammar: its seed and budget, and the SHA-256 of its items and `truncated`."""
+    from helpers_trees import random_lstag_grammar
+    from lstag import EnumerationBudget, enumerate_derivations
+
+    budget = EnumerationBudget(ops) if cap is None else EnumerationBudget(ops, cap)
+    result = enumerate_derivations(random_lstag_grammar(random.Random(seed)), budget)
+    items = [
+        ([r.to_line() for r in item.records], item.left_yield, item.left_derivation, item.right_derivation)
+        for item in result.items
+    ]
+    digest = hashlib.sha256(repr((items, result.truncated)).encode("utf-8")).hexdigest()
+    flags = "" if cap is None else f" --max-structures {cap}"
+    return f"random {seed} --max-ops {ops}{flags}\t{digest}"
+
+
 def arguments(text: str) -> str:
     return text.split("\t", 1)[0]
 
@@ -72,28 +108,35 @@ def arguments(text: str) -> str:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     mode = ap.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--check", action="store_true", help="compare the runs with the committed file")
-    mode.add_argument("--write", action="store_true", help="run the whole list and rewrite the committed file")
+    mode.add_argument("--check", action="store_true", help="compare the runs with the committed files")
+    mode.add_argument("--write", action="store_true", help="run the whole lists and rewrite the committed files")
     ap.add_argument("--max-ops", type=int, default=ALL_OPS, metavar="N", help="check only enumerations of <= N ops")
     args = ap.parse_args(argv)
     if args.write and args.max_ops != ALL_OPS:
-        ap.error("--write runs the whole list; it does not take --max-ops")
-    sys.path.append(str(REPO / "src"))
+        ap.error("--write runs the whole lists; it does not take --max-ops")
+    sys.path += [str(REPO / "src"), str(REPO / "tests")]
     os.chdir(REPO)  # the paths in the list, and so in any message, are relative to the repository
-    got = [line(argv) for argv in runs(args.max_ops)]
-    if args.write:
-        GOLDEN.write_text("".join(f"{g}\n" for g in got), encoding="utf-8")
-        print(f"wrote {len(got)} runs to {GOLDEN.relative_to(REPO)}")
-        return 0
-    want = {arguments(w): w for w in GOLDEN.read_text(encoding="utf-8").splitlines()}
-    differ = [g for g in got if want.get(arguments(g)) != g]
-    for g in differ:
-        print(f"differs: {g}\n   file: {want.get(arguments(g), '(no line)')}")
-    unrun = sorted(want.keys() - set(map(arguments, got))) if args.max_ops == ALL_OPS else []
-    for text in unrun:
-        print(f"no run makes the file's line for: {text}")
-    print(f"{len(got) - len(differ)} of {len(got)} runs match {GOLDEN.relative_to(REPO)}")
-    return 1 if differ or unrun else 0
+    lists = (
+        (GOLDEN, [line(argv) for argv in runs(args.max_ops)]),
+        (RANDOM_GOLDEN, [random_line(*run) for run in random_runs(args.max_ops)]),
+    )
+    failed = False
+    for golden, got in lists:
+        name = golden.relative_to(REPO)
+        if args.write:
+            golden.write_text("".join(f"{g}\n" for g in got), encoding="utf-8")
+            print(f"wrote {len(got)} runs to {name}")
+            continue
+        want = {arguments(w): w for w in golden.read_text(encoding="utf-8").splitlines()}
+        differ = [g for g in got if want.get(arguments(g)) != g]
+        for g in differ:
+            print(f"differs: {g}\n   file: {want.get(arguments(g), '(no line)')}")
+        unrun = sorted(want.keys() - set(map(arguments, got))) if args.max_ops == ALL_OPS else []
+        for text in unrun:
+            print(f"no run makes the file's line for: {text}")
+        print(f"{len(got) - len(differ)} of {len(got)} runs match {name}")
+        failed = failed or bool(differ or unrun)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
