@@ -11,15 +11,16 @@ Plain TAG and link-sharing TAG share one breadth-first search core,
 already has: `root`, `history` (the derivation records), `is_complete`,
 `left_yield()` and `projections()`.  Plain TAG states (`_TagState`) return
 no right projection.  Each grammar supplies a lazy move generator that
-yields `(order_key, record, complete, build)` for every legal next step,
-and for no other: `record` is the derivation record the step appends,
+yields `(order_key, record, complete, build, bound)` for every legal next
+step, and for no other: `record` is the derivation record the step appends,
 worked out without composing, `complete` whether the next state will be
-complete, read off slot counts, and `build()` composes the step unchecked;
-given a one-item list, it counts there the moves whose state will not be
-complete, building no record, and yields only the others.  A queue entry
-other than a block (below) is `(root, record set, record, complete,
-build)`: a move carries its parent's record set, and a root the empty set,
-no record and a build that returns the root.  The core keys and counts a
+complete, read off slot counts, `build()` composes the step unchecked, and
+`bound` is None or a bound (below); given a one-item list, it counts there
+the moves whose state will not be complete, building no record, and yields
+only the others.  A queue entry other than a block (below) is `(root,
+record set, record, complete, build, bound)`: a move carries its parent's
+record set, and a root the empty set, no record and a build that returns
+the root.  The core keys and counts a
 move only when it pops it: a move whose `(root, record set + record)` key
 is seen is dropped, and any other marks its key.  The queue is first in,
 first out, so the move that first reaches a key is the first one made.  A
@@ -48,6 +49,17 @@ whose state will not be complete is dropped unkeyed while counting it
 and every move left stays within the cap, and otherwise keyed and counted
 but not built, since how many keys are new decides where the cap binds.
 
+A step fills at most one left slot, so a state with two or more open left
+slots cannot complete in one more step (the pruning test of Korf's IDA*).
+Link sharing gives a move into such a state its `bound`, at least the
+number of moves the state makes, worked out from the parent and the guest
+alone; plain TAG gives none.  Once `counting` is set, such a move into the
+level one short of the budget is keyed and counted but queued unbuilt, as a
+block that holds its build and `((), bound)`.  It builds its state and
+remakes its moves only where a block with counted moves does, and the cap
+test counts it as `bound` moves, never too few, so outputs stay exact at
+every cap.
+
 Both grammars take TAG's two operations, substitution at slots and
 adjunction at interior nodes, so both move generators find their sites with
 the same two walks, one per operation.  `_slot_rows` maps the site of each
@@ -56,7 +68,9 @@ substitution slot to its row and enters only subtrees that hold a slot
 text, each interior node that no adjunction has marked `adjoined` and whose
 symbol is the root symbol of an auxiliary that may fit; it enters interior
 nodes only, builds each one's text as it walks down (its parent's text and
-`.k`), and it is not called where no auxiliary can fit.  A move reads
+`.k`), and it is called only once an auxiliary makes a move.  Counting
+adjunctions and bounds read `_interior_symbols`, a walk of the same nodes
+that counts them by symbol and builds no row or text.  A move reads
 the elementary site it composes at (its `SiteRef`) off its node and grafts
 at the row its walk found.
 
@@ -188,10 +202,11 @@ class EnumerationResult:
 
 
 _State = Union["_TagState", DerivedStructure]
-_Move = tuple[tuple, DerivationRecord, bool, Callable[[], _State]]  # (order key, record, complete, build)
-# A queue entry: a root `(root, {}, None, complete, build)`, a move `(root, parent's record set, record, complete,
-# build)`, or a block `(root, parent's record set, parent, None, (the parent's moves made, count of the others))`.
-_Entry = tuple[str, frozenset[DerivationRecord], Any, Union[bool, None], Any]
+_Move = tuple[tuple, DerivationRecord, bool, Callable[[], _State], Union[int, None]]  # (..., build, bound)
+# A queue entry: a root `(root, {}, None, complete, build, None)`, a move `(root, parent's record set, record,
+# complete, build, bound)`, or a block `(root, parent's record set, parent, None, (the parent's moves made, count of
+# the others), None)`; a block left unbuilt holds the parent's build, and `((), bound)`.
+_Entry = tuple[str, frozenset[DerivationRecord], Any, Union[bool, None], Any, Union[int, None]]
 _Keys = set[tuple[str, frozenset[DerivationRecord]]]  # the keys of the moves taken: (root, record set)
 _Guests = dict[str, dict[str, dict[str, SyntaxTree]]]  # `TagGrammar.guests`: {operation: {root symbol: {name: tree}}}
 _Path = tuple[GornAddress, ...]  # the edge addresses from a derivation's root down to one guest instance
@@ -206,17 +221,18 @@ def _search(
 ) -> EnumerationResult:
     seen: _Keys = set()
     none: frozenset[DerivationRecord] = frozenset()
-    queue: deque[_Entry] = deque((s.root, none, None, s.is_complete, lambda s=s: s) for s in roots)
+    queue: deque[_Entry] = deque((s.root, none, None, s.is_complete, lambda s=s: s, None) for s in roots)
     complete: list[_State] = []
     truncated = counting = False  # counting: some block holds a move whose state will not be complete
     explored = hidden = 0  # hidden: the moves that queued blocks hold beyond the one entry each is
     while queue:
-        root, base, record, will_complete, build = queue.popleft()
-        if will_complete is None:  # a block: `record` is the parent state, `build` its moves made and counted
+        root, base, record, will_complete, build, bound = queue.popleft()
+        if will_complete is None:  # a block: `record` is the parent state (unbuilt, its build), `build` its moves
             made, count = build
             hidden -= len(made) + count - 1
             if count and (not truncated or explored + len(queue) + hidden + len(made) + count > budget.max_structures):
-                made = sorted(moves(record), key=itemgetter(0))  # every move, taken one by one in key order
+                state = record() if callable(record) else record
+                made = sorted(moves(state), key=itemgetter(0))  # every move, taken one by one in key order
             queue.extendleft((root, base, *move[1:]) for move in reversed(made))
             continue
         if record is not None:  # a move; a root is queued unkeyed
@@ -232,6 +248,10 @@ def _search(
             break
         if truncated and not will_complete:  # breadth first: every entry left is at the budget
             continue
+        if counting and bound is not None and len(base) == budget.max_operations - 1:
+            queue.append((root, base, build, None, ((), bound), None))  # it has no complete move: a block, unbuilt
+            hidden += bound - 1
+            continue
         state = build()
         if state.is_complete:
             complete.append(state)
@@ -244,7 +264,7 @@ def _search(
         count = [0]  # one short of the budget: one block, which counts the incomplete moves once another holds one
         made = sorted(moves(state, count if counting else None), key=itemgetter(0))
         counting = counting or not all(move[2] for move in made)
-        queue.append((root, base, state, None, (made, count[0])))
+        queue.append((root, base, state, None, (made, count[0]), None))
         hidden += len(made) + count[0] - 1
     items = sorted(
         (EnumerationItem(s.root, s.history, s.left_yield(), *s.projections()) for s in complete),
@@ -305,6 +325,21 @@ def _adjunction_sites(tree: SyntaxTree, symbols: Container[str]) -> list[tuple[s
                 push(((row, k, kids[k - 1]), f"{prefix}{k}"))
             k -= 1
     return sites
+
+
+def _interior_symbols(tree: SyntaxTree) -> dict[str, int]:
+    """The number of interior nodes of `tree` that no adjunction has marked, by symbol: one walk, no rows or text."""
+    counts: dict[str, int] = {}
+    stack = [tree.root]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        if not node.adjoined:
+            counts[node.kind.symbol] = counts.get(node.kind.symbol, 0) + 1
+        for kid in node.children:
+            if isinstance(kid.kind, Interior):
+                push(kid)
+    return counts
 
 
 # --- plain TAG moves ------------------------------------------------------------
@@ -389,7 +424,7 @@ def _tag_moves(
                     count[0] += 1
                     continue
                 build = partial(_tag_child, record, guest, path, state, row)
-                yield (addr_text, record.guest), record, slots + change == 0, build
+                yield (addr_text, record.guest), record, slots + change == 0, build, None
 
 
 # --- link-sharing moves -----------------------------------------------------------
@@ -414,6 +449,26 @@ def _lstag_moves(
     groups = s.live_links
     live = len(groups)  # a guest spends every phi link on a group the step leaves live
     lefts, rights_at = _slot_rows(s.left_tree), _slot_rows(s.right_spine)
+    host: tuple[dict[str, int], ...] = ()  # `_interior_symbols` of the left tree and the spine, once a step needs them
+
+    def bound(pair: LstagPair, filled: int) -> int | None:
+        """None where a step composing `pair` leaves one left slot open or none, else at least its state's moves.
+
+        `filled` is 1 where the step fills a group and its left slot.  Each group the step leaves live or adds
+        meets each initial guest once at most, and each auxiliary pairs unmarked interior nodes of its two root
+        symbols, each node the host's or the guest's.
+        """
+        nonlocal host
+        if s.left_tree.root.slots - filled + pair.left_tree.root.slots < 2:
+            return None
+        host_left, host_right = host = host or (_interior_symbols(s.left_tree), _interior_symbols(s.right_spine))
+        left, right = _interior_symbols(pair.left_tree), _interior_symbols(pair.right_tree)
+        total = (live - filled + len(pair.delta)) * len(initial)
+        for _, aux in auxiliary:
+            l, r = aux.left_tree.root_symbol, aux.right_tree.root_symbol
+            total += (host_left.get(l, 0) + left.get(l, 0)) * (host_right.get(r, 0) + right.get(r, 0))
+        return total
+
     # Each initial guest whose phi links leave a group live, with its root symbols, read once per call.
     fillers = [(n, p, p.left_tree.root_symbol, p.right_tree.root_symbol) for n, p in initial if len(p.phi) < live]
     for gi, group in enumerate(groups):
@@ -441,18 +496,20 @@ def _lstag_moves(
                 count[0] += 1
                 continue
             record = step_record(left, rights, name)
-            yield (0, gi, name), record, complete, partial(build_step, stamps, s, record, pair, left, rights)
+            build = partial(build_step, stamps, s, record, pair, left, rights)
+            yield (0, gi, name), record, complete, build, bound(pair, 1)
     adjoining = [(n, p, p.left_tree.root_symbol, p.right_tree.root_symbol) for n, p in auxiliary if len(p.phi) <= live]
-    if not adjoining:  # no site is walked to for an adjunction that no guest can make
-        return
-    left_sites = _adjunction_sites(s.left_tree, {left_root for _, _, left_root, _ in adjoining})
-    right_sites = _adjunction_sites(s.right_spine, {right_root for _, _, _, right_root in adjoining})
+    left_sites = right_sites = None  # each tree's adjunction sites, walked to once a guest makes a move
     for name, pair, left_root, right_root in adjoining:
         complete = closes(s, pair, "adjunction", ())  # the same at every site pair
         if count is not None and not complete:
-            lefts_fit = sum(node.kind.symbol == left_root for *_, node in left_sites)
-            count[0] += lefts_fit * sum(node.kind.symbol == right_root for *_, node in right_sites)
+            host = host or (_interior_symbols(s.left_tree), _interior_symbols(s.right_spine))
+            count[0] += host[0].get(left_root, 0) * host[1].get(right_root, 0)
             continue
+        if left_sites is None:
+            left_sites = _adjunction_sites(s.left_tree, {left_root for _, _, left_root, _ in adjoining})
+            right_sites = _adjunction_sites(s.right_spine, {right_root for _, _, _, right_root in adjoining})
+        at_most = bound(pair, 0)  # the same at every site pair
         for left_text, left, ln in left_sites:
             if ln.kind.symbol != left_root:
                 continue
@@ -461,7 +518,7 @@ def _lstag_moves(
                 if rn.kind.symbol == right_root:
                     record = DerivationRecord("adjunction", name, guest_id, ln.site, (rn.site,))
                     build = partial(build_step, stamps, s, record, pair, left, (right,))
-                    yield (1, left_text, right_text, name), record, complete, build
+                    yield (1, left_text, right_text, name), record, complete, build, at_most
 
 
 def enumerate_derivations(

@@ -989,7 +989,8 @@ def test_output_does_not_depend_on_the_hash_seed(fixtures_dir):
 
 def test_the_parity_corpus_up_to_two_operations_matches_under_two_hash_seeds(fixtures_dir):
     """`tools/parity.py --check --max-ops 2`: every enumeration of at most two operations and every derive
-    of the committed corpus gives the committed digests, under two hash seeds (CI checks the whole lists)."""
+    of the committed corpus, the coordination list included, gives the committed digests, under two hash
+    seeds (CI checks the whole lists)."""
     tool = fixtures_dir.parent / "tools" / "parity.py"
     src = str(pathlib.Path(lstag.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -1006,6 +1007,7 @@ def test_the_parity_corpus_up_to_two_operations_matches_under_two_hash_seeds(fix
         assert out == (
             "342 of 342 runs match tests/golden/parity.txt\n"
             "600 of 600 runs match tests/golden/parity_random.txt\n"
+            "549 of 549 runs match tests/golden/parity_coord.txt\n"
         )
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import pathlib
 import random
@@ -22,6 +23,7 @@ from helpers_trees import (
     reference_grafted,
     replay_lstag_records,
 )
+import reference_search
 from reference_search import reference_enumerate
 
 from lstag import (
@@ -54,6 +56,11 @@ from lstag.sharing import DerivationRecord, build_step, check_step, closes, left
 from lstag.trees import Interior, SubstitutionSlot, row_address
 
 A = GornAddress.parse
+REPO = pathlib.Path(__file__).resolve().parent.parent
+# `perfbench/gen.py`, loaded from its file unchanged: the benchmark's seeded grammar families.
+_GEN_SPEC = importlib.util.spec_from_file_location("perfbench_gen", REPO / "perfbench" / "gen.py")
+GEN = sys.modules["perfbench_gen"] = importlib.util.module_from_spec(_GEN_SPEC)
+_GEN_SPEC.loader.exec_module(GEN)
 
 
 def items_as_obj(result):
@@ -77,13 +84,27 @@ def asked(moves, args, count, full):
     return iter(made)
 
 
-def counting_checked(moves, checked):
+def assert_bounds_hold(moves, args, full, bounded) -> None:
+    """Every move of `full`, made at `args`, that carries a bound builds a state with two or more open left slots
+    that makes at most that many moves in full.  Appends to `bounded` one (bound, moves made) for each."""
+    for *_, build, bound in full:
+        if bound is not None:
+            state = build()
+            made = len(list(moves(*args[:3], state)))
+            assert state.left_tree.root.slots >= 2 and made <= bound, (state.history, made, bound)
+            bounded.append((bound, made))
+
+
+def counting_checked(moves, checked, bounded=None):
     """`moves`, checking with `asked` each state at which the search counts, and listing in `checked` for each
-    state the number of moves made and the number counted."""
+    state the number of moves made and the number counted.  It checks with `assert_bounds_hold` every move
+    made in full that carries a bound, so every state the search leaves unbuilt, and lists them in `bounded`."""
 
     def wrapped(*args):
         args, count = (args[:4], args[4]) if len(args) > 4 else (args, None)
-        made = list(asked(moves, args, count, list(moves(*args))))
+        full = list(moves(*args))
+        assert_bounds_hold(moves, args, full, [] if bounded is None else bounded)
+        made = list(asked(moves, args, count, full))
         if count is not None:
             checked.append((len(made), count[0]))
         return iter(made)
@@ -656,36 +677,54 @@ def test_search_matches_the_build_then_dedupe_reference(fixtures_dir, fixture, g
     assert enumerate_derivations(grammar, budget) == reference_enumerate(grammar, budget)
 
 
+def coordination(seed: int, n: int) -> LstagGrammar:
+    """The gated n-way verb coordination that the benchmark's `coord-enum` builds for `seed` with `perfbench/gen.py`."""
+    host, *verbs, subject, obj = GEN.words(random.Random(seed), 6)  # the words `coord_enum` draws, in its order
+    doc = parse_grammar(GEN.Coordination(host, tuple(verbs[:n]), (subject,), (obj,)).text())
+    return doc.lstag_grammar(usable_lstag_names(doc, restrictions=True))
+
+
 @pytest.mark.parametrize(
     "fixture, gated, ops",
-    [("cooks_eats.lstag", True, 3), ("topicalization.lstag", False, 2), ("cooked.tag", None, 2), ("cooked.tag", None, 3)],
+    [
+        ("cooks_eats.lstag", True, 3),
+        ("topicalization.lstag", False, 2),
+        ("cooked.tag", None, 2),
+        ("cooked.tag", None, 3),
+        ("coordination n=2", True, 3),
+    ],
 )
 def test_every_cap_matches_the_reference(fixtures_dir, fixture, gated, ops, monkeypatch):
     """Under every cap from 1 to one past the uncapped search's roots and moves, the search returns the reference's.
 
-    The moves are those of every state short of the budget, counted ones included, so the range does not depend
-    on how the queue holds them.  A cap below that number may bind, so once `truncated` is decided a move into
-    the budget level whose state will not be complete is still checked, until counting every move left can no
-    longer pass the cap; from that number on it cannot, and such moves are counted and dropped unmade.
-    `cooked.tag` at ops 3 and `cooks_eats.lstag` at ops 3 have a level between the roots and the budget.
+    The moves are those the reference makes at every state short of the budget, so the range depends neither on
+    how the queue holds them nor on which states the search builds.  A cap below that number may bind, so once
+    `truncated` is decided a move into the budget level whose state will not be complete is still checked, until
+    counting every move left can no longer pass the cap; from that number on it cannot, and such moves are counted
+    and dropped unmade.  `cooked.tag` at ops 3 and `cooks_eats.lstag` at ops 3 have a level between the roots and
+    the budget.  In `perfbench/gen.py`'s two-verb coordination (seed 1) at ops 3, 8 states one short of the budget
+    hold both argument slots open, and all but the first are left unbuilt, so where the cap may bind their bounds
+    decide it.
     """
-    doc = load_grammar(str(fixtures_dir / fixture))
-    grammar = doc.lstag_grammar(usable_lstag_names(doc, restrictions=gated)) if doc.lstag_pairs else doc.tag_grammar()
-    name = "_lstag_moves" if doc.lstag_pairs else "_tag_moves"
-    moves, reach = getattr(engine, name), {}
+    if fixture.startswith("coordination"):
+        grammar = coordination(1, int(fixture[-1]))
+    else:
+        doc = load_grammar(str(fixtures_dir / fixture))
+        grammar = doc.lstag_grammar(usable_lstag_names(doc, gated)) if doc.lstag_pairs else doc.tag_grammar()
+    name = "_tag_moves" if isinstance(grammar, TagGrammar) else "_lstag_moves"
+    moves, reach = getattr(reference_search, name), []
 
-    def counting(*args):  # (..., state) or (..., state, count)
-        made, state = list(moves(*args)), args[3]
-        if len(state.history) < ops:  # a root, and every move, counted or made, the first time a state makes them
-            count = args[4] if len(args) > 4 else None
-            reach.setdefault(id(state), (state, (not state.history) + len(made) + (count[0] if count else 0)))
+    def counting(*args):  # (..., state): the reference asks each state once, and a state at the budget if it has one
+        made, state = list(moves(*args)), args[-1]
+        if len(state.history) < ops:  # a root, and every move
+            reach.append((not state.history) + len(made))
         return iter(made)
 
-    monkeypatch.setattr(engine, name, counting)
-    uncapped = enumerate_derivations(grammar, EnumerationBudget(ops))
+    monkeypatch.setattr(reference_search, name, counting)
+    uncapped = reference_enumerate(grammar, EnumerationBudget(ops))
     monkeypatch.undo()
     assert uncapped.truncated
-    for cap in range(1, sum(n for _, n in reach.values()) + 2):
+    for cap in range(1, sum(reach) + 2):
         budget = EnumerationBudget(ops, cap)
         assert enumerate_derivations(grammar, budget) == reference_enumerate(grammar, budget), cap
 
@@ -721,6 +760,68 @@ def test_a_counting_generator_makes_the_complete_moves_and_counts_the_others(fix
             enumerate_derivations(grammar, EnumerationBudget(ops))
     for states in checked.values():  # some states make moves and some count them, or this proves little
         assert any(made for made, _ in states) and any(counted for _, counted in states)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_coordination_state_that_cannot_complete_in_one_step_makes_at_most_its_bound(n, monkeypatch):
+    """Over `perfbench/gen.py`'s n-way coordinations at ops 3 and 4, every state left unbuilt keeps its bound.
+
+    Once both groups are extended, neither argument slot is filled, so a state one short of the budget with both
+    open cannot complete.  `counting_checked` builds every state whose move carries a bound and counts its moves.
+    """
+    bounded = []
+    monkeypatch.setattr(engine, "_lstag_moves", counting_checked(engine._lstag_moves, [], bounded))
+    for seed in (1, 2):
+        for ops in (3, 4):
+            assert enumerate_derivations(coordination(seed, n), EnumerationBudget(ops)).truncated
+    assert bounded
+
+
+_UNLINKED_HOST = 'lspair h { left: S(NP! VP(V("x") NP!)) right: S(NP! VP(V("x") NP!)) delta: [] phi: [] }'
+_STACKING = 'lspair a { left: V(V* CC("and") V("y")) right: V(V* CC("and") V("y")) delta: [] phi: [] }'
+
+
+@pytest.mark.parametrize("ops", [2, 3])
+def test_a_bound_counts_the_nodes_the_guest_brings(ops, monkeypatch):
+    """A host with two slots and no link group never completes, and each adjunction of `a` adds two V nodes a side.
+
+    So the state after one adjunction pairs 2 x 2 sites, and its bound is (1 + 2) x (1 + 2), the host's V nodes
+    and the guest's on each side.  A bound that left out the guest's own interior nodes would be 1 x 1, too low,
+    and `counting_checked` would find it.
+    """
+    grammar = parse_grammar("\n".join([_UNLINKED_HOST, _STACKING]) + "\n").lstag_grammar()
+    bounded = []
+    monkeypatch.setattr(engine, "_lstag_moves", counting_checked(engine._lstag_moves, [], bounded))
+    for cap in (3, 10000):
+        budget = EnumerationBudget(ops, cap)
+        assert enumerate_derivations(grammar, budget) == reference_enumerate(grammar, budget)
+    assert (9, 4) in bounded
+
+
+def test_a_three_verb_coordination_builds_the_states_one_step_can_complete(monkeypatch):
+    """`coord n=3 ops=3` builds 17 states and asks 18 move lists, 4 of them counted.
+
+    Of the 18 states one short of the budget that hold both argument slots open, only the first is built: its
+    moves decide `counting`.  The 17 others are keyed and counted but queued unbuilt, and `truncated` is decided
+    before any of them is popped, so none is built.  Counted as `checked_states` does, by wrapping
+    `engine.build_step` and the move generator.
+    """
+    calls = Counter()
+    moves, build = engine._lstag_moves, engine.build_step
+
+    def counted_moves(*args):
+        calls["counting" if len(args) > 4 and args[4] is not None else "full"] += 1
+        return moves(*args)
+
+    def counted_build(*args):
+        calls["build"] += 1
+        return build(*args)
+
+    monkeypatch.setattr(engine, "_lstag_moves", counted_moves)
+    monkeypatch.setattr(engine, "build_step", counted_build)
+    result = enumerate_derivations(coordination(1, 3), EnumerationBudget(3))
+    assert (len(result.items), result.truncated) == (6, True)
+    assert dict(calls) == {"build": 17, "full": 14, "counting": 4}
 
 
 @given(st.data())
@@ -870,7 +971,7 @@ def rejected_moves(monkeypatch):
 
     def checked_moves(initial, auxiliary, stamps, s, count=None):
         full = list(moves(initial, auxiliary, stamps, s))
-        for key, _, completes, build in full:
+        for key, _, completes, build, _ in full:
             try:
                 checked = check_step(*build.args)
             except LstagError as exc:

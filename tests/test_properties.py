@@ -937,7 +937,7 @@ def assert_tag_moves_agree(grammar, table, paths, state) -> None:
         walked.add((node.site, "adjunction"))
     rows = {row[2].site: row for row in state.tree.rows()}
     yielded = {}
-    for key, record, completes, build in engine._tag_moves(grammar.guests, table, paths, state):
+    for key, record, completes, build, _ in engine._tag_moves(grammar.guests, table, paths, state):
         assert (record.left_site, record.operation) in walked
         assert key[0] == str(row_address(rows[record.left_site]))
         built = build()
@@ -972,7 +972,7 @@ def test_tag_move_checks_agree_with_compositions(data):
         moves = list(engine._tag_moves(grammar.guests, table, paths, state))
         if not moves:
             break
-        *_, build = data.draw(st.sampled_from(moves))
+        *_, build, _ = data.draw(st.sampled_from(moves))
         state = build()
     assert_tag_moves_agree(grammar, table, paths, state)
 

@@ -22,6 +22,15 @@ changes a line.  Each run is one line: its seed and budget, then the
 SHA-256 of the items' records in history order, yields and both
 projections, and of `truncated`.
 
+A third list, kept in `tests/golden/parity_coord.txt`, enumerates in
+process the n-way verb coordinations that the benchmark's `coord-enum`
+workload builds with `perfbench/gen.py`, for seeds 1 to 3 and n = 1 to 3,
+at `max_operations` 2 to 4 and `max_structures` 1 to 60 and the default.
+Most of their states one operation short of the budget cannot complete,
+so the search leaves them unbuilt, and the caps reach every point where a
+bound that is too low would change a line.  Each run is one line, as in
+the random list: its seed, n and budget, then the digest.
+
 `--check` compares the runs with the committed files, prints every line
 that differs, and exits 1 if there is any; `--max-ops N` checks only the
 enumerations at most N operations deep, and every derive.  The whole lists
@@ -45,6 +54,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "golden" / "parity.txt"
 RANDOM_GOLDEN = REPO / "tests" / "golden" / "parity_random.txt"
+COORD_GOLDEN = REPO / "tests" / "golden" / "parity_coord.txt"
 FLAGS = ((), ("--no-restrictions",), ("--format", "json"), ("--strings-only",))
 CAPS = ((), *(("--max-structures", str(cap)) for cap in (1, 3, 7, 13, 40, 120)))
 SCRIPTS = (("cooks_eats.lstag", "cooks_eats.script"), ("cooked.tag", "cooked_dried.script"))
@@ -52,6 +62,8 @@ FORMATS = ("text", "json", "dot")
 ALL_OPS = 5
 RANDOM_OPS = 3
 RANDOM_CAPS = (7, 40, None)  # None: the default cap
+COORD_OPS = range(2, 5)
+COORD_CAPS = (*range(1, 61), None)
 
 
 def runs(max_ops: int = ALL_OPS) -> list[tuple[str, ...]]:
@@ -85,20 +97,45 @@ def random_runs(max_ops: int = ALL_OPS) -> list[tuple[int, int, int | None]]:
     return [(seed, ops, cap) for seed in range(100) for ops in depths for cap in RANDOM_CAPS]
 
 
-def random_line(seed: int, ops: int, cap: int | None) -> str:
-    """One enumeration of a random grammar: its seed and budget, and the SHA-256 of its items and `truncated`."""
-    from helpers_trees import random_lstag_grammar
+def digest(grammar, ops: int, cap: int | None) -> str:
+    """The SHA-256 of an enumeration's items (records in history order, yields, both projections) and `truncated`."""
     from lstag import EnumerationBudget, enumerate_derivations
 
     budget = EnumerationBudget(ops) if cap is None else EnumerationBudget(ops, cap)
-    result = enumerate_derivations(random_lstag_grammar(random.Random(seed)), budget)
+    result = enumerate_derivations(grammar, budget)
     items = [
         ([r.to_line() for r in item.records], item.left_yield, item.left_derivation, item.right_derivation)
         for item in result.items
     ]
-    digest = hashlib.sha256(repr((items, result.truncated)).encode("utf-8")).hexdigest()
-    flags = "" if cap is None else f" --max-structures {cap}"
-    return f"random {seed} --max-ops {ops}{flags}\t{digest}"
+    return hashlib.sha256(repr((items, result.truncated)).encode("utf-8")).hexdigest()
+
+
+def budget_flags(ops: int, cap: int | None) -> str:
+    return f"--max-ops {ops}" + ("" if cap is None else f" --max-structures {cap}")
+
+
+def random_line(seed: int, ops: int, cap: int | None) -> str:
+    """One enumeration of a random grammar: its seed and budget, and the digest of its items and `truncated`."""
+    from helpers_trees import random_lstag_grammar
+
+    return f"random {seed} {budget_flags(ops, cap)}\t{digest(random_lstag_grammar(random.Random(seed)), ops, cap)}"
+
+
+def coord_runs(max_ops: int = ALL_OPS) -> list[tuple[int, int, int, int | None]]:
+    """(seed, n, max operations, cap) of the coordination runs at most `max_ops` operations deep, in file order."""
+    depths = [ops for ops in COORD_OPS if ops <= max_ops]
+    return [(seed, n, ops, cap) for seed in (1, 2, 3) for n in (1, 2, 3) for ops in depths for cap in COORD_CAPS]
+
+
+def coord_line(seed: int, n: int, ops: int, cap: int | None) -> str:
+    """One enumeration of the gated n-way coordination grammar `coord_enum` builds for `seed`, with its digest."""
+    import gen
+    from lstag import parse_grammar, usable_lstag_names
+
+    host, *verbs, subject, obj = gen.words(random.Random(seed), 6)  # the words `coord_enum` draws, in its order
+    doc = parse_grammar(gen.Coordination(host, tuple(verbs[:n]), (subject,), (obj,)).text())
+    grammar = doc.lstag_grammar(usable_lstag_names(doc, restrictions=True))
+    return f"coord {seed} n={n} {budget_flags(ops, cap)}\t{digest(grammar, ops, cap)}"
 
 
 def arguments(text: str) -> str:
@@ -114,11 +151,12 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if args.write and args.max_ops != ALL_OPS:
         ap.error("--write runs the whole lists; it does not take --max-ops")
-    sys.path += [str(REPO / "src"), str(REPO / "tests")]
+    sys.path += [str(REPO / "src"), str(REPO / "tests"), str(REPO / "perfbench")]
     os.chdir(REPO)  # the paths in the list, and so in any message, are relative to the repository
     lists = (
         (GOLDEN, [line(argv) for argv in runs(args.max_ops)]),
         (RANDOM_GOLDEN, [random_line(*run) for run in random_runs(args.max_ops)]),
+        (COORD_GOLDEN, [coord_line(*run) for run in coord_runs(args.max_ops)]),
     )
     failed = False
     for golden, got in lists:
