@@ -40,7 +40,7 @@ from .tag import (
     read_derivation_lines,
     replay,
 )
-from .trees import format_tree, row_address, site_operation, yield_string
+from .trees import format_tree, no_cycles, row_address, site_operation, yield_string
 
 
 def _color_enabled() -> bool:
@@ -329,6 +329,7 @@ _COMMANDS = {
 }
 
 
+@no_cycles
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:

@@ -162,6 +162,7 @@ from .trees import (
     TreeClass,
     TreeNode,
     classify,
+    no_cycles,
     yield_tokens,
 )
 
@@ -521,6 +522,7 @@ def _lstag_moves(
                     yield (1, left_text, right_text, name), record, complete, build, at_most
 
 
+@no_cycles
 def enumerate_derivations(
     grammar: TagGrammar | LstagGrammar, budget: EnumerationBudget
 ) -> EnumerationResult:

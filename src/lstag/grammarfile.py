@@ -24,7 +24,7 @@ from .restrictions import Correspondence, check_left_contiguity, check_lexical_c
 from .sharing import LstagGrammar, LstagPair, validate_pair
 from .stag import Link, StagPair
 from .tag import TagGrammar
-from .trees import SyntaxTree, classify, format_tree, parse_tree_tokens, site_operation
+from .trees import SyntaxTree, classify, format_tree, no_cycles, parse_tree_tokens, site_operation
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,7 @@ def _parse_correspond_list(cur: Cursor) -> Correspondence:
         raise cur.error(str(exc), open_at) from None
 
 
+@no_cycles
 def parse_grammar(text: str) -> GrammarDocument:
     cur = Cursor(text, lex(text))
     trees: list[tuple[str, SyntaxTree]] = []

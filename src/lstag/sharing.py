@@ -44,6 +44,7 @@ from functools import cached_property, partial
 from typing import Callable, Sequence
 
 from .errors import (
+    AddressNotFound,
     CardinalityViolation,
     ClassMismatch,
     Diagnostic,
@@ -61,6 +62,7 @@ from .tag import DerivationTree, derivation_tree
 from .trees import (
     OPERATION,
     RULE,
+    Interior,
     SiteRef,
     SubstitutionSlot,
     SyntaxTree,
@@ -101,10 +103,19 @@ def validate_pair(p: LstagPair) -> list[Diagnostic]:
         if left is not right:  # both sides take one operation, so both trees are of one class
             message = f"left tree is {left.value} but right tree is {right.value}"
             diags.append(Diagnostic("ClassMismatch", message, p.name))
-    for link in p.delta:
+    # A group is filled only by a substitution, at its left site and every right site at once, so each of its
+    # sites must be a slot that no other group holds; the links below would make groups nothing ever fills.
+    delta = dict.fromkeys(p.delta)  # each link once, in list order
+    for link in delta:
+        kinds = []
         for side, tree, end in (("left", p.left_tree, link.left), ("right", p.right_tree, link.right)):
-            if not tree.has_address(end):
+            try:
+                kinds.append(type(tree.node_at(end)))
+            except AddressNotFound:
                 diags.append(Diagnostic("AddressNotFound", f"delta endpoint {end} missing from {side} tree", p.name))
+        if kinds == [Interior, Interior]:
+            message = f"delta link {link} joins two interior nodes, and only a substitution fills a link group"
+            diags.append(Diagnostic("NotASlot", message, p.name))
     for link in p.phi:
         if not link.is_reflexive:
             diags.append(Diagnostic("NotReflexive", f"phi link {link} is not reflexive", p.name))
@@ -114,8 +125,17 @@ def validate_pair(p: LstagPair) -> list[Diagnostic]:
             elif type(kind := p.right_tree.node_at(end)) not in OPERATION:  # the group it joins could never be filled
                 message = f"phi endpoint {end} is {kind}, which hosts no operation"
                 diags.append(Diagnostic("OperationMismatch", message, p.name))
-    delta, phi = set(p.delta), set(p.phi)
-    for link in sorted(delta & phi, key=str):
+            elif type(kind) is Interior:
+                message = f"phi endpoint {end} is {kind}, not a substitution slot"
+                diags.append(Diagnostic("NotASlot", message, p.name))
+    for side in ("left", "right") if len(delta) > 1 else ():
+        ends = [getattr(link, side) for link in delta]
+        if len(set(ends)) < len(ends):  # filling one of the groups that share an end fills a site of the others
+            for end in dict.fromkeys(e for e in ends if ends.count(e) > 1):
+                links = ", ".join(str(link) for link, e in zip(delta, ends) if e == end)
+                diags.append(Diagnostic("SharedEndpoint", f"delta links {links} share {side} endpoint {end}", p.name))
+    phi = set(p.phi)
+    for link in sorted(delta.keys() & phi, key=str):
         diags.append(Diagnostic("NotDisjoint", f"link {link} appears in both delta and phi", p.name))
     for label, links, distinct in (("delta", p.delta, delta), ("phi", p.phi, phi)):
         if len(distinct) < len(links):  # each copy makes a group at the same sites: filling one strands the other

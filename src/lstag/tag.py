@@ -38,7 +38,7 @@ from .errors import (
     UnknownTree,
 )
 from .gorn import GornAddress
-from .trees import OPERATION, Interior, SubstitutionSlot, SyntaxTree, TreeClass, TreeNode, classify
+from .trees import OPERATION, Interior, SubstitutionSlot, SyntaxTree, TreeClass, TreeNode, classify, no_cycles
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,7 @@ def derivation_tree(root: Hashable, labels, children: Mapping) -> DerivationTree
 _DIAGNOSTIC_ERRORS = {e.__name__: e for e in (EdgeAddressInvalid, OperationMismatch, SymbolMismatch, UnknownTree)}
 
 
+@no_cycles
 def replay(grammar: TagGrammar, d: DerivationTree) -> SyntaxTree:
     """The derived tree of `d`; raises the first problem `validate_derivation` reports.
 

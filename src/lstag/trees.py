@@ -48,13 +48,23 @@ changes, equality and hashing read shapes, and a walk tells two places of
 one node apart by their rows.  So a derived tree, whether `owned_by`
 stamped its parts anew or `tag.replay` kept elementary subtrees as they
 are, reads as it would without the sharing.
+
+Nothing the engine builds holds a reference cycle (derived and derivation
+trees are trees, a link-sharing derivation graph is a DAG), so reference
+counting frees it all.  `no_cycles` wraps the bulk builders
+(`parse_grammar`, `enumerate_derivations`, `replay`, `cli.main`): the
+cyclic collector is off for the call, so it does not scan what the call
+builds, and is back on when it returns or raises; a call made with the
+collector already off leaves it off.  The switch is process-wide, so a call
+in one thread also pauses the collector for the others while it runs.
 """
 
 from __future__ import annotations
 
 import enum
+import gc
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Callable, Iterator, Mapping, Sequence
 
 from ._lex import NAME_START, Cursor, lex, string_value
@@ -68,6 +78,22 @@ from .errors import (
     SymbolMismatch,
 )
 from .gorn import GornAddress
+
+
+def no_cycles(fn: Callable) -> Callable:
+    """`fn` run with the cyclic collector off, and the collector's state restored on return or error."""
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 @dataclass(frozen=True)

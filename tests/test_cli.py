@@ -173,6 +173,35 @@ def test_validate_flags_a_repeated_link(capsys, tmp_path):
     assert run(capsys, "enumerate", str(grammar), "--max-ops", "2") == (0, "n ::\n", "")
 
 
+_UNFILLABLE_GROUPS = """\
+lspair h { left: S(NP! VP(V("x") NP!)) right: S(NP! VP(V("x") NP!)) delta: [1~1, 1~2.2] phi: [] }
+lspair i { left: S(NP! VP(V("x") NP!)) right: S(NP! VP(V("x") NP!)) delta: [1~1, 2~2, 2.2~2.2] phi: [] }
+lspair a { left: VP(VP* CC("and") VP(V("y") NP!)) right: S(S* CC("and") S(NP! VP(V("y") NP!))) \
+delta: [3.2~3.2.2] phi: [3.1, 3.2] }
+lspair n { left: NP(N("n")) right: NP(N("n")) delta: [] phi: [] }
+"""
+
+
+def test_validate_flags_links_that_make_a_group_nothing_fills(capsys, tmp_path):
+    """Only a substitution fills a group, at slots no other group holds: h's two delta links share left slot 1,
+    i's 2~2 joins two interior nodes and a's phi endpoint 3.2 is interior, so each pair is excluded."""
+    grammar = tmp_path / "unfillable.lstag"
+    grammar.write_text(_UNFILLABLE_GROUPS, encoding="utf-8")
+    want = [
+        ("SharedEndpoint", "delta links 1~1, 1~2.2 share left endpoint 1", "h"),
+        ("NotASlot", "delta link 2~2 joins two interior nodes, and only a substitution fills a link group", "i"),
+        ("NotASlot", "phi endpoint 3.2 is Interior(symbol='VP'), not a substitution slot", "a"),
+    ]
+    text = "".join(f"{where}: {code}: {message}\n" for code, message, where in want)
+    assert run(capsys, "validate", str(grammar)) == (1, "", text)
+    code, out, err = run(capsys, "validate", str(grammar), "--json")
+    assert (code, out) == (1, "")
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"code": code, "message": message, "where": where} for code, message, where in want
+    ]
+    assert run(capsys, "enumerate", str(grammar), "--max-ops", "3") == (0, "n ::\n", "")
+
+
 def test_validate_flags_a_pair_link_whose_ends_take_different_operations(capsys, tmp_path):
     grammar = tmp_path / "p.stag"
     grammar.write_text(
@@ -568,17 +597,21 @@ lspair n { left: NP(N("n")) right: NP(N("n")) delta: [] phi: [] }
 
 @pytest.mark.parametrize("step", ["substitute a at 2", "substitute a at 2 ~ 2"])
 def test_substitute_at_a_group_of_two_interior_nodes_is_a_verb_mismatch(capsys, tmp_path, monkeypatch, step):
-    """A `delta` link between two interior nodes is a one-site group: both forms of `substitute` refuse it."""
+    """A `delta` link between two interior nodes is a one-site group that no substitution fills: `derive` names
+    the pair validation excludes, and over the unvalidated grammar both forms of `substitute` refuse it."""
     grammar, script = tmp_path / "h.lstag", tmp_path / "h.script"
     grammar.write_text(_ONE_SITE_INTERIOR_GROUP, encoding="utf-8")
-    script.write_text(f"root h\n{step}\nsubstitute n at 1\n", encoding="utf-8")
+    text = f"root h\n{step}\nsubstitute n at 1\n"
+    script.write_text(text, encoding="utf-8")
     composed = []
     _wrap_everywhere(monkeypatch, "check_step", lstag.sharing.check_step, composed)
     assert run(capsys, "derive", str(grammar), str(script)) == (
         1,
         "",
-        "DerivationFailed: step 2: sites 2 ~ 2 take adjunction, not substitute\n",
+        "DerivationFailed: pair 'h' is excluded by validation: NotASlot\n",
     )
+    with pytest.raises(lstag.errors.OperationMismatch, match="^step 2: sites 2 ~ 2 take adjunction, not substitute$"):
+        run_lstag_script(load_grammar(str(grammar)).lstag_grammar(), *read_script(text))
     assert composed == []
 
 
@@ -654,15 +687,18 @@ lspair beans { left: NP("beans") right: NP("beans") delta: [] phi: [] }
 def test_derive_rejects_a_second_fragment_at_filled_right_slots(capsys, tmp_path):
     # Both left slots link to right slot 1, so after and_w spends its phi
     # links the groups name the spine slots [3.1, 1] and [3.1, 2.2]; john fills the first.
+    # Validation excludes host for the shared endpoint; over the unvalidated grammar, the step check refuses.
     grammar = tmp_path / "two_slots.lstag"
     grammar.write_text(_TWO_SLOTS_ONE_RIGHT, encoding="utf-8")
     script = tmp_path / "two_fillers.script"
-    script.write_text(
-        "root host\nadjoin and_w at 2.1 ~ ε\nsubstitute john at 1\nsubstitute beans at 2.2\n", encoding="utf-8"
-    )
+    text = "root host\nadjoin and_w at 2.1 ~ ε\nsubstitute john at 1\nsubstitute beans at 2.2\n"
+    script.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, "derive", str(grammar), str(script))
     assert (code, out) == (1, "")
-    assert err == "DerivationFailed: step 4: right slot at 3.1 is already filled by a shared fragment\n"
+    assert err == "DerivationFailed: pair 'host' is excluded by validation: SharedEndpoint\n"
+    refused = "^step 4: right slot at 3.1 is already filled by a shared fragment$"
+    with pytest.raises(lstag.errors.NotASlot, match=refused):
+        run_lstag_script(load_grammar(str(grammar)).lstag_grammar(), *read_script(text))
 
 
 @pytest.mark.parametrize(
@@ -989,8 +1025,8 @@ def test_output_does_not_depend_on_the_hash_seed(fixtures_dir):
 
 def test_the_parity_corpus_up_to_two_operations_matches_under_two_hash_seeds(fixtures_dir):
     """`tools/parity.py --check --max-ops 2`: every enumeration of at most two operations and every derive
-    of the committed corpus, the coordination list included, gives the committed digests, under two hash
-    seeds (CI checks the whole lists)."""
+    of the committed corpus, the coordination list included, and the seed-1 runs of the TAG list give the
+    committed digests, under two hash seeds (CI checks the whole lists)."""
     tool = fixtures_dir.parent / "tools" / "parity.py"
     src = str(pathlib.Path(lstag.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -1008,6 +1044,7 @@ def test_the_parity_corpus_up_to_two_operations_matches_under_two_hash_seeds(fix
             "342 of 342 runs match tests/golden/parity.txt\n"
             "600 of 600 runs match tests/golden/parity_random.txt\n"
             "549 of 549 runs match tests/golden/parity_coord.txt\n"
+            "35 of 35 runs match tests/golden/parity_tag.txt\n"
         )
 
 

@@ -93,13 +93,17 @@ def test_validate_flags_shared_link_in_both_sets():
 
 
 def test_validate_flags_each_repeated_link_once():
-    """A repeated delta link makes two groups at the same sites, and a repeated phi link puts one site in two."""
+    """A repeated delta link makes two groups at the same sites, and a repeated phi link puts one site in two.
+
+    Any other finding on a repeated link is reported once too (here, that 2~2 joins two interior nodes)."""
     broken = LstagPair("x", BETA.left_tree, BETA.right_tree, delta=(lk("2"),) * 3, phi=(lk("1"), lk("2.2"), lk("1")))
     assert [(d.code, d.message, d.where) for d in validate_pair(broken)] == [
+        ("NotASlot", "delta link 2~2 joins two interior nodes, and only a substitution fills a link group", "x"),
         ("DuplicateLink", "delta link 2~2 appears 3 times", "x"),
         ("DuplicateLink", "phi link 1~1 appears 2 times", "x"),
     ]
-    assert validate_pair(LstagPair("y", GAMMA.left_tree, GAMMA.right_tree, delta=(lk("1"), lk("1", "2.2")))) == []
+    shared = LstagPair("y", GAMMA.left_tree, GAMMA.right_tree, delta=(lk("1"), lk("1", "2.2")))
+    assert [d.code for d in validate_pair(shared)] == ["SharedEndpoint"]  # two distinct links, not a repeat
 
 
 def test_validate_flags_dangling_endpoints():
@@ -113,17 +117,40 @@ def test_validate_flags_a_dangling_phi_endpoint():
 
 
 def test_validate_flags_a_phi_endpoint_that_hosts_no_operation():
-    """A phi link at a terminal or a foot is reported; one at a slot or an interior node is not."""
+    """A phi link at a terminal or a foot is reported; one at a slot is not (one at an interior node: below)."""
     at_terminal = LstagPair("x", BETA.left_tree, BETA.right_tree, phi=(lk("1"), lk("2.1.1")))
     at_foot = LstagPair("y", BETA.left_tree, BETA.right_tree, phi=(lk("3"),))
-    at_interior = LstagPair("z", BETA.left_tree, BETA.right_tree, phi=(lk("2"),))
+    at_slot = LstagPair("z", BETA.left_tree, BETA.right_tree, phi=(lk("1"),))
     assert validate_pair(at_terminal) == [
         Diagnostic("OperationMismatch", "phi endpoint 2.1.1 is Terminal(token='eats'), which hosts no operation", "x")
     ]
     assert validate_pair(at_foot) == [
         Diagnostic("OperationMismatch", "phi endpoint 3 is Foot(symbol='S'), which hosts no operation", "y")
     ]
-    assert validate_pair(at_interior) == []
+    assert validate_pair(at_slot) == []
+
+
+def test_validate_flags_links_that_make_a_group_nothing_fills():
+    """A group is filled only by a substitution, at its left site and every right site at once.
+
+    So a delta link between two interior nodes, a phi endpoint at an interior node, and delta links that share
+    an endpoint (on either side: filling one group fills a site of the other) are each reported, once.
+    """
+    interior_delta = LstagPair("x", GAMMA.left_tree, GAMMA.right_tree, delta=(lk("1"), lk("2")))
+    interior_phi = LstagPair("y", BETA.left_tree, BETA.right_tree, phi=(lk("1"), lk("2")))
+    shared_left = LstagPair("z", GAMMA.left_tree, GAMMA.right_tree, delta=(lk("1"), lk("1", "2.2"), lk("1", "2.2")))
+    shared_right = LstagPair("w", GAMMA.left_tree, GAMMA.right_tree, delta=(lk("1"), lk("2.2", "1")))
+    message = "delta link 2~2 joins two interior nodes, and only a substitution fills a link group"
+    assert validate_pair(interior_delta) == [Diagnostic("NotASlot", message, "x")]
+    assert validate_pair(interior_phi) == [
+        Diagnostic("NotASlot", "phi endpoint 2 is Interior(symbol='VP'), not a substitution slot", "y")
+    ]
+    assert [(d.code, d.message) for d in validate_pair(shared_left)] == [
+        ("SharedEndpoint", "delta links 1~1, 1~2.2 share left endpoint 1"),
+        ("DuplicateLink", "delta link 1~2.2 appears 2 times"),
+    ]
+    message = "delta links 1~1, 2.2~1 share right endpoint 1"
+    assert validate_pair(shared_right) == [Diagnostic("SharedEndpoint", message, "w")]
 
 
 def test_validate_flags_trees_of_different_classes():

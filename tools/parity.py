@@ -31,11 +31,22 @@ so the search leaves them unbuilt, and the caps reach every point where a
 bound that is too low would change a line.  Each run is one line, as in
 the random list: its seed, n and budget, then the digest.
 
+A fourth list, kept in `tests/golden/parity_tag.txt`, enumerates in
+process the plain-TAG grammars that the benchmark's `tag-enum` workload
+builds with `perfbench/gen.py` (the three modifier chains and the three
+substitution-only grammars), for seeds 1 to 3, at each `max_operations`
+the workload gives a grammar and `max_structures` 1, 7, 40, 120 and the
+default.  Each run is one line: its seed, grammar and budget, then the
+digest of the items and `truncated`, as above but with each derivation as
+its script, and the digest of each item's `replay` yield.
+
 `--check` compares the runs with the committed files, prints every line
 that differs, and exits 1 if there is any; `--max-ops N` checks only the
-enumerations at most N operations deep, and every derive.  The whole lists
-also name each line of the files that no run makes.  `--write` runs the
-whole lists and rewrites the files.
+enumerations at most N operations deep, and every derive; below the whole
+depth it also checks the TAG runs of seed 1, which are the benchmark's own
+`tag-enum` cases at every cap (the TAG budgets are 4 to 7 operations).
+The whole lists also name each line of the files that no run makes.
+`--write` runs the whole lists and rewrites the files.
 
 `lstag` is imported from `PYTHONPATH` if it is there, else from `src/`.
 """
@@ -55,6 +66,7 @@ REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "tests" / "golden" / "parity.txt"
 RANDOM_GOLDEN = REPO / "tests" / "golden" / "parity_random.txt"
 COORD_GOLDEN = REPO / "tests" / "golden" / "parity_coord.txt"
+TAG_GOLDEN = REPO / "tests" / "golden" / "parity_tag.txt"
 FLAGS = ((), ("--no-restrictions",), ("--format", "json"), ("--strings-only",))
 CAPS = ((), *(("--max-structures", str(cap)) for cap in (1, 3, 7, 13, 40, 120)))
 SCRIPTS = (("cooks_eats.lstag", "cooks_eats.script"), ("cooked.tag", "cooked_dried.script"))
@@ -64,6 +76,7 @@ RANDOM_OPS = 3
 RANDOM_CAPS = (7, 40, None)  # None: the default cap
 COORD_OPS = range(2, 5)
 COORD_CAPS = (*range(1, 61), None)
+TAG_CAPS = (1, 7, 40, 120, None)
 
 
 def runs(max_ops: int = ALL_OPS) -> list[tuple[str, ...]]:
@@ -138,6 +151,54 @@ def coord_line(seed: int, n: int, ops: int, cap: int | None) -> str:
     return f"coord {seed} n={n} {budget_flags(ops, cap)}\t{digest(grammar, ops, cap)}"
 
 
+def tag_grammars(seed: int) -> dict[str, tuple[str, tuple[int, ...]]]:
+    """{name: (text, the workload's budgets)} of the grammars `tag_enum` builds for `seed`, drawn in its order."""
+    import gen
+
+    vocab = iter(gen.words(random.Random(seed), 48))
+    mods = (2, 3, 4)
+    chains = {k: gen.Chain(next(vocab), (next(vocab), next(vocab)), tuple(next(vocab) for _ in range(k))) for k in mods}
+    shapes = ((3, 3), (2, 2, 2), (2, 3, 2))
+    substs = {s: gen.SubstOnly(next(vocab), tuple(tuple(next(vocab) for _ in range(b)) for b in s)) for s in shapes}
+    out = {f"chain k={k}": (c.text(), (4, 5) if k == 2 else (5,)) for k, c in chains.items()}
+    out.update({f"subst {'x'.join(map(str, s))}": (g.text(), (2 * len(s) + 1,)) for s, g in substs.items()})
+    return out
+
+
+def tag_runs(max_ops: int = ALL_OPS) -> list[tuple[int, str, int, int | None]]:
+    """(seed, grammar name, max operations, cap) of the TAG runs `--max-ops max_ops` checks, in file order."""
+    seeds = (1, 2, 3) if max_ops == ALL_OPS else (1,)
+    return [
+        (seed, name, ops, cap)
+        for seed in seeds
+        for name, (_, budgets) in tag_grammars(seed).items()
+        for ops in budgets
+        for cap in TAG_CAPS
+    ]
+
+
+def tag_line(seed: int, name: str, ops: int, cap: int | None) -> str:
+    """One enumeration of a `tag-enum` grammar: its digest, as `digest` with scripts, and that of its replays."""
+    from lstag import (
+        EnumerationBudget,
+        enumerate_derivations,
+        format_derivation_script,
+        parse_grammar,
+        replay,
+        yield_tokens,
+    )
+
+    grammar = parse_grammar(tag_grammars(seed)[name][0]).tag_grammar()
+    result = enumerate_derivations(grammar, EnumerationBudget(ops) if cap is None else EnumerationBudget(ops, cap))
+    items = [
+        ([r.to_line() for r in item.records], item.left_yield, format_derivation_script(item.left_derivation))
+        for item in result.items
+    ]
+    replayed = [yield_tokens(replay(grammar, item.left_derivation)) for item in result.items]
+    digests = (hashlib.sha256(repr(x).encode("utf-8")).hexdigest() for x in ((items, result.truncated), replayed))
+    return "\t".join((f"tag {seed} {name} {budget_flags(ops, cap)}", *digests))
+
+
 def arguments(text: str) -> str:
     return text.split("\t", 1)[0]
 
@@ -157,6 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         (GOLDEN, [line(argv) for argv in runs(args.max_ops)]),
         (RANDOM_GOLDEN, [random_line(*run) for run in random_runs(args.max_ops)]),
         (COORD_GOLDEN, [coord_line(*run) for run in coord_runs(args.max_ops)]),
+        (TAG_GOLDEN, [tag_line(*run) for run in tag_runs(args.max_ops)]),
     )
     failed = False
     for golden, got in lists:

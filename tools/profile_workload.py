@@ -3,6 +3,7 @@
     python3 tools/profile_workload.py --workload tag-enum --seed 1 --rounds 3 --top 15
     python3 tools/profile_workload.py --workload coord-enum --case "coord n=3" --rounds 20
     python3 tools/profile_workload.py --workload tag-enum --rounds 200 --sample 1
+    python3 tools/profile_workload.py --workload tag-enum --rounds 20 --gc
 
 Builds the workload's inputs from the seed with `perfbench/workloads.py`,
 runs the program's set-up, keeps only the cases whose name contains
@@ -15,22 +16,29 @@ and instead samples its own stack every MS milliseconds of process CPU time
 their share of the samples: self (the function was running) and
 cumulative (it was on the stack).  cProfile charges every call a cost of
 its own, which inflates code that makes many small calls; sampling does
-not.  The profiled rounds run no output checks and leave out a case that
-raised or gave a wrong output in the warm-up; the tool then exits 1, as it
-does when the set-up reports a problem.  The lstag it profiles is the one
-under `src/` of this checkout.
+not.  With `--gc`, the tool runs the rounds without either and reports
+CPython's cyclic collector instead: as the benchmark does, each case runs
+after an untimed `gc.collect()`, and `gc.callbacks` count, per generation,
+the collections made inside the case calls, the milliseconds they took and
+the objects they freed; the last line gives the collector's share of the
+time the case calls took.  The profiled rounds run no output checks and
+leave out a case that raised or gave a wrong output in the warm-up; the
+tool then exits 1, as it does when the set-up reports a problem.  The
+lstag it profiles is the one under `src/` of this checkout.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import importlib
 import pstats
 import random
 import signal
 import sys
 import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 from types import CodeType
@@ -70,6 +78,38 @@ def sample(run: Callable[[], object], ms: float) -> tuple[Counter[CodeType], Cou
     return own, cumulative
 
 
+def collector_work(cases: list, rounds: int) -> tuple[list[list], float]:
+    """Run `rounds` rounds of `cases`, each case after an untimed `gc.collect()`, as the benchmark times them.
+
+    Returns, per generation, [collections, seconds, objects collected] of the collections made inside the case
+    calls, and the seconds the calls took in all.
+    """
+    found = [[0, 0.0, 0] for _ in range(3)]
+    started = [0.0]
+
+    def callback(phase: str, info: dict) -> None:
+        if phase == "start":
+            started[0] = time.perf_counter()
+        else:
+            generation = found[info["generation"]]
+            generation[0] += 1
+            generation[1] += time.perf_counter() - started[0]
+            generation[2] += info["collected"]
+
+    spent = 0.0
+    for _ in range(rounds):
+        for case in cases:
+            gc.collect()
+            gc.callbacks.append(callback)
+            t0 = time.perf_counter()
+            try:
+                case.run()
+            finally:
+                spent += time.perf_counter() - t0
+                gc.callbacks.remove(callback)
+    return found, spent
+
+
 def where(code: CodeType) -> str:
     """A function as pstats prints it with its directories stripped: file:line(name)."""
     return f"{Path(code.co_filename).name}:{code.co_firstlineno}({code.co_name})"
@@ -82,7 +122,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--rounds", type=int, default=3)
     ap.add_argument("--top", type=int, default=20)
     ap.add_argument("--case", default="", metavar="SUBSTRING", help="profile only the cases whose name contains it")
-    ap.add_argument("--sample", type=float, metavar="MS", help="sample the stack every MS ms of CPU time instead")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--sample", type=float, metavar="MS", help="sample the stack every MS ms of CPU time instead")
+    mode.add_argument("--gc", action="store_true", help="report the cyclic collector's work in the case calls instead")
     args = ap.parse_args(argv)
     if args.rounds < 1 or args.top < 1:
         ap.error("--rounds and --top must be >= 1")
@@ -116,7 +158,9 @@ def main(argv: list[str] | None = None) -> int:
                 for case in cases:
                     case.run()
 
-        if args.sample is not None:
+        if args.gc:
+            found, spent = collector_work(cases, args.rounds)
+        elif args.sample is not None:
             own, cumulative = sample(rounds, args.sample)
         else:
             profile = cProfile.Profile()
@@ -124,7 +168,14 @@ def main(argv: list[str] | None = None) -> int:
 
     which = f"{len(cases)} cases" + (f" matching {args.case!r}" if args.case else "")
     print(f"{args.workload}, seed {args.seed}: {which}, {args.rounds} profiled rounds after 1 warm-up")
-    if args.sample is None:
+    if args.gc:
+        print(f"{'generation':>10} {'collections':>12} {'ms':>10} {'collected':>10}")
+        for generation, (n, seconds, freed) in enumerate(found):
+            print(f"{generation:>10} {n:>12} {1000 * seconds:>10.1f} {freed:>10}")
+        n, seconds, freed = (sum(column) for column in zip(*found))
+        print(f"{'all':>10} {n:>12} {1000 * seconds:>10.1f} {freed:>10}")
+        print(f"the collector took {100 * seconds / spent:.1f}% of {1000 * spent:.1f} ms in the case calls")
+    elif args.sample is None:
         stats = pstats.Stats(profile, stream=sys.stdout)
         stats.strip_dirs()
         for order in ("tottime", "cumulative"):
